@@ -2,12 +2,16 @@
 
 Two jobs live here.  operator_algebra_from_basis takes a list of sparse
 matrices acting on some space, checks the span is closed under commutators
-and returns the abstract Algebra with exact structure constants.  The
-eigensplit helpers refine a basis so that a chosen torus acts diagonally,
-which the construction modules use before freezing structure constants.
+and returns the abstract Algebra with exact structure constants.  It
+scales all nonzero commutators to one int64 batch and takes their
+coordinates from a single BatchCoords call, whose exact reconstruction
+check is the closure certificate.  The eigensplit helpers refine a basis
+so that a chosen torus acts diagonally, which the construction modules
+use before freezing structure constants.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg as la
 from .algebra import Algebra
@@ -21,15 +25,6 @@ class NotClosedError(Exception):
     """A commutator left the span of the proposed basis."""
 
 
-def sp_from_dense(m: la.Matrix) -> SpMat:
-    out: SpMat = {}
-    for r, row in enumerate(m):
-        for c, v in enumerate(row):
-            if v != 0:
-                out[(r, c)] = v
-    return out
-
-
 def sp_mul(a: SpMat, b: SpMat) -> SpMat:
     bycol: dict[int, list] = {}
     for (r, c), v in b.items():
@@ -40,14 +35,6 @@ def sp_mul(a: SpMat, b: SpMat) -> SpMat:
             k = (r, c2)
             out[k] = out.get(k, F0) + v * v2
     return {k: v for k, v in out.items() if v != 0}
-
-
-def sp_apply(m: SpMat, v: la.Vec, n: int) -> la.Vec:
-    out = la.zero_vec(n)
-    for (r, c), a in m.items():
-        if v[c] != 0:
-            out[r] += a * v[c]
-    return out
 
 
 class _Coords:
@@ -111,23 +98,50 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
 
     mats: list of sparse matrices (dict (row, col) -> Fraction) on a common
     space.  The span must be closed under [a, b] = ab - ba; otherwise
-    NotClosedError is raised with the offending pair.  cartan, if given, is
-    a list of coordinate vectors w.r.t. mats.
+    NotClosedError is raised with the first offending pair.  cartan, if
+    given, is a list of coordinate vectors w.r.t. mats.
+
+    The nonzero commutators are collected first and their coordinates come
+    from one BatchCoords.coords_int call, whose reconstruction check is the
+    closure certificate.  If it fails, the first escapee is located with
+    the exact _Coords.coords.
     """
     nb = len(mats)
-    solver = MatSpanSolver(mats)
+    pairs, comms = [], []
+    for i, j in combinations(range(nb), 2):
+        cm = sp_commutator(mats[i], mats[j])
+        if cm:
+            pairs.append((i, j))
+            comms.append(cm)
+    # a key that only a commutator has is a zero column of every basis row,
+    # so the batch check rejects that commutator like any other escapee
+    pos: dict = {}
+    for m in [*mats, *comms]:
+        for k in m:
+            pos.setdefault(k, len(pos))
+
+    def dense(m):
+        vec = la.zero_vec(len(pos))
+        for k, v in m.items():
+            vec[pos[k]] = v
+        return vec
+
+    bc = BatchCoords([dense(m) for m in mats])
     table = {}
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            cm = sp_commutator(mats[i], mats[j])
-            if not cm:
-                continue
-            co = solver.coords(cm)
-            if co is None:
-                raise NotClosedError((i, j))
-            ent = [(k, v) for k, v in enumerate(co) if v != 0]
+    if comms:
+        vint, vs = int_rows([{pos[k]: v for k, v in cm.items()}
+                             for cm in comms], len(pos))
+        try:
+            carr, cs = bc.coords_int(vint, vs)
+        except ValueError:
+            for pair, cm in zip(pairs, comms):
+                if bc.co.coords(dense(cm)) is None:
+                    raise NotClosedError(pair) from None
+            raise
+        for pair, row in zip(pairs, carr.tolist()):
+            ent = [(k, Fraction(x, cs)) for k, x in enumerate(row) if x]
             if ent:
-                table[(i, j)] = ent
+                table[pair] = ent
     alg = Algebra(nb, table, labels=labels, name=name)
     if weights is not None:
         alg.weights = [tuple(w) for w in weights]
@@ -339,20 +353,26 @@ def simultaneous_eigenbasis(mats: list[la.Matrix]):
 INT64_GUARD = 1 << 62
 
 
-def int_rows(rows: la.Matrix, width: int | None = None):
-    """Clear denominators of a rational row list into (int64 array, scale)."""
+def int_rows(rows, width: int | None = None):
+    """Clear denominators of rational rows into (int64 array, scale).
+
+    A row is a dense list, or a dict column -> value (then width is needed).
+    """
     import numpy as np
     from math import lcm
 
-    if not rows:
-        return np.zeros((0, width or 0), dtype=np.int64), 1
+    def items(row):
+        return row.items() if isinstance(row, dict) else enumerate(row)
+
+    if rows and not isinstance(rows[0], dict):
+        width = len(rows[0])
     s = 1
     for row in rows:
-        for v in row:
+        for _, v in items(row):
             s = lcm(s, v.denominator)
-    arr = np.empty((len(rows), len(rows[0])), dtype=np.int64)
+    arr = np.zeros((len(rows), width or 0), dtype=np.int64)
     for i, row in enumerate(rows):
-        for j, v in enumerate(row):
+        for j, v in items(row):
             iv = v.numerator * (s // v.denominator)
             if abs(iv) >= INT64_GUARD:
                 raise OverflowError("entry does not fit the int64 batch path")

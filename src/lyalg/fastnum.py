@@ -15,7 +15,7 @@ paths stay exact:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 from scipy import sparse
@@ -171,27 +171,6 @@ def rank_mod(a: np.ndarray, p: int) -> int:
     return len(rref_mod(a, p)[1])
 
 
-def det_mod(a: np.ndarray, p: int) -> int:
-    m = np.mod(a, p).astype(np.int64)
-    n = m.shape[0]
-    d = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if len(nz) == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            d = p - d
-        d = d * int(m[c, c]) % p
-        inv = pow(int(m[c, c]), p - 2, p)
-        below = np.nonzero(m[c + 1:, c])[0] + c + 1
-        if len(below):
-            f = m[below, c] * inv % p
-            m[below] = (m[below] - f[:, None] * m[c][None, :]) % p
-    return d
-
-
 def _kernel_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
     rows, pivots = rref_mod(a, p)
     nc = a.shape[1]
@@ -213,7 +192,7 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 def rat_recon(r: int, m: int) -> Fraction | None:
     """Rational reconstruction: num/den = r mod m with |num|, den <= sqrt(m/2)."""
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     a, b = m, r % m
     pa, pb = 0, 1
     while b > bound:

@@ -5,7 +5,11 @@ forms (hyperbolic planes, plus a one-dimensional tail in odd dimension),
 so each one comes with a torus that acts diagonally on the natural basis.
 The three reductive-pair families on V1 (+) V2, sl2 (x) sym0(V2) and
 sl(V1) (x) sl(V2) are produced directly from their closed product
-formulas, with exact rational coefficients.
+formulas, with exact rational coefficients.  The two tensor families
+share one builder: the trace form and the span coordinates of each
+factor's anticommutators and double brackets are computed once per
+factor (_FactorTable, every coordinate checked exactly), and the tensor
+products are then index loops over the two tables.
 """
 
 from fractions import Fraction
@@ -208,13 +212,6 @@ def _sp_trace_mul(a: SpMat, b: SpMat) -> Fraction:
     return sum((v * b[(c, r)] for (r, c), v in a.items() if (c, r) in b), F0)
 
 
-def _sp_anticommutator(a: SpMat, b: SpMat) -> SpMat:
-    out = sp_mul(a, b)
-    for k, v in sp_mul(b, a).items():
-        out[k] = out.get(k, F0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def sym0_basis(form: BilinForm):
     """Weight-adapted basis of the trace-zero phi-symmetric maps.
 
@@ -270,6 +267,125 @@ def sym0_basis(form: BilinForm):
     return mats, tups
 
 
+class _FactorTable:
+    """Structure data of one tensor factor, computed once per factor.
+
+    For a basis x_a of trace-zero operators on an n-dim space: the trace
+    form tr(x_a x_b), and the coordinates (sparse (index, value) lists) of
+    the traceless anticommutator x_a x_b + x_b x_a - (2/n) tr(x_a x_b) 1
+    and of the double brackets [[x_a, x_b], x_c].  The coordinates of
+    (1/2)[x_a, x_b] are computed on demand, because [x_a, x_b] need not
+    lie in the span (it does not for sym0).  Every coordinate goes through
+    the exact span solver, and a miss raises ArithmeticError.
+    """
+
+    def __init__(self, mats, weights, n: int, side: str, span: str):
+        nb = len(mats)
+        self.dim = nb
+        self.weights = weights
+        self.inv = Fraction(1, n)
+        self.mats = mats
+        self.solver = MatSpanSolver(mats)
+        self.escaped = "%s factor escaped %s" % (side, span)
+        self.tr = [[_sp_trace_mul(a, b) for b in mats] for a in mats]
+        self.anti = [[None] * nb for _ in range(nb)]
+        self.dbl = [[[[]] * nb] * nb for _ in range(nb)]
+        self._half = {}
+        for a in range(nb):
+            for b in range(a, nb):
+                m = sp_mul(mats[a], mats[b])
+                for k, v in sp_mul(mats[b], mats[a]).items():
+                    m[k] = m.get(k, F0) + v
+                shift = 2 * self.inv * self.tr[a][b]
+                if shift != 0:
+                    for d in range(n):
+                        m[(d, d)] = m.get((d, d), F0) - shift
+                self.anti[a][b] = self.anti[b][a] = self.coords(m)
+            for b in range(a + 1, nb):
+                comm = sp_commutator(mats[a], mats[b])
+                self.dbl[a][b] = [self.coords(sp_commutator(comm, x))
+                                  for x in mats]
+                self.dbl[b][a] = [[(c, -v) for c, v in co]
+                                  for co in self.dbl[a][b]]
+
+    def coords(self, m: SpMat):
+        co = self.solver.coords({k: v for k, v in m.items() if v != 0})
+        if co is None:
+            raise ArithmeticError(self.escaped)
+        return [(c, v) for c, v in enumerate(co) if v != 0]
+
+    def half_comm(self, a: int, b: int):
+        """Coordinates of (1/2)[x_a, x_b]."""
+        if a > b:
+            return [(c, -v) for c, v in self.half_comm(b, a)]
+        if (a, b) not in self._half:
+            co = self.coords(sp_commutator(self.mats[a], self.mats[b]))
+            self._half[(a, b)] = [(c, v / 2) for c, v in co]
+        return self._half[(a, b)]
+
+
+def _sl_factor(n: int, side: str) -> _FactorTable:
+    mats, _, weights, _ = sl_ops(n)
+    return _FactorTable(mats, weights, n, side, "sl")
+
+
+def _add_tensor(acc: dict, ca, cf, nf: int):
+    for s, va in ca:
+        for t, vf in cf:
+            l = s * nf + t
+            acc[l] = acc.get(l, F0) + va * vf
+
+
+def _tensor_ly(left: _FactorTable, right: _FactorTable, name: str) -> LYAlgebra:
+    """LY-algebra on left (x) right from the closed product formulas.
+
+    With a (x) f the basis vectors (index s * nf + t):
+      [a (x) f, a' (x) f'] = (1/2)[a, a'] (x) (f f' + f' f)_0
+                             + (a a' + a' a)_0 (x) (1/2)[f, f'],
+      [a (x) f, a' (x) f', a'' (x) f''] = (1/n2) tr(f f') [[a, a'], a''] (x) f''
+                             + (1/n1) tr(a a') a'' (x) [[f, f'], f''],
+    where ( )_0 removes the trace over the factor's n-dim space.
+    """
+    na, nf = left.dim, right.dim
+    dim = na * nf
+    binary = {}
+    ternary = {}
+    for i in range(dim):
+        s1, t1 = divmod(i, nf)
+        for j in range(i + 1, dim):
+            s2, t2 = divmod(j, nf)
+            acc: dict[int, Fraction] = {}
+            _add_tensor(acc, left.half_comm(s1, s2), right.anti[t1][t2], nf)
+            if left.anti[s1][s2]:
+                _add_tensor(acc, left.anti[s1][s2], right.half_comm(t1, t2), nf)
+            ent = sorted((l, v) for l, v in acc.items() if v != 0)
+            if ent:
+                binary[(i, j)] = ent
+            cl = right.tr[t1][t2] * right.inv
+            cr = left.tr[s1][s2] * left.inv
+            if cl == 0 and cr == 0:
+                continue
+            dl, dr = left.dbl[s1][s2], right.dbl[t1][t2]
+            for k in range(dim):
+                s3, t3 = divmod(k, nf)
+                acc = {}
+                if cl != 0:
+                    for s, v in dl[s3]:
+                        acc[s * nf + t3] = v * cl
+                if cr != 0:
+                    for t, v in dr[t3]:
+                        l = s3 * nf + t
+                        acc[l] = acc.get(l, F0) + v * cr
+                ent = sorted((l, v) for l, v in acc.items() if v != 0)
+                if ent:
+                    ternary[(i, j, k)] = ent
+    labels = ["a%d*f%d" % divmod(i, nf) for i in range(dim)]
+    ly = LYAlgebra(dim, binary, ternary, labels=labels, name=name)
+    ly.weights = [left.weights[i // nf] + right.weights[i % nf]
+                  for i in range(dim)]
+    return ly
+
+
 SL2_OPS = [
     {(0, 0): F1, (1, 1): -F1},        # h
     {(0, 1): F1},                     # e
@@ -279,155 +395,26 @@ SL2_WEIGHTS = [(F0,), (F2,), (-F2,)]
 
 
 def ly_sp_tensor_sym(n2: int, eps2: int, name: str = "") -> LYAlgebra:
-    """LY-algebra sl2 (x) sym0(V2) from the closed product formulas."""
+    """LY-algebra sl2 (x) sym0(V2) from the closed product formulas.
+
+    This is the sl(V1) (x) sl(V2) formula with V1 of dim 2, where the
+    traceless anticommutator of sl2 vanishes."""
     if eps2 == -1 and (n2 % 2 or n2 < 4):
         raise ValueError("skew V2 needs even dimension >= 4")
     if eps2 == 1 and n2 < 3:
         raise ValueError("symmetric V2 needs dimension >= 3")
     form2 = split_sym_form(n2) if eps2 == 1 else split_skew_form(n2)
-    amats = SL2_OPS
-    asolver = MatSpanSolver(amats)
     fmats, fweights = sym0_basis(form2)
-    fsolver = MatSpanSolver(fmats)
-    na, nf = len(amats), len(fmats)
-    dim = na * nf
-    ninv = Fraction(1, n2)
-
-    def acoords(m):
-        co = asolver.coords(m)
-        if co is None:
-            raise ArithmeticError("left factor escaped sl2")
-        return co
-
-    def fcoords(m):
-        co = fsolver.coords(m)
-        if co is None:
-            raise ArithmeticError("right factor escaped sym0")
-        return co
-
-    def tensor_entry(ca, cf):
-        return sorted((s * nf + t, va * vf)
-                      for s, va in enumerate(ca) if va != 0
-                      for t, vf in enumerate(cf) if vf != 0)
-
-    binary = {}
-    ternary = {}
-    for i in range(dim):
-        s1, t1 = divmod(i, nf)
-        for j in range(i + 1, dim):
-            s2, t2 = divmod(j, nf)
-            comm_a = sp_commutator(amats[s1], amats[s2])
-            anti_f = _sp_anticommutator(fmats[t1], fmats[t2])
-            trf = _sp_trace_mul(fmats[t1], fmats[t2])
-            adj = dict(anti_f)
-            if trf != 0:
-                for d in range(n2):
-                    adj[(d, d)] = adj.get((d, d), F0) - 2 * ninv * trf
-            adj = {k: v for k, v in adj.items() if v != 0}
-            ca = [v / 2 for v in acoords(comm_a)]
-            cf = fcoords(adj)
-            ent = [(l, v) for l, v in tensor_entry(ca, cf) if v != 0]
-            if ent:
-                binary[(i, j)] = ent
-            tra = _sp_trace_mul(amats[s1], amats[s2])
-            for k in range(dim):
-                s3, t3 = divmod(k, nf)
-                acc: dict[int, Fraction] = {}
-                if trf != 0:
-                    dd = acoords(sp_commutator(comm_a, amats[s3]))
-                    for l, v in tensor_entry([x * ninv * trf for x in dd],
-                                             la.basis_vec(nf, t3)):
-                        acc[l] = acc.get(l, F0) + v
-                if tra != 0:
-                    ff = fcoords(sp_commutator(
-                        sp_commutator(fmats[t1], fmats[t2]), fmats[t3]))
-                    for l, v in tensor_entry(la.basis_vec(na, s3),
-                                             [x * tra / 2 for x in ff]):
-                        acc[l] = acc.get(l, F0) + v
-                ent = sorted((l, v) for l, v in acc.items() if v != 0)
-                if ent:
-                    ternary[(i, j, k)] = ent
-    labels = ["a%d*f%d" % divmod(i, nf) for i in range(dim)]
-    ly = LYAlgebra(dim, binary, ternary, labels=labels, name=name)
-    ly.weights = [SL2_WEIGHTS[i // nf] + fweights[i % nf] for i in range(dim)]
-    return ly
+    return _tensor_ly(_FactorTable(SL2_OPS, SL2_WEIGHTS, 2, "left", "sl2"),
+                      _FactorTable(fmats, fweights, n2, "right", "sym0"),
+                      name)
 
 
 def ly_sl_tensor_sl(n1: int, n2: int, name: str = "") -> LYAlgebra:
     """LY-algebra sl(V1) (x) sl(V2) from the closed product formulas."""
     if not (2 <= n1 <= n2):
         raise ValueError("need 2 <= n1 <= n2")
-    amats, _, aweights, _ = sl_ops(n1)
-    fmats, _, fweights, _ = sl_ops(n2)
-    asolver = MatSpanSolver(amats)
-    fsolver = MatSpanSolver(fmats)
-    na, nf = len(amats), len(fmats)
-    dim = na * nf
-    inv1, inv2 = Fraction(1, n1), Fraction(1, n2)
-
-    def coords_or_die(solver, m, side):
-        co = solver.coords(m)
-        if co is None:
-            raise ArithmeticError("%s factor escaped sl" % side)
-        return co
-
-    def traceless_anti(mats, idx1, idx2, n, inv):
-        out = _sp_anticommutator(mats[idx1], mats[idx2])
-        tr = _sp_trace_mul(mats[idx1], mats[idx2])
-        if tr != 0:
-            for d in range(n):
-                out[(d, d)] = out.get((d, d), F0) - 2 * inv * tr
-        return {k: v for k, v in out.items() if v != 0}, tr
-
-    def tensor_entry(ca, cf):
-        return sorted((s * nf + t, va * vf)
-                      for s, va in enumerate(ca) if va != 0
-                      for t, vf in enumerate(cf) if vf != 0)
-
-    binary = {}
-    ternary = {}
-    for i in range(dim):
-        s1, t1 = divmod(i, nf)
-        for j in range(i + 1, dim):
-            s2, t2 = divmod(j, nf)
-            comm_a = sp_commutator(amats[s1], amats[s2])
-            comm_f = sp_commutator(fmats[t1], fmats[t2])
-            anti_f, trf = traceless_anti(fmats, t1, t2, n2, inv2)
-            anti_a, tra = traceless_anti(amats, s1, s2, n1, inv1)
-            acc: dict[int, Fraction] = {}
-            ca = [v / 2 for v in coords_or_die(asolver, comm_a, "left")]
-            cf = coords_or_die(fsolver, anti_f, "right")
-            for l, v in tensor_entry(ca, cf):
-                acc[l] = acc.get(l, F0) + v
-            ca2 = coords_or_die(asolver, anti_a, "left")
-            cf2 = [v / 2 for v in coords_or_die(fsolver, comm_f, "right")]
-            for l, v in tensor_entry(ca2, cf2):
-                acc[l] = acc.get(l, F0) + v
-            ent = sorted((l, v) for l, v in acc.items() if v != 0)
-            if ent:
-                binary[(i, j)] = ent
-            for k in range(dim):
-                s3, t3 = divmod(k, nf)
-                acc = {}
-                if trf != 0:
-                    dd = coords_or_die(
-                        asolver, sp_commutator(comm_a, amats[s3]), "left")
-                    for l, v in tensor_entry([x * inv2 * trf for x in dd],
-                                             la.basis_vec(nf, t3)):
-                        acc[l] = acc.get(l, F0) + v
-                if tra != 0:
-                    ff = coords_or_die(
-                        fsolver, sp_commutator(comm_f, fmats[t3]), "right")
-                    for l, v in tensor_entry(la.basis_vec(na, s3),
-                                             [x * inv1 * tra for x in ff]):
-                        acc[l] = acc.get(l, F0) + v
-                ent = sorted((l, v) for l, v in acc.items() if v != 0)
-                if ent:
-                    ternary[(i, j, k)] = ent
-    labels = ["a%d*f%d" % divmod(i, nf) for i in range(dim)]
-    ly = LYAlgebra(dim, binary, ternary, labels=labels, name=name)
-    ly.weights = [aweights[i // nf] + fweights[i % nf] for i in range(dim)]
-    return ly
+    return _tensor_ly(_sl_factor(n1, "left"), _sl_factor(n2, "right"), name)
 
 
 def check_coincidence(a: LYAlgebra, b: LYAlgebra, basis_map: la.Matrix) -> bool:

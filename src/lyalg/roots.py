@@ -10,6 +10,7 @@ from a wrong theorem, not a wrong computation.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from . import linalg as la
 from .algebra import Algebra
@@ -447,7 +448,7 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     den = 1
     for blk in blocks:
         for x in alg.weights[blk[0]]:
-            den = den * x.denominator // la.gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
     clsw = [tuple(int(x * den) for x in alg.weights[blk[0]]) for blk in blocks]
     wclass = {w: bi for bi, w in enumerate(clsw)}
     unit = {}

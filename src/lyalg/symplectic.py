@@ -25,6 +25,7 @@ transcribed from a table; the result is certified by check_lie on g(T).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import sympy
 
@@ -80,7 +81,7 @@ def cubic_jordan_data(j: JordanAlg) -> CubicJordanData:
         raise ValueError(f"degree {j.degree} algebra has no cubic datum")
     view = trace_admissible_view(j)
     basis = [list(j.unit)] + [list(v) for v in view.vecs]
-    binv = la.mat_inv(la.transpose(basis))
+    binv = la.inv(la.transpose(basis))
     tab = [[la.mat_vec(binv, j.mul(basis[a], basis[b]))
             for b in range(j.dim)] for a in range(j.dim)]
     tvals = [j.gentrace(v) for v in basis]
@@ -525,11 +526,11 @@ def _int_row(ent):
         return None
     den = 1
     for _, v in ent:
-        den = den * v.denominator // la.gcd(den, v.denominator)
+        den = den * v.denominator // gcd(den, v.denominator)
     ivals = [(c, int(v * den)) for c, v in ent]
     g = 0
     for _, v in ivals:
-        g = la.gcd(g, abs(v))
+        g = gcd(g, abs(v))
     ivals = [(c, v // g) for c, v in ivals]
     if ivals[0][1] < 0:
         ivals = [(c, -v) for c, v in ivals]

@@ -113,8 +113,20 @@ def test_operator_algebra_round_trip():
 def test_operator_algebra_not_closed():
     e = {(0, 1): fr(1)}
     f = {(1, 0): fr(1)}
-    with pytest.raises(NotClosedError):
+    with pytest.raises(NotClosedError) as exc:
         operator_algebra_from_basis([e, f])
+    assert exc.value.args[0] == (0, 1)
+
+
+def test_operator_algebra_not_closed_inside_support():
+    # [E01, E10] = E00 - E11 stays on the support of E00 + E11 but is not
+    # in the span, so only the exact coordinate check can reject it
+    e01 = {(0, 1): fr(1)}
+    e10 = {(1, 0): fr(1)}
+    unit = {(0, 0): fr(1), (1, 1): fr(1)}
+    with pytest.raises(NotClosedError) as exc:
+        operator_algebra_from_basis([e01, e10, unit])
+    assert exc.value.args[0] == (0, 1)
 
 
 def test_eigensplit_swap():

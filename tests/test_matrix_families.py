@@ -1,10 +1,12 @@
 """The classical matrix Lie algebras, the three tensor-space LY families,
 their enveloping algebras and the stated coincidences between them."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from lyalg import io
 from lyalg import linalg as la
 from lyalg.algebra import LYAlgebra
 from lyalg.buildtools import subalgebra_on_indices
@@ -150,6 +152,33 @@ def test_sl_tensor_sl_bad_params():
         ly_sl_tensor_sl(1, 3)
     with pytest.raises(ValueError):
         ly_sl_tensor_sl(3, 2)
+
+
+PINNED_SHA256 = [
+    (lambda: ly_sl_tensor_sl(2, 3),
+     "743741b46b5aa216686fe15819e69041473930507d1ddc84eba16c3a0f706c2d"),
+    (lambda: ly_sp_tensor_sym(3, 1),
+     "2a77cb59f46741c7cccae624e5c06b5dce738a1388cce846e555f376ea3a5a89"),
+    (lambda: ly_sp_tensor_sym(4, -1),
+     "58ce3f6dbe46244f9c5ff2ca97345d8351efab58fd3981e2e2ab837ade0d56a5"),
+    (lambda: build_matrix_lie("sl", 4),
+     "8ac32434eab8ba0d9a8c8dba3c65c30f5c82d3af2e7fbacde61b17830d2d73c5"),
+    (lambda: build_matrix_lie("so", 7),
+     "8562f5e1ace36d45ebc024361baa5a928d22e3cddb40182aee9d20c8e9b72ac9"),
+    (lambda: build_matrix_lie("sp", 6),
+     "67e1015a52fa3235ed62c904dcddea47cccf65c7a5850f1a75ee73f85a60e237"),
+]
+
+
+@pytest.mark.parametrize("build, want", PINNED_SHA256,
+                         ids=["sl2xsl3", "sl2xsym0(3,1)", "sl2xsym0(4,-1)",
+                              "sl4", "so7", "sp6"])
+def test_builders_canonical_bytes_pinned(build, want):
+    """The canonical JSON of each builder's output, byte for byte."""
+    alg = build()
+    obj = (io.ly_to_obj(alg) if isinstance(alg, LYAlgebra)
+           else io.algebra_to_obj(alg))
+    assert hashlib.sha256(io.dumps(obj).encode()).hexdigest() == want
 
 
 def trace_gram(mats, scale):

@@ -63,8 +63,12 @@ def test_small_cells_full_jacobi():
         assert classify(saturate_torus(t.alg)) == typ
 
 
-def test_magic_square_table():
-    sq = magic_square()
+@pytest.fixture(scope="module")
+def sq():
+    return magic_square()
+
+
+def test_magic_square_table(sq):
     for ri, cx in enumerate("kKQO"):
         for ci, cy in enumerate("kKQO"):
             dim, typ = SQUARE[cx][ci]
@@ -74,8 +78,7 @@ def test_magic_square_table():
             assert cell["lie"]
 
 
-def test_magic_square_symmetry():
-    sq = magic_square()
+def test_magic_square_symmetry(sq):
     for cx in "kKQO":
         for cy in "kKQO":
             assert sq[(cx, cy)]["dim"] == sq[(cy, cx)]["dim"]
