@@ -30,13 +30,6 @@ def _clean(entries) -> Sparse:
     return out
 
 
-def sparse_to_vec(entries: Sparse, dim: int) -> Vec:
-    v = [F0] * dim
-    for k, c in entries:
-        v[k] = c
-    return v
-
-
 class Algebra:
     """Anticommutative algebra given by structure constants."""
 
@@ -59,17 +52,6 @@ class Algebra:
         self.weights: list[tuple] | None = None
         self.cartan: list[Vec] | None = None
         self._cache: dict = {}
-
-    @classmethod
-    def from_bracket(cls, dim: int, bk, labels=None, name: str = "") -> "Algebra":
-        """Build from a callable bk(i, j) -> sparse entries or dense vector."""
-        table = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = bk(i, j)
-                ent = list(enumerate(v)) if isinstance(v, list) and v and not isinstance(v[0], tuple) else v
-                table[(i, j)] = _clean(ent)
-        return cls(dim, table, labels=labels, name=name)
 
     def bk(self, i: int, j: int) -> Sparse:
         """[e_i, e_j] as sparse entries."""
@@ -198,14 +180,6 @@ class LYAlgebra:
                     for l, d in self.t(i, j, k):
                         out[l] += abc * d
         return out
-
-    def d_op(self, i: int, j: int) -> list[Vec]:
-        """Matrix of the inner map z -> [e_i, e_j, z]."""
-        m = [[F0] * self.dim for _ in range(self.dim)]
-        for k in range(self.dim):
-            for l, c in self.t(i, j, k):
-                m[l][k] = c
-        return m
 
     def nnz(self) -> tuple[int, int]:
         return (sum(len(v) for v in self.binary.values()),

@@ -207,17 +207,6 @@ def subalgebra_on_indices(alg: Algebra, indices: list[int],
     return sub
 
 
-def charpoly(m: la.Matrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients, highest degree first."""
-    import sympy
-
-    sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
-                        for v in row] for row in m])
-    x = sympy.Symbol("x")
-    poly = sm.charpoly(x)
-    return [Fraction(c.p, c.q) for c in poly.all_coeffs()]
-
-
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots with multiplicity; raises if any root is not
     rational (the polynomial must split over the rationals)."""

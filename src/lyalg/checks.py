@@ -8,9 +8,6 @@ found by the sweep is attributed to its axiom by which component of which
 pair type it lives in, and the reported witness is then re-derived by a
 direct lexicographic scan of that axiom so the "first violating tuple"
 contract holds independently of sweep order.
-
-Expensive sweeps (dimension above DEEP_DIM) only run when deep=True;
-a skipped check is reported as "skipped", never as a pass.
 """
 
 from __future__ import annotations
@@ -23,13 +20,11 @@ from .envelope import LYStructureError, build_enveloping
 from .fastnum import jacobi_violation
 from .linalg import F0, basis_vec, is_zero_vec
 
-DEEP_DIM = 120
-
 
 @dataclass
 class CheckItem:
     name: str
-    status: str              # "pass" | "fail" | "skipped"
+    status: str              # "pass" | "fail"
     detail: str = ""
     witness: tuple | None = None
 
@@ -50,10 +45,6 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(it.status != "fail" for it in self.items)
-
-    @property
-    def complete(self) -> bool:
         return all(it.status == "pass" for it in self.items)
 
     def add(self, *a, **kw):
@@ -96,18 +87,15 @@ def jacobi_first_violation_naive(alg: Algebra) -> tuple[int, int, int] | None:
     return None
 
 
-def check_lie(alg: Algebra, deep: bool = False, target: str = "") -> Report:
+def check_lie(alg: Algebra, target: str = "") -> Report:
     t0 = time.monotonic()
     rep = Report(target or alg.name or "algebra")
     rep.add("alternating", "pass", "storage is alternating by construction")
-    if alg.dim > DEEP_DIM and not deep:
-        rep.add("jacobi", "skipped", f"dim {alg.dim} > {DEEP_DIM}; rerun with deep")
+    w = jacobi_violation(alg)
+    if w is None:
+        rep.add("jacobi", "pass", f"all triples, dim {alg.dim}")
     else:
-        w = jacobi_violation(alg)
-        if w is None:
-            rep.add("jacobi", "pass", f"all triples, dim {alg.dim}")
-        else:
-            rep.add("jacobi", "fail", "jacobiator nonzero", witness=w)
+        rep.add("jacobi", "fail", "jacobiator nonzero", witness=w)
     rep.seconds = time.monotonic() - t0
     return rep
 
@@ -187,16 +175,11 @@ def _first_ly_violation(ly: LYAlgebra, axiom: str) -> tuple | None:
     return None
 
 
-def check_ly(ly: LYAlgebra, deep: bool = False, target: str = "") -> Report:
+def check_ly(ly: LYAlgebra, target: str = "") -> Report:
     t0 = time.monotonic()
     rep = Report(target or ly.name or "ly-algebra")
     rep.add("LY1 alternating product", "pass", "storage is alternating")
     rep.add("LY2 alternating triple", "pass", "storage is alternating")
-    if ly.dim > DEEP_DIM and not deep:
-        for ax in ("LY3", "LY4", "LY5", "LY6"):
-            rep.add(ax, "skipped", f"dim {ly.dim} > {DEEP_DIM}; rerun with deep")
-        rep.seconds = time.monotonic() - t0
-        return rep
     try:
         pair = build_enveloping(ly)
     except LYStructureError:

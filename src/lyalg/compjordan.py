@@ -586,13 +586,6 @@ class TraceAdmissible:
             return self.dt[(i, j)]
         return la.mat_scale(-F1, self.dt[(j, i)])
 
-    def dco(self, i, j):
-        if i == j:
-            return la.zero_vec(len(self.dspan))
-        if i < j:
-            return self.dcoords[(i, j)]
-        return [-x for x in self.dcoords[(j, i)]]
-
 
 def _x0_labels(tag, amblabels, vecs):
     out = []

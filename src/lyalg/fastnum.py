@@ -94,8 +94,11 @@ def jacobi_violation(alg: Algebra, rows=None) -> tuple[int, int, int] | None:
 
     `rows` restricts the first index p; by the S3 (anti)symmetry of the
     defect this still covers every unordered triple containing an index
-    from `rows`.
+    from `rows`.  The verdict of a full sweep is kept in
+    alg._cache["jacobi"], so a repeated full sweep costs nothing.
     """
+    if rows is None and "jacobi" in alg._cache:
+        return alg._cache["jacobi"]
     st = scaled(alg)
     n = st.n
     if n and st.amax and n * st.amax * st.amax >= (1 << 62):
@@ -123,6 +126,8 @@ def jacobi_violation(alg: Algebra, rows=None) -> tuple[int, int, int] | None:
                 if best is None:
                     best = cand
                 break
+    if rows is None:
+        alg._cache["jacobi"] = best
     return best
 
 

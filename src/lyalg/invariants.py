@@ -6,6 +6,11 @@ hundred.  When an algebra carries a grading (`weights`), centroid and
 commutant unknowns are cut down to the grading-diagonal blocks first; maps
 commuting with a split torus action preserve its eigenspaces, so this loses
 nothing.
+
+is_semisimple first certifies a nondegenerate Killing form mod p: the
+integer Gram matrix killing_int has full rank mod a prime p, and the rank
+mod p is never above the rank over Q, so full rank mod p proves full rank.
+The test is one-sided; only when it fails does the exact radical solve run.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import Algebra
-from .fastnum import killing_int, scaled, sparse_int_kernel
+from .fastnum import PRIMES, killing_int, rank_mod, scaled, sparse_int_kernel
 from .linalg import F0, Matrix, Vec
 
 
@@ -41,7 +46,12 @@ def killing_radical(alg: Algebra) -> list[Vec]:
 
 
 def is_semisimple(alg: Algebra) -> bool:
-    """Killing form nondegenerate.  Char 0, so this is Cartan's criterion."""
+    """Killing form nondegenerate.  Char 0, so this is Cartan's criterion.
+
+    Full rank mod p certifies it; a lower rank mod p may be the prime's
+    fault, so then the exact radical decides."""
+    if rank_mod(killing_int(alg), PRIMES[0]) == alg.dim:
+        return True
     return len(killing_radical(alg)) == 0
 
 

@@ -304,11 +304,6 @@ def extend_to_basis(vectors: list[Vec], dim: int) -> list[Vec]:
     return out
 
 
-def radical_basis(gram: Matrix) -> list[Vec]:
-    """Kernel of a bilinear form given by its Gram matrix."""
-    return kernel_basis(gram, len(gram))
-
-
 def sym_split_gram(n: int, tail: int = 1) -> Matrix:
     """Split symmetric form: hyperbolic 2x2 blocks, trailing (tail) if n odd."""
     g = zeros(n, n)

@@ -1,22 +1,41 @@
 """Type recognition for split semisimple Lie algebras, certificate first.
 
-Every constructed algebra carries a candidate torus (`cartan`, coordinate
-vectors) and per-basis-vector eigenvalue tuples (`weights`).  Nothing here
-trusts those annotations: verify_weights rechecks each bracket exactly, and
-verify_split_maximal certifies the torus is maximal by counting zero
-weights.  Only after those certificates pass does classify read off the
-type from rank, dimension and root lengths, so a wrong label can only come
-from a wrong theorem, not a wrong computation.
+Every constructed algebra carries a candidate torus H (`cartan`,
+coordinate vectors) and per-basis-vector eigenvalue tuples (`weights`).
+Nothing here trusts those annotations.  classify runs a chain of exact
+certificates:
+
+1. the full Jacobi sweep (fastnum.jacobi_violation, memoised on the
+   algebra), so the bracket is a Lie bracket;
+2. verify_weights: H is abelian and acts diagonally on the basis with
+   the recorded eigenvalues;
+3. is_semisimple: the Killing form is nondegenerate (Cartan's criterion);
+4. verify_split_maximal: the zero-weight space has dimension rank H and
+   every root space is one-dimensional, so H is its own centralizer.
+
+In characteristic 0, an abelian, ad-diagonalizable, self-centralizing
+subalgebra of a semisimple Lie algebra is a split Cartan subalgebra, and
+the roots form a root system in the rational dual of H with the inner
+product dual to the Killing form on H.  The simple ideals correspond one
+to one to the irreducible components of that root system (Humphreys,
+"Introduction to Lie Algebras and Representation Theory", sections 8 and
+14.1; de Graaf, "Lie Algebras: Theory and Algorithms", 2000): the
+connected components of the roots, two roots linked when their pairing is
+nonzero.  A component of rank l with N roots spans an ideal of dimension
+l + N, whose type follows from l, l + N and the root lengths.  So a wrong
+label can only come from a wrong theorem, not a wrong computation.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import (_Coords, charpoly, rational_roots,
-                         simultaneous_eigenbasis, sp_mul)
-from .invariants import centroid_basis, is_semisimple, _grading_blocks
+from .buildtools import _Coords, simultaneous_eigenbasis
+from .fastnum import jacobi_violation
+from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -96,15 +115,9 @@ def _cartan_killing(alg: Algebra, r: int) -> la.Matrix:
             for s in range(r)]
 
 
-def _simple_label(alg: Algebra, cert=None) -> str:
-    r, roots = verify_split_maximal(alg) if cert is None else cert
-    n = alg.dim
-    kappa = _cartan_killing(alg, r)
-    nu = la.inv(kappa)
-    def norm2(a):
-        return sum((a[s] * nu[s][t] * a[t]
-                    for s in range(r) for t in range(r)), F0)
-    norms = [norm2(a) for a in roots]
+def _simple_label(r: int, n: int, norms) -> str:
+    """Type of a simple split algebra of rank r and dim n whose roots have
+    the given squared lengths (any common positive scale)."""
     lengths = sorted(set(norms))
     if len(lengths) == 1:
         if n == r * (r + 2):
@@ -116,7 +129,7 @@ def _simple_label(alg: Algebra, cert=None) -> str:
             return exceptional[(r, n)]
         raise ClassifyError("no simply laced type of rank %d dim %d" % (r, n))
     if len(lengths) == 2:
-        ratio = lengths[1] / lengths[0]
+        ratio = Fraction(lengths[1], lengths[0])
         if ratio == 3:
             if (r, n) != (2, 14):
                 raise ClassifyError("triple-ratio roots outside G2")
@@ -138,196 +151,15 @@ def _simple_label(alg: Algebra, cert=None) -> str:
     raise ClassifyError("more than two root lengths")
 
 
-def _regular_rep(sp_basis, dim):
-    """Multiplication table of a commuting associative matrix algebra,
-    as s x s regular representation matrices."""
-    support = sorted({k for m in sp_basis for k in m})
-    pos = {k: i for i, k in enumerate(support)}
-    rows = []
-    for m in sp_basis:
-        row = la.zero_vec(len(support))
-        for k, v in m.items():
-            row[pos[k]] = v
-        rows.append(row)
-    solver = _Coords(rows)
-    s = len(sp_basis)
-    reps = []
-    for i in range(s):
-        cols = []
-        for j in range(s):
-            prod = sp_mul(sp_basis[i], sp_basis[j])
-            vec = la.zero_vec(len(support))
-            for k, v in prod.items():
-                if k not in pos:
-                    raise ClassifyError("centroid not closed under products")
-                vec[pos[k]] = v
-            co = solver.coords(vec)
-            if co is None:
-                raise ClassifyError("centroid not closed under products")
-            cols.append(co)
-        reps.append(la.transpose(cols))
-    if any((i, i) not in pos for i in range(dim)):
-        raise ClassifyError("identity is outside the centroid span")
-    ivec = [F1 if k[0] == k[1] else F0 for k in support]
-    one = solver.coords(ivec)
-    if one is None:
-        raise ClassifyError("identity is outside the centroid span")
-    return reps, one
-
-
-def split_ideals(alg: Algebra) -> list[Algebra]:
-    """Decompose a semisimple algebra whose centroid has dimension > 1 into
-    its minimal ideals, via the primitive idempotents of the centroid.
-
-    Requires the centroid to split over the rationals (true for every
-    catalog construction).  Torus data is pushed down to each ideal when
-    the parent carries it.
-    """
-    cb = centroid_basis(alg)
-    s = len(cb)
-    if s < 2:
-        raise ClassifyError("centroid is one-dimensional, nothing to split")
-    sp_basis = []
-    for m in cb:
-        sp_basis.append({(i, j): v for i, row in enumerate(m)
-                         for j, v in enumerate(row) if v != 0})
-    reps, one = _regular_rep(sp_basis, alg.dim)
-    # find a generator of the (commutative, etale) centroid whose
-    # characteristic polynomial has s distinct rational roots
-    found = None
-    for k in range(1, 40):
-        coeffs = [Fraction(k ** i) for i in range(s)]
-        mu = [[sum((coeffs[i] * reps[i][a][b] for i in range(s)), F0)
-               for b in range(s)] for a in range(s)]
-        try:
-            roots = rational_roots(charpoly(mu))
-        except ArithmeticError:
-            continue
-        if len(set(roots)) == s:
-            found = (mu, sorted(set(roots)))
-            break
-    if found is None:
-        raise ClassifyError("centroid does not split over the rationals")
-    mu, eigvals = found
-    idems = []
-    for lam in eigvals:
-        v = list(one)
-        for other in eigvals:
-            if other == lam:
-                continue
-            v = la.mat_vec([[mu[a][b] - (other if a == b else F0)
-                             for b in range(s)] for a in range(s)], v)
-            v = la.vec_scale(F1 / (lam - other), v)
-        e: dict = {}
-        for i, c in enumerate(v):
-            if c == 0:
-                continue
-            for kk, val in sp_basis[i].items():
-                e[kk] = e.get(kk, F0) + c * val
-        idems.append({kk: val for kk, val in e.items() if val != 0})
-    total = {}
-    for e in idems:
-        if sp_mul(e, e) != e:
-            raise ClassifyError("projection is not idempotent")
-        for kk, val in e.items():
-            total[kk] = total.get(kk, F0) + val
-    ident = {(i, i): F1 for i in range(alg.dim)}
-    if {k: v for k, v in total.items() if v != 0} != ident:
-        raise ClassifyError("idempotents do not sum to the identity")
-
-    blocks = _grading_blocks(alg.dim, alg.weights)
-    out = []
-    for m_idx, e in enumerate(idems):
-        rows = []
-        pivots = []
-        for blk in blocks:
-            bpos = {g: i for i, g in enumerate(blk)}
-            cols = []
-            for j in blk:
-                img = la.zero_vec(len(blk))
-                any_nz = False
-                for (rr, cc), val in e.items():
-                    if cc == j:
-                        if rr not in bpos:
-                            raise ClassifyError("projection leaves its block")
-                        img[bpos[rr]] = val
-                        any_nz = True
-                if any_nz:
-                    cols.append(img)
-            if not cols:
-                continue
-            rr_rows, piv = la.rref(cols)
-            for row in rr_rows:
-                full = la.zero_vec(alg.dim)
-                for i, g in enumerate(blk):
-                    full[g] = row[i]
-                rows.append(full)
-            pivots.extend(blk[p] for p in piv)
-        ideal = _subalgebra_on_rows(alg, rows, pivots, e,
-                                    name="%s#%d" % (alg.name, m_idx))
-        out.append(ideal)
-    if sum(i.dim for i in out) != alg.dim:
-        raise ClassifyError("ideal dimensions do not add up")
-    return out
-
-
-def _subalgebra_on_rows(alg: Algebra, rows, pivots, idem, name=""):
-    """Assemble the algebra on a reduced-echelon basis of an ideal.
-
-    Per-block rows are reduced echelon and blocks have disjoint support,
-    so coordinates of any member vector are just its pivot entries (and
-    membership is verified exactly on each use).  `idem` is the centroid
-    idempotent projecting onto this ideal, used to push torus data down.
-    """
-    nb = len(rows)
-
-    def coords(v):
-        d = [v[p] for p in pivots]
-        rec = la.zero_vec(alg.dim)
-        for dt, row in zip(d, rows):
-            if dt != 0:
-                rec = [x + dt * y for x, y in zip(rec, row)]
-        if rec != v:
-            raise ClassifyError("vector escaped the ideal")
-        return d
-
-    table = {}
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            w = alg.bracket(rows[a], rows[b])
-            ent = [(k, v) for k, v in enumerate(coords(w)) if v != 0]
-            if ent:
-                table[(a, b)] = ent
-    sub = Algebra(nb, table, name=name)
-    if alg.cartan is not None and alg.weights is not None:
-        r = len(alg.cartan)
-        sub_cartan = []
-        sub_cartan_in_old = []
-        span = la.SpanTracker(alg.dim)
-        for h in alg.cartan:
-            hp = la.zero_vec(alg.dim)
-            for (rr, cc), val in idem.items():
-                if h[cc] != 0:
-                    hp[rr] += val * h[cc]
-            if hp == la.zero_vec(alg.dim) or span.contains(hp):
-                continue
-            span.add(hp)
-            sub_cartan.append(coords(hp))
-            xs = la.solve(la.transpose(alg.cartan), hp)
-            if xs is None:
-                raise ClassifyError("projected torus element left the "
-                                    "zero-weight span")
-            sub_cartan_in_old.append(xs)
-        sub.cartan = sub_cartan
-        wrows = []
-        for row in rows:
-            j = next(i for i, x in enumerate(row) if x != 0)
-            wfull = alg.weights[j]
-            wrows.append(tuple(
-                sum((xs[t] * wfull[t] for t in range(r)), F0)
-                for xs in sub_cartan_in_old))
-        sub.weights = wrows
-    return sub
+def _root_pairing(alg: Algebra, r: int, roots) -> np.ndarray:
+    """Gram matrix of the roots under the form dual to the Killing form on
+    the torus, as exact Python integers scaled by one positive constant."""
+    nu = la.inv(_cartan_killing(alg, r))
+    dr = lcm(*(x.denominator for a in roots for x in a))
+    dn = lcm(*(x.denominator for row in nu for x in row))
+    a = np.array([[int(x * dr) for x in w] for w in roots], dtype=object)
+    b = np.array([[int(x * dn) for x in row] for row in nu], dtype=object)
+    return a @ b @ a.T
 
 
 def _offdiag_mat(m) -> bool:
@@ -421,8 +253,14 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     block, so coordinates are solved with one small solver per block.
     Pairs whose weight sum is not a class are skipped outright; the
     grading certificate already forces those brackets to vanish.
+
+    This is an exact change of basis: the n vectors are independent (each
+    block's solver raises on dependent rows) and every coordinate is
+    checked, so a Jacobi verdict of None on the input carries over.
     """
     n = alg.dim
+    if len(vecs) != n:
+        raise ClassifyError("%d new basis vectors for dim %d" % (len(vecs), n))
     blocks = _grading_blocks(n, alg.weights)
     solvers = {}
     memb = {}
@@ -483,16 +321,53 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
             entl = sorted((t, c) for t, c in zip(tids, co) if c != 0)
             if entl:
                 table[(a, b)] = entl
-    return Algebra(n, table, name=alg.name)
+    out = Algebra(n, table, name=alg.name)
+    if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
+        out._cache["jacobi"] = None     # the Jacobi identity is basis-free
+    return out
+
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Connected components of a symmetric boolean adjacency matrix."""
+    seen = np.zeros(len(adj), dtype=bool)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for a in comp:                  # comp grows while it is walked
+            new = np.flatnonzero(adj[a] & ~seen)
+            seen[new] = True
+            comp.extend(new.tolist())
+        out.append(comp)
+    return out
 
 
 def classify(alg: Algebra) -> str:
     """Certified type string: a simple label like "E8", or a sorted
-    plus-joined list like "A2+A2" for a semisimple sum."""
-    if not is_semisimple(alg):
-        raise ClassifyError("algebra is not semisimple")
-    cert = verify_split_maximal(alg)
-    if len(centroid_basis(alg)) == 1:
-        return _simple_label(alg, cert)
-    parts = [classify(i) for i in split_ideals(alg)]
+    plus-joined list like "A2+A2" for a semisimple sum.
+
+    Certificates first: the full Jacobi sweep, then verify_split_maximal.
+    The simple ideals are then the connected components of the roots
+    linked by a nonzero pairing, and each is labelled from its rank,
+    dimension and root lengths.
+    """
+    w = jacobi_violation(alg)
+    if w is not None:
+        raise ClassifyError("Jacobi identity fails at %s" % (w,))
+    r, roots = verify_split_maximal(alg)
+    if not roots:
+        raise ClassifyError("no roots on %r" % alg.name)
+    pair = _root_pairing(alg, r, roots)
+    parts = []
+    total = 0
+    for idx in _components(pair != 0):
+        rank = la.rank([roots[i] for i in idx])
+        total += rank
+        parts.append(_simple_label(rank, rank + len(idx),
+                                   [pair[i, i] for i in idx]))
+    if total != r:
+        raise ClassifyError("root components have total rank %d, torus "
+                            "rank is %d" % (total, r))
     return "+".join(sorted(parts))

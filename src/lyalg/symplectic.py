@@ -335,15 +335,15 @@ def build_g_of_T(t: SymplecticTripleData):
     return g, pair
 
 
-def lts_from_symplectic(t: SymplecticTripleData, deep: bool = False):
+def lts_from_symplectic(t: SymplecticTripleData):
     """Lie triple system on V (x) T; the binary part vanishes because the
     odd part of g(T) brackets into the even part.
 
-    Raises ValueError when g(T) fails its Lie certificate, so a broken
-    triple (the zero triple included) is rejected here.  deep forces the
-    full Jacobi scan past the dimension gate of check_lie."""
+    Raises ValueError when g(T) fails its Lie certificate (the full Jacobi
+    sweep), so a broken triple (the zero triple included) is rejected
+    here."""
     g, pair = build_g_of_T(t)
-    rep = check_lie(g, deep=deep, target=g.name)
+    rep = check_lie(g, target=g.name)
     if not rep.passed:
         raise ValueError(f"{g.name} fails Jacobi; not a symplectic triple datum")
     ly = ly_from_reductive_indices(g, pair.h_index, pair.m_index,
@@ -839,7 +839,7 @@ def construct_TJ(j: CubicJordanData) -> SymplecticTripleData:
         except (NotClosedError, ValueError) as e:
             last = f"no solution found: {e}"
             continue
-        rep = check_lie(g, deep=g.dim <= 60, target=g.name)
+        rep = check_lie(g, target=g.name)
         if not rep.passed:
             last = "no solution found: a branch failed the Lie certificate"
             continue

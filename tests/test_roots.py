@@ -7,10 +7,10 @@ import pytest
 from lyalg import linalg as la
 from lyalg.algebra import Algebra
 from lyalg.buildtools import direct_sum
+from lyalg.fastnum import jacobi_violation
 from lyalg.matrixalg import build_matrix_lie
 from lyalg.roots import (ClassifyError, classify, check_grading,
-                         saturate_torus, split_ideals, verify_weights,
-                         verify_split_maximal)
+                         saturate_torus, verify_weights, verify_split_maximal)
 
 fr = Fraction
 
@@ -46,12 +46,30 @@ def test_composite_classification():
     assert classify(t) == "A1+C2"
 
 
-def test_split_ideals_dims():
+def test_classify_sl2_plus_so7():
     s = direct_sum(build_matrix_lie("sl", 2), build_matrix_lie("so", 7))
-    parts = split_ideals(s)
-    assert sorted(p.dim for p in parts) == [3, 21]
-    for p in parts:
-        verify_split_maximal(p)
+    assert classify(s) == "A1+B3"
+
+
+def test_classify_rejects_non_lie_bracket_with_valid_torus():
+    g = build_matrix_lie("sl", 3)
+    # [E(0,1), E(1,2)] doubled: weights and torus still check out
+    table = dict(g.table)
+    table[(2, 5)] = [(k, 2 * c) for k, c in table[(2, 5)]]
+    bad = Algebra(g.dim, table, labels=g.labels, name="sl3-doubled")
+    bad.weights, bad.cartan = g.weights, g.cartan
+    verify_weights(bad)
+    with pytest.raises(ClassifyError, match=r"Jacobi.*\(2, 3, 4\)"):
+        classify(bad)
+
+
+def test_saturate_carries_a_clean_jacobi_verdict():
+    g = build_matrix_lie("sl", 3)
+    g.cartan = None                 # forces a rebase onto eigenvectors
+    assert "jacobi" not in saturate_torus(g)._cache
+    assert jacobi_violation(g) is None
+    s = saturate_torus(g)
+    assert s is not g and s._cache["jacobi"] is None
 
 
 def test_saturate_already_saturated():

@@ -11,14 +11,13 @@ and the 2x2 row over H_n(K) must come out as sl(2n).
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lyalg import linalg as la
 from lyalg.buildtools import subalgebra_on_indices
-from lyalg.checks import check_lie, check_ly, jacobi_defect
+from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
 from lyalg.envelope import build_enveloping, ly_from_reductive_indices
+from lyalg.fastnum import jacobi_violation
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
@@ -59,7 +58,7 @@ def test_small_cells_full_jacobi():
                              ("Q", "k", 21, "C3"), ("O", "k", 52, "F4")]:
         t = build_tits(cview(cx), jview("H3(%s)" % cy))
         assert t.alg.dim == dim
-        assert check_lie(t.alg, deep=True).complete
+        assert check_lie(t.alg).passed
         assert classify(saturate_torus(t.alg)) == typ
 
 
@@ -75,7 +74,7 @@ def test_magic_square_table(sq):
             cell = sq[(cx, cy)]
             assert cell["dim"] == dim, (cx, cy)
             assert cell["type"] == typ, (cx, cy)
-            assert cell["lie"]
+            assert cell["lie"] is True, (cx, cy)
 
 
 def test_magic_square_symmetry(sq):
@@ -106,7 +105,7 @@ def test_ly_inside_octonion_row_small():
     t = build_tits(cview("O"), jview("H3(k)"))
     ly = ly_inside_tits(t)
     assert ly.dim == 35
-    assert check_ly(ly, deep=True).complete
+    assert check_ly(ly).passed
     env = build_enveloping(ly)
     assert env.g.dim == 52
     assert classify(saturate_torus(env.g)) == "F4"
@@ -137,7 +136,7 @@ def test_ly_inside_agrees_with_reductive_route():
 def test_spin_pair_cell_is_orthosymplectic():
     t = build_tits(jview("JV(3)"), jview("JV(5)"))
     assert t.alg.dim == 28
-    assert check_lie(t.alg, deep=True).complete
+    assert check_lie(t.alg).passed
     ly = ly_inside_tits(t)
     assert ly.dim == 15 and not ly.binary
     ref = lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
@@ -165,7 +164,7 @@ def test_tkk_hermitian_degree_four_is_sl8():
     j = build_jordan("H4(K)")
     g = build_tkk_row(j)
     assert g.dim == 63
-    assert check_lie(g, deep=True).complete
+    assert check_lie(g).passed
     assert classify(saturate_torus(g)) == "A7"
     tk, t, bm = tkk_to_tits_map(j)
     assert bracket_transport_equal(tk, t.alg, bm)
@@ -225,7 +224,7 @@ def test_solver_so3_so5_diagonal_family():
     co = sol.coefficients(0, {free[0]: F(1)})
     assert co == [F(1), F(1)]
     g = assemble_bracket(h, act, cands, co)
-    assert check_lie(g, deep=True).complete
+    assert check_lie(g).passed
     ly = ly_from_reductive_indices(g, list(range(13)), list(range(13, 28)))
     ref = lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
     ident = [[F(1) if i == j else F(0) for j in range(15)] for i in range(15)]
@@ -240,13 +239,8 @@ def test_solver_rejects_empty_candidates():
         solve_equivariant_bracket(h, act, [])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_jacobi_sampled_above_deep_gate(data):
-    # dim 133 sits above the default Jacobi sweep cutoff, so spot-check it
+def test_jacobi_full_sweep_e7():
+    # every triple of the 133-dim cell, not a sample
     t = build_tits(cview("Q"), jview("H3(O)"))
-    n = t.alg.dim
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    k = data.draw(st.integers(0, n - 1))
-    assert not any(jacobi_defect(t.alg, i, j, k))
+    assert t.alg.dim == 133
+    assert jacobi_violation(t.alg) is None
