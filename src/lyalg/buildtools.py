@@ -1,59 +1,178 @@
 """Shared machinery for turning concrete operator models into Algebra objects.
 
-Two jobs live here.  operator_algebra_from_basis takes a list of sparse
-matrices acting on some space, checks the span is closed under commutators
-and returns the abstract Algebra with exact structure constants.  It
-scales all nonzero commutators to one int64 batch and takes their
-coordinates from a single BatchCoords call, whose exact reconstruction
-check is the closure certificate.  The eigensplit helpers refine a basis
-so that a chosen torus acts diagonally, which the construction modules
-use before freezing structure constants.
+BatchCoords is the one certified span engine of the package: every exact
+coordinate in a fixed span, and every choice of independent rows, is
+computed here.  Its guarantees:
+
+* the basis rows are dense Fraction lists, or sparse dicts with any
+  hashable keys; a sparse query with a nonzero entry at a key outside
+  the support of the basis is outside the span;
+* coords(v) gives the exact coordinates of one vector, or None when v is
+  outside the span;
+* coords_int pushes an int64 batch through two integer products, refuses
+  (OverflowError) a product whose worst case could overflow, and checks
+  the reconstruction of every row exactly, so it never returns
+  coordinates of a row outside the span: OutsideSpan names the first;
+* coords_rows answers a Fraction batch through coords_int, and row by
+  row in exact arithmetic when the int64 guard refuses, so it never
+  raises OverflowError;
+* independent_rows selects the first independent rows in the given
+  order: a mod-p echelon pass proposes them and one exact batch
+  certifies the proposal (see its docstring), so a bad prime costs a
+  retry, never a wrong answer (Dixon, "Exact solution of linear
+  equations using p-adic expansions", Numer. Math. 1982, for the
+  pattern of a modular proposal with an exact check).
+
+operator_algebra_from_basis takes a list of sparse matrices acting on
+some space, checks the span is closed under commutators and returns the
+abstract Algebra with exact structure constants; all commutator
+coordinates come from one batch, whose reconstruction check is the
+closure certificate.  The eigensplit helpers refine a basis so that a
+chosen torus acts diagonally, which the construction modules use before
+freezing structure constants.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
+import numpy as np
+
+from . import fastnum
 from . import linalg as la
 from .algebra import Algebra
-from .envelope import SpMat, sp_commutator
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+SpMat = dict[tuple[int, int], Fraction]  # (row, col) -> coeff, zero entries absent
 
 
 class NotClosedError(Exception):
     """A commutator left the span of the proposed basis."""
 
 
-def sp_mul(a: SpMat, b: SpMat) -> SpMat:
-    bycol: dict[int, list] = {}
+def _sp_product(a: SpMat, b: SpMat, out: dict, neg: bool = False) -> dict:
+    """Add a b (or - a b) into out; entries that cancel stay as zeros."""
+    byrow: dict[int, list] = {}
     for (r, c), v in b.items():
-        bycol.setdefault(r, []).append((c, v))
-    out: SpMat = {}
-    for (r, c), v in a.items():
-        for c2, v2 in bycol.get(c, ()):
-            k = (r, c2)
-            out[k] = out.get(k, F0) + v * v2
+        byrow.setdefault(r, []).append((c, -v if neg else v))
+    for (r, m), v in a.items():
+        for c, w in byrow.get(m, ()):
+            k = (r, c)
+            out[k] = out.get(k, F0) + v * w
+    return out
+
+
+def sp_mul(a: SpMat, b: SpMat) -> SpMat:
+    return {k: v for k, v in _sp_product(a, b, {}).items() if v != 0}
+
+
+def sp_commutator(a: SpMat, b: SpMat) -> SpMat:
+    out = _sp_product(b, a, _sp_product(a, b, {}), neg=True)
     return {k: v for k, v in out.items() if v != 0}
 
 
-class _Coords:
-    """Fast exact coordinates in the row span of a fixed independent set.
+# ---------------------------------------------------------------------------
+# the span engine
+#
+# Clearing denominators once and pushing whole batches through int64
+# matrix products is what makes the 27-dimensional constructions cheap;
+# explicit overflow guards and a full reconstruction check keep it exact.
 
-    Keeps the reduced echelon form R = T B of the basis matrix B once.
-    Since R is reduced, a vector v in the span satisfies
-    v = sum_t v[piv_t] R_t, so coordinates w.r.t. B are (v at pivots) T.
+INT64_GUARD = 1 << 62
+
+
+def int_rows(rows, width: int | None = None):
+    """Clear denominators of rational rows into (int64 array, scale).
+
+    A row is a dense list, or a dict column -> value (then width is needed).
+    """
+    def items(row):
+        return row.items() if isinstance(row, dict) else enumerate(row)
+
+    if rows and not isinstance(rows[0], dict):
+        width = len(rows[0])
+    ent = [(i, j, v) for i, row in enumerate(rows) for j, v in items(row) if v]
+    s = lcm(*(v.denominator for _, _, v in ent))
+    vals = [v.numerator * (s // v.denominator) for _, _, v in ent]
+    if vals and max(map(abs, vals)) >= INT64_GUARD:
+        raise OverflowError("entry does not fit the int64 batch path")
+    arr = np.zeros((len(rows), width or 0), dtype=np.int64)
+    if ent:
+        arr[[i for i, _, _ in ent], [j for _, j, _ in ent]] = vals
+    return arr, s
+
+
+def guard_bound(terms: int, *arrs):
+    """Refuse a batched product whose worst-case entry could overflow int64."""
+    b = terms
+    for a in arrs:
+        b *= int(np.abs(a).max(initial=0))
+    if b >= INT64_GUARD:
+        raise OverflowError("integer batch would overflow int64")
+
+
+class OutsideSpan(ValueError):
+    """Row `index` of a query batch is not in the span."""
+
+    def __init__(self, index: int):
+        super().__init__("query row %d is outside the span" % index)
+        self.index = index
+
+
+class BatchCoords:
+    """Exact coordinates in the span of fixed independent rows.
+
+    The reduced echelon form R = T B of the basis matrix B is kept once
+    (ValueError if the rows are dependent).  Since R is reduced, a vector
+    v in the span satisfies v = sum_t v[piv_t] R_t, so its coordinates
+    over B are (v at the pivots) T, accepted only after the exact check
+    that the sum reproduces v.
     """
 
-    def __init__(self, rows: la.Matrix):
+    def __init__(self, rows):
+        self.pos = None
+        if not rows or isinstance(rows[0], dict):
+            self.pos = {}
+            for row in rows:
+                for k in row:
+                    self.pos.setdefault(k, len(self.pos))
+            rows = [self._dense(row) for row in rows]
         self.nb = len(rows)
         self.r, self.piv, self.t = la.rref_t(rows)
         if len(self.r) != self.nb:
             raise ValueError("basis rows are dependent")
+        self._ints = None
 
-    def coords(self, v: la.Vec):
+    def _cols(self, v: dict):
+        """A sparse query as {column: value}, None if it leaves the support."""
+        out = {}
+        for k, x in v.items():
+            if x != 0:
+                c = self.pos.get(k)
+                if c is None:
+                    return None
+                out[c] = x
+        return out
+
+    def _dense(self, v):
+        if not isinstance(v, dict):
+            return v
+        cols = self._cols(v)
+        if cols is None:
+            return None
+        out = la.zero_vec(len(self.pos))
+        for c, x in cols.items():
+            out[c] = x
+        return out
+
+    def coords(self, v):
+        """Exact coordinates of one vector, or None outside the span."""
+        v = self._dense(v)
+        if v is None:
+            return None
         d = [v[p] for p in self.piv]
-        # exact membership check before trusting the coordinates
         rec = la.zero_vec(len(v))
         for dt, row in zip(d, self.r):
             if dt != 0:
@@ -67,29 +186,108 @@ class _Coords:
                 out = [x + dt * y for x, y in zip(out, trow)]
         return out
 
+    def coords_int(self, vint, vs: int):
+        """Exact coords of the rows of vint (entries scaled by vs).
 
-class MatSpanSolver:
-    """Exact coordinates of sparse matrices in the span of a fixed list."""
+        Returns (carr, cs): row k of carr divided by cs gives the
+        coefficients of query k over the basis rows.  Raises OutsideSpan
+        for the first query row outside the span, and OverflowError when
+        the int64 guard refuses.
+        """
+        if self._ints is None:
+            width = vint.shape[1]
+            self._ints = (*int_rows(self.r, width), *int_rows(self.t, self.nb))
+        rint, rs, tint, ts = self._ints
+        d = vint[:, self.piv]
+        guard_bound(len(self.piv), d, rint)
+        guard_bound(1, vint, np.array([rs], dtype=np.int64))
+        bad = np.flatnonzero((d @ rint != vint * rs).any(axis=1))
+        if len(bad):
+            raise OutsideSpan(int(bad[0]))
+        guard_bound(len(self.piv), d, tint)
+        return d @ tint, vs * ts
 
-    def __init__(self, mats):
-        self.support = sorted({k for m in mats for k in m})
-        self.pos = {k: i for i, k in enumerate(self.support)}
-        rows = []
-        for m in mats:
-            row = la.zero_vec(len(self.support))
-            for k, v in m.items():
-                row[self.pos[k]] = v
-            rows.append(row)
-        self.solver = _Coords(rows)
+    def coords_rows(self, rows) -> la.Matrix:
+        """Exact coordinates of every row (dense lists or dicts).
 
-    def coords(self, m: SpMat):
-        """Coordinate vector, or None if m is outside the span."""
-        vec = la.zero_vec(len(self.support))
-        for k, v in m.items():
-            if k not in self.pos:
-                return None
-            vec[self.pos[k]] = v
-        return self.solver.coords(vec)
+        One int64 batch when the guard allows it, else row by row in
+        exact arithmetic.  Raises OutsideSpan for the first row outside
+        the span.
+        """
+        if not rows:
+            return []
+        cols, width = rows, None
+        if isinstance(rows[0], dict):
+            cols, width = [self._cols(v) for v in rows], len(self.pos)
+            miss = next((k for k, c in enumerate(cols) if c is None), None)
+            if miss is not None:
+                self.coords_rows(rows[:miss])   # an earlier escapee comes first
+                raise OutsideSpan(miss)
+        try:
+            carr, cs = self.coords_int(*int_rows(cols, width))
+        except OverflowError:
+            out = [self.coords(v) for v in rows]
+            miss = next((k for k, c in enumerate(out) if c is None), None)
+            if miss is not None:
+                raise OutsideSpan(miss) from None
+            return out
+        return [[Fraction(x, cs) if x else F0 for x in row]
+                for row in carr.tolist()]
+
+
+def independent_rows(rows):
+    """The first independent rows in the given order, exactly certified.
+
+    Returns (chosen, engine, coords): the indices of the rows that are
+    not combinations of the rows before them, a BatchCoords on those
+    rows, and the coordinates of every row over them.
+
+    One mod-p echelon pass proposes the indices, then one coords_rows
+    batch certifies that every other row is a combination of the chosen
+    rows before it, which pins the set down.  If the prime hid a
+    dependence, the first failing row joins the set: a row outside the
+    span just joins, and a row that needs a later chosen row takes the
+    place of the last one it needs (exchange lemma, so the set stays
+    independent and moves to a lexicographically earlier one).  Then the
+    check repeats.
+    """
+    if not rows:
+        return [], BatchCoords([]), []
+    # each row cleared of denominators, then reduced mod p
+    p = fastnum.PRIMES20[0]
+    pos: dict = {}
+    ii, jj, vals = [], [], []
+    for i, row in enumerate(rows):
+        nz = [(k, x) for k, x in (row.items() if isinstance(row, dict)
+                                  else enumerate(row)) if x]
+        d = lcm(*(x.denominator for _, x in nz))
+        for k, x in nz:
+            ii.append(i)
+            jj.append(pos.setdefault(k, len(pos)))
+            vals.append(x.numerator * (d // x.denominator) % p)
+    arr = np.zeros((len(rows), len(pos)), dtype=np.int64)
+    arr[ii, jj] = vals
+    _, chosen = fastnum.rref_mod(arr.T, p)
+    while True:
+        engine = BatchCoords([rows[i] for i in chosen])
+        cset = set(chosen)
+        rest = [i for i in range(len(rows)) if i not in cset]
+        try:
+            co = engine.coords_rows([rows[i] for i in rest])
+        except OutsideSpan as e:
+            chosen = sorted(chosen + [rest[e.index]])
+            continue
+        late = next(((i, c) for i, c in zip(rest, co)
+                     if any(c[t] for t, j in enumerate(chosen) if j > i)), None)
+        if late is None:
+            break
+        i, c = late
+        out = max(j for t, j in enumerate(chosen) if c[t])
+        chosen = sorted([j for j in chosen if j != out] + [i])
+    coords = dict(zip(rest, co))
+    for t, i in enumerate(chosen):
+        coords[i] = la.basis_vec(len(chosen), t)
+    return chosen, engine, [coords[i] for i in range(len(rows))]
 
 
 def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
@@ -101,10 +299,8 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
     NotClosedError is raised with the first offending pair.  cartan, if
     given, is a list of coordinate vectors w.r.t. mats.
 
-    The nonzero commutators are collected first and their coordinates come
-    from one BatchCoords.coords_int call, whose reconstruction check is the
-    closure certificate.  If it fails, the first escapee is located with
-    the exact _Coords.coords.
+    The nonzero commutators get their coordinates from one BatchCoords
+    batch, whose reconstruction check is the closure certificate.
     """
     nb = len(mats)
     pairs, comms = [], []
@@ -113,35 +309,15 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
         if cm:
             pairs.append((i, j))
             comms.append(cm)
-    # a key that only a commutator has is a zero column of every basis row,
-    # so the batch check rejects that commutator like any other escapee
-    pos: dict = {}
-    for m in [*mats, *comms]:
-        for k in m:
-            pos.setdefault(k, len(pos))
-
-    def dense(m):
-        vec = la.zero_vec(len(pos))
-        for k, v in m.items():
-            vec[pos[k]] = v
-        return vec
-
-    bc = BatchCoords([dense(m) for m in mats])
+    try:
+        co = BatchCoords(mats).coords_rows(comms)
+    except OutsideSpan as e:
+        raise NotClosedError(pairs[e.index]) from None
     table = {}
-    if comms:
-        vint, vs = int_rows([{pos[k]: v for k, v in cm.items()}
-                             for cm in comms], len(pos))
-        try:
-            carr, cs = bc.coords_int(vint, vs)
-        except ValueError:
-            for pair, cm in zip(pairs, comms):
-                if bc.co.coords(dense(cm)) is None:
-                    raise NotClosedError(pair) from None
-            raise
-        for pair, row in zip(pairs, carr.tolist()):
-            ent = [(k, Fraction(x, cs)) for k, x in enumerate(row) if x]
-            if ent:
-                table[pair] = ent
+    for pair, row in zip(pairs, co):
+        ent = [(k, x) for k, x in enumerate(row) if x]
+        if ent:
+            table[pair] = ent
     alg = Algebra(nb, table, labels=labels, name=name)
     if weights is not None:
         alg.weights = [tuple(w) for w in weights]
@@ -300,14 +476,11 @@ def simultaneous_eigenbasis(mats: list[la.Matrix]):
                 nxt.append((tup2, vecs))
                 continue
             # restrict m to the block: columns are images in block coords
-            sub = _Coords(vecs)
-            restr = []
-            for v in vecs:
-                img = la.mat_vec(m, v)
-                co = sub.coords(img)
-                if co is None:
-                    raise ArithmeticError("matrix does not preserve block")
-                restr.append(co)
+            try:
+                restr = BatchCoords(vecs).coords_rows(
+                    [la.mat_vec(m, v) for v in vecs])
+            except OutsideSpan:
+                raise ArithmeticError("matrix does not preserve block") from None
             restr = la.transpose(restr)
             for lam, kb in rational_eigensplit(restr):
                 lifted = []
@@ -328,129 +501,3 @@ def simultaneous_eigenbasis(mats: list[la.Matrix]):
             vectors.append(v)
             tuples.append(tuple(tup))
     return vectors, tuples
-
-
-# ---------------------------------------------------------------------------
-# integer batch layer
-#
-# The 27-dimensional constructions need thousands of span-membership and
-# coordinate computations; doing each one in Fraction arithmetic is exact but
-# slow.  The helpers below clear denominators once and push whole batches
-# through int64 matrix products, with explicit overflow guards and a full
-# reconstruction check, so the speed never costs exactness.
-
-INT64_GUARD = 1 << 62
-
-
-def int_rows(rows, width: int | None = None):
-    """Clear denominators of rational rows into (int64 array, scale).
-
-    A row is a dense list, or a dict column -> value (then width is needed).
-    """
-    import numpy as np
-    from math import lcm
-
-    def items(row):
-        return row.items() if isinstance(row, dict) else enumerate(row)
-
-    if rows and not isinstance(rows[0], dict):
-        width = len(rows[0])
-    s = 1
-    for row in rows:
-        for _, v in items(row):
-            s = lcm(s, v.denominator)
-    arr = np.zeros((len(rows), width or 0), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in items(row):
-            iv = v.numerator * (s // v.denominator)
-            if abs(iv) >= INT64_GUARD:
-                raise OverflowError("entry does not fit the int64 batch path")
-            arr[i, j] = iv
-    return arr, s
-
-
-def guard_bound(terms: int, *arrs):
-    """Refuse a batched product whose worst-case entry could overflow int64."""
-    import numpy as np
-
-    b = terms
-    for a in arrs:
-        b *= int(np.abs(a).max(initial=0))
-    if b >= INT64_GUARD:
-        raise OverflowError("integer batch would overflow int64")
-
-
-class BatchCoords:
-    """Coordinates in a fixed rational span for many vectors at once.
-
-    The basis is echelonized once through _Coords; a batch of query rows then
-    needs two integer matrix products.  Every batch is reconstruction-checked
-    against the echelon rows, so a query outside the span raises instead of
-    returning garbage.
-    """
-
-    def __init__(self, rows: la.Matrix):
-        self.co = _Coords(rows)
-        self.nb = len(rows)
-        self.rint, self.rs = int_rows(self.co.r)
-        self.tint, self.ts = int_rows(self.co.t)
-
-    def coords_int(self, vint, vs: int):
-        """Exact coords of the rows of vint (entries scaled by vs).
-
-        Returns (carr, cs): row k of carr divided by cs gives the
-        coefficients of query k over the original basis rows.  Raises
-        ValueError if any query row is outside the span.
-        """
-        import numpy as np
-
-        d = vint[:, self.co.piv]
-        guard_bound(len(self.co.piv), d, self.rint)
-        guard_bound(1, vint, np.array([self.rs], dtype=np.int64))
-        if not np.array_equal(d @ self.rint, vint * self.rs):
-            raise ValueError("query row outside the span in integer batch")
-        guard_bound(len(self.co.piv), d, self.tint)
-        return d @ self.tint, vs * self.ts
-
-    def coords_rows(self, rows: la.Matrix) -> la.Matrix:
-        """Fraction-level convenience wrapper around coords_int."""
-        if not rows:
-            return []
-        vint, vs = int_rows(rows)
-        carr, cs = self.coords_int(vint, vs)
-        return [[Fraction(int(x), cs) for x in row] for row in carr]
-
-
-def independent_rows(rows: la.Matrix) -> list[int]:
-    """Indices of a maximal independent subset of rows, exactly certified.
-
-    A single mod-p echelon pass proposes the subset, then every remaining row
-    must pass the exact BatchCoords membership check.  If the prime hid a
-    dependence the escapee joins the subset and the loop repeats, so a bad
-    prime costs a retry, never a wrong answer.
-    """
-    import numpy as np
-
-    from . import fastnum
-
-    if not rows:
-        return []
-    arr = fastnum.fraction_rows_to_int(rows)
-    if arr.dtype == object:
-        arr = np.vectorize(lambda x: x % fastnum.PRIMES20[0])(arr).astype(np.int64)
-    _, cand = fastnum.rref_mod(arr.T, fastnum.PRIMES20[0])
-    chosen = sorted(cand)
-    while True:
-        bc = BatchCoords([rows[i] for i in chosen])
-        rest = [i for i in range(len(rows)) if i not in set(chosen)]
-        try:
-            bc.coords_rows([rows[i] for i in rest])
-            return chosen
-        except ValueError:
-            # find the first escapee exactly and retry with it included
-            for i in rest:
-                if bc.co.coords(rows[i]) is None:
-                    chosen = sorted(chosen + [i])
-                    break
-            else:
-                raise

@@ -798,7 +798,7 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
     flats = {p: _flat(dtfull[p]) for p in pairs}
     nzpairs = [p for p in pairs if any(flats[p])]
     if nzpairs:
-        sel = bt.independent_rows([flats[p] for p in nzpairs])
+        sel = bt.independent_rows([flats[p] for p in nzpairs])[0]
         span_pairs = [nzpairs[i] for i in sel]
     else:
         span_pairs = []
@@ -827,34 +827,30 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
                                toramb, depth + 1)
     weights = [tuple(t[i][i] for t in tor_res) for i in range(n0)]
     if dspan0:
-        if tor_res:
-            # ad t scales the matrix unit E_ab by w_a - w_b when t is
-            # diagonal, so the joint eigenspaces of the span are its
-            # slices by the weight-difference class of the support; each
-            # slice of a span element stays in the span
-            byclass = {}
-            for a in range(n0):
-                for b in range(n0):
-                    mu = tuple(wa - wb for wa, wb in zip(weights[a], weights[b]))
-                    byclass.setdefault(mu, []).append((a, b))
-            dspan, dweights = [], []
-            for mu in sorted(byclass):
-                pos = byclass[mu]
-                rows = [r for r in ([m[a][b] for (a, b) in pos] for m in dspan0)
-                        if any(r)]
-                if not rows:
-                    continue
-                for i in bt.independent_rows(rows):
-                    piece = la.zeros(n0, n0)
-                    for (a, b), v in zip(pos, rows[i]):
-                        piece[a][b] = v
-                    dspan.append(piece)
-                    dweights.append(mu)
-            if len(dspan) != len(dspan0):
-                raise ArithmeticError("weight slices lost derivation rank")
-        else:
-            dspan = dspan0
-            dweights = [() for _ in dspan0]
+        # ad t scales the matrix unit E_ab by w_a - w_b when t is
+        # diagonal, so the joint eigenspaces of the span are its
+        # slices by the weight-difference class of the support; each
+        # slice of a span element stays in the span
+        byclass = {}
+        for a in range(n0):
+            for b in range(n0):
+                mu = tuple(wa - wb for wa, wb in zip(weights[a], weights[b]))
+                byclass.setdefault(mu, []).append((a, b))
+        dspan, dweights = [], []
+        for mu in sorted(byclass):
+            pos = byclass[mu]
+            rows = [r for r in ([m[a][b] for (a, b) in pos] for m in dspan0)
+                    if any(r)]
+            if not rows:
+                continue
+            for i in bt.independent_rows(rows)[0]:
+                piece = la.zeros(n0, n0)
+                for (a, b), v in zip(pos, rows[i]):
+                    piece[a][b] = v
+                dspan.append(piece)
+                dweights.append(mu)
+        if len(dspan) != len(dspan0):
+            raise ArithmeticError("weight slices lost derivation rank")
         fbc = bt.BatchCoords([_flat(m) for m in dspan])
         allco = fbc.coords_rows([flats[p] for p in pairs])
         dcoords = {p: allco[idx] for idx, p in enumerate(pairs)}

@@ -7,27 +7,26 @@ The enveloping construction puts the span of the inner maps D(x, y) =
     [D, x]   = D x,
     [x, y]   = D(x, y) + x.y .
 
-Everything is exact.  Independent D-generators are selected with a mod-p
-elimination, then certified over Q: the selected set is independent because
-its mod-p rank equals its size, and it spans because every generator (and
-every commutator) is re-expressed in it with exact coordinates that are
-verified entry by entry.  A commutator that fails to lie in the span is a
-genuine sixth-axiom failure and is reported as such, never papered over.
+Everything is exact, and all span work goes through the certified engine
+of buildtools, one weight class of maps at a time.  independent_rows
+picks the first independent generators of each class; its mod-p proposal
+corrects itself (a generator the prime wrongly dropped joins the set and
+the exact check repeats), so there is no retry at the next prime.  Every
+generator and every commutator is then re-expressed in the chosen maps
+with exact coordinates that are verified entry by entry.  A commutator
+that fails to lie in the span is a genuine sixth-axiom failure and is
+reported as such, never papered over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
 
 from .algebra import Algebra, LYAlgebra, Sparse
-from .fastnum import PRIMES
+from .buildtools import (BatchCoords, OutsideSpan, SpMat, independent_rows,
+                         sp_commutator)
 from .linalg import F0, Vec, inv as mat_inv, mat_vec
-
-SpMat = dict[tuple[int, int], Fraction]  # (row, col) -> coeff, zero entries absent
 
 
 class LYStructureError(Exception):
@@ -47,83 +46,47 @@ def d_op_sparse(ly: LYAlgebra, i: int, j: int) -> SpMat:
     return out
 
 
-def sp_commutator(a: SpMat, b: SpMat) -> SpMat:
-    bycol_a: dict[int, list] = {}
-    for (r, c), v in a.items():
-        bycol_a.setdefault(r, []).append((c, v))
-    bycol_b: dict[int, list] = {}
-    for (r, c), v in b.items():
-        bycol_b.setdefault(r, []).append((c, v))
-    out: SpMat = {}
-    for (r, m), v in a.items():
-        for c, w in bycol_b.get(m, []):
-            key = (r, c)
-            out[key] = out.get(key, F0) + v * w
-    for (r, m), v in b.items():
-        for c, w in bycol_a.get(m, []):
-            key = (r, c)
-            out[key] = out.get(key, F0) - v * w
-    return {k: v for k, v in out.items() if v != 0}
+def class_bases(mats: list[SpMat], keys: list[tuple]):
+    """Per weight class, the first independent maps in the given order.
+
+    Returns (engines, chosen, coords): engines[key] is a BatchCoords on
+    the chosen maps of class key, chosen[key] their positions in mats,
+    and coords[i] the coordinates of mats[i] over chosen[keys[i]].
+    """
+    classes: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    engines, chosen, coords = {}, {}, [None] * len(mats)
+    for key, idx in classes.items():
+        sel, engines[key], co = independent_rows([mats[i] for i in idx])
+        chosen[key] = [idx[s] for s in sel]
+        for i, c in zip(idx, co):
+            coords[i] = c
+    return engines, chosen, coords
 
 
-class _ClassSolver:
-    """Basis selection and exact coordinates inside one weight class of maps."""
+def class_coords(engines: dict, queries: list[tuple[tuple, SpMat]]):
+    """Coordinates of (key, map) queries in the span of their class.
 
-    def __init__(self, vectors: list[SpMat], prime_idx: int = 0):
-        self.support = sorted({k for v in vectors for k in v})
-        self.pos = {k: i for i, k in enumerate(self.support)}
-        self.vectors = vectors
-        p = PRIMES[prime_idx]
-        ns = len(self.support)
-        basis_mod = np.zeros((0, ns), dtype=np.int64)
-        piv_of_row: list[int] = []
-        self.chosen: list[int] = []
-        for idx, v in enumerate(vectors):
-            row = self._row_mod(v, p)
-            for bi, pc in enumerate(piv_of_row):
-                if row[pc]:
-                    row = (row - row[pc] * basis_mod[bi]) % p
-            nz = np.nonzero(row)[0]
-            if len(nz) == 0:
-                continue
-            pc = int(nz[0])
-            row = row * pow(int(row[pc]), p - 2, p) % p
-            basis_mod = np.vstack([basis_mod, row])
-            piv_of_row.append(pc)
-            self.chosen.append(idx)
-        self.pivcols = piv_of_row
-        # exact inverse of the pivot submatrix (rows: pivot coords, cols: chosen)
-        sub_t = [[vectors[ci].get(self.support[pc], F0) for ci in self.chosen]
-                 for pc in self.pivcols]
-        self.pinv = mat_inv(sub_t) if self.chosen else []
-
-    def _row_mod(self, v: SpMat, p: int) -> np.ndarray:
-        row = np.zeros(len(self.support), dtype=np.int64)
-        den = 1
-        for x in v.values():
-            den = den * x.denominator // gcd(den, x.denominator)
-        for k, x in v.items():
-            row[self.pos[k]] = int(x * den) % p
-        return row
-
-    def coords(self, v: SpMat) -> list[Fraction] | None:
-        """Exact coordinates of v in the chosen vectors, or None if outside."""
-        if any(k not in self.pos for k in v):
-            return None
-        if not self.chosen:
-            return None if v else []
-        rhs = [v.get(self.support[pc], F0) for pc in self.pivcols]
-        c = mat_vec(self.pinv, rhs)
-        # verify on the full support
-        resid = dict(v)
-        for ct, ci in zip(c, self.chosen):
-            if ct == 0:
-                continue
-            for k, x in self.vectors[ci].items():
-                resid[k] = resid.get(k, F0) - ct * x
-        if any(x != 0 for x in resid.values()):
-            return None
-        return c
+    One coords_rows batch per class.  Raises OutsideSpan with the position
+    of the first query that is outside its class span.
+    """
+    byclass: dict[tuple, list[int]] = {}
+    for q, (key, _) in enumerate(queries):
+        byclass.setdefault(key, []).append(q)
+    out, bad = [None] * len(queries), []
+    for key, qs in byclass.items():
+        try:
+            co = (engines.get(key) or BatchCoords([])).coords_rows(
+                [queries[q][1] for q in qs])
+        except OutsideSpan as e:
+            bad.append(qs[e.index])
+            continue
+        for q, c in zip(qs, co):
+            out[q] = c
+    if bad:
+        raise OutsideSpan(min(bad))
+    return out
 
 
 @dataclass
@@ -137,6 +100,14 @@ class EnvelopingPair:
 
 
 def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
+    """The enveloping algebra, memoised in ly._cache["envelope"].
+
+    The basis is the chosen inner maps, class by class in weight order,
+    then m.  Raises LYStructureError("LY6", (p, q)) for the first pair of
+    chosen maps, in basis order, whose commutator leaves the span.
+    """
+    if "envelope" in ly._cache:
+        return ly._cache["envelope"]
     n = ly.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ops = {(i, j): d_op_sparse(ly, i, j) for (i, j) in pairs}
@@ -148,58 +119,40 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
         def wkey(i, j):
             return ()
 
-    classes: dict[tuple, list] = {}
-    for (i, j) in pairs:
-        if ops[(i, j)]:
-            classes.setdefault(wkey(i, j), []).append((i, j))
-
-    solvers: dict[tuple, _ClassSolver] = {}
+    gens = [pq for pq in pairs if ops[pq]]
+    keys = [wkey(*pq) for pq in gens]
+    engines, chosen, coords = class_bases([ops[pq] for pq in gens], keys)
     basis_pairs: list[tuple[int, int]] = []
-    class_offset: dict[tuple, int] = {}
-    gen_coords: dict[tuple[int, int], Sparse] = {}
-    class_coords: dict[tuple, list] = {}
-    for key in sorted(classes):
-        vecs = [ops[pq] for pq in classes[key]]
-        for attempt in range(len(PRIMES)):
-            sv = _ClassSolver(vecs, prime_idx=attempt)
-            all_c = [sv.coords(v) for v in vecs]
-            if all(c is not None for c in all_c):
-                break
-        else:
-            raise ArithmeticError("generator span not certified at any prime")
-        solvers[key] = sv
-        class_offset[key] = len(basis_pairs)
-        class_coords[key] = all_c
-        basis_pairs.extend(classes[key][ci] for ci in sv.chosen)
+    offset: dict[tuple, int] = {}
+    for key in sorted(chosen):
+        offset[key] = len(basis_pairs)
+        basis_pairs.extend(gens[i] for i in chosen[key])
+    gen_coords = {pq: [(offset[key] + t, x) for t, x in enumerate(c) if x]
+                  for pq, key, c in zip(gens, keys, coords)}
 
     b = len(basis_pairs)
-    for key, plist in classes.items():
-        off = class_offset[key]
-        for pq, c in zip(plist, class_coords[key]):
-            gen_coords[pq] = [(off + t, x) for t, x in enumerate(c) if x != 0]
-
-    def coords_of(mat: SpMat, key: tuple, witness) -> Sparse:
-        if not mat:
-            return []
-        sv = solvers.get(key)
-        c = sv.coords(mat) if sv is not None else None
-        if c is None:
-            raise LYStructureError("LY6", witness)
-        off = class_offset[key]
-        return [(off + t, x) for t, x in enumerate(c) if x != 0]
-
     dim_g = b + n
     table: dict[tuple[int, int], Sparse] = {}
-    # h-h: commutators of the basis maps
+    # h-h: commutators of the basis maps, one batch per weight class
+    hh, queries = [], []
     for s in range(b):
         ps = basis_pairs[s]
         for t in range(s + 1, b):
             pt = basis_pairs[t]
             comm = sp_commutator(ops[ps], ops[pt])
-            key = tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt)))
-            ent = coords_of(comm, key, (ps, pt))
-            if ent:
-                table[(s, t)] = ent
+            if comm:
+                hh.append((s, t))
+                queries.append((tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt))),
+                                comm))
+    try:
+        hco = class_coords(engines, queries)
+    except OutsideSpan as e:
+        s, t = hh[e.index]
+        raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
+    for st, (key, _), c in zip(hh, queries, hco):
+        ent = [(offset[key] + u, x) for u, x in enumerate(c) if x]
+        if ent:
+            table[st] = ent
     # h-m: the maps acting
     for t, pt in enumerate(basis_pairs):
         for k in range(n):
@@ -219,8 +172,9 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
                 name=f"env({ly.name})" if ly.name else "env")
     if ly.weights is not None:
         g.weights = [wkey(*pq) for pq in basis_pairs] + list(ly.weights)
-    return EnvelopingPair(g, list(range(b)), list(range(b, dim_g)),
-                          basis_pairs, ly)
+    pair = ly._cache["envelope"] = EnvelopingPair(
+        g, list(range(b)), list(range(b, dim_g)), basis_pairs, ly)
+    return pair
 
 
 def ly_from_reductive_indices(g: Algebra, h_index: list[int],

@@ -381,17 +381,3 @@ def _violates_big(row, ker) -> bool:
         if sum(val * v[c] for c, val in row) != 0:
             return True
     return False
-
-
-def fraction_rows_to_int(rows) -> np.ndarray:
-    """Scale each row of a Fraction matrix to integers (kernel unchanged)."""
-    if not rows:
-        return np.zeros((0, 0), dtype=np.int64)
-    out = []
-    for row in rows:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        out.append([int(x * d) for x in row])
-    big = any(abs(x) >= (1 << 62) for row in out for x in row)
-    return np.array(out, dtype=object if big else np.int64)

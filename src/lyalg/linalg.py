@@ -76,10 +76,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_copy(a: Matrix) -> Matrix:
-    return [list(row) for row in a]
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
@@ -205,15 +201,6 @@ def solve(a: Matrix, b: Vec) -> Vec | None:
     return x
 
 
-def solve_unique(a: Matrix, b: Vec) -> Vec:
-    x = solve(a, b)
-    if x is None:
-        raise ValueError("inconsistent system")
-    if rank(a) != len(a[0]):
-        raise ValueError("solution not unique")
-    return x
-
-
 def inv(a: Matrix) -> Matrix:
     n = len(a)
     aug = [list(row) + basis_vec(n, i) for i, row in enumerate(a)]
@@ -221,87 +208,6 @@ def inv(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in rows]
-
-
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = mat_copy(a)
-    d = F1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return F0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        invp = F1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * invp
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
-
-
-class SpanTracker:
-    """Incrementally maintained row space, for picking independent subsets."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: Matrix = []       # kept in reduced echelon form
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Vec) -> Vec:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v: Vec) -> bool:
-        """Add v to the span; True if it was independent of the current span."""
-        v = self.reduce(v)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        v = [x / v[p] for x in v]
-        for i, (row, q) in enumerate(zip(self.rows, self.pivots)):
-            if row[p] != 0:
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-        k = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(k, v)
-        self.pivots.insert(k, p)
-        return True
-
-    def contains(self, v: Vec) -> bool:
-        return is_zero_vec(self.reduce(v))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def coords_in_span(basis: list[Vec], v: Vec) -> Vec | None:
-    """Coordinates of v in the given (independent) spanning vectors, or None."""
-    a = transpose(basis)
-    return solve(a, v)
-
-
-def extend_to_basis(vectors: list[Vec], dim: int) -> list[Vec]:
-    """Complete independent vectors to a basis using coordinate vectors."""
-    tr = SpanTracker(dim)
-    out = []
-    for v in vectors:
-        if not tr.add(v):
-            raise ValueError("input vectors dependent")
-        out.append(list(v))
-    for i in range(dim):
-        e = basis_vec(dim, i)
-        if tr.add(e):
-            out.append(e)
-    return out
 
 
 def sym_split_gram(n: int, tail: int = 1) -> Matrix:

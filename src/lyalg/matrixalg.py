@@ -13,12 +13,14 @@ products are then index loops over the two tables.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg as la
 from .algebra import Algebra, LYAlgebra
-from .buildtools import (MatSpanSolver, _Coords, operator_algebra_from_basis,
-                         simultaneous_eigenbasis, sp_mul)
-from .envelope import SpMat, sp_commutator
+from .buildtools import (BatchCoords, OutsideSpan, SpMat,
+                         operator_algebra_from_basis, simultaneous_eigenbasis,
+                         sp_commutator, sp_mul)
+from .checks import transport_equal
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -238,21 +240,14 @@ def sym0_basis(form: BilinForm):
     m, _ = form_torus_weights(form)
     hmats = [{k: -v for k, v in phi_map(form, 2 * a, 2 * a + 1).items()}
              for a in range(m)]
-    solver = _Coords([list(v) for v in ker])
+    kmats = [{divmod(i, n): x for i, x in enumerate(v) if x} for v in ker]
+    solver = BatchCoords(kmats)
     restricted = []
     for h in hmats:
-        cols = []
-        for v in ker:
-            fm = {(r, c): v[r * n + c] for r in range(n) for c in range(n)
-                  if v[r * n + c] != 0}
-            cm = sp_commutator(h, fm)
-            flat = la.zero_vec(n * n)
-            for (r, c), val in cm.items():
-                flat[r * n + c] = val
-            co = solver.coords(flat)
-            if co is None:
-                raise ArithmeticError("torus does not preserve sym0")
-            cols.append(co)
+        try:
+            cols = solver.coords_rows([sp_commutator(h, fm) for fm in kmats])
+        except OutsideSpan:
+            raise ArithmeticError("torus does not preserve sym0") from None
         restricted.append(la.transpose(cols))
     vecs, tups = simultaneous_eigenbasis(restricted)
     mats = []
@@ -275,8 +270,9 @@ class _FactorTable:
     the traceless anticommutator x_a x_b + x_b x_a - (2/n) tr(x_a x_b) 1
     and of the double brackets [[x_a, x_b], x_c].  The coordinates of
     (1/2)[x_a, x_b] are computed on demand, because [x_a, x_b] need not
-    lie in the span (it does not for sym0).  Every coordinate goes through
-    the exact span solver, and a miss raises ArithmeticError.
+    lie in the span (it does not for sym0).  The anticommutators and the
+    double brackets each take one coords_rows batch of the factor's
+    BatchCoords; a coordinate outside the span raises ArithmeticError.
     """
 
     def __init__(self, mats, weights, n: int, side: str, span: str):
@@ -285,41 +281,47 @@ class _FactorTable:
         self.weights = weights
         self.inv = Fraction(1, n)
         self.mats = mats
-        self.solver = MatSpanSolver(mats)
+        self.solver = BatchCoords(mats)
         self.escaped = "%s factor escaped %s" % (side, span)
         self.tr = [[_sp_trace_mul(a, b) for b in mats] for a in mats]
         self.anti = [[None] * nb for _ in range(nb)]
         self.dbl = [[[[]] * nb] * nb for _ in range(nb)]
         self._half = {}
-        for a in range(nb):
-            for b in range(a, nb):
-                m = sp_mul(mats[a], mats[b])
-                for k, v in sp_mul(mats[b], mats[a]).items():
-                    m[k] = m.get(k, F0) + v
-                shift = 2 * self.inv * self.tr[a][b]
-                if shift != 0:
-                    for d in range(n):
-                        m[(d, d)] = m.get((d, d), F0) - shift
-                self.anti[a][b] = self.anti[b][a] = self.coords(m)
-            for b in range(a + 1, nb):
-                comm = sp_commutator(mats[a], mats[b])
-                self.dbl[a][b] = [self.coords(sp_commutator(comm, x))
-                                  for x in mats]
-                self.dbl[b][a] = [[(c, -v) for c, v in co]
-                                  for co in self.dbl[a][b]]
+        sym = [(a, b) for a in range(nb) for b in range(a, nb)]
+        antis = []
+        for a, b in sym:
+            m = sp_mul(mats[a], mats[b])
+            for k, v in sp_mul(mats[b], mats[a]).items():
+                m[k] = m.get(k, F0) + v
+            shift = 2 * self.inv * self.tr[a][b]
+            if shift != 0:
+                for d in range(n):
+                    m[(d, d)] = m.get((d, d), F0) - shift
+            antis.append(m)
+        for (a, b), co in zip(sym, self.coords(antis)):
+            self.anti[a][b] = self.anti[b][a] = co
+        skew = list(combinations(range(nb), 2))
+        comms = [sp_commutator(mats[a], mats[b]) for a, b in skew]
+        dbl = self.coords([sp_commutator(cm, x) for cm in comms for x in mats])
+        for p, (a, b) in enumerate(skew):
+            self.dbl[a][b] = dbl[p * nb:(p + 1) * nb]
+            self.dbl[b][a] = [[(c, -v) for c, v in co]
+                              for co in self.dbl[a][b]]
 
-    def coords(self, m: SpMat):
-        co = self.solver.coords({k: v for k, v in m.items() if v != 0})
-        if co is None:
-            raise ArithmeticError(self.escaped)
-        return [(c, v) for c, v in enumerate(co) if v != 0]
+    def coords(self, ms: list[SpMat]):
+        """Sparse coordinates of each map; ArithmeticError outside the span."""
+        try:
+            rows = self.solver.coords_rows(ms)
+        except OutsideSpan:
+            raise ArithmeticError(self.escaped) from None
+        return [[(c, v) for c, v in enumerate(co) if v] for co in rows]
 
     def half_comm(self, a: int, b: int):
         """Coordinates of (1/2)[x_a, x_b]."""
         if a > b:
             return [(c, -v) for c, v in self.half_comm(b, a)]
         if (a, b) not in self._half:
-            co = self.coords(sp_commutator(self.mats[a], self.mats[b]))
+            co = self.coords([sp_commutator(self.mats[a], self.mats[b])])[0]
             self._half[(a, b)] = [(c, v / 2) for c, v in co]
         return self._half[(a, b)]
 
@@ -418,29 +420,5 @@ def ly_sl_tensor_sl(n1: int, n2: int, name: str = "") -> LYAlgebra:
 
 
 def check_coincidence(a: LYAlgebra, b: LYAlgebra, basis_map: la.Matrix) -> bool:
-    """True iff basis_map carries both products of a exactly onto b.
-
-    basis_map columns are the images in b of a's basis vectors; it must be
-    invertible (ValueError otherwise).
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    n = a.dim
-    if la.rank(basis_map) != n:
-        raise ValueError("basis map is not invertible")
-    imgs = [[basis_map[r][c] for r in range(n)] for c in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            av = [F0] * n
-            for l, v in a.b(i, j):
-                av[l] = v
-            if la.mat_vec(basis_map, av) != b.binary_vec(imgs[i], imgs[j]):
-                return False
-            for k in range(n):
-                av = [F0] * n
-                for l, v in a.t(i, j, k):
-                    av[l] = v
-                if la.mat_vec(basis_map, av) != b.ternary_vec(
-                        imgs[i], imgs[j], imgs[k]):
-                    return False
-    return True
+    """True iff basis_map carries both products of a exactly onto b."""
+    return transport_equal(a, b, basis_map)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import _Coords, simultaneous_eigenbasis
+from .buildtools import BatchCoords, simultaneous_eigenbasis
 from .fastnum import jacobi_violation
 from .invariants import is_semisimple, _grading_blocks
 
@@ -281,7 +281,7 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     for bi, pairs in rowsof.items():
         blk = blocks[bi]
         sub = [[v[j] for j in blk] for _, v in pairs]
-        solvers[bi] = (_Coords(sub), [t for t, _ in pairs], blk)
+        solvers[bi] = (BatchCoords(sub), [t for t, _ in pairs], blk)
     # integer weight keys make the pair loop's adds and lookups cheap
     den = 1
     for blk in blocks:

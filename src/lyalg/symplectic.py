@@ -31,11 +31,11 @@ import sympy
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import MatSpanSolver, NotClosedError
+from .buildtools import NotClosedError, OutsideSpan, SpMat, sp_commutator
 from .checks import check_lie
 from .compjordan import JordanAlg, trace_admissible_view
-from .envelope import (EnvelopingPair, SpMat, ly_from_reductive_indices,
-                       sp_commutator)
+from .envelope import (EnvelopingPair, class_bases, class_coords,
+                       ly_from_reductive_indices)
 from .fastnum import sparse_int_kernel
 from .io import fr_str
 from .linalg import F0, F1
@@ -164,46 +164,6 @@ def obj_to_triple(obj: dict, name: str = "") -> SymplecticTripleData:
     return SymplecticTripleData(n, gram, trip, wts=wts, name=name)
 
 
-class _GradedSpan:
-    """Sparse matrices kept linearly independent within each weight
-    class; exact coordinates come from per-class solvers, so the cost
-    stays proportional to class sizes rather than to the full span."""
-
-    def __init__(self):
-        self.mats: list[SpMat] = []
-        self.keys: list[tuple] = []
-        self.cls: dict[tuple, list[int]] = {}
-        self.solvers: dict[tuple, MatSpanSolver] = {}
-
-    def _solver(self, key):
-        s = self.solvers.get(key)
-        if s is None:
-            s = MatSpanSolver([self.mats[i] for i in self.cls[key]])
-            self.solvers[key] = s
-        return s
-
-    def try_add(self, m: SpMat, key) -> bool:
-        if key in self.cls and self._solver(key).coords(m) is not None:
-            return False
-        self.mats.append(dict(m))
-        self.keys.append(key)
-        self.cls.setdefault(key, []).append(len(self.mats) - 1)
-        self.solvers.pop(key, None)
-        return True
-
-    def coords(self, m: SpMat, key):
-        """Sparse coordinates over the global list, or None."""
-        if not m:
-            return []
-        idxs = self.cls.get(key)
-        if not idxs:
-            return None
-        co = self._solver(key).coords(m)
-        if co is None:
-            return None
-        return [(idxs[t], c) for t, c in enumerate(co) if c != 0]
-
-
 def _wadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -234,18 +194,21 @@ def build_g_of_T(t: SymplecticTripleData):
     phimats = [phi_map(form2, p, q) for (p, q) in vpairs]
     pairpos = {vp: s for s, vp in enumerate(vpairs)}
 
-    span = _GradedSpan()
-    sel_pairs = []
     order = sorted(t.trip)
-    for (i, jj) in order:
-        if span.try_add(t.trip[(i, jj)], wkey(i, jj)):
-            sel_pairs.append((i, jj))
-    nd = len(span.mats)
-    pco = {}
-    for (i, jj) in order:
-        co = span.coords(t.trip[(i, jj)], wkey(i, jj))
-        assert co is not None
-        pco[(i, jj)] = co
+    okeys = [wkey(*pq) for pq in order]
+    engines, chosen, coords = class_bases([t.trip[pq] for pq in order], okeys)
+    sel = sorted(i for idx in chosen.values() for i in idx)
+    sel_pairs = [order[i] for i in sel]
+    mats = [t.trip[pq] for pq in sel_pairs]
+    dkeys = [okeys[i] for i in sel]
+    glob = {i: a for a, i in enumerate(sel)}
+
+    def dco(key, c):
+        # class coordinates as sparse coordinates over the inner-map basis
+        return [(glob[chosen[key][u]], x) for u, x in enumerate(c) if x]
+
+    nd = len(mats)
+    pco = {pq: dco(key, c) for pq, key, c in zip(order, okeys, coords)}
 
     big = 3 + 2 * n + nd
 
@@ -283,24 +246,28 @@ def build_g_of_T(t: SymplecticTripleData):
                     ent.extend((dr(a), c) for a, c in pco.get(key, []))
                 if ent:
                     table[(vt(u, i), vt(v, jj))] = ent
-    for a, mat in enumerate(span.mats):
+    for a, mat in enumerate(mats):
         cols: dict[int, list] = {}
         for (l, k), c in mat.items():
             cols.setdefault(k, []).append((l, c))
         for u in (0, 1):
             for i, ent in cols.items():
                 table[(vt(u, i), dr(a))] = [(vt(u, l), -c) for l, c in ent]
+    dd, queries = [], []
     for a in range(nd):
         for b in range(a + 1, nd):
-            cm = sp_commutator(span.mats[a], span.mats[b])
-            if not cm:
-                continue
-            co = span.coords(cm, _wadd(span.keys[a], span.keys[b]))
-            if co is None:
-                raise NotClosedError(("d", a, b))
-            ent = [(dr(x), c) for x, c in co]
-            if ent:
-                table[(dr(a), dr(b))] = ent
+            cm = sp_commutator(mats[a], mats[b])
+            if cm:
+                dd.append((a, b))
+                queries.append((_wadd(dkeys[a], dkeys[b]), cm))
+    try:
+        dcos = class_coords(engines, queries)
+    except OutsideSpan as e:
+        raise NotClosedError(("d", *dd[e.index])) from None
+    for (a, b), (key, _), c in zip(dd, queries, dcos):
+        ent = [(dr(x), v) for x, v in dco(key, c)]
+        if ent:
+            table[(dr(a), dr(b))] = ent
 
     tl = [f"x{i}" for i in range(n)]
     labels = (list(sp2.labels)
@@ -312,21 +279,23 @@ def build_g_of_T(t: SymplecticTripleData):
         gw = [(w[0],) + zt for w in sp2.weights]
         gw += [(F1,) + wts[i] for i in range(n)]
         gw += [(-F1,) + wts[i] for i in range(n)]
-        gw += [(F0,) + span.keys[a] for a in range(nd)]
+        gw += [(F0,) + key for key in dkeys]
         g.weights = gw
         cart = []
         h0 = la.zero_vec(big)
         for s, c in enumerate(sp2.cartan[0]):
             h0[s] = c
         cart.append(h0)
-        for s in range(rt):
-            target = {(k, k): wts[k][s] for k in range(n) if wts[k][s]}
-            co = span.coords(target, zt)
-            if co is None:
-                raise ValueError("grading torus is not inner")
+        targets = [(zt, {(k, k): wts[k][s] for k in range(n) if wts[k][s]})
+                   for s in range(rt)]
+        try:
+            tcos = class_coords(engines, targets)
+        except OutsideSpan:
+            raise ValueError("grading torus is not inner") from None
+        for c in tcos:
             hv = la.zero_vec(big)
-            for a, c in co:
-                hv[dr(a)] = c
+            for a, v in dco(zt, c):
+                hv[dr(a)] = v
             cart.append(hv)
         g.cartan = cart
     pair = EnvelopingPair(g, [0, 1, 2] + [dr(a) for a in range(nd)],

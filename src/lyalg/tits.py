@@ -24,7 +24,7 @@ import numpy as np
 from . import buildtools as bt
 from . import linalg as la
 from .algebra import Algebra, LYAlgebra
-from .checks import check_lie
+from .checks import check_lie, transport_equal
 from .compjordan import build_composition, build_jordan, trace_admissible_view
 
 F0 = Fraction(0)
@@ -202,22 +202,6 @@ def build_tits(x, y, name=""):
 # closure identities
 
 
-def _dependencies(rows):
-    """Pivot rows of an ordered family plus coordinates of the rest."""
-    piv, exprs, basis = [], {}, []
-    for idx, r in enumerate(rows):
-        if basis:
-            co = bt._Coords(basis).coords(r)
-        else:
-            co = [] if all(v == 0 for v in r) else None
-        if co is None:
-            basis.append(r)
-            piv.append(idx)
-        else:
-            exprs[idx] = co
-    return piv, exprs
-
-
 def _split_tensor_vanishes(rows, tensors):
     """Decide sum_m rows[m] (x) tensors[m] == 0 without forming the sum.
 
@@ -225,20 +209,20 @@ def _split_tensor_vanishes(rows, tensors):
     arrays of one common shape and scale.  Returns None on success or a
     witness (row index u, flat tensor index v) with a nonzero pairing.
     """
-    piv, exprs = _dependencies(rows)
+    piv, _, coords = bt.independent_rows(rows)
     if not piv:
         return None
+    exprs = {t: co for t, co in enumerate(coords) if t not in piv}
     flat = [t.reshape(-1) for t in tensors]
     nm = len(rows)
     for pk, s in enumerate(piv):
         den = 1
         for co in exprs.values():
-            if len(co) > pk and co[pk] != 0:
-                den = lcm(den, co[pk].denominator)
+            den = lcm(den, co[pk].denominator)
         acc = flat[s].astype(np.int64) * den
         bound = den * int(np.abs(flat[s]).max(initial=0))
         for t, co in exprs.items():
-            if len(co) <= pk or co[pk] == 0:
+            if co[pk] == 0:
                 continue
             ci = co[pk].numerator * (den // co[pk].denominator)
             acc = acc + ci * flat[t]
@@ -625,14 +609,12 @@ def tkk_to_tits_map(j):
     nyf = ny + 1
     if tk.dim != t.alg.dim:
         raise ValueError("blocks do not line up; is the ingredient degree 3")
-    co = bt._Coords([[v for row in m for v in row] for m in x.dspan])
-    adco = []
-    for i in range(nx):
-        ad = [[F2 * x.stab[i][b][a] for b in range(nx)] for a in range(nx)]
-        cv = co.coords([v for row in ad for v in row])
-        if cv is None:
-            raise ArithmeticError("commutator action escaped the left span")
-        adco.append(cv)
+    co = bt.BatchCoords([[v for row in m for v in row] for m in x.dspan])
+    try:
+        adco = co.coords_rows([[F2 * x.stab[i][b][a] for a in range(nx)
+                                for b in range(nx)] for i in range(nx)])
+    except bt.OutsideSpan:
+        raise ArithmeticError("commutator action escaped the left span") from None
     n = tk.dim
     m = [[F0] * n for _ in range(n)]
     for i in range(nx):
@@ -646,28 +628,8 @@ def tkk_to_tits_map(j):
 
 
 def bracket_transport_equal(a, b, basis_map):
-    """True iff basis_map carries every bracket of a exactly onto b.
-
-    Columns of basis_map are the images of a's basis vectors; the map
-    must be invertible (ValueError otherwise).
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    n = a.dim
-    if la.rank(basis_map) != n:
-        raise ValueError("basis map is not invertible")
-    imgs = [[basis_map[r][c] for r in range(n)] for c in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = la.zero_vec(n)
-            for l, v in a.bk(i, j):
-                img = imgs[l]
-                for r in range(n):
-                    if img[r] != 0:
-                        want[r] += v * img[r]
-            if b.bracket(imgs[i], imgs[j]) != want:
-                return False
-    return True
+    """True iff basis_map carries every bracket of a exactly onto b."""
+    return transport_equal(a, b, basis_map)
 
 
 # the sixteen-cell square

@@ -10,8 +10,9 @@ from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.checks import (check_lie, check_ly, jacobi_first_violation_naive,
                           ly3_defect, ly4_defect, ly5_defect, ly6_defect,
                           _first_ly_violation)
-from lyalg.envelope import (build_enveloping, ly_from_reductive,
-                            ly_from_reductive_indices, is_reductive_split)
+from lyalg.envelope import (LYStructureError, build_enveloping,
+                            ly_from_reductive, ly_from_reductive_indices,
+                            is_reductive_split)
 from lyalg.fastnum import jacobi_violation, killing_int
 from lyalg.linalg import basis_vec
 
@@ -112,6 +113,38 @@ def test_enveloping_of_sl2_lts_is_sl2():
     back = ly_from_reductive_indices(pair.g, pair.h_index, pair.m_index)
     ref = sl2_lts()
     assert back.binary == ref.binary and back.ternary == ref.ternary
+
+
+def test_check_ly_then_envelope_builds_once(monkeypatch):
+    import lyalg.envelope as env
+
+    calls = []
+    real = env.class_bases
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(env, "class_bases", counted)
+    ly = sl2_lts()
+    assert check_ly(ly).passed
+    pair = build_enveloping(ly)
+    assert len(calls) == 1
+    assert build_enveloping(ly) is pair
+
+
+def test_envelope_ly6_witness_is_first_batched_pair():
+    ly = LYAlgebra(3, {}, {(0, 1, 0): [(2, 2)], (0, 1, 1): [(1, 2)],
+                           (0, 1, 2): [(1, 2)], (0, 2, 0): [(0, -1)],
+                           (1, 2, 0): [(2, 1)]})
+    with pytest.raises(LYStructureError) as err:
+        build_enveloping(ly)
+    assert err.value.axiom == "LY6"
+    assert err.value.witness == ((0, 1), (1, 2))
+    # a failure is not memoised: the next call raises again
+    assert "envelope" not in ly._cache
+    with pytest.raises(LYStructureError):
+        build_enveloping(ly)
 
 
 def test_check_ly_detects_broken_axioms():

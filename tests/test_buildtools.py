@@ -1,0 +1,105 @@
+"""The certified span engine: BatchCoords and independent_rows."""
+
+from fractions import Fraction
+
+import pytest
+
+from lyalg import linalg as la
+from lyalg.buildtools import BatchCoords, OutsideSpan, independent_rows, int_rows
+from lyalg.fastnum import PRIMES20
+
+F = Fraction
+
+
+def vecs(*rows):
+    return [[F(x) for x in r] for r in rows]
+
+
+def test_selection_and_membership():
+    rows = vecs([1, 1, 0], [2, 2, 0], [0, 1, 1])
+    chosen, span, coords = independent_rows(rows)
+    assert chosen == [0, 2]
+    assert len(chosen) == 2
+    assert coords == [[1, 0], [2, 0], [0, 1]]
+    assert span.coords(vecs([1, 0, -1])[0]) is not None
+    assert span.coords(vecs([0, 0, 1])[0]) is None
+
+
+def test_coords_of_one_vector_and_a_batch():
+    basis = vecs([1, 1, 0], [0, 0, 1])
+    eng = BatchCoords(basis)
+    c = eng.coords(vecs([3, 3, -1])[0])
+    assert c == [F(3), F(-1)]
+    assert eng.coords(vecs([1, 0, 0])[0]) is None
+    assert eng.coords_rows(vecs([3, 3, -1], [F(1, 2), F(1, 2), 0])) == [
+        [3, -1], [F(1, 2), 0]]
+    with pytest.raises(OutsideSpan) as err:
+        eng.coords_rows(vecs([0, 0, 5], [1, 0, 0], [0, 1, 0]))
+    assert err.value.index == 1
+
+
+def test_selection_extends_to_basis():
+    rows = vecs([1, 1, 1]) + [la.basis_vec(3, i) for i in range(3)]
+    chosen, _, _ = independent_rows(rows)
+    got = [rows[i] for i in chosen]
+    assert len(got) == 3
+    assert la.rank(got) == 3
+    assert chosen == [0, 1, 2]
+
+
+def test_dict_rows_and_a_key_outside_the_support():
+    eng = BatchCoords([{"a": F(1), (0, 1): F(2)}, {"b": F(3)}])
+    assert eng.coords({(0, 1): F(4), "a": F(2), "b": F(3)}) == [2, 1]
+    assert eng.coords({"a": F(1), "c": F(1)}) is None
+    # an explicit zero at an unknown key is no escape
+    assert eng.coords({"b": F(6), "c": F(0)}) == [0, 2]
+    with pytest.raises(OutsideSpan) as err:
+        eng.coords_rows([{"b": F(1)}, {"a": F(1)}, {"c": F(1)}])
+    assert err.value.index == 1
+    with pytest.raises(OutsideSpan) as err:
+        eng.coords_rows([{"b": F(1)}, {"c": F(1)}, {"a": F(1)}])
+    assert err.value.index == 1
+
+
+def test_dependent_basis_rows_raise():
+    with pytest.raises(ValueError):
+        BatchCoords(vecs([1, 2], [2, 4]))
+    with pytest.raises(ValueError):
+        BatchCoords([{"x": F(1)}, {"x": F(-3)}])
+
+
+def test_selection_is_greedy_over_zero_and_repeated_rows():
+    rows = vecs([0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0], [2, 4, 0],
+                [0, 1, 0], [1, 3, 0], [0, 0, 7])
+    chosen, _, coords = independent_rows(rows)
+    assert chosen == [1, 5, 7]
+    assert coords[0] == coords[3] == [0, 0, 0]
+    assert coords[4] == [2, 0, 0]
+    assert coords[6] == [1, 1, 0]
+    assert independent_rows([])[0::2] == ([], [])
+    assert independent_rows(vecs([0, 0]))[0] == []
+
+
+def test_selection_corrects_a_prime_that_hides_a_dependence():
+    p = PRIMES20[0]
+    # row 1 equals row 0 mod p, so the proposal skips it for row 2
+    chosen, _, coords = independent_rows(vecs([1, 0], [1, p], [0, 1]))
+    assert chosen == [0, 1]
+    assert coords[2] == [F(-1, p), F(1, p)]
+    # row 1 vanishes mod p: the exact check finds it outside the span
+    chosen, _, _ = independent_rows(vecs([1, 0, 0], [0, p, 0], [1, p, 0]))
+    assert chosen == [0, 1]
+
+
+def test_fraction_level_calls_past_the_int64_guard_answer_exactly():
+    big = F(2**62 + 1)
+    rows = [[big, F(1)], [F(1), F(0)], [big + 1, F(1)]]
+    chosen, eng, coords = independent_rows(rows)
+    assert chosen == [0, 1]
+    assert coords[2] == [1, 1]
+    assert eng.coords_rows([[big * 2, F(2)]]) == [[2, 0]]
+    with pytest.raises(OutsideSpan):
+        BatchCoords(vecs([1, 0])).coords_rows([[big, F(1)]])
+    # the integer batch itself keeps its guard
+    with pytest.raises(OverflowError):
+        eng.coords_int(*int_rows(vecs([1, 1])))

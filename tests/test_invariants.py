@@ -7,7 +7,7 @@ import pytest
 
 from lyalg import linalg as la
 from lyalg.algebra import Algebra
-from lyalg.buildtools import (NotClosedError, direct_sum,
+from lyalg.buildtools import (NotClosedError, direct_sum, independent_rows,
                               operator_algebra_from_basis,
                               rational_eigensplit, simultaneous_eigenbasis)
 from lyalg.invariants import (centroid_basis, centroid_dim, derivation_basis,
@@ -91,11 +91,11 @@ def test_derivations_sl2_all_inner():
     assert len(der) == 3
     ads = [la.transpose([g.bracket(la.basis_vec(3, i), la.basis_vec(3, j))
                          for j in range(3)]) for i in range(3)]
-    span = la.SpanTracker(9)
-    for d in der:
-        span.add([v for row in d for v in row])
+    chosen, span, _ = independent_rows([[v for row in d for v in row]
+                                        for d in der])
+    assert chosen == [0, 1, 2]
     for m in ads:
-        assert span.contains([v for row in m for v in row])
+        assert span.coords([v for row in m for v in row]) is not None
 
 
 def test_derivations_abelian():

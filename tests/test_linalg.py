@@ -30,16 +30,11 @@ def test_rref_known():
 def test_solve_and_inv():
     a = [[F(2), F(1)], [F(1), F(3)]]
     b = [F(5), F(10)]
-    x = la.solve_unique(a, b)
+    x = la.solve(a, b)
+    assert la.rank(a) == 2
     assert la.mat_vec(a, x) == b
     ai = la.inv(a)
     assert la.mat_mul(a, ai) == la.eye(2)
-
-
-def test_det():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    assert la.det(a) == F(5)
-    assert la.det([[F(1), F(2)], [F(2), F(4)]]) == 0
 
 
 def test_normalize_primitive():
@@ -86,23 +81,6 @@ def test_solve_verifies(a, x):
     assert la.mat_vec(a, got) == b
 
 
-def test_span_tracker():
-    tr = la.SpanTracker(3)
-    assert tr.add([F(1), F(1), F(0)])
-    assert not tr.add([F(2), F(2), F(0)])
-    assert tr.add([F(0), F(1), F(1)])
-    assert tr.dim == 2
-    assert tr.contains([F(1), F(0), F(-1)])
-    assert not tr.contains([F(0), F(0), F(1)])
-
-
-def test_coords_in_span():
-    basis = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
-    c = la.coords_in_span(basis, [F(3), F(3), F(-1)])
-    assert c == [F(3), F(-1)]
-    assert la.coords_in_span(basis, [F(1), F(0), F(0)]) is None
-
-
 def test_split_grams():
     g = la.sym_split_gram(5)
     assert g[0][1] == 1 and g[1][0] == 1 and g[4][4] == 1
@@ -111,9 +89,3 @@ def test_split_grams():
     assert s[0][1] == 1 and s[1][0] == -1
     with pytest.raises(ValueError):
         la.skew_split_gram(3)
-
-
-def test_extend_to_basis():
-    got = la.extend_to_basis([[F(1), F(1), F(1)]], 3)
-    assert len(got) == 3
-    assert la.rank(got) == 3
