@@ -1,0 +1,77 @@
+"""Command line entry point: certify or classify an algebra stored as JSON.
+
+    lyalg check FILE [--json]      Jacobi sweep (Lie) or LY-axiom sweep (LY)
+    lyalg classify FILE [--json]   simple type of the Lie algebra, or of the
+                                   standard enveloping algebra of an LY one
+
+The file format is the one of lyalg.io; a file with ternary entries is
+an LY algebra.  Both commands exit with status 1 when the report fails
+or the algebra cannot be classified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import io
+from . import linalg as la
+from .algebra import LYAlgebra
+from .checks import check_ly, check_lie
+from .envelope import LYStructureError, build_enveloping
+from .roots import ClassifyError, classify, saturate_torus
+
+
+def _check(alg, as_json: bool) -> int:
+    rep = check_ly(alg) if isinstance(alg, LYAlgebra) else check_lie(alg)
+    print(json.dumps(rep.to_obj(), sort_keys=True) if as_json else rep.to_text())
+    return 0 if rep.passed else 1
+
+
+def _basis_torus(lie) -> None:
+    """Attach weights to a Lie algebra read from a file, which has none.
+
+    The basis vectors whose ad acts diagonally on the basis commute
+    pairwise ([h, h'] is a multiple of both h' and h) and span a torus;
+    their eigenvalues become the weights.  saturate_torus and classify
+    verify this data like any other.
+    """
+    n = lie.dim
+    diag = [h for h in range(n)
+            if all(k == j for j in range(n) for k, _ in lie.bk(h, j))]
+    lie.weights = [tuple(dict(lie.bk(h, j)).get(j, la.F0) for h in diag)
+                   for j in range(n)]
+    lie.cartan = [la.basis_vec(n, h) for h in diag] if diag else None
+
+
+def _classify(alg, as_json: bool) -> int:
+    try:
+        lie = build_enveloping(alg).g if isinstance(alg, LYAlgebra) else alg
+        if lie.weights is None:
+            _basis_torus(lie)
+        label = classify(saturate_torus(lie))
+    except (ClassifyError, LYStructureError) as e:
+        print("lyalg: %s" % e, file=sys.stderr)
+        return 1
+    print(json.dumps({"dim": lie.dim, "type": label}, sort_keys=True)
+          if as_json else label)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="lyalg", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, doc in (("check", "run the full Lie or LY certificate"),
+                      ("classify", "print the simple type")):
+        cmd = sub.add_parser(name, help=doc)
+        cmd.add_argument("file", help="algebra in the lyalg JSON format")
+        cmd.add_argument("--json", action="store_true", help="print JSON")
+    args = parser.parse_args(argv)
+    alg = io.load(args.file)
+    run = _check if args.command == "check" else _classify
+    return run(alg, args.json)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -658,11 +658,15 @@ def _pair_tables_small(amb, tl, vecs, bc, dpair):
         ico = bc.coords_rows(imgs)
         for idx, (i, j) in enumerate(prs):
             dtfull[(i, j)] = la.transpose(ico[idx * n0:(idx + 1) * n0])
-    return stab, tform, dtfull, damb
+    return stab, tform, dtfull, damb.__getitem__
 
 
 def _pair_tables_big(amb, tl, vecs, bc):
-    """Same contract as the small path, pushed through int64 batches."""
+    """Same contract as the small path, pushed through int64 batches.
+
+    The ambient pair maps are built as Fraction matrices only for the
+    pairs the caller asks for (the span pairs and one spot-check).
+    """
     tint, s = _amb_int(amb)
     n = amb.dim
     n0 = len(vecs)
@@ -693,17 +697,20 @@ def _pair_tables_big(amb, tl, vecs, bc):
     img = np.einsum('ijrc,kc->ijrk', dt, b)
     co2, cs2 = bc.coords_int(
         img.transpose(0, 1, 3, 2).reshape(n0 * n0 * n0, n), sdt * sb)
-    dtfull = {}
-    damb = {}
-    for i in range(n0):
-        for j in range(i + 1, n0):
-            dtfull[(i, j)] = [[Fraction(int(co2[(i * n0 + j) * n0 + k, l]), cs2)
-                               for k in range(n0)] for l in range(n0)]
-            damb[(i, j)] = [[Fraction(int(dt[i, j, rr, cc]), sdt)
-                             for cc in range(n)] for rr in range(n)]
+    # one Fraction per distinct value; dtfull[(i, j)][l][k] = co2 row (i, j, k), col l
+    frac = {v: Fraction(v, cs2) for v in np.unique(co2).tolist()}
+    cols = co2.reshape(n0, n0, n0, n0).transpose(0, 1, 3, 2).tolist()
+    dtfull = {(i, j): [[frac[v] for v in row] for row in cols[i][j]]
+              for i in range(n0) for j in range(i + 1, n0)}
+
+    def damb(p):
+        i, j = p
+        return [[Fraction(int(dt[i, j, rr, cc]), sdt) for cc in range(n)]
+                for rr in range(n)]
+
     # spot-check one slot of each batch against the direct implementations
     if n0 >= 2:
-        if damb[(0, 1)] != jordan_derivation(amb, vecs[0], vecs[1]):
+        if damb((0, 1)) != jordan_derivation(amb, vecs[0], vecs[1]):
             raise ArithmeticError("integer batch disagrees with the direct pair map")
         p = amb.mul(vecs[0], vecs[1])
         if tform[0][1] != la.dot(tl, p):
@@ -761,27 +768,30 @@ def _leibniz_check(tint, mats):
 
 def _equivariance_check(dspan0, dtfull, n0):
     """Exhaustive check that conjugating a pair derivation by a span
-    element matches moving the element into the pair slots."""
-    def dm(a, b):
-        if a < b:
-            return dtfull[(a, b)], F1
-        return dtfull[(b, a)], -F1
+    element matches moving the element into the pair slots,
 
-    for e in dspan0:
-        for (i, j), dij in dtfull.items():
-            lhs = la.mat_sub(la.mat_mul(e, dij), la.mat_mul(dij, e))
-            rhs = la.zeros(n0, n0)
-            for c in range(n0):
-                ci = e[c][i]
-                if ci != 0 and c != j:
-                    m, sg = dm(c, j)
-                    rhs = la.mat_add(rhs, la.mat_scale(sg * ci, m))
-                cj = e[c][j]
-                if cj != 0 and c != i:
-                    m, sg = dm(i, c)
-                    rhs = la.mat_add(rhs, la.mat_scale(sg * cj, m))
-            if lhs != rhs:
-                raise ArithmeticError("pair derivation map is not equivariant")
+        E D(i, j) - D(i, j) E = sum_c E[c][i] D(c, j) + E[c][j] D(i, c),
+
+    for every span element E and every pair, in one integer batch over
+    the antisymmetric pair table D(j, i) = -D(i, j)."""
+    if not dspan0:
+        return
+    prs = sorted(dtfull)
+    arr, _ = bt.int_rows([_flat(dtfull[p]) for p in prs])
+    arr = arr.reshape(len(prs), n0, n0)
+    ia, ib = np.array(prs).T
+    d = np.zeros((n0, n0, n0, n0), dtype=np.int64)
+    d[ia, ib] = arr
+    d[ib, ia] = -arr
+    es, _ = bt.int_rows([_flat(e) for e in dspan0])
+    es = es.reshape(len(dspan0), n0, n0)
+    bt.guard_bound(2 * n0, es, d)
+    lhs = (np.einsum('sxy,ijyz->sijxz', es, d)
+           - np.einsum('ijxy,syz->sijxz', d, es))
+    rhs = (np.einsum('sci,cjxz->sijxz', es, d)
+           + np.einsum('scj,icxz->sijxz', es, d))
+    if not np.array_equal(lhs, rhs):
+        raise ArithmeticError("pair derivation map is not equivariant")
 
 
 def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
@@ -820,7 +830,7 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
             # rebuild every table in the new coordinates
             vnew, _ = bt.simultaneous_eigenbasis(tor_res)
             newvecs = [la.normalize_primitive(_vec_combo(vecs, co)) for co in vnew]
-            toramb = [_mat_combo([damb[p] for p in span_pairs], co)
+            toramb = [_mat_combo([damb(p) for p in span_pairs], co)
                       for co in coeffs]
             newlabels = ["%s0_%d" % (tag, i) for i in range(n0)]
             return _build_view(amb, tag, tl, newvecs, newlabels, dpair,
@@ -862,7 +872,7 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
         tor_coords = []
     if span_pairs:
         tint, _ = _amb_int(amb)
-        _leibniz_check(tint, [damb[p] for p in span_pairs])
+        _leibniz_check(tint, [damb(p) for p in span_pairs])
     if n0 <= 8:
         _equivariance_check(dspan0, dtfull, n0)
     return TraceAdmissible(tag, amb, vecs, labels, weights, stab, tform,

@@ -7,6 +7,7 @@ The enveloping construction puts the span of the inner maps D(x, y) =
     [D, x]   = D x,
     [x, y]   = D(x, y) + x.y .
 
+The inner maps are read off the ternary table in one pass (inner_maps).
 Everything is exact, and all span work goes through the certified engine
 of buildtools, one weight class of maps at a time.  independent_rows
 picks the first independent generators of each class; its mod-p proposal
@@ -38,12 +39,17 @@ class LYStructureError(Exception):
         super().__init__(f"{axiom} fails at {witness}")
 
 
-def d_op_sparse(ly: LYAlgebra, i: int, j: int) -> SpMat:
-    out: SpMat = {}
-    for k in range(ly.dim):
-        for l, c in ly.t(i, j, k):
-            out[(l, k)] = c
-    return out
+def inner_maps(ly: LYAlgebra) -> dict[tuple[int, int], SpMat]:
+    """Every inner map D(i, j) = [e_i, e_j, .], i < j, from one pass over
+    the ternary table; entry (l, k) is the coefficient of e_l in D(i, j) e_k."""
+    n = ly.dim
+    ops: dict[tuple[int, int], SpMat] = {(i, j): {} for i in range(n)
+                                         for j in range(i + 1, n)}
+    for (i, j, k), ent in ly.ternary.items():
+        op = ops[(i, j)]
+        for l, c in ent:
+            op[(l, k)] = c
+    return ops
 
 
 def class_bases(mats: list[SpMat], keys: list[tuple]):
@@ -110,7 +116,7 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
         return ly._cache["envelope"]
     n = ly.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ops = {(i, j): d_op_sparse(ly, i, j) for (i, j) in pairs}
+    ops = inner_maps(ly)
 
     if ly.weights is not None:
         def wkey(i, j):
@@ -155,10 +161,11 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
             table[st] = ent
     # h-m: the maps acting
     for t, pt in enumerate(basis_pairs):
-        for k in range(n):
-            ent = [(b + l, c) for l, c in ly.t(pt[0], pt[1], k)]
-            if ent:
-                table[(t, b + k)] = ent
+        cols: dict[int, Sparse] = {}
+        for (l, k), c in ops[pt].items():
+            cols.setdefault(k, []).append((b + l, c))
+        for k in sorted(cols):
+            table[(t, b + k)] = cols[k]
     # m-m: D(x, y) + x.y
     for (i, j) in pairs:
         ent = list(gen_coords.get((i, j), []))

@@ -448,13 +448,99 @@ def _grid_condition(x, y):
 # the reductive pair on the grid
 
 
+def _derivation_entries(view, ordered):
+    """Nonzero entries of a slice's pair derivations as int64 columns.
+
+    Returns (i, i2, row, col, val) and a scale s with val / s =
+    dmat(i, i2)[row][col], over the pairs i < i2, or over every ordered
+    pair i != i2 when `ordered` is set (dmat is antisymmetric).
+    """
+    prs = sorted(view.dt)
+    arr, s = bt.int_rows([[v for row in view.dt[p] for v in row] for p in prs])
+    k, cell = np.nonzero(arr)
+    val = arr[k, cell]
+    pa = np.array(prs, dtype=np.int64).reshape(-1, 2)
+    i, i2 = pa[k, 0], pa[k, 1]
+    row, col = np.divmod(cell, view.n0)
+    if ordered:
+        i, i2 = np.concatenate([i, i2]), np.concatenate([i2, i])
+        row, col = np.tile(row, 2), np.tile(col, 2)
+        val = np.concatenate([val, -val])
+    return (i, i2, row, col, val), s
+
+
+def _kronecker_ternary(x, y):
+    """Ternary table of the grid: t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
+
+    Grid index i * ny + j stands for x_i (x) y_j.  Every contribution
+    (p, q, r, target) is encoded as one int64 and summed after a sort;
+    a code meets at most one term of each kind, so the sum of two
+    guarded products cannot overflow.
+    """
+    nx, ny = x.n0, y.n0
+    dim = nx * ny
+    (xi, xi2, xa, xc, xv), sdx = _derivation_entries(x, False)
+    (yj, yj2, yb, yc, yv), sdy = _derivation_entries(y, True)
+    tx, stx = bt.int_rows(x.tform)
+    ty, sty = bt.int_rows(y.tform)
+    txa, txb = np.nonzero(tx)
+    tya, tyb = np.nonzero(ty)
+    den = lcm(sty * sdx, stx * sdy)
+    fx, fy = den // (sty * sdx), den // (stx * sdy)
+    bt.guard_bound(2 * fx, xv, ty)
+    bt.guard_bound(2 * fy, yv, tx)
+    # left term: x pairs i < i2 with any right pair j, j2 keep p < q
+    pq = (xi[:, None] * ny + tya) * dim + xi2[:, None] * ny + tyb
+    j3 = np.arange(ny)
+    rt = (xc[:, None] * ny + j3) * dim + xa[:, None] * ny + j3
+    codes = [(pq[:, :, None] * dim * dim + rt[:, None, :]).ravel()]
+    vals = [np.broadcast_to((xv[:, None] * ty[tya, tyb] * fx)[:, :, None],
+                            (len(xv), len(tya), ny)).ravel()]
+    # right term: x pairs i <= i2, and j < j2 when i == i2
+    e, f = np.nonzero((txa[None, :] < txb[None, :])
+                      | ((txa[None, :] == txb[None, :]) & (yj < yj2)[:, None]))
+    pq = (txa[f] * ny + yj[e]) * dim + txb[f] * ny + yj2[e]
+    i3 = np.arange(nx)
+    rt = (i3 * ny + yc[e, None]) * dim + i3 * ny + yb[e, None]
+    codes.append((pq[:, None] * dim * dim + rt).ravel())
+    vals.append(np.repeat(yv[e] * tx[txa[f], txb[f]] * fy, nx))
+    code = np.concatenate(codes)
+    val = np.concatenate(vals)
+    order = np.argsort(code)
+    code, val = code[order], val[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    code, val = code[first], np.add.reduceat(val, first)
+    nz = val != 0
+    code, val = code[nz], val[nz]
+    key, tgt = np.divmod(code, dim)
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    pq, r = np.divmod(key[start], dim)
+    p, q = np.divmod(pq, dim)
+    val = val.tolist()
+    fr = {v: Fraction(v, den) for v in set(val)}
+    ent = list(zip(tgt.tolist(), map(fr.__getitem__, val)))
+    bounds = start.tolist() + [len(ent)]
+    return {k: ent[lo:hi] for k, lo, hi in zip(
+        zip(p.tolist(), q.tolist(), r.tolist()), bounds, bounds[1:])}
+
+
 def ly_inside_tits(t):
     """Binary and ternary products induced on the grid block.
 
-    The binary product is the grid part of the bracket; the ternary one
-    brackets the span part back onto a third grid element.  The result
-    carries the grid weights and must agree constant-by-constant with
-    the generic reductive-pair extraction, which the tests enforce.
+    The binary product is the grid part of the bracket.  The ternary one
+    brackets the span part back onto a third grid element, which makes
+    it the Kronecker sum of the two slices' inner pair derivations
+    (Benito, Elduque and Martin-Herce, arXiv 0810.0440; Barton and
+    Sudbery, "Magic squares and matrix models of Lie algebras", 2003):
+
+        [x (x) y, x' (x) y', .] = t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
+
+    It is assembled from the nonzero entries of the pair derivation
+    tables and trace forms in one integer batch over a common
+    denominator; the two terms collide only on the diagonal entries of
+    D and d, where they are summed.  The result carries the grid weights
+    and must agree constant-by-constant with the generic reductive-pair
+    extraction, which the tests enforce.
     """
     x, y = t.x, t.y
     nx, ny = x.n0, y.n0
@@ -468,41 +554,8 @@ def ly_inside_tits(t):
         ent = sorted(((gi(a, b), v) for (a, b), v in grid_ent))
         if ent:
             binary[(gi(i, j), gi(k, l))] = ent
-    ternary = {}
-    for p in range(dim):
-        i1, j1 = divmod(p, ny)
-        for q in range(p + 1, dim):
-            i2, j2 = divmod(q, ny)
-            c1 = y.tform[j1][j2]
-            c2 = x.tform[i1][i2]
-            if c1 == 0 and c2 == 0:
-                continue
-            dmx = x.dmat(i1, i2) if c1 != 0 else None
-            dmy = y.dmat(j1, j2) if c2 != 0 else None
-            colsx = None
-            if dmx is not None:
-                colsx = [[(a, dmx[a][i3]) for a in range(nx)
-                          if dmx[a][i3] != 0] for i3 in range(nx)]
-            colsy = None
-            if dmy is not None:
-                colsy = [[(b, dmy[b][j3]) for b in range(ny)
-                          if dmy[b][j3] != 0] for j3 in range(ny)]
-            for r in range(dim):
-                i3, j3 = divmod(r, ny)
-                acc = {}
-                if colsx is not None:
-                    for a, v in colsx[i3]:
-                        tkey = gi(a, j3)
-                        acc[tkey] = acc.get(tkey, F0) + c1 * v
-                if colsy is not None:
-                    for b, v in colsy[j3]:
-                        tkey = gi(i3, b)
-                        acc[tkey] = acc.get(tkey, F0) + c2 * v
-                ent = sorted((tkey, v) for tkey, v in acc.items() if v != 0)
-                if ent:
-                    ternary[(p, q, r)] = ent
     labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
-    ly = LYAlgebra(dim, binary, ternary, labels=labels,
+    ly = LYAlgebra(dim, binary, _kronecker_ternary(x, y), labels=labels,
                    name="ly-inside-%s" % t.alg.name)
     ly.weights = [x.weights[i] + y.weights[j]
                   for i in range(nx) for j in range(ny)]

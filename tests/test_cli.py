@@ -1,0 +1,56 @@
+"""The lyalg command line: check and classify on saved files."""
+
+import json
+from fractions import Fraction as F
+
+from lyalg import io
+from lyalg.algebra import Algebra
+from lyalg.cli import main
+from lyalg.envelope import ly_from_reductive_indices
+from lyalg.matrixalg import build_matrix_lie
+
+
+def sl2():
+    return Algebra(3, {(0, 1): [(1, F(2))], (0, 2): [(2, F(-2))],
+                       (1, 2): [(0, F(1))]}, labels=["h", "e", "f"], name="sl2")
+
+
+def saved(tmp_path, name, thing):
+    path = tmp_path / name
+    io.save(str(path), thing)
+    return str(path)
+
+
+def test_check_lie_and_ly(tmp_path, capsys):
+    lie = saved(tmp_path, "sl2.json", sl2())
+    lts = saved(tmp_path, "lts.json",
+                ly_from_reductive_indices(sl2(), [0], [1, 2]))
+    assert main(["check", lie]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== ") and "PASS" in out and "jacobi" in out
+    assert main(["check", lts, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is True
+    assert {it["name"] for it in rep["items"]} >= {"LY6"}
+
+
+def test_check_reports_a_failure(tmp_path, capsys):
+    bad = sl2()
+    bad.table[(0, 1)] = [(1, F(3))]
+    assert main(["check", saved(tmp_path, "bad.json", bad), "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is False
+    assert any(it["witness"] for it in rep["items"])
+
+
+def test_classify(tmp_path, capsys):
+    lie = saved(tmp_path, "sl2.json", sl2())
+    lts = saved(tmp_path, "lts.json",
+                ly_from_reductive_indices(sl2(), [0], [1, 2]))
+    assert main(["classify", lie]) == 0
+    assert capsys.readouterr().out.strip() == "A1"
+    assert main(["classify", lts, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dim": 3, "type": "A1"}
+    gl3 = saved(tmp_path, "gl3.json", build_matrix_lie("gl", 3))
+    assert main(["classify", gl3]) == 1
+    assert capsys.readouterr().err.startswith("lyalg: ")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lyalg import linalg as la
 from lyalg.compjordan import (
     JordanAlg,
+    _equivariance_check,
     _verify_jordan,
     build_composition,
     build_jordan,
@@ -314,6 +315,21 @@ def test_jordan_identity_negative_control():
                     list(j.labels))
     with pytest.raises(ValueError):
         _verify_jordan(bad)
+
+
+def test_equivariance_check_rejects_a_changed_entry():
+    v = trace_admissible_view(build_composition("O"))
+    _equivariance_check(v.dspan, v.dt, v.n0)
+    pair = (0, 1)
+    m = [row[:] for row in v.dt[pair]]
+    r, c = next((r, c) for r in range(v.n0) for c in range(v.n0) if m[r][c] != 0)
+    m[r][c] += 1
+    bad = dict(v.dt)
+    bad[pair] = m
+    with pytest.raises(ArithmeticError, match="not equivariant"):
+        _equivariance_check(v.dspan, bad, v.n0)
+    # the view itself is untouched
+    _equivariance_check(v.dspan, v.dt, v.n0)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=16, max_size=16))

@@ -11,7 +11,7 @@ from lyalg import linalg as la
 from lyalg.algebra import LYAlgebra
 from lyalg.buildtools import subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
-from lyalg.envelope import build_enveloping
+from lyalg.envelope import build_enveloping, inner_maps
 from lyalg.invariants import centroid_dim, commutant_dim, is_semisimple
 from lyalg.matrixalg import (SL2_OPS, BilinForm, build_matrix_lie,
                              check_coincidence, lts_orthosymplectic_sum,
@@ -70,14 +70,8 @@ def test_lts_ortho_3_5():
     dsub = subalgebra_on_indices(pair.g, pair.h_index)
     assert dsub.dim == 13
     assert is_semisimple(dsub) and centroid_dim(dsub) == 2
-    dops = [dict_op(ly, i, j) for i in range(ly.dim)
-            for j in range(i + 1, ly.dim)]
+    dops = list(inner_maps(ly).values())
     assert commutant_dim(dops, ly.dim, weights=ly.weights) == 1
-
-
-def dict_op(ly, i, j):
-    from lyalg.envelope import d_op_sparse
-    return d_op_sparse(ly, i, j)
 
 
 def test_lts_sp_2_2():
@@ -92,8 +86,7 @@ def test_lts_sp_2_2():
 def test_lts_ortho_reducible_flag():
     ly = lts_orthosymplectic_sum(split_sym_form(1), split_sym_form(2, tail=-1))
     assert ly.notes and "reducible" in ly.notes[0]
-    dops = [dict_op(ly, i, j) for i in range(ly.dim)
-            for j in range(i + 1, ly.dim)]
+    dops = list(inner_maps(ly).values())
     assert commutant_dim(dops, ly.dim) > 1
 
 
@@ -135,8 +128,7 @@ def test_sl_tensor_sl_2_3():
     assert pair.g.dim == 35 and label == "A5"
     dsub = subalgebra_on_indices(pair.g, pair.h_index)
     assert dsub.dim == 11
-    dops = [dict_op(ly, i, j) for i in range(ly.dim)
-            for j in range(i + 1, ly.dim)]
+    dops = list(inner_maps(ly).values())
     assert commutant_dim(dops, ly.dim, weights=ly.weights) == 1
 
 

@@ -8,20 +8,26 @@ octonion row have module dimensions 35 = 52-(14+3) and 182 = 248-(14+52),
 and the 2x2 row over H_n(K) must come out as sl(2n).
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from lyalg import io
 from lyalg import linalg as la
+from lyalg.algebra import LYAlgebra
 from lyalg.buildtools import subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
-from lyalg.envelope import build_enveloping, ly_from_reductive_indices
+from lyalg.envelope import (build_enveloping, inner_maps,
+                            ly_from_reductive_indices)
 from lyalg.fastnum import jacobi_violation
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
-                             lts_orthosymplectic_sum, sl_ops, split_sym_form)
+                             lts_orthosymplectic_sum, ly_sp_tensor_sym, sl_ops,
+                             split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (assemble_bracket, bracket_transport_equal, build_tits,
+from lyalg.tits import (_grid_pair_entries, assemble_bracket,
+                        bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
                         form_pair_module_data, ly_inside_tits, magic_square,
                         solve_equivariant_bracket, tensor_action,
@@ -115,13 +121,110 @@ def test_ly_inside_octonion_row_small():
     assert classify(saturate_torus(dsub)) == "A1+G2"
 
 
+def sha256(thing):
+    obj = io.ly_to_obj(thing) if isinstance(thing, LYAlgebra) else io.algebra_to_obj(thing)
+    return hashlib.sha256(io.dumps(obj).encode()).hexdigest()
+
+
 def test_ly_inside_octonion_row_large():
     t = build_tits(cview("O"), jview("H3(O)"))
     ly = ly_inside_tits(t)
     assert ly.dim == 182
+    # the canonical bytes of the LY algebra and of E8, as first recorded
+    assert sha256(ly) == ("6c49f573873dc70b4587da684f5a0a29"
+                          "ed80284d8fbdd07662ac0b8c507caf4f")
     env = build_enveloping(ly)
     assert env.g.dim == 248
+    assert sha256(env.g) == ("d4c594417d02b5fa3d9289a01f9c5d80"
+                             "9618d41b8e68bbbb954acb950f17f8ec")
     assert classify(saturate_torus(env.g)) == "E8"
+
+
+def ly_inside_tits_reference(t):
+    """The grid LY algebra by the direct loop over all (p, q, r) triples."""
+    x, y = t.x, t.y
+    nx, ny = x.n0, y.n0
+    dim = nx * ny
+
+    def gi(i, j):
+        return i * ny + j
+
+    binary = {}
+    for i, j, k, l, _, grid_ent, _ in _grid_pair_entries(x, y):
+        ent = sorted(((gi(a, b), v) for (a, b), v in grid_ent))
+        if ent:
+            binary[(gi(i, j), gi(k, l))] = ent
+    ternary = {}
+    for p in range(dim):
+        i1, j1 = divmod(p, ny)
+        for q in range(p + 1, dim):
+            i2, j2 = divmod(q, ny)
+            c1 = y.tform[j1][j2]
+            c2 = x.tform[i1][i2]
+            if c1 == 0 and c2 == 0:
+                continue
+            dmx = x.dmat(i1, i2) if c1 != 0 else None
+            dmy = y.dmat(j1, j2) if c2 != 0 else None
+            colsx = None
+            if dmx is not None:
+                colsx = [[(a, dmx[a][i3]) for a in range(nx)
+                          if dmx[a][i3] != 0] for i3 in range(nx)]
+            colsy = None
+            if dmy is not None:
+                colsy = [[(b, dmy[b][j3]) for b in range(ny)
+                          if dmy[b][j3] != 0] for j3 in range(ny)]
+            for r in range(dim):
+                i3, j3 = divmod(r, ny)
+                acc = {}
+                if colsx is not None:
+                    for a, v in colsx[i3]:
+                        tkey = gi(a, j3)
+                        acc[tkey] = acc.get(tkey, F(0)) + c1 * v
+                if colsy is not None:
+                    for b, v in colsy[j3]:
+                        tkey = gi(i3, b)
+                        acc[tkey] = acc.get(tkey, F(0)) + c2 * v
+                ent = sorted((tkey, v) for tkey, v in acc.items() if v != 0)
+                if ent:
+                    ternary[(p, q, r)] = ent
+    labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
+    ly = LYAlgebra(dim, binary, ternary, labels=labels,
+                   name="ly-inside-%s" % t.alg.name)
+    ly.weights = [x.weights[i] + y.weights[j]
+                  for i in range(nx) for j in range(ny)]
+    return ly
+
+
+@pytest.mark.parametrize("xs, ys", [("O", "H3(O)"), ("Q", "H3(K)"),
+                                    ("K", "H3(Q)"), ("O", "H3(k)"),
+                                    ("JV(3)", "JV(5)"), ("K", "H3(K)")])
+def test_kronecker_ternary_matches_triple_loop(xs, ys):
+    x = jview(xs) if xs.startswith("JV") else cview(xs)
+    t = build_tits(x, jview(ys))
+    a = ly_inside_tits(t)
+    b = ly_inside_tits_reference(t)
+    assert a.binary == b.binary
+    assert list(a.ternary.items()) == list(b.ternary.items())
+    assert a.weights == b.weights
+    assert a.labels == b.labels
+
+
+def d_op_reference(ly, i, j):
+    """D(i, j) by one ly.t lookup per column."""
+    out = {}
+    for k in range(ly.dim):
+        for l, c in ly.t(i, j, k):
+            out[(l, k)] = c
+    return out
+
+
+def test_inner_maps_match_per_pair_reference():
+    for ly in (ly_inside_tits(build_tits(cview("O"), jview("H3(k)"))),
+               ly_sp_tensor_sym(3, 1)):
+        ops = inner_maps(ly)
+        pairs = [(i, j) for i in range(ly.dim) for j in range(i + 1, ly.dim)]
+        assert list(ops) == pairs
+        assert all(ops[(i, j)] == d_op_reference(ly, i, j) for (i, j) in pairs)
 
 
 def test_ly_inside_agrees_with_reductive_route():
