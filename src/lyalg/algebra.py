@@ -15,6 +15,9 @@ spanning a split toral subalgebra whose ad-action is diagonal on the basis).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
+
+import numpy as np
 
 from .linalg import F0, Vec, fr
 
@@ -30,6 +33,35 @@ def _clean(entries) -> Sparse:
     return out
 
 
+def _all_clean(entries, dim: int | None = None) -> bool:
+    """True when every entry is already what _clean returns: a list of pairs
+    (int target, nonzero Fraction) with strictly increasing targets, and
+    targets in range(dim) when dim is given.  One pass over the flattened
+    table.  The constructors keep clean entry lists as given (not copied)
+    and fall back to _clean entry by entry otherwise."""
+    ents = [e for e in entries if e]
+    if not ents:
+        return True
+    flat = [x for e in ents for x in e] if set(map(type, ents)) == {list} else []
+    if set(map(type, flat)) != {tuple} or set(map(len, flat)) != {2}:
+        return False
+    ks = list(map(itemgetter(0), flat))
+    cs = list(map(itemgetter(1), flat))
+    if set(map(type, ks)) != {int} or set(map(type, cs)) != {Fraction}:
+        return False
+    if not all(cs):
+        return False
+    try:
+        k = np.fromiter(ks, dtype=np.int64, count=len(ks))
+    except OverflowError:
+        return False
+    if dim is not None and (k.min() < 0 or k.max() >= dim):
+        return False
+    step = np.diff(k)
+    step[np.cumsum([len(e) for e in ents])[:-1] - 1] = 1   # key boundaries
+    return bool((step > 0).all())
+
+
 class Algebra:
     """Anticommutative algebra given by structure constants."""
 
@@ -40,12 +72,13 @@ class Algebra:
         if len(self.labels) != dim:
             raise ValueError("label count != dim")
         self.table: dict[tuple[int, int], Sparse] = {}
+        clean = _all_clean(table.values(), dim)
         for (i, j), ent in table.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad pair key ({i},{j})")
-            ent = _clean(ent)
+            ent = ent if clean else _clean(ent)
             if ent:
-                if any(not 0 <= k < dim for k, _ in ent):
+                if not clean and any(not 0 <= k < dim for k, _ in ent):
                     raise ValueError("target index out of range")
                 self.table[(i, j)] = ent
         self.name = name
@@ -107,17 +140,19 @@ class LYAlgebra:
         if len(self.labels) != dim:
             raise ValueError("label count != dim")
         self.binary: dict[tuple[int, int], Sparse] = {}
+        clean = _all_clean(binary.values())
         for (i, j), ent in binary.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad pair key ({i},{j})")
-            ent = _clean(ent)
+            ent = ent if clean else _clean(ent)
             if ent:
                 self.binary[(i, j)] = ent
         self.ternary: dict[tuple[int, int, int], Sparse] = {}
+        clean = _all_clean(ternary.values())
         for (i, j, k), ent in ternary.items():
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad triple key ({i},{j},{k})")
-            ent = _clean(ent)
+            ent = ent if clean else _clean(ent)
             if ent:
                 self.ternary[(i, j, k)] = ent
         self.name = name

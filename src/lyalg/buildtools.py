@@ -23,6 +23,9 @@ computed here.  Its guarantees:
   equations using p-adic expansions", Numer. Math. 1982, for the
   pattern of a modular proposal with an exact check).
 
+sp_commutators forms every pairwise commutator of a list of sparse
+matrices in one guarded int64 sparse product; the enveloping algebra,
+g(T) and operator_algebra_from_basis take their commutators from it.
 operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
 abstract Algebra with exact structure constants; all commutator
@@ -33,10 +36,10 @@ freezing structure constants.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import numpy as np
+from scipy import sparse
 
 from . import fastnum
 from . import linalg as la
@@ -111,6 +114,54 @@ def guard_bound(terms: int, *arrs):
         b *= int(np.abs(a).max(initial=0))
     if b >= INT64_GUARD:
         raise OverflowError("integer batch would overflow int64")
+
+
+def sp_commutators(maps: list[SpMat], n: int):
+    """Every nonzero commutator [maps[s], maps[t]], s < t, in (s, t) order,
+    of sparse maps on an n-dimensional space.
+
+    The maps are cleared of denominators once, and all products come from
+    one guarded int64 sparse product: block (s, t) of vstack(A) @ hstack(A)
+    is A_s A_t.  Returns the pairs and their commutators as SpMats, with
+    one Fraction per distinct value.  OverflowError if an entry or a
+    product does not fit int64.
+    """
+    b = len(maps)
+    ent = [(s, l, k, v) for s, m in enumerate(maps) for (l, k), v in m.items()]
+    if not ent:
+        return [], []
+    sc = lcm(*(v.denominator for *_, v in ent))
+    nums = [v.numerator * (sc // v.denominator) for *_, v in ent]
+    if max(map(abs, nums)) >= INT64_GUARD:
+        raise OverflowError("entry does not fit the int64 batch path")
+    ms, ml, mk = np.array([e[:3] for e in ent], dtype=np.int64).T
+    vals = np.array(nums, dtype=np.int64)
+    guard_bound(n, vals, vals)
+    stacked = sparse.csr_array((vals, (ms * n + ml, mk)), shape=(b * n, n))
+    side = sparse.csr_array((vals, (ml, ms * n + mk)), shape=(n, b * n))
+    prod = (stacked @ side).tocoo()
+    (r, c), v = prod.coords, prod.data
+    (s, l), (t, k) = np.divmod(r, n), np.divmod(c, n)
+    off = s != t
+    s, t, l, k, v = s[off], t[off], l[off], k[off], v[off]
+    # [A_s, A_t] at (l, k) is (A_s A_t)[l, k] - (A_t A_s)[l, k]
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    code = ((lo * b + hi) * n + l) * n + k
+    v = np.where(s < t, v, -v)
+    order = np.argsort(code)
+    code, v = code[order], v[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    code, v = code[first], np.add.reduceat(v, first)
+    nz = v != 0
+    pair, lk = np.divmod(code[nz], n * n)
+    v = v[nz].tolist()
+    frac = {x: Fraction(x, sc * sc) for x in set(v)}
+    entries = list(zip(zip(*(x.tolist() for x in np.divmod(lk, n))),
+                       map(frac.__getitem__, v)))
+    start = np.flatnonzero(np.diff(pair, prepend=-1))
+    bounds = start.tolist() + [len(entries)]
+    pairs = [divmod(p, b) for p in pair[start].tolist()]
+    return pairs, [dict(entries[a:z]) for a, z in zip(bounds, bounds[1:])]
 
 
 class OutsideSpan(ValueError):
@@ -303,12 +354,8 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
     batch, whose reconstruction check is the closure certificate.
     """
     nb = len(mats)
-    pairs, comms = [], []
-    for i, j in combinations(range(nb), 2):
-        cm = sp_commutator(mats[i], mats[j])
-        if cm:
-            pairs.append((i, j))
-            comms.append(cm)
+    space = 1 + max((max(k) for m in mats for k in m), default=-1)
+    pairs, comms = sp_commutators(mats, space)
     try:
         co = BatchCoords(mats).coords_rows(comms)
     except OutsideSpan as e:
@@ -383,9 +430,18 @@ def subalgebra_on_indices(alg: Algebra, indices: list[int],
     return sub
 
 
+class IrrationalRoot(ArithmeticError):
+    """A polynomial that must split over Q has an irreducible factor of
+    degree above one; factor is that sympy Poly."""
+
+    def __init__(self, factor):
+        super().__init__("irrational eigenvalue: %s" % factor)
+        self.factor = factor
+
+
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots with multiplicity; raises if any root is not
-    rational (the polynomial must split over the rationals)."""
+    """All rational roots with multiplicity; raises IrrationalRoot if any
+    root is not rational (the polynomial must split over the rationals)."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -396,7 +452,7 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     const, factors = poly.factor_list()
     for fac, mult in factors:
         if fac.degree() != 1:
-            raise ArithmeticError("irrational eigenvalue: %s" % fac)
+            raise IrrationalRoot(fac)
         a, b = fac.all_coeffs()
         root = -Fraction(b.p, b.q) / Fraction(a.p, a.q)
         out.extend([root] * mult)

@@ -3,7 +3,8 @@
 check_lie verifies the Jacobi identity exactly; check_ly verifies the six
 defining identities of a binary-ternary system.  The two quadratic binary
 identities and the four mixed ones are checked through one exact sparse
-sweep of the formally built enveloping algebra (see envelope.py); a defect
+sweep of the formally built enveloping algebra (see envelope.py), the
+full Jacobi sweep, whose verdict stays memoised on the envelope; a defect
 found by the sweep is attributed to its axiom by which component of which
 pair type it lives in, and the reported witness is then re-derived by a
 direct lexicographic scan of that axiom so the "first violating tuple"
@@ -196,7 +197,7 @@ def check_ly(ly: LYAlgebra, target: str = "") -> Report:
             raise RuntimeError("enveloping failed to close but scans clean")
         rep.seconds = time.monotonic() - t0
         return rep
-    w = jacobi_violation(pair.g, rows=pair.m_index)
+    w = jacobi_violation(pair.g)
     if w is None:
         for ax in ("LY3", "LY4", "LY5", "LY6"):
             rep.add(ax, "pass", f"enveloping sweep, dim {ly.dim}")

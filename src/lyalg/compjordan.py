@@ -5,11 +5,14 @@ Composition builders check unit laws, the polarized degree two equation and
 polarized norm multiplicativity on all basis tuples.  Jordan builders check
 the linearized Jordan identity and the associativity of the generic trace
 form; for the 27-dimensional algebra those sweeps run as overflow-guarded
-int64 numpy contractions after clearing denominators, which keeps them
-exact and fast.  The trace-zero view packages what the two-ingredient Lie
-algebra constructions consume: the star product and normalized trace form
-in a torus eigenbasis, the inner pair derivations restricted to the slice,
-and a weight-adapted basis of their span.
+integer contractions after clearing denominators (the Jordan identity in
+float64, guarded so that every partial sum stays below 2^53), which keeps
+them exact and fast.  The trace-zero view packages what the
+two-ingredient Lie algebra constructions consume: the star product and
+normalized trace form in a torus eigenbasis, the inner pair derivations
+restricted to the slice, and a weight-adapted basis of their span.  Every
+view certifies that its pair derivation table is equivariant under that
+span.
 """
 
 import re
@@ -18,6 +21,7 @@ from functools import lru_cache
 from math import lcm
 
 import numpy as np
+from scipy import sparse
 
 from . import buildtools as bt
 from . import linalg as la
@@ -32,9 +36,10 @@ class CompAlg:
     """Unital algebra over Q whose quadratic norm admits composition.
 
     tab[i][j] is the dense coordinate vector of e_i e_j.  gram is the polar
-    form of the norm, so n(x) = gram(x, x) / 2 and tr(x) = gram(x, 1).
-    Instances are built through build_composition and must be treated as
-    read-only; the builders cache and share them.
+    form of the norm, so n(x) = gram(x, x) / 2 and tr(x) = gram(x, 1); the
+    trace vector gram(., 1) is computed once.  Instances are built through
+    build_composition and must be treated as read-only; the builders cache
+    and share them.
     """
 
     def __init__(self, kind, tab, gram, unit, labels):
@@ -45,6 +50,7 @@ class CompAlg:
         self.unit = unit
         self.labels = labels
         self._int = None
+        self._trv = la.mat_vec(gram, unit)
 
     def mul(self, x, y):
         out = la.zero_vec(self.dim)
@@ -68,7 +74,7 @@ class CompAlg:
         return self.polar(x, x) * HALF
 
     def trace(self, x):
-        return self.polar(x, self.unit)
+        return la.dot(x, self._trv)
 
     def conj(self, x):
         return la.vec_sub(la.vec_scale(self.trace(x), self.unit), x)
@@ -375,7 +381,12 @@ def _verify_jordan(j):
     r = t.transpose(1, 2, 0)
     bt.guard_bound(n, t, r)
     rp = np.einsum('jkc,cab->jkab', t, r)
-    bt.guard_bound(6 * n, r, rp)
+    # the products run through BLAS in float64, exact while every partial
+    # sum is an integer below 2^53
+    top = int(np.abs(r).max(initial=0)) * int(np.abs(rp).max(initial=0))
+    if 6 * n * top >= 1 << 53:
+        raise OverflowError("Jordan identity sweep would be inexact in float64")
+    r, rp = r.astype(np.float64), rp.astype(np.float64)
     for i in range(n):
         off = np.triu_indices(n - i)
         jj = off[0] + i
@@ -772,26 +783,33 @@ def _equivariance_check(dspan0, dtfull, n0):
 
         E D(i, j) - D(i, j) E = sum_c E[c][i] D(c, j) + E[c][j] D(i, c),
 
-    for every span element E and every pair, in one integer batch over
-    the antisymmetric pair table D(j, i) = -D(i, j)."""
+    for every span element E and every pair.  With D the antisymmetric
+    pair table as an int64 sparse matrix (row i n0 + j holds D(i, j)
+    flattened, and D(j, i) = -D(i, j)), both sides are sparse products,
+    one span element at a time:
+
+        D (E^T (x) I - I (x) E)  =  (E^T (x) I + I (x) E^T) D.
+    """
     if not dspan0:
         return
     prs = sorted(dtfull)
     arr, _ = bt.int_rows([_flat(dtfull[p]) for p in prs])
-    arr = arr.reshape(len(prs), n0, n0)
-    ia, ib = np.array(prs).T
-    d = np.zeros((n0, n0, n0, n0), dtype=np.int64)
-    d[ia, ib] = arr
-    d[ib, ia] = -arr
     es, _ = bt.int_rows([_flat(e) for e in dspan0])
-    es = es.reshape(len(dspan0), n0, n0)
-    bt.guard_bound(2 * n0, es, d)
-    lhs = (np.einsum('sxy,ijyz->sijxz', es, d)
-           - np.einsum('ijxy,syz->sijxz', d, es))
-    rhs = (np.einsum('sci,cjxz->sijxz', es, d)
-           + np.einsum('scj,icxz->sijxz', es, d))
-    if not np.array_equal(lhs, rhs):
-        raise ArithmeticError("pair derivation map is not equivariant")
+    bt.guard_bound(2 * n0, es, arr)
+    ia, ib = np.array(prs).T
+    r, c = np.nonzero(arr)
+    v = arr[r, c]
+    d = sparse.csr_array(
+        (np.concatenate([v, -v]),
+         (np.concatenate([ia[r] * n0 + ib[r], ib[r] * n0 + ia[r]]),
+          np.concatenate([c, c]))), shape=(n0 * n0, n0 * n0))
+    eye = sparse.eye_array(n0, dtype=np.int64, format="csr")
+    for e in es.reshape(len(dspan0), n0, n0):
+        et = sparse.csr_array(e.T)
+        left = d @ (sparse.kron(et, eye) - sparse.kron(eye, e))
+        right = (sparse.kron(et, eye) + sparse.kron(eye, et)) @ d
+        if (left - right).count_nonzero():
+            raise ArithmeticError("pair derivation map is not equivariant")
 
 
 def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
@@ -873,8 +891,7 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
     if span_pairs:
         tint, _ = _amb_int(amb)
         _leibniz_check(tint, [damb(p) for p in span_pairs])
-    if n0 <= 8:
-        _equivariance_check(dspan0, dtfull, n0)
+    _equivariance_check(dspan0, dtfull, n0)
     return TraceAdmissible(tag, amb, vecs, labels, weights, stab, tform,
                            dtfull, dcoords, dspan, dweights, tor_coords)
 

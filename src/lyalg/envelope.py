@@ -14,7 +14,11 @@ picks the first independent generators of each class; its mod-p proposal
 corrects itself (a generator the prime wrongly dropped joins the set and
 the exact check repeats), so there is no retry at the next prime.  Every
 generator and every commutator is then re-expressed in the chosen maps
-with exact coordinates that are verified entry by entry.  A commutator
+with exact coordinates that are verified entry by entry.  The h-h block
+is one integer batch: the chosen maps are cleared of denominators once,
+every pairwise product comes from one guarded int64 sparse product, and
+only the nonzero commutators go on to the coordinate batches (an entry
+or product too large for int64 raises OverflowError).  A commutator
 that fails to lie in the span is a genuine sixth-axiom failure and is
 reported as such, never papered over.
 """
@@ -26,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, LYAlgebra, Sparse
 from .buildtools import (BatchCoords, OutsideSpan, SpMat, independent_rows,
-                         sp_commutator)
+                         sp_commutators)
 from .linalg import F0, Vec, inv as mat_inv, mat_vec
 
 
@@ -140,16 +144,10 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
     dim_g = b + n
     table: dict[tuple[int, int], Sparse] = {}
     # h-h: commutators of the basis maps, one batch per weight class
-    hh, queries = [], []
-    for s in range(b):
-        ps = basis_pairs[s]
-        for t in range(s + 1, b):
-            pt = basis_pairs[t]
-            comm = sp_commutator(ops[ps], ops[pt])
-            if comm:
-                hh.append((s, t))
-                queries.append((tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt))),
-                                comm))
+    hh, comms = sp_commutators([ops[pq] for pq in basis_pairs], n)
+    queries = [(tuple(a + c for a, c in zip(wkey(*basis_pairs[s]),
+                                             wkey(*basis_pairs[t]))), comm)
+               for (s, t), comm in zip(hh, comms)]
     try:
         hco = class_coords(engines, queries)
     except OutsideSpan as e:

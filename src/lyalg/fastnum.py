@@ -89,22 +89,21 @@ def scaled(alg: Algebra) -> ScaledTables:
     return st
 
 
-def jacobi_violation(alg: Algebra, rows=None) -> tuple[int, int, int] | None:
+def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     """First (p, q, k) in lex order with nonzero Jacobi defect, else None.
 
-    `rows` restricts the first index p; by the S3 (anti)symmetry of the
-    defect this still covers every unordered triple containing an index
-    from `rows`.  The verdict of a full sweep is kept in
-    alg._cache["jacobi"], so a repeated full sweep costs nothing.
+    The verdict of the full sweep is kept in alg._cache["jacobi"], so a
+    repeated sweep costs nothing, and an exact change of basis may carry
+    a clean verdict over (roots.saturate_torus does).
     """
-    if rows is None and "jacobi" in alg._cache:
+    if "jacobi" in alg._cache:
         return alg._cache["jacobi"]
     st = scaled(alg)
     n = st.n
     if n and st.amax and n * st.amax * st.amax >= (1 << 62):
         raise OverflowError("structure constants too large for int64 sweep")
     best = None
-    for p in (range(n) if rows is None else sorted(rows)):
+    for p in range(n):
         G = st.G(p)
         prow, pcol, pdat = _coo(G @ st.M)    # P[q,(k,r)] = sum_s c^s_{pq} c^r_{sk}
         qrow, qcol, qdat = _coo(st.C2 @ G)   # Q[(q,k),r] = sum_s c^s_{qk} (-c^r_{sp})*(-1)
@@ -122,12 +121,9 @@ def jacobi_violation(alg: Algebra, rows=None) -> tuple[int, int, int] | None:
             bad = np.nonzero(sums)[0]
             if len(bad):
                 t = int(uniq[bad[0]])
-                cand = (p, t // (n * n), (t // n) % n)
-                if best is None:
-                    best = cand
+                best = (p, t // (n * n), (t // n) % n)
                 break
-    if rows is None:
-        alg._cache["jacobi"] = best
+    alg._cache["jacobi"] = best
     return best
 
 

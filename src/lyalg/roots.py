@@ -24,17 +24,26 @@ connected components of the roots, two roots linked when their pairing is
 nonzero.  A component of rank l with N roots spans an ideal of dimension
 l + N, whose type follows from l, l + N and the root lengths.  So a wrong
 label can only come from a wrong theorem, not a wrong computation.
+
+saturate_torus, which produces the torus data, runs on the integer
+scaled structure constants (fastnum.scaled): check_grading compares
+integer weight codes over every entry at once, and _rebase forms all
+brackets of the new basis as two guarded sparse products, certifying
+each weight block's coordinates by one exact coords_int batch.  A zero
+weight space that does not split over Q is refused with ClassifyError.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
+from scipy import sparse
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import BatchCoords, simultaneous_eigenbasis
-from .fastnum import jacobi_violation
+from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, guard_bound,
+                         int_rows, simultaneous_eigenbasis)
+from .fastnum import jacobi_violation, scaled
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
@@ -42,7 +51,11 @@ F1 = Fraction(1)
 
 
 class ClassifyError(Exception):
-    pass
+    """The algebra fails a certificate; witness, when set, is what failed."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 def _sparse_bracket(alg: Algebra, xnz, ynz) -> dict:
@@ -170,16 +183,25 @@ def _offdiag_mat(m) -> bool:
 def check_grading(alg: Algebra) -> int:
     """Certify that the recorded weights grade the bracket: every structure
     constant lives at the sum of its arguments' weights.  Returns the
-    weight-tuple length."""
+    weight-tuple length.
+
+    The weights are cleared of denominators into integer codes and
+    compared over the arrays of fastnum.scaled(alg) in one pass.
+    """
     if alg.weights is None or len(alg.weights) != alg.dim:
         raise ClassifyError("no weight data on %r" % alg.name)
     r = len(alg.weights[0])
-    for (i, j), ent in alg.table.items():
-        want = tuple(a + b for a, b in zip(alg.weights[i], alg.weights[j]))
-        for l, _ in ent:
-            if alg.weights[l] != want:
-                raise ClassifyError("structure constant off the grading at "
-                                    "(%d,%d)->%d" % (i, j, l))
+    if any(len(w) != r for w in alg.weights):
+        raise ClassifyError("weight table shape mismatch")
+    w, _ = int_rows(alg.weights)
+    st = scaled(alg)
+    bad = np.flatnonzero((w[st.p] + w[st.q] != w[st.s]).any(axis=1))
+    if len(bad):
+        # scaled lists each table entry as (i, j) before (j, i), so the
+        # first bad one is the table's first, in its stored orientation
+        i, j, l = (int(x[bad[0]]) for x in (st.p, st.q, st.s))
+        raise ClassifyError("structure constant off the grading at "
+                            "(%d,%d)->%d" % (i, j, l))
     return r
 
 
@@ -191,7 +213,9 @@ def saturate_torus(alg: Algebra) -> Algebra:
     zero-weight space g_0 is abelian with rationally diagonalizable
     adjoint action, g_0 is a split Cartan subalgebra and the result is the
     same algebra on a basis of simultaneous eigenvectors, with full torus
-    data.  Raises if g_0 is not abelian or does not split rationally.
+    data.  Raises ClassifyError if g_0 is not abelian or does not split
+    rationally; for an irrational eigenvalue its witness is the
+    irreducible factor of the minimal polynomial.
     """
     if alg.cartan is not None:
         verify_weights(alg)
@@ -226,7 +250,12 @@ def saturate_torus(alg: Algebra) -> Algebra:
             vecs = [la.basis_vec(len(blk), t) for t in range(len(blk))]
             tups = [[op[t][t] for op in ops] for t in range(len(blk))]
         else:
-            vecs, tups = simultaneous_eigenbasis(ops)
+            try:
+                vecs, tups = simultaneous_eigenbasis(ops)
+            except ArithmeticError as e:
+                wit = e.factor if isinstance(e, IrrationalRoot) else None
+                raise ClassifyError("zero-weight space does not split over "
+                                    "Q: %s" % e, wit) from None
         for v, t in zip(vecs, tups):
             full = la.zero_vec(n)
             for c, j in zip(v, blk):
@@ -249,79 +278,78 @@ def saturate_torus(alg: Algebra) -> Algebra:
 def _rebase(alg: Algebra, vecs) -> Algebra:
     """Structure constants on a new basis given by full coordinate vectors.
 
-    Blockwise per weight class, each new vector is supported in a single
-    block, so coordinates are solved with one small solver per block.
-    Pairs whose weight sum is not a class are skipped outright; the
-    grading certificate already forces those brackets to vanish.
+    Each new vector must lie in one weight block.  With B the integer
+    change-of-basis matrix (columns the new vectors, one common
+    denominator), the brackets [v_a, v_b] in old coordinates come from
+    the scaled structure constants as two guarded int64 sparse products,
+    contracting the first and then the second argument with B.  Each
+    bracket must then lie in the block of its weight, and every target
+    block's coordinates over its new vectors come from one coords_int
+    batch, whose reconstruction check certifies them.
 
     This is an exact change of basis: the n vectors are independent (each
-    block's solver raises on dependent rows) and every coordinate is
+    block's engine raises on dependent rows) and every coordinate is
     checked, so a Jacobi verdict of None on the input carries over.
     """
     n = alg.dim
     if len(vecs) != n:
         raise ClassifyError("%d new basis vectors for dim %d" % (len(vecs), n))
     blocks = _grading_blocks(n, alg.weights)
-    solvers = {}
-    memb = {}
+    memb = np.zeros(n, dtype=np.int64)
     for bi, blk in enumerate(blocks):
-        for j in blk:
-            memb[j] = bi
-    rowsof: dict = {}
-    nzof = []
-    blkof = []
-    for t, v in enumerate(vecs):
-        nz = [(i, x) for i, x in enumerate(v) if x != 0]
-        nzof.append(nz)
-        bi = memb[nz[0][0]]
-        if any(memb[i] != bi for i, _ in nz):
-            raise ClassifyError("new basis vector crosses weight blocks")
-        blkof.append(bi)
-        rowsof.setdefault(bi, []).append((t, v))
-    for bi, pairs in rowsof.items():
-        blk = blocks[bi]
-        sub = [[v[j] for j in blk] for _, v in pairs]
-        solvers[bi] = (BatchCoords(sub), [t for t, _ in pairs], blk)
-    # integer weight keys make the pair loop's adds and lookups cheap
-    den = 1
-    for blk in blocks:
-        for x in alg.weights[blk[0]]:
-            den = den * x.denominator // gcd(den, x.denominator)
-    clsw = [tuple(int(x * den) for x in alg.weights[blk[0]]) for blk in blocks]
-    wclass = {w: bi for bi, w in enumerate(clsw)}
-    unit = {}
-    for bi, pairs in rowsof.items():
-        if len(pairs) == 1 and len(nzof[pairs[0][0]]) == 1:
-            t, _ = pairs[0]
-            j, c = nzof[t][0]
-            unit[bi] = (t, j, c)
+        memb[blk] = bi
+    bint, sb = int_rows(vecs)            # row t: new vector t, scaled by sb
+    t_nz, i_nz = np.nonzero(bint)
+    first = np.flatnonzero(np.diff(t_nz, prepend=-1))
+    if len(first) != n:
+        raise ValueError("basis rows are dependent")
+    vblk = memb[i_nz[first]]
+    if (memb[i_nz] != vblk[t_nz]).any():
+        raise ClassifyError("new basis vector crosses weight blocks")
+    st = scaled(alg)
+    bsp = sparse.csr_array(bint)
+    # first argument: X[a, j * n + l] = sum_i B[i, a] c^l_{ij}
+    guard_bound(n, bint, st.c)
+    x = (bsp @ st.M).tocoo()
+    (a, jl), xv = x.coords, x.data
+    j, l = np.divmod(jl, n)
+    # second argument: Y[a * n + l, b] = sum_j X[a, j * n + l] B[j, b]
+    guard_bound(n, xv, bint)
+    y = (sparse.csr_array((xv, (a * n + l, j)), shape=(n * n, n)) @ bsp.T).tocoo()
+    (al, b), yv = y.coords, y.data
+    a, l = np.divmod(al, n)
+    keep = (a < b) & (yv != 0)
+    a, b, l, yv = a[keep], b[keep], l[keep], yv[keep]
+    # each bracket lies in the block of weight w_a + w_b
+    w, _ = int_rows([alg.weights[blk[0]] for blk in blocks])
+    tgt = memb[l]
+    if (w[tgt] != w[vblk[a]] + w[vblk[b]]).any():
+        raise ClassifyError("bracket escaped its weight block")
     table = {}
-    for a in range(n):
-        wa = clsw[blkof[a]]
-        for b in range(a + 1, n):
-            wb = clsw[blkof[b]]
-            bi = wclass.get(tuple(x + y for x, y in zip(wa, wb)))
-            if bi is None:
-                continue
-            w = _sparse_bracket(alg, nzof[a], nzof[b])
-            if not w:
-                continue
-            if any(memb[i] != bi for i in w):
-                raise ClassifyError("bracket escaped its weight block")
-            if bi in unit:
-                t, j, c = unit[bi]
-                if len(w) != 1 or j not in w:
-                    raise ClassifyError("bracket escaped its weight block")
-                table[(a, b)] = [(t, w[j] / c)]
-                continue
-            solver, tids, blk = solvers[bi]
-            co = solver.coords([w.get(j, F0) for j in blk])
-            if co is None:
-                raise ClassifyError("bracket escaped its weight block")
-            entl = sorted((t, c) for t, c in zip(tids, co) if c != 0)
-            if entl:
-                table[(a, b)] = entl
-    out = Algebra(n, table, name=alg.name)
+    local = np.zeros(n, dtype=np.int64)
+    for blk in blocks:
+        local[blk] = np.arange(len(blk))
+    tids = [[] for _ in blocks]
+    for t in range(n):
+        tids[vblk[t]].append(t)
+    order = np.lexsort((l, b, a, tgt))
+    a, b, l, yv, tgt = a[order], b[order], l[order], yv[order], tgt[order]
+    bstart = np.flatnonzero(np.diff(tgt, prepend=-1)).tolist() + [len(tgt)]
+    for lo, hi in zip(bstart, bstart[1:]):
+        bi = int(tgt[lo])
+        pairs, row = np.unique(a[lo:hi] * n + b[lo:hi], return_inverse=True)
+        vint = np.zeros((len(pairs), len(blocks[bi])), dtype=np.int64)
+        vint[row, local[l[lo:hi]]] = yv[lo:hi]
+        engine = BatchCoords([[vecs[t][i] for i in blocks[bi]] for t in tids[bi]])
+        try:
+            carr, cs = engine.coords_int(vint, st.S * sb * sb)
+        except OutsideSpan:
+            raise ClassifyError("bracket escaped its weight block") from None
+        carr = carr.tolist()
+        frac = {c: Fraction(c, cs) for c in set().union(*carr)}
+        for p, crow in zip(pairs.tolist(), carr):
+            table[divmod(p, n)] = [(t, frac[c]) for t, c in zip(tids[bi], crow) if c]
+    out = Algebra(n, dict(sorted(table.items())), name=alg.name)
     if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
         out._cache["jacobi"] = None     # the Jacobi identity is basis-free
     return out

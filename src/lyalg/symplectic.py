@@ -31,7 +31,7 @@ import sympy
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import NotClosedError, OutsideSpan, SpMat, sp_commutator
+from .buildtools import NotClosedError, OutsideSpan, SpMat, sp_commutators
 from .checks import check_lie
 from .compjordan import JordanAlg, trace_admissible_view
 from .envelope import (EnvelopingPair, class_bases, class_coords,
@@ -253,13 +253,8 @@ def build_g_of_T(t: SymplecticTripleData):
         for u in (0, 1):
             for i, ent in cols.items():
                 table[(vt(u, i), dr(a))] = [(vt(u, l), -c) for l, c in ent]
-    dd, queries = [], []
-    for a in range(nd):
-        for b in range(a + 1, nd):
-            cm = sp_commutator(mats[a], mats[b])
-            if cm:
-                dd.append((a, b))
-                queries.append((_wadd(dkeys[a], dkeys[b]), cm))
+    dd, comms = sp_commutators(mats, n)
+    queries = [(_wadd(dkeys[a], dkeys[b]), cm) for (a, b), cm in zip(dd, comms)]
     try:
         dcos = class_coords(engines, queries)
     except OutsideSpan as e:

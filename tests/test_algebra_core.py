@@ -147,6 +147,55 @@ def test_envelope_ly6_witness_is_first_batched_pair():
         build_enveloping(ly)
 
 
+@pytest.mark.parametrize("make", [
+    lambda t: Algebra(3, t),
+    lambda t: LYAlgebra(3, t, {}),
+    lambda t: LYAlgebra(3, {}, {(i, j, 0): e for (i, j), e in t.items()}),
+])
+def test_constructors_reject_bad_tables(make):
+    clean = {(0, 1): [(1, F(2))], (0, 2): [(2, F(-2))]}
+    with pytest.raises(ValueError, match="duplicate target"):
+        make({**clean, (1, 2): [(0, F(1)), (0, F(3))]})
+    with pytest.raises(ValueError, match="bad (pair|triple) key"):
+        make({**clean, (2, 1): [(0, F(1))]})
+    with pytest.raises(ValueError, match="bad (pair|triple) key"):
+        make({(0, 3): [(0, F(1))], **clean})
+
+
+def test_algebra_rejects_target_out_of_range():
+    for ent in ([(3, F(1))], [(-1, F(1))], [(0, F(1)), (3, 1)]):
+        with pytest.raises(ValueError, match="target index out of range"):
+            Algebra(3, {(0, 1): [(1, F(2))], (1, 2): ent})
+
+
+def test_constructors_normalise_unsorted_int_entries():
+    raw = [(2, 0), (1, 3), (0, F(1, 2)), (3, F(0))]
+    want = [(0, F(1, 2)), (1, F(3))]
+    g = Algebra(4, {(0, 1): list(raw), (1, 2): [(2, 0)], (2, 3): [(3, F(1))]})
+    assert g.table == {(0, 1): want, (2, 3): [(3, F(1))]}
+    ly = LYAlgebra(4, {(0, 1): list(raw)}, {(0, 1, 2): list(raw), (1, 2, 0): []})
+    assert ly.binary == {(0, 1): want} and ly.ternary == {(0, 1, 2): want}
+    for ent in (g.table[(0, 1)], ly.ternary[(0, 1, 2)]):
+        assert all(type(k) is int and type(c) is Fraction for k, c in ent)
+
+
+def test_classify_after_check_ly_is_a_jacobi_cache_hit(monkeypatch):
+    import lyalg.fastnum as fastnum
+    from lyalg.matrixalg import ly_sp_tensor_sym
+    from lyalg.roots import classify, saturate_torus
+
+    ly = ly_sp_tensor_sym(3, 1)
+    assert check_ly(ly).passed
+    g = build_enveloping(ly).g
+    assert g._cache["jacobi"] is None
+
+    def no_sweep(*args):
+        raise AssertionError("Jacobi sweep ran again")
+
+    monkeypatch.setattr(fastnum.ScaledTables, "G", no_sweep)
+    assert classify(saturate_torus(g)) == "C3"
+
+
 def test_check_ly_detects_broken_axioms():
     ref = sl2_lts()
     # scale one ternary slice: [e,f,e] = 2f is inconsistent

@@ -332,6 +332,32 @@ def test_equivariance_check_rejects_a_changed_entry():
     _equivariance_check(v.dspan, v.dt, v.n0)
 
 
+def test_equivariance_check_rejects_a_changed_entry_h3o():
+    v = trace_admissible_view(build_jordan("H3(O)"))
+    assert v.n0 == 26
+    _equivariance_check(v.dspan, v.dt, v.n0)
+    pair, r, c = next((p, r, c) for p in sorted(v.dt) for r in range(v.n0)
+                      for c in range(v.n0) if v.dt[p][r][c] != 0)
+    m = [row[:] for row in v.dt[pair]]
+    m[r][c] += 1
+    bad = dict(v.dt)
+    bad[pair] = m
+    with pytest.raises(ArithmeticError, match="not equivariant"):
+        _equivariance_check(v.dspan, bad, v.n0)
+    _equivariance_check(v.dspan, v.dt, v.n0)
+
+
+def test_every_view_certifies_equivariance(monkeypatch):
+    import lyalg.compjordan as cj
+
+    seen = []
+    monkeypatch.setattr(cj, "_equivariance_check",
+                        lambda dspan, dt, n0: seen.append(n0))
+    for spec in ("H3(Q)", "H4(K)", "H3(O)"):
+        trace_admissible_view.__wrapped__(build_jordan(spec))
+    assert seen == [14, 15, 26]
+
+
 @given(st.lists(st.integers(-4, 4), min_size=16, max_size=16))
 @settings(max_examples=40, deadline=None)
 def test_norm_multiplicativity_random(vals):

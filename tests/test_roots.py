@@ -1,16 +1,24 @@
 """Classifier edge cases beyond the happy paths exercised elsewhere."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from lyalg import io
 from lyalg import linalg as la
+from lyalg import roots
 from lyalg.algebra import Algebra
-from lyalg.buildtools import direct_sum
+from lyalg.buildtools import BatchCoords, direct_sum
+from lyalg.cli import main
+from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
+from lyalg.envelope import build_enveloping
 from lyalg.fastnum import jacobi_violation
-from lyalg.matrixalg import build_matrix_lie
+from lyalg.invariants import _grading_blocks
+from lyalg.matrixalg import build_matrix_lie, lts_orthosymplectic_sum, split_sym_form
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
+from lyalg.tits import build_tits
 
 fr = Fraction
 
@@ -84,3 +92,101 @@ def test_split_maximal_rejects_fat_zero_block():
     g.weights = [(w[0],) for w in g.weights]
     with pytest.raises(ClassifyError):
         verify_split_maximal(g)
+
+
+def test_grading_check_names_the_first_entry_off_the_grading():
+    g = build_matrix_lie("sl", 3)
+    bad = Algebra(g.dim, {**g.table, (2, 5): [(0, fr(1))]}, labels=g.labels)
+    bad.weights = g.weights
+    with pytest.raises(ClassifyError, match=r"off the grading at \(2,5\)->0"):
+        check_grading(bad)
+
+
+def check_grading_reference(alg):
+    """The grading certificate by one weight-tuple comparison per entry."""
+    if alg.weights is None or len(alg.weights) != alg.dim:
+        raise ClassifyError("no weight data on %r" % alg.name)
+    for (i, j), ent in alg.table.items():
+        want = tuple(a + b for a, b in zip(alg.weights[i], alg.weights[j]))
+        for l, _ in ent:
+            if alg.weights[l] != want:
+                raise ClassifyError("structure constant off the grading at "
+                                    "(%d,%d)->%d" % (i, j, l))
+    return len(alg.weights[0])
+
+
+def rebase_reference(alg, vecs):
+    """The change of basis by one Fraction sparse bracket per basis pair."""
+    n = alg.dim
+    blocks = _grading_blocks(n, alg.weights)
+    memb = {j: bi for bi, blk in enumerate(blocks) for j in blk}
+    rowsof, nzof, blkof = {}, [], []
+    for t, v in enumerate(vecs):
+        nz = [(i, x) for i, x in enumerate(v) if x != 0]
+        nzof.append(nz)
+        blkof.append(memb[nz[0][0]])
+        rowsof.setdefault(blkof[-1], []).append((t, v))
+    solvers = {bi: (BatchCoords([[v[j] for j in blocks[bi]] for _, v in pairs]),
+                    [t for t, _ in pairs], blocks[bi])
+               for bi, pairs in rowsof.items()}
+    den = 1
+    for blk in blocks:
+        for x in alg.weights[blk[0]]:
+            den = den * x.denominator // gcd(den, x.denominator)
+    clsw = [tuple(int(x * den) for x in alg.weights[blk[0]]) for blk in blocks]
+    wclass = {w: bi for bi, w in enumerate(clsw)}
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            bi = wclass.get(tuple(x + y for x, y in zip(clsw[blkof[a]], clsw[blkof[b]])))
+            if bi is None:
+                continue
+            w = roots._sparse_bracket(alg, nzof[a], nzof[b])
+            if not w:
+                continue
+            assert all(memb[i] == bi for i in w)
+            solver, tids, blk = solvers[bi]
+            co = solver.coords([w.get(j, fr(0)) for j in blk])
+            entl = sorted((t, c) for t, c in zip(tids, co) if c != 0)
+            if entl:
+                table[(a, b)] = entl
+    out = Algebra(n, table, name=alg.name)
+    if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
+        out._cache["jacobi"] = None
+    return out
+
+
+@pytest.mark.parametrize("cx, cy", [("K", "K"), ("Q", "Q"), ("O", "k")])
+def test_integer_rebase_matches_fraction_reference(monkeypatch, cx, cy):
+    x = trace_admissible_view(build_composition(cx))
+    y = trace_admissible_view(build_jordan("H3(%s)" % cy))
+    g = build_tits(x, y).alg
+    assert jacobi_violation(g) is None
+    new = saturate_torus(g)
+    monkeypatch.setattr(roots, "check_grading", check_grading_reference)
+    monkeypatch.setattr(roots, "_rebase", rebase_reference)
+    ref = saturate_torus(g)
+    assert list(new.table.items()) == list(ref.table.items())
+    assert (new.weights, new.cartan) == (ref.weights, ref.cartan)
+    assert new._cache["jacobi"] is None and ref._cache["jacobi"] is None
+    assert io.dumps(io.algebra_to_obj(new)) == io.dumps(io.algebra_to_obj(ref))
+
+
+def so8_on_a_non_split_form():
+    # the envelope is so(8) on 3H (+) <1, 1>, not split over Q
+    return lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
+
+
+def test_saturate_rejects_a_non_split_zero_weight_space():
+    g = build_enveloping(so8_on_a_non_split_form()).g
+    with pytest.raises(ClassifyError, match="irrational eigenvalue") as err:
+        saturate_torus(g)
+    assert str(err.value.witness.as_expr()) == "x**2 + 1"
+
+
+def test_cli_classify_refuses_a_non_split_envelope(tmp_path, capsys):
+    path = tmp_path / "so8.json"
+    io.save(str(path), so8_on_a_non_split_form())
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lyalg: ") and "irrational eigenvalue" in err

@@ -15,12 +15,12 @@ import pytest
 
 from lyalg import io
 from lyalg import linalg as la
-from lyalg.algebra import LYAlgebra
-from lyalg.buildtools import subalgebra_on_indices
+from lyalg.algebra import Algebra, LYAlgebra
+from lyalg.buildtools import sp_commutator, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
-from lyalg.envelope import (build_enveloping, inner_maps,
-                            ly_from_reductive_indices)
+from lyalg.envelope import (build_enveloping, class_bases, class_coords,
+                            inner_maps, ly_from_reductive_indices)
 from lyalg.fastnum import jacobi_violation
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sp_tensor_sym, sl_ops,
@@ -225,6 +225,70 @@ def test_inner_maps_match_per_pair_reference():
         pairs = [(i, j) for i in range(ly.dim) for j in range(i + 1, ly.dim)]
         assert list(ops) == pairs
         assert all(ops[(i, j)] == d_op_reference(ly, i, j) for (i, j) in pairs)
+
+
+def build_enveloping_reference(ly):
+    """The enveloping algebra with its h-h block from one Fraction
+    sp_commutator per pair of chosen maps."""
+    n = ly.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ops = inner_maps(ly)
+
+    def wkey(i, j):
+        return tuple(a + b for a, b in zip(ly.weights[i], ly.weights[j]))
+
+    gens = [pq for pq in pairs if ops[pq]]
+    keys = [wkey(*pq) for pq in gens]
+    engines, chosen, coords = class_bases([ops[pq] for pq in gens], keys)
+    basis_pairs, offset = [], {}
+    for key in sorted(chosen):
+        offset[key] = len(basis_pairs)
+        basis_pairs.extend(gens[i] for i in chosen[key])
+    gen_coords = {pq: [(offset[key] + t, x) for t, x in enumerate(c) if x]
+                  for pq, key, c in zip(gens, keys, coords)}
+    b = len(basis_pairs)
+    table = {}
+    hh, queries = [], []
+    for s in range(b):
+        ps = basis_pairs[s]
+        for t in range(s + 1, b):
+            pt = basis_pairs[t]
+            comm = sp_commutator(ops[ps], ops[pt])
+            if comm:
+                hh.append((s, t))
+                queries.append((tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt))),
+                                comm))
+    for st, (key, _), c in zip(hh, queries, class_coords(engines, queries)):
+        ent = [(offset[key] + u, x) for u, x in enumerate(c) if x]
+        if ent:
+            table[st] = ent
+    for t, pt in enumerate(basis_pairs):
+        cols = {}
+        for (l, k), c in ops[pt].items():
+            cols.setdefault(k, []).append((b + l, c))
+        for k in sorted(cols):
+            table[(t, b + k)] = cols[k]
+    for (i, j) in pairs:
+        ent = list(gen_coords.get((i, j), []))
+        ent += [(b + k, c) for k, c in ly.b(i, j)]
+        if ent:
+            table[(b + i, b + j)] = sorted(ent)
+    labels = [f"D({ly.labels[i]},{ly.labels[j]})" for (i, j) in basis_pairs]
+    g = Algebra(b + n, table, labels=labels + list(ly.labels),
+                name=f"env({ly.name})" if ly.name else "env")
+    g.weights = [wkey(*pq) for pq in basis_pairs] + list(ly.weights)
+    return g, basis_pairs
+
+
+def test_envelope_hh_batch_matches_commutator_loop():
+    for ly in (ly_sp_tensor_sym(3, 1),
+               ly_inside_tits(build_tits(cview("O"), jview("H3(k)")))):
+        env = build_enveloping(ly)
+        ref, basis_pairs = build_enveloping_reference(ly)
+        assert env.d_pairs == basis_pairs
+        assert list(env.g.table.items()) == list(ref.table.items())
+        assert env.g.labels == ref.labels and env.g.weights == ref.weights
+        assert io.dumps(io.algebra_to_obj(env.g)) == io.dumps(io.algebra_to_obj(ref))
 
 
 def test_ly_inside_agrees_with_reductive_route():
