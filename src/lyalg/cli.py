@@ -3,6 +3,7 @@
     lyalg check FILE [--json]      Jacobi sweep (Lie) or LY-axiom sweep (LY)
     lyalg classify FILE [--json]   simple type of the Lie algebra, or of the
                                    standard enveloping algebra of an LY one
+                                   (which must pass check_ly first)
 
 The file format is the one of lyalg.io; a file with ternary entries is
 an LY algebra.  Both commands exit with status 1 when the report fails
@@ -47,7 +48,15 @@ def _basis_torus(lie) -> None:
 
 def _classify(alg, as_json: bool) -> int:
     try:
-        lie = build_enveloping(alg).g if isinstance(alg, LYAlgebra) else alg
+        if isinstance(alg, LYAlgebra):
+            bad = next((it for it in check_ly(alg).items if it.status != "pass"),
+                       None)
+            if bad is not None:
+                raise ClassifyError("not an LY algebra: %s fails, witness %s"
+                                    % (bad.name, bad.witness), bad.witness)
+            lie = build_enveloping(alg).g
+        else:
+            lie = alg
         if lie.weights is None:
             _basis_torus(lie)
         label = classify(saturate_torus(lie))

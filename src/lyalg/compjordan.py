@@ -1,18 +1,29 @@
 """Split composition algebras, Jordan algebras, and their trace-zero views.
 
-Everything here is verified at construction time over exact rationals.
-Composition builders check unit laws, the polarized degree two equation and
-polarized norm multiplicativity on all basis tuples.  Jordan builders check
-the linearized Jordan identity and the associativity of the generic trace
-form; for the 27-dimensional algebra those sweeps run as overflow-guarded
-integer contractions after clearing denominators (the Jordan identity in
-float64, guarded so that every partial sum stays below 2^53), which keeps
-them exact and fast.  The trace-zero view packages what the
-two-ingredient Lie algebra constructions consume: the star product and
-normalized trace form in a torus eigenbasis, the inner pair derivations
-restricted to the slice, and a weight-adapted basis of their span.  Every
-view certifies that its pair derivation table is equivariant under that
-span.
+Everything here is verified at construction time, exactly, on int64
+tensors: each table is cleared of denominators once (_int_table), and
+every identity becomes an array equality of integer contractions, each
+product guarded by buildtools.guard_bound (OverflowError rather than a
+wrong answer).  Composition builders check the unit laws, the polarized
+degree two equation, polarized norm multiplicativity on all basis
+4-tuples, the associative trace form and alternativity.  The hermitian
+Jordan tables are formed from the integer composition table, with the
+scalar-diagonal and hermitian conditions checked as array equalities;
+Jordan builders check the linearized Jordan identity (in float64, guarded
+so that every partial sum stays below 2^53) and the associativity of the
+generic trace form.
+
+The trace-zero view packages what the two-ingredient Lie algebra
+constructions consume: the star product and normalized trace form in a
+torus eigenbasis, the inner pair derivations restricted to the slice, and
+a weight-adapted basis of their span.  One integer path serves every
+ambient: the pair maps of all slice pairs form one int64 tensor
+(_pair_maps), from the composition table for compositions, as [R_x, R_y]
+for hermitian Jordan algebras and from the form for spin factors, and one
+slot is checked against the direct Fraction implementation.  Every view
+certifies that the spanning pair maps are derivations and that its pair
+derivation table is equivariant under their span, reading the same
+integer tensors.
 """
 
 import re
@@ -149,64 +160,97 @@ def _table_O():
     return tab, gram, unit, ["p", "u1", "u2", "u3", "v1", "v2", "v3", "q"]
 
 
+def _int_table(tab):
+    """Dense structure constants as (int64 tensor, common denominator)."""
+    n = len(tab)
+    s = 1
+    for row in tab:
+        for cell in row:
+            for v in cell:
+                s = lcm(s, v.denominator)
+    arr = np.zeros((n, n, n), dtype=np.int64)
+    for i, row in enumerate(tab):
+        for j, cell in enumerate(row):
+            for k, v in enumerate(cell):
+                if v:
+                    iv = v.numerator * (s // v.denominator)
+                    if abs(iv) >= bt.INT64_GUARD:
+                        raise OverflowError("structure constant too large")
+                    arr[i, j, k] = iv
+    return arr, s
+
+
+def _first_failure(*checks):
+    """Raise the message of the first flagged entry in row-major order.
+
+    Each check is (boolean array, message), all of one shape; at a shared
+    entry the earlier check wins, as in one nested loop over the entries.
+    """
+    flags = np.stack([np.ravel(bad) for bad, _ in checks])
+    hit = np.flatnonzero(flags.any(axis=0))
+    if len(hit):
+        raise ValueError(checks[int(np.argmax(flags[:, hit[0]]))][1])
+
+
 def _verify_composition(c):
+    """Every defining identity as an integer contraction of the table.
+
+    With e_i e_j = sum_k t[i, j, k] e_k / s, gram = g / sg and the unit
+    u / su, each identity is cleared of denominators and compared as an
+    array equality; every product is guarded against int64 overflow.
+    """
     n = c.dim
-    for i in range(n):
-        for j in range(n):
-            if c.gram[i][j] != c.gram[j][i]:
-                raise ValueError("norm polar form is not symmetric")
+    t, s = _int_table(c.tab)
+    c._int = (t, s)
+    g, sg = bt.int_rows(c.gram)
+    if not np.array_equal(g, g.T):
+        raise ValueError("norm polar form is not symmetric")
     if la.rank(c.gram) != n:
         raise ValueError("norm form is degenerate")
-    for i in range(n):
-        e = la.basis_vec(n, i)
-        if c.mul(c.unit, e) != e or c.mul(e, c.unit) != e:
-            raise ValueError("unit law fails")
-    trv = [c.trace(la.basis_vec(n, i)) for i in range(n)]
-    # polarized degree two equation on basis pairs
-    for i in range(n):
-        for j in range(n):
-            v = la.vec_add(c.tab[i][j], c.tab[j][i])
-            v[j] -= trv[i]
-            v[i] -= trv[j]
-            v = la.vec_add(v, la.vec_scale(c.gram[i][j], c.unit))
-            if any(v):
-                raise ValueError("degree two equation fails")
-    # polarized norm multiplicativity on basis 4-tuples
-    ap = [[la.mat_vec(c.gram, c.tab[r][s]) for s in range(n)] for r in range(n)]
-    for i in range(n):
-        for j in range(n):
-            gij = c.gram[i][j]
-            for k in range(n):
-                for l in range(n):
-                    s = la.dot(c.tab[i][k], ap[j][l]) + la.dot(c.tab[i][l], ap[j][k])
-                    if s != gij * c.gram[k][l]:
-                        raise ValueError("norm is not multiplicative")
+    (u,), su = bt.int_rows([c.unit])
+    eye = np.eye(n, dtype=np.int64)
+    bt.guard_bound(n, u, t)
+    bt.guard_bound(1, eye, [s * su])
+    if not (np.array_equal(np.einsum('a,aik->ik', u, t), eye * (s * su))
+            and np.array_equal(np.einsum('a,iak->ik', u, t), eye * (s * su))):
+        raise ValueError("unit law fails")
+    # polarized degree two equation, scaled by s sg su:
+    # e_i e_j + e_j e_i - tr(e_i) e_j - tr(e_j) e_i + gram(e_i, e_j) 1 = 0
+    bt.guard_bound(n, g, u)
+    tv = g @ u
+    bt.guard_bound(4 * sg * su, t)
+    bt.guard_bound(2 * (2 * n + 1) * s, g, u)
+    d2 = ((t + t.transpose(1, 0, 2)) * (sg * su)
+          - s * (tv[:, None, None] * eye[None, :, :]
+                 + tv[None, :, None] * eye[:, None, :]
+                 - g[:, :, None] * u[None, None, :]))
+    if d2.any():
+        raise ValueError("degree two equation fails")
+    # polarized norm multiplicativity on basis 4-tuples:
+    # gram(e_i e_k, e_j e_l) + gram(e_i e_l, e_j e_k) = gram_ij gram_kl
+    bt.guard_bound(n, t, g)
+    ap = np.einsum('ikr,rs->iks', t, g)
+    bt.guard_bound(2 * n * sg, ap, t)
+    bt.guard_bound(s * s, g, g)
+    a4 = np.einsum('iks,jls->ikjl', ap, t)
+    lhs = (a4.transpose(0, 2, 1, 3) + a4.transpose(0, 2, 3, 1)) * sg
+    if not np.array_equal(lhs, np.einsum('ij,kl->ijkl', g, g) * (s * s)):
+        raise ValueError("norm is not multiplicative")
     # trace form symmetric and associative
-    tf = [[c.trace(c.tab[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if tf[i][j] != tf[j][i]:
-                raise ValueError("trace form is not symmetric")
-            for k in range(n):
-                lhs = sum((c.tab[i][j][s2] * tf[s2][k] for s2 in range(n)), F0)
-                rhs = sum((c.tab[j][k][s2] * tf[i][s2] for s2 in range(n)), F0)
-                if lhs != rhs:
-                    raise ValueError("trace form is not associative")
-    # alternativity, in symmetrized form
-    aso = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                aso[(i, j, k)] = c.associator(la.basis_vec(n, i),
-                                              la.basis_vec(n, j),
-                                              la.basis_vec(n, k))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if any(la.vec_add(aso[(i, j, k)], aso[(j, i, k)])):
-                    raise ValueError("algebra is not left alternative")
-                if any(la.vec_add(aso[(i, j, k)], aso[(i, k, j)])):
-                    raise ValueError("algebra is not right alternative")
+    bt.guard_bound(n, t, tv)
+    tf = np.einsum('ijc,c->ij', t, tv)
+    bt.guard_bound(n, t, tf)
+    assoc = np.einsum('ijs,sk->ijk', t, tf) != np.einsum('jks,is->ijk', t, tf)
+    _first_failure((tf != tf.T, "trace form is not symmetric"),
+                   (assoc.any(axis=2), "trace form is not associative"))
+    # alternativity, in symmetrized form, on the associators
+    # (e_i, e_j, e_k) = (e_i e_j) e_k - e_i (e_j e_k)
+    bt.guard_bound(4 * n, t, t)
+    aso = np.einsum('ijm,mkc->ijkc', t, t) - np.einsum('jkm,imc->ijkc', t, t)
+    _first_failure(((aso + aso.transpose(1, 0, 2, 3)).any(axis=3),
+                    "algebra is not left alternative"),
+                   ((aso + aso.transpose(0, 2, 1, 3)).any(axis=3),
+                    "algebra is not right alternative"))
 
 
 @lru_cache(maxsize=None)
@@ -332,26 +376,6 @@ def jordan_derivation(j, x, y):
     return la.mat_sub(la.mat_mul(rx, ry), la.mat_mul(ry, rx))
 
 
-def _int_table(tab):
-    """Dense structure constants as (int64 tensor, common denominator)."""
-    n = len(tab)
-    s = 1
-    for row in tab:
-        for cell in row:
-            for v in cell:
-                s = lcm(s, v.denominator)
-    arr = np.zeros((n, n, n), dtype=np.int64)
-    for i, row in enumerate(tab):
-        for j, cell in enumerate(row):
-            for k, v in enumerate(cell):
-                if v:
-                    iv = v.numerator * (s // v.denominator)
-                    if abs(iv) >= bt.INT64_GUARD:
-                        raise OverflowError("structure constant too large")
-                    arr[i, j, k] = iv
-    return arr, s
-
-
 def _verify_jordan(j):
     n = j.dim
     for a in range(n):
@@ -444,36 +468,54 @@ def _herm_basis(c, n, signs):
     return mats, labels
 
 
-def _herm_mat_mul(c, x, y, n):
-    z = [[la.zero_vec(c.dim) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for t in range(n):
-            xv = x[r][t]
-            if not any(xv):
-                continue
-            for s in range(n):
-                yv = y[t][s]
-                if any(yv):
-                    z[r][s] = la.vec_add(z[r][s], c.mul(xv, yv))
-    return z
+def _herm_table(c, n, signs, mats):
+    """Structure constants of the symmetrized product on the hermitian basis.
 
-
-def _herm_coords(c, n, signs, z):
-    co = []
-    uidx = next(i for i, uv in enumerate(c.unit) if uv != 0)
-    for i in range(n):
-        d = z[i][i]
-        lam = d[uidx] / c.unit[uidx]
-        if la.vec_sub(d, la.vec_scale(lam, c.unit)) != la.zero_vec(c.dim):
-            raise ValueError("diagonal entry is not a scalar multiple of 1")
-        co.append(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mirror = la.vec_scale(Fraction(signs[i] * signs[j]), c.conj(z[i][j]))
-            if z[j][i] != mirror:
-                raise ValueError("product left the hermitian subspace")
-            co.extend(z[i][j])
-    return co
+    The basis matrices are cleared into one int64 tensor h[a, r, u, p]
+    (entry (r, u) of basis matrix a, composition coordinate p); every
+    product X Y comes from two guarded contractions with the integer
+    composition table, and each symmetrized product X Y + Y X must have
+    scalar diagonal entries and satisfy the twisted hermitian condition
+    z[j][i] = signs[i] signs[j] conj(z[i][j]), checked as array equalities.
+    """
+    d = c.dim
+    dim = len(mats)
+    t, s = _amb_int(c)
+    h, sh = bt.int_rows([[x for row in m for cell in row for x in cell]
+                         for m in mats])
+    h = h.reshape(dim, n, n, d)
+    bt.guard_bound(d, h, t)
+    ht = np.einsum('arup,pqk->aruqk', h, t)
+    bt.guard_bound(2 * n * d, ht, h)
+    z = np.einsum('aruqk,busq->abrsk', ht, h)
+    z = z + z.transpose(1, 0, 2, 3, 4)   # scale S = 2 s sh^2
+    scale = 2 * s * sh * sh
+    (u,), su = bt.int_rows([c.unit])
+    (tv,), st = bt.int_rows([c._trv])
+    uidx = int(np.flatnonzero(u)[0])
+    ii = np.arange(n)
+    diag = z[:, :, ii, ii, :]
+    bt.guard_bound(1, diag, u)
+    bad_diag = (diag * u[uidx] != diag[..., uidx:uidx + 1] * u).any(axis=(2, 3))
+    iu, ju = np.triu_indices(n, 1)
+    up, low = z[:, :, iu, ju, :], z[:, :, ju, iu, :]
+    sgn = np.array([signs[i] * signs[j] for i, j in zip(iu, ju)], dtype=np.int64)
+    # conj(x) = tr(x) 1 - x, scaled by st su
+    bt.guard_bound(2 * d, z, tv, u)
+    bt.guard_bound(2 * st * su, z)
+    conj = (np.einsum('abpk,k->abp', up, tv)[..., None] * u
+            - up * (st * su))
+    bad_off = (low * (st * su) != sgn[:, None] * conj).any(axis=(2, 3))
+    _first_failure((bad_diag, "diagonal entry is not a scalar multiple of 1"),
+                   (bad_off, "product left the hermitian subspace"))
+    # coordinates: diagonal scalars, then the upper entries, over scale * u[uidx]
+    bt.guard_bound(su, diag)
+    bt.guard_bound(int(u[uidx]), up)
+    co = np.concatenate([diag[..., uidx] * su,
+                         (up * u[uidx]).reshape(dim, dim, -1)], axis=2)
+    den = scale * int(u[uidx])
+    frac = {v: Fraction(v, den) for v in np.unique(co).tolist()}
+    return [[[frac[v] for v in cell] for cell in row] for row in co.tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -493,16 +535,7 @@ def build_jordan_hermitian(ckind, n, signs=None):
         raise ValueError("signs must be +-1 of length n")
     mats, labels = _herm_basis(c, n, signs)
     dim = len(mats)
-    tab = [[None] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b2 in range(a, dim):
-            zf = _herm_mat_mul(c, mats[a], mats[b2], n)
-            zb = _herm_mat_mul(c, mats[b2], mats[a], n)
-            sym = [[la.vec_scale(HALF, la.vec_add(zf[r][s], zb[r][s]))
-                    for s in range(n)] for r in range(n)]
-            v = _herm_coords(c, n, signs, sym)
-            tab[a][b2] = v
-            tab[b2][a] = v
+    tab = _herm_table(c, n, signs, mats)
     tracev = [F1] * n + [F0] * (dim - n)
     unit = la.zero_vec(dim)
     for i in range(n):
@@ -644,51 +677,65 @@ def _offdiag(m):
     return any(m[r][c] != 0 for r in range(n) for c in range(n) if r != c)
 
 
-def _pair_tables_small(amb, tl, vecs, bc, dpair):
-    n0 = len(vecs)
-    prows = []
-    tform = la.zeros(n0, n0)
-    for i in range(n0):
-        for j in range(n0):
-            p = amb.mul(vecs[i], vecs[j])
-            tv = la.dot(tl, p)
-            tform[i][j] = tv
-            prows.append(la.vec_sub(p, la.vec_scale(tv, amb.unit)))
-    sco = bc.coords_rows(prows)
-    stab = [[sco[i * n0 + j] for j in range(n0)] for i in range(n0)]
-    prs = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
-    damb = {}
-    imgs = []
-    for (i, j) in prs:
-        m = dpair(vecs[i], vecs[j])
-        damb[(i, j)] = m
-        for v in vecs:
-            imgs.append(la.mat_vec(m, v))
-    dtfull = {}
-    if prs:
-        ico = bc.coords_rows(imgs)
-        for idx, (i, j) in enumerate(prs):
-            dtfull[(i, j)] = la.transpose(ico[idx * n0:(idx + 1) * n0])
-    return stab, tform, dtfull, damb.__getitem__
+def _pair_maps(amb, b, sb):
+    """Ambient pair maps D(v_i, v_j) of the rows v_i = b[i] / sb, as one
+    int64 tensor dt[i, j] (a matrix acting on ambient columns) and its
+    scale.
+
+    Compositions: (1/4) (ad [a, b] + 3 (R_b L_a - L_a R_b)), the columns
+    (1/4) ([[a, b], z] + 3 (a, z, b)) of comp_derivation.  Spin factors:
+    z -> phi(v, z) w - phi(w, z) v on the vector part, as _spin_pair_map.
+    Other Jordan algebras: [R_x, R_y], as jordan_derivation.
+    """
+    n = amb.dim
+    if isinstance(amb, JordanAlg) and amb.form is not None:
+        g, sg = bt.int_rows(amb.form.gram)
+        v = b[:, 1:]
+        bt.guard_bound(n, v, g)
+        gv = v @ g
+        bt.guard_bound(2, v, gv)
+        dt = np.zeros((len(b), len(b), n, n), dtype=np.int64)
+        dt[:, :, 1:, 1:] = (np.einsum('jr,ic->ijrc', v, gv)
+                            - np.einsum('ir,jc->ijrc', v, gv))
+        return dt, sb * sb * sg
+    t, s = _amb_int(amb)
+    if isinstance(amb, CompAlg):
+        bt.guard_bound(n, b, t)
+        lm = np.einsum('ia,azk->ikz', b, t)     # L_{v_i}
+        rm = np.einsum('ia,zak->ikz', b, t)     # R_{v_i}
+        bt.guard_bound(2 * n, lm, b)
+        p2 = np.einsum('ikz,jz->ijk', lm, b)
+        comm = p2 - p2.transpose(1, 0, 2)
+        bt.guard_bound(4 * n, comm, t)
+        bt.guard_bound(12 * n, lm, rm)
+        ad = (np.einsum('ijc,czk->ijkz', comm, t)
+              - np.einsum('ijc,zck->ijkz', comm, t))
+        asc = (np.einsum('jkm,imz->ijkz', rm, lm)
+               - np.einsum('ikm,jmz->ijkz', lm, rm))
+        return ad + 3 * asc, 4 * (s * sb) ** 2
+    r = t.transpose(1, 2, 0)
+    bt.guard_bound(n, b, r)
+    rb = np.einsum('ia,arc->irc', b, r)
+    bt.guard_bound(2 * n, rb, rb)
+    m = np.einsum('irs,jst->ijrt', rb, rb)
+    return m - m.transpose(1, 0, 2, 3), (s * sb) ** 2
 
 
-def _pair_tables_big(amb, tl, vecs, bc):
-    """Same contract as the small path, pushed through int64 batches.
+def _pair_tables(amb, tl, vecs, b, sb, bc):
+    """Star product, trace form and pair derivation table of the slice.
 
-    The ambient pair maps are built as Fraction matrices only for the
-    pairs the caller asks for (the span pairs and one spot-check).
+    One path for every ambient: with the slice basis cleared into int64
+    rows b (scale sb), the star product and trace form come from the
+    integer table and the pair maps from _pair_maps, and their
+    coordinates over the slice from int64 batches through bc.  Returns
+    stab, tform, dtfull (Fractions), the antisymmetric int64 tensor dv
+    with dv[i, j] = D(i, j) * cs for i < j, its scale cs, and the
+    ambient pair maps (dt, sdt).  One slot of each table is checked
+    against the direct Fraction implementation.
     """
     tint, s = _amb_int(amb)
     n = amb.dim
     n0 = len(vecs)
-    b, sb = bt.int_rows(vecs)
-    r = tint.transpose(1, 2, 0)
-    bt.guard_bound(n, b, r)
-    rb = np.einsum('ia,arc->irc', b, r)
-    bt.guard_bound(n, rb, rb)
-    m = np.einsum('irs,jst->ijrt', rb, rb)
-    dt = m - m.transpose(1, 0, 2, 3)
-    sdt = (s * sb) ** 2
     bt.guard_bound(n * n, b, b, tint)
     p2 = np.einsum('ia,jb,abc->ijc', b, b, tint, optimize=True)
     sp2 = sb * sb * s
@@ -704,24 +751,29 @@ def _pair_tables_big(amb, tl, vecs, bc):
              for j in range(n0)] for i in range(n0)]
     tform = [[Fraction(int(tvals[i, j]), sp2 * st) for j in range(n0)]
              for i in range(n0)]
+    dt, sdt = _pair_maps(amb, b, sb)
     bt.guard_bound(n, dt, b)
     img = np.einsum('ijrc,kc->ijrk', dt, b)
     co2, cs2 = bc.coords_int(
         img.transpose(0, 1, 3, 2).reshape(n0 * n0 * n0, n), sdt * sb)
-    # one Fraction per distinct value; dtfull[(i, j)][l][k] = co2 row (i, j, k), col l
-    frac = {v: Fraction(v, cs2) for v in np.unique(co2).tolist()}
-    cols = co2.reshape(n0, n0, n0, n0).transpose(0, 1, 3, 2).tolist()
+    # dv[i, j][l][k]: coordinate l of D(i, j) v_k, kept for i < j
+    dv = co2.reshape(n0, n0, n0, n0).transpose(0, 1, 3, 2)
+    upper = np.triu(np.ones((n0, n0), dtype=bool), 1)
+    dv = np.where(upper[:, :, None, None], dv, 0)
+    dv = dv - dv.transpose(1, 0, 2, 3)
+    frac = {v: Fraction(v, cs2) for v in np.unique(dv).tolist()}
+    cols = dv.tolist()
     dtfull = {(i, j): [[frac[v] for v in row] for row in cols[i][j]]
               for i in range(n0) for j in range(i + 1, n0)}
-
-    def damb(p):
-        i, j = p
-        return [[Fraction(int(dt[i, j, rr, cc]), sdt) for cc in range(n)]
-                for rr in range(n)]
-
-    # spot-check one slot of each batch against the direct implementations
     if n0 >= 2:
-        if damb((0, 1)) != jordan_derivation(amb, vecs[0], vecs[1]):
+        if isinstance(amb, CompAlg):
+            direct = comp_derivation
+        elif amb.form is not None:
+            direct = _spin_pair_map
+        else:
+            direct = jordan_derivation
+        d01 = [[Fraction(x, sdt) for x in row] for row in dt[0, 1].tolist()]
+        if d01 != direct(amb, vecs[0], vecs[1]):
             raise ArithmeticError("integer batch disagrees with the direct pair map")
         p = amb.mul(vecs[0], vecs[1])
         if tform[0][1] != la.dot(tl, p):
@@ -730,7 +782,7 @@ def _pair_tables_big(amb, tl, vecs, bc):
         rec = la.vec_add(rec, _vec_combo(vecs, stab[0][1]))
         if rec != p:
             raise ArithmeticError("integer batch disagrees with the star product")
-    return stab, tform, dtfull, damb
+    return stab, tform, dtfull, dv, cs2, (dt, sdt)
 
 
 def _diagonal_coeffs(dspan0, n0):
@@ -766,10 +818,9 @@ def _toral_search(dspan0):
     raise ArithmeticError("no split torus found in the derivation span")
 
 
-def _leibniz_check(tint, mats):
-    es, _ = bt.int_rows([_flat(m) for m in mats])
+def _leibniz_check(tint, es):
+    """Every int64 map es[s] is a derivation of the int64 table tint."""
     n = tint.shape[0]
-    es = es.reshape(len(mats), n, n)
     bt.guard_bound(2 * n, es, tint)
     lhs = np.einsum('sab,ijb->sija', es, tint)
     rhs = np.einsum('sci,cja->sija', es, tint) + np.einsum('scj,ica->sija', es, tint)
@@ -777,65 +828,59 @@ def _leibniz_check(tint, mats):
         raise ArithmeticError("a spanning pair derivation fails the Leibniz rule")
 
 
-def _equivariance_check(dspan0, dtfull, n0):
+def _equivariance_check(es, d, n0):
     """Exhaustive check that conjugating a pair derivation by a span
     element matches moving the element into the pair slots,
 
         E D(i, j) - D(i, j) E = sum_c E[c][i] D(c, j) + E[c][j] D(i, c),
 
-    for every span element E and every pair.  With D the antisymmetric
-    pair table as an int64 sparse matrix (row i n0 + j holds D(i, j)
-    flattened, and D(j, i) = -D(i, j)), both sides are sparse products,
-    one span element at a time:
+    for every span element E and every pair.  es holds the span elements
+    and d the antisymmetric pair table (d[i, j] = D(i, j)), both as int64
+    tensors; common scales drop out, since both sides are bilinear in
+    (E, D).  With D as a sparse matrix (row i n0 + j holds D(i, j)
+    flattened), both sides are sparse products, one span element at a
+    time:
 
         D (E^T (x) I - I (x) E)  =  (E^T (x) I + I (x) E^T) D.
     """
-    if not dspan0:
+    if not len(es):
         return
-    prs = sorted(dtfull)
-    arr, _ = bt.int_rows([_flat(dtfull[p]) for p in prs])
-    es, _ = bt.int_rows([_flat(e) for e in dspan0])
-    bt.guard_bound(2 * n0, es, arr)
-    ia, ib = np.array(prs).T
-    r, c = np.nonzero(arr)
-    v = arr[r, c]
-    d = sparse.csr_array(
-        (np.concatenate([v, -v]),
-         (np.concatenate([ia[r] * n0 + ib[r], ib[r] * n0 + ia[r]]),
-          np.concatenate([c, c]))), shape=(n0 * n0, n0 * n0))
+    bt.guard_bound(2 * n0, es, d)
+    dm = sparse.csr_array(d.reshape(n0 * n0, n0 * n0))
     eye = sparse.eye_array(n0, dtype=np.int64, format="csr")
-    for e in es.reshape(len(dspan0), n0, n0):
+    for e in es:
         et = sparse.csr_array(e.T)
-        left = d @ (sparse.kron(et, eye) - sparse.kron(eye, e))
-        right = (sparse.kron(et, eye) + sparse.kron(eye, et)) @ d
+        left = dm @ (sparse.kron(et, eye) - sparse.kron(eye, e))
+        right = (sparse.kron(et, eye) + sparse.kron(eye, et)) @ dm
         if (left - right).count_nonzero():
             raise ArithmeticError("pair derivation map is not equivariant")
 
 
-def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
+def _build_view(amb, tag, tl, vecs, labels, tor_amb, depth):
     if depth > 2:
         raise AssertionError("eigenbasis rebase did not stabilize")
     n0 = len(vecs)
     bc = bt.BatchCoords(vecs)
-    big = isinstance(amb, JordanAlg) and amb.form is None and amb.dim >= 15
-    if big:
-        stab, tform, dtfull, damb = _pair_tables_big(amb, tl, vecs, bc)
-    else:
-        stab, tform, dtfull, damb = _pair_tables_small(amb, tl, vecs, bc, dpair)
+    b, sb = bt.int_rows(vecs)
+    stab, tform, dtfull, dv, cs, (dt, sdt) = _pair_tables(amb, tl, vecs, b, sb, bc)
     pairs = sorted(dtfull)
-    flats = {p: _flat(dtfull[p]) for p in pairs}
-    nzpairs = [p for p in pairs if any(flats[p])]
+    flats = dv.reshape(n0, n0, n0 * n0)
+    nzpairs = [p for p in pairs if flats[p].any()]
     if nzpairs:
-        sel = bt.independent_rows([flats[p] for p in nzpairs])[0]
+        sel = bt.independent_rows([flats[p].tolist() for p in nzpairs])[0]
         span_pairs = [nzpairs[i] for i in sel]
     else:
         span_pairs = []
+    ia, ib = np.array(span_pairs, dtype=np.int64).reshape(-1, 2).T
     dspan0 = [dtfull[p] for p in span_pairs]
     if tor_amb is not None:
-        tor_res = []
-        for t in tor_amb:
-            colco = bc.coords_rows([la.mat_vec(t, v) for v in vecs])
-            tor_res.append(la.transpose(colco))
+        tor, ts = tor_amb
+        bt.guard_bound(amb.dim, tor, b)
+        img = np.einsum('trc,kc->tkr', tor, b)
+        carr, ccs = bc.coords_int(img.reshape(-1, amb.dim), ts * sb)
+        tor_res = [[[Fraction(x, ccs) for x in row] for row in blk]
+                   for blk in carr.reshape(len(tor), n0, n0)
+                   .transpose(0, 2, 1).tolist()]
         if any(_offdiag(t) for t in tor_res):
             raise ArithmeticError("torus stayed non-diagonal after a rebase")
     else:
@@ -848,11 +893,12 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
             # rebuild every table in the new coordinates
             vnew, _ = bt.simultaneous_eigenbasis(tor_res)
             newvecs = [la.normalize_primitive(_vec_combo(vecs, co)) for co in vnew]
-            toramb = [_mat_combo([damb(p) for p in span_pairs], co)
-                      for co in coeffs]
+            ci, sc = bt.int_rows(coeffs)
+            bt.guard_bound(len(span_pairs), ci, dt)
+            toramb = (np.einsum('tk,krc->trc', ci, dt[ia, ib]), sc * sdt)
             newlabels = ["%s0_%d" % (tag, i) for i in range(n0)]
-            return _build_view(amb, tag, tl, newvecs, newlabels, dpair,
-                               toramb, depth + 1)
+            return _build_view(amb, tag, tl, newvecs, newlabels, toramb,
+                               depth + 1)
     weights = [tuple(t[i][i] for t in tor_res) for i in range(n0)]
     if dspan0:
         # ad t scales the matrix unit E_ab by w_a - w_b when t is
@@ -861,37 +907,38 @@ def _build_view(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
         # slice of a span element stays in the span
         byclass = {}
         for a in range(n0):
-            for b in range(n0):
-                mu = tuple(wa - wb for wa, wb in zip(weights[a], weights[b]))
-                byclass.setdefault(mu, []).append((a, b))
+            for b2 in range(n0):
+                mu = tuple(wa - wb for wa, wb in zip(weights[a], weights[b2]))
+                byclass.setdefault(mu, []).append((a, b2))
         dspan, dweights = [], []
         for mu in sorted(byclass):
             pos = byclass[mu]
-            rows = [r for r in ([m[a][b] for (a, b) in pos] for m in dspan0)
+            rows = [r for r in ([m[a][b2] for (a, b2) in pos] for m in dspan0)
                     if any(r)]
             if not rows:
                 continue
             for i in bt.independent_rows(rows)[0]:
                 piece = la.zeros(n0, n0)
-                for (a, b), v in zip(pos, rows[i]):
-                    piece[a][b] = v
+                for (a, b2), v in zip(pos, rows[i]):
+                    piece[a][b2] = v
                 dspan.append(piece)
                 dweights.append(mu)
         if len(dspan) != len(dspan0):
             raise ArithmeticError("weight slices lost derivation rank")
         fbc = bt.BatchCoords([_flat(m) for m in dspan])
-        allco = fbc.coords_rows([flats[p] for p in pairs])
-        dcoords = {p: allco[idx] for idx, p in enumerate(pairs)}
+        pa, pb = np.array(pairs).T
+        carr, ccs = fbc.coords_int(flats[pa, pb], cs)
+        dcoords = {p: [Fraction(x, ccs) if x else F0 for x in row]
+                   for p, row in zip(pairs, carr.tolist())}
         tor_coords = fbc.coords_rows([_flat(t) for t in tor_res])
     else:
         dspan = []
         dweights = []
         dcoords = {p: [] for p in pairs}
         tor_coords = []
-    if span_pairs:
-        tint, _ = _amb_int(amb)
-        _leibniz_check(tint, [damb(p) for p in span_pairs])
-    _equivariance_check(dspan0, dtfull, n0)
+    tint, _ = _amb_int(amb)
+    _leibniz_check(tint, dt[ia, ib])
+    _equivariance_check(dv[ia, ib], dv, n0)
     return TraceAdmissible(tag, amb, vecs, labels, weights, stab, tform,
                            dtfull, dcoords, dspan, dweights, tor_coords)
 
@@ -904,28 +951,19 @@ def trace_admissible_view(amb):
     trace over the degree; both make the unit trace to 1 and keep the
     trace form associative.  Spin factors use the bilinear-form pair map
     as their derivation convention; everything else uses the inner pair
-    derivations of the ambient algebra.  The result is cached per object.
+    derivations of the ambient algebra (see _pair_maps).  The result is
+    cached per object.
     """
     if isinstance(amb, CompAlg):
-        tag = amb.kind
         tl = [amb.trace(la.basis_vec(amb.dim, i)) * HALF
               for i in range(amb.dim)]
-
-        def dpair(x, y):
-            return comp_derivation(amb, x, y)
     elif isinstance(amb, JordanAlg):
-        tag = amb.kind
         tl = [tv / amb.degree for tv in amb.tracev]
-        if amb.form is not None:
-            def dpair(x, y):
-                return _spin_pair_map(amb, x, y)
-        else:
-            def dpair(x, y):
-                return jordan_derivation(amb, x, y)
     else:
         raise TypeError("expected a composition or Jordan algebra")
+    tag = amb.kind
     vecs = la.kernel_basis([tl], amb.dim)
     if not vecs:
         return TraceAdmissible(tag, amb, [], [], [], [], [], {}, {}, [], [], [])
     labels = _x0_labels(tag, amb.labels, vecs)
-    return _build_view(amb, tag, tl, vecs, labels, dpair, None, 0)
+    return _build_view(amb, tag, tl, vecs, labels, None, 0)

@@ -10,6 +10,10 @@ paths stay exact:
 * CRT lifting plus rational reconstruction, always followed by exact
   verification over Z, with the mod-p rank as the matching lower bound, so
   reconstruction failures can only cause retries, never wrong answers.
+
+jacobi_violation memoises its verdict on the algebra; require_lie turns a
+failed sweep into ClassifyError with the failing triple, for every entry
+point that needs a Lie bracket (classify, saturate_torus, is_semisimple).
 """
 
 from __future__ import annotations
@@ -125,6 +129,22 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
                 break
     alg._cache["jacobi"] = best
     return best
+
+
+class ClassifyError(Exception):
+    """The algebra fails a certificate; witness, when set, is what failed."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def require_lie(alg: Algebra) -> None:
+    """Refuse a bracket that fails the (memoised) full Jacobi sweep:
+    ClassifyError whose witness is the first failing triple."""
+    w = jacobi_violation(alg)
+    if w is not None:
+        raise ClassifyError("Jacobi identity fails at %s" % (w,), witness=w)
 
 
 def killing_int(alg: Algebra) -> np.ndarray:

@@ -7,10 +7,12 @@ commutant unknowns are cut down to the grading-diagonal blocks first; maps
 commuting with a split torus action preserve its eigenspaces, so this loses
 nothing.
 
-is_semisimple first certifies a nondegenerate Killing form mod p: the
-integer Gram matrix killing_int has full rank mod a prime p, and the rank
-mod p is never above the rank over Q, so full rank mod p proves full rank.
-The test is one-sided; only when it fails does the exact radical solve run.
+is_semisimple and is_simple refuse a bracket that fails the memoised
+Jacobi sweep, with its witness.  is_semisimple then certifies a
+nondegenerate Killing form mod p: the integer Gram matrix killing_int has
+full rank mod a prime p, and the rank mod p is never above the rank over
+Q, so full rank mod p proves full rank.  The test is one-sided; only when
+it fails does the exact radical solve run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from math import lcm
 import numpy as np
 
 from .algebra import Algebra
-from .fastnum import PRIMES, killing_int, rank_mod, scaled, sparse_int_kernel
+from .fastnum import (PRIMES, killing_int, rank_mod, require_lie, scaled,
+                      sparse_int_kernel)
 from .linalg import F0, Matrix, Vec
 
 
@@ -48,8 +51,12 @@ def killing_radical(alg: Algebra) -> list[Vec]:
 def is_semisimple(alg: Algebra) -> bool:
     """Killing form nondegenerate.  Char 0, so this is Cartan's criterion.
 
-    Full rank mod p certifies it; a lower rank mod p may be the prime's
-    fault, so then the exact radical decides."""
+    Cartan's criterion is about Lie algebras, so a bracket that fails the
+    memoised Jacobi sweep is refused first (fastnum.require_lie raises
+    ClassifyError with the failing triple).  Full rank mod p certifies
+    semisimplicity; a lower rank mod p may be the prime's fault, so then
+    the exact radical decides."""
+    require_lie(alg)
     if rank_mod(killing_int(alg), PRIMES[0]) == alg.dim:
         return True
     return len(killing_radical(alg)) == 0
@@ -120,6 +127,8 @@ def centroid_dim(alg: Algebra) -> int:
 
 
 def is_simple(alg: Algebra) -> bool:
+    """Semisimple with a one-dimensional centroid; ClassifyError if the
+    bracket is not Lie (see is_semisimple)."""
     if alg.dim == 0 or not alg.table:
         return False
     return is_semisimple(alg) and centroid_dim(alg) == 1

@@ -11,14 +11,34 @@ Indices are 0-based with i < j; coefficients are rational strings ("3",
 Output is canonical: sorted keys and entries, compact separators, one
 trailing newline, so printing is byte-deterministic and print-parse-print
 is the identity.
+
+The four conversions between algebras and JSON objects build only
+acyclic lists and tuples, which the cyclic garbage collector would scan
+again and again on a large table; they run with the collector paused
+(the caller's setting comes back on exit).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import Algebra, LYAlgebra
+
+
+@contextmanager
+def _paused_gc():
+    """Disable the cyclic collector for a block, then restore the caller's
+    setting, also after an exception and when nested."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
 
 
 def fr_str(c: Fraction) -> str:
@@ -33,17 +53,20 @@ def _coeffs_parse(obj):
     return [(int(k), Fraction(str(c))) for k, c in obj]
 
 
+@_paused_gc()
 def algebra_to_obj(alg: Algebra) -> dict:
     binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(alg.table.items())]
     return {"dim": alg.dim, "labels": list(alg.labels), "binary": binary, "ternary": []}
 
 
+@_paused_gc()
 def ly_to_obj(ly: LYAlgebra) -> dict:
     binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(ly.binary.items())]
     ternary = [[i, j, k, _coeffs_obj(ent)] for (i, j, k), ent in sorted(ly.ternary.items())]
     return {"dim": ly.dim, "labels": list(ly.labels), "binary": binary, "ternary": ternary}
 
 
+@_paused_gc()
 def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
     if obj.get("ternary"):
         raise ValueError("file has ternary entries; load it as an LY algebra")
@@ -51,6 +74,7 @@ def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
     return Algebra(int(obj["dim"]), table, labels=obj.get("labels"), name=name)
 
 
+@_paused_gc()
 def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
     binary = {(int(i), int(j)): _coeffs_parse(ent) for i, j, ent in obj.get("binary", [])}
     ternary = {(int(i), int(j), int(k)): _coeffs_parse(ent)

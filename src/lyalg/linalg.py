@@ -68,8 +68,18 @@ def mat_vec(a: Matrix, v: Vec) -> Vec:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
+    """a b, skipping the zero entries of both factors."""
+    brows = [[(c, v) for c, v in enumerate(row) if v] for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [F0] * width
+        for k, x in enumerate(row):
+            if x:
+                for c, v in brows[k]:
+                    acc[c] += x * v
+        out.append(acc)
+    return out
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -106,11 +116,12 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = F1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else F0 for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -132,11 +143,12 @@ def rref_t(a: Matrix) -> tuple[Matrix, list[int], Matrix]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         invp = F1 / rows[r][c]
-        rows[r] = [x * invp for x in rows[r]]
+        rows[r] = [x * invp if x else F0 for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return ([row[:nc] for row in rows[:r]], pivots,

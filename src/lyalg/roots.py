@@ -5,7 +5,7 @@ coordinate vectors) and per-basis-vector eigenvalue tuples (`weights`).
 Nothing here trusts those annotations.  classify runs a chain of exact
 certificates:
 
-1. the full Jacobi sweep (fastnum.jacobi_violation, memoised on the
+1. the full Jacobi sweep (fastnum.require_lie, memoised on the
    algebra), so the bracket is a Lie bracket;
 2. verify_weights: H is abelian and acts diagonally on the basis with
    the recorded eigenvalues;
@@ -29,7 +29,9 @@ saturate_torus, which produces the torus data, runs on the integer
 scaled structure constants (fastnum.scaled): check_grading compares
 integer weight codes over every entry at once, and _rebase forms all
 brackets of the new basis as two guarded sparse products, certifying
-each weight block's coordinates by one exact coords_int batch.  A zero
+each weight block's coordinates by one exact coords_int batch.  It runs
+the memoised Jacobi sweep first, so a bracket that is not Lie is refused
+with its failing triple before any eigenvalue is computed, and a zero
 weight space that does not split over Q is refused with ClassifyError.
 """
 
@@ -43,19 +45,11 @@ from . import linalg as la
 from .algebra import Algebra
 from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, guard_bound,
                          int_rows, simultaneous_eigenbasis)
-from .fastnum import jacobi_violation, scaled
+from .fastnum import ClassifyError, require_lie, scaled
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-class ClassifyError(Exception):
-    """The algebra fails a certificate; witness, when set, is what failed."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _sparse_bracket(alg: Algebra, xnz, ynz) -> dict:
@@ -213,10 +207,12 @@ def saturate_torus(alg: Algebra) -> Algebra:
     zero-weight space g_0 is abelian with rationally diagonalizable
     adjoint action, g_0 is a split Cartan subalgebra and the result is the
     same algebra on a basis of simultaneous eigenvectors, with full torus
-    data.  Raises ClassifyError if g_0 is not abelian or does not split
-    rationally; for an irrational eigenvalue its witness is the
-    irreducible factor of the minimal polynomial.
+    data.  Raises ClassifyError if the bracket fails the memoised Jacobi
+    sweep (witness: the first failing triple), or if g_0 is not abelian
+    or does not split rationally; for an irrational eigenvalue its
+    witness is the irreducible factor of the minimal polynomial.
     """
+    require_lie(alg)
     if alg.cartan is not None:
         verify_weights(alg)
     r = check_grading(alg)
@@ -381,9 +377,7 @@ def classify(alg: Algebra) -> str:
     linked by a nonzero pairing, and each is labelled from its rank,
     dimension and root lengths.
     """
-    w = jacobi_violation(alg)
-    if w is not None:
-        raise ClassifyError("Jacobi identity fails at %s" % (w,))
+    require_lie(alg)
     r, roots = verify_split_maximal(alg)
     if not roots:
         raise ClassifyError("no roots on %r" % alg.name)

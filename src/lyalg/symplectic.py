@@ -69,11 +69,6 @@ class CubicJordanData:
         self.name = name
 
 
-def cubic_field_data() -> CubicJordanData:
-    """The base field with norm x -> x^3; trace of the unit is 3."""
-    return CubicJordanData([[[F1]]], [Fraction(3)], wts=[()], name="k")
-
-
 def cubic_jordan_data(j: JordanAlg) -> CubicJordanData:
     """Cubic datum of a degree-3 Jordan algebra on the graded basis
     unit + trace-zero torus eigenvectors."""
@@ -128,40 +123,6 @@ class SymplecticTripleData:
         out = [(l, c) for (l, kk), c in self.dmat(i, j).items() if kk == k]
         out.sort()
         return out
-
-
-def triple_to_obj(t: SymplecticTripleData) -> dict:
-    form = [[i, jj, fr_str(t.gram[i][jj])]
-            for i in range(t.dim) for jj in range(i + 1, t.dim)
-            if t.gram[i][jj]]
-    triple = []
-    for (i, jj) in sorted(t.trip):
-        cols: dict[int, list] = {}
-        for (l, k), c in t.trip[(i, jj)].items():
-            cols.setdefault(k, []).append((l, c))
-        for k in sorted(cols):
-            triple.append([i, jj, k, [[l, fr_str(c)] for l, c in sorted(cols[k])]])
-    obj = {"dim": t.dim, "form": form, "triple": triple}
-    if t.wts is not None:
-        obj["weights"] = [[fr_str(Fraction(x)) for x in w] for w in t.wts]
-    return obj
-
-
-def obj_to_triple(obj: dict, name: str = "") -> SymplecticTripleData:
-    n = int(obj["dim"])
-    gram = la.zeros(n, n)
-    for i, jj, c in obj.get("form", []):
-        gram[int(i)][int(jj)] = Fraction(str(c))
-        gram[int(jj)][int(i)] = -Fraction(str(c))
-    trip: dict[tuple[int, int], dict] = {}
-    for i, jj, k, ent in obj.get("triple", []):
-        m = trip.setdefault((int(i), int(jj)), {})
-        for l, c in ent:
-            m[(int(l), int(k))] = Fraction(str(c))
-    wts = None
-    if "weights" in obj:
-        wts = [tuple(Fraction(str(x)) for x in w) for w in obj["weights"]]
-    return SymplecticTripleData(n, gram, trip, wts=wts, name=name)
 
 
 def _wadd(a, b):

@@ -228,6 +228,39 @@ def test_io_roundtrip_bytes():
     assert io.dumps(io.ly_to_obj(ly2)) == s
 
 
+def test_io_conversions_pause_the_collector_and_restore_it(monkeypatch):
+    import gc
+
+    seen = []
+    real = io._coeffs_obj
+    monkeypatch.setattr(io, "_coeffs_obj",
+                        lambda ent: seen.append(gc.isenabled()) or real(ent))
+    assert gc.isenabled()
+    obj = io.ly_to_obj(sl2_lts())
+    assert seen and not any(seen) and gc.isenabled()
+    # restored after an exception
+    with pytest.raises(ValueError):
+        io.obj_to_algebra(obj)          # has ternary entries
+    assert gc.isenabled()
+    with pytest.raises(KeyError):
+        io.obj_to_ly({})
+    assert gc.isenabled()
+    # nested, and a caller that had it off keeps it off
+    try:
+        with io._paused_gc():
+            with io._paused_gc():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            io.algebra_to_obj(sl2())
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        gc.disable()
+        io.obj_to_ly(obj)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def io_load_str(s: str):
     import json
     return json.loads(s)

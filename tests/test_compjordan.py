@@ -9,14 +9,17 @@ products worked out on paper.
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyalg import buildtools as bt
 from lyalg import linalg as la
 from lyalg.compjordan import (
     JordanAlg,
     _equivariance_check,
+    _flat,
     _verify_jordan,
     build_composition,
     build_jordan,
@@ -317,9 +320,22 @@ def test_jordan_identity_negative_control():
         _verify_jordan(bad)
 
 
+def int_tables(v, dt):
+    """The span and the antisymmetric pair table of a view as int64
+    tensors, the form _equivariance_check reads."""
+    rows, _ = bt.int_rows([_flat(m) for m in v.dspan]
+                          + [_flat(dt[p]) for p in sorted(dt)])
+    es = rows[:len(v.dspan)].reshape(-1, v.n0, v.n0)
+    d = np.zeros((v.n0, v.n0, v.n0 * v.n0), dtype=np.int64)
+    ia, ib = np.array(sorted(dt)).T
+    d[ia, ib] = rows[len(v.dspan):]
+    d[ib, ia] = -rows[len(v.dspan):]
+    return es, d.reshape(v.n0, v.n0, v.n0, v.n0), v.n0
+
+
 def test_equivariance_check_rejects_a_changed_entry():
     v = trace_admissible_view(build_composition("O"))
-    _equivariance_check(v.dspan, v.dt, v.n0)
+    _equivariance_check(*int_tables(v, v.dt))
     pair = (0, 1)
     m = [row[:] for row in v.dt[pair]]
     r, c = next((r, c) for r in range(v.n0) for c in range(v.n0) if m[r][c] != 0)
@@ -327,15 +343,15 @@ def test_equivariance_check_rejects_a_changed_entry():
     bad = dict(v.dt)
     bad[pair] = m
     with pytest.raises(ArithmeticError, match="not equivariant"):
-        _equivariance_check(v.dspan, bad, v.n0)
+        _equivariance_check(*int_tables(v, bad))
     # the view itself is untouched
-    _equivariance_check(v.dspan, v.dt, v.n0)
+    _equivariance_check(*int_tables(v, v.dt))
 
 
 def test_equivariance_check_rejects_a_changed_entry_h3o():
     v = trace_admissible_view(build_jordan("H3(O)"))
     assert v.n0 == 26
-    _equivariance_check(v.dspan, v.dt, v.n0)
+    _equivariance_check(*int_tables(v, v.dt))
     pair, r, c = next((p, r, c) for p in sorted(v.dt) for r in range(v.n0)
                       for c in range(v.n0) if v.dt[p][r][c] != 0)
     m = [row[:] for row in v.dt[pair]]
@@ -343,8 +359,8 @@ def test_equivariance_check_rejects_a_changed_entry_h3o():
     bad = dict(v.dt)
     bad[pair] = m
     with pytest.raises(ArithmeticError, match="not equivariant"):
-        _equivariance_check(v.dspan, bad, v.n0)
-    _equivariance_check(v.dspan, v.dt, v.n0)
+        _equivariance_check(*int_tables(v, bad))
+    _equivariance_check(*int_tables(v, v.dt))
 
 
 def test_every_view_certifies_equivariance(monkeypatch):

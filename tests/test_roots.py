@@ -10,6 +10,7 @@ from lyalg import linalg as la
 from lyalg import roots
 from lyalg.algebra import Algebra
 from lyalg.buildtools import BatchCoords, direct_sum
+from lyalg.checks import check_ly
 from lyalg.cli import main
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
 from lyalg.envelope import build_enveloping
@@ -74,9 +75,10 @@ def test_classify_rejects_non_lie_bracket_with_valid_torus():
 def test_saturate_carries_a_clean_jacobi_verdict():
     g = build_matrix_lie("sl", 3)
     g.cartan = None                 # forces a rebase onto eigenvectors
-    assert "jacobi" not in saturate_torus(g)._cache
-    assert jacobi_violation(g) is None
+    assert "jacobi" not in g._cache
+    # saturate_torus sweeps its input first; the rebase carries the verdict
     s = saturate_torus(g)
+    assert g._cache["jacobi"] is None and jacobi_violation(g) is None
     assert s is not g and s._cache["jacobi"] is None
 
 
@@ -190,3 +192,42 @@ def test_cli_classify_refuses_a_non_split_envelope(tmp_path, capsys):
     assert main(["classify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("lyalg: ") and "irrational eigenvalue" in err
+
+
+def q_jv3_ly():
+    """The LY algebra inside T(Q, JV(3)); the pair fails Tits condition
+    (iii), so its 15-dim envelope is not a Lie algebra."""
+    from lyalg.tits import ly_inside_tits
+
+    return ly_inside_tits(build_tits(trace_admissible_view(build_composition("Q")),
+                                     trace_admissible_view(build_jordan("JV(3)"))))
+
+
+def test_saturate_refuses_a_non_lie_envelope_with_its_jacobi_witness():
+    g = build_enveloping(q_jv3_ly()).g
+    assert g.dim == 15
+    with pytest.raises(ClassifyError, match="Jacobi identity fails") as err:
+        saturate_torus(g)
+    assert err.value.witness == (6, 7, 9) == jacobi_violation(g)
+
+
+def test_semisimple_and_simple_refuse_a_non_lie_envelope():
+    from lyalg.invariants import is_semisimple, is_simple
+
+    g = build_enveloping(q_jv3_ly()).g
+    for pred in (is_semisimple, is_simple):
+        with pytest.raises(ClassifyError, match="Jacobi identity fails") as err:
+            pred(g)
+        assert err.value.witness == (6, 7, 9)
+
+
+def test_cli_classify_runs_check_ly_first(tmp_path, capsys):
+    ly = q_jv3_ly()
+    bad = next(it for it in check_ly(ly).items if it.status != "pass")
+    path = tmp_path / "q_jv3.json"
+    io.save(str(path), ly)
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lyalg: not an LY algebra: ")
+    assert bad.name in err and str(bad.witness) in err
+    assert "irrational" not in err
