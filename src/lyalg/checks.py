@@ -1,14 +1,18 @@
 """Axiom checkers.
 
-check_lie verifies the Jacobi identity exactly; check_ly verifies the six
-defining identities of a binary-ternary system.  The two quadratic binary
-identities and the four mixed ones are checked through one exact sparse
-sweep of the formally built enveloping algebra (see envelope.py), the
-full Jacobi sweep, whose verdict stays memoised on the envelope; a defect
+check_lie verifies the Jacobi identity exactly through the full sweep of
+fastnum.jacobi_violation, which sums every Jacobiator component once over
+the sorted triples p < q < k and memoises its verdict on the algebra.
+check_ly verifies the six defining identities of a binary-ternary system.
+The two quadratic binary identities and the four mixed ones are checked
+through the same sweep on the formally built enveloping algebra (see
+envelope.py), whose verdict stays memoised on the envelope; a defect
 found by the sweep is attributed to its axiom by which component of which
 pair type it lives in, and the reported witness is then re-derived by a
 direct lexicographic scan of that axiom so the "first violating tuple"
-contract holds independently of sweep order.
+contract holds independently of sweep order.  The per-tuple defects
+(jacobi_defect, ly3_defect to ly6_defect) are the axioms as written;
+the naive triple loop over jacobi_defect lives with the tests.
 """
 
 from __future__ import annotations
@@ -76,17 +80,6 @@ def jacobi_defect(alg: Algebra, i: int, j: int, k: int):
     for t, c in enumerate(alg.bracket(alg.bracket(ek, ei), ej)):
         d[t] += c
     return d
-
-
-def jacobi_first_violation_naive(alg: Algebra) -> tuple[int, int, int] | None:
-    """Reference triple loop; for cross-checks and small inputs only."""
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not is_zero_vec(jacobi_defect(alg, i, j, k)):
-                    return (i, j, k)
-    return None
 
 
 def check_lie(alg: Algebra, target: str = "") -> Report:

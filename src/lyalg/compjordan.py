@@ -828,7 +828,7 @@ def _leibniz_check(tint, es):
         raise ArithmeticError("a spanning pair derivation fails the Leibniz rule")
 
 
-def _equivariance_check(es, d, n0):
+def _equivariance_check(es, d, n0, chunk=16):
     """Exhaustive check that conjugating a pair derivation by a span
     element matches moving the element into the pair slots,
 
@@ -837,22 +837,45 @@ def _equivariance_check(es, d, n0):
     for every span element E and every pair.  es holds the span elements
     and d the antisymmetric pair table (d[i, j] = D(i, j)), both as int64
     tensors; common scales drop out, since both sides are bilinear in
-    (E, D).  With D as a sparse matrix (row i n0 + j holds D(i, j)
-    flattened), both sides are sparse products, one span element at a
-    time:
-
-        D (E^T (x) I - I (x) E)  =  (E^T (x) I + I (x) E^T) D.
+    (E, D).  Each of the four terms contracts one index of d with one
+    index of E.  The four sparse layouts of d with that index as a row or
+    a column are built once; for `chunk` span elements at a time, each
+    term is then one sparse product with the stacked elements, and the
+    four results must cancel at every (E, i, j, r, s).
     """
     if not len(es):
         return
-    bt.guard_bound(2 * n0, es, d)
-    dm = sparse.csr_array(d.reshape(n0 * n0, n0 * n0))
-    eye = sparse.eye_array(n0, dtype=np.int64, format="csr")
-    for e in es:
-        et = sparse.csr_array(e.T)
-        left = dm @ (sparse.kron(et, eye) - sparse.kron(eye, e))
-        right = (sparse.kron(et, eye) + sparse.kron(eye, et)) @ dm
-        if (left - right).count_nonzero():
+    bt.guard_bound(4 * n0, es, d)
+    n2, n3 = n0 * n0, n0 ** 3
+    csr = sparse.csr_array
+    i, j, r, s = np.nonzero(d)
+    v = d[i, j, r, s]
+    d_t = csr((v, (r, (i * n0 + j) * n0 + s)), shape=(n0, n3))  # [t, (i,j,s)] = D(i,j)[t][s]
+    d_c = csr((v, (i, (j * n0 + r) * n0 + s)), shape=(n0, n3))  # [c, (j,r,s)] = D(c,j)[r][s]
+    d_r = csr((v, ((i * n0 + j) * n0 + r, s)), shape=(n3, n0))  # [(i,j,r), t] = D(i,j)[r][t]
+    d_j = csr((v, ((i * n0 + r) * n0 + s, j)), shape=(n3, n0))  # [(i,r,s), c] = D(i,c)[r][s]
+    for e0 in range(0, len(es), chunk):
+        blk = es[e0:e0 + chunk]
+        ne = len(blk)
+        rows = csr(blk.reshape(ne * n0, n0))                       # [(e,r), t] = E[r][t]
+        rows_t = csr(blk.transpose(0, 2, 1).reshape(ne * n0, n0))  # [(e,i), c] = E[c][i]
+        cols = csr(blk.transpose(1, 0, 2).reshape(n0, ne * n0))    # [t, (e,s)] = E[t][s]
+        # each product's (row, col) -> key of (E, i, j, r, s)
+        terms = [
+            (rows @ d_t, 1, lambda x, y: (x // n0 * n2 + y // n0) * n2 + x % n0 * n0 + y % n0),
+            (rows_t @ d_c, -1, lambda x, y: x * n3 + y),
+            (d_r @ cols, -1, lambda x, y: y // n0 * n2 * n2 + x * n0 + y % n0),
+            (d_j @ cols, -1, lambda x, y: ((y // n0 * n0 + x // n2) * n0 + y % n0) * n2 + x % n2),
+        ]
+        keys, vals = [], []
+        for prod, sign, key in terms:
+            c = prod.tocoo()
+            keys.append(key(*c.coords))
+            vals.append(sign * c.data)
+        key = np.concatenate(keys)
+        o = np.argsort(key)
+        key, val = key[o], np.concatenate(vals)[o]
+        if len(key) and np.add.reduceat(val, np.flatnonzero(np.diff(key, prepend=-1))).any():
             raise ArithmeticError("pair derivation map is not equivariant")
 
 

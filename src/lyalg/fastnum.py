@@ -11,9 +11,15 @@ paths stay exact:
   verification over Z, with the mod-p rank as the matching lower bound, so
   reconstruction failures can only cause retries, never wrong answers.
 
-jacobi_violation memoises its verdict on the algebra; require_lie turns a
-failed sweep into ClassifyError with the failing triple, for every entry
-point that needs a Lie bracket (classify, saturate_torus, is_semisimple).
+The Jacobi sweep (jacobi_violation) checks only the sorted triples
+p < q < k: the stored bracket is alternating, so the Jacobiator is too,
+and the lex-first failing triple, if any, is sorted.  Each component of
+J(p, q, k) is summed once from the products of stored entries with rows
+of the full table, in blocks of p, and is bounded from the data by
+3 n amax^2 before any product is formed.  jacobi_violation memoises its
+verdict on the algebra; require_lie turns a failed sweep into
+ClassifyError with the failing triple, for every entry point that needs a
+Lie bracket (classify, saturate_torus, is_semisimple).
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
 # chunk reduction then runs as an exact fp64 matmul (products < 2^40,
 # sums of a few hundred of them stay < 2^53)
 PRIMES20 = [1048573, 1048571, 1048559, 1048549, 1048517]
+
+# products per block of the Jacobi sweep: on E8, 2^16 keeps the blocks'
+# traced peak near 4 MB (69 MB at 2^20) at within 5% of the fastest budget
+SWEEP_BLOCK = 1 << 16
 
 
 class ScaledTables:
@@ -63,27 +73,6 @@ class ScaledTables:
         # row s, col (k,r): c^r_{sk}
         self.M = sparse.csr_array(
             (self.c, (self.p, self.q * n + self.s)), shape=(n, n * n))
-        # row (q,k), col s: c^s_{qk}
-        self.C2 = sparse.csr_array(
-            (self.c, (self.p * n + self.q, self.s)), shape=(n * n, n))
-        # row p, col (q,s): used to slice out the per-p matrix G_p
-        self.P1 = sparse.csr_array(
-            (self.c, (self.p, self.q * n + self.s)), shape=(n, n * n))
-
-    def G(self, p: int) -> sparse.csr_array:
-        """G_p[q, s] = scaled coefficient of e_s in [e_p, e_q]."""
-        _, cols, data = _coo(self.P1[[p], :])
-        q, s = cols // self.n, cols % self.n
-        return sparse.csr_array((data, (q, s)), shape=(self.n, self.n))
-
-
-def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c = m.tocoo()
-    if hasattr(c, "coords"):
-        r, cl = c.coords
-    else:
-        r, cl = c.row, c.col
-    return r, cl, c.data
 
 
 def scaled(alg: Algebra) -> ScaledTables:
@@ -93,8 +82,121 @@ def scaled(alg: Algebra) -> ScaledTables:
     return st
 
 
+class _SweepTables:
+    """The scaled bracket in the two orders the Jacobi sweep joins.
+
+    Stored half: every table entry [e_a, e_b] = v e_m with a < b, sorted
+    by a.  Full table: every [e_m, e_c] = w e_r of the antisymmetric
+    bracket, sorted by (m, c, r), with the keys m n + c and the per-row
+    column offsets `off`, off[m n + c] = first position with key >= m n + c,
+    so that row m restricted to lo <= c < hi is the position range
+    off[m n + lo] to off[m n + hi].  `load[p]` bounds the number of
+    products whose sorted triple starts at p.
+    """
+
+    def __init__(self, st: ScaledTables):
+        n = self.n = st.n
+        o = np.argsort(st.p[::2], kind="stable")
+        self.a, self.b, self.m, self.v = (x[::2][o] for x in (st.p, st.q, st.s, st.c))
+        o = np.lexsort((st.s, st.q, st.p))
+        self.key = st.p[o] * n + st.q[o]
+        self.r, self.w = st.s[o], st.c[o]
+        self.off = np.searchsorted(self.key, np.arange(n * n + 1))
+        row = self.m * n
+        # c > a: products whose triple starts at the entry's own a
+        lo, hi = self.span(row + self.a + 1, row + n)
+        # c < a: for every full entry (m, c), the stored entries with target
+        # m and a > c each give one product whose triple starts at c
+        by_row = np.sort(row + self.a)
+        fc = self.key % n
+        down = (np.searchsorted(by_row, self.key - fc + n)
+                - np.searchsorted(by_row, self.key, side="right"))
+        self.load = (np.bincount(self.a, hi - lo, minlength=n)
+                     + np.bincount(fc, down, minlength=n))
+
+    def span(self, lo, hi):
+        """Position ranges of the keys lo <= key < hi, as two arrays."""
+        return self.off[lo], self.off[hi]
+
+    def blocks(self, budget: int):
+        """Consecutive ranges [p0, p1) of the smallest index, each with a
+        load of about `budget` products (at least one index each)."""
+        cum = np.cumsum(self.load)
+        p0 = 0
+        while p0 < self.n:
+            base = cum[p0 - 1] if p0 else 0
+            p1 = max(p0 + 1, int(np.searchsorted(cum, base + budget, side="right")))
+            yield p0, p1
+            p0 = p1
+
+
+def _expand(lo, hi):
+    """(i, pos) for every lo[i] <= pos < hi[i], in one vector pass."""
+    cnt = np.maximum(hi - lo, 0)
+    ent = np.repeat(np.arange(len(lo)), cnt)
+    pos = np.arange(len(ent)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return ent, pos
+
+
+def _jacobi_block(sw: _SweepTables, p0: int, p1: int):
+    """Lex-first (p, q, k), p < q < k, p0 <= p < p1, with a nonzero
+    Jacobiator, else None.
+
+    Each stored entry [e_a, e_b] = v e_m is joined with row m of the full
+    table, [e_m, e_c] = w e_r, c not in {a, b}; v w is the coefficient of
+    e_r in one of the three terms of J at the sorted triple of (a, b, c),
+    with sign -1 exactly when a < c < b (the term -[[p, k], q]).  The
+    triples starting in [p0, p1) come from the entries with p0 <= a < p1
+    and c > a, and from those with c < a and p0 <= c < p1.
+    """
+    n = sw.n
+    i0, i1 = np.searchsorted(sw.a, [p0, p1])
+    a, b, row = sw.a[i0:i1], sw.b[i0:i1], sw.m[i0:i1] * n
+    j0 = int(np.searchsorted(sw.a, p0, side="right"))
+    a2, row2 = sw.a[j0:], sw.m[j0:] * n
+    # (first entry, position ranges, sign, (p, q, k) as positions in (a, b, c))
+    parts = (
+        (i0, sw.span(row + a + 1, row + b), -1, (0, 2, 1)),
+        (i0, sw.span(row + b + 1, row + n), 1, (0, 1, 2)),
+        (j0, sw.span(row2 + p0, row2 + np.minimum(a2, p1)), 1, (2, 0, 1)),
+    )
+    keys, vals = [], []
+    for first, (lo, hi), sign, order in parts:
+        ent, pos = _expand(lo, hi)
+        ent += first
+        abc = (sw.a[ent], sw.b[ent], sw.key[pos] % n)
+        p, q, k = (abc[t] for t in order)
+        keys.append(((p * n + q) * n + k) * n + sw.r[pos])
+        vals.append(sign * sw.v[ent] * sw.w[pos])
+    key = np.concatenate(keys)
+    if not len(key):
+        return None
+    o = np.argsort(key)
+    key, val = key[o], np.concatenate(vals)[o]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    bad = np.flatnonzero(np.add.reduceat(val, start))
+    if not len(bad):
+        return None
+    t = int(key[start[bad[0]]]) // n
+    return (t // (n * n), (t // n) % n, t % n)
+
+
 def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     """First (p, q, k) in lex order with nonzero Jacobi defect, else None.
+
+    The stored table holds only pairs i < j, so the bracket, and with it
+    the Jacobiator J, is alternating: J vanishes on a triple with a
+    repeated index, and permuting a triple permutes its sign.  The set of
+    failing triples is closed under permutation, so its lex-first element
+    is sorted: the lex-first failing sorted triple is the lex-first
+    failing ordered triple, the witness a sweep over all n^3 triples
+    returns.  The sweep sums each component J(p, q, k)_r with p < q < k
+    once (_jacobi_block), in blocks of the smallest index p of about
+    SWEEP_BLOCK products each, and stops at the first block with a defect;
+    every product of a triple lands in the block of its p.  A component is a sum of at most 3 n products of at most
+    amax^2 each, where amax bounds the scaled constants; the sweep
+    refuses (OverflowError) when that sum, or the key (p, q, k, r)
+    encoded as one integer below n^4, could leave int64.
 
     The verdict of the full sweep is kept in alg._cache["jacobi"], so a
     repeated sweep costs nothing, and an exact change of basis may carry
@@ -104,29 +206,14 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
         return alg._cache["jacobi"]
     st = scaled(alg)
     n = st.n
-    if n and st.amax and n * st.amax * st.amax >= (1 << 62):
+    if n ** 4 >= 1 << 63 or 3 * n * st.amax * st.amax >= 1 << 63:
         raise OverflowError("structure constants too large for int64 sweep")
+    sw = _SweepTables(st)
     best = None
-    for p in range(n):
-        G = st.G(p)
-        prow, pcol, pdat = _coo(G @ st.M)    # P[q,(k,r)] = sum_s c^s_{pq} c^r_{sk}
-        qrow, qcol, qdat = _coo(st.C2 @ G)   # Q[(q,k),r] = sum_s c^s_{qk} (-c^r_{sp})*(-1)
-        # J[q,k,r] = P[q,(k,r)] - P[k,(q,r)] - Q[(q,k),r], flattened to q*n^2+k*n+r
-        f1 = prow * n * n + pcol
-        f2 = (pcol // n) * n * n + prow * n + pcol % n
-        f3 = qrow * n + qcol
-        flat = np.concatenate([f1, f2, f3])
-        data = np.concatenate([pdat, -pdat, -qdat])
-        order = np.argsort(flat, kind="stable")
-        flat, data = flat[order], data[order]
-        if len(flat):
-            uniq, start = np.unique(flat, return_index=True)
-            sums = np.add.reduceat(data, start)
-            bad = np.nonzero(sums)[0]
-            if len(bad):
-                t = int(uniq[bad[0]])
-                best = (p, t // (n * n), (t // n) % n)
-                break
+    for p0, p1 in sw.blocks(SWEEP_BLOCK):
+        best = _jacobi_block(sw, p0, p1)
+        if best is not None:
+            break
     alg._cache["jacobi"] = best
     return best
 

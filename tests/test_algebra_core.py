@@ -7,16 +7,27 @@ from hypothesis import strategies as st
 
 from lyalg import io
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.checks import (check_lie, check_ly, jacobi_first_violation_naive,
+from lyalg.checks import (check_lie, check_ly, jacobi_defect,
                           ly3_defect, ly4_defect, ly5_defect, ly6_defect,
                           _first_ly_violation)
 from lyalg.envelope import (LYStructureError, build_enveloping,
                             ly_from_reductive, ly_from_reductive_indices,
                             is_reductive_split)
 from lyalg.fastnum import jacobi_violation, killing_int
-from lyalg.linalg import basis_vec
+from lyalg.linalg import basis_vec, is_zero_vec
 
 F = Fraction
+
+
+def jacobi_first_violation_naive(alg: Algebra) -> tuple[int, int, int] | None:
+    """Reference triple loop; for cross-checks and small inputs only."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not is_zero_vec(jacobi_defect(alg, i, j, k)):
+                    return (i, j, k)
+    return None
 
 
 def sl2() -> Algebra:
@@ -192,7 +203,7 @@ def test_classify_after_check_ly_is_a_jacobi_cache_hit(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("Jacobi sweep ran again")
 
-    monkeypatch.setattr(fastnum.ScaledTables, "G", no_sweep)
+    monkeypatch.setattr(fastnum, "_jacobi_block", no_sweep)
     assert classify(saturate_torus(g)) == "C3"
 
 

@@ -363,6 +363,20 @@ def test_equivariance_check_rejects_a_changed_entry_h3o():
     _equivariance_check(*int_tables(v, v.dt))
 
 
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+def test_equivariance_check_rejects_a_changed_span_element_in_any_batch(chunk):
+    # D is untouched, so only the changed element can fail: every batch
+    # position must be checked, the last of a batch included
+    v = trace_admissible_view(build_jordan("H3(Q)"))
+    es, d, n0 = int_tables(v, v.dt)
+    _equivariance_check(es, d, n0, chunk)
+    for k in sorted({0, chunk - 1, chunk, len(es) - 1} & set(range(len(es)))):
+        bad = es.copy()
+        bad[k, 0, 1] += 1
+        with pytest.raises(ArithmeticError, match="not equivariant"):
+            _equivariance_check(bad, d, n0, chunk)
+
 def test_every_view_certifies_equivariance(monkeypatch):
     import lyalg.compjordan as cj
 
