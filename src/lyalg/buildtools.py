@@ -39,6 +39,7 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+import sympy
 from scipy import sparse
 
 from . import fastnum
@@ -442,8 +443,6 @@ class IrrationalRoot(ArithmeticError):
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots with multiplicity; raises IrrationalRoot if any
     root is not rational (the polynomial must split over the rationals)."""
-    import sympy
-
     x = sympy.Symbol("x")
     poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
                           * x ** (len(coeffs) - 1 - i)

@@ -60,7 +60,7 @@ class ScaledTables:
         ps, qs, ss, cs = [], [], [], []
         for (i, j), ent in alg.table.items():
             for k, c in ent:
-                v = int(c * S)
+                v = c.numerator * (S // c.denominator)
                 ps.append(i); qs.append(j); ss.append(k); cs.append(v)
                 ps.append(j); qs.append(i); ss.append(k); cs.append(-v)
         self.n = n

@@ -15,19 +15,21 @@ first Jacobi consequence, used all over this module, is the rotation rule
 
     {x y z} - {y z x} = (x, y) z + (y, z) x - 2 (z, x) y.
 
-construct_TJ recovers the classical triple on k^2 (+) J (+) J attached to
-a degree-3 Jordan algebra J by solving for the coefficients of a finite
-equivariant candidate basis (trace pairings, crosses and scalar slots)
-under that rule plus the inner-map constraints.  No structure constant is
-transcribed from a table; the result is certified by check_lie on g(T).
+construct_TJ builds the classical triple on k^2 (+) J (+) J attached to
+a degree-3 Jordan algebra J from one recorded coefficient vector,
+H3K_VECTOR, over a finite equivariant candidate basis (trace pairings,
+crosses and scalar slots).  The vector was solved once on H3(k), from the
+rotation rule, skewness of the inner maps and their derivation rule, and
+the same vector serves H3(K), H3(Q) and H3(O) (E6, E7, E8 after F4).  It
+is not trusted: every T(J) is certified by the exact rotation and skew
+checks on every basis triple and by a full Jacobi sweep of g(T).  The
+vector does not carry over to a 1-dim J, so the base-field triple (G2)
+is not built here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-import sympy
 
 from . import linalg as la
 from .algebra import Algebra
@@ -36,16 +38,14 @@ from .checks import check_lie
 from .compjordan import JordanAlg, trace_admissible_view
 from .envelope import (EnvelopingPair, class_bases, class_coords,
                        ly_from_reductive_indices)
-from .fastnum import sparse_int_kernel
-from .io import fr_str
 from .linalg import F0, F1
 from .matrixalg import phi_map, skew_map_family, split_skew_form
 
 
 class CubicJordanData:
     """A degree-3 Jordan algebra reduced to the four maps the triple
-    solver consumes: unital product, norm trace, trace bilinear form and
-    the full linearization of the adjoint (the cross).  The basis starts
+    construction consumes: unital product, norm trace, trace bilinear form
+    and the full linearization of the adjoint (the cross).  The basis starts
     with the unit; wts, when present, grades all four maps."""
 
     def __init__(self, tab, tvals, wts=None, name=""):
@@ -91,7 +91,7 @@ class SymplecticTripleData:
     inner map d(e_i, e_j): an entry (l, k) -> c says {e_i e_j e_k}
     contains c e_l.  wts optionally grades the basis."""
 
-    def __init__(self, dim, gram, trip, wts=None, name="", notes=None):
+    def __init__(self, dim, gram, trip, wts=None, name=""):
         self.dim = dim
         if len(gram) != dim or any(len(r) != dim for r in gram):
             raise ValueError("gram size does not match dim")
@@ -111,18 +111,11 @@ class SymplecticTripleData:
                 self.trip[(i, jj)] = ent
         self.wts = [tuple(w) for w in wts] if wts is not None else None
         self.name = name
-        self.notes = list(notes or [])
 
     def dmat(self, i, j) -> SpMat:
         if i > j:
             i, j = j, i
         return self.trip.get((i, j), {})
-
-    def triple(self, i, j, k):
-        """{e_i e_j e_k} as a sorted sparse vector."""
-        out = [(l, c) for (l, kk), c in self.dmat(i, j).items() if kk == k]
-        out.sort()
-        return out
 
 
 def _wadd(a, b):
@@ -280,23 +273,16 @@ def lts_from_symplectic(t: SymplecticTripleData):
     return ly
 
 
-def module_action_ops(pair: EnvelopingPair):
-    """Sparse matrices of ad(h) restricted to m, for commutant checks."""
-    g = pair.g
-    mpos = {gi: a for a, gi in enumerate(pair.m_index)}
-    ops = []
-    for h in pair.h_index:
-        op: SpMat = {}
-        for jcol in pair.m_index:
-            for l, c in g.bk(h, jcol):
-                if l in mpos:
-                    op[(mpos[l], mpos[jcol])] = c
-        ops.append(op)
-    return ops
-
-
 # ---------------------------------------------------------------------------
-# the candidate solve behind construct_TJ
+# T(J) from the recorded coefficient vector
+
+# the product coefficients solved once on H3(k), by candidate name in
+# _candidate_table (candidates not named have coefficient 0); the e
+# pairing and the trace pairing of the form both have coefficient 1
+H3K_VECTOR = {"A2": -3, "A3": 3, "A4": 1, "A5": -1, "B1": 2, "B2": 2,
+              "B3": 1, "B6": -2, "B7": -2, "B8": -4, "P3": 2, "P4": 1,
+              "P5": 1, "M3": -2, "M4": -4, "M5": -4, "E1": 1, "E2": -1,
+              "E3": -1, "E4": -2, "E5": 2, "E7": 1, "E8": 2, "E9": -2}
 
 _TRANK = {"+": 0, "-": 1, "a": 2, "b": 3}
 
@@ -349,7 +335,7 @@ def _candidate_table(j: CubicJordanData):
                 s += c1 * S[l1][r]
         return s
 
-    cands = [
+    return [
         ("A1", ("+", "+"), "-", lambda p, q, r: [(0, F1)]),
         ("A2", ("+", "-"), "+", lambda p, q, r: [(0, F1)]),
         ("A3", ("+", "-"), "-", lambda p, q, r: [(1, F1)]),
@@ -389,293 +375,18 @@ def _candidate_table(j: CubicJordanData):
         ("E9", ("a", "b"), "b", lambda p, q, r: bslot(xx(q, r, p))),
         ("E10", ("a", "b"), "b", lambda p, q, r: [(2 + dj + p, S[q][r])]),
     ]
-    index: dict[tuple, list] = {}
-    for ci, (_, pt, tt, fn) in enumerate(cands):
-        index.setdefault((pt, tt), []).append((ci, fn))
-    return cands, index
 
 
-def _cand_cache(index, dj):
-    """Memoized sparse candidate columns on basis triples."""
-    cache: dict[tuple[int, int, int], list] = {}
-
-    def cols(i, jj, k):
-        key = (i, jj, k)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        t1, s1 = _typ(i, dj)
-        t2, s2 = _typ(jj, dj)
-        if _TRANK[t1] > _TRANK[t2]:
-            t1, s1, t2, s2 = t2, s2, t1, s1
-        t3, s3 = _typ(k, dj)
-        out = []
-        for ci, fn in index.get(((t1, t2), t3), ()):
-            ent = [(l, c) for l, c in fn(s1, s2, s3) if c]
-            if ent:
-                out.append((ci, ent))
-        cache[key] = out
-        return out
-
-    return cols
-
-
-def _form_val(j, i, jj):
-    """(column, value) contributions of the two form candidates on a
-    basis pair; column 0 is the e pairing, column 1 the trace pairing."""
-    dj = j.dim
+def _cand_cols(index, dj, i, jj, k):
+    """(coefficient, sparse T vector) of every weighted candidate in the
+    sector of the basis triple (i, jj, k)."""
     t1, s1 = _typ(i, dj)
     t2, s2 = _typ(jj, dj)
-    if t1 == "+" and t2 == "-":
-        return [(0, F1)]
-    if t1 == "-" and t2 == "+":
-        return [(0, -F1)]
-    if t1 == "a" and t2 == "b":
-        v = j.sgram[s1][s2]
-        return [(1, v)] if v else []
-    if t1 == "b" and t2 == "a":
-        v = j.sgram[s2][s1]
-        return [(1, -v)] if v else []
-    return []
-
-
-def _probe_indices(dj):
-    subs = sorted({0, 1, dj // 2, dj - 1} & set(range(dj)))
-    return [0, 1] + [2 + s for s in subs] + [2 + dj + s for s in subs]
-
-
-def _int_row(ent):
-    """Scale a sparse Fraction row to coprime ints with positive lead."""
-    ent = [(c, v) for c, v in ent if v != 0]
-    if not ent:
-        return None
-    den = 1
-    for _, v in ent:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ivals = [(c, int(v * den)) for c, v in ent]
-    g = 0
-    for _, v in ivals:
-        g = gcd(g, abs(v))
-    ivals = [(c, v // g) for c, v in ivals]
-    if ivals[0][1] < 0:
-        ivals = [(c, -v) for c, v in ivals]
-    return tuple(ivals)
-
-
-def _rotation_rows(j, cols, probes, ncol):
-    """Linear constraints from the rotation rule on probe triples."""
-    rows = set()
-    for i in probes:
-        for jj in probes:
-            for k in probes:
-                bucket: dict[int, dict[int, Fraction]] = {}
-
-                def put(l, col, v):
-                    d = bucket.setdefault(l, {})
-                    d[col] = d.get(col, F0) + v
-
-                for ci, ent in cols(i, jj, k):
-                    for l, c in ent:
-                        put(l, 2 + ci, c)
-                for ci, ent in cols(jj, k, i):
-                    for l, c in ent:
-                        put(l, 2 + ci, -c)
-                for fc, v in _form_val(j, i, jj):
-                    put(k, fc, -v)
-                for fc, v in _form_val(j, jj, k):
-                    put(i, fc, -v)
-                for fc, v in _form_val(j, k, i):
-                    put(jj, fc, 2 * v)
-                for l, d in bucket.items():
-                    row = _int_row(sorted(d.items()))
-                    if row:
-                        rows.add(row)
-    return [list(r) for r in rows]
-
-
-def _skew_eqs(j, cols, probes):
-    """Quadratic equations making every inner map skew for the form,
-    keyed by unordered column pairs with integer coefficients."""
-    eqs = set()
-    for ii, i in enumerate(probes):
-        for jj in probes[ii:]:
-            for pi, p in enumerate(probes):
-                for q in probes[pi:]:
-                    acc: dict[tuple[int, int], Fraction] = {}
-                    for ci, ent in cols(i, jj, p):
-                        for l, c in ent:
-                            for fc, v in _form_val(j, l, q):
-                                key = (fc, 2 + ci)
-                                acc[key] = acc.get(key, F0) + c * v
-                    for ci, ent in cols(i, jj, q):
-                        for l, c in ent:
-                            for fc, v in _form_val(j, p, l):
-                                key = (fc, 2 + ci)
-                                acc[key] = acc.get(key, F0) + c * v
-                    row = _int_row(sorted(acc.items()))
-                    if row:
-                        eqs.add(row)
-    return eqs
-
-
-def _derivation_eqs(j, cols, probes):
-    """Quadratic equations saying each inner map derives the product,
-    harvested on a reduced probe set."""
-    short = probes[:2] + probes[2:4] + probes[2 + len(probes) // 2:][:2]
-    eqs = set()
-    for pi, p in enumerate(short):
-        for q in short[pi:]:
-            for xi, x in enumerate(probes):
-                for y in probes[xi:]:
-                    for z in probes:
-                        acc: dict[tuple, dict] = {}
-
-                        def put(co, ci, l, v):
-                            key = (min(co, ci), max(co, ci))
-                            d = acc.setdefault(key, {})
-                            d[l] = d.get(l, F0) + v
-
-                        for ci, ent in cols(x, y, z):
-                            for l2, c2 in ent:
-                                for co, ent2 in cols(p, q, l2):
-                                    for l, c in ent2:
-                                        put(2 + co, 2 + ci, l, c * c2)
-                        for ci, ent in cols(p, q, x):
-                            for l2, c2 in ent:
-                                for co, ent2 in cols(l2, y, z):
-                                    for l, c in ent2:
-                                        put(2 + co, 2 + ci, l, -c * c2)
-                        for ci, ent in cols(p, q, y):
-                            for l2, c2 in ent:
-                                for co, ent2 in cols(x, l2, z):
-                                    for l, c in ent2:
-                                        put(2 + co, 2 + ci, l, -c * c2)
-                        for ci, ent in cols(p, q, z):
-                            for l2, c2 in ent:
-                                for co, ent2 in cols(x, y, l2):
-                                    for l, c in ent2:
-                                        put(2 + co, 2 + ci, l, -c * c2)
-                        percoord: dict[int, dict] = {}
-                        for key, d in acc.items():
-                            for l, v in d.items():
-                                if v:
-                                    percoord.setdefault(l, {})[key] = v
-                        for d in percoord.values():
-                            row = _int_row(sorted(d.items()))
-                            if row:
-                                eqs.add(row)
-    return eqs
-
-
-def _solve_branches(ker, quad_eqs, cands, norm_col, want_col):
-    """Solve the quadratic system on the kernel parameters.
-
-    Returns rational coefficient vectors, one per surviving branch, with
-    the normalization column set to 1 and remaining free parameters bound
-    by setting the first still-free coefficient to 1 in candidate order.
-    Branches without the wanted cubic-norm coefficient are dropped."""
-    ks = len(ker)
-    syms = sympy.symbols(f"s0:{ks}")
-    ncol = len(ker[0])
-    ucol = []
-    for c in range(ncol):
-        expr = sympy.Integer(0)
-        for tt in range(ks):
-            if ker[tt][c]:
-                expr += ker[tt][c] * syms[tt]
-        ucol.append(sympy.expand(expr))
-    eqs = [ucol[norm_col] - 1]
-    for row in sorted(quad_eqs):
-        expr = sympy.Integer(0)
-        for (a, b), v in row:
-            expr += v * ucol[a] * ucol[b]
-        eqs.append(sympy.expand(expr))
-    sols = sympy.solve(eqs, list(syms), dict=True)
-    out = []
-    for sol in sorted(sols, key=str):
-        vals = [sympy.expand(u.subs(sol)) for u in ucol]
-        # bind leftover scaling freedom: first still-symbolic coefficient
-        # that can be made 1 in candidate order
-        guard = 0
-        while any(v.free_symbols for v in vals) and guard < ks + 1:
-            guard += 1
-            fixed = False
-            for v in vals:
-                fs = sorted(v.free_symbols, key=str)
-                if not fs:
-                    continue
-                root = sympy.solve(v - 1, fs[0], dict=True)
-                pick = None
-                for r in root:
-                    expr = r[fs[0]]
-                    if not expr.free_symbols and expr.is_rational:
-                        pick = r
-                        break
-                if pick is None:
-                    continue
-                vals = [sympy.expand(x.subs(pick)) for x in vals]
-                fixed = True
-                break
-            if not fixed:
-                break
-        if any(v.free_symbols for v in vals):
-            continue
-        if not all(v.is_rational for v in vals):
-            continue
-        uvec = [Fraction(str(v)) for v in vals]
-        if uvec[want_col] == 0:
-            continue
-        out.append(uvec)
-    return out
-
-
-def _assemble(j, cands, cols, uvec):
-    """Materialize the triple datum for a solved coefficient vector and
-    run the exact global checks that are cheap at every size: the full
-    rotation rule and skewness of every inner map for the form."""
-    dj = j.dim
-    n = 2 + 2 * dj
-    gram = la.zeros(n, n)
-    gram[0][1] = uvec[0]
-    gram[1][0] = -uvec[0]
-    for p in range(dj):
-        for q in range(dj):
-            v = uvec[1] * j.sgram[p][q]
-            if v:
-                gram[2 + p][2 + dj + q] = v
-                gram[2 + dj + q][2 + p] = -v
-    trip: dict[tuple[int, int], dict] = {}
-    for i in range(n):
-        for jj in range(i, n):
-            m: dict[tuple[int, int], Fraction] = {}
-            for k in range(n):
-                for ci, ent in cols(i, jj, k):
-                    u = uvec[2 + ci]
-                    if not u:
-                        continue
-                    for l, c in ent:
-                        key = (l, k)
-                        m[key] = m.get(key, F0) + u * c
-            m = {k: v for k, v in m.items() if v}
-            if m:
-                trip[(i, jj)] = m
-    wts = None
-    if j.wts is not None:
-        th = Fraction(3)
-        wts = ([(th,) + j.wts[0][:0] + tuple([F0] * len(j.wts[0])),
-                (-th,) + tuple([F0] * len(j.wts[0]))]
-               + [(-F1,) + j.wts[i] for i in range(dj)]
-               + [(F1,) + j.wts[i] for i in range(dj)])
-    nz = [(cands[ci][0], fr_str(uvec[2 + ci]))
-          for ci in range(len(cands)) if uvec[2 + ci]]
-    notes = ["form " + fr_str(uvec[0]) + " e, " + fr_str(uvec[1]) + " trace",
-             "product " + ", ".join(f"{nm} {v}" for nm, v in nz)]
-    t = SymplecticTripleData(n, gram, trip, wts=wts,
-                             name=f"T({j.name})" if j.name else "T(J)",
-                             notes=notes)
-    _check_rotation(t)
-    _check_skew(t)
-    return t
+    if _TRANK[t1] > _TRANK[t2]:
+        t1, s1, t2, s2 = t2, s2, t1, s1
+    t3, s3 = _typ(k, dj)
+    return [(u, [(l, c) for l, c in fn(s1, s2, s3) if c])
+            for u, fn in index.get(((t1, t2), t3), ())]
 
 
 def _check_rotation(t: SymplecticTripleData):
@@ -684,7 +395,6 @@ def _check_rotation(t: SymplecticTripleData):
     for i in range(n):
         for jj in range(n):
             d = t.dmat(i, jj)
-            rot = t.dmat(jj, i)
             for k in range(n):
                 acc: dict[int, Fraction] = {}
                 for (l, kk), c in d.items():
@@ -706,7 +416,6 @@ def _check_rotation(t: SymplecticTripleData):
                     acc[jj] = acc.get(jj, F0) + 2 * g3
                 if any(v != 0 for v in acc.values()):
                     raise ValueError(f"rotation rule fails at {(i, jj, k)}")
-            del rot
 
 
 def _check_skew(t: SymplecticTripleData):
@@ -729,44 +438,49 @@ def _check_skew(t: SymplecticTripleData):
 
 
 def construct_TJ(j: CubicJordanData) -> SymplecticTripleData:
-    """Solve for the symplectic triple on k^2 (+) J (+) J.
+    """The symplectic triple on k^2 (+) J (+) J from H3K_VECTOR.
 
-    The form and product are parametrized over the candidate basis of
-    _candidate_table plus the two form candidates, constrained by the
-    rotation rule on probe triples, skewness and the derivation rule of
-    the inner maps, with the e-pairing normalized to 1 and any leftover
-    scaling bound by setting the first still-free coefficient to 1.
-    Branches lacking the cubic-norm candidate are discarded (they head
-    for the symplectic-polynomial triple, not this one) and every
-    surviving branch is certified on g(T) before being returned.  Raises
-    ValueError when nothing certifies."""
+    Basis e+, e-, then J twice (the a and b slots).  The form pairs e+
+    with e- by 1 and a_p with b_q by the trace form; the product is the
+    H3K_VECTOR combination of the candidates of _candidate_table.  The
+    datum is certified by the exact rotation rule and skewness of every
+    inner map on every basis triple, then by check_lie on g(T).  Raises
+    ValueError when any of them fails, and NotClosedError when the inner
+    maps do not close."""
     dj = j.dim
-    cands, index = _candidate_table(j)
-    cols = _cand_cache(index, dj)
-    probes = _probe_indices(dj)
-    ncol = 2 + len(cands)
-    rows = _rotation_rows(j, cols, probes, ncol)
-    ker = sparse_int_kernel(rows, ncol)
-    if not ker:
-        raise ValueError("no solution found: rotation rule leaves nothing")
-    quad = _skew_eqs(j, cols, probes) | _derivation_eqs(j, cols, probes)
-    want = 2 + next(ci for ci, c in enumerate(cands) if c[0] == "P4")
-    branches = _solve_branches(ker, quad, cands, 0, want)
-    last = "no solution found"
-    for uvec in branches:
-        try:
-            t = _assemble(j, cands, cols, uvec)
-        except ValueError as e:
-            last = f"no solution found: {e}"
-            continue
-        try:
-            g, _ = build_g_of_T(t)
-        except (NotClosedError, ValueError) as e:
-            last = f"no solution found: {e}"
-            continue
-        rep = check_lie(g, target=g.name)
-        if not rep.passed:
-            last = "no solution found: a branch failed the Lie certificate"
-            continue
-        return t
-    raise ValueError(last)
+    n = 2 + 2 * dj
+    index: dict[tuple, list] = {}
+    for name, pt, tt, fn in _candidate_table(j):
+        if name in H3K_VECTOR:
+            u = Fraction(H3K_VECTOR[name])
+            index.setdefault((pt, tt), []).append((u, fn))
+    gram = la.zeros(n, n)
+    gram[0][1] = F1
+    gram[1][0] = -F1
+    for p in range(dj):
+        for q in range(dj):
+            v = j.sgram[p][q]
+            if v:
+                gram[2 + p][2 + dj + q] = v
+                gram[2 + dj + q][2 + p] = -v
+    trip: dict[tuple[int, int], dict] = {}
+    for i in range(n):
+        for jj in range(i, n):
+            m = trip[(i, jj)] = {}
+            for k in range(n):
+                for u, ent in _cand_cols(index, dj, i, jj, k):
+                    for l, c in ent:
+                        m[(l, k)] = m.get((l, k), F0) + u * c
+    wts = None
+    if j.wts is not None:
+        zero = tuple([F0] * len(j.wts[0]))
+        wts = ([(Fraction(3),) + zero, (Fraction(-3),) + zero]
+               + [(-F1,) + w for w in j.wts] + [(F1,) + w for w in j.wts])
+    t = SymplecticTripleData(n, gram, trip, wts=wts,
+                             name=f"T({j.name})" if j.name else "T(J)")
+    _check_rotation(t)
+    _check_skew(t)
+    g, _ = build_g_of_T(t)
+    if not check_lie(g, target=g.name).passed:
+        raise ValueError(f"{g.name} fails Jacobi; not a symplectic triple datum")
+    return t

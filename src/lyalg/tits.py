@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+import sympy
 
 from . import buildtools as bt
 from . import linalg as la
@@ -893,8 +894,6 @@ class EquivSolve:
         assign maps free symbols of the chosen branch to rationals; the
         result is the length-ncand coefficient vector as Fractions.
         """
-        import sympy
-
         sol, free = self.branches[branch]
         uvals = []
         for s in self.symbols:
@@ -923,8 +922,6 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
     the solution variety; certification of a chosen point is the
     caller's job (assemble_bracket plus a full Jacobi sweep).
     """
-    import sympy
-
     if not cands:
         raise ValueError("empty candidate span")
     mdim, hdim, nc = mod.mdim, h.dim, len(cands)

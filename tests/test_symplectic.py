@@ -1,22 +1,17 @@
 """Symplectic triple data from degree-3 Jordan algebras."""
 
 import hashlib
-from fractions import Fraction
 
-from lyalg import io
+import pytest
+
+from lyalg import io, symplectic
 from lyalg.compjordan import build_jordan
 from lyalg.fastnum import jacobi_violation
+from lyalg.matrixalg import split_skew_form
 from lyalg.roots import classify, saturate_torus
-from lyalg.symplectic import (_assemble, _cand_cache, _candidate_table,
-                              build_g_of_T, cubic_jordan_data,
+from lyalg.symplectic import (SymplecticTripleData, build_g_of_T,
+                              construct_TJ, cubic_jordan_data,
                               lts_from_symplectic)
-
-# the coefficient vector solved on H3(k) (the product candidates by name;
-# the e form and the trace form both have coefficient 1)
-H3K_VECTOR = {"A2": -3, "A3": 3, "A4": 1, "A5": -1, "B1": 2, "B2": 2,
-              "B3": 1, "B6": -2, "B7": -2, "B8": -4, "P3": 2, "P4": 1,
-              "P5": 1, "M3": -2, "M4": -4, "M5": -4, "E1": 1, "E2": -1,
-              "E3": -1, "E4": -2, "E5": 2, "E7": 1, "E8": 2, "E9": -2}
 
 
 def sha(obj) -> str:
@@ -30,20 +25,70 @@ def test_cubic_jordan_data_h3k():
     assert d.tvals[0] == 3
 
 
-def test_g_of_T_from_the_recorded_h3k_vector_is_f4():
-    j = cubic_jordan_data(build_jordan("H3(k)"))
-    cands, index = _candidate_table(j)
-    uvec = [Fraction(1), Fraction(1)] + [Fraction(H3K_VECTOR.get(c[0], 0))
-                                         for c in cands]
-    t = _assemble(j, cands, _cand_cache(index, j.dim), uvec)
+@pytest.mark.parametrize("kind", ["JV(3)", "k"])
+def test_cubic_jordan_data_refuses_other_degrees(kind):
+    with pytest.raises(ValueError, match="no cubic datum"):
+        cubic_jordan_data(build_jordan(kind))
+
+
+# g(T(J)) and lts(T(J)) from the recorded vector: dims, type, size of
+# the inner span and sha256 of the canonical JSON
+SERIES = [
+    ("H3(k)", 52, "F4", 21,
+     "7d583b4643fc732e0ea26a04bb66fa03d1e151e68b22de8881184056acaed903",
+     28, "991f701ed03b54165c95105d4c4e9861c3427d91e2599c0de86aa8fabf98eff5"),
+    ("H3(K)", 78, "E6", 35,
+     "58f0ccdbdfd06172204ee5aba58e9a7806be2bfc5fe4493a83e85f506cf6f9f4",
+     40, "0f42fad49bdbd8f0dc382d7601d06571f4a89111c03a4da8ef282def3ad31c98"),
+    ("H3(Q)", 133, "E7", 66,
+     "9a4752fd5de7810021d426eb82fd3823d6f5c98baffc8fe8f4f383dbd926503a",
+     64, "45dacf942a7f777ec68bd2d13b22e18f76a0e1e0ef90a09c08944fa1baf8cf21"),
+]
+
+
+@pytest.mark.parametrize("kind,dim,typ,nd,gsha,lydim,lysha", SERIES,
+                         ids=[s[0] for s in SERIES])
+def test_construct_TJ_builds_the_exceptional_series(kind, dim, typ, nd, gsha,
+                                                    lydim, lysha):
+    t = construct_TJ(cubic_jordan_data(build_jordan(kind)))
     g, pair = build_g_of_T(t)
-    assert g.dim == 52
+    assert g.dim == dim
     assert jacobi_violation(g) is None
-    assert classify(saturate_torus(g)) == "F4"
-    assert len(pair.d_pairs) == 21
-    assert sha(io.algebra_to_obj(g)) == (
-        "7d583b4643fc732e0ea26a04bb66fa03d1e151e68b22de8881184056acaed903")
+    assert classify(saturate_torus(g)) == typ
+    assert len(pair.d_pairs) == nd
+    assert sha(io.algebra_to_obj(g)) == gsha
     ly = lts_from_symplectic(t)
-    assert ly.dim == 28
-    assert sha(io.ly_to_obj(ly)) == (
-        "991f701ed03b54165c95105d4c4e9861c3427d91e2599c0de86aa8fabf98eff5")
+    assert ly.dim == lydim
+    assert sha(io.ly_to_obj(ly)) == lysha
+
+
+@pytest.mark.parametrize("name,delta,match", [
+    ("A2", 1, "rotation rule fails"),
+    ("P4", 1, "not skew"),
+], ids=["rotation", "skew"])
+def test_construct_TJ_refuses_a_changed_vector(monkeypatch, name, delta, match):
+    vec = dict(symplectic.H3K_VECTOR)
+    vec[name] += delta
+    monkeypatch.setattr(symplectic, "H3K_VECTOR", vec)
+    with pytest.raises(ValueError, match=match):
+        construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
+
+
+def test_construct_TJ_refuses_a_g_of_T_that_fails_jacobi(monkeypatch):
+    real = symplectic.build_g_of_T
+
+    def doubled_first_entry(t):
+        g, pair = real(t)
+        key = next(iter(g.table))
+        g.table[key] = [(k, 2 * c) for k, c in g.table[key]]
+        return g, pair
+
+    monkeypatch.setattr(symplectic, "build_g_of_T", doubled_first_entry)
+    with pytest.raises(ValueError, match="fails Jacobi"):
+        construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
+
+
+def test_lts_from_symplectic_refuses_the_zero_triple():
+    t = SymplecticTripleData(2, split_skew_form(2).gram, {})
+    with pytest.raises(ValueError, match="fails Jacobi"):
+        lts_from_symplectic(t)
