@@ -176,8 +176,9 @@ class OutsideSpan(ValueError):
 class BatchCoords:
     """Exact coordinates in the span of fixed independent rows.
 
-    The reduced echelon form R = T B of the basis matrix B is kept once
-    (ValueError if the rows are dependent).  Since R is reduced, a vector
+    The reduced echelon form R = T B of the basis matrix B is kept once,
+    read off la.rref of [B | I] (ValueError if the rows are dependent,
+    which puts a pivot in the I block).  Since R is reduced, a vector
     v in the span satisfies v = sum_t v[piv_t] R_t, so its coordinates
     over B are (v at the pivots) T, accepted only after the exact check
     that the sum reproduces v.
@@ -191,10 +192,14 @@ class BatchCoords:
                 for k in row:
                     self.pos.setdefault(k, len(self.pos))
             rows = [self._dense(row) for row in rows]
-        self.nb = len(rows)
-        self.r, self.piv, self.t = la.rref_t(rows)
-        if len(self.r) != self.nb:
+        nb = self.nb = len(rows)
+        width = len(rows[0]) if rows else 0
+        aug, self.piv = la.rref([list(row) + la.basis_vec(nb, i)
+                                 for i, row in enumerate(rows)])
+        if nb and self.piv[-1] >= width:
             raise ValueError("basis rows are dependent")
+        self.r = [row[:width] for row in aug]
+        self.t = [row[width:] for row in aug]
         self._ints = None
 
     def _cols(self, v: dict):

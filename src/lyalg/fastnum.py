@@ -16,10 +16,12 @@ p < q < k: the stored bracket is alternating, so the Jacobiator is too,
 and the lex-first failing triple, if any, is sorted.  Each component of
 J(p, q, k) is summed once from the products of stored entries with rows
 of the full table, in blocks of p, and is bounded from the data by
-3 n amax^2 before any product is formed.  jacobi_violation memoises its
-verdict on the algebra; require_lie turns a failed sweep into
-ClassifyError with the failing triple, for every entry point that needs a
-Lie bracket (classify, saturate_torus, is_semisimple).
+3 n amax^2 before any product is formed.  jacobi_violation stops at the
+first failing block, jacobi_defects returns every nonzero component (the
+Tits closure identities are read off them); both memoise the verdict on
+the algebra.  require_lie turns a failed sweep into ClassifyError with
+the failing triple, for every entry point that needs a Lie bracket
+(classify, saturate_torus, is_semisimple).
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ def _expand(lo, hi):
     return ent, pos
 
 
-def _jacobi_block(sw: _SweepTables, p0: int, p1: int):
-    """Lex-first (p, q, k), p < q < k, p0 <= p < p1, with a nonzero
-    Jacobiator, else None.
+def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> np.ndarray:
+    """Sorted codes ((p n + q) n + k) n + r of the nonzero Jacobiator
+    components J(p, q, k)_r, p < q < k, p0 <= p < p1.
 
     Each stored entry [e_a, e_b] = v e_m is joined with row m of the full
     table, [e_m, e_c] = w e_r, c not in {a, b}; v w is the coefficient of
@@ -170,15 +172,25 @@ def _jacobi_block(sw: _SweepTables, p0: int, p1: int):
         vals.append(sign * sw.v[ent] * sw.w[pos])
     key = np.concatenate(keys)
     if not len(key):
-        return None
+        return key
     o = np.argsort(key)
     key, val = key[o], np.concatenate(vals)[o]
     start = np.flatnonzero(np.diff(key, prepend=-1))
-    bad = np.flatnonzero(np.add.reduceat(val, start))
-    if not len(bad):
-        return None
-    t = int(key[start[bad[0]]]) // n
+    return key[start[np.add.reduceat(val, start) != 0]]
+
+
+def _triple(code: int, n: int) -> tuple[int, int, int]:
+    t = int(code) // n
     return (t // (n * n), (t // n) % n, t % n)
+
+
+def _sweep_tables(alg: Algebra) -> _SweepTables:
+    """The sweep's join tables, after the int64 guards on the data."""
+    st = scaled(alg)
+    n = st.n
+    if n ** 4 >= 1 << 63 or 3 * n * st.amax * st.amax >= 1 << 63:
+        raise OverflowError("structure constants too large for int64 sweep")
+    return _SweepTables(st)
 
 
 def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
@@ -193,10 +205,11 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     returns.  The sweep sums each component J(p, q, k)_r with p < q < k
     once (_jacobi_block), in blocks of the smallest index p of about
     SWEEP_BLOCK products each, and stops at the first block with a defect;
-    every product of a triple lands in the block of its p.  A component is a sum of at most 3 n products of at most
-    amax^2 each, where amax bounds the scaled constants; the sweep
-    refuses (OverflowError) when that sum, or the key (p, q, k, r)
-    encoded as one integer below n^4, could leave int64.
+    every product of a triple lands in the block of its p.  A component is
+    a sum of at most 3 n products of at most amax^2 each, where amax
+    bounds the scaled constants; the sweep refuses (OverflowError) when
+    that sum, or the key (p, q, k, r) encoded as one integer below n^4,
+    could leave int64.
 
     The verdict of the full sweep is kept in alg._cache["jacobi"], so a
     repeated sweep costs nothing, and an exact change of basis may carry
@@ -204,18 +217,31 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     """
     if "jacobi" in alg._cache:
         return alg._cache["jacobi"]
-    st = scaled(alg)
-    n = st.n
-    if n ** 4 >= 1 << 63 or 3 * n * st.amax * st.amax >= 1 << 63:
-        raise OverflowError("structure constants too large for int64 sweep")
-    sw = _SweepTables(st)
+    sw = _sweep_tables(alg)
     best = None
     for p0, p1 in sw.blocks(SWEEP_BLOCK):
-        best = _jacobi_block(sw, p0, p1)
-        if best is not None:
+        codes = _jacobi_block(sw, p0, p1)
+        if len(codes):
+            best = _triple(codes[0], sw.n)
             break
     alg._cache["jacobi"] = best
     return best
+
+
+def jacobi_defects(alg: Algebra) -> np.ndarray:
+    """Every nonzero Jacobiator component of the full sweep, as the sorted
+    codes ((p n + q) n + k) n + r of J(p, q, k)_r with p < q < k.
+
+    The same blocks and int64 guards as jacobi_violation, without the
+    early stop; the verdict (the triple of the first code, or None) is
+    stored in alg._cache["jacobi"] as jacobi_violation would store it.
+    """
+    sw = _sweep_tables(alg)
+    codes = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [_jacobi_block(sw, p0, p1)
+                              for p0, p1 in sw.blocks(SWEEP_BLOCK)])
+    alg._cache["jacobi"] = _triple(codes[0], sw.n) if len(codes) else None
+    return codes
 
 
 class ClassifyError(Exception):

@@ -129,32 +129,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return rows[:r], pivots
 
 
-def rref_t(a: Matrix) -> tuple[Matrix, list[int], Matrix]:
-    """rref with transform: returns (R, pivots, T) with R = T a (rows kept)."""
-    nr = len(a)
-    aug = [list(row) + basis_vec(nr, i) for i, row in enumerate(a)]
-    nc = len(a[0]) if a else 0
-    rows: Matrix = [r for r in aug]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        invp = F1 / rows[r][c]
-        rows[r] = [x * invp if x else F0 for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return ([row[:nc] for row in rows[:r]], pivots,
-            [row[nc:] for row in rows[:r]])
-
-
 def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 

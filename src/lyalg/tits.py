@@ -6,9 +6,13 @@ normalized trace form and a span of inner pair derivations.  Two such
 slices combine on three blocks, the left derivation span, the tensor
 grid of the two slices, and the right derivation span, under five
 bracket rules; three cyclic closure identities decide exactly when the
-result satisfies the Jacobi identity.  Run over the four split
-composition algebras against the four hermitian three by three Jordan
-algebras, the construction fills the magic square of simple types.
+result satisfies the Jacobi identity.  They are the right-span,
+left-span and grid components of the Jacobiator on three grid elements,
+so one full Jacobi sweep of the assembled algebra decides them all
+(check_tits_conditions), and ly_inside_tits refuses a pair that fails
+one.  Run over the four split composition algebras against the four
+hermitian three by three Jordan algebras, the construction fills the
+magic square of simple types.
 The associative row has a variant on the full unital Jordan algebra,
 isomorphic to the corresponding square cell through an explicit graded
 basis map, and a small solver recovers the grid bracket coefficients
@@ -23,6 +27,7 @@ import numpy as np
 import sympy
 
 from . import buildtools as bt
+from . import fastnum
 from . import linalg as la
 from .algebra import Algebra, LYAlgebra
 from .checks import check_lie, transport_equal
@@ -37,33 +42,15 @@ def _sparse(vec):
     return [(i, v) for i, v in enumerate(vec) if v != 0]
 
 
-def _span_bracket_coords(span):
-    """Commutator coordinates [s_i, s_j] over the span itself, i < j.
+def _span_algebra(view, name=""):
+    """The derivation span of a slice as an abstract Lie algebra.
 
-    The span matrices are stacked into one integer batch; a query that
-    falls outside the span raises, so closure is certified, not assumed.
+    operator_algebra_from_basis certifies that the span closes under
+    commutator (NotClosedError otherwise).
     """
-    n = len(span)
-    if n < 2:
-        return {}
-    k = len(span[0])
-    flats = [[v for row in m for v in row] for m in span]
-    bc = bt.BatchCoords(flats)
-    arr, s = bt.int_rows(flats)
-    mats = arr.reshape(n, k, k)
-    bt.guard_bound(k, mats, mats)
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = np.stack([comm[i, j].reshape(k * k) for (i, j) in pairs])
-    carr, cs = bc.coords_int(rows, s * s)
-    out = {}
-    for idx, (i, j) in enumerate(pairs):
-        ent = [(c, Fraction(int(carr[idx, c]), cs)) for c in range(n)
-               if carr[idx, c] != 0]
-        if ent:
-            out[(i, j)] = ent
-    return out
+    return bt.operator_algebra_from_basis(
+        [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
+         for m in view.dspan], name=name)
 
 
 def _dco_lookup(view):
@@ -150,10 +137,8 @@ def build_tits(x, y, name=""):
     def gi(i, j):
         return nDx + i * ny + j
 
-    table = {}
-    for (i, j), ent in _span_bracket_coords(x.dspan).items():
-        table[(i, j)] = ent
-    for (i, j), ent in _span_bracket_coords(y.dspan).items():
+    table = dict(_span_algebra(x).table)
+    for (i, j), ent in _span_algebra(y).table.items():
         table[(dofs + i, dofs + j)] = [(dofs + c, v) for c, v in ent]
     # a left derivation moves the left grid leg, a right one the right leg
     for p in range(nDx):
@@ -203,87 +188,6 @@ def build_tits(x, y, name=""):
 # closure identities
 
 
-def _split_tensor_vanishes(rows, tensors):
-    """Decide sum_m rows[m] (x) tensors[m] == 0 without forming the sum.
-
-    rows are exact rational vectors (the small side), tensors int64
-    arrays of one common shape and scale.  Returns None on success or a
-    witness (row index u, flat tensor index v) with a nonzero pairing.
-    """
-    piv, _, coords = bt.independent_rows(rows)
-    if not piv:
-        return None
-    exprs = {t: co for t, co in enumerate(coords) if t not in piv}
-    flat = [t.reshape(-1) for t in tensors]
-    nm = len(rows)
-    for pk, s in enumerate(piv):
-        den = 1
-        for co in exprs.values():
-            den = lcm(den, co[pk].denominator)
-        acc = flat[s].astype(np.int64) * den
-        bound = den * int(np.abs(flat[s]).max(initial=0))
-        for t, co in exprs.items():
-            if co[pk] == 0:
-                continue
-            ci = co[pk].numerator * (den // co[pk].denominator)
-            acc = acc + ci * flat[t]
-            bound += abs(ci) * int(np.abs(flat[t]).max(initial=0))
-        if bound >= 2**62:
-            raise OverflowError("closure combo would overflow int64")
-        nz = np.nonzero(acc)[0]
-        if nz.size:
-            v = int(nz[0])
-            vals = [int(f[v]) for f in flat]
-            for u in range(len(rows[0])):
-                if sum((rows[m][u] * vals[m] for m in range(nm)), F0) != 0:
-                    return u, v
-            raise ArithmeticError("dependency bookkeeping lost the witness")
-    return None
-
-
-def _rot(t, s):
-    return t[s:] + t[:s]
-
-
-def _shift_flat(vals, n, width, s):
-    """Cyclic argument shift of a flat (n, n, n, width) rational table."""
-    if s == 0:
-        return vals
-    out = [F0] * len(vals)
-    idx = 0
-    for i1 in range(n):
-        for i2 in range(n):
-            for i3 in range(n):
-                j1, j2, j3 = _rot((i1, i2, i3), s)
-                src = ((j1 * n + j2) * n + j3) * width
-                for a in range(width):
-                    out[idx] = vals[src + a]
-                    idx += 1
-    return out
-
-
-def _shift4(arr, s):
-    # result[i1,i2,i3,a] = arr[rot_s(i1,i2,i3), a]; transpose axes list
-    # the source axis landing at each result slot, hence the inverse rotation
-    if s == 0:
-        return arr
-    perm = (2, 0, 1, 3) if s == 1 else (1, 2, 0, 3)
-    return np.ascontiguousarray(np.transpose(arr, perm))
-
-
-def _common_scale(pairs):
-    """Rescale (array, denominator) pairs to one shared denominator."""
-    den = 1
-    for _, d in pairs:
-        den = lcm(den, d)
-    out = []
-    for arr, d in pairs:
-        f = den // d
-        bt.guard_bound(1, arr, np.array([f], dtype=np.int64))
-        out.append(arr * f)
-    return out, den
-
-
 class TitsConditions:
     """Outcome of the three closure identities for a slice pair."""
 
@@ -300,60 +204,38 @@ class TitsConditions:
         return "<TitsConditions %s>" % bits
 
 
-def _star_assoc_rows(view):
-    """Flat tables t((x1*x2)x3) for the three cyclic argument shifts."""
-    n = view.n0
-    base = [F0] * (n * n * n)
-    for i1 in range(n):
-        for i2 in range(n):
-            sp = _sparse(view.stab[i1][i2])
-            if not sp:
-                continue
-            off = (i1 * n + i2) * n
-            for i3 in range(n):
-                base[off + i3] = sum((v * view.tform[c][i3] for c, v in sp),
-                                     F0)
-    return [_shift_flat(base, n, 1, s) for s in range(3)]
+def _conditions(t):
+    """The three closure identities of an assembled pair, from one sweep.
 
-
-def _pair_deriv_tensor(view):
-    """Integer tensor of d_{z1*z2, z3} coordinates, shape (n,n,n,nd)."""
-    n, nd = view.n0, len(view.dspan)
-    st_rows = [view.stab[i][j] for i in range(n) for j in range(n)]
-    st_arr, st_s = bt.int_rows(st_rows, width=n)
-    st = st_arr.reshape(n, n, n)
-    dco_rows = []
-    for b in range(n):
-        for k in range(n):
-            if b == k:
-                dco_rows.append(la.zero_vec(nd))
-            elif b < k:
-                dco_rows.append(view.dcoords[(b, k)])
-            else:
-                dco_rows.append([-v for v in view.dcoords[(k, b)]])
-    dc_arr, dc_s = bt.int_rows(dco_rows, width=nd)
-    dc = dc_arr.reshape(n, n, nd)
-    bt.guard_bound(n, st, dc)
-    return np.einsum("ijb,bkc->ijkc", st, dc), st_s * dc_s
-
-
-def _scalar_vector_condition(sview, vview):
-    """One cyclic identity t((z1*z2)z3) paired against d_{w1*w2, w3}."""
-    if sview.n0 == 0 or vview.n0 == 0 or not vview.dspan:
-        return True, None
-    rows = _star_assoc_rows(sview)
-    base, _ = _pair_deriv_tensor(vview)
-    tensors = [_shift4(base, s) for s in range(3)]
-    hit = _split_tensor_vanishes(rows, tensors)
-    if hit is None:
-        return True, None
-    u, v = hit
-    n = sview.n0
-    i12, i3 = divmod(u, n)
-    i1, i2 = divmod(i12, n)
-    j1, j2, j3, _ = np.unravel_index(v, tensors[0].shape)
-    return False, {"scalar": (i1, i2, i3), "vector": (int(j1), int(j2),
-                                                      int(j3))}
+    On three grid elements the Jacobiator has a right-span, a left-span
+    and a grid component, which are the identities (i), (ii) and (iii) on
+    those basis triples.  fastnum.jacobi_defects lists every nonzero
+    component J(p, q, k)_r, p < q < k, in order, so the first one with r
+    in a block is the lex-first failing triple of that identity.  A
+    triple with a span element satisfies Jacobi as long as the spans act
+    by derivations, which the views certify; a defect there raises
+    ArithmeticError.
+    """
+    n, lo, hi = t.alg.dim, t.nD, t.nD + t.ngrid
+    pqk, r = np.divmod(fastnum.jacobi_defects(t.alg), n)
+    pq, k = np.divmod(pqk, n)
+    p, q = np.divmod(pq, n)
+    off = np.flatnonzero((p < lo) | (k >= hi))
+    if len(off):
+        raise ArithmeticError("Jacobi defect off the grid at %s"
+                              % ((int(p[off[0]]), int(q[off[0]]),
+                                  int(k[off[0]])),))
+    ok, wit = {}, {}
+    blocks = {"i": r >= hi, "ii": r < lo, "iii": (r >= lo) & (r < hi)}
+    for c, hit in blocks.items():
+        first = np.flatnonzero(hit)[:1]
+        ok[c] = not len(first)
+        wit[c] = None
+        if len(first):
+            i, j = zip(*(divmod(int(g[first[0]]) - lo, t.y.n0)
+                         for g in (p, q, k)))
+            wit[c] = {"x": i, "y": j}
+    return TitsConditions(ok, wit)
 
 
 def check_tits_conditions(x, y):
@@ -361,89 +243,14 @@ def check_tits_conditions(x, y):
 
     (i) pairs the left star-trace scalars with right pair derivations,
     (ii) mirrors the sides, and (iii) balances the grid-valued terms.
-    Each identity is decided exactly over all basis triples through a
-    rank split: the rational side is reduced to its independent shifts
-    and the matching integer combinations must vanish.  A failing
-    identity comes with a concrete witness triple pair.
+    They are the right-span, left-span and grid components of the
+    Jacobiator of build_tits(x, y) on three grid elements, so one full
+    Jacobi sweep of the assembled algebra decides all three exactly over
+    all basis triples.  A failing identity comes with its lex-first
+    failing grid triple as witness, {"x": (i1, i2, i3), "y": (j1, j2, j3)}
+    for the grid elements x_i1 (x) y_j1, x_i2 (x) y_j2 and x_i3 (x) y_j3.
     """
-    ok, wit = {}, {}
-    ok["i"], w = _scalar_vector_condition(x, y)
-    wit["i"] = None if w is None else {"x": w["scalar"], "y": w["vector"]}
-    ok["ii"], w = _scalar_vector_condition(y, x)
-    wit["ii"] = None if w is None else {"x": w["vector"], "y": w["scalar"]}
-    ok["iii"], wit["iii"] = _grid_condition(x, y)
-    return TitsConditions(ok, wit)
-
-
-def _grid_condition(x, y):
-    nx, ny = x.n0, y.n0
-    if nx == 0 or ny == 0:
-        return True, None
-    # left side rows, exact: pair derivation images, star re-products,
-    # trace-scaled third arguments
-    p1 = [F0] * (nx ** 3 * nx)
-    p2 = [F0] * (nx ** 3 * nx)
-    p3 = [F0] * (nx ** 3 * nx)
-    for i1 in range(nx):
-        for i2 in range(nx):
-            dm = x.dmat(i1, i2)
-            sp = _sparse(x.stab[i1][i2])
-            tv = x.tform[i1][i2]
-            for i3 in range(nx):
-                off = ((i1 * nx + i2) * nx + i3) * nx
-                for a in range(nx):
-                    p1[off + a] = dm[a][i3]
-                for c, v in sp:
-                    row = x.stab[c][i3]
-                    for a in range(nx):
-                        if row[a] != 0:
-                            p2[off + a] += v * row[a]
-                if tv != 0:
-                    p3[off + i3] = tv
-    rows = []
-    for base in (p1, p2, p3):
-        for s in range(3):
-            rows.append(_shift_flat(base, nx, nx, s))
-    # right side tensors, integer: trace-scaled third arguments, star
-    # re-products, pair derivation images
-    tf_rows = [y.tform[j] for j in range(ny)]
-    tf_arr, tf_s = bt.int_rows(tf_rows, width=ny)
-    q1 = np.zeros((ny, ny, ny, ny), dtype=np.int64)
-    for j1 in range(ny):
-        for j2 in range(ny):
-            if tf_arr[j1, j2]:
-                for j3 in range(ny):
-                    q1[j1, j2, j3, j3] = tf_arr[j1, j2]
-    st_rows = [y.stab[i][j] for i in range(ny) for j in range(ny)]
-    st_arr, st_s = bt.int_rows(st_rows, width=ny)
-    st = st_arr.reshape(ny, ny, ny)
-    bt.guard_bound(ny, st, st)
-    q2 = np.einsum("ijc,ckb->ijkb", st, st)
-    dt_rows = []
-    for j1 in range(ny):
-        for j2 in range(ny):
-            dm = y.dmat(j1, j2)
-            for b in range(ny):
-                dt_rows.append(dm[b])
-    dt_arr, dt_s = bt.int_rows(dt_rows, width=ny)
-    # stored as (j1, j2, b, j3); the identity pairs index b with the
-    # output slot, so swap the last two axes
-    q3 = np.ascontiguousarray(
-        dt_arr.reshape(ny, ny, ny, ny).transpose(0, 1, 3, 2))
-    scaled, _ = _common_scale([(q1, tf_s), (q2, st_s * st_s), (q3, dt_s)])
-    tensors = []
-    for base in scaled:
-        for s in range(3):
-            tensors.append(_shift4(base, s))
-    hit = _split_tensor_vanishes(rows, tensors)
-    if hit is None:
-        return True, None
-    u, v = hit
-    i123, _ = divmod(u, nx)
-    i12, i3 = divmod(i123, nx)
-    i1, i2 = divmod(i12, nx)
-    j1, j2, j3, _ = np.unravel_index(v, tensors[0].shape)
-    return False, {"x": (i1, i2, i3), "y": (int(j1), int(j2), int(j3))}
+    return _conditions(build_tits(x, y))
 
 
 # the reductive pair on the grid
@@ -542,7 +349,16 @@ def ly_inside_tits(t):
     D and d, where they are summed.  The result carries the grid weights
     and must agree constant-by-constant with the generic reductive-pair
     extraction, which the tests enforce.
+
+    The pair must satisfy the closure identities (check_tits_conditions),
+    read off one Jacobi sweep of t.alg; otherwise ValueError names the
+    first failing identity and its witness.
     """
+    co = _conditions(t)
+    bad = next((c for c in ("i", "ii", "iii") if not co.ok[c]), None)
+    if bad is not None:
+        raise ValueError("Tits condition (%s) fails at %s: %s is not a Lie "
+                         "algebra" % (bad, co.witnesses[bad], t.alg.name))
     x, y = t.x, t.y
     nx, ny = x.n0, y.n0
     dim = nx * ny
@@ -589,7 +405,7 @@ def build_tkk_row(j, name=""):
     dcoy = _dco_lookup(y)
     stx = [[_sparse(x.stab[i][k]) for k in range(nx)] for i in range(nx)]
     table = {}
-    for (a, b), ent in _span_bracket_coords(y.dspan).items():
+    for (a, b), ent in _span_algebra(y).table.items():
         table[(dofs + a, dofs + b)] = [(dofs + c, v) for c, v in ent]
     for q in range(ndy):
         m = y.dspan[q]
@@ -750,11 +566,8 @@ def tits_module_data(x, y):
     def gi(i, j):
         return i * ny + j
 
-    dalg_x = Algebra(nDx, _span_bracket_coords(x.dspan),
-                     name="Dspan(%s)" % x.tag)
-    dalg_y = Algebra(ndy, _span_bracket_coords(y.dspan),
-                     name="dspan(%s)" % y.tag)
-    h = bt.direct_sum(dalg_x, dalg_y, name="D+d")
+    h = bt.direct_sum(_span_algebra(x, "Dspan(%s)" % x.tag),
+                      _span_algebra(y, "dspan(%s)" % y.tag), name="D+d")
     mats = []
     for p in range(nDx):
         mm = x.dspan[p]

@@ -1,5 +1,6 @@
 """The certified span engine: BatchCoords and independent_rows."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,26 @@ def test_dependent_basis_rows_raise():
         BatchCoords(vecs([1, 2], [2, 4]))
     with pytest.raises(ValueError):
         BatchCoords([{"x": F(1)}, {"x": F(-3)}])
+
+
+def test_echelon_is_reduced_and_transforms_the_basis():
+    # R = T B with the identity at the pivot columns; dependent rows raise
+    rng = random.Random(7)
+    dependent = 0
+    for _ in range(60):
+        nb, width = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[F(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
+                 for _ in range(width)] for _ in range(nb)]
+        if la.rank(rows) < nb:
+            dependent += 1
+            with pytest.raises(ValueError):
+                BatchCoords(rows)
+            continue
+        eng = BatchCoords(rows)
+        assert la.mat_mul(eng.t, rows) == eng.r
+        assert [[row[p] for p in eng.piv] for row in eng.r] == la.eye(nb)
+        assert eng.piv == sorted(eng.piv)
+    assert 0 < dependent < 60
 
 
 def test_selection_is_greedy_over_zero_and_repeated_rows():

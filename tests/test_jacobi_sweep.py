@@ -16,6 +16,7 @@ from scipy import sparse
 
 from lyalg import fastnum
 from lyalg.algebra import Algebra
+from lyalg.checks import jacobi_defect
 from lyalg.compjordan import (build_composition, build_jordan,
                               trace_admissible_view)
 from lyalg.envelope import build_enveloping
@@ -155,8 +156,9 @@ def test_defect_reached_only_through_the_lower_half_of_a_block(sweep):
     for budget in (1, 1 << 16):
         assert sweep(g, budget) == (0, 1, 2)
     st = fastnum._SweepTables(scaled(g))
-    assert fastnum._jacobi_block(st, 0, 1) == (0, 1, 2)
-    assert fastnum._jacobi_block(st, 1, 4) is None
+    # J(0, 1, 2)_3 is the code ((0 n + 1) n + 2) n + 3 = 27 at n = 4
+    assert fastnum._jacobi_block(st, 0, 1).tolist() == [27]
+    assert fastnum._jacobi_block(st, 1, 4).tolist() == []
 
 
 def test_sweep_witness_is_sorted_for_every_orientation(sweep):
@@ -178,3 +180,38 @@ def test_sweep_refuses_constants_beyond_the_int64_bound():
         jacobi_violation(g)
     ok = Algebra(3, {(0, 1): [(2, F(1 << 29))]})
     assert jacobi_violation(ok) is None
+
+
+# ---------------------------------------------------------------- all defects
+
+def jacobi_components_naive(alg: Algebra):
+    """Codes ((p n + q) n + k) n + r of every nonzero J(p, q, k)_r with
+    p < q < k, from the triple loop."""
+    n = alg.dim
+    return [((p * n + q) * n + k) * n + r
+            for p in range(n) for q in range(p + 1, n) for k in range(q + 1, n)
+            for r, c in enumerate(jacobi_defect(alg, p, q, k)) if c]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_defects_list_every_nonzero_component(monkeypatch, budget):
+    monkeypatch.setattr(fastnum, "SWEEP_BLOCK", budget)
+    g = _tits("K", "K")
+    rng = random.Random(5)
+    failing = 0
+    for h in [g] + [perturbed(g, rng) for _ in range(3)]:
+        codes = fastnum.jacobi_defects(h)
+        assert codes.tolist() == jacobi_components_naive(h)
+        assert h._cache["jacobi"] == jacobi_violation_reference(h)
+        failing += len(codes) > 0
+    assert failing
+
+
+def test_defects_refuse_constants_beyond_the_int64_bound():
+    g = Algebra(3, {(0, 1): [(2, F(1 << 30))]})
+    with pytest.raises(OverflowError):
+        fastnum.jacobi_defects(g)
+    assert "jacobi" not in g._cache
+    ok = Algebra(3, {(0, 1): [(2, F(1 << 29))]})
+    assert fastnum.jacobi_defects(ok).tolist() == []
+    assert ok._cache["jacobi"] is None

@@ -8,7 +8,7 @@ import pytest
 from lyalg import io
 from lyalg import linalg as la
 from lyalg import roots
-from lyalg.algebra import Algebra
+from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.buildtools import BatchCoords, direct_sum
 from lyalg.checks import check_ly
 from lyalg.cli import main
@@ -19,7 +19,7 @@ from lyalg.invariants import _grading_blocks
 from lyalg.matrixalg import build_matrix_lie, lts_orthosymplectic_sum, split_sym_form
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
-from lyalg.tits import build_tits
+from lyalg.tits import _grid_pair_entries, _kronecker_ternary, build_tits
 
 fr = Fraction
 
@@ -195,12 +195,24 @@ def test_cli_classify_refuses_a_non_split_envelope(tmp_path, capsys):
 
 
 def q_jv3_ly():
-    """The LY algebra inside T(Q, JV(3)); the pair fails Tits condition
-    (iii), so its 15-dim envelope is not a Lie algebra."""
-    from lyalg.tits import ly_inside_tits
-
-    return ly_inside_tits(build_tits(trace_admissible_view(build_composition("Q")),
-                                     trace_admissible_view(build_jordan("JV(3)"))))
+    """The grid products of T(Q, JV(3)) as an LY algebra.  The pair fails
+    Tits condition (iii), so ly_inside_tits refuses it and its 15-dim
+    envelope is not a Lie algebra; the same binary and ternary tables,
+    labels and weights are assembled here from ly_inside_tits' parts."""
+    x = trace_admissible_view(build_composition("Q"))
+    y = trace_admissible_view(build_jordan("JV(3)"))
+    ny = y.n0
+    binary = {}
+    for i, j, k, l, _, grid_ent, _ in _grid_pair_entries(x, y):
+        ent = sorted((a * ny + b, v) for (a, b), v in grid_ent)
+        if ent:
+            binary[(i * ny + j, k * ny + l)] = ent
+    ly = LYAlgebra(x.n0 * ny, binary, _kronecker_ternary(x, y),
+                   labels=["x%d*y%d" % (i, j)
+                           for i in range(x.n0) for j in range(ny)],
+                   name="ly-inside-tits(Q,JV(3))")
+    ly.weights = [wx + wy for wx in x.weights for wy in y.weights]
+    return ly
 
 
 def test_saturate_refuses_a_non_lie_envelope_with_its_jacobi_witness():

@@ -10,6 +10,7 @@ and the 2x2 row over H_n(K) must come out as sl(2n).
 
 import hashlib
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +27,8 @@ from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sp_tensor_sym, sl_ops,
                              split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (_grid_pair_entries, assemble_bracket,
-                        bracket_transport_equal, build_tits,
+from lyalg.tits import (TitsAlgebra, _conditions, _grid_pair_entries,
+                        assemble_bracket, bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
                         form_pair_module_data, ly_inside_tits, magic_square,
                         solve_equivariant_bracket, tensor_action,
@@ -105,6 +106,79 @@ def test_conditions_fail_octonion_degree_four():
     assert co.witnesses["iii"] is not None
     # the associative row stays a Lie algebra at any degree
     assert check_tits_conditions(cview("Q"), y4).passed()
+
+
+_VIEWS = {}
+
+
+def view(spec):
+    """Cached trace-zero view of a composition kind or a Jordan spec."""
+    if spec not in _VIEWS:
+        _VIEWS[spec] = cview(spec) if spec in "kKQO" else jview(spec)
+    return _VIEWS[spec]
+
+
+# (left, right) ingredient pairs: every square cell and six more pass the
+# closure identities; the last six fail (iii) alone
+PASSING_PAIRS = ([(cx, "H3(%s)" % cy) for cx in "kKQO" for cy in "kKQO"]
+                 + [("K", "H4(K)"), ("Q", "H4(K)"), ("Q", "H4(Q)"),
+                    ("JV(3)", "JV(5)"), ("K", "JV(3)"), ("H3(k)", "Q")])
+FAILING_PAIRS = [("O", "H4(K)"), ("O", "H4(Q)"), ("Q", "JV(3)"),
+                 ("O", "JV(5)"), ("JV(3)", "H3(k)"), ("JV(5)", "O")]
+
+
+@pytest.mark.parametrize("xs, ys", PASSING_PAIRS + FAILING_PAIRS)
+def test_conditions_verdicts_over_the_pair_catalog(xs, ys):
+    x, y = view(xs), view(ys)
+    co = check_tits_conditions(x, y)
+    fails = (xs, ys) in FAILING_PAIRS
+    assert co.ok == {"i": True, "ii": True, "iii": not fails}
+    assert co.witnesses["i"] is None and co.witnesses["ii"] is None
+    t = build_tits(x, y)
+    if not fails:
+        assert co.witnesses["iii"] is None
+        assert jacobi_violation(t.alg) is None
+        return
+    # the lex-first failing triple of the sweep is the (iii) witness
+    w = co.witnesses["iii"]
+    assert jacobi_violation(t.alg) == tuple(
+        t.grid_index(i, j) for i, j in zip(w["x"], w["y"]))
+
+
+@pytest.mark.parametrize("xs, ys", [("Q", "JV(3)"), ("O", "JV(5)")])
+def test_ly_inside_tits_refuses_a_failing_pair(xs, ys):
+    t = build_tits(view(xs), view(ys))
+    with pytest.raises(ValueError, match=r"\(iii\) fails") as err:
+        ly_inside_tits(t)
+    w = check_tits_conditions(view(xs), view(ys)).witnesses["iii"]
+    assert str(w) in str(err.value)
+
+
+@pytest.mark.parametrize("target, cond", [(0, "ii"), (2, "iii"), (4, "i")])
+def test_conditions_name_the_block_of_the_defect(target, cond):
+    # e0 spans the left derivations, e1..e3 the grid x0 (x) y0..y2 and e4
+    # the right ones; J(1, 2, 3) = [e1, e3] + [[e3, e1], e2] = e_target
+    # is the one defect
+    alg = Algebra(5, {(1, 2): [(1, F(1))], (1, 3): [(target, F(1))]})
+    t = TitsAlgebra(alg, SimpleNamespace(dspan=[None], n0=1),
+                    SimpleNamespace(dspan=[None], n0=3))
+    co = _conditions(t)
+    assert co.ok == {c: c != cond for c in ("i", "ii", "iii")}
+    assert co.witnesses[cond] == {"x": (0, 0, 0), "y": (0, 1, 2)}
+    assert jacobi_violation(alg) == (1, 2, 3)
+
+
+def test_conditions_refuse_a_defect_off_the_grid():
+    # doubling one left-span commutator breaks Jacobi on span triples,
+    # which no closure identity covers
+    t = build_tits(cview("Q"), jview("H3(k)"))
+    table = dict(t.alg.table)
+    key = min(k for k in table if k[1] < t.nD)
+    table[key] = [(c, 2 * v) for c, v in table[key]]
+    t.alg = Algebra(t.alg.dim, table)
+    assert jacobi_violation(t.alg)[2] < t.nD
+    with pytest.raises(ArithmeticError, match="off the grid"):
+        _conditions(t)
 
 
 def test_ly_inside_octonion_row_small():
