@@ -186,36 +186,6 @@ class LYAlgebra:
             return self.ternary.get((i, j, k), [])
         return [(l, -c) for l, c in self.ternary.get((j, i, k), [])]
 
-    def binary_vec(self, x: Vec, y: Vec) -> Vec:
-        out = [F0] * self.dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0 or i == j:
-                    continue
-                ab = a * b
-                for k, c in self.b(i, j):
-                    out[k] += ab * c
-        return out
-
-    def ternary_vec(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        out = [F0] * self.dim
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0 or i == j:
-                    continue
-                ab = a * b
-                for k, c in enumerate(z):
-                    if c == 0:
-                        continue
-                    abc = ab * c
-                    for l, d in self.t(i, j, k):
-                        out[l] += abc * d
-        return out
-
     def nnz(self) -> tuple[int, int]:
         return (sum(len(v) for v in self.binary.values()),
                 sum(len(v) for v in self.ternary.values()))

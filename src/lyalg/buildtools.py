@@ -1,8 +1,10 @@
 """Shared machinery for turning concrete operator models into Algebra objects.
 
-BatchCoords is the one certified span engine of the package: every exact
-coordinate in a fixed span, and every choice of independent rows, is
-computed here.  Its guarantees:
+BatchCoords is the certified span engine for rows given as Fractions:
+exact coordinates in a fixed span, and the choice of independent rows,
+are computed here (the inner maps of the enveloping algebra and of g(T),
+which come as integer data, go through envelope.class_bases instead).
+Its guarantees:
 
 * the basis rows are dense Fraction lists, or sparse dicts with any
   hashable keys; a sparse query with a nonzero entry at a key outside
@@ -23,23 +25,27 @@ computed here.  Its guarantees:
   equations using p-adic expansions", Numer. Math. 1982, for the
   pattern of a modular proposal with an exact check).
 
-sp_commutators forms every pairwise commutator of a list of sparse
-matrices in one guarded int64 sparse product; the enveloping algebra,
-g(T) and operator_algebra_from_basis take their commutators from it.
+int_commutators forms every pairwise commutator of a list of integer
+sparse matrices in one guarded int64 sparse product; the class bases of
+the enveloping algebra and of g(T) (envelope.class_bases) take their
+commutators from it, and operator_algebra_from_basis through the
+Fraction wrapper sp_commutators.  int_values clears a sequence of
+Fractions to int64 with one common denominator.
 operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
 abstract Algebra with exact structure constants; all commutator
 coordinates come from one batch, whose reconstruction check is the
 closure certificate.  The eigensplit helpers refine a basis so that a
 chosen torus acts diagonally, which the construction modules use before
-freezing structure constants.
+freezing structure constants; their rational roots come from exact
+Horner checks, and sympy is imported only to name an irrational factor.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 import numpy as np
-import sympy
 from scipy import sparse
 
 from . import fastnum
@@ -87,6 +93,23 @@ def sp_commutator(a: SpMat, b: SpMat) -> SpMat:
 INT64_GUARD = 1 << 62
 
 
+def int_values(coeffs) -> tuple[np.ndarray, int]:
+    """Clear the denominators of a sequence of rationals at once: returns
+    the int64 array of the values times S, and S, their least common
+    denominator.  Refuses (OverflowError) a value or an S that does not
+    fit the int64 batch path."""
+    num = np.fromiter(map(attrgetter("numerator"), coeffs), np.int64, len(coeffs))
+    den = np.fromiter(map(attrgetter("denominator"), coeffs), np.int64, len(coeffs))
+    s = lcm(*np.unique(den).tolist())
+    if s >= INT64_GUARD:
+        raise OverflowError("denominators do not fit the int64 batch path")
+    mult = s // den
+    lim = (INT64_GUARD - 1) // mult
+    if ((num > lim) | (num < -lim)).any():
+        raise OverflowError("entry does not fit the int64 batch path")
+    return num * mult, s
+
+
 def int_rows(rows, width: int | None = None):
     """Clear denominators of rational rows into (int64 array, scale).
 
@@ -98,10 +121,7 @@ def int_rows(rows, width: int | None = None):
     if rows and not isinstance(rows[0], dict):
         width = len(rows[0])
     ent = [(i, j, v) for i, row in enumerate(rows) for j, v in items(row) if v]
-    s = lcm(*(v.denominator for _, _, v in ent))
-    vals = [v.numerator * (s // v.denominator) for _, _, v in ent]
-    if vals and max(map(abs, vals)) >= INT64_GUARD:
-        raise OverflowError("entry does not fit the int64 batch path")
+    vals, s = int_values([v for _, _, v in ent])
     arr = np.zeros((len(rows), width or 0), dtype=np.int64)
     if ent:
         arr[[i for i, _, _ in ent], [j for _, j, _ in ent]] = vals
@@ -117,26 +137,16 @@ def guard_bound(terms: int, *arrs):
         raise OverflowError("integer batch would overflow int64")
 
 
-def sp_commutators(maps: list[SpMat], n: int):
-    """Every nonzero commutator [maps[s], maps[t]], s < t, in (s, t) order,
-    of sparse maps on an n-dimensional space.
+def int_commutators(ms, ml, mk, vals, b: int, n: int):
+    """Every nonzero entry of the commutators [A_s, A_t], s < t, of b
+    integer sparse maps on an n-dimensional space.
 
-    The maps are cleared of denominators once, and all products come from
-    one guarded int64 sparse product: block (s, t) of vstack(A) @ hstack(A)
-    is A_s A_t.  Returns the pairs and their commutators as SpMats, with
-    one Fraction per distinct value.  OverflowError if an entry or a
-    product does not fit int64.
+    Entry e of the maps is vals[e] at (ml[e], mk[e]) of A_{ms[e]}, every
+    position at most once.  All products come from one guarded int64
+    sparse product: block (s, t) of vstack(A) @ hstack(A) is A_s A_t.
+    Returns (pair, lk, v), sorted: v at lk = l n + k of [A_s, A_t] with
+    pair = s b + t.  OverflowError if a product does not fit int64.
     """
-    b = len(maps)
-    ent = [(s, l, k, v) for s, m in enumerate(maps) for (l, k), v in m.items()]
-    if not ent:
-        return [], []
-    sc = lcm(*(v.denominator for *_, v in ent))
-    nums = [v.numerator * (sc // v.denominator) for *_, v in ent]
-    if max(map(abs, nums)) >= INT64_GUARD:
-        raise OverflowError("entry does not fit the int64 batch path")
-    ms, ml, mk = np.array([e[:3] for e in ent], dtype=np.int64).T
-    vals = np.array(nums, dtype=np.int64)
     guard_bound(n, vals, vals)
     stacked = sparse.csr_array((vals, (ms * n + ml, mk)), shape=(b * n, n))
     side = sparse.csr_array((vals, (ml, ms * n + mk)), shape=(n, b * n))
@@ -155,7 +165,25 @@ def sp_commutators(maps: list[SpMat], n: int):
     code, v = code[first], np.add.reduceat(v, first)
     nz = v != 0
     pair, lk = np.divmod(code[nz], n * n)
-    v = v[nz].tolist()
+    return pair, lk, v[nz]
+
+
+def sp_commutators(maps: list[SpMat], n: int):
+    """Every nonzero commutator [maps[s], maps[t]], s < t, in (s, t) order,
+    of sparse maps on an n-dimensional space, through int_commutators.
+
+    Returns the pairs and their commutators as SpMats, with one Fraction
+    per distinct value.  OverflowError if an entry or a product does not
+    fit int64.
+    """
+    b = len(maps)
+    ent = [(s, l, k) for s, m in enumerate(maps) for (l, k) in m]
+    if not ent:
+        return [], []
+    vals, sc = int_values([v for m in maps for v in m.values()])
+    ms, ml, mk = np.array(ent, dtype=np.int64).T
+    pair, lk, v = int_commutators(ms, ml, mk, vals, b, n)
+    v = v.tolist()
     frac = {x: Fraction(x, sc * sc) for x in set(v)}
     entries = list(zip(zip(*(x.tolist() for x in np.divmod(lk, n))),
                        map(frac.__getitem__, v)))
@@ -445,21 +473,58 @@ class IrrationalRoot(ArithmeticError):
         self.factor = factor
 
 
+def _horner(coeffs, x):
+    """Quotient and remainder of the division by (X - x), leading first."""
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + x * out[-1])
+    return out[:-1], out[-1]
+
+
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots with multiplicity; raises IrrationalRoot if any
-    root is not rational (the polynomial must split over the rationals)."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
-                          * x ** (len(coeffs) - 1 - i)
-                          for i, c in enumerate(coeffs)), x)
-    out = []
-    const, factors = poly.factor_list()
-    for fac, mult in factors:
-        if fac.degree() != 1:
-            raise IrrationalRoot(fac)
-        a, b = fac.all_coeffs()
-        root = -Fraction(b.p, b.q) / Fraction(a.p, a.q)
-        out.extend([root] * mult)
+    root is not rational (the polynomial must split over the rationals).
+
+    With the denominators cleared, the leading coefficient a is an
+    integer and a r is an integer for every rational root r.  So the
+    floating-point roots, scaled by a and rounded, give the candidates;
+    each is confirmed by exact Horner evaluation, and every confirmed root
+    is divided out as often as it divides.  Only a factor left over (an
+    irrational root, or a rational one the floating-point step missed)
+    goes to sympy, whose first irreducible factor of degree above one is
+    the witness.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    lead = abs(ints[0])
+    try:
+        approx = np.roots([float(c) for c in ints])
+    except (OverflowError, np.linalg.LinAlgError):
+        approx = []
+    rest, out = [Fraction(c) for c in coeffs], []
+    cands = {round(lead * z.real) for z in approx if np.isfinite(z)}
+    for cand in sorted(Fraction(c, lead) for c in cands):
+        quo, rem = _horner(rest, cand)
+        while len(rest) > 1 and rem == 0:
+            rest = quo
+            out.append(cand)
+            quo, rem = _horner(rest, cand)
+    if len(rest) > 1:
+        import sympy
+        # over ZZ (primitive factors) when the input was integral, as a
+        # Poly of the input itself would be, else over QQ (monic factors)
+        if den == 1:
+            rest = [c * lcm(*(c.denominator for c in rest)) for c in rest]
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                              * x ** (len(rest) - 1 - i)
+                              for i, c in enumerate(rest)), x,
+                          domain="ZZ" if den == 1 else "QQ")
+        for fac, mult in poly.factor_list()[1]:
+            if fac.degree() != 1:
+                raise IrrationalRoot(fac)
+            a, b = fac.all_coeffs()
+            out.extend([-Fraction(b.p, b.q) / Fraction(a.p, a.q)] * mult)
     return sorted(out)
 
 

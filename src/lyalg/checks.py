@@ -4,15 +4,16 @@ check_lie verifies the Jacobi identity exactly through the full sweep of
 fastnum.jacobi_violation, which sums every Jacobiator component once over
 the sorted triples p < q < k and memoises its verdict on the algebra.
 check_ly verifies the six defining identities of a binary-ternary system.
-The two quadratic binary identities and the four mixed ones are checked
-through the same sweep on the formally built enveloping algebra (see
-envelope.py), whose verdict stays memoised on the envelope; a defect
-found by the sweep is attributed to its axiom by which component of which
-pair type it lives in, and the reported witness is then re-derived by a
-direct lexicographic scan of that axiom so the "first violating tuple"
-contract holds independently of sweep order.  The per-tuple defects
-(jacobi_defect, ly3_defect to ly6_defect) are the axioms as written;
-the naive triple loop over jacobi_defect lives with the tests.
+LY1 and LY2 hold by storage.  LY3 to LY6 are checked together through
+the same sweep on the formally built enveloping algebra (see
+envelope.py), whose verdict stays memoised on the envelope: a clean
+sweep passes all four.  When the sweep finds a defect, or the envelope
+cannot close (LYStructureError), the sweep does not say which axiom
+failed, so each of LY3 to LY6 gets a direct lexicographic scan, which
+gives its verdict and its first violating tuple independently of sweep
+order.  The per-tuple defects (jacobi_defect, ly3_defect to ly6_defect)
+are the axioms as written; the naive triple loop over jacobi_defect
+lives with the tests.
 """
 
 from __future__ import annotations

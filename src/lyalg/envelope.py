@@ -7,30 +7,47 @@ The enveloping construction puts the span of the inner maps D(x, y) =
     [D, x]   = D x,
     [x, y]   = D(x, y) + x.y .
 
-The inner maps are read off the ternary table in one pass (inner_maps).
-Everything is exact, and all span work goes through the certified engine
-of buildtools, one weight class of maps at a time.  independent_rows
-picks the first independent generators of each class; its mod-p proposal
-corrects itself (a generator the prime wrongly dropped joins the set and
-the exact check repeats), so there is no retry at the next prime.  Every
-generator and every commutator is then re-expressed in the chosen maps
-with exact coordinates that are verified entry by entry.  The h-h block
-is one integer batch: the chosen maps are cleared of denominators once,
-every pairwise product comes from one guarded int64 sparse product, and
-only the nonzero commutators go on to the coordinate batches (an entry
-or product too large for int64 raises OverflowError).  A commutator
-that fails to lie in the span is a genuine sixth-axiom failure and is
-reported as such, never papered over.
+Everything is exact, and the h-block is built from integers.  The
+ternary table is read once into int64 arrays: D(e_i, e_j) is the sparse
+row with the coefficient of e_l in [e_i, e_j, e_k] at column l n + k,
+and all values carry one common denominator.  class_bases then works
+one weight class of maps at a time (np.unique groups them):
+
+* a mod-p elimination pass proposes the first independent maps of the
+  class, in pair order;
+* one exact check certifies the proposal.  The pivot minor M of the
+  chosen maps C is inverted once (d M^-1 is integral); every other map A
+  of the class gets X = A[:, piv] (d M^-1), and X C == d A must hold in
+  guarded int64.  A map outside the span joins the set, a map that needs
+  a later chosen map replaces the last one it needs (exchange lemma),
+  and the check repeats, so a bad prime costs a retry, never a wrong
+  answer (Dixon, "Exact solution of linear equations using p-adic
+  expansions", Numer. Math. 1982, for the pattern);
+* the commutators of the chosen maps come from one guarded int64 sparse
+  product (buildtools.int_commutators), and the same per-class solver
+  gives their coordinates.  A commutator outside its class span is a
+  genuine sixth-axiom failure, reported as LYStructureError("LY6",
+  pair), never papered over.
+
+An entry, scale or product that does not fit int64 raises OverflowError.
+symplectic.build_g_of_T runs the same engine on the inner maps of a
+symplectic triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import itemgetter
 
+import numpy as np
+
+from . import fastnum
 from .algebra import Algebra, LYAlgebra, Sparse
-from .buildtools import (BatchCoords, OutsideSpan, SpMat, independent_rows,
-                         sp_commutators)
+from .buildtools import (INT64_GUARD, NotClosedError, OutsideSpan, guard_bound,
+                         int_commutators, int_values)
 from .linalg import F0, Vec, inv as mat_inv, mat_vec
 
 
@@ -43,60 +60,235 @@ class LYStructureError(Exception):
         super().__init__(f"{axiom} fails at {witness}")
 
 
-def inner_maps(ly: LYAlgebra) -> dict[tuple[int, int], SpMat]:
-    """Every inner map D(i, j) = [e_i, e_j, .], i < j, from one pass over
-    the ternary table; entry (l, k) is the coefficient of e_l in D(i, j) e_k."""
-    n = ly.dim
-    ops: dict[tuple[int, int], SpMat] = {(i, j): {} for i in range(n)
-                                         for j in range(i + 1, n)}
-    for (i, j, k), ent in ly.ternary.items():
-        op = ops[(i, j)]
-        for l, c in ent:
-            op[(l, k)] = c
-    return ops
+def pair_classes(weights, i, j):
+    """Weight classes of the pairs (i[t], j[t]) by their weight sums.
 
-
-def class_bases(mats: list[SpMat], keys: list[tuple]):
-    """Per weight class, the first independent maps in the given order.
-
-    Returns (engines, chosen, coords): engines[key] is a BatchCoords on
-    the chosen maps of class key, chosen[key] their positions in mats,
-    and coords[i] the coordinates of mats[i] over chosen[keys[i]].
+    Returns (cls, keys): keys lists the distinct sums in sorted order, as
+    integer tuples (the weights times one common denominator), and cls[t]
+    is the position in keys of pair t.  Without weights all pairs are in
+    one class.
     """
-    classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
-    engines, chosen, coords = {}, {}, [None] * len(mats)
-    for key, idx in classes.items():
-        sel, engines[key], co = independent_rows([mats[i] for i in idx])
-        chosen[key] = [idx[s] for s in sel]
-        for i, c in zip(idx, co):
-            coords[i] = c
-    return engines, chosen, coords
+    rank = len(weights[0]) if weights else 0
+    if not rank:
+        return np.zeros(len(i), dtype=np.int64), [()] if len(i) else []
+    w = int_values([x for wt in weights for x in wt])[0].reshape(-1, rank)
+    keys, cls = np.unique(w[i] + w[j], axis=0, return_inverse=True)
+    return cls.reshape(-1), [tuple(k) for k in keys.tolist()]
 
 
-def class_coords(engines: dict, queries: list[tuple[tuple, SpMat]]):
-    """Coordinates of (key, map) queries in the span of their class.
+class _Span:
+    """Exact coordinates in the span of independent integer rows c over
+    the column codes cols.
 
-    One coords_rows batch per class.  Raises OutsideSpan with the position
-    of the first query that is outside its class span.
+    piv are columns with an invertible minor M = c[:, piv] (found mod a
+    prime), and minv = d M^-1 is integral.  A row q in the span has the
+    coordinates q[:, piv] M^-1, so x = q[:, piv] minv is d times them,
+    and q is in the span exactly when x c == d q.
     """
-    byclass: dict[tuple, list[int]] = {}
-    for q, (key, _) in enumerate(queries):
-        byclass.setdefault(key, []).append(q)
-    out, bad = [None] * len(queries), []
-    for key, qs in byclass.items():
-        try:
-            co = (engines.get(key) or BatchCoords([])).coords_rows(
-                [queries[q][1] for q in qs])
-        except OutsideSpan as e:
-            bad.append(qs[e.index])
+
+    def __init__(self, c: np.ndarray, cols: np.ndarray):
+        r = len(c)
+        for p in fastnum.PRIMES20 + fastnum.PRIMES:
+            piv = fastnum.rref_mod(c, p)[1]
+            if len(piv) == r:
+                break
+        else:
+            raise ArithmeticError("chosen rows are dependent")
+        inv = mat_inv(c[:, piv].tolist())
+        d = lcm(*(x.denominator for row in inv for x in row))
+        minv = [[x.numerator * (d // x.denominator) for x in row] for row in inv]
+        if max(d, *(abs(x) for row in minv for x in row)) >= INT64_GUARD:
+            raise OverflowError("pivot inverse does not fit the int64 batch path")
+        self.c, self.cols, self.piv, self.d = c, cols, piv, d
+        self.minv = np.array(minv, dtype=np.int64)
+
+    def solve(self, q: np.ndarray):
+        """(x, bad): x = d times the coordinates of the rows of q, valid
+        where bad is False; bad marks the rows outside the span."""
+        r = len(self.piv)
+        qp = q[:, self.piv]
+        guard_bound(r, qp, self.minv)
+        x = qp @ self.minv
+        guard_bound(r, x, self.c)
+        guard_bound(self.d, q)
+        return x, (x @ self.c != self.d * q).any(axis=1)
+
+
+def _class_basis(a: np.ndarray, cols: np.ndarray):
+    """The first independent rows of an integer matrix over the column
+    codes cols, exactly certified.
+
+    Returns (span, chosen, x): a _Span on the chosen rows, their indices,
+    and x with row i = span.d times the coordinates of row i of a.
+    """
+    chosen = fastnum.rref_mod(a.T, fastnum.PRIMES20[0])[1]
+    while True:
+        span = _Span(a[chosen], cols)
+        rest = np.setdiff1d(np.arange(len(a)), chosen)
+        x, bad = span.solve(a[rest])
+        if bad.any():
+            chosen = sorted(chosen + [int(rest[np.argmax(bad)])])
             continue
-        for q, c in zip(qs, co):
-            out[q] = c
-    if bad:
-        raise OutsideSpan(min(bad))
-    return out
+        late = ((x != 0) & (np.array(chosen) > rest[:, None])).any(axis=1)
+        if not late.any():
+            break
+        k = int(np.argmax(late))
+        out = chosen[int(np.flatnonzero(x[k])[-1])]
+        chosen = sorted([j for j in chosen if j != out] + [int(rest[k])])
+    full = np.zeros((len(a), len(chosen)), dtype=np.int64)
+    full[rest] = x
+    full[chosen, np.arange(len(chosen))] = span.d
+    return span, chosen, full
+
+
+def _dense(row, code, val, nrows: int, cols: np.ndarray):
+    """Rows of sparse entries as a dense block over the columns cols;
+    bad marks the rows with an entry outside cols."""
+    pos = np.minimum(np.searchsorted(cols, code), len(cols) - 1)
+    inside = cols[pos] == code
+    out = np.zeros((nrows, len(cols)), dtype=np.int64)
+    out[row[inside], pos[inside]] = val[inside]
+    bad = np.zeros(nrows, dtype=bool)
+    bad[row[~inside]] = True
+    return out, bad
+
+
+def _sparse_rows(x: np.ndarray, slots: np.ndarray, mult: int, den: int):
+    """Row r of x mult / den as sparse (slots[t], Fraction) entries."""
+    r, t = np.nonzero(x)
+    v = x[r, t].tolist()
+    frac = {u: Fraction(u * mult, den) for u in set(v)}
+    ent = list(zip(slots[t].tolist(), map(frac.__getitem__, v)))
+    cut = np.searchsorted(r, np.arange(len(x) + 1)).tolist()
+    return [ent[a:z] for a, z in zip(cut, cut[1:])]
+
+
+def _groups(cls, row, nclass: int):
+    """Entries sorted by the class of their row, then by row, and the
+    slice bounds of every class."""
+    o = np.lexsort((row, cls[row]))
+    return o, np.searchsorted(cls[row[o]], np.arange(nclass + 1))
+
+
+@dataclass
+class ClassBases:
+    """The certified bases of class_bases and the solver on their spans.
+
+    chosen[c] are the first independent maps of class c, in map order;
+    basis lists every chosen map in the order of the coordinates, and
+    slot[g] is the position of map g in basis (-1 if not chosen);
+    gen_coords[g] are the coordinates of map g over basis, as sparse
+    (position, Fraction) entries.  entries holds the maps as given.
+    """
+    scale: int
+    keys: list[tuple]
+    cls: np.ndarray
+    spans: list[_Span]
+    chosen: list[list[int]]
+    basis: list[int]
+    slot: np.ndarray
+    gen_coords: list[Sparse]
+    entries: tuple
+
+    def coords(self, qcls, row, code, val, qscale: int) -> list[Sparse]:
+        """Coordinates over basis of query maps given like the generators
+        (query q of class qcls[q], -1 for none; values scaled by qscale).
+
+        Raises OutsideSpan for the first query outside its class span.
+        """
+        out = [[] for _ in qcls]
+        # shifted by one, so the queries of no class come first
+        o, bounds = _groups(qcls + 1, row, len(self.keys) + 1)
+        bad = []
+        for c in range(-1, len(self.keys)):
+            a, z = bounds[c + 1], bounds[c + 2]
+            if a == z:
+                continue
+            qs, r = np.unique(row[o[a:z]], return_inverse=True)
+            if c < 0:
+                bad.extend(qs.tolist())
+                continue
+            span = self.spans[c]
+            q, miss = _dense(r, code[o[a:z]], val[o[a:z]], len(qs), span.cols)
+            x, wrong = span.solve(q)
+            bad.extend(qs[miss | wrong].tolist())
+            for k, ent in zip(qs.tolist(), _sparse_rows(
+                    x, self.slot[self.chosen[c]], self.scale, qscale * span.d)):
+                out[k] = ent
+        if bad:
+            raise OutsideSpan(min(bad))
+        return out
+
+    def brackets(self, n: int):
+        """The nonzero commutators [basis[s], basis[t]], s < t, of the basis
+        maps on an n-dimensional space (column code l n + k), as the pairs
+        (s, t) and their coordinates over basis.  Raises NotClosedError
+        with the first pair, in (s, t) order, outside its class span."""
+        gen, code, val = self.entries
+        b = len(self.basis)
+        s = self.slot[gen]
+        keep = s >= 0
+        l, k = np.divmod(code[keep], n)
+        pair, lk, v = int_commutators(s[keep], l, k, val[keep], b, n)
+        pairs, row = np.unique(pair, return_inverse=True)
+        st = [divmod(p, b) for p in pairs.tolist()]
+        index = {key: c for c, key in enumerate(self.keys)}
+        bcls = self.cls[self.basis]
+        qcls = np.array([index.get(tuple(map(sum, zip(self.keys[bcls[a]],
+                                                      self.keys[bcls[t]]))), -1)
+                         for a, t in st], dtype=np.int64)
+        try:
+            return st, self.coords(qcls, row, lk, v, self.scale ** 2)
+        except OutsideSpan as e:
+            raise NotClosedError(st[e.index]) from None
+
+
+def class_bases(gen, code, val, scale: int, cls, keys,
+                by_class: bool = True) -> ClassBases:
+    """The first independent maps of every weight class, exactly certified.
+
+    Map g is the sparse integer row with value val[e] at column code[e]
+    for every entry e with gen[e] == g (a column at most once), all values
+    scaled by `scale`; it is nonzero, and cls[g] is its class among keys
+    (pair_classes).  The basis lists the chosen maps class by class, or
+    in map order when by_class is False.
+    """
+    o, bounds = _groups(cls, gen, len(keys))
+    gen, code, val = gen[o], code[o], val[o]
+    spans, chosen, xs = [], [], []
+    for c in range(len(keys)):
+        a, z = bounds[c], bounds[c + 1]
+        maps, row = np.unique(gen[a:z], return_inverse=True)
+        cols = np.unique(code[a:z])
+        block = _dense(row, code[a:z], val[a:z], len(maps), cols)[0]
+        span, sel, x = _class_basis(block, cols)
+        spans.append(span)
+        chosen.append(maps[sel].tolist())
+        xs.append((maps, x))
+    basis = [g for ch in chosen for g in ch]
+    if not by_class:
+        basis.sort()
+    slot = np.full(len(cls), -1)
+    slot[basis] = np.arange(len(basis))
+    gen_coords = [None] * len(cls)
+    for (maps, x), span, ch in zip(xs, spans, chosen):
+        for g, ent in zip(maps.tolist(), _sparse_rows(x, slot[ch], 1, span.d)):
+            gen_coords[g] = ent
+    return ClassBases(scale, keys, cls, spans, chosen, basis, slot,
+                      gen_coords, (gen, code, val))
+
+
+def _inner_map_entries(ly: LYAlgebra):
+    """The ternary table as int64 arrays: val / scale is the coefficient of
+    e_l in [e_i, e_j, e_k], at pair i n + j and column l n + k."""
+    tern, n = ly.ternary, ly.dim
+    ijk = np.fromiter(chain.from_iterable(tern), np.int64, 3 * len(tern))
+    lens = np.fromiter(map(len, tern.values()), np.int64, len(tern))
+    ents = list(chain.from_iterable(tern.values()))
+    l = np.fromiter(map(itemgetter(0), ents), np.int64, len(ents))
+    val, scale = int_values(list(map(itemgetter(1), ents)))
+    i, j, k = np.repeat(ijk.reshape(-1, 3), lens, axis=0).T
+    return i * n + j, l * n + k, val, scale
 
 
 @dataclass
@@ -119,64 +311,45 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
     if "envelope" in ly._cache:
         return ly._cache["envelope"]
     n = ly.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ops = inner_maps(ly)
-
-    if ly.weights is not None:
-        def wkey(i, j):
-            return tuple(a + b for a, b in zip(ly.weights[i], ly.weights[j]))
-    else:
-        def wkey(i, j):
-            return ()
-
-    gens = [pq for pq in pairs if ops[pq]]
-    keys = [wkey(*pq) for pq in gens]
-    engines, chosen, coords = class_bases([ops[pq] for pq in gens], keys)
-    basis_pairs: list[tuple[int, int]] = []
-    offset: dict[tuple, int] = {}
-    for key in sorted(chosen):
-        offset[key] = len(basis_pairs)
-        basis_pairs.extend(gens[i] for i in chosen[key])
-    gen_coords = {pq: [(offset[key] + t, x) for t, x in enumerate(c) if x]
-                  for pq, key, c in zip(gens, keys, coords)}
+    pair, code, val, scale = _inner_map_entries(ly)
+    gens, gen = np.unique(pair, return_inverse=True)
+    gi, gj = np.divmod(gens, n)
+    cb = class_bases(gen, code, val, scale,
+                     *pair_classes(ly.weights, gi, gj))
+    gpairs = list(zip(gi.tolist(), gj.tolist()))
+    basis_pairs = [gpairs[g] for g in cb.basis]
 
     b = len(basis_pairs)
     dim_g = b + n
-    table: dict[tuple[int, int], Sparse] = {}
-    # h-h: commutators of the basis maps, one batch per weight class
-    hh, comms = sp_commutators([ops[pq] for pq in basis_pairs], n)
-    queries = [(tuple(a + c for a, c in zip(wkey(*basis_pairs[s]),
-                                             wkey(*basis_pairs[t]))), comm)
-               for (s, t), comm in zip(hh, comms)]
+    # h-h: the commutators of the basis maps
     try:
-        hco = class_coords(engines, queries)
-    except OutsideSpan as e:
-        s, t = hh[e.index]
+        hh, hco = cb.brackets(n)
+    except NotClosedError as e:
+        s, t = e.args[0]
         raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
-    for st, (key, _), c in zip(hh, queries, hco):
-        ent = [(offset[key] + u, x) for u, x in enumerate(c) if x]
-        if ent:
-            table[st] = ent
+    table: dict[tuple[int, int], Sparse] = dict(zip(hh, hco))
     # h-m: the maps acting
-    for t, pt in enumerate(basis_pairs):
-        cols: dict[int, Sparse] = {}
-        for (l, k), c in ops[pt].items():
-            cols.setdefault(k, []).append((b + l, c))
-        for k in sorted(cols):
-            table[(t, b + k)] = cols[k]
+    for t, (i, j) in enumerate(basis_pairs):
+        for k in range(n):
+            ent = ly.ternary.get((i, j, k))
+            if ent:
+                table[(t, b + k)] = [(b + l, c) for l, c in ent]
     # m-m: D(x, y) + x.y
-    for (i, j) in pairs:
-        ent = list(gen_coords.get((i, j), []))
-        ent += [(b + k, c) for k, c in ly.b(i, j)]
-        if ent:
-            table[(b + i, b + j)] = sorted(ent)
+    gen_coords = dict(zip(gpairs, cb.gen_coords))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ent = gen_coords.get((i, j), [])
+            ent = ent + [(b + k, c) for k, c in ly.binary.get((i, j), [])]
+            if ent:
+                table[(b + i, b + j)] = ent
 
     labels = [f"D({ly.labels[i]},{ly.labels[j]})" for (i, j) in basis_pairs]
     labels += list(ly.labels)
     g = Algebra(dim_g, table, labels=labels,
                 name=f"env({ly.name})" if ly.name else "env")
     if ly.weights is not None:
-        g.weights = [wkey(*pq) for pq in basis_pairs] + list(ly.weights)
+        g.weights = [tuple(a + c for a, c in zip(ly.weights[i], ly.weights[j]))
+                     for (i, j) in basis_pairs] + list(ly.weights)
     pair = ly._cache["envelope"] = EnvelopingPair(
         g, list(range(b)), list(range(b, dim_g)), basis_pairs, ly)
     return pair

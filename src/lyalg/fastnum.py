@@ -19,7 +19,7 @@ of the full table, in blocks of p, and is bounded from the data by
 3 n amax^2 before any product is formed.  jacobi_violation stops at the
 first failing block, jacobi_defects returns every nonzero component (the
 Tits closure identities are read off them); both memoise the verdict on
-the algebra.  require_lie turns a failed sweep into ClassifyError with
+the algebra, and neither sweeps again after a clean one.  require_lie turns a failed sweep into ClassifyError with
 the failing triple, for every entry point that needs a Lie bracket
 (classify, saturate_torus, is_semisimple).
 """
@@ -235,7 +235,12 @@ def jacobi_defects(alg: Algebra) -> np.ndarray:
     The same blocks and int64 guards as jacobi_violation, without the
     early stop; the verdict (the triple of the first code, or None) is
     stored in alg._cache["jacobi"] as jacobi_violation would store it.
+    A memoised clean verdict means there is no defect, so it returns the
+    empty array without a sweep; a memoised failing triple still sweeps,
+    for the other defects.
     """
+    if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
+        return np.zeros(0, dtype=np.int64)
     sw = _sweep_tables(alg)
     codes = np.concatenate([np.zeros(0, dtype=np.int64)]
                            + [_jacobi_block(sw, p0, p1)

@@ -31,13 +31,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import NotClosedError, OutsideSpan, SpMat, sp_commutators
+from .buildtools import NotClosedError, OutsideSpan, SpMat, int_values
 from .checks import check_lie
 from .compjordan import JordanAlg, trace_admissible_view
-from .envelope import (EnvelopingPair, class_bases, class_coords,
-                       ly_from_reductive_indices)
+from .envelope import (EnvelopingPair, class_bases, ly_from_reductive_indices,
+                       pair_classes)
 from .linalg import F0, F1
 from .matrixalg import phi_map, skew_map_family, split_skew_form
 
@@ -149,20 +151,19 @@ def build_g_of_T(t: SymplecticTripleData):
     pairpos = {vp: s for s, vp in enumerate(vpairs)}
 
     order = sorted(t.trip)
-    okeys = [wkey(*pq) for pq in order]
-    engines, chosen, coords = class_bases([t.trip[pq] for pq in order], okeys)
-    sel = sorted(i for idx in chosen.values() for i in idx)
-    sel_pairs = [order[i] for i in sel]
+    entries = [(g, l * n + k, c) for g, pq in enumerate(order)
+               for (l, k), c in t.trip[pq].items()]
+    gen, code = np.array([e[:2] for e in entries],
+                         dtype=np.int64).reshape(-1, 2).T
+    oi, oj = np.array(order, dtype=np.int64).reshape(-1, 2).T
+    cls, keys = pair_classes(wts, oi, oj)
+    cb = class_bases(gen, code, *int_values([e[2] for e in entries]), cls,
+                     keys, by_class=False)
+    sel_pairs = [order[g] for g in cb.basis]
     mats = [t.trip[pq] for pq in sel_pairs]
-    dkeys = [okeys[i] for i in sel]
-    glob = {i: a for a, i in enumerate(sel)}
-
-    def dco(key, c):
-        # class coordinates as sparse coordinates over the inner-map basis
-        return [(glob[chosen[key][u]], x) for u, x in enumerate(c) if x]
-
+    dkeys = [wkey(*pq) for pq in sel_pairs]
     nd = len(mats)
-    pco = {pq: dco(key, c) for pq, key, c in zip(order, okeys, coords)}
+    pco = dict(zip(order, cb.gen_coords))
 
     big = 3 + 2 * n + nd
 
@@ -207,16 +208,12 @@ def build_g_of_T(t: SymplecticTripleData):
         for u in (0, 1):
             for i, ent in cols.items():
                 table[(vt(u, i), dr(a))] = [(vt(u, l), -c) for l, c in ent]
-    dd, comms = sp_commutators(mats, n)
-    queries = [(_wadd(dkeys[a], dkeys[b]), cm) for (a, b), cm in zip(dd, comms)]
     try:
-        dcos = class_coords(engines, queries)
-    except OutsideSpan as e:
-        raise NotClosedError(("d", *dd[e.index])) from None
-    for (a, b), (key, _), c in zip(dd, queries, dcos):
-        ent = [(dr(x), v) for x, v in dco(key, c)]
-        if ent:
-            table[(dr(a), dr(b))] = ent
+        dd, dcos = cb.brackets(n)
+    except NotClosedError as e:
+        raise NotClosedError(("d", *e.args[0])) from None
+    for (a, b), c in zip(dd, dcos):
+        table[(dr(a), dr(b))] = [(dr(x), v) for x, v in c]
 
     tl = [f"x{i}" for i in range(n)]
     labels = (list(sp2.labels)
@@ -235,15 +232,19 @@ def build_g_of_T(t: SymplecticTripleData):
         for s, c in enumerate(sp2.cartan[0]):
             h0[s] = c
         cart.append(h0)
-        targets = [(zt, {(k, k): wts[k][s] for k in range(n) if wts[k][s]})
-                   for s in range(rt)]
+        # the torus coordinate s acts on T as diag(wts[k][s])
+        diag = [(s, k * n + k, wts[k][s]) for s in range(rt) for k in range(n)
+                if wts[k][s]]
+        row, code = np.array([e[:2] for e in diag], dtype=np.int64).reshape(-1, 2).T
+        zero = keys.index((0,) * rt) if (0,) * rt in keys else -1
         try:
-            tcos = class_coords(engines, targets)
+            tcos = cb.coords(np.full(rt, zero), row, code,
+                             *int_values([e[2] for e in diag]))
         except OutsideSpan:
             raise ValueError("grading torus is not inner") from None
         for c in tcos:
             hv = la.zero_vec(big)
-            for a, v in dco(zt, c):
+            for a, v in c:
                 hv[dr(a)] = v
             cart.append(hv)
         g.cartan = cart

@@ -1,4 +1,5 @@
-"""The certified span engine: BatchCoords and independent_rows."""
+"""The certified span engine, BatchCoords and independent_rows, and the
+exact rational root finder."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lyalg import linalg as la
-from lyalg.buildtools import BatchCoords, OutsideSpan, independent_rows, int_rows
+from lyalg.buildtools import (BatchCoords, IrrationalRoot, OutsideSpan,
+                              independent_rows, int_rows, rational_roots)
 from lyalg.fastnum import PRIMES20
 
 F = Fraction
@@ -124,3 +126,44 @@ def test_fraction_level_calls_past_the_int64_guard_answer_exactly():
     # the integer batch itself keeps its guard
     with pytest.raises(OverflowError):
         eng.coords_int(*int_rows(vecs([1, 1])))
+
+
+def poly(*roots, lead=F(1), extra=()):
+    """Coefficients, leading first, of lead * prod (x - r) * extra."""
+    out = [lead]
+    for r in roots:
+        out = [a - r * b for a, b in zip(out + [F(0)], [F(0)] + out)]
+    if extra:
+        prod = [F(0)] * (len(out) + len(extra) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(extra):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_rational_roots_with_multiplicity():
+    assert rational_roots(poly(2, 2, 2, -1, 0, 0)) == [-1, 0, 0, 2, 2, 2]
+    assert rational_roots([F(1)]) == []
+
+
+def test_rational_roots_of_a_non_monic_polynomial():
+    # a rational leading coefficient, fractional and repeated roots
+    coeffs = poly(F(1), F(-1, 2), F(1, 3), F(1, 3), lead=F(6, 7))
+    assert rational_roots(coeffs) == [F(-1, 2), F(1, 3), F(1, 3), 1]
+
+
+def test_irrational_root_witness_is_the_sympy_factor():
+    import sympy
+    x = sympy.Symbol("x")
+    for coeffs in (poly(3, F(1, 2), extra=[F(1), F(0), F(-2)]),
+                   poly(1, extra=[F(2), F(0), F(0), F(1)]),
+                   [F(1), F(0), F(-2)]):
+        expr = sum(sympy.Rational(c.numerator, c.denominator)
+                   * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
+        want = next(f for f, _ in sympy.Poly(expr, x).factor_list()[1]
+                    if f.degree() > 1)
+        with pytest.raises(IrrationalRoot) as err:
+            rational_roots(coeffs)
+        assert err.value.factor == want
+        assert err.value.factor.domain == want.domain

@@ -1,6 +1,8 @@
 """The lyalg command line: check and classify on saved files."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 
 from lyalg import io
@@ -54,3 +56,12 @@ def test_classify(tmp_path, capsys):
     gl3 = saved(tmp_path, "gl3.json", build_matrix_lie("gl", 3))
     assert main(["classify", gl3]) == 1
     assert capsys.readouterr().err.startswith("lyalg: ")
+
+
+def test_cli_and_certificates_import_without_sympy():
+    # sympy is only needed for irrational witnesses and the bracket solve
+    code = ("import sys, lyalg.cli, lyalg.checks, lyalg.envelope, lyalg.roots; "
+            "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

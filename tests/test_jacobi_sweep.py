@@ -22,7 +22,7 @@ from lyalg.compjordan import (build_composition, build_jordan,
 from lyalg.envelope import build_enveloping
 from lyalg.fastnum import jacobi_violation, scaled
 from lyalg.matrixalg import build_matrix_lie, ly_sp_tensor_sym
-from lyalg.tits import build_tits
+from lyalg.tits import build_tits, ly_inside_tits
 
 F = Fraction
 
@@ -215,3 +215,28 @@ def test_defects_refuse_constants_beyond_the_int64_bound():
     ok = Algebra(3, {(0, 1): [(2, F(1 << 29))]})
     assert fastnum.jacobi_defects(ok).tolist() == []
     assert ok._cache["jacobi"] is None
+
+
+def test_defects_skip_the_sweep_after_a_clean_verdict(monkeypatch):
+    x = trace_admissible_view(build_composition("K"))
+    t = build_tits(x, trace_admissible_view(build_jordan("H3(k)")))
+    ly_inside_tits(t)
+    assert t.alg._cache["jacobi"] is None
+    calls = []
+    real = fastnum._jacobi_block
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fastnum, "_jacobi_block", counted)
+    again = ly_inside_tits(t)
+    assert calls == [] and again.dim == 5
+    assert fastnum.jacobi_defects(t.alg).tolist() == [] and calls == []
+    # a memoised failing triple still sweeps, for every defect
+    h = perturbed(t.alg, random.Random(3))
+    w = jacobi_violation(h)
+    assert w is not None
+    codes = fastnum.jacobi_defects(h)
+    assert calls and codes.tolist() == jacobi_components_naive(h)
+    assert h._cache["jacobi"] == w

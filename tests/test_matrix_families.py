@@ -11,7 +11,7 @@ from lyalg import linalg as la
 from lyalg.algebra import LYAlgebra
 from lyalg.buildtools import subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
-from lyalg.envelope import build_enveloping, inner_maps
+from lyalg.envelope import build_enveloping
 from lyalg.invariants import centroid_dim, commutant_dim, is_semisimple
 from lyalg.matrixalg import (SL2_OPS, BilinForm, build_matrix_lie,
                              check_coincidence, lts_orthosymplectic_sum,
@@ -19,6 +19,7 @@ from lyalg.matrixalg import (SL2_OPS, BilinForm, build_matrix_lie,
                              split_skew_form, split_sym_form, sym0_basis,
                              _sp_trace_mul)
 from lyalg.roots import classify, saturate_torus, verify_weights
+from test_tits import inner_maps
 
 fr = Fraction
 

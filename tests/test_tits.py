@@ -12,20 +12,23 @@ import hashlib
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lyalg import io
 from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.buildtools import sp_commutator, subalgebra_on_indices
+from lyalg.buildtools import (BatchCoords, OutsideSpan, independent_rows,
+                              sp_commutator, subalgebra_on_indices)
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
-from lyalg.envelope import (build_enveloping, class_bases, class_coords,
-                            inner_maps, ly_from_reductive_indices)
-from lyalg.fastnum import jacobi_violation
+from lyalg.envelope import (LYStructureError, _inner_map_entries,
+                            build_enveloping, class_bases,
+                            ly_from_reductive_indices, pair_classes)
+from lyalg.fastnum import PRIMES20, jacobi_violation, rref_mod
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
-                             lts_orthosymplectic_sum, ly_sp_tensor_sym, sl_ops,
-                             split_sym_form)
+                             lts_orthosymplectic_sum, ly_sl_tensor_sl,
+                             ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
 from lyalg.tits import (TitsAlgebra, _conditions, _grid_pair_entries,
                         assemble_bracket, bracket_transport_equal, build_tits,
@@ -292,6 +295,18 @@ def d_op_reference(ly, i, j):
     return out
 
 
+def inner_maps(ly):
+    """Every inner map D(i, j) = [e_i, e_j, .], i < j, from one pass over
+    the ternary table; entry (l, k) is the coefficient of e_l in D(i, j) e_k."""
+    n = ly.dim
+    ops = {(i, j): {} for i in range(n) for j in range(i + 1, n)}
+    for (i, j, k), ent in ly.ternary.items():
+        op = ops[(i, j)]
+        for l, c in ent:
+            op[(l, k)] = c
+    return ops
+
+
 def test_inner_maps_match_per_pair_reference():
     for ly in (ly_inside_tits(build_tits(cview("O"), jview("H3(k)"))),
                ly_sp_tensor_sym(3, 1)):
@@ -299,21 +314,72 @@ def test_inner_maps_match_per_pair_reference():
         pairs = [(i, j) for i in range(ly.dim) for j in range(i + 1, ly.dim)]
         assert list(ops) == pairs
         assert all(ops[(i, j)] == d_op_reference(ly, i, j) for (i, j) in pairs)
+        # the int64 view the envelope is built from holds the same maps
+        n = ly.dim
+        pair, code, val, scale = _inner_map_entries(ly)
+        ints = {}
+        for p, c, v in zip(pair.tolist(), code.tolist(), val.tolist()):
+            ints.setdefault(divmod(p, n), {})[divmod(c, n)] = F(v, scale)
+        assert ints == {pq: op for pq, op in ops.items() if op}
+
+
+def class_bases_reference(mats, keys):
+    """Per weight class, the first independent maps in the given order,
+    with the Fraction span engine of buildtools.
+
+    Returns (engines, chosen, coords): engines[key] is a BatchCoords on
+    the chosen maps of class key, chosen[key] their positions in mats,
+    and coords[i] the coordinates of mats[i] over chosen[keys[i]].
+    """
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    engines, chosen, coords = {}, {}, [None] * len(mats)
+    for key, idx in classes.items():
+        sel, engines[key], co = independent_rows([mats[i] for i in idx])
+        chosen[key] = [idx[s] for s in sel]
+        for i, c in zip(idx, co):
+            coords[i] = c
+    return engines, chosen, coords
+
+
+def class_coords_reference(engines, queries):
+    """Coordinates of (key, map) queries in the span of their class.
+    Raises OutsideSpan with the position of the first query outside its
+    class span."""
+    byclass = {}
+    for q, (key, _) in enumerate(queries):
+        byclass.setdefault(key, []).append(q)
+    out, bad = [None] * len(queries), []
+    for key, qs in byclass.items():
+        try:
+            co = (engines.get(key) or BatchCoords([])).coords_rows(
+                [queries[q][1] for q in qs])
+        except OutsideSpan as e:
+            bad.append(qs[e.index])
+            continue
+        for q, c in zip(qs, co):
+            out[q] = c
+    if bad:
+        raise OutsideSpan(min(bad))
+    return out
 
 
 def build_enveloping_reference(ly):
-    """The enveloping algebra with its h-h block from one Fraction
-    sp_commutator per pair of chosen maps."""
+    """The enveloping algebra from Fraction inner maps: the reference
+    class_bases above, and one sp_commutator per pair of chosen maps."""
     n = ly.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ops = inner_maps(ly)
 
     def wkey(i, j):
+        if ly.weights is None:
+            return ()
         return tuple(a + b for a, b in zip(ly.weights[i], ly.weights[j]))
 
     gens = [pq for pq in pairs if ops[pq]]
     keys = [wkey(*pq) for pq in gens]
-    engines, chosen, coords = class_bases([ops[pq] for pq in gens], keys)
+    engines, chosen, coords = class_bases_reference([ops[pq] for pq in gens], keys)
     basis_pairs, offset = [], {}
     for key in sorted(chosen):
         offset[key] = len(basis_pairs)
@@ -332,7 +398,12 @@ def build_enveloping_reference(ly):
                 hh.append((s, t))
                 queries.append((tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt))),
                                 comm))
-    for st, (key, _), c in zip(hh, queries, class_coords(engines, queries)):
+    try:
+        hco = class_coords_reference(engines, queries)
+    except OutsideSpan as e:
+        s, t = hh[e.index]
+        raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
+    for st, (key, _), c in zip(hh, queries, hco):
         ent = [(offset[key] + u, x) for u, x in enumerate(c) if x]
         if ent:
             table[st] = ent
@@ -350,7 +421,8 @@ def build_enveloping_reference(ly):
     labels = [f"D({ly.labels[i]},{ly.labels[j]})" for (i, j) in basis_pairs]
     g = Algebra(b + n, table, labels=labels + list(ly.labels),
                 name=f"env({ly.name})" if ly.name else "env")
-    g.weights = [wkey(*pq) for pq in basis_pairs] + list(ly.weights)
+    if ly.weights is not None:
+        g.weights = [wkey(*pq) for pq in basis_pairs] + list(ly.weights)
     return g, basis_pairs
 
 
@@ -363,6 +435,140 @@ def test_envelope_hh_batch_matches_commutator_loop():
         assert list(env.g.table.items()) == list(ref.table.items())
         assert env.g.labels == ref.labels and env.g.weights == ref.weights
         assert io.dumps(io.algebra_to_obj(env.g)) == io.dumps(io.algebra_to_obj(ref))
+
+
+def _tits_ly(cx, cy):
+    return lambda: ly_inside_tits(build_tits(view(cx), view("H3(%s)" % cy)))
+
+
+def _unweighted(build):
+    def strip():
+        ly = build()
+        ly.weights = None
+        return ly
+    return strip
+
+
+# every LY algebra of the catalogue (ROADMAP item 6's table), the two
+# tensor families of the benchmark, an orthosymplectic sum and one
+# algebra without weights (a single class, as for an algebra read from a
+# file)
+LY_CATALOGUE = {
+    **{"%s x H3(%s)" % tuple(p): _tits_ly(*p)
+       for p in ["KK", "Kk", "KQ", "KO", "Qk", "Ok", "QK", "OO"]},
+    "sl2 (x) sl3": lambda: ly_sl_tensor_sl(2, 3),
+    "sl3 (x) sl3": lambda: ly_sl_tensor_sl(3, 3),
+    "sp_sym(3,1)": lambda: ly_sp_tensor_sym(3, 1),
+    "sp_sym(4,-1)": lambda: ly_sp_tensor_sym(4, -1),
+    "sp_sym(6,-1)": lambda: ly_sp_tensor_sym(6, -1),
+    "so(3)+so(5)": lambda: lts_orthosymplectic_sum(split_sym_form(3),
+                                                    split_sym_form(5)),
+    "unweighted sl2 (x) sl3": _unweighted(lambda: ly_sl_tensor_sl(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(LY_CATALOGUE))
+def test_envelope_bytes_match_the_fraction_reference(name):
+    ly = LY_CATALOGUE[name]()
+    env = build_enveloping(ly)
+    ref, basis_pairs = build_enveloping_reference(ly)
+    assert env.d_pairs == basis_pairs
+    assert env.g.weights == ref.weights
+    assert io.dumps(io.algebra_to_obj(env.g)) == io.dumps(io.algebra_to_obj(ref))
+
+
+def int_maps(*maps):
+    """Sparse integer maps {column: value} as class_bases input arrays."""
+    ent = [(g, c, v) for g, m in enumerate(maps) for c, v in m.items()]
+    gen, code, val = (np.array(x, dtype=np.int64) for x in zip(*ent))
+    return gen, code, val
+
+
+def test_class_bases_corrects_a_prime_that_hides_a_dependence():
+    p = PRIMES20[0]
+    # map 1 equals map 0 mod p, so the proposal takes map 2 instead and
+    # the exchange step puts map 1 back in its place
+    gen, code, val = int_maps({0: 1}, {0: 1, 1: p}, {1: 1})
+    dense = np.array([[1, 0], [1, p], [0, 1]], dtype=np.int64)
+    assert rref_mod(dense.T, p)[1] == [0, 2]
+    cb = class_bases(gen, code, val, 1, np.zeros(3, dtype=np.int64), [()])
+    assert cb.chosen == [[0, 1]]
+    assert cb.gen_coords[2] == [(0, F(-1, p)), (1, F(1, p))]
+    # map 1 vanishes mod p: the exact check finds it outside the span
+    gen, code, val = int_maps({0: 1}, {1: p}, {0: 1, 1: p})
+    assert rref_mod(np.array([[1, 0, 1], [0, p, p]]), p)[1] == [0]
+    cb = class_bases(gen, code, val, 1, np.zeros(3, dtype=np.int64), [()])
+    assert cb.chosen == [[0, 1]]
+    mats = [{(0, c): F(v) for c, v in m.items()}
+            for m in ({0: 1}, {1: p}, {0: 1, 1: p})]
+    assert class_bases_reference(mats, [()] * 3)[1] == {(): [0, 1]}
+
+
+def test_class_bases_by_weight_class_and_map_order():
+    # two classes, keys sorted: class 0 holds maps 1 and 2, class 1 maps 0, 3
+    gen, code, val = int_maps({0: 2}, {1: 1}, {1: 3}, {0: 4, 2: 1})
+    cls = np.array([1, 0, 0, 1])
+    by_class = class_bases(gen, code, val, 2, cls, [(0,), (1,)])
+    assert by_class.chosen == [[1], [0, 3]]
+    assert by_class.basis == [1, 0, 3]
+    assert by_class.gen_coords[2] == [(0, F(3))]
+    by_map = class_bases(gen, code, val, 2, cls, [(0,), (1,)], by_class=False)
+    assert by_map.basis == [0, 1, 3]
+    assert by_map.gen_coords[2] == [(1, F(3))]
+    # a query scaled by 4, 3/2 of map 3; then one outside the support of
+    # its class and one of no class
+    q = by_map.coords(np.array([1]), np.array([0, 0]), np.array([0, 2]),
+                      np.array([12, 3]), 4)
+    assert q == [[(2, F(3, 2))]]
+    with pytest.raises(OutsideSpan) as err:
+        by_map.coords(np.array([1, 1, -1]), np.array([0, 1, 1, 2]),
+                      np.array([0, 2, 1, 0]), np.array([8, 1, 1, 1]), 1)
+    assert err.value.index == 1
+
+
+def test_pair_classes_sort_the_weight_sums():
+    w = [(F(1), F(0)), (F(-1, 2), F(1)), (F(0), F(-1))]
+    cls, keys = pair_classes(w, np.array([0, 0, 1]), np.array([1, 2, 2]))
+    # the weights times 2; sums (1, 2), (2, -2), (-1, 0)
+    assert keys == [(-1, 0), (1, 2), (2, -2)] and cls.tolist() == [1, 2, 0]
+    assert pair_classes(None, np.array([0]), np.array([1]))[1] == [()]
+
+
+def test_envelope_that_does_not_close_names_the_reference_pair():
+    ly = ly_sp_tensor_sym(3, 1)
+    found = 0
+    for key in sorted(ly.ternary)[::7]:
+        ternary = dict(ly.ternary)
+        ternary[key] = [(l, 3 * c) for l, c in ternary[key]]
+        bad = LYAlgebra(ly.dim, ly.binary, ternary, labels=ly.labels)
+        bad.weights = ly.weights
+        try:
+            ref = build_enveloping_reference(bad)
+        except LYStructureError as e:
+            found += 1
+            with pytest.raises(LYStructureError) as err:
+                build_enveloping(bad)
+            assert err.value.axiom == "LY6"
+            assert err.value.witness == e.witness
+        else:
+            assert build_enveloping(bad).d_pairs == ref[1]
+    assert found
+
+
+def test_envelope_refuses_what_int64_cannot_hold():
+    # a structure constant of 2^62 does not fit the integer batch path
+    ly = LYAlgebra(3, {}, {(0, 1, 0): [(1, F(2**62))], (0, 1, 2): [(2, F(1))]})
+    with pytest.raises(OverflowError):
+        build_enveloping(ly)
+    assert "envelope" not in ly._cache
+    # a query whose reconstruction could overflow: 2^61 times the chosen
+    # map's entry 2 reaches the guard
+    cb = class_bases(*int_maps({0: 2}), 1, np.zeros(1, dtype=np.int64), [()])
+    assert cb.coords(np.array([0]), np.array([0]), np.array([0]),
+                     np.array([6]), 1) == [[(0, F(3))]]
+    with pytest.raises(OverflowError):
+        cb.coords(np.array([0]), np.array([0]), np.array([0]),
+                  np.array([2**61]), 1)
 
 
 def test_ly_inside_agrees_with_reductive_route():
