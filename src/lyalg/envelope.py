@@ -7,11 +7,12 @@ The enveloping construction puts the span of the inner maps D(x, y) =
     [D, x]   = D x,
     [x, y]   = D(x, y) + x.y .
 
-Everything is exact, and the h-block is built from integers.  The
-ternary table is read once into int64 arrays: D(e_i, e_j) is the sparse
-row with the coefficient of e_l in [e_i, e_j, e_k] at column l n + k,
-and all values carry one common denominator.  class_bases then works
-one weight class of maps at a time (np.unique groups them):
+Everything is exact, and the h-block is built from integers: the LY
+algebra's int64 ternary table (LYAlgebra.ternary_int) holds D(e_i, e_j)
+as the sparse row with the coefficient of e_l in [e_i, e_j, e_k] at
+column l n + k, all values over one common denominator, and the [D, x]
+block is read off the rows of the chosen maps.  class_bases works one
+weight class of maps at a time (np.unique groups them):
 
 * a mod-p elimination pass proposes the first independent maps of the
   class, in pair order;
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
-from operator import itemgetter
 
 import numpy as np
 
@@ -278,19 +277,6 @@ def class_bases(gen, code, val, scale: int, cls, keys,
                       gen_coords, (gen, code, val))
 
 
-def _inner_map_entries(ly: LYAlgebra):
-    """The ternary table as int64 arrays: val / scale is the coefficient of
-    e_l in [e_i, e_j, e_k], at pair i n + j and column l n + k."""
-    tern, n = ly.ternary, ly.dim
-    ijk = np.fromiter(chain.from_iterable(tern), np.int64, 3 * len(tern))
-    lens = np.fromiter(map(len, tern.values()), np.int64, len(tern))
-    ents = list(chain.from_iterable(tern.values()))
-    l = np.fromiter(map(itemgetter(0), ents), np.int64, len(ents))
-    val, scale = int_values(list(map(itemgetter(1), ents)))
-    i, j, k = np.repeat(ijk.reshape(-1, 3), lens, axis=0).T
-    return i * n + j, l * n + k, val, scale
-
-
 @dataclass
 class EnvelopingPair:
     """A Lie algebra with a marked reductive split g = h (+) m."""
@@ -311,7 +297,7 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
     if "envelope" in ly._cache:
         return ly._cache["envelope"]
     n = ly.dim
-    pair, code, val, scale = _inner_map_entries(ly)
+    pair, code, val, scale = ly.ternary_int
     gens, gen = np.unique(pair, return_inverse=True)
     gi, gj = np.divmod(gens, n)
     cb = class_bases(gen, code, val, scale,
@@ -328,12 +314,16 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
         s, t = e.args[0]
         raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
     table: dict[tuple[int, int], Sparse] = dict(zip(hh, hco))
-    # h-m: the maps acting
-    for t, (i, j) in enumerate(basis_pairs):
-        for k in range(n):
-            ent = ly.ternary.get((i, j, k))
-            if ent:
-                table[(t, b + k)] = [(b + l, c) for l, c in ent]
+    # h-m: the maps acting, the table rows of the basis maps in basis order
+    slot = cb.slot[gen]
+    o = np.argsort(slot, kind="stable")[np.count_nonzero(slot < 0):]
+    l, k = np.divmod(code[o], n)
+    row, v = slot[o] * n + k, val[o].tolist()
+    frac = {u: Fraction(u, scale) for u in set(v)}
+    ent = list(zip((b + l).tolist(), map(frac.__getitem__, v)))
+    cut = np.flatnonzero(np.diff(row, prepend=-1)).tolist() + [len(ent)]
+    for r, a, z in zip(row[cut[:-1]].tolist(), cut, cut[1:]):
+        table[(r // n, b + r % n)] = ent[a:z]
     # m-m: D(x, y) + x.y
     gen_coords = dict(zip(gpairs, cb.gen_coords))
     for i in range(n):

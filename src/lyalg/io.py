@@ -12,6 +12,10 @@ Output is canonical: sorted keys and entries, compact separators, one
 trailing newline, so printing is byte-deterministic and print-parse-print
 is the identity.
 
+ly_to_obj writes the ternary list from the int64 table when the algebra
+holds one (one string per distinct value), else from the Fraction dict,
+so it never converts between them; both give the same bytes.
+
 The four conversions between algebras and JSON objects build only
 acyclic lists and tuples, which the cyclic garbage collector would scan
 again and again on a large table; they run with the collector paused
@@ -25,7 +29,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import Algebra, LYAlgebra
+from .algebra import Algebra, LYAlgebra, ternary_groups
 
 
 @contextmanager
@@ -62,7 +66,13 @@ def algebra_to_obj(alg: Algebra) -> dict:
 @_paused_gc()
 def ly_to_obj(ly: LYAlgebra) -> dict:
     binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(ly.binary.items())]
-    ternary = [[i, j, k, _coeffs_obj(ent)] for (i, j, k), ent in sorted(ly.ternary.items())]
+    if "ternary_int" in vars(ly):           # held, not derived here
+        keys, l, v, cut = ternary_groups(ly.ternary_int, ly.dim)
+        text = {x: fr_str(Fraction(x, ly.ternary_int[3])) for x in set(v)}
+        ent = [[t, text[x]] for t, x in zip(l, v)]
+        ternary = [[*key, ent[a:z]] for key, a, z in zip(keys, cut, cut[1:])]
+    else:
+        ternary = [[*key, _coeffs_obj(ent)] for key, ent in sorted(ly.ternary.items())]
     return {"dim": ly.dim, "labels": list(ly.labels), "binary": binary, "ternary": ternary}
 
 

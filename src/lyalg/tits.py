@@ -283,7 +283,8 @@ def _kronecker_ternary(x, y):
     Grid index i * ny + j stands for x_i (x) y_j.  Every contribution
     (p, q, r, target) is encoded as one int64 and summed after a sort;
     a code meets at most one term of each kind, so the sum of two
-    guarded products cannot overflow.
+    guarded products cannot overflow.  Returns the LYAlgebra int64 table
+    (pair, col, val, scale), whose order (pair, r, target) is code order.
     """
     nx, ny = x.n0, y.n0
     dim = nx * ny
@@ -319,17 +320,9 @@ def _kronecker_ternary(x, y):
     first = np.flatnonzero(np.diff(code, prepend=-1))
     code, val = code[first], np.add.reduceat(val, first)
     nz = val != 0
-    code, val = code[nz], val[nz]
-    key, tgt = np.divmod(code, dim)
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    pq, r = np.divmod(key[start], dim)
-    p, q = np.divmod(pq, dim)
-    val = val.tolist()
-    fr = {v: Fraction(v, den) for v in set(val)}
-    ent = list(zip(tgt.tolist(), map(fr.__getitem__, val)))
-    bounds = start.tolist() + [len(ent)]
-    return {k: ent[lo:hi] for k, lo, hi in zip(
-        zip(p.tolist(), q.tolist(), r.tolist()), bounds, bounds[1:])}
+    pqr, tgt = np.divmod(code[nz], dim)
+    pair, r = np.divmod(pqr, dim)
+    return pair, tgt * dim + r, val[nz], den
 
 
 def ly_inside_tits(t):
@@ -346,9 +339,11 @@ def ly_inside_tits(t):
     It is assembled from the nonzero entries of the pair derivation
     tables and trace forms in one integer batch over a common
     denominator; the two terms collide only on the diagonal entries of
-    D and d, where they are summed.  The result carries the grid weights
-    and must agree constant-by-constant with the generic reductive-pair
-    extraction, which the tests enforce.
+    D and d, where they are summed, and the algebra keeps that int64
+    table (LYAlgebra.ternary_int); the binary table is the grid block of
+    t.alg.  The result carries the grid weights and must agree
+    constant-by-constant with the generic reductive-pair extraction,
+    which the tests enforce.
 
     The pair must satisfy the closure identities (check_tits_conditions),
     read off one Jacobi sweep of t.alg; otherwise ValueError names the
@@ -361,18 +356,15 @@ def ly_inside_tits(t):
                          "algebra" % (bad, co.witnesses[bad], t.alg.name))
     x, y = t.x, t.y
     nx, ny = x.n0, y.n0
-    dim = nx * ny
-
-    def gi(i, j):
-        return i * ny + j
-
+    lo, hi = t.nD, t.nD + t.ngrid
     binary = {}
-    for i, j, k, l, _, grid_ent, _ in _grid_pair_entries(x, y):
-        ent = sorted(((gi(a, b), v) for (a, b), v in grid_ent))
-        if ent:
-            binary[(gi(i, j), gi(k, l))] = ent
+    for (p, q), ent in t.alg.table.items():
+        if lo <= p and q < hi:
+            grid = [(c - lo, v) for c, v in ent if lo <= c < hi]
+            if grid:
+                binary[(p - lo, q - lo)] = grid
     labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
-    ly = LYAlgebra(dim, binary, _kronecker_ternary(x, y), labels=labels,
+    ly = LYAlgebra(t.ngrid, binary, _kronecker_ternary(x, y), labels=labels,
                    name="ly-inside-%s" % t.alg.name)
     ly.weights = [x.weights[i] + y.weights[j]
                   for i in range(nx) for j in range(ny)]

@@ -179,6 +179,61 @@ def test_algebra_rejects_target_out_of_range():
             Algebra(3, {(0, 1): [(1, F(2))], (1, 2): ent})
 
 
+def test_ly_algebra_rejects_target_out_of_range():
+    # clean entries ([(k, Fraction)]) and entries that need cleaning
+    for ent in ([(5, F(1))], [(-1, F(2))], [(5, 1)], [(0, F(1)), (3, 1)]):
+        with pytest.raises(ValueError, match="target index out of range"):
+            LYAlgebra(3, {(0, 1): ent}, {})
+        with pytest.raises(ValueError, match="target index out of range"):
+            LYAlgebra(3, {}, {(0, 1, 2): ent})
+
+
+def int_table(*ents, scale=2):
+    """A ternary int64 table from (pair, col, val) entries."""
+    return (*(np.array(c, dtype=np.int64) for c in zip(*ents)), scale)
+
+
+def test_ly_algebra_from_an_int_table():
+    # n = 3: [e0, e1, e0] = e2 / 2 and [e0, e1, e2] = -e0 at pair 1
+    ly = LYAlgebra(3, {}, int_table((1, 6, 1), (1, 2, -2)))
+    assert ly.ternary == {(0, 1, 0): [(2, F(1, 2))], (0, 1, 2): [(0, F(-1))]}
+    assert ly.nnz() == (0, 2) and "nnz=(0,2)" in repr(ly)
+    # a dict in another key order gives the same sorted table
+    twin = LYAlgebra(3, {}, dict(reversed(ly.ternary.items())))
+    assert [a.tolist() for a in twin.ternary_int[:3]] == [
+        a.tolist() for a in ly.ternary_int[:3]]
+    assert twin.ternary_int[3] == 2
+    assert io.dumps(io.ly_to_obj(twin)) == io.dumps(io.ly_to_obj(ly))
+
+
+@pytest.mark.parametrize("ents, scale, why", [
+    ([(1, 2, 1), (1, 6, 1)], 2, "sorted"),            # k = 2 before k = 0
+    ([(1, 6, 1), (1, 6, 3)], 2, "sorted"),            # duplicate entry
+    ([(1, 6, 0)], 2, "zero value"),
+    ([(1, 9, 1)], 2, "out of range"),                 # l = 3
+    ([(-1, 6, 1)], 2, "out of range"),
+    ([(3, 6, 1)], 2, "i >= j"),                       # pair (1, 0)
+    ([(4, 6, 1)], 2, "i >= j"),                       # pair (1, 1)
+    ([(1, 6, 1)], 0, "scale"),
+])
+def test_ly_algebra_refuses_a_bad_int_table(ents, scale, why):
+    with pytest.raises(ValueError, match=why):
+        LYAlgebra(3, {}, int_table(*ents, scale=scale))
+
+
+def test_constants_beyond_int64_stay_on_the_fraction_dict():
+    big = F(2**70)
+    ly = LYAlgebra(3, {(0, 1): [(2, F(1))]},
+                   {(0, 1, 0): [(1, big)], (0, 1, 2): [(2, F(1, 3))]})
+    assert ly.nnz() == (1, 2)
+    with pytest.raises(OverflowError):
+        ly.ternary_int
+    back = io.obj_to_ly(io_load_str(io.dumps(io.ly_to_obj(ly))))
+    assert back.ternary == ly.ternary and back.binary == ly.binary
+    with pytest.raises(OverflowError):
+        check_ly(ly)
+
+
 def test_constructors_normalise_unsorted_int_entries():
     raw = [(2, 0), (1, 3), (0, F(1, 2)), (3, F(0))]
     want = [(0, F(1, 2)), (1, F(3))]

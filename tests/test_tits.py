@@ -22,8 +22,7 @@ from lyalg.buildtools import (BatchCoords, OutsideSpan, independent_rows,
                               sp_commutator, subalgebra_on_indices)
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
-from lyalg.envelope import (LYStructureError, _inner_map_entries,
-                            build_enveloping, class_bases,
+from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
                             ly_from_reductive_indices, pair_classes)
 from lyalg.fastnum import PRIMES20, jacobi_violation, rref_mod
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
@@ -314,9 +313,9 @@ def test_inner_maps_match_per_pair_reference():
         pairs = [(i, j) for i in range(ly.dim) for j in range(i + 1, ly.dim)]
         assert list(ops) == pairs
         assert all(ops[(i, j)] == d_op_reference(ly, i, j) for (i, j) in pairs)
-        # the int64 view the envelope is built from holds the same maps
+        # the int64 table the envelope is built from holds the same maps
         n = ly.dim
-        pair, code, val, scale = _inner_map_entries(ly)
+        pair, code, val, scale = ly.ternary_int
         ints = {}
         for p, c, v in zip(pair.tolist(), code.tolist(), val.tolist()):
             ints.setdefault(divmod(p, n), {})[divmod(c, n)] = F(v, scale)
@@ -475,6 +474,37 @@ def test_envelope_bytes_match_the_fraction_reference(name):
     assert env.d_pairs == basis_pairs
     assert env.g.weights == ref.weights
     assert io.dumps(io.algebra_to_obj(env.g)) == io.dumps(io.algebra_to_obj(ref))
+
+
+@pytest.mark.parametrize("name", list(LY_CATALOGUE))
+def test_table_and_dict_built_algebras_agree(name):
+    ly = LY_CATALOGUE[name]()
+    # each twin holds only the form it was given
+    by_dict = LYAlgebra(ly.dim, ly.binary, ly.ternary, labels=ly.labels)
+    by_table = LYAlgebra(ly.dim, ly.binary, ly.ternary_int, labels=ly.labels)
+    assert by_dict.nnz() == by_table.nnz() == ly.nnz()
+    text = io.dumps(io.ly_to_obj(by_dict))
+    assert io.dumps(io.ly_to_obj(by_table)) == text
+    assert list(by_table.ternary.items()) == list(by_dict.ternary.items())
+    envs = []
+    for twin in (by_dict, by_table):
+        twin.weights = ly.weights
+        env = build_enveloping(twin)
+        envs.append((env.d_pairs, io.dumps(io.algebra_to_obj(env.g))))
+    assert envs[0] == envs[1]
+
+
+def test_ly_inside_tits_to_io_never_builds_the_fraction_dict(monkeypatch):
+    def refuse(ly):
+        raise AssertionError("the Fraction ternary dict was read")
+
+    monkeypatch.setattr(LYAlgebra, "ternary", property(refuse))
+    ly = ly_inside_tits(build_tits(cview("O"), jview("H3(k)")))
+    assert ly.dim == 35 and check_ly(ly).passed
+    assert build_enveloping(ly).g.dim == 52
+    assert io.ly_to_obj(ly)["ternary"]
+    monkeypatch.undo()
+    assert "ternary" not in vars(ly)
 
 
 def int_maps(*maps):
