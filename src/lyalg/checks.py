@@ -4,16 +4,19 @@ check_lie verifies the Jacobi identity exactly through the full sweep of
 fastnum.jacobi_violation, which sums every Jacobiator component once over
 the sorted triples p < q < k and memoises its verdict on the algebra.
 check_ly verifies the six defining identities of a binary-ternary system.
-LY1 and LY2 hold by storage.  LY3 to LY6 are checked together through
-the same sweep on the formally built enveloping algebra (see
-envelope.py), whose verdict stays memoised on the envelope: a clean
-sweep passes all four.  When the sweep finds a defect, or the envelope
-cannot close (LYStructureError), the sweep does not say which axiom
-failed, so each of LY3 to LY6 gets a direct lexicographic scan, which
-gives its verdict and its first violating tuple independently of sweep
-order.  The per-tuple defects (jacobi_defect, ly3_defect to ly6_defect)
-are the axioms as written; the naive triple loop over jacobi_defect
-lives with the tests.
+LY1 and LY2 hold by storage.  LY3 to LY6 are the Jacobi identity of the
+enveloping algebra g = h (+) m (envelope.py), read off the components
+J(p, q, k)_r of one fastnum.jacobi_defects sweep of g: on (m, m, m) a
+defect in m fails LY3, in h LY4; on (h, m, m), p the chosen map D(i, j),
+in m LY5, in h LY6; on two maps, ArithmeticError (class_bases certifies
+the commutators).  Witnesses are lex-first: LY3 and LY4 alternate in
+(i, j, k) and the codes are sorted, so the first code gives the triple;
+LY5 and LY6 are linear in D(i, j), every inner map combines chosen maps
+at or before it in pair order, so the least tuple over the defects has
+the lex-first pair; LY4 and LY6 end in the least index where the defect
+(the axiom as written) is nonzero.  If the maps do not close,
+LYStructureError carries the envelope without its h-h block, which LY3
+to LY5 never read; LY6 fails at the error's pair of maps, maybe not lex-first.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+import numpy as np
+
 from .algebra import Algebra, LYAlgebra
-from .envelope import LYStructureError, build_enveloping
-from .fastnum import jacobi_violation
+from .envelope import EnvelopingPair, LYStructureError, build_enveloping
+from .fastnum import jacobi_defects, jacobi_violation
 from .linalg import F0, Matrix, basis_vec, is_zero_vec, rank
 
 
@@ -96,7 +101,7 @@ def check_lie(alg: Algebra, target: str = "") -> Report:
     return rep
 
 
-# direct per-axiom scans, used for witnesses and as the naive reference
+# the axioms as written, per index tuple
 
 def ly3_defect(ly: LYAlgebra, i, j, k):
     d = [F0] * ly.dim
@@ -150,25 +155,36 @@ def ly6_defect(ly: LYAlgebra, i, j, u, v, w):
     return d
 
 
-def _first_ly_violation(ly: LYAlgebra, axiom: str) -> tuple | None:
-    n = ly.dim
-    rng = range(n)
-    if axiom == "LY3":
-        gen = (((i, j, k), ly3_defect(ly, i, j, k))
-               for i in rng for j in rng for k in rng)
-    elif axiom == "LY4":
-        gen = (((i, j, k, l), ly4_defect(ly, i, j, k, l))
-               for i in rng for j in rng for k in rng for l in rng)
-    elif axiom == "LY5":
-        gen = (((i, j, u, v), ly5_defect(ly, i, j, u, v))
-               for i in rng for j in rng for u in rng for v in rng)
-    else:
-        gen = (((i, j, u, v, w), ly6_defect(ly, i, j, u, v, w))
-               for i in rng for j in rng for u in rng for v in rng for w in rng)
-    for tup, d in gen:
-        if not is_zero_vec(d):
-            return tup
-    return None
+def _least(defect, ly: LYAlgebra, tup: tuple) -> tuple:
+    """tup and the least last index where the defect is nonzero."""
+    for x in range(ly.dim):
+        if not is_zero_vec(defect(ly, *tup, x)):
+            return (*tup, x)
+    raise ArithmeticError(f"sweep defect at {tup}, but {defect.__name__} is zero")
+
+
+def _ly_witnesses(pair: EnvelopingPair, open_pair) -> list:
+    """LY3 to LY6 witnesses (None: pass) off one sweep of the envelope."""
+    b = len(pair.h_index)
+    p, q, k, r = np.unravel_index(jacobi_defects(pair.g), (pair.g.dim,) * 4)
+    if open_pair is None and (q < b).any():
+        t = np.argmax(q < b)
+        raise ArithmeticError("Jacobi defect on two maps at (%d, %d, %d)"
+                              % (p[t], q[t], k[t]))
+
+    def mmm(in_h):
+        t = np.flatnonzero((p >= b) & (in_h == (r < b)))[:1]
+        return tuple((np.concatenate([p[t], q[t], k[t]]) - b).tolist()) or None
+
+    def hmm(in_h):
+        t = np.flatnonzero((p < b) & (q >= b) & (in_h == (r < b)))
+        ij = np.array(pair.d_pairs, dtype=np.int64).reshape(-1, 2)[p[t]]
+        tup = np.column_stack([ij, q[t] - b, k[t] - b])
+        return tuple(tup[np.lexsort(tup.T[::-1])[0]].tolist()) if len(t) else None
+
+    ly4, ly6 = mmm(True), (*open_pair[0], *open_pair[1]) if open_pair else hmm(True)
+    return [mmm(False), ly4 and _least(ly4_defect, pair.ly, ly4), hmm(False),
+            ly6 and _least(ly6_defect, pair.ly, ly6)]
 
 
 def check_ly(ly: LYAlgebra, target: str = "") -> Report:
@@ -177,33 +193,11 @@ def check_ly(ly: LYAlgebra, target: str = "") -> Report:
     rep.add("LY1 alternating product", "pass", "storage is alternating")
     rep.add("LY2 alternating triple", "pass", "storage is alternating")
     try:
-        pair = build_enveloping(ly)
-    except LYStructureError:
-        # inner maps do not close under commutator; that alone breaks LY6,
-        # so fall back to direct scans for all four quadratic axioms
-        nfail = 0
-        for ax in ("LY3", "LY4", "LY5", "LY6"):
-            direct = _first_ly_violation(ly, ax)
-            nfail += direct is not None
-            rep.add(ax, "fail" if direct else "pass", "direct scan",
-                    witness=direct)
-        if nfail == 0:
-            raise RuntimeError("enveloping failed to close but scans clean")
-        rep.seconds = time.monotonic() - t0
-        return rep
-    w = jacobi_violation(pair.g)
-    if w is None:
-        for ax in ("LY3", "LY4", "LY5", "LY6"):
-            rep.add(ax, "pass", f"enveloping sweep, dim {ly.dim}")
-    else:
-        nfail = 0
-        for ax in ("LY3", "LY4", "LY5", "LY6"):
-            direct = _first_ly_violation(ly, ax)
-            nfail += direct is not None
-            rep.add(ax, "fail" if direct else "pass",
-                    "direct scan after sweep defect", witness=direct)
-        if nfail == 0:
-            raise RuntimeError(f"sweep defect at {w} but direct scans clean")
+        pair, open_pair, how = build_enveloping(ly), None, "enveloping sweep"
+    except LYStructureError as e:
+        pair, open_pair, how = e.envelope, e.witness, "sweep without [h, h]"
+    for ax, w in zip(("LY3", "LY4", "LY5", "LY6"), _ly_witnesses(pair, open_pair)):
+        rep.add(ax, "fail" if w else "pass", f"{how}, dim {ly.dim}", witness=w)
     rep.seconds = time.monotonic() - t0
     return rep
 

@@ -7,7 +7,9 @@
 
 The file format is the one of lyalg.io; a file with ternary entries is
 an LY algebra.  Both commands exit with status 1 when the report fails
-or the algebra cannot be classified.
+or the algebra cannot be classified; a file that cannot be read or is
+refused (OSError, ValueError, OverflowError), and an algebra that cannot
+be classified, are reported as "lyalg: <message>" on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import io
 from . import linalg as la
 from .algebra import LYAlgebra
 from .checks import check_ly, check_lie
-from .envelope import LYStructureError, build_enveloping
+from .envelope import build_enveloping
 from .roots import ClassifyError, classify, saturate_torus
 
 
@@ -47,22 +49,18 @@ def _basis_torus(lie) -> None:
 
 
 def _classify(alg, as_json: bool) -> int:
-    try:
-        if isinstance(alg, LYAlgebra):
-            bad = next((it for it in check_ly(alg).items if it.status != "pass"),
-                       None)
-            if bad is not None:
-                raise ClassifyError("not an LY algebra: %s fails, witness %s"
-                                    % (bad.name, bad.witness), bad.witness)
-            lie = build_enveloping(alg).g
-        else:
-            lie = alg
-        if lie.weights is None:
-            _basis_torus(lie)
-        label = classify(saturate_torus(lie))
-    except (ClassifyError, LYStructureError) as e:
-        print("lyalg: %s" % e, file=sys.stderr)
-        return 1
+    if isinstance(alg, LYAlgebra):
+        bad = next((it for it in check_ly(alg).items if it.status != "pass"),
+                   None)
+        if bad is not None:
+            raise ClassifyError("not an LY algebra: %s fails, witness %s"
+                                % (bad.name, bad.witness), bad.witness)
+        lie = build_enveloping(alg).g
+    else:
+        lie = alg
+    if lie.weights is None:
+        _basis_torus(lie)
+    label = classify(saturate_torus(lie))
     print(json.dumps({"dim": lie.dim, "type": label}, sort_keys=True)
           if as_json else label)
     return 0
@@ -77,9 +75,12 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("file", help="algebra in the lyalg JSON format")
         cmd.add_argument("--json", action="store_true", help="print JSON")
     args = parser.parse_args(argv)
-    alg = io.load(args.file)
     run = _check if args.command == "check" else _classify
-    return run(alg, args.json)
+    try:
+        return run(io.load(args.file), args.json)
+    except (ClassifyError, OSError, ValueError, OverflowError) as e:
+        print("lyalg: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from .linalg import F0, Vec, inv as mat_inv, mat_vec
 
 class LYStructureError(Exception):
     """Raised when the formal enveloping bracket cannot close (axiom failure)."""
+    envelope: EnvelopingPair | None = None      # set by build_enveloping
 
     def __init__(self, axiom: str, witness: tuple):
         self.axiom = axiom
@@ -292,7 +293,8 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
 
     The basis is the chosen inner maps, class by class in weight order,
     then m.  Raises LYStructureError("LY6", (p, q)) for the first pair of
-    chosen maps, in basis order, whose commutator leaves the span.
+    chosen maps, in basis order, whose commutator leaves the span, with
+    the pair built without its h-h block (not memoised) as its `envelope`.
     """
     if "envelope" in ly._cache:
         return ly._cache["envelope"]
@@ -307,13 +309,12 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
 
     b = len(basis_pairs)
     dim_g = b + n
-    # h-h: the commutators of the basis maps
+    # h-h: the commutators of the basis maps, or none if one leaves the span
     try:
-        hh, hco = cb.brackets(n)
+        table, err = dict(zip(*cb.brackets(n))), None
     except NotClosedError as e:
-        s, t = e.args[0]
-        raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
-    table: dict[tuple[int, int], Sparse] = dict(zip(hh, hco))
+        err = LYStructureError("LY6", tuple(basis_pairs[x] for x in e.args[0]))
+        table = {}
     # h-m: the maps acting, the table rows of the basis maps in basis order
     slot = cb.slot[gen]
     o = np.argsort(slot, kind="stable")[np.count_nonzero(slot < 0):]
@@ -340,8 +341,12 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
     if ly.weights is not None:
         g.weights = [tuple(a + c for a, c in zip(ly.weights[i], ly.weights[j]))
                      for (i, j) in basis_pairs] + list(ly.weights)
-    pair = ly._cache["envelope"] = EnvelopingPair(
-        g, list(range(b)), list(range(b, dim_g)), basis_pairs, ly)
+    pair = EnvelopingPair(g, list(range(b)), list(range(b, dim_g)),
+                          basis_pairs, ly)
+    if err:
+        err.envelope = pair
+        raise err
+    ly._cache["envelope"] = pair
     return pair
 
 

@@ -10,7 +10,7 @@ Indices are 0-based with i < j; coefficients are rational strings ("3",
 "-3/4").  A plain Lie algebra is a file with an empty "ternary" list.
 Output is canonical: sorted keys and entries, compact separators, one
 trailing newline, so printing is byte-deterministic and print-parse-print
-is the identity.
+is the identity.  Reading refuses (ValueError) a key that is given twice.
 
 ly_to_obj writes the ternary list from the int64 table when the algebra
 holds one (one string per distinct value), else from the Fraction dict,
@@ -57,6 +57,20 @@ def _coeffs_parse(obj):
     return [(int(k), Fraction(str(c))) for k, c in obj]
 
 
+def _keyed(rows, arity: int) -> dict:
+    """{key: coefficients} of the rows [*key, entries]; refuses
+    (ValueError) a key of the wrong length, and a key given twice, which
+    a dict would silently overwrite."""
+    out = {}
+    for *key, ent in rows:
+        key = tuple(map(int, key))
+        if len(key) != arity or key in out:
+            raise ValueError("%s key (%s)" % ("repeated" if key in out else "bad",
+                                              ",".join(map(str, key))))
+        out[key] = _coeffs_parse(ent)
+    return out
+
+
 @_paused_gc()
 def algebra_to_obj(alg: Algebra) -> dict:
     binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(alg.table.items())]
@@ -80,15 +94,14 @@ def ly_to_obj(ly: LYAlgebra) -> dict:
 def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
     if obj.get("ternary"):
         raise ValueError("file has ternary entries; load it as an LY algebra")
-    table = {(int(i), int(j)): _coeffs_parse(ent) for i, j, ent in obj.get("binary", [])}
+    table = _keyed(obj.get("binary", []), 2)
     return Algebra(int(obj["dim"]), table, labels=obj.get("labels"), name=name)
 
 
 @_paused_gc()
 def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
-    binary = {(int(i), int(j)): _coeffs_parse(ent) for i, j, ent in obj.get("binary", [])}
-    ternary = {(int(i), int(j), int(k)): _coeffs_parse(ent)
-               for i, j, k, ent in obj.get("ternary", [])}
+    binary = _keyed(obj.get("binary", []), 2)
+    ternary = _keyed(obj.get("ternary", []), 3)
     return LYAlgebra(int(obj["dim"]), binary, ternary, labels=obj.get("labels"), name=name)
 
 

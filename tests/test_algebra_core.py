@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 from lyalg import io
 from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.checks import (check_lie, check_ly, jacobi_defect,
-                          ly3_defect, ly4_defect, ly5_defect, ly6_defect,
-                          _first_ly_violation)
-from lyalg.envelope import (LYStructureError, build_enveloping,
+                          ly3_defect, ly4_defect, ly5_defect, ly6_defect)
+from lyalg.envelope import (EnvelopingPair, LYStructureError, build_enveloping,
                             ly_from_reductive, ly_from_reductive_indices,
                             is_reductive_split)
 from lyalg.fastnum import jacobi_violation, killing_int
@@ -27,6 +27,29 @@ def jacobi_first_violation_naive(alg: Algebra) -> tuple[int, int, int] | None:
             for k in range(n):
                 if not is_zero_vec(jacobi_defect(alg, i, j, k)):
                     return (i, j, k)
+    return None
+
+
+def _first_ly_violation(ly: LYAlgebra, axiom: str) -> tuple | None:
+    """Reference lexicographic scan of one axiom over every index tuple;
+    n^5 tuples for LY6, so small inputs only."""
+    n = ly.dim
+    rng = range(n)
+    if axiom == "LY3":
+        gen = (((i, j, k), ly3_defect(ly, i, j, k))
+               for i in rng for j in rng for k in rng)
+    elif axiom == "LY4":
+        gen = (((i, j, k, l), ly4_defect(ly, i, j, k, l))
+               for i in rng for j in rng for k in rng for l in rng)
+    elif axiom == "LY5":
+        gen = (((i, j, u, v), ly5_defect(ly, i, j, u, v))
+               for i in rng for j in rng for u in rng for v in rng)
+    else:
+        gen = (((i, j, u, v, w), ly6_defect(ly, i, j, u, v, w))
+               for i in rng for j in rng for u in rng for v in rng for w in rng)
+    for tup, d in gen:
+        if not is_zero_vec(d):
+            return tup
     return None
 
 
@@ -343,6 +366,22 @@ def test_io_fraction_strings(tmp_path):
     assert g2.table == g.table
 
 
+def test_io_refuses_a_repeated_key():
+    # a dict comprehension would keep the last entry of a key given twice
+    lie = {"dim": 3, "binary": [[0, 1, [[1, "2"]]], [0, 2, [[2, "-2"]]],
+                                [0, 1, [[1, "5"]]]], "ternary": []}
+    with pytest.raises(ValueError, match=r"repeated key \(0,1\)"):
+        io.obj_to_algebra(lie)
+    with pytest.raises(ValueError, match=r"repeated key \(0,1\)"):
+        io.obj_to_ly({**lie, "ternary": [[0, 1, 0, [[1, "1"]]]]})
+    ly = {"dim": 3, "binary": [],
+          "ternary": [[0, 1, 2, [[0, "1"]]], [0, 1, 2, [[0, "3"]]]]}
+    with pytest.raises(ValueError, match=r"repeated key \(0,1,2\)"):
+        io.obj_to_ly(ly)
+    with pytest.raises(ValueError, match=r"bad key \(0,1\)"):
+        io.obj_to_ly({"dim": 3, "ternary": [[0, 1, [[0, "1"]]]]})
+
+
 coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -389,6 +428,80 @@ def test_check_ly_agrees_with_direct_scans(ly):
     for ax in ("LY3", "LY4", "LY5", "LY6"):
         direct = _first_ly_violation(ly, ax)
         assert (by_name[ax] == "fail") == (direct is not None)
+
+
+def seeded_ly(rng: random.Random) -> LYAlgebra:
+    n = rng.randint(2, 4)
+    binary, ternary = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                binary[(i, j)] = [(rng.randrange(n),
+                                   F(rng.randint(-4, 4), rng.randint(1, 3)))]
+            for k in range(n):
+                if rng.random() < 0.25:
+                    ternary[(i, j, k)] = [(rng.randrange(n),
+                                           F(rng.randint(-4, 4), rng.randint(1, 3)))]
+    return LYAlgebra(n, binary, ternary)
+
+
+def test_check_ly_witnesses_match_the_scans():
+    """The sweep's witnesses are the lex-first ones of the scans, except
+    LY6 when the inner maps do not close: then it starts with the pair of
+    maps of LYStructureError and ly6_defect is nonzero at it."""
+    rng = random.Random(20081003)
+    paths = {"closed": 0, "open": 0}
+    for _ in range(200):
+        ly = seeded_ly(rng)
+        try:
+            build_enveloping(ly)
+            pair = None
+        except LYStructureError as e:
+            pair = (*e.witness[0], *e.witness[1])
+        paths["open" if pair else "closed"] += 1
+        rep = check_ly(ly)
+        wit = {it.name: it.witness for it in rep.items}
+        for ax in ("LY3", "LY4", "LY5", "LY6"):
+            if ax == "LY6" and pair:
+                assert wit[ax][:4] == pair
+                assert not is_zero_vec(ly6_defect(ly, *wit[ax]))
+            else:
+                assert wit[ax] == _first_ly_violation(ly, ax), ax
+    assert paths["closed"] > 50 and paths["open"] > 50
+
+
+def test_check_ly_witnesses_are_lex_first_on_a_graded_algebra():
+    # with weights the envelope's basis is in class order, not pair order,
+    # so the first (h, m, m) defect code is not the LY5 witness
+    from lyalg.matrixalg import ly_sp_tensor_sym
+    ly = ly_sp_tensor_sym(3, 1)
+    key = sorted(ly.binary)[0]
+    (l, c), *rest = ly.binary[key]
+    bad = LYAlgebra(ly.dim, {**ly.binary, key: [(l, c + 1), *rest]},
+                    ly.ternary, labels=ly.labels)
+    bad.weights = ly.weights
+    wit = {it.name: it.witness for it in check_ly(bad).items}
+    assert wit["LY6"] is None
+    for ax in ("LY3", "LY4", "LY5"):
+        assert wit[ax] == _first_ly_violation(bad, ax), ax
+
+
+@pytest.mark.parametrize("h, fault", [([0], "ly6_defect is zero"),
+                                      ([0, 5], "two maps at")])
+def test_check_ly_refuses_an_envelope_that_is_not_the_algebra(h, fault):
+    # a sweep defect that the axioms do not confirm is a fault, not a
+    # failure: [D, e_0] set to D, or, on so(4) with two commuting maps,
+    # [D_0, D_1] set to D_0
+    from lyalg.matrixalg import build_matrix_lie
+    g = sl2() if h == [0] else build_matrix_lie("so", 4)
+    ly = ly_from_reductive_indices(g, h, [i for i in range(g.dim) if i not in h])
+    pair = build_enveloping(ly)
+    table = {**pair.g.table, (0, 1): [(0, F(1))]}
+    ly._cache["envelope"] = EnvelopingPair(Algebra(pair.g.dim, table),
+                                           pair.h_index, pair.m_index,
+                                           pair.d_pairs, ly)
+    with pytest.raises(ArithmeticError, match=fault):
+        check_ly(ly)
 
 
 def test_ly_defect_functions_zero_on_valid():

@@ -58,6 +58,23 @@ def test_classify(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("lyalg: ")
 
 
+def test_refused_input_is_one_line_on_stderr(tmp_path, capsys):
+    # a missing file, a pair key (1, 0) and a constant beyond int64
+    files = {"pair_key": {"dim": 2, "binary": [[1, 0, [[0, "1"]]]], "ternary": []},
+             "int64": {"dim": 2, "binary": [],
+                       "ternary": [[0, 1, 0, [[1, str(2 ** 70)]]]]}}
+    paths = [str(tmp_path / "missing.json")]
+    for name, obj in files.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    for path in paths:
+        assert main(["check", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("lyalg: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_and_certificates_import_without_sympy():
     # sympy is only needed for irrational witnesses and the bracket solve
     code = ("import sys, lyalg.cli, lyalg.checks, lyalg.envelope, lyalg.roots; "

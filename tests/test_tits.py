@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyalg import io
+from lyalg import checks, io
 from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.buildtools import (BatchCoords, OutsideSpan, independent_rows,
@@ -195,6 +195,37 @@ def test_ly_inside_octonion_row_small():
     dsub.weights = [env.g.weights[i] for i in env.h_index]
     assert dsub.dim == 17
     assert classify(saturate_torus(dsub)) == "A1+G2"
+
+
+def test_failing_check_ly_reads_its_witnesses_off_the_sweep(monkeypatch):
+    """A raised binary constant of the 35-dim algebra fails LY3 to LY5 and
+    leaves LY6; the witnesses come from one sweep, so the per-tuple LY4
+    and LY6 defects run at most dim times each (a scan would need 35^5)."""
+    ly = ly_inside_tits(build_tits(cview("O"), jview("H3(k)")))
+    key = sorted(ly.binary)[0]
+    (l, c), *rest = ly.binary[key]
+    bad = LYAlgebra(ly.dim, {**ly.binary, key: [(l, c + 1), *rest]},
+                    ly.ternary_int, labels=ly.labels)
+    bad.weights = ly.weights
+    calls = {}
+    for name in ("ly4_defect", "ly6_defect"):
+        real = getattr(checks, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            if calls[name] > ly.dim:
+                raise AssertionError("%s called more than dim times" % name)
+            return real(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+    rep = check_ly(bad)
+    monkeypatch.undo()
+    items = {it.name: it for it in rep.items}
+    assert items["LY6"].status == "pass"
+    for ax in ("LY3", "LY4", "LY5"):
+        assert items[ax].status == "fail"
+        defect = getattr(checks, "ly%s_defect" % ax[-1])
+        assert any(defect(bad, *items[ax].witness))
 
 
 def sha256(thing):
