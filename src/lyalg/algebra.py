@@ -158,19 +158,6 @@ class Algebra:
                     out[k] += ab * c
         return out
 
-    def ad(self, x: Vec) -> list[Vec]:
-        """Matrix of ad(x) = [x, .] acting on column coordinates."""
-        cols = []
-        for j in range(self.dim):
-            col = [F0] * self.dim
-            for i, a in enumerate(x):
-                if a == 0 or i == j:
-                    continue
-                for k, c in self.bk(i, j):
-                    col[k] += a * c
-            cols.append(col)
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-
     def nnz(self) -> int:
         return sum(len(v) for v in self.table.values())
 

@@ -98,8 +98,14 @@ def int_values(coeffs) -> tuple[np.ndarray, int]:
     the int64 array of the values times S, and S, their least common
     denominator.  Refuses (OverflowError) a value or an S that does not
     fit the int64 batch path."""
-    num = np.fromiter(map(attrgetter("numerator"), coeffs), np.int64, len(coeffs))
-    den = np.fromiter(map(attrgetter("denominator"), coeffs), np.int64, len(coeffs))
+    try:
+        num = np.fromiter(map(attrgetter("numerator"), coeffs), np.int64, len(coeffs))
+        den = np.fromiter(map(attrgetter("denominator"), coeffs), np.int64, len(coeffs))
+    except OverflowError:
+        t, c = next((t, c) for t, c in enumerate(coeffs)
+                    if not (-2 ** 63 <= c.numerator < 2 ** 63 and c.denominator < 2 ** 63))
+        raise OverflowError("value %s (entry %d) does not fit int64 (|x| < 2^63)"
+                            % (c, t)) from None
     s = lcm(*np.unique(den).tolist())
     if s >= INT64_GUARD:
         raise OverflowError("denominators do not fit the int64 batch path")

@@ -286,44 +286,6 @@ def comp_derivation(c, a, b):
     return la.transpose(cols)
 
 
-def derivation_space(dim, mulfn):
-    """Basis of all matrices satisfying the Leibniz rule for mulfn.
-
-    Solves the full linear system over the dim^2 matrix entries, so it is
-    meant for small algebras and for cross-checking the span of the pair
-    derivations against the whole derivation algebra.
-    """
-    from . import fastnum
-
-    tab = [[mulfn(la.basis_vec(dim, i), la.basis_vec(dim, j))
-            for j in range(dim)] for i in range(dim)]
-    rows = []
-    for i in range(dim):
-        for j in range(dim):
-            for a in range(dim):
-                co = {}
-                for cc, v in enumerate(tab[i][j]):
-                    if v:
-                        co[(a, cc)] = co.get((a, cc), F0) + v
-                for s in range(dim):
-                    v = tab[s][j][a]
-                    if v:
-                        co[(s, i)] = co.get((s, i), F0) - v
-                    v = tab[i][s][a]
-                    if v:
-                        co[(s, j)] = co.get((s, j), F0) - v
-                den = 1
-                for v in co.values():
-                    den = lcm(den, v.denominator)
-                row = sorted((r * dim + c2, int(v * den))
-                             for (r, c2), v in co.items() if v)
-                if row:
-                    rows.append(row)
-    ker = fastnum.sparse_int_kernel(rows, dim * dim)
-    return [[[Fraction(v[r * dim + c2]) for c2 in range(dim)]
-             for r in range(dim)] for v in ker]
-
-
 class JordanAlg:
     """Commutative unital algebra over Q with a generic trace functional.
 

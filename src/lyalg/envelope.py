@@ -416,16 +416,3 @@ def ly_from_reductive(g: Algebra, h_basis: list[Vec], m_basis: list[Vec],
         return list(enumerate(mm))
 
     return LYAlgebra.from_ops(nm, bin_bk, ter_bk, name=name)
-
-
-def is_reductive_split(g: Algebra, h_index: list[int], m_index: list[int]) -> bool:
-    """[h, h] in h and [h, m] in m on the given index split."""
-    hset, mset = set(h_index), set(m_index)
-    for i in h_index:
-        for j in h_index:
-            if i < j and any(k not in hset for k, _ in g.bk(i, j)):
-                return False
-        for j in m_index:
-            if any(k not in mset for k, _ in g.bk(i, j)):
-                return False
-    return True

@@ -1,4 +1,4 @@
-"""Exact checks at scale: integer-scaled tensors, sparse sweeps, modular solves.
+"""Exact checks at scale: integer-scaled tensors, sparse sweeps, mod-p ranks.
 
 Structure constants are cleared of denominators once (a single global scale
 S per algebra) and handled as int64 numpy / scipy.sparse data.  All fast
@@ -6,10 +6,9 @@ paths stay exact:
 
 * sparse integer matrix products whose entries are bounded well below 2^63
   (asserted from the data, never assumed);
-* mod-p elimination with p below 2^31 so products fit int64;
-* CRT lifting plus rational reconstruction, always followed by exact
-  verification over Z, with the mod-p rank as the matching lower bound, so
-  reconstruction failures can only cause retries, never wrong answers.
+* mod-p elimination with p below 2^31 so products fit int64, used only as
+  a one-sided certificate (a rank mod p never exceeds the rank over Q);
+  every exact answer comes from an exact solve or an exact check.
 
 The Jacobi sweep (jacobi_violation) checks only the sorted triples
 p < q < k: the stored bracket is alternating, so the Jacobiator is too,
@@ -26,23 +25,20 @@ the failing triple, for every entry point that needs a Lie bracket
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import lcm
 
 import numpy as np
 from scipy import sparse
 
 from .algebra import Algebra
-from .linalg import normalize_primitive
 
 # primes just under 2^30; (p-1)^2 < 2^60 keeps mod-p arithmetic inside int64
 PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
           1073741717, 1073741689, 1073741671, 1073741663, 1073741651,
           1073741621, 1073741567, 1073741561, 1073741527, 1073741503]
 
-# primes just under 2^20, for the selection phase of the streamed solver:
-# chunk reduction then runs as an exact fp64 matmul (products < 2^40,
-# sums of a few hundred of them stay < 2^53)
+# primes just under 2^20, tried first when choosing independent rows mod p
+# (buildtools.independent_rows, envelope._class_basis and _Span)
 PRIMES20 = [1048573, 1048571, 1048559, 1048549, 1048517]
 
 # products per block of the Jacobi sweep: on E8, 2^16 keeps the blocks'
@@ -70,7 +66,14 @@ class ScaledTables:
         self.p = np.array(ps, dtype=np.int64)
         self.q = np.array(qs, dtype=np.int64)
         self.s = np.array(ss, dtype=np.int64)
-        self.c = np.array(cs, dtype=np.int64)
+        try:
+            self.c = np.array(cs, dtype=np.int64)
+        except OverflowError:
+            t = next(t for t, v in enumerate(cs) if not -2 ** 63 <= v < 2 ** 63)
+            raise OverflowError(
+                "the constant of e%d in [e%d, e%d] times the common denominator"
+                " %d is %d, outside int64 (|x| < 2^63)"
+                % (ss[t], ps[t], qs[t], S, cs[t])) from None
         self.amax = int(np.max(np.abs(self.c))) if len(cs) else 0
         # row s, col (k,r): c^r_{sk}
         self.M = sparse.csr_array(
@@ -308,210 +311,3 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank_mod(a: np.ndarray, p: int) -> int:
     return len(rref_mod(a, p)[1])
-
-
-def _kernel_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    rows, pivots = rref_mod(a, p)
-    nc = a.shape[1]
-    free = [c for c in range(nc) if c not in set(pivots)]
-    ker = np.zeros((len(free), nc), dtype=np.int64)
-    for idx, c in enumerate(free):
-        ker[idx, c] = 1
-        for r, pc in enumerate(pivots):
-            ker[idx, pc] = (-int(rows[r, c])) % p
-    return ker, pivots, free
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, m2 - 2, m2)  # m2 prime and coprime to m1
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * inv % m2 * m1) % m
-    return x, m
-
-
-def rat_recon(r: int, m: int) -> Fraction | None:
-    """Rational reconstruction: num/den = r mod m with |num|, den <= sqrt(m/2)."""
-    bound = isqrt(m // 2)
-    a, b = m, r % m
-    pa, pb = 0, 1
-    while b > bound:
-        qt = a // b
-        a, b = b, a - qt * b
-        pa, pb = pb, pa - qt * pb
-    if b > bound or abs(pb) > bound or pb == 0:
-        return None
-    if gcd(b, abs(pb)) != 1:
-        return None
-    return Fraction(b, pb) if pb > 0 else Fraction(-b, -pb)
-
-
-def exact_kernel_int(a: np.ndarray, max_primes: int = 12) -> list[list[int]]:
-    """Certified kernel basis of an integer matrix, as primitive int vectors.
-
-    Kernel vectors are CRT-lifted from several primes, then verified exactly
-    over Z; the mod-p rank certifies completeness.  Raises if reconstruction
-    keeps failing (never returns an unverified answer).
-    """
-    nc = a.shape[1]
-    if nc == 0:
-        return []
-    if a.shape[0] == 0:
-        return [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    abig = a.astype(object)
-    best_rank = -1
-    for nprimes in (2, 4, max_primes):
-        kers, primes_used = [], []
-        for p in PRIMES[:nprimes]:
-            ker, pivots, free = _kernel_mod(a, p)
-            r = len(pivots)
-            if r > best_rank:
-                best_rank = r
-                kers, primes_used = [], []
-            if r == best_rank:
-                kers.append((ker, free))
-                primes_used.append(p)
-        free0 = kers[0][1]
-        if any(k[1] != free0 for k in kers):
-            continue  # pivot structure unstable, try more primes
-        nfree = len(free0)
-        out = []
-        ok = True
-        for idx in range(nfree):
-            r0, m0 = kers[0][0][idx].astype(object), primes_used[0]
-            for (ker, _), p in zip(kers[1:], primes_used[1:]):
-                r0 = [crt(int(x), m0, int(y), p)[0] for x, y in zip(r0, ker[idx])]
-                m0 *= p
-            vec = []
-            for x in r0:
-                f = rat_recon(int(x), m0)
-                if f is None:
-                    ok = False
-                    break
-                vec.append(f)
-            if not ok:
-                break
-            vec = normalize_primitive(vec)
-            ints = [int(x) for x in vec]
-            resid = abig @ np.array(ints, dtype=object)
-            if any(int(t) != 0 for t in resid):
-                ok = False
-                break
-            out.append(ints)
-        if ok and best_rank + len(out) == nc:
-            return out
-    raise ArithmeticError("modular kernel reconstruction failed to certify")
-
-
-class _Echelon20:
-    """Row space mod a small prime, with fp64-exact chunked reduction."""
-
-    def __init__(self, ncols: int, p: int):
-        self.p = p
-        self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.float64)
-        self.pivots: list[int] = []
-
-    def reduce_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        p = self.p
-        if len(self.pivots) and len(chunk):
-            # guard: len(pivots) * p^2 must stay below 2^53 for exactness
-            assert len(self.pivots) * p * p < (1 << 53) - (1 << 40)
-            coef = chunk[:, self.pivots]
-            chunk = np.mod(chunk - coef @ self.rows, p)
-        return chunk
-
-    def add_pivot_row(self, row: np.ndarray) -> int:
-        """row must already be reduced and nonzero; returns its pivot column."""
-        p = self.p
-        nz = np.nonzero(row)[0]
-        pc = int(nz[0])
-        row = row * pow(int(row[pc]), p - 2, p) % p
-        if len(self.pivots):
-            fac = self.rows[:, pc].copy()
-            self.rows = np.mod(self.rows - np.outer(fac, row), p)
-        self.rows = np.vstack([self.rows, row])
-        self.pivots.append(pc)
-        return pc
-
-
-def sparse_int_kernel(rows: list[list[tuple[int, int]]], ncols: int,
-                      chunk: int = 1024) -> list[list[int]]:
-    """Certified kernel of a tall sparse integer matrix, streamed.
-
-    `rows` holds sparse integer rows as (col, value) lists.  A mod-p pass
-    over PRIMES20[0] selects a candidate spanning subset of rows, the exact
-    kernel of that subset is computed and verified against every row; any
-    violated row joins the subset and the loop repeats, so a degenerate
-    selection prime costs time, never correctness.
-    """
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    p = PRIMES20[0]
-    ech = _Echelon20(ncols, p)
-    saved: list[int] = []
-    buf: list[np.ndarray] = []
-    buf_idx: list[int] = []
-
-    def flush():
-        nonlocal buf, buf_idx
-        if not buf:
-            return
-        red = ech.reduce_chunk(np.stack(buf))
-        for ridx, row in zip(buf_idx, red):
-            row = ech.reduce_chunk(row[None, :])[0]
-            if np.any(row):
-                ech.add_pivot_row(row)
-                saved.append(ridx)
-        buf, buf_idx = [], []
-
-    for idx, r in enumerate(rows):
-        dense = np.zeros(ncols, dtype=np.float64)
-        for c, v in r:
-            dense[c] = (dense[c] + v) % p
-        buf.append(dense)
-        buf_idx.append(idx)
-        if len(buf) >= chunk:
-            flush()
-    flush()
-
-    # exact phase with self-correcting verification
-    for _ in range(ncols + 1):
-        sub = np.zeros((len(saved), ncols), dtype=object)
-        for a, ridx in enumerate(saved):
-            for c, v in rows[ridx]:
-                sub[a, c] += v
-        big = any(abs(int(x)) >= (1 << 62) for x in sub.flat) if len(saved) else False
-        ker = exact_kernel_int(sub if big else sub.astype(np.int64))
-        bad = _first_violated_row(rows, ker, exclude=set(saved))
-        if bad is None:
-            return ker
-        saved.append(bad)
-    raise ArithmeticError("sparse kernel failed to stabilize")
-
-
-def _first_violated_row(rows, ker, exclude) -> int | None:
-    if not ker:
-        return None
-    kmax = max((abs(x) for v in ker for x in v), default=0)
-    ka = np.array(ker, dtype=np.int64) if kmax < (1 << 62) else None
-    for idx, r in enumerate(rows):
-        if idx in exclude or not r:
-            continue
-        amax = max(abs(v) for _, v in r)
-        if ka is not None and len(r) * amax * max(kmax, 1) < (1 << 62):
-            cols = np.array([c for c, _ in r], dtype=np.int64)
-            vals = np.array([v for _, v in r], dtype=np.int64)
-            if np.any(ka[:, cols] @ vals):
-                return idx
-        elif _violates_big(r, ker):
-            return idx
-    return None
-
-
-def _violates_big(row, ker) -> bool:
-    for v in ker:
-        if sum(val * v[c] for c, val in row) != 0:
-            return True
-    return False

@@ -10,7 +10,8 @@ Indices are 0-based with i < j; coefficients are rational strings ("3",
 "-3/4").  A plain Lie algebra is a file with an empty "ternary" list.
 Output is canonical: sorted keys and entries, compact separators, one
 trailing newline, so printing is byte-deterministic and print-parse-print
-is the identity.  Reading refuses (ValueError) a key that is given twice.
+is the identity.  Reading refuses (ValueError) a top level that is not an
+object with a "dim", a key that is given twice, and a zero denominator.
 
 ly_to_obj writes the ternary list from the int64 table when the algebra
 holds one (one string per distinct value), else from the Fraction dict,
@@ -53,8 +54,22 @@ def _coeffs_obj(entries):
     return [[k, fr_str(c)] for k, c in entries]
 
 
+def _coeff(c) -> Fraction:
+    try:
+        return Fraction(str(c))
+    except ZeroDivisionError:
+        raise ValueError("coefficient %r has a zero denominator" % c) from None
+
+
 def _coeffs_parse(obj):
-    return [(int(k), Fraction(str(c))) for k, c in obj]
+    return [(int(k), _coeff(c)) for k, c in obj]
+
+
+def _dim(obj) -> int:
+    """The dimension of an algebra object; ValueError for anything else."""
+    if not isinstance(obj, dict) or "dim" not in obj:
+        raise ValueError("not an algebra: expected a JSON object with a \"dim\" key")
+    return int(obj["dim"])
 
 
 def _keyed(rows, arity: int) -> dict:
@@ -92,17 +107,19 @@ def ly_to_obj(ly: LYAlgebra) -> dict:
 
 @_paused_gc()
 def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
+    dim = _dim(obj)
     if obj.get("ternary"):
         raise ValueError("file has ternary entries; load it as an LY algebra")
     table = _keyed(obj.get("binary", []), 2)
-    return Algebra(int(obj["dim"]), table, labels=obj.get("labels"), name=name)
+    return Algebra(dim, table, labels=obj.get("labels"), name=name)
 
 
 @_paused_gc()
 def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
+    dim = _dim(obj)
     binary = _keyed(obj.get("binary", []), 2)
     ternary = _keyed(obj.get("ternary", []), 3)
-    return LYAlgebra(int(obj["dim"]), binary, ternary, labels=obj.get("labels"), name=name)
+    return LYAlgebra(dim, binary, ternary, labels=obj.get("labels"), name=name)
 
 
 def dumps(obj: dict) -> str:
@@ -115,12 +132,10 @@ def save(path: str, thing) -> None:
         f.write(dumps(obj))
 
 
-def load(path: str, mode: str = "auto"):
-    """Load a JSON file; mode is 'lie', 'ly' or 'auto' (by ternary content)."""
+def load(path: str):
+    """Load a JSON file: an LY algebra when it has ternary entries, else a
+    Lie algebra.  ValueError for a file that is not an algebra object."""
     with open(path) as f:
         obj = json.load(f)
-    if mode == "lie":
-        return obj_to_algebra(obj)
-    if mode == "ly":
-        return obj_to_ly(obj)
+    _dim(obj)
     return obj_to_ly(obj) if obj.get("ternary") else obj_to_algebra(obj)

@@ -8,7 +8,8 @@ import pytest
 
 from lyalg import linalg as la
 from lyalg.buildtools import (BatchCoords, IrrationalRoot, OutsideSpan,
-                              independent_rows, int_rows, rational_roots)
+                              independent_rows, int_rows, int_values,
+                              rational_roots)
 from lyalg.fastnum import PRIMES20
 
 F = Fraction
@@ -140,6 +141,14 @@ def poly(*roots, lead=F(1), extra=()):
                 prod[i + j] += a * b
         out = prod
     return out
+
+
+def test_int_values_names_the_value_beyond_int64():
+    with pytest.raises(OverflowError, match=r"value %d \(entry 1\).*\(\|x\| < 2\^63\)"
+                       % 2 ** 70):
+        int_values([F(1), F(2 ** 70), F(3)])
+    with pytest.raises(OverflowError, match="int64"):
+        int_values([F(1, 2 ** 64)])
 
 
 def test_rational_roots_with_multiplicity():

@@ -59,10 +59,13 @@ def test_classify(tmp_path, capsys):
 
 
 def test_refused_input_is_one_line_on_stderr(tmp_path, capsys):
-    # a missing file, a pair key (1, 0) and a constant beyond int64
+    # a missing file, a pair key (1, 0) and a constant beyond int64, in a
+    # ternary and in a binary table
     files = {"pair_key": {"dim": 2, "binary": [[1, 0, [[0, "1"]]]], "ternary": []},
              "int64": {"dim": 2, "binary": [],
-                       "ternary": [[0, 1, 0, [[1, str(2 ** 70)]]]]}}
+                       "ternary": [[0, 1, 0, [[1, str(2 ** 70)]]]]},
+             "int64_binary": {"dim": 2, "binary": [[0, 1, [[0, str(2 ** 70)]]]],
+                              "ternary": []}}
     paths = [str(tmp_path / "missing.json")]
     for name, obj in files.items():
         path = tmp_path / (name + ".json")
@@ -73,6 +76,23 @@ def test_refused_input_is_one_line_on_stderr(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("lyalg: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if "int64" in path:
+            assert "int64 (|x| < 2^63)" in err
+
+
+def test_json_that_is_not_an_algebra_is_refused_on_one_line(tmp_path, capsys):
+    files = {"no_dim": ({"binary": []}, "dim"),
+             "list": ([], "dim"),
+             "zero_den": ({"dim": 2, "binary": [[0, 1, [[0, "1/0"]]]],
+                           "ternary": []}, "zero denominator")}
+    for name, (obj, says) in files.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(obj))
+        for command in ("check", "classify"):
+            assert main([command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("lyalg: ") and says in err
+            assert len(err.splitlines()) == 1
 
 
 def test_cli_and_certificates_import_without_sympy():

@@ -26,10 +26,10 @@ from lyalg.compjordan import (
     build_jordan_hermitian,
     build_jordan_spin,
     comp_derivation,
-    derivation_space,
     jordan_derivation,
     trace_admissible_view,
 )
+from test_invariants import derivation_space
 
 
 def ev(n, *pairs):

@@ -1,36 +1,18 @@
-"""Rational reconstruction in the modular kernel solver."""
+"""Integer scaling of structure constants refuses what int64 cannot hold."""
 
 from fractions import Fraction
-from math import isqrt, prod
 
-from lyalg.fastnum import PRIMES, rat_recon
+import pytest
 
-
-def residue(f: Fraction, m: int) -> int:
-    return f.numerator * pow(f.denominator, -1, m) % m
+from lyalg.algebra import Algebra
+from lyalg.fastnum import jacobi_violation, scaled
 
 
-def test_rat_recon_large_modulus_round_trip():
-    m = prod(PRIMES)
-    f = Fraction(-123456789, 987654321)
-    assert rat_recon(residue(f, m), m) == f
-    # beyond float range the bound must still be computed exactly
-    assert rat_recon(5, 2 ** 1100 + 15) == 5
-
-
-def test_rat_recon_none_without_small_fraction():
-    m = 101
-    bound = isqrt(m // 2)
-    small = {residue(Fraction(a, b), m) for a in range(-bound, bound + 1)
-             for b in range(1, bound + 1)}
-    r = next(r for r in range(m) if r not in small)
-    assert rat_recon(r, m) is None
-
-
-def test_rat_recon_perfect_square_bound():
-    # m // 2 = k^2 with k above 2^53: a float square root rounds the bound
-    # down to k - 1 and loses the fraction k / 1 that sits on it
-    k = 2 ** 60 + 1
-    m = 2 * k * k + 1
-    assert rat_recon(k, m) == k
-    assert rat_recon(residue(Fraction(-k, k - 1), m), m) == Fraction(-k, k - 1)
+def test_scaled_tables_name_the_constant_beyond_int64():
+    # 2^62 fits int64, but times the common denominator 3 it does not
+    alg = Algebra(3, {(0, 1): [(2, Fraction(2 ** 62))],
+                      (1, 2): [(0, Fraction(1, 3))]})
+    with pytest.raises(OverflowError, match=r"e2 in \[e0, e1\].*int64 \(\|x\| < 2\^63\)"):
+        scaled(alg)
+    with pytest.raises(OverflowError, match="int64"):
+        jacobi_violation(alg)

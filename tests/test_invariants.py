@@ -1,21 +1,76 @@
-"""Killing form, centroid, commutant and derivation solvers on small
-algebras where every answer is known by hand."""
+"""The Killing form radical and semisimplicity, the operator algebra and
+eigenbasis tools, on small algebras where every answer is known by hand.
+
+Two exact references live here, on linalg.kernel_basis: the derivation
+algebra of a multiplication table (derivation_space) and the dimension
+of the commutant of a set of operators (commutant_dim), which certifies
+that a module is irreducible in test_matrix_families.
+"""
 
 from fractions import Fraction
 
 import pytest
 
+from lyalg import invariants
 from lyalg import linalg as la
 from lyalg.algebra import Algebra
 from lyalg.buildtools import (NotClosedError, direct_sum, independent_rows,
                               operator_algebra_from_basis,
                               rational_eigensplit, simultaneous_eigenbasis)
-from lyalg.invariants import (centroid_basis, centroid_dim, derivation_basis,
-                              is_semisimple, is_simple, killing_gram,
-                              killing_radical, commutant_dim)
+from lyalg.invariants import is_semisimple, killing_radical
 from lyalg.matrixalg import build_matrix_lie
+from lyalg.roots import classify
 
 fr = Fraction
+
+
+def ad(g, x):
+    """Matrix of ad(x) = [x, .] acting on column coordinates."""
+    return la.transpose([g.bracket(x, la.basis_vec(g.dim, j)) for j in range(g.dim)])
+
+
+def derivation_space(dim, mul):
+    """Basis of the matrices D with D(xy) = D(x) y + x D(y) for the
+    bilinear product mul, from the dim^3 Leibniz equations on the basis
+    in the dim^2 entries of D (entry D[r][c] is unknown r dim + c)."""
+    e = [la.basis_vec(dim, i) for i in range(dim)]
+    tab = [[mul(x, y) for y in e] for x in e]
+    rows = []
+    for i in range(dim):
+        for j in range(dim):
+            for a in range(dim):
+                row = [fr(0)] * (dim * dim)
+                for c in range(dim):
+                    row[a * dim + c] += tab[i][j][c]
+                    row[c * dim + i] -= tab[c][j][a]
+                    row[c * dim + j] -= tab[i][c][a]
+                rows.append(row)
+    return [[v[r * dim:(r + 1) * dim] for r in range(dim)]
+            for v in la.kernel_basis(rows, dim * dim)]
+
+
+def commutant_dim(ops, dim, weights=None):
+    """Dimension of {phi : phi A = A phi for every operator A}.
+
+    Operators are sparse matrices {(row, col): Fraction}.  `weights`
+    restricts phi to the blocks of equal weight, which loses nothing when
+    the grading torus acts through the span of the operators.
+    """
+    slots = [(r, c) for r in range(dim) for c in range(dim)
+             if weights is None or weights[r] == weights[c]]
+    slot = {rc: u for u, rc in enumerate(slots)}
+    rows = []
+    for op in ops:
+        # equation (r, j) of A phi - phi A: sum_k A_rk phi_kj - phi_rk A_kj
+        eqs = {}
+        for (r, k), x in op.items():
+            for j in range(dim):
+                if (k, j) in slot:
+                    eqs.setdefault((r, j), [fr(0)] * len(slots))[slot[k, j]] += x
+                if (j, r) in slot:
+                    eqs.setdefault((j, k), [fr(0)] * len(slots))[slot[j, r]] -= x
+        rows = la.rref(rows + list(eqs.values()))[0]
+    return len(slots) - len(rows)
 
 
 def sl2():
@@ -37,12 +92,9 @@ def heisenberg():
 
 def test_killing_sl2():
     g = sl2()
-    assert killing_gram(g) == [[fr(8), fr(0), fr(0)],
-                               [fr(0), fr(0), fr(4)],
-                               [fr(0), fr(4), fr(0)]]
     assert killing_radical(g) == []
     assert is_semisimple(g)
-    assert is_simple(g)
+    assert classify(g) == "A1"
 
 
 def test_killing_heisenberg():
@@ -50,7 +102,6 @@ def test_killing_heisenberg():
     rad = killing_radical(h)
     assert len(rad) == 3
     assert not is_semisimple(h)
-    assert not is_simple(h)
 
 
 def test_is_semisimple_mod_p_then_exact_fallback():
@@ -61,36 +112,35 @@ def test_is_semisimple_mod_p_then_exact_fallback():
     for a in (heisenberg(), gl3):
         assert not is_semisimple(a)
         assert a._cache["killing_radical"]      # the exact solve decided
-    assert len(gl3._cache["killing_radical"]) == 1
+    assert gl3._cache["killing_radical"] == [[fr(int(i % 4 == 0)) for i in range(9)]]
 
 
-def test_centroid_sl2_is_scalars():
+def test_is_semisimple_exact_path_when_the_prime_fails(monkeypatch):
+    # sl2's Killing form diag(8) + 4 (e f + f e) is 0 mod 2, so full rank
+    # mod p fails and only the exact radical can answer
+    monkeypatch.setattr(invariants, "PRIMES", [2])
     g = sl2()
-    cb = centroid_basis(g)
-    assert len(cb) == 1
-    phi = cb[0]
-    lead = next(v for row in phi for v in row if v != 0)
-    assert [[v / lead for v in row] for row in phi] == la.eye(3)
+    assert is_semisimple(g)
+    assert g._cache["killing_radical"] == []
+    h = heisenberg()
+    assert not is_semisimple(h)
+    assert len(killing_radical(h)) == 3
 
 
 def test_centroid_direct_sum():
+    # a split semisimple algebra has one centroid dimension per simple
+    # ideal, and classify names the ideals
     g = direct_sum(sl2(), sl2(), name="sl2+sl2")
     assert g.weights is not None and g.cartan is not None
-    assert centroid_dim(g) == 2
     assert is_semisimple(g)
-    assert not is_simple(g)
-    # same answer without the weight-block shortcut
-    g2 = direct_sum(sl2(), sl2())
-    g2.weights = None
-    assert centroid_dim(g2) == 2
+    assert classify(g) == "A1+A1"
 
 
 def test_derivations_sl2_all_inner():
     g = sl2()
-    der = derivation_basis(g)
+    der = derivation_space(3, g.bracket)
     assert len(der) == 3
-    ads = [la.transpose([g.bracket(la.basis_vec(3, i), la.basis_vec(3, j))
-                         for j in range(3)]) for i in range(3)]
+    ads = [ad(g, la.basis_vec(3, i)) for i in range(3)]
     chosen, span, _ = independent_rows([[v for row in d for v in row]
                                         for d in der])
     assert chosen == [0, 1, 2]
@@ -100,14 +150,14 @@ def test_derivations_sl2_all_inner():
 
 def test_derivations_abelian():
     a = Algebra(2, {})
-    assert len(derivation_basis(a)) == 4
+    assert len(derivation_space(2, a.bracket)) == 4
 
 
 def test_commutant_of_irreducible_action():
     g = sl2()
     ops = []
     for i in range(3):
-        m = g.ad(la.basis_vec(3, i))
+        m = ad(g, la.basis_vec(3, i))
         ops.append({(r, c): m[r][c] for r in range(3) for c in range(3)
                     if m[r][c] != 0})
     assert commutant_dim(ops, 3) == 1
