@@ -6,13 +6,21 @@ anticommutative in its first two arguments.  Both keep sparse tables:
 only pairs i < j (and triples with i < j) are stored, everything else
 follows by sign.
 
-The ternary storage of an LYAlgebra is one int64 table or a Fraction
-dict; the other form is derived on first read, here and nowhere else.
-`ternary` maps (i, j, k) to the entries (l, Fraction) of [e_i, e_j, e_k];
-`ternary_int` is (pair, col, val, scale), val / scale the coefficient of
-e_l at pair i n + j and col l n + k, sorted by (pair, k, l), and raises
-OverflowError for constants beyond int64.  The tables are not meant to
-be mutated once check_ly has memoised the envelope in `_cache`.
+The bracket of an Algebra and the ternary product of an LYAlgebra are
+each held as an int64 table or a Fraction dict, as given; the other form
+is a cached property derived once, by one converter for both classes
+(dict_to_table, table_to_dict; checked_table validates a given table,
+table_groups reads one by key).  `table` maps (i, j) to the entries
+(l, Fraction) of [e_i, e_j], `ternary` maps (i, j, k) to those of
+[e_i, e_j, e_k].  `table_int` is (pair, target, val, scale), val / scale
+the coefficient of e_l at pair i n + j and target l, sorted by (pair, l);
+`ternary_int` has col l n + k in place of l, sorted by (pair, k, l).
+Deriving a table raises OverflowError, naming the entry and the int64
+limit, for constants beyond int64.  The LY binary product is a dict.
+
+The tables are read-only after construction: an edit in place would not
+reach the other form, nor the memoised sweeps and envelope in `_cache`.
+To change an algebra, build a new one from a changed copy.
 
 Optional attributes carried by constructions and used by the checkers and
 classifiers, never serialized: `weights` (a grading vector per basis index
@@ -89,53 +97,110 @@ def _sparse_table(table: dict, dim: int, kind: str) -> dict:
     return out
 
 
-def _checked_table(table, dim: int):
-    """A ternary int64 table (pair, col, val, scale), refused (ValueError)
-    unless i < j, every index is in range, every value is nonzero, the
-    entries strictly increase in (pair, k, l) and scale > 0."""
+def _codes(pair, col, dim: int, arity: int):
+    """(group, code, l) of the entries of an int64 table: the group numbers
+    the key (the pair, or pair n + k for a triple key), code = group n + l
+    orders the entries, and l is the target."""
+    if arity == 2:
+        return pair, pair * dim + col, col
+    l, k = np.divmod(col, dim)
+    group = pair * dim + k
+    return group, group * dim + l, l
+
+
+def checked_table(table, dim: int, arity: int):
+    """An int64 table (pair, col, val, scale) of pair (arity 2) or triple
+    (arity 3) keys, refused (ValueError) unless i < j, every index is in
+    range, every value is nonzero, the entries strictly increase in
+    (key, target) and scale > 0."""
+    kind = "binary" if arity == 2 else "ternary"
     pair, col, val = (np.asarray(a, dtype=np.int64) for a in table[:3])
-    scale, n2 = int(table[3]), dim * dim
+    scale = int(table[3])
     if not pair.shape == col.shape == val.shape == (len(pair),):
-        raise ValueError("ternary table: arrays must be flat and of one length")
+        raise ValueError("%s table: arrays must be flat and of one length" % kind)
     if scale <= 0:
-        raise ValueError("ternary table: scale <= 0")
-    (i, j), (l, k) = np.divmod(pair, dim), np.divmod(col, dim)
-    for bad, what in [((pair < 0) | (pair >= n2) | (col < 0) | (col >= n2),
-                       "index out of range"), (i >= j, "i >= j"),
-                      (val == 0, "zero value"),
-                      (np.diff((pair * dim + k) * dim + l) <= 0,
-                       "entries not strictly sorted by (pair, k, l)")]:
+        raise ValueError("%s table: scale <= 0" % kind)
+    i, j = np.divmod(pair, dim)
+    for bad, what in [((pair < 0) | (pair >= dim * dim) | (col < 0)
+                       | (col >= dim ** (arity - 1)), "index out of range"),
+                      (i >= j, "i >= j"), (val == 0, "zero value"),
+                      (np.diff(_codes(pair, col, dim, arity)[1]) <= 0,
+                       "entries not strictly sorted by (key, target)")]:
         if bad.any():
-            raise ValueError("ternary table: " + what)
+            raise ValueError("%s table: %s" % (kind, what))
     return pair, col, val, scale
 
 
-def ternary_groups(table, dim: int):
-    """(keys, l, v, cut) of an int64 ternary table as int lists: the triples
-    (i, j, k) in order, and the targets l and values v of the entries,
+def table_groups(table, dim: int, arity: int):
+    """(keys, l, v, cut) of an int64 table as int lists: the keys (i, j)
+    or (i, j, k) in order, and the targets l and values v of the entries,
     those of keys[t] from cut[t] to cut[t + 1]."""
-    pair, col, val, _ = table
-    l, k = np.divmod(col, dim)
-    start = np.flatnonzero(np.diff(pair * dim + k, prepend=-1))
-    i, j = np.divmod(pair[start], dim)
-    keys = list(zip(i.tolist(), j.tolist(), k[start].tolist()))
-    return keys, l.tolist(), val.tolist(), start.tolist() + [len(val)]
+    group, _, l = _codes(table[0], table[1], dim, arity)
+    start = np.flatnonzero(np.diff(group, prepend=-1))
+    keys = zip(*(a.tolist() for a in np.unravel_index(group[start], (dim,) * arity)))
+    return list(keys), l.tolist(), table[2].tolist(), start.tolist() + [len(l)]
+
+
+def table_to_dict(table, dim: int, arity: int) -> dict:
+    """The Fraction dict of an int64 table, keys in order."""
+    keys, l, v, cut = table_groups(table, dim, arity)
+    frac = {x: Fraction(x, table[3]) for x in set(v)}
+    ent = list(zip(l, map(frac.__getitem__, v)))
+    return {key: ent[a:z] for key, a, z in zip(keys, cut, cut[1:])}
+
+
+def dict_to_table(table: dict, dim: int, arity: int):
+    """The int64 table of a clean Fraction dict, sorted by (key, target).
+    OverflowError, naming the entry and the int64 limit, when a value
+    times the common denominator does not fit (buildtools.int_values)."""
+    from .buildtools import EntryOverflow, int_values   # buildtools imports this module
+    keys = np.fromiter(chain.from_iterable(table), np.int64,
+                       arity * len(table)).reshape(-1, arity)
+    lens = np.fromiter(map(len, table.values()), np.int64, len(table))
+    ents = list(chain.from_iterable(table.values()))
+    l = np.fromiter(map(itemgetter(0), ents), np.int64, len(ents))
+    try:
+        val, scale = int_values(list(map(itemgetter(1), ents)))
+    except EntryOverflow as e:
+        key = keys[np.searchsorted(np.cumsum(lens), e.index, side="right")]
+        raise OverflowError("the constant of e%d in [%s]: %s" % (
+            l[e.index], ", ".join("e%d" % x for x in key), e)) from None
+    key = np.repeat(keys, lens, axis=0)
+    pair = key[:, 0] * dim + key[:, 1]
+    col = l if arity == 2 else l * dim + key[:, 2]
+    o = np.argsort(_codes(pair, col, dim, arity)[1])
+    return pair[o], col[o], val[o], scale
 
 
 class Algebra:
-    """Anticommutative algebra given by structure constants."""
+    """Anticommutative algebra given by structure constants, held as a
+    Fraction dict or an int64 table."""
 
-    def __init__(self, dim: int, table: dict[tuple[int, int], Sparse],
+    def __init__(self, dim: int, table: dict[tuple[int, int], Sparse] | tuple,
                  labels: list[str] | None = None, name: str = ""):
         self.dim = dim
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
         if len(self.labels) != dim:
             raise ValueError("label count != dim")
-        self.table: dict[tuple[int, int], Sparse] = _sparse_table(table, dim, "pair")
+        # cached_property has no setter: these assignments fill its cache
+        if isinstance(table, dict):
+            self.table = _sparse_table(table, dim, "pair")
+        else:
+            self.table_int = checked_table(table, dim, 2)
         self.name = name
         self.weights: list[tuple] | None = None
         self.cartan: list[Vec] | None = None
         self._cache: dict = {}
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], Sparse]:
+        """The Fraction dict of the int64 table, keys in (i, j) order."""
+        return table_to_dict(self.table_int, self.dim, 2)
+
+    @cached_property
+    def table_int(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The int64 table (pair, target, val, scale) of the dict."""
+        return dict_to_table(self.table, self.dim, 2)
 
     def bk(self, i: int, j: int) -> Sparse:
         """[e_i, e_j] as sparse entries."""
@@ -159,7 +224,8 @@ class Algebra:
         return out
 
     def nnz(self) -> int:
-        return sum(len(v) for v in self.table.values())
+        held = vars(self).get("table_int")
+        return len(held[2]) if held else sum(map(len, self.table.values()))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -183,7 +249,7 @@ class LYAlgebra:
         if isinstance(ternary, dict):
             self.ternary = _sparse_table(ternary, dim, "triple")
         else:
-            self.ternary_int = _checked_table(ternary, dim)
+            self.ternary_int = checked_table(ternary, dim, 3)
         self.name = name
         self.weights: list[tuple] | None = None
         self.cartan: list[Vec] | None = None
@@ -203,26 +269,13 @@ class LYAlgebra:
 
     @cached_property
     def ternary(self) -> dict[tuple[int, int, int], Sparse]:
-        """The Fraction dict of the table, keys in (i, j, k) order."""
-        keys, l, v, cut = ternary_groups(self.ternary_int, self.dim)
-        frac = {x: Fraction(x, self.ternary_int[3]) for x in set(v)}
-        ent = list(zip(l, map(frac.__getitem__, v)))
-        return {key: ent[a:z] for key, a, z in zip(keys, cut, cut[1:])}
+        """The Fraction dict of the int64 table, keys in (i, j, k) order."""
+        return table_to_dict(self.ternary_int, self.dim, 3)
 
     @cached_property
     def ternary_int(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """The int64 table of the dict; OverflowError when a value or the
-        common denominator does not fit (buildtools.int_values)."""
-        from .buildtools import int_values     # buildtools imports this module
-        tern, n = self.ternary, self.dim
-        ijk = np.fromiter(chain.from_iterable(tern), np.int64, 3 * len(tern))
-        lens = np.fromiter(map(len, tern.values()), np.int64, len(tern))
-        ents = list(chain.from_iterable(tern.values()))
-        l = np.fromiter(map(itemgetter(0), ents), np.int64, len(ents))
-        val, scale = int_values(list(map(itemgetter(1), ents)))
-        i, j, k = np.repeat(ijk.reshape(-1, 3), lens, axis=0).T
-        o = np.argsort((i * n + j) * n + k, kind="stable")
-        return (i * n + j)[o], (l * n + k)[o], val[o], scale
+        """The int64 table (pair, col, val, scale) of the dict."""
+        return dict_to_table(self.ternary, self.dim, 3)
 
     def b(self, i: int, j: int) -> Sparse:
         if i == j:
@@ -239,9 +292,9 @@ class LYAlgebra:
         return [(l, -c) for l, c in self.ternary.get((j, i, k), [])]
 
     def nnz(self) -> tuple[int, int]:
-        nt = (len(self.ternary_int[2]) if "ternary_int" in vars(self)
-              else sum(len(v) for v in self.ternary.values()))
-        return sum(len(v) for v in self.binary.values()), nt
+        held = vars(self).get("ternary_int")
+        nt = len(held[2]) if held else sum(map(len, self.ternary.values()))
+        return sum(map(len, self.binary.values())), nt
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

@@ -93,26 +93,41 @@ def sp_commutator(a: SpMat, b: SpMat) -> SpMat:
 INT64_GUARD = 1 << 62
 
 
+class EntryOverflow(OverflowError):
+    """Entry `index` of a batch does not fit int64."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def int_values(coeffs) -> tuple[np.ndarray, int]:
     """Clear the denominators of a sequence of rationals at once: returns
     the int64 array of the values times S, and S, their least common
-    denominator.  Refuses (OverflowError) a value or an S that does not
-    fit the int64 batch path."""
+    denominator.  Refuses (OverflowError) an S that does not fit the int64
+    batch path, and (EntryOverflow) a value that does not: the message
+    names the entry and the limit it passes."""
     try:
         num = np.fromiter(map(attrgetter("numerator"), coeffs), np.int64, len(coeffs))
         den = np.fromiter(map(attrgetter("denominator"), coeffs), np.int64, len(coeffs))
     except OverflowError:
         t, c = next((t, c) for t, c in enumerate(coeffs)
                     if not (-2 ** 63 <= c.numerator < 2 ** 63 and c.denominator < 2 ** 63))
-        raise OverflowError("value %s (entry %d) does not fit int64 (|x| < 2^63)"
-                            % (c, t)) from None
+        raise EntryOverflow("value %s (entry %d) does not fit int64 (|x| < 2^63)"
+                            % (c, t), t) from None
     s = lcm(*np.unique(den).tolist())
     if s >= INT64_GUARD:
         raise OverflowError("denominators do not fit the int64 batch path")
     mult = s // den
     lim = (INT64_GUARD - 1) // mult
-    if ((num > lim) | (num < -lim)).any():
-        raise OverflowError("entry does not fit the int64 batch path")
+    bad = np.flatnonzero((num > lim) | (num < -lim))
+    if len(bad):
+        t = int(bad[0])
+        v = coeffs[t] * s
+        raise EntryOverflow(
+            "value %s (entry %d) times the common denominator %d is %s, outside %s"
+            % (coeffs[t], t, s, v, "int64 (|x| < 2^63)" if abs(v) >= 2 ** 63
+               else "the int64 batch path (|x| < 2^62)"), t)
     return num * mult, s
 
 
@@ -163,15 +178,9 @@ def int_commutators(ms, ml, mk, vals, b: int, n: int):
     s, t, l, k, v = s[off], t[off], l[off], k[off], v[off]
     # [A_s, A_t] at (l, k) is (A_s A_t)[l, k] - (A_t A_s)[l, k]
     lo, hi = np.minimum(s, t), np.maximum(s, t)
-    code = ((lo * b + hi) * n + l) * n + k
-    v = np.where(s < t, v, -v)
-    order = np.argsort(code)
-    code, v = code[order], v[order]
-    first = np.flatnonzero(np.diff(code, prepend=-1))
-    code, v = code[first], np.add.reduceat(v, first)
-    nz = v != 0
-    pair, lk = np.divmod(code[nz], n * n)
-    return pair, lk, v[nz]
+    code, v = fastnum.summed(((lo * b + hi) * n + l) * n + k, np.where(s < t, v, -v))
+    pair, lk = np.divmod(code, n * n)
+    return pair, lk, v
 
 
 def sp_commutators(maps: list[SpMat], n: int):
@@ -420,9 +429,7 @@ def direct_sum(a: Algebra, b: Algebra, name="") -> Algebra:
     padding each weight tuple with zeros for the other summand's torus.
     """
     n = a.dim + b.dim
-    table = {}
-    for (i, j), ent in a.table.items():
-        table[(i, j)] = list(ent)
+    table = dict(a.table)
     for (i, j), ent in b.table.items():
         table[(i + a.dim, j + a.dim)] = [(k + a.dim, v) for k, v in ent]
     out = Algebra(n, table, labels=list(a.labels) + list(b.labels), name=name)

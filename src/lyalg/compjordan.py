@@ -1,7 +1,7 @@
 """Split composition algebras, Jordan algebras, and their trace-zero views.
 
 Everything here is verified at construction time, exactly, on int64
-tensors: each table is cleared of denominators once (_int_table), and
+tensors: each table is cleared of denominators once (_amb_int), and
 every identity becomes an array equality of integer contractions, each
 product guarded by buildtools.guard_bound (OverflowError rather than a
 wrong answer).  Composition builders check the unit laws, the polarized
@@ -29,13 +29,13 @@ integer tensors.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 from scipy import sparse
 
 from . import buildtools as bt
 from . import linalg as la
+from .fastnum import summed
 from .linalg import F0, F1
 from .matrixalg import split_sym_form
 
@@ -160,26 +160,6 @@ def _table_O():
     return tab, gram, unit, ["p", "u1", "u2", "u3", "v1", "v2", "v3", "q"]
 
 
-def _int_table(tab):
-    """Dense structure constants as (int64 tensor, common denominator)."""
-    n = len(tab)
-    s = 1
-    for row in tab:
-        for cell in row:
-            for v in cell:
-                s = lcm(s, v.denominator)
-    arr = np.zeros((n, n, n), dtype=np.int64)
-    for i, row in enumerate(tab):
-        for j, cell in enumerate(row):
-            for k, v in enumerate(cell):
-                if v:
-                    iv = v.numerator * (s // v.denominator)
-                    if abs(iv) >= bt.INT64_GUARD:
-                        raise OverflowError("structure constant too large")
-                    arr[i, j, k] = iv
-    return arr, s
-
-
 def _first_failure(*checks):
     """Raise the message of the first flagged entry in row-major order.
 
@@ -200,8 +180,7 @@ def _verify_composition(c):
     array equality; every product is guarded against int64 overflow.
     """
     n = c.dim
-    t, s = _int_table(c.tab)
-    c._int = (t, s)
+    t, s = _amb_int(c)
     g, sg = bt.int_rows(c.gram)
     if not np.array_equal(g, g.T):
         raise ValueError("norm polar form is not symmetric")
@@ -350,8 +329,7 @@ def _verify_jordan(j):
                 raise ValueError("product is not commutative")
     if j.gentrace(j.unit) != j.degree:
         raise ValueError("the unit must trace to the degree")
-    t, s = _int_table(j.tab)
-    j._int = (t, s)
+    t, s = _amb_int(j)
     tli, _ = bt.int_rows([j.tracev])
     tv = tli[0]
     bt.guard_bound(n, t, tv.reshape(1, -1))
@@ -609,8 +587,12 @@ def _x0_labels(tag, amblabels, vecs):
 
 
 def _amb_int(amb):
+    """Dense structure constants as (int64 tensor, common denominator),
+    cleared once per algebra."""
     if amb._int is None:
-        amb._int = _int_table(amb.tab)
+        n = amb.dim
+        arr, s = bt.int_rows([cell for row in amb.tab for cell in row], n)
+        amb._int = arr.reshape(n, n, n), s
     return amb._int
 
 
@@ -834,10 +816,7 @@ def _equivariance_check(es, d, n0, chunk=16):
             c = prod.tocoo()
             keys.append(key(*c.coords))
             vals.append(sign * c.data)
-        key = np.concatenate(keys)
-        o = np.argsort(key)
-        key, val = key[o], np.concatenate(vals)[o]
-        if len(key) and np.add.reduceat(val, np.flatnonzero(np.diff(key, prepend=-1))).any():
+        if len(summed(np.concatenate(keys), np.concatenate(vals))[0]):
             raise ArithmeticError("pair derivation map is not equivariant")
 
 

@@ -1,8 +1,8 @@
 """Exact checks at scale: integer-scaled tensors, sparse sweeps, mod-p ranks.
 
-Structure constants are cleared of denominators once (a single global scale
-S per algebra) and handled as int64 numpy / scipy.sparse data.  All fast
-paths stay exact:
+Structure constants come as the algebra's int64 table (Algebra.table_int,
+one global scale S per algebra), which ScaledTables lays out as numpy /
+scipy.sparse data without a per-entry loop.  All fast paths stay exact:
 
 * sparse integer matrix products whose entries are bounded well below 2^63
   (asserted from the data, never assumed);
@@ -25,8 +25,6 @@ the failing triple, for every entry point that needs a Lie bracket
 
 from __future__ import annotations
 
-from math import lcm
-
 import numpy as np
 from scipy import sparse
 
@@ -47,34 +45,24 @@ SWEEP_BLOCK = 1 << 16
 
 
 class ScaledTables:
-    """Integer-scaled structure constants of an Algebra, in sparse layouts."""
+    """Integer-scaled structure constants of an Algebra, in sparse layouts.
+
+    Read off alg.table_int: S is its scale, and every stored entry
+    [e_i, e_j] = c e_s, i < j, appears as (p, q, s, c) = (i, j, s, c)
+    followed by (j, i, s, -c), in the table's (pair, target) order.
+    """
 
     def __init__(self, alg: Algebra):
         n = alg.dim
-        S = 1
-        for ent in alg.table.values():
-            for _, c in ent:
-                S = lcm(S, c.denominator)
-        ps, qs, ss, cs = [], [], [], []
-        for (i, j), ent in alg.table.items():
-            for k, c in ent:
-                v = c.numerator * (S // c.denominator)
-                ps.append(i); qs.append(j); ss.append(k); cs.append(v)
-                ps.append(j); qs.append(i); ss.append(k); cs.append(-v)
+        pair, tgt, val, S = alg.table_int
+        i, j = np.divmod(pair, n)
         self.n = n
         self.S = S
-        self.p = np.array(ps, dtype=np.int64)
-        self.q = np.array(qs, dtype=np.int64)
-        self.s = np.array(ss, dtype=np.int64)
-        try:
-            self.c = np.array(cs, dtype=np.int64)
-        except OverflowError:
-            t = next(t for t, v in enumerate(cs) if not -2 ** 63 <= v < 2 ** 63)
-            raise OverflowError(
-                "the constant of e%d in [e%d, e%d] times the common denominator"
-                " %d is %d, outside int64 (|x| < 2^63)"
-                % (ss[t], ps[t], qs[t], S, cs[t])) from None
-        self.amax = int(np.max(np.abs(self.c))) if len(cs) else 0
+        self.p = np.column_stack([i, j]).ravel()
+        self.q = np.column_stack([j, i]).ravel()
+        self.s = np.repeat(tgt, 2)
+        self.c = np.column_stack([val, -val]).ravel()
+        self.amax = int(np.abs(val).max(initial=0))
         # row s, col (k,r): c^r_{sk}
         self.M = sparse.csr_array(
             (self.c, (self.p, self.q * n + self.s)), shape=(n, n * n))
@@ -101,8 +89,7 @@ class _SweepTables:
 
     def __init__(self, st: ScaledTables):
         n = self.n = st.n
-        o = np.argsort(st.p[::2], kind="stable")
-        self.a, self.b, self.m, self.v = (x[::2][o] for x in (st.p, st.q, st.s, st.c))
+        self.a, self.b, self.m, self.v = (x[::2] for x in (st.p, st.q, st.s, st.c))
         o = np.lexsort((st.s, st.q, st.p))
         self.key = st.p[o] * n + st.q[o]
         self.r, self.w = st.s[o], st.c[o]
@@ -133,6 +120,17 @@ class _SweepTables:
             p1 = max(p0 + 1, int(np.searchsorted(cum, base + budget, side="right")))
             yield p0, p1
             p0 = p1
+
+
+def summed(code, val):
+    """The entries (code, val) in code order, the values of equal codes
+    summed and zero sums dropped."""
+    o = np.argsort(code)
+    code, val = code[o], val[o]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    code, val = code[first], np.add.reduceat(val, first)
+    nz = val != 0
+    return code[nz], val[nz]
 
 
 def _expand(lo, hi):
@@ -173,13 +171,7 @@ def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> np.ndarray:
         p, q, k = (abc[t] for t in order)
         keys.append(((p * n + q) * n + k) * n + sw.r[pos])
         vals.append(sign * sw.v[ent] * sw.w[pos])
-    key = np.concatenate(keys)
-    if not len(key):
-        return key
-    o = np.argsort(key)
-    key, val = key[o], np.concatenate(vals)[o]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[start[np.add.reduceat(val, start) != 0]]
+    return summed(np.concatenate(keys), np.concatenate(vals))[0]
 
 
 def _triple(code: int, n: int) -> tuple[int, int, int]:

@@ -11,11 +11,15 @@ Indices are 0-based with i < j; coefficients are rational strings ("3",
 Output is canonical: sorted keys and entries, compact separators, one
 trailing newline, so printing is byte-deterministic and print-parse-print
 is the identity.  Reading refuses (ValueError) a top level that is not an
-object with a "dim", a key that is given twice, and a zero denominator.
+object with a "dim", a dim or index that is not a non-negative integer
+(a bool is not), a row or entry list that is not a list, labels that are
+not a list of dim names, a key that is given twice, and a zero
+denominator.
 
-ly_to_obj writes the ternary list from the int64 table when the algebra
-holds one (one string per distinct value), else from the Fraction dict,
-so it never converts between them; both give the same bytes.
+Both writers take each table from the form the algebra holds: the int64
+table (Algebra.table_int, LYAlgebra.ternary_int) when it holds one, with
+one string per distinct value, else the Fraction dict; they never
+convert between the forms, and both give the same bytes.
 
 The four conversions between algebras and JSON objects build only
 acyclic lists and tuples, which the cyclic garbage collector would scan
@@ -30,7 +34,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import Algebra, LYAlgebra, ternary_groups
+from .algebra import Algebra, LYAlgebra, table_groups
 
 
 @contextmanager
@@ -61,24 +65,48 @@ def _coeff(c) -> Fraction:
         raise ValueError("coefficient %r has a zero denominator" % c) from None
 
 
+def _index(x, what: str) -> int:
+    """x if it is a non-negative JSON integer (a bool is not); ValueError
+    naming `what` otherwise."""
+    if type(x) is not int or x < 0:
+        raise ValueError("%s must be a non-negative integer, not %s"
+                         % (what, json.dumps(x, default=repr)))
+    return x
+
+
 def _coeffs_parse(obj):
-    return [(int(k), _coeff(c)) for k, c in obj]
+    if not isinstance(obj, list) or any(not isinstance(e, list) or len(e) != 2
+                                        for e in obj):
+        raise ValueError("entries %s are not a list of [index, coefficient] pairs"
+                         % json.dumps(obj, default=repr))
+    return [(_index(k, "target index"), _coeff(c)) for k, c in obj]
 
 
-def _dim(obj) -> int:
-    """The dimension of an algebra object; ValueError for anything else."""
+def _head(obj) -> tuple[int, list | None]:
+    """The dimension and labels (None when absent) of an algebra object;
+    ValueError for anything else."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("not an algebra: expected a JSON object with a \"dim\" key")
-    return int(obj["dim"])
+    dim, labels = _index(obj["dim"], "dim"), obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == dim):
+        raise ValueError("labels must be a list of %d names" % dim)
+    return dim, labels
 
 
 def _keyed(rows, arity: int) -> dict:
     """{key: coefficients} of the rows [*key, entries]; refuses
-    (ValueError) a key of the wrong length, and a key given twice, which
-    a dict would silently overwrite."""
+    (ValueError) rows that are not lists, a key of the wrong length or
+    with an index that is not a non-negative integer, and a key given
+    twice, which a dict would silently overwrite."""
+    if not isinstance(rows, list):
+        raise ValueError("rows %s are not a list" % json.dumps(rows, default=repr))
     out = {}
-    for *key, ent in rows:
-        key = tuple(map(int, key))
+    for row in rows:
+        if not isinstance(row, list) or not row:
+            raise ValueError("row %s is not a list [*key, entries]"
+                             % json.dumps(row, default=repr))
+        *key, ent = row
+        key = tuple(_index(x, "key index") for x in key)
         if len(key) != arity or key in out:
             raise ValueError("%s key (%s)" % ("repeated" if key in out else "bad",
                                               ",".join(map(str, key))))
@@ -86,40 +114,45 @@ def _keyed(rows, arity: int) -> dict:
     return out
 
 
+def _rows(thing, name: str, arity: int) -> list:
+    """The rows [*key, [[l, "c"], ...]] of the table `name` of thing, from
+    its int64 form `name`_int when thing holds it (one string per distinct
+    value), else from the Fraction dict; both give the same rows."""
+    held = vars(thing).get(name + "_int")
+    if held is None:
+        return [[*key, _coeffs_obj(ent)] for key, ent in sorted(getattr(thing, name).items())]
+    keys, l, v, cut = table_groups(held, thing.dim, arity)
+    text = {x: fr_str(Fraction(x, held[3])) for x in set(v)}
+    ent = [[t, text[x]] for t, x in zip(l, v)]
+    return [[*key, ent[a:z]] for key, a, z in zip(keys, cut, cut[1:])]
+
+
 @_paused_gc()
 def algebra_to_obj(alg: Algebra) -> dict:
-    binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(alg.table.items())]
-    return {"dim": alg.dim, "labels": list(alg.labels), "binary": binary, "ternary": []}
+    return {"dim": alg.dim, "labels": list(alg.labels),
+            "binary": _rows(alg, "table", 2), "ternary": []}
 
 
 @_paused_gc()
 def ly_to_obj(ly: LYAlgebra) -> dict:
-    binary = [[i, j, _coeffs_obj(ent)] for (i, j), ent in sorted(ly.binary.items())]
-    if "ternary_int" in vars(ly):           # held, not derived here
-        keys, l, v, cut = ternary_groups(ly.ternary_int, ly.dim)
-        text = {x: fr_str(Fraction(x, ly.ternary_int[3])) for x in set(v)}
-        ent = [[t, text[x]] for t, x in zip(l, v)]
-        ternary = [[*key, ent[a:z]] for key, a, z in zip(keys, cut, cut[1:])]
-    else:
-        ternary = [[*key, _coeffs_obj(ent)] for key, ent in sorted(ly.ternary.items())]
-    return {"dim": ly.dim, "labels": list(ly.labels), "binary": binary, "ternary": ternary}
+    return {"dim": ly.dim, "labels": list(ly.labels), "binary": _rows(ly, "binary", 2),
+            "ternary": _rows(ly, "ternary", 3)}
 
 
 @_paused_gc()
 def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
-    dim = _dim(obj)
+    dim, labels = _head(obj)
     if obj.get("ternary"):
         raise ValueError("file has ternary entries; load it as an LY algebra")
-    table = _keyed(obj.get("binary", []), 2)
-    return Algebra(dim, table, labels=obj.get("labels"), name=name)
+    return Algebra(dim, _keyed(obj.get("binary", []), 2), labels=labels, name=name)
 
 
 @_paused_gc()
 def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
-    dim = _dim(obj)
+    dim, labels = _head(obj)
     binary = _keyed(obj.get("binary", []), 2)
     ternary = _keyed(obj.get("ternary", []), 3)
-    return LYAlgebra(dim, binary, ternary, labels=obj.get("labels"), name=name)
+    return LYAlgebra(dim, binary, ternary, labels=labels, name=name)
 
 
 def dumps(obj: dict) -> str:
@@ -137,5 +170,5 @@ def load(path: str):
     Lie algebra.  ValueError for a file that is not an algebra object."""
     with open(path) as f:
         obj = json.load(f)
-    _dim(obj)
+    _head(obj)
     return obj_to_ly(obj) if obj.get("ternary") else obj_to_algebra(obj)

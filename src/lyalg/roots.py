@@ -191,8 +191,9 @@ def check_grading(alg: Algebra) -> int:
     st = scaled(alg)
     bad = np.flatnonzero((w[st.p] + w[st.q] != w[st.s]).any(axis=1))
     if len(bad):
-        # scaled lists each table entry as (i, j) before (j, i), so the
-        # first bad one is the table's first, in its stored orientation
+        # scaled lists the entries of table_int in (i, j, l) order, each
+        # as (i, j) before (j, i), so the first bad one is the lex-first
+        # (i, j) -> l, i < j, of the table
         i, j, l = (int(x[bad[0]]) for x in (st.p, st.q, st.s))
         raise ClassifyError("structure constant off the grading at "
                             "(%d,%d)->%d" % (i, j, l))

@@ -173,9 +173,7 @@ def build_g_of_T(t: SymplecticTripleData):
     def dr(a):
         return 3 + 2 * n + a
 
-    table: dict[tuple[int, int], list] = {}
-    for kk, ent in sp2.table.items():
-        table[kk] = list(ent)
+    table: dict[tuple[int, int], list] = dict(sp2.table)
     for p, mat in enumerate(phimats):
         for u in (0, 1):
             ent = [(r, c) for (r, uu), c in mat.items() if uu == u]

@@ -13,15 +13,24 @@ so one full Jacobi sweep of the assembled algebra decides them all
 one.  Run over the four split composition algebras against the four
 hermitian three by three Jordan algebras, the construction fills the
 magic square of simple types.
-The associative row has a variant on the full unital Jordan algebra,
+The bracket is built as one guarded int64 batch (_assemble), never as a
+Fraction dict: the span blocks are the span algebras' int64 tables,
+shifted, the derivation actions come from the nonzeros of the spans,
+and the grid block is the Kronecker batch of the slices' int64 star,
+trace and derivation-coordinate tensors (_grid_terms).  The result is
+an Algebra holding its int64 table (Algebra.table_int), which the
+sweeps, the Killing form, io and ly_inside_tits read directly.
+The associative row has a variant on the full unital Jordan algebra
+(build_tkk_row, on the same batch with the unit slot added),
 isomorphic to the corresponding square cell through an explicit graded
 basis map, and a small solver recovers the grid bracket coefficients
 from equivariance plus the Jacobi constraints alone, which is how
 uniqueness of the bracket up to scalars is certified.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import sympy
@@ -29,7 +38,7 @@ import sympy
 from . import buildtools as bt
 from . import fastnum
 from . import linalg as la
-from .algebra import Algebra, LYAlgebra
+from .algebra import Algebra, LYAlgebra, table_to_dict
 from .checks import check_lie, transport_equal
 from .compjordan import build_composition, build_jordan, trace_admissible_view
 
@@ -38,8 +47,10 @@ F1 = Fraction(1)
 F2 = Fraction(2)
 
 
-def _sparse(vec):
-    return [(i, v) for i, v in enumerate(vec) if v != 0]
+def _span_maps(view):
+    """The derivation span of a slice as sparse matrices {(row, col): v}."""
+    return [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
+            for m in view.dspan]
 
 
 def _span_algebra(view, name=""):
@@ -48,51 +59,113 @@ def _span_algebra(view, name=""):
     operator_algebra_from_basis certifies that the span closes under
     commutator (NotClosedError otherwise).
     """
-    return bt.operator_algebra_from_basis(
-        [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
-         for m in view.dspan], name=name)
+    return bt.operator_algebra_from_basis(_span_maps(view), name=name)
 
 
-def _dco_lookup(view):
-    """Signed sparse derivation-pair coordinates as a callable."""
-    sp = {k: _sparse(v) for k, v in view.dcoords.items()}
-
-    def co(i, j):
-        if i == j:
-            return []
-        if i < j:
-            return sp[(i, j)]
-        return [(c, -v) for c, v in sp[(j, i)]]
-
-    return co
+_SliceInts = namedtuple("_SliceInts", "star tform dco dspan")
 
 
-def _grid_pair_entries(x, y):
-    """Grid bracket terms for every ordered basis pair of the grid.
+def _slice_ints(view):
+    """A slice's tables as int64 tensors, each with its scale: star[i, k, a]
+    (coordinate a of the star product x_i * x_k), tform[i, k], dco[i, k, c]
+    (coordinate c of the pair derivation D(x_i, x_k) over the span, and
+    dco[k, i] = -dco[i, k]) and dspan[c, a, i] (entry (a, i) of span
+    element c)."""
+    n, nd = view.n0, len(view.dspan)
+    star, ss = bt.int_rows([cell for row in view.stab for cell in row], n)
+    tform, st = bt.int_rows(view.tform, n)
+    pairs = sorted(view.dcoords)
+    co, sc = bt.int_rows([view.dcoords[p] for p in pairs], nd)
+    dco = np.zeros((n, n, nd), dtype=np.int64)
+    i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    dco[i, k], dco[k, i] = co, -co
+    dsp, sd = bt.int_rows([[v for row in m for v in row] for m in view.dspan], n * n)
+    return _SliceInts((star.reshape(n, n, n), ss), (tform, st), (dco, sc),
+                     (dsp.reshape(nd, n, n), sd))
 
-    Yields (i, j, k, l, dx_ent, grid_ent, dy_ent) with (i, j) < (k, l)
-    lexicographically: the left-span part t_y(y_j y_l) D_{x_i, x_k},
-    the grid part (x_i * x_k) (x) (y_j * y_l) as ((a, b), coeff) items,
-    and the right-span part t_x(x_i x_k) d_{y_j, y_l}.
+
+def _kron(xa, ya, base):
+    """Entries xa[i, k, u] ya[j, l, w] of [x_i (x) y_j, x_k (x) y_l] at
+    target base + u W + w, W = ya.shape[2], as (p, q, target, val) over
+    the grid pairs p = i ny + j < q = k ny + l, each (p, q, target) once."""
+    ny, W = ya.shape[0], ya.shape[2]
+    (i, k, u), (j, l, w) = np.nonzero(xa), np.nonzero(ya)
+    xv, yv = xa[i, k, u], ya[j, l, w]
+    bt.guard_bound(1, xv, yv)
+    p, q = i[:, None] * ny + j, k[:, None] * ny + l
+    e, g = np.nonzero(p < q)
+    return p[e, g], q[e, g], base + u[e] * W + w[g], xv[e] * yv[g]
+
+
+def _grid_terms(xs, ys, left, grid, right):
+    """The grid-grid block of the bracket of two slices, term by term,
+
+        [x_i (x) y_j, x_k (x) y_l] = t(y_j y_l) D_{x_i,x_k}
+            + (x_i * x_k) (x) (y_j * y_l) + t(x_i x_k) d_{y_j,y_l},
+
+    with D_c at target left + c, x_a (x) y_b at grid + a ny + b and d_c at
+    right + c.  Returns one (p, q, target, val, scale) batch per term, over
+    the grid-local pairs p < q, from the int64 tensors of _slice_ints."""
+    out = []
+    for (xa, sx), (ya, sy), base in ((xs.dco, ys.tform, left),
+                                     (xs.star, ys.star, grid),
+                                     (xs.tform, ys.dco, right)):
+        out.append((*_kron(np.atleast_3d(xa), np.atleast_3d(ya), base), sx * sy))
+    return out
+
+
+def _batch(parts):
+    """(code, val, scale) of the entries (code, val, scale) of parts over
+    their least common scale, in code order and lowest terms, equal codes
+    summed (at most two, one per part, so a guarded sum fits int64) and
+    zeros dropped."""
+    den = lcm(*(s for *_, s in parts))
+    for _, v, s in parts:
+        bt.guard_bound(den // s, v)
+    code, val = fastnum.summed(np.concatenate([c for c, _, _ in parts]),
+                               np.concatenate([v * (den // s) for _, v, s in parts]))
+    g = gcd(den, int(np.gcd.reduce(val)))
+    return code, val // g, den // g
+
+
+def _table(dim, parts):
+    """The int64 table (pair, target, val, scale) of the entries
+    (p, q, target, val, scale) of parts, through _batch."""
+    code, val, s = _batch([((p * dim + q) * dim + t, v, s) for p, q, t, v, s in parts])
+    pair, tgt = np.divmod(code, dim)
+    return pair, tgt, val, s
+
+
+def _assemble(xs, ys, xspan, yspan):
+    """Dimension and int64 table of the three-block algebra of two slices.
+
+    The basis is the left span (the Lie algebra xspan), the grid, x_i (x)
+    y_j at nD + i ny + j, and the right span (yspan).  The span blocks are
+    the spans' tables, shifted; a left derivation moves the left grid leg
+    and a right one the right leg (stored as [x (x) y, d]); the grid block
+    is _grid_terms.  One guarded int64 batch over a common scale.
     """
-    nx, ny = x.n0, y.n0
-    stx = [[_sparse(x.stab[i][k]) for k in range(nx)] for i in range(nx)]
-    sty = [[_sparse(y.stab[j][l]) for l in range(ny)] for j in range(ny)]
-    dcox = _dco_lookup(x)
-    dcoy = _dco_lookup(y)
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(i, nx):
-                for l in range(j + 1 if k == i else 0, ny):
-                    c1 = y.tform[j][l]
-                    dx_ent = ([(c, c1 * v) for c, v in dcox(i, k)]
-                              if c1 != 0 else [])
-                    grid_ent = [((a, b), va * vb)
-                                for a, va in stx[i][k] for b, vb in sty[j][l]]
-                    c2 = x.tform[i][k]
-                    dy_ent = ([(c, c2 * v) for c, v in dcoy(j, l)]
-                              if c2 != 0 else [])
-                    yield i, j, k, l, dx_ent, grid_ent, dy_ent
+    nx, ny = len(xs.tform[0]), len(ys.tform[0])
+    (dx, sx), (dy, sy) = xs.dspan, ys.dspan
+    g0, d0 = len(dx), len(dx) + nx * ny
+    dim = d0 + len(dy)
+    parts = []
+    for span, off in ((xspan, 0), (yspan, d0)):
+        pair, tgt, val, s = span.table_int
+        a, b = np.divmod(pair, span.dim)
+        parts.append((a + off, b + off, tgt + off, val, s))
+    c, a, i = np.nonzero(dx)
+    j = np.arange(ny)
+    left = (g0 + i[:, None] * ny + j, g0 + a[:, None] * ny + j)
+    parts.append((np.repeat(c, ny), *(x.ravel() for x in left),
+                  np.repeat(dx[c, a, i], ny), sx))
+    c, b, j = np.nonzero(dy)
+    i = g0 + np.arange(nx)[:, None] * ny
+    shape = (nx, len(c))
+    parts.append(((i + j).ravel(), np.broadcast_to(d0 + c, shape).ravel(),
+                  (i + b).ravel(), np.broadcast_to(-dy[c, b, j], shape).ravel(), sy))
+    parts += [(p + g0, q + g0, t, v, s) for p, q, t, v, s in _grid_terms(xs, ys, 0, g0, d0)]
+    return dim, _table(dim, parts)
 
 
 class TitsAlgebra:
@@ -130,51 +203,12 @@ def build_tits(x, y, name=""):
     """
     nDx, ndy = len(x.dspan), len(y.dspan)
     nx, ny = x.n0, y.n0
-    ngrid = nx * ny
-    dim = nDx + ngrid + ndy
-    dofs = nDx + ngrid
-
-    def gi(i, j):
-        return nDx + i * ny + j
-
-    table = dict(_span_algebra(x).table)
-    for (i, j), ent in _span_algebra(y).table.items():
-        table[(dofs + i, dofs + j)] = [(dofs + c, v) for c, v in ent]
-    # a left derivation moves the left grid leg, a right one the right leg
-    for p in range(nDx):
-        m = x.dspan[p]
-        for i in range(nx):
-            col = [(a, m[a][i]) for a in range(nx) if m[a][i] != 0]
-            if not col:
-                continue
-            for j in range(ny):
-                table[(p, gi(i, j))] = [(gi(a, j), v) for a, v in col]
-    for q in range(ndy):
-        m = y.dspan[q]
-        for j in range(ny):
-            col = [(b, m[b][j]) for b in range(ny) if m[b][j] != 0]
-            if not col:
-                continue
-            for i in range(nx):
-                # grid precedes the right span, so store [x(x)y, d]
-                table[(gi(i, j), dofs + q)] = [(gi(i, b), -v) for b, v in col]
-    for i, j, k, l, dx_ent, grid_ent, dy_ent in _grid_pair_entries(x, y):
-        acc = {}
-        for c, v in dx_ent:
-            acc[c] = acc.get(c, F0) + v
-        for (a, b), v in grid_ent:
-            t = gi(a, b)
-            acc[t] = acc.get(t, F0) + v
-        for c, v in dy_ent:
-            acc[dofs + c] = acc.get(dofs + c, F0) + v
-        ent = sorted((t, v) for t, v in acc.items() if v != 0)
-        if ent:
-            table[(gi(i, j), gi(k, l))] = ent
+    dim, table = _assemble(_slice_ints(x), _slice_ints(y),
+                           _span_algebra(x), _span_algebra(y))
     zx = (F0,) * x.rank
     zy = (F0,) * y.rank
     weights = ([w + zy for w in x.dweights]
-               + [x.weights[i] + y.weights[j]
-                  for i in range(nx) for j in range(ny)]
+               + [wx + wy for wx in x.weights for wy in y.weights]
                + [zx + w for w in y.dweights])
     labels = (["DX%d" % p for p in range(nDx)]
               + ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
@@ -256,73 +290,42 @@ def check_tits_conditions(x, y):
 # the reductive pair on the grid
 
 
-def _derivation_entries(view, ordered):
-    """Nonzero entries of a slice's pair derivations as int64 columns.
-
-    Returns (i, i2, row, col, val) and a scale s with val / s =
-    dmat(i, i2)[row][col], over the pairs i < i2, or over every ordered
-    pair i != i2 when `ordered` is set (dmat is antisymmetric).
-    """
-    prs = sorted(view.dt)
-    arr, s = bt.int_rows([[v for row in view.dt[p] for v in row] for p in prs])
-    k, cell = np.nonzero(arr)
-    val = arr[k, cell]
-    pa = np.array(prs, dtype=np.int64).reshape(-1, 2)
-    i, i2 = pa[k, 0], pa[k, 1]
-    row, col = np.divmod(cell, view.n0)
-    if ordered:
-        i, i2 = np.concatenate([i, i2]), np.concatenate([i2, i])
-        row, col = np.tile(row, 2), np.tile(col, 2)
-        val = np.concatenate([val, -val])
-    return (i, i2, row, col, val), s
+def _pair_maps(s):
+    """The pair derivations of a slice as one int64 tensor D[i, k, a, r],
+    D(x_i, x_k) x_r = sum_a D[i, k, a, r] x_a, from their coordinates
+    over the span, with its scale."""
+    (dco, sc), (dsp, sd) = s.dco, s.dspan
+    bt.guard_bound(dco.shape[2], dco, dsp)
+    return np.einsum('ikc,car->ikar', dco, dsp), sc * sd
 
 
 def _kronecker_ternary(x, y):
     """Ternary table of the grid: t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
 
-    Grid index i * ny + j stands for x_i (x) y_j.  Every contribution
-    (p, q, r, target) is encoded as one int64 and summed after a sort;
-    a code meets at most one term of each kind, so the sum of two
-    guarded products cannot overflow.  Returns the LYAlgebra int64 table
-    (pair, col, val, scale), whose order (pair, r, target) is code order.
+    Grid index i * ny + j stands for x_i (x) y_j.  _kron pairs each
+    slice's pair maps with the other's trace form over the grid pairs
+    p < q, the identity on the other leg spreads each entry over the
+    third argument r, and _batch sums the codes (p, q, r, target).
+    Returns the LYAlgebra int64 table (pair, col, val, scale).
     """
     nx, ny = x.n0, y.n0
     dim = nx * ny
-    (xi, xi2, xa, xc, xv), sdx = _derivation_entries(x, False)
-    (yj, yj2, yb, yc, yv), sdy = _derivation_entries(y, True)
-    tx, stx = bt.int_rows(x.tform)
-    ty, sty = bt.int_rows(y.tform)
-    txa, txb = np.nonzero(tx)
-    tya, tyb = np.nonzero(ty)
-    den = lcm(sty * sdx, stx * sdy)
-    fx, fy = den // (sty * sdx), den // (stx * sdy)
-    bt.guard_bound(2 * fx, xv, ty)
-    bt.guard_bound(2 * fy, yv, tx)
-    # left term: x pairs i < i2 with any right pair j, j2 keep p < q
-    pq = (xi[:, None] * ny + tya) * dim + xi2[:, None] * ny + tyb
-    j3 = np.arange(ny)
-    rt = (xc[:, None] * ny + j3) * dim + xa[:, None] * ny + j3
-    codes = [(pq[:, :, None] * dim * dim + rt[:, None, :]).ravel()]
-    vals = [np.broadcast_to((xv[:, None] * ty[tya, tyb] * fx)[:, :, None],
-                            (len(xv), len(tya), ny)).ravel()]
-    # right term: x pairs i <= i2, and j < j2 when i == i2
-    e, f = np.nonzero((txa[None, :] < txb[None, :])
-                      | ((txa[None, :] == txb[None, :]) & (yj < yj2)[:, None]))
-    pq = (txa[f] * ny + yj[e]) * dim + txb[f] * ny + yj2[e]
-    i3 = np.arange(nx)
-    rt = (i3 * ny + yc[e, None]) * dim + i3 * ny + yb[e, None]
-    codes.append((pq[:, None] * dim * dim + rt).ravel())
-    vals.append(np.repeat(yv[e] * tx[txa[f], txb[f]] * fy, nx))
-    code = np.concatenate(codes)
-    val = np.concatenate(vals)
-    order = np.argsort(code)
-    code, val = code[order], val[order]
-    first = np.flatnonzero(np.diff(code, prepend=-1))
-    code, val = code[first], np.add.reduceat(val, first)
-    nz = val != 0
-    pqr, tgt = np.divmod(code[nz], dim)
+    xs, ys = _slice_ints(x), _slice_ints(y)
+    (dx, sdx), (dy, sdy) = _pair_maps(xs), _pair_maps(ys)
+    (tx, stx), (ty, sty) = xs.tform, ys.tform
+    # left: D_{x_i,x_k} x_r (x) y_s, r = i3 ny + s, at a ny + s
+    p, q, u, v = _kron(dx.reshape(nx, nx, -1), ty[:, :, None], 0)
+    (a, i3), s = np.divmod(u[:, None], nx), np.arange(ny)
+    left = ((p * dim + q)[:, None] * dim + i3 * ny + s) * dim + a * ny + s
+    # right: x_r (x) d_{y_j,y_l} y_s, r = i3 ny + s, at i3 ny + b
+    p, q, u, w = _kron(tx[:, :, None], dy.reshape(ny, ny, -1), 0)
+    (b, s), i3 = np.divmod(u, ny), np.arange(nx)[:, None] * ny
+    right = ((p * dim + q) * dim + i3 + s) * dim + i3 + b
+    code, val, den = _batch([(left.ravel(), np.repeat(v, ny), sty * sdx),
+                             (right.ravel(), np.tile(w, nx), stx * sdy)])
+    pqr, tgt = np.divmod(code, dim)
     pair, r = np.divmod(pqr, dim)
-    return pair, tgt * dim + r, val[nz], den
+    return pair, tgt * dim + r, val, den
 
 
 def ly_inside_tits(t):
@@ -336,12 +339,12 @@ def ly_inside_tits(t):
 
         [x (x) y, x' (x) y', .] = t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
 
-    It is assembled from the nonzero entries of the pair derivation
-    tables and trace forms in one integer batch over a common
-    denominator; the two terms collide only on the diagonal entries of
-    D and d, where they are summed, and the algebra keeps that int64
-    table (LYAlgebra.ternary_int); the binary table is the grid block of
-    t.alg.  The result carries the grid weights and must agree
+    It is assembled from the pair maps of the slices' int64 tensors and
+    their trace forms in one integer batch over a common denominator;
+    the two terms collide only on the diagonal entries of D and d, where
+    they are summed, and the algebra keeps that int64 table
+    (LYAlgebra.ternary_int); the binary table is the grid block of
+    t.alg.table_int.  The result carries the grid weights and must agree
     constant-by-constant with the generic reductive-pair extraction,
     which the tests enforce.
 
@@ -356,13 +359,11 @@ def ly_inside_tits(t):
                          "algebra" % (bad, co.witnesses[bad], t.alg.name))
     x, y = t.x, t.y
     nx, ny = x.n0, y.n0
-    lo, hi = t.nD, t.nD + t.ngrid
-    binary = {}
-    for (p, q), ent in t.alg.table.items():
-        if lo <= p and q < hi:
-            grid = [(c - lo, v) for c, v in ent if lo <= c < hi]
-            if grid:
-                binary[(p - lo, q - lo)] = grid
+    n, lo, m = t.alg.dim, t.nD, t.ngrid
+    pair, tgt, val, s = t.alg.table_int
+    p, q = np.divmod(pair, n)
+    on = (p >= lo) & (q < lo + m) & (tgt >= lo) & (tgt < lo + m)
+    binary = table_to_dict(((p[on] - lo) * m + q[on] - lo, tgt[on] - lo, val[on], s), m, 2)
     labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
     ly = LYAlgebra(t.ngrid, binary, _kronecker_ternary(x, y), labels=labels,
                    name="ly-inside-%s" % t.alg.name)
@@ -372,6 +373,26 @@ def ly_inside_tits(t):
 
 
 # the associative-row variant on the full unital Jordan algebra
+
+
+def _unital(ys):
+    """The tensors of a Jordan slice J0 extended to J = Q 1 + J0, unit slot
+    first: the star product becomes the Jordan product, 1 1 = 1,
+    1 y = y and y_j y_l = t(y_j y_l) 1 + y_j * y_l, and the derivations
+    kill the unit.  The trace form is zero here: it only meets left
+    derivations, which the tkk row has none of."""
+    (sy, ss), (ty, st), (dco, sc), (dsp, sd) = ys
+    n, den = len(ty) + 1, lcm(ss, st)
+    bt.guard_bound(den // ss, sy)
+    bt.guard_bound(den // st, ty)
+    prod = np.zeros((n, n, n), dtype=np.int64)
+    prod[1:, 1:, 1:] = sy * (den // ss)
+    prod[1:, 1:, 0] = ty * (den // st)
+    e = np.arange(n)
+    prod[0, e, e] = prod[e, 0, e] = den
+    return _SliceInts((prod, den), (np.zeros((n, n), dtype=np.int64), 1),
+                     (np.pad(dco, ((1, 0), (1, 0), (0, 0))), sc),
+                     (np.pad(dsp, ((0, 0), (1, 0), (1, 0))), sd))
 
 
 def build_tkk_row(j, name=""):
@@ -384,68 +405,18 @@ def build_tkk_row(j, name=""):
     """
     x = trace_admissible_view(build_composition("Q"))
     y = trace_admissible_view(j)
-    nx = x.n0
-    nyf = y.n0 + 1
-    ndy = len(y.dspan)
-    ngrid = nx * nyf
-    dim = ngrid + ndy
-    dofs = ngrid
-
-    def gi(i, jj):
-        return i * nyf + jj
-
-    dcoy = _dco_lookup(y)
-    stx = [[_sparse(x.stab[i][k]) for k in range(nx)] for i in range(nx)]
-    table = {}
-    for (a, b), ent in _span_algebra(y).table.items():
-        table[(dofs + a, dofs + b)] = [(dofs + c, v) for c, v in ent]
-    for q in range(ndy):
-        m = y.dspan[q]
-        for jj in range(1, nyf):
-            col = [(b, m[b][jj - 1]) for b in range(y.n0) if m[b][jj - 1] != 0]
-            if not col:
-                continue
-            for i in range(nx):
-                table[(gi(i, jj), dofs + q)] = [(gi(i, b + 1), -v)
-                                                for b, v in col]
-    for i in range(nx):
-        for jj in range(nyf):
-            for k in range(i, nx):
-                for ll in range(jj + 1 if k == i else 0, nyf):
-                    acc = {}
-                    comm = [(c, F2 * v) for c, v in stx[i][k]]
-                    if jj == 0 and ll == 0:
-                        prod = [(0, F1)]
-                    elif jj == 0:
-                        prod = [(ll, F1)]
-                    elif ll == 0:
-                        prod = [(jj, F1)]
-                    else:
-                        prod = [(0, y.tform[jj - 1][ll - 1])]
-                        prod += [(b + 1, v)
-                                 for b, v in _sparse(y.stab[jj - 1][ll - 1])]
-                    for c, vc in comm:
-                        for slot, vp in prod:
-                            if vp != 0:
-                                tkey = gi(c, slot)
-                                acc[tkey] = acc.get(tkey, F0) + vc * vp
-                    if jj > 0 and ll > 0:
-                        c2 = 4 * x.tform[i][k]
-                        if c2 != 0:
-                            for c, v in dcoy(jj - 1, ll - 1):
-                                acc[dofs + c] = acc.get(dofs + c, F0) + c2 * v
-                    ent = sorted((tkey, v) for tkey, v in acc.items()
-                                 if v != 0)
-                    if ent:
-                        table[(gi(i, jj), gi(k, ll))] = ent
-    zy = (F0,) * y.rank
-    zx = (F0,) * x.rank
-    weights = []
-    for i in range(nx):
-        for jj in range(nyf):
-            wy = zy if jj == 0 else y.weights[jj - 1]
-            weights.append(x.weights[i] + wy)
-    weights += [zx + w for w in y.dweights]
+    nx, nyf, ndy = x.n0, y.n0 + 1, len(y.dspan)
+    (sx, ssx), (tx, stx), (dco, _), (dsp, _) = _slice_ints(x)
+    bt.guard_bound(4, sx)
+    bt.guard_bound(4, tx)
+    # the matrix leg brackets by the commutator 2 a * b and pairs the
+    # right span by 4 t(a b); it has no span block of its own
+    xs = _SliceInts((2 * sx, ssx), (4 * tx, stx), (dco[:, :, :0], 1), (dsp[:0], 1))
+    dim, table = _assemble(xs, _unital(_slice_ints(y)), Algebra(0, {}),
+                           _span_algebra(y))
+    wy = [(F0,) * y.rank] + y.weights          # the unit has weight 0
+    weights = ([wx + w for wx in x.weights for w in wy]
+               + [(F0,) * x.rank + w for w in y.dweights])
     labels = (["a%d*J%d" % (i, jj) for i in range(nx) for jj in range(nyf)]
               + ["dY%d" % q for q in range(ndy)])
     alg = Algebra(dim, table, labels=labels,
@@ -550,45 +521,13 @@ def tits_module_data(x, y):
     derivations, in that order, so the assembled algebra is recovered
     at coefficients (1, 1, 1).
     """
-    nDx, ndy = len(x.dspan), len(y.dspan)
-    nx, ny = x.n0, y.n0
-    ngrid = nx * ny
-    hdim = nDx + ndy
-
-    def gi(i, j):
-        return i * ny + j
-
     h = bt.direct_sum(_span_algebra(x, "Dspan(%s)" % x.tag),
                       _span_algebra(y, "dspan(%s)" % y.tag), name="D+d")
-    mats = []
-    for p in range(nDx):
-        mm = x.dspan[p]
-        sp = {}
-        for i in range(nx):
-            for a in range(nx):
-                if mm[a][i] != 0:
-                    for j in range(ny):
-                        sp[(gi(a, j), gi(i, j))] = mm[a][i]
-        mats.append(sp)
-    for q in range(ndy):
-        mm = y.dspan[q]
-        sp = {}
-        for j in range(ny):
-            for b in range(ny):
-                if mm[b][j] != 0:
-                    for i in range(nx):
-                        sp[(gi(i, b), gi(i, j))] = mm[b][j]
-        mats.append(sp)
-    cd, cm, cdd = {}, {}, {}
-    for i, j, k, l, dx_ent, grid_ent, dy_ent in _grid_pair_entries(x, y):
-        key = (gi(i, j), gi(k, l))
-        if dx_ent:
-            cd[key] = [(c, v) for c, v in dx_ent]
-        if grid_ent:
-            cm[key] = sorted((hdim + gi(a, b), v) for (a, b), v in grid_ent)
-        if dy_ent:
-            cdd[key] = [(nDx + c, v) for c, v in dy_ent]
-    return h, ModuleAction(h, ngrid, mats), [cd, cdd, cm]
+    D = h.dim + x.n0 * y.n0
+    cd, cm, cdd = (table_to_dict(_table(D, [term]), D, 2) for term in
+                   _grid_terms(_slice_ints(x), _slice_ints(y), 0, h.dim, len(x.dspan)))
+    mod = tensor_action(h, _span_maps(x), _span_maps(y), x.n0, y.n0)
+    return h, mod, [cd, cdd, cm]
 
 
 def tensor_action(h, mats1, mats2, n1, n2):
@@ -599,19 +538,10 @@ def tensor_action(h, mats1, mats2, n1, n2):
     """
     if len(mats1) + len(mats2) != h.dim:
         raise ValueError("block sizes do not add up to the acting algebra")
-    out = []
-    for mm in mats1:
-        sp = {}
-        for (a, i), v in mm.items():
-            for j in range(n2):
-                sp[(a * n2 + j, i * n2 + j)] = v
-        out.append(sp)
-    for mm in mats2:
-        sp = {}
-        for (b, j), v in mm.items():
-            for i in range(n1):
-                sp[(i * n2 + b, i * n2 + j)] = v
-        out.append(sp)
+    out = [{(a * n2 + j, i * n2 + j): v for (a, i), v in mm.items() for j in range(n2)}
+           for mm in mats1]
+    out += [{(i * n2 + b, i * n2 + j): v for (b, j), v in mm.items() for i in range(n1)}
+            for mm in mats2]
     return ModuleAction(h, n1 * n2, out)
 
 
@@ -869,9 +799,7 @@ def assemble_bracket(h, mod, cands, coeffs, name=""):
     """Algebra on h (+) module with the chosen candidate combination."""
     hdim, mdim = h.dim, mod.mdim
     dim = hdim + mdim
-    table = {}
-    for key, ent in h.table.items():
-        table[key] = list(ent)
+    table = dict(h.table)
     for a in range(hdim):
         for c, col in mod.cols[a].items():
             ent = sorted((hdim + r, v) for r, v in col)

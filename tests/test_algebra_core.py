@@ -236,6 +236,31 @@ def test_ly_algebra_refuses_a_bad_int_table(ents, scale, why):
         LYAlgebra(3, {}, int_table(*ents, scale=scale))
 
 
+def test_algebra_from_an_int_table():
+    # n = 3: [e0, e1] = e2 / 2 at pair 1, [e1, e2] = -e0 at pair 5
+    g = Algebra(3, int_table((1, 2, 1), (5, 0, -2)))
+    assert g.table == {(0, 1): [(2, F(1, 2))], (1, 2): [(0, F(-1))]}
+    assert g.nnz() == 2 and "nnz=2" in repr(g)
+    # a dict in another key order gives the same sorted table and bytes
+    twin = Algebra(3, dict(reversed(g.table.items())))
+    assert [a.tolist() for a in twin.table_int[:3]] == [a.tolist() for a in g.table_int[:3]]
+    assert twin.table_int[3] == 2
+    assert io.dumps(io.algebra_to_obj(twin)) == io.dumps(io.algebra_to_obj(g))
+
+
+@pytest.mark.parametrize("ents, scale, why", [
+    ([(5, 0, 1), (1, 2, 1)], 2, "sorted"),            # pair 5 before pair 1
+    ([(1, 2, 1), (1, 2, 3)], 2, "sorted"),            # duplicate entry
+    ([(1, 2, 0)], 2, "zero value"),
+    ([(1, 3, 1)], 2, "out of range"),                 # target 3
+    ([(3, 2, 1)], 2, "i >= j"),                       # pair (1, 0)
+    ([(1, 2, 1)], 0, "scale"),
+])
+def test_algebra_refuses_a_bad_int_table(ents, scale, why):
+    with pytest.raises(ValueError, match="binary table: .*" + why):
+        Algebra(3, int_table(*ents, scale=scale))
+
+
 def test_constants_beyond_int64_stay_on_the_fraction_dict():
     big = F(2**70)
     ly = LYAlgebra(3, {(0, 1): [(2, F(1))]},

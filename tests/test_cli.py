@@ -37,8 +37,8 @@ def test_check_lie_and_ly(tmp_path, capsys):
 
 
 def test_check_reports_a_failure(tmp_path, capsys):
-    bad = sl2()
-    bad.table[(0, 1)] = [(1, F(3))]
+    good = sl2()
+    bad = Algebra(3, {**good.table, (0, 1): [(1, F(3))]}, labels=good.labels)
     assert main(["check", saved(tmp_path, "bad.json", bad), "--json"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is False
@@ -84,7 +84,17 @@ def test_json_that_is_not_an_algebra_is_refused_on_one_line(tmp_path, capsys):
     files = {"no_dim": ({"binary": []}, "dim"),
              "list": ([], "dim"),
              "zero_den": ({"dim": 2, "binary": [[0, 1, [[0, "1/0"]]]],
-                           "ternary": []}, "zero denominator")}
+                           "ternary": []}, "zero denominator"),
+             "row": ({"dim": 2, "binary": [5]}, "row 5 is not a list"),
+             "dim_null": ({"dim": None}, "dim must be a non-negative integer, not null"),
+             "labels": ({"dim": 2, "labels": 7}, "labels must be a list of 2 names"),
+             "dim_float": ({"dim": 2.7}, "dim must be a non-negative integer, not 2.7"),
+             "dim_bool": ({"dim": True}, "dim must be a non-negative integer, not true"),
+             "dim_negative": ({"dim": -3}, "dim must be a non-negative integer, not -3"),
+             "index": ({"dim": 2, "binary": [[0, 1, [[-1, "1"]]]]},
+                       "target index must be a non-negative integer, not -1"),
+             "key": ({"dim": 2, "binary": [[0, "1", [[0, "1"]]]]},
+                     "key index must be a non-negative integer, not \"1\"")}
     for name, (obj, says) in files.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(obj))

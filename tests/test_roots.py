@@ -19,7 +19,8 @@ from lyalg.invariants import _grading_blocks
 from lyalg.matrixalg import build_matrix_lie, lts_orthosymplectic_sum, split_sym_form
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
-from lyalg.tits import _grid_pair_entries, _kronecker_ternary, build_tits
+from lyalg.tits import _kronecker_ternary, build_tits
+from test_tits import grid_pair_entries
 
 fr = Fraction
 
@@ -101,6 +102,14 @@ def test_grading_check_names_the_first_entry_off_the_grading():
     bad = Algebra(g.dim, {**g.table, (2, 5): [(0, fr(1))]}, labels=g.labels)
     bad.weights = g.weights
     with pytest.raises(ClassifyError, match=r"off the grading at \(2,5\)->0"):
+        check_grading(bad)
+
+
+def test_grading_witness_is_lex_first_whatever_the_insertion_order():
+    # both entries are off the grading; the dict holds (1, 2) first
+    bad = Algebra(3, {(1, 2): [(0, fr(1))], (0, 1): [(0, fr(1))]})
+    bad.weights = [(fr(1),), (fr(2),), (fr(4),)]
+    with pytest.raises(ClassifyError, match=r"off the grading at \(0,1\)->0"):
         check_grading(bad)
 
 
@@ -203,7 +212,7 @@ def q_jv3_ly():
     y = trace_admissible_view(build_jordan("JV(3)"))
     ny = y.n0
     binary = {}
-    for i, j, k, l, _, grid_ent, _ in _grid_pair_entries(x, y):
+    for i, j, k, l, _, grid_ent, _ in grid_pair_entries(x, y):
         ent = sorted((a * ny + b, v) for (a, b), v in grid_ent)
         if ent:
             binary[(i * ny + j, k * ny + l)] = ent

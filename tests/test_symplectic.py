@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from lyalg import io, symplectic
+from lyalg.algebra import Algebra
 from lyalg.compjordan import build_jordan
 from lyalg.fastnum import jacobi_violation
 from lyalg.matrixalg import split_skew_form
@@ -80,8 +81,10 @@ def test_construct_TJ_refuses_a_g_of_T_that_fails_jacobi(monkeypatch):
     def doubled_first_entry(t):
         g, pair = real(t)
         key = next(iter(g.table))
-        g.table[key] = [(k, 2 * c) for k, c in g.table[key]]
-        return g, pair
+        bad = Algebra(g.dim, {**g.table, key: [(k, 2 * c) for k, c in g.table[key]]},
+                      labels=g.labels, name=g.name)
+        bad.weights, bad.cartan = g.weights, g.cartan
+        return bad, pair
 
     monkeypatch.setattr(symplectic, "build_g_of_T", doubled_first_entry)
     with pytest.raises(ValueError, match="fails Jacobi"):

@@ -9,7 +9,9 @@ and the 2x2 row over H_n(K) must come out as sl(2n).
 """
 
 import hashlib
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +26,12 @@ from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
 from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
                             ly_from_reductive_indices, pair_classes)
-from lyalg.fastnum import PRIMES20, jacobi_violation, rref_mod
+from lyalg.fastnum import PRIMES20, jacobi_violation, killing_int, rref_mod
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sl_tensor_sl,
                              ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (TitsAlgebra, _conditions, _grid_pair_entries,
+from lyalg.tits import (TitsAlgebra, _conditions, _span_algebra,
                         assemble_bracket, bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
                         form_pair_module_data, ly_inside_tits, magic_square,
@@ -50,6 +52,157 @@ def cview(kind):
 
 def jview(spec):
     return trace_admissible_view(build_jordan(spec))
+
+
+def _sparse(vec):
+    return [(i, v) for i, v in enumerate(vec) if v != 0]
+
+
+def dco_lookup(view):
+    """Signed sparse derivation-pair coordinates as a callable."""
+    sp = {k: _sparse(v) for k, v in view.dcoords.items()}
+
+    def co(i, j):
+        if i == j:
+            return []
+        if i < j:
+            return sp[(i, j)]
+        return [(c, -v) for c, v in sp[(j, i)]]
+
+    return co
+
+
+def grid_pair_entries(x, y):
+    """Grid bracket terms for every ordered basis pair of the grid, the
+    Fraction reference for the int64 batch of build_tits.
+
+    Yields (i, j, k, l, dx_ent, grid_ent, dy_ent) with (i, j) < (k, l)
+    lexicographically: the left-span part t_y(y_j y_l) D_{x_i, x_k},
+    the grid part (x_i * x_k) (x) (y_j * y_l) as ((a, b), coeff) items,
+    and the right-span part t_x(x_i x_k) d_{y_j, y_l}.
+    """
+    nx, ny = x.n0, y.n0
+    stx = [[_sparse(x.stab[i][k]) for k in range(nx)] for i in range(nx)]
+    sty = [[_sparse(y.stab[j][l]) for l in range(ny)] for j in range(ny)]
+    dcox = dco_lookup(x)
+    dcoy = dco_lookup(y)
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(i, nx):
+                for l in range(j + 1 if k == i else 0, ny):
+                    c1 = y.tform[j][l]
+                    dx_ent = ([(c, c1 * v) for c, v in dcox(i, k)]
+                              if c1 != 0 else [])
+                    grid_ent = [((a, b), va * vb)
+                                for a, va in stx[i][k] for b, vb in sty[j][l]]
+                    c2 = x.tform[i][k]
+                    dy_ent = ([(c, c2 * v) for c, v in dcoy(j, l)]
+                              if c2 != 0 else [])
+                    yield i, j, k, l, dx_ent, grid_ent, dy_ent
+
+
+def build_tits_reference(x, y):
+    """The three-block algebra assembled entry by entry in Fractions."""
+    nDx, ndy = len(x.dspan), len(y.dspan)
+    nx, ny = x.n0, y.n0
+    dofs = nDx + nx * ny
+
+    def gi(i, j):
+        return nDx + i * ny + j
+
+    table = dict(_span_algebra(x).table)
+    for (i, j), ent in _span_algebra(y).table.items():
+        table[(dofs + i, dofs + j)] = [(dofs + c, v) for c, v in ent]
+    for p in range(nDx):
+        m = x.dspan[p]
+        for i in range(nx):
+            col = [(a, m[a][i]) for a in range(nx) if m[a][i] != 0]
+            for j in range(ny if col else 0):
+                table[(p, gi(i, j))] = [(gi(a, j), v) for a, v in col]
+    for q in range(ndy):
+        m = y.dspan[q]
+        for j in range(ny):
+            col = [(b, m[b][j]) for b in range(ny) if m[b][j] != 0]
+            for i in range(nx if col else 0):
+                table[(gi(i, j), dofs + q)] = [(gi(i, b), -v) for b, v in col]
+    for i, j, k, l, dx_ent, grid_ent, dy_ent in grid_pair_entries(x, y):
+        acc = {}
+        for c, v in dx_ent:
+            acc[c] = acc.get(c, F(0)) + v
+        for (a, b), v in grid_ent:
+            acc[gi(a, b)] = acc.get(gi(a, b), F(0)) + v
+        for c, v in dy_ent:
+            acc[dofs + c] = acc.get(dofs + c, F(0)) + v
+        ent = sorted((t, v) for t, v in acc.items() if v != 0)
+        if ent:
+            table[(gi(i, j), gi(k, l))] = ent
+    labels = (["DX%d" % p for p in range(nDx)]
+              + ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
+              + ["dY%d" % q for q in range(ndy)])
+    return Algebra(dofs + ndy, dict(sorted(table.items())), labels=labels)
+
+
+def known_square_sha256():
+    """perfbench/known.py's SQUARE_SHA256, loaded from the file as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "known.py"
+    spec = importlib.util.spec_from_file_location("perfbench_known", path)
+    known = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(known)
+    return dict(known.SQUARE_SHA256)
+
+
+@pytest.mark.parametrize("cx", "kKQO")
+@pytest.mark.parametrize("cy", "kKQO")
+def test_batched_build_tits_matches_the_reference_assembly(cx, cy):
+    x, y = cview(cx), jview("H3(%s)" % cy)
+    alg, ref = build_tits(x, y).alg, build_tits_reference(x, y)
+    # io writes alg from its int64 table and ref from its Fraction dict
+    assert io.dumps(io.algebra_to_obj(alg)) == io.dumps(io.algebra_to_obj(ref))
+    assert list(alg.table.items()) == list(ref.table.items())
+    assert ([a.tolist() for a in alg.table_int[:3]] + [alg.table_int[3]]
+            == [a.tolist() for a in ref.table_int[:3]] + [ref.table_int[3]])
+
+
+def test_every_square_cell_keeps_its_pinned_bytes():
+    pinned = known_square_sha256()
+    assert len(pinned) == 16
+    for (cx, cy), digest in pinned.items():
+        assert sha256(build_tits(cview(cx), jview("H3(%s)" % cy)).alg) == digest
+
+
+class RefuseDerivedDict:
+    """Stands in for Algebra.table.  A dict given to the constructor is
+    still kept and read (an instance attribute wins over a descriptor
+    without __set__), as for the spans that operator_algebra_from_basis
+    builds; deriving the dict from the int64 table raises."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        raise AssertionError("the Fraction dict was built from the int64 table")
+
+
+def test_square_path_never_builds_the_fraction_dict(monkeypatch):
+    monkeypatch.setattr(Algebra, "table", RefuseDerivedDict())
+    x, y = cview("O"), jview("H3(Q)")
+    t = build_tits(x, y)
+    assert check_tits_conditions(x, y).passed()
+    assert jacobi_violation(t.alg) is None
+    assert killing_int(t.alg).shape == (133, 133)
+    assert io.algebra_to_obj(t.alg)["binary"]
+    monkeypatch.undo()
+    assert "table" not in vars(t.alg)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("H3(k)", "1c97c8f78bf6e69f03090b6a9158d1d0b48f9909066fb53dd1cba0fb4d05a84c"),
+    ("H3(K)", "2037ad67332edceae07abd550c33ed5e01f861d83a5c2e97ae24f5f63f5c1cc6"),
+    ("JV(3)", "21b398359a71b9d1730a587e3228989b68476619dd30c7b3d164cd3502aae8b0"),
+    ("H4(K)", "888372fd7c5b5661bb8eea1fd9d38794e4b16e15610bb8f23090800c7fa8d0bd"),
+])
+def test_tkk_rows_keep_their_bytes(spec, digest):
+    # as first recorded from the Fraction assembly of the row
+    assert sha256(build_tkk_row(build_jordan(spec))) == digest
 
 
 def test_build_tits_block_layout():
@@ -257,7 +410,7 @@ def ly_inside_tits_reference(t):
         return i * ny + j
 
     binary = {}
-    for i, j, k, l, _, grid_ent, _ in _grid_pair_entries(x, y):
+    for i, j, k, l, _, grid_ent, _ in grid_pair_entries(x, y):
         ent = sorted(((gi(a, b), v) for (a, b), v in grid_ent))
         if ent:
             binary[(gi(i, j), gi(k, l))] = ent
