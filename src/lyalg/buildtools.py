@@ -1,48 +1,53 @@
 """Shared machinery for turning concrete operator models into Algebra objects.
 
-BatchCoords is the certified span engine for rows given as Fractions:
-exact coordinates in a fixed span, and the choice of independent rows,
-are computed here (the inner maps of the enveloping algebra and of g(T),
-which come as integer data, go through envelope.class_bases instead).
-Its guarantees:
+The certified span engine lives here: one solver and one selection loop
+answer every span question in the package, the closure of the
+derivation spans, the slices' coordinates (compjordan), the change of
+basis to a split torus (roots) and the inner maps of the enveloping
+algebra and of g(T) (envelope.class_bases).  Its guarantees:
 
-* the basis rows are dense Fraction lists, or sparse dicts with any
-  hashable keys; a sparse query with a nonzero entry at a key outside
-  the support of the basis is outside the span;
-* coords(v) gives the exact coordinates of one vector, or None when v is
-  outside the span;
-* coords_int pushes an int64 batch through two integer products, refuses
-  (OverflowError) a product whose worst case could overflow, and checks
-  the reconstruction of every row exactly, so it never returns
-  coordinates of a row outside the span: OutsideSpan names the first;
-* coords_rows answers a Fraction batch through coords_int, and row by
-  row in exact arithmetic when the int64 guard refuses, so it never
-  raises OverflowError;
-* independent_rows selects the first independent rows in the given
-  order: a mod-p echelon pass proposes them and one exact batch
-  certifies the proposal (see its docstring), so a bad prime costs a
-  retry, never a wrong answer (Dixon, "Exact solution of linear
-  equations using p-adic expansions", Numer. Math. 1982, for the
-  pattern of a modular proposal with an exact check).
+* Span holds independent integer rows C.  A mod-p elimination pass
+  proposes pivot columns with an invertible minor M, and d M^-1 is
+  integral; a query q has x = q[:, piv] (d M^-1), d times its
+  coordinates, accepted only after the exact check x C == d q.  An int64
+  query runs in guarded int64 and is refused (OverflowError) where a
+  product could overflow; a query in Python ints (dtype object) runs
+  the same solve exactly;
+* select picks the first independent rows in the given order: a mod-p
+  echelon pass proposes them and one Span solve certifies that every
+  other row is a combination of the chosen rows before it.  If the
+  prime hid a dependence, the first failing row joins the set (see its
+  docstring), so a bad prime costs a retry, never a wrong answer (Dixon,
+  "Exact solution of linear equations using p-adic expansions", Numer.
+  Math. 1982, for the pattern of a modular proposal with an exact
+  check);
+* BatchCoords adapts rational rows to Span: dense Fraction lists, or
+  sparse dicts with any hashable keys (a query with a nonzero entry at a
+  key outside the support of the basis is outside the span), cleared of
+  denominators once.  coords_int answers an int64 batch and keeps the
+  int64 guards; coords_rows answers a rational batch, in Python ints
+  when the guards refuse int64, so it never raises OverflowError.  Both
+  raise OutsideSpan naming the first row outside the span, and dependent
+  basis rows raise ValueError.  independent_rows runs select on
+  rational rows, with the same fallback.
 
 int_commutators forms every pairwise commutator of a list of integer
 sparse matrices in one guarded int64 sparse product; the class bases of
-the enveloping algebra and of g(T) (envelope.class_bases) take their
-commutators from it, and operator_algebra_from_basis through the
-Fraction wrapper sp_commutators.  int_values clears a sequence of
-Fractions to int64 with one common denominator.
+the enveloping algebra and of g(T) (envelope.class_bases) and
+operator_algebra_from_basis take their commutators from it.  int_values
+clears a sequence of Fractions to int64 with one common denominator.
 operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
-abstract Algebra with exact structure constants; all commutator
-coordinates come from one batch, whose reconstruction check is the
-closure certificate.  The eigensplit helpers refine a basis so that a
-chosen torus acts diagonally, which the construction modules use before
+abstract Algebra holding its int64 table: all commutator coordinates
+come from one Span solve, whose reconstruction check is the closure
+certificate.  The eigensplit helpers refine a basis so that a chosen
+torus acts diagonally, which the construction modules use before
 freezing structure constants; their rational roots come from exact
 Horner checks, and sympy is imported only to name an irrational factor.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 import numpy as np
@@ -131,8 +136,8 @@ def int_values(coeffs) -> tuple[np.ndarray, int]:
     return num * mult, s
 
 
-def int_rows(rows, width: int | None = None):
-    """Clear denominators of rational rows into (int64 array, scale).
+def _entries(rows, width):
+    """The nonzero entries (i, j, value) of rational rows, and their width.
 
     A row is a dense list, or a dict column -> value (then width is needed).
     """
@@ -141,12 +146,34 @@ def int_rows(rows, width: int | None = None):
 
     if rows and not isinstance(rows[0], dict):
         width = len(rows[0])
-    ent = [(i, j, v) for i, row in enumerate(rows) for j, v in items(row) if v]
+    return [(i, j, v) for i, row in enumerate(rows) for j, v in items(row) if v], width or 0
+
+
+def int_rows(rows, width: int | None = None):
+    """Clear denominators of rational rows into (int64 array, scale).
+
+    A row is a dense list, or a dict column -> value (then width is needed).
+    """
+    ent, width = _entries(rows, width)
     vals, s = int_values([v for _, _, v in ent])
-    arr = np.zeros((len(rows), width or 0), dtype=np.int64)
+    arr = np.zeros((len(rows), width), dtype=np.int64)
     if ent:
         arr[[i for i, _, _ in ent], [j for _, j, _ in ent]] = vals
     return arr, s
+
+
+def _cleared(rows, width: int | None):
+    """int_rows, or the same rows in exact Python ints (dtype object) when
+    int64 cannot hold them."""
+    try:
+        return int_rows(rows, width)
+    except OverflowError:
+        ent, width = _entries(rows, width)
+        s = lcm(*(v.denominator for _, _, v in ent))
+        arr = np.zeros((len(rows), width), dtype=object)
+        for i, j, v in ent:
+            arr[i, j] = v.numerator * (s // v.denominator)
+        return arr, s
 
 
 def guard_bound(terms: int, *arrs):
@@ -183,29 +210,17 @@ def int_commutators(ms, ml, mk, vals, b: int, n: int):
     return pair, lk, v
 
 
-def sp_commutators(maps: list[SpMat], n: int):
-    """Every nonzero commutator [maps[s], maps[t]], s < t, in (s, t) order,
-    of sparse maps on an n-dimensional space, through int_commutators.
-
-    Returns the pairs and their commutators as SpMats, with one Fraction
-    per distinct value.  OverflowError if an entry or a product does not
-    fit int64.
-    """
-    b = len(maps)
-    ent = [(s, l, k) for s, m in enumerate(maps) for (l, k) in m]
-    if not ent:
-        return [], []
-    vals, sc = int_values([v for m in maps for v in m.values()])
-    ms, ml, mk = np.array(ent, dtype=np.int64).T
-    pair, lk, v = int_commutators(ms, ml, mk, vals, b, n)
-    v = v.tolist()
-    frac = {x: Fraction(x, sc * sc) for x in set(v)}
-    entries = list(zip(zip(*(x.tolist() for x in np.divmod(lk, n))),
-                       map(frac.__getitem__, v)))
-    start = np.flatnonzero(np.diff(pair, prepend=-1))
-    bounds = start.tolist() + [len(entries)]
-    pairs = [divmod(p, b) for p in pair[start].tolist()]
-    return pairs, [dict(entries[a:z]) for a, z in zip(bounds, bounds[1:])]
+def dense_rows(row, code, val, nrows: int, cols: np.ndarray):
+    """Rows of sparse entries (value val[e] of row row[e] at column code
+    code[e]) as a dense int64 block over the sorted codes cols; bad marks
+    the rows with an entry outside cols."""
+    pos = np.minimum(np.searchsorted(cols, code), len(cols) - 1)
+    inside = cols[pos] == code
+    out = np.zeros((nrows, len(cols)), dtype=np.int64)
+    out[row[inside], pos[inside]] = val[inside]
+    bad = np.zeros(nrows, dtype=bool)
+    bad[row[~inside]] = True
+    return out, bad
 
 
 class OutsideSpan(ValueError):
@@ -216,123 +231,179 @@ class OutsideSpan(ValueError):
         self.index = index
 
 
-class BatchCoords:
-    """Exact coordinates in the span of fixed independent rows.
+class Span:
+    """Exact coordinates in the span of independent integer rows c.
 
-    The reduced echelon form R = T B of the basis matrix B is kept once,
-    read off la.rref of [B | I] (ValueError if the rows are dependent,
-    which puts a pivot in the I block).  Since R is reduced, a vector
-    v in the span satisfies v = sum_t v[piv_t] R_t, so its coordinates
-    over B are (v at the pivots) T, accepted only after the exact check
-    that the sum reproduces v.
+    piv are columns with an invertible minor M = c[:, piv], found mod a
+    prime, or by an exact echelon form should every prime lose rank
+    (ValueError if the rows are dependent), and minv = d M^-1 is
+    integral.  A row q in the span has the coordinates q[:, piv] M^-1,
+    so x = q[:, piv] minv is d times them, and q is in the span exactly
+    when x c == d q.  Rows c in int64 keep minv in int64 (OverflowError
+    if it does not fit); rows in Python ints (dtype object) keep it so.
+    """
+
+    def __init__(self, c: np.ndarray):
+        r = len(c)
+        for p in fastnum.PRIMES20:
+            piv = fastnum.rref_mod(c, p)[1]
+            if len(piv) == r:
+                break
+        else:
+            piv = la.rref(c.tolist())[1]
+            if len(piv) < r:
+                raise ValueError("basis rows are dependent")
+        inv = la.inv(c[:, piv].tolist())
+        d = lcm(*(x.denominator for row in inv for x in row))
+        minv = [[x.numerator * (d // x.denominator) for x in row] for row in inv]
+        big = max([d] + [abs(x) for row in minv for x in row])
+        if c.dtype != object and big >= INT64_GUARD:
+            raise OverflowError("pivot inverse does not fit the int64 batch path")
+        self.c, self.piv, self.d = c, piv, d
+        self.minv = np.array(minv, dtype=c.dtype).reshape(r, r)
+
+    def solve(self, q: np.ndarray):
+        """(x, bad): x = d times the coordinates of the rows of q, valid
+        where bad is False; bad marks the rows outside the span.
+
+        An int64 q runs in guarded int64: OverflowError where a product
+        could overflow, or when the span is held in Python ints.  A q in
+        Python ints (dtype object) is solved exactly.
+        """
+        r = len(self.piv)
+        qp = q[:, self.piv]
+        guarded = q.dtype != object
+        if guarded:
+            if self.c.dtype == object:
+                raise OverflowError("the span is held in Python ints, not int64")
+            guard_bound(r, qp, self.minv)
+        x = qp @ self.minv
+        if guarded:
+            guard_bound(r, x, self.c)
+            guard_bound(self.d, q)
+        return x, (x @ self.c != self.d * q).any(axis=1)
+
+
+def select(a: np.ndarray):
+    """The first independent rows of an integer matrix, exactly certified.
+
+    Returns (span, chosen, x): a Span on the chosen rows, their indices,
+    and x with row i = span.d times the coordinates of row i of a.
+
+    One mod-p echelon pass proposes the indices, then one Span solve
+    certifies that every other row is a combination of the chosen rows
+    before it, which pins the set down.  If the prime hid a dependence,
+    the first failing row joins the set: a row outside the span just
+    joins, and a row that needs a later chosen row takes the place of the
+    last one it needs (exchange lemma, so the set stays independent and
+    moves to a lexicographically earlier one).  Then the check repeats.
+    """
+    chosen = fastnum.rref_mod(a.T, fastnum.PRIMES20[0])[1]
+    while True:
+        span = Span(a[chosen])
+        rest = np.setdiff1d(np.arange(len(a)), chosen)
+        x, bad = span.solve(a[rest])
+        if bad.any():
+            chosen = sorted(chosen + [int(rest[np.argmax(bad)])])
+            continue
+        late = ((x != 0) & (np.array(chosen) > rest[:, None])).any(axis=1)
+        if not late.any():
+            break
+        k = int(np.argmax(late))
+        out = chosen[int(np.flatnonzero(x[k])[-1])]
+        chosen = sorted([j for j in chosen if j != out] + [int(rest[k])])
+    full = np.zeros((len(a), len(chosen)), dtype=a.dtype)
+    full[rest] = x
+    full[chosen, np.arange(len(chosen))] = span.d
+    return span, chosen, full
+
+
+def _exact(solve, a: np.ndarray):
+    """solve(a), or solve on a in Python ints when the int64 guard refuses."""
+    try:
+        return solve(a)
+    except OverflowError:
+        return solve(a.astype(object))
+
+
+class BatchCoords:
+    """Exact coordinates in the span of fixed independent rational rows,
+    through one Span on the rows with their denominators cleared.
+
+    The rows are dense lists, or dicts with any hashable keys (pos maps
+    each key to a column, in order of appearance).  They are held in
+    int64 when int_rows allows it and in Python ints otherwise.
+    ValueError if the rows are dependent.
     """
 
     def __init__(self, rows):
+        self.span = _exact(Span, self._basis(rows))
+
+    def _basis(self, rows) -> np.ndarray:
+        """Set pos and the scale of the basis rows; returns their integer
+        matrix."""
         self.pos = None
         if not rows or isinstance(rows[0], dict):
             self.pos = {}
             for row in rows:
                 for k in row:
                     self.pos.setdefault(k, len(self.pos))
-            rows = [self._dense(row) for row in rows]
-        nb = self.nb = len(rows)
-        width = len(rows[0]) if rows else 0
-        aug, self.piv = la.rref([list(row) + la.basis_vec(nb, i)
-                                 for i, row in enumerate(rows)])
-        if nb and self.piv[-1] >= width:
-            raise ValueError("basis rows are dependent")
-        self.r = [row[:width] for row in aug]
-        self.t = [row[width:] for row in aug]
-        self._ints = None
+        c, self.scale, _ = self._matrix(rows)
+        return c
 
-    def _cols(self, v: dict):
-        """A sparse query as {column: value}, None if it leaves the support."""
-        out = {}
-        for k, x in v.items():
-            if x != 0:
-                c = self.pos.get(k)
-                if c is None:
-                    return None
-                out[c] = x
-        return out
-
-    def _dense(self, v):
-        if not isinstance(v, dict):
-            return v
-        cols = self._cols(v)
-        if cols is None:
-            return None
-        out = la.zero_vec(len(self.pos))
-        for c, x in cols.items():
-            out[c] = x
-        return out
-
-    def coords(self, v):
-        """Exact coordinates of one vector, or None outside the span."""
-        v = self._dense(v)
-        if v is None:
-            return None
-        d = [v[p] for p in self.piv]
-        rec = la.zero_vec(len(v))
-        for dt, row in zip(d, self.r):
-            if dt != 0:
-                rec = [x + dt * y for x, y in zip(rec, row)]
-        if rec != v:
-            return None
-        out = la.zero_vec(self.nb)
-        for i, dt in enumerate(d):
-            if dt != 0:
-                trow = self.t[i]
-                out = [x + dt * y for x, y in zip(out, trow)]
-        return out
+    def _matrix(self, rows):
+        """Rows as one integer matrix over the basis columns (_cleared),
+        its scale, and the rows with a nonzero entry outside them."""
+        miss = np.zeros(len(rows), dtype=bool)
+        width = None
+        if self.pos is not None:
+            width, cols = len(self.pos), []
+            for i, row in enumerate(rows):
+                out = {}
+                for k, x in row.items():
+                    c = self.pos.get(k)
+                    if c is not None:
+                        out[c] = x
+                    elif x:
+                        miss[i] = True
+                cols.append(out)
+            rows = cols
+        return *_cleared(rows, width), miss
 
     def coords_int(self, vint, vs: int):
-        """Exact coords of the rows of vint (entries scaled by vs).
+        """Exact coords of the rows of vint (entries scaled by vs), in
+        guarded int64.
 
         Returns (carr, cs): row k of carr divided by cs gives the
         coefficients of query k over the basis rows.  Raises OutsideSpan
         for the first query row outside the span, and OverflowError when
         the int64 guard refuses.
         """
-        if self._ints is None:
-            width = vint.shape[1]
-            self._ints = (*int_rows(self.r, width), *int_rows(self.t, self.nb))
-        rint, rs, tint, ts = self._ints
-        d = vint[:, self.piv]
-        guard_bound(len(self.piv), d, rint)
-        guard_bound(1, vint, np.array([rs], dtype=np.int64))
-        bad = np.flatnonzero((d @ rint != vint * rs).any(axis=1))
-        if len(bad):
-            raise OutsideSpan(int(bad[0]))
-        guard_bound(len(self.piv), d, tint)
-        return d @ tint, vs * ts
+        x, bad = self.span.solve(vint)
+        if bad.any():
+            raise OutsideSpan(int(np.argmax(bad)))
+        # the basis rows are the integer rows over scale
+        g = gcd(self.scale, self.span.d)
+        guard_bound(self.scale // g, x)
+        return x * (self.scale // g), self.span.d // g * vs
 
     def coords_rows(self, rows) -> la.Matrix:
         """Exact coordinates of every row (dense lists or dicts).
 
-        One int64 batch when the guard allows it, else row by row in
-        exact arithmetic.  Raises OutsideSpan for the first row outside
-        the span.
+        One int64 batch when the guard allows it, else the same solve in
+        Python ints.  Raises OutsideSpan for the first row outside the
+        span.
         """
         if not rows:
             return []
-        cols, width = rows, None
-        if isinstance(rows[0], dict):
-            cols, width = [self._cols(v) for v in rows], len(self.pos)
-            miss = next((k for k, c in enumerate(cols) if c is None), None)
-            if miss is not None:
-                self.coords_rows(rows[:miss])   # an earlier escapee comes first
-                raise OutsideSpan(miss)
-        try:
-            carr, cs = self.coords_int(*int_rows(cols, width))
-        except OverflowError:
-            out = [self.coords(v) for v in rows]
-            miss = next((k for k, c in enumerate(out) if c is None), None)
-            if miss is not None:
-                raise OutsideSpan(miss) from None
-            return out
-        return [[Fraction(x, cs) if x else F0 for x in row]
-                for row in carr.tolist()]
+        q, qs, miss = self._matrix(rows)
+        x, bad = _exact(self.span.solve, q)
+        bad = np.flatnonzero(bad | miss)
+        if len(bad):
+            raise OutsideSpan(int(bad[0]))
+        den = self.span.d * qs
+        return [[Fraction(v * self.scale, den) if v else F0 for v in row]
+                for row in x.tolist()]
 
 
 def independent_rows(rows):
@@ -340,81 +411,54 @@ def independent_rows(rows):
 
     Returns (chosen, engine, coords): the indices of the rows that are
     not combinations of the rows before them, a BatchCoords on those
-    rows, and the coordinates of every row over them.
-
-    One mod-p echelon pass proposes the indices, then one coords_rows
-    batch certifies that every other row is a combination of the chosen
-    rows before it, which pins the set down.  If the prime hid a
-    dependence, the first failing row joins the set: a row outside the
-    span just joins, and a row that needs a later chosen row takes the
-    place of the last one it needs (exchange lemma, so the set stays
-    independent and moves to a lexicographically earlier one).  Then the
-    check repeats.
+    rows, and the coordinates of every row over them.  The rows are
+    cleared of denominators as a BatchCoords basis and select runs on
+    them, in Python ints when the int64 guard refuses; its Span on the
+    chosen rows is the engine's.
     """
-    if not rows:
-        return [], BatchCoords([]), []
-    # each row cleared of denominators, then reduced mod p
-    p = fastnum.PRIMES20[0]
-    pos: dict = {}
-    ii, jj, vals = [], [], []
-    for i, row in enumerate(rows):
-        nz = [(k, x) for k, x in (row.items() if isinstance(row, dict)
-                                  else enumerate(row)) if x]
-        d = lcm(*(x.denominator for _, x in nz))
-        for k, x in nz:
-            ii.append(i)
-            jj.append(pos.setdefault(k, len(pos)))
-            vals.append(x.numerator * (d // x.denominator) % p)
-    arr = np.zeros((len(rows), len(pos)), dtype=np.int64)
-    arr[ii, jj] = vals
-    _, chosen = fastnum.rref_mod(arr.T, p)
-    while True:
-        engine = BatchCoords([rows[i] for i in chosen])
-        cset = set(chosen)
-        rest = [i for i in range(len(rows)) if i not in cset]
-        try:
-            co = engine.coords_rows([rows[i] for i in rest])
-        except OutsideSpan as e:
-            chosen = sorted(chosen + [rest[e.index]])
-            continue
-        late = next(((i, c) for i, c in zip(rest, co)
-                     if any(c[t] for t, j in enumerate(chosen) if j > i)), None)
-        if late is None:
-            break
-        i, c = late
-        out = max(j for t, j in enumerate(chosen) if c[t])
-        chosen = sorted([j for j in chosen if j != out] + [i])
-    coords = dict(zip(rest, co))
-    for t, i in enumerate(chosen):
-        coords[i] = la.basis_vec(len(chosen), t)
-    return chosen, engine, [coords[i] for i in range(len(rows))]
+    engine = BatchCoords.__new__(BatchCoords)
+    engine.span, chosen, x = _exact(select, engine._basis(rows))
+    d = engine.span.d
+    return chosen, engine, [[Fraction(v, d) if v else F0 for v in row]
+                            for row in x.tolist()]
 
 
 def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
                                 cartan=None):
     """Abstract Lie algebra spanned by given operators, via commutators.
 
-    mats: list of sparse matrices (dict (row, col) -> Fraction) on a common
-    space.  The span must be closed under [a, b] = ab - ba; otherwise
-    NotClosedError is raised with the first offending pair.  cartan, if
-    given, is a list of coordinate vectors w.r.t. mats.
+    mats: list of independent sparse matrices (dict (row, col) ->
+    Fraction) on a common space.  The span must be closed under
+    [a, b] = ab - ba; otherwise NotClosedError is raised with the first
+    offending pair.  cartan, if given, is a list of coordinate vectors
+    w.r.t. mats.
 
-    The nonzero commutators get their coordinates from one BatchCoords
-    batch, whose reconstruction check is the closure certificate.
+    The maps are one int64 block over the codes row n + col of their
+    entries, and a Span on it; the nonzero commutators (int_commutators)
+    get their coordinates from one solve, whose reconstruction check is
+    the closure certificate, and those coordinates, in lowest terms, are
+    the Algebra's int64 table.  ValueError if the maps are dependent,
+    OverflowError if an entry, a product or the pivot inverse does not
+    fit int64.
     """
     nb = len(mats)
     space = 1 + max((max(k) for m in mats for k in m), default=-1)
-    pairs, comms = sp_commutators(mats, space)
-    try:
-        co = BatchCoords(mats).coords_rows(comms)
-    except OutsideSpan as e:
-        raise NotClosedError(pairs[e.index]) from None
-    table = {}
-    for pair, row in zip(pairs, co):
-        ent = [(k, x) for k, x in enumerate(row) if x]
-        if ent:
-            table[pair] = ent
-    alg = Algebra(nb, table, labels=labels, name=name)
+    gen, code = np.array([(s, l * space + k) for s, m in enumerate(mats) for l, k in m],
+                         dtype=np.int64).reshape(-1, 2).T
+    vals, sc = int_values([v for m in mats for v in m.values()])
+    cols = np.unique(code)
+    span = Span(dense_rows(gen, code, vals, nb, cols)[0])
+    pair, lk, v = int_commutators(gen, *np.divmod(code, space), vals, nb, space)
+    pairs, row = np.unique(pair, return_inverse=True)
+    q, miss = dense_rows(row, lk, v, len(pairs), cols)
+    x, bad = span.solve(q)
+    bad = np.flatnonzero(bad | miss)
+    if len(bad):
+        raise NotClosedError(divmod(int(pairs[bad[0]]), nb))
+    # the commutators carry the maps' scale sc twice, the maps once
+    r, t = np.nonzero(x)
+    val, den = fastnum.lowest_terms(x[r, t], span.d * sc)
+    alg = Algebra(nb, (pairs[r], t, val, den), labels=labels, name=name)
     if weights is not None:
         alg.weights = [tuple(w) for w in weights]
     if cartan is not None:

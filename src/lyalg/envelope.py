@@ -12,23 +12,18 @@ algebra's int64 ternary table (LYAlgebra.ternary_int) holds D(e_i, e_j)
 as the sparse row with the coefficient of e_l in [e_i, e_j, e_k] at
 column l n + k, all values over one common denominator, and the [D, x]
 block is read off the rows of the chosen maps.  class_bases works one
-weight class of maps at a time (np.unique groups them):
+weight class of maps at a time (np.unique groups them), on the span
+engine of buildtools:
 
-* a mod-p elimination pass proposes the first independent maps of the
-  class, in pair order;
-* one exact check certifies the proposal.  The pivot minor M of the
-  chosen maps C is inverted once (d M^-1 is integral); every other map A
-  of the class gets X = A[:, piv] (d M^-1), and X C == d A must hold in
-  guarded int64.  A map outside the span joins the set, a map that needs
-  a later chosen map replaces the last one it needs (exchange lemma),
-  and the check repeats, so a bad prime costs a retry, never a wrong
-  answer (Dixon, "Exact solution of linear equations using p-adic
-  expansions", Numer. Math. 1982, for the pattern);
+* buildtools.select picks the first independent maps of the class, in
+  pair order, exactly certified: a mod-p proposal, one exact
+  reconstruction check through a buildtools.Span on the chosen maps,
+  and an exchange-lemma correction when the prime hid a dependence;
 * the commutators of the chosen maps come from one guarded int64 sparse
-  product (buildtools.int_commutators), and the same per-class solver
-  gives their coordinates.  A commutator outside its class span is a
-  genuine sixth-axiom failure, reported as LYStructureError("LY6",
-  pair), never papered over.
+  product (buildtools.int_commutators), and the class's Span gives
+  their coordinates.  A commutator outside its class span is a genuine
+  sixth-axiom failure, reported as LYStructureError("LY6", pair), never
+  papered over.
 
 An entry, scale or product that does not fit int64 raises OverflowError.
 symplectic.build_g_of_T runs the same engine on the inner maps of a
@@ -39,14 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from . import fastnum
 from .algebra import Algebra, LYAlgebra, Sparse
-from .buildtools import (INT64_GUARD, NotClosedError, OutsideSpan, guard_bound,
-                         int_commutators, int_values)
+from .buildtools import (NotClosedError, OutsideSpan, Span, dense_rows,
+                         int_commutators, int_values, select)
 from .linalg import F0, Vec, inv as mat_inv, mat_vec
 
 
@@ -76,83 +69,6 @@ def pair_classes(weights, i, j):
     return cls.reshape(-1), [tuple(k) for k in keys.tolist()]
 
 
-class _Span:
-    """Exact coordinates in the span of independent integer rows c over
-    the column codes cols.
-
-    piv are columns with an invertible minor M = c[:, piv] (found mod a
-    prime), and minv = d M^-1 is integral.  A row q in the span has the
-    coordinates q[:, piv] M^-1, so x = q[:, piv] minv is d times them,
-    and q is in the span exactly when x c == d q.
-    """
-
-    def __init__(self, c: np.ndarray, cols: np.ndarray):
-        r = len(c)
-        for p in fastnum.PRIMES20 + fastnum.PRIMES:
-            piv = fastnum.rref_mod(c, p)[1]
-            if len(piv) == r:
-                break
-        else:
-            raise ArithmeticError("chosen rows are dependent")
-        inv = mat_inv(c[:, piv].tolist())
-        d = lcm(*(x.denominator for row in inv for x in row))
-        minv = [[x.numerator * (d // x.denominator) for x in row] for row in inv]
-        if max(d, *(abs(x) for row in minv for x in row)) >= INT64_GUARD:
-            raise OverflowError("pivot inverse does not fit the int64 batch path")
-        self.c, self.cols, self.piv, self.d = c, cols, piv, d
-        self.minv = np.array(minv, dtype=np.int64)
-
-    def solve(self, q: np.ndarray):
-        """(x, bad): x = d times the coordinates of the rows of q, valid
-        where bad is False; bad marks the rows outside the span."""
-        r = len(self.piv)
-        qp = q[:, self.piv]
-        guard_bound(r, qp, self.minv)
-        x = qp @ self.minv
-        guard_bound(r, x, self.c)
-        guard_bound(self.d, q)
-        return x, (x @ self.c != self.d * q).any(axis=1)
-
-
-def _class_basis(a: np.ndarray, cols: np.ndarray):
-    """The first independent rows of an integer matrix over the column
-    codes cols, exactly certified.
-
-    Returns (span, chosen, x): a _Span on the chosen rows, their indices,
-    and x with row i = span.d times the coordinates of row i of a.
-    """
-    chosen = fastnum.rref_mod(a.T, fastnum.PRIMES20[0])[1]
-    while True:
-        span = _Span(a[chosen], cols)
-        rest = np.setdiff1d(np.arange(len(a)), chosen)
-        x, bad = span.solve(a[rest])
-        if bad.any():
-            chosen = sorted(chosen + [int(rest[np.argmax(bad)])])
-            continue
-        late = ((x != 0) & (np.array(chosen) > rest[:, None])).any(axis=1)
-        if not late.any():
-            break
-        k = int(np.argmax(late))
-        out = chosen[int(np.flatnonzero(x[k])[-1])]
-        chosen = sorted([j for j in chosen if j != out] + [int(rest[k])])
-    full = np.zeros((len(a), len(chosen)), dtype=np.int64)
-    full[rest] = x
-    full[chosen, np.arange(len(chosen))] = span.d
-    return span, chosen, full
-
-
-def _dense(row, code, val, nrows: int, cols: np.ndarray):
-    """Rows of sparse entries as a dense block over the columns cols;
-    bad marks the rows with an entry outside cols."""
-    pos = np.minimum(np.searchsorted(cols, code), len(cols) - 1)
-    inside = cols[pos] == code
-    out = np.zeros((nrows, len(cols)), dtype=np.int64)
-    out[row[inside], pos[inside]] = val[inside]
-    bad = np.zeros(nrows, dtype=bool)
-    bad[row[~inside]] = True
-    return out, bad
-
-
 def _sparse_rows(x: np.ndarray, slots: np.ndarray, mult: int, den: int):
     """Row r of x mult / den as sparse (slots[t], Fraction) entries."""
     r, t = np.nonzero(x)
@@ -177,13 +93,15 @@ class ClassBases:
     chosen[c] are the first independent maps of class c, in map order;
     basis lists every chosen map in the order of the coordinates, and
     slot[g] is the position of map g in basis (-1 if not chosen);
+    spans[c] solves over the sorted column codes cols[c] of class c;
     gen_coords[g] are the coordinates of map g over basis, as sparse
     (position, Fraction) entries.  entries holds the maps as given.
     """
     scale: int
     keys: list[tuple]
     cls: np.ndarray
-    spans: list[_Span]
+    spans: list[Span]
+    cols: list[np.ndarray]
     chosen: list[list[int]]
     basis: list[int]
     slot: np.ndarray
@@ -209,7 +127,7 @@ class ClassBases:
                 bad.extend(qs.tolist())
                 continue
             span = self.spans[c]
-            q, miss = _dense(r, code[o[a:z]], val[o[a:z]], len(qs), span.cols)
+            q, miss = dense_rows(r, code[o[a:z]], val[o[a:z]], len(qs), self.cols[c])
             x, wrong = span.solve(q)
             bad.extend(qs[miss | wrong].tolist())
             for k, ent in zip(qs.tolist(), _sparse_rows(
@@ -255,13 +173,12 @@ def class_bases(gen, code, val, scale: int, cls, keys,
     """
     o, bounds = _groups(cls, gen, len(keys))
     gen, code, val = gen[o], code[o], val[o]
-    spans, chosen, xs = [], [], []
+    spans, cols, chosen, xs = [], [], [], []
     for c in range(len(keys)):
         a, z = bounds[c], bounds[c + 1]
         maps, row = np.unique(gen[a:z], return_inverse=True)
-        cols = np.unique(code[a:z])
-        block = _dense(row, code[a:z], val[a:z], len(maps), cols)[0]
-        span, sel, x = _class_basis(block, cols)
+        cols.append(np.unique(code[a:z]))
+        span, sel, x = select(dense_rows(row, code[a:z], val[a:z], len(maps), cols[-1])[0])
         spans.append(span)
         chosen.append(maps[sel].tolist())
         xs.append((maps, x))
@@ -274,7 +191,7 @@ def class_bases(gen, code, val, scale: int, cls, keys,
     for (maps, x), span, ch in zip(xs, spans, chosen):
         for g, ent in zip(maps.tolist(), _sparse_rows(x, slot[ch], 1, span.d)):
             gen_coords[g] = ent
-    return ClassBases(scale, keys, cls, spans, chosen, basis, slot,
+    return ClassBases(scale, keys, cls, spans, cols, chosen, basis, slot,
                       gen_coords, (gen, code, val))
 
 

@@ -25,6 +25,8 @@ the failing triple, for every entry point that needs a Lie bracket
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 from scipy import sparse
 
@@ -35,8 +37,8 @@ PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
           1073741717, 1073741689, 1073741671, 1073741663, 1073741651,
           1073741621, 1073741567, 1073741561, 1073741527, 1073741503]
 
-# primes just under 2^20, tried first when choosing independent rows mod p
-# (buildtools.independent_rows, envelope._class_basis and _Span)
+# primes just under 2^20, for the pivots of the span engine
+# (buildtools.Span and buildtools.select)
 PRIMES20 = [1048573, 1048571, 1048559, 1048549, 1048517]
 
 # products per block of the Jacobi sweep: on E8, 2^16 keeps the blocks'
@@ -131,6 +133,13 @@ def summed(code, val):
     code, val = code[first], np.add.reduceat(val, first)
     nz = val != 0
     return code[nz], val[nz]
+
+
+def lowest_terms(val: np.ndarray, den: int):
+    """The values val / den as (val', den') in lowest terms: the common
+    factor of den and every value divided out."""
+    g = gcd(den, int(np.gcd.reduce(val)))
+    return val // g, den // g
 
 
 def _expand(lo, hi):

@@ -184,6 +184,8 @@ def check_grading(alg: Algebra) -> int:
     """
     if alg.weights is None or len(alg.weights) != alg.dim:
         raise ClassifyError("no weight data on %r" % alg.name)
+    if not alg.dim:
+        raise ClassifyError("the zero algebra has no weights to grade it")
     r = len(alg.weights[0])
     if any(len(w) != r for w in alg.weights):
         raise ClassifyError("weight table shape mismatch")

@@ -30,7 +30,7 @@ uniqueness of the bracket up to scalars is certified.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 import sympy
@@ -124,8 +124,7 @@ def _batch(parts):
         bt.guard_bound(den // s, v)
     code, val = fastnum.summed(np.concatenate([c for c, _, _ in parts]),
                                np.concatenate([v * (den // s) for _, v, s in parts]))
-    g = gcd(den, int(np.gcd.reduce(val)))
-    return code, val // g, den // g
+    return (code, *fastnum.lowest_terms(val, den))
 
 
 def _table(dim, parts):

@@ -1,5 +1,5 @@
-"""The certified span engine, BatchCoords and independent_rows, and the
-exact rational root finder."""
+"""The certified span engine through its rational adapters, BatchCoords
+and independent_rows, and the exact rational root finder."""
 
 import random
 from fractions import Fraction
@@ -25,16 +25,17 @@ def test_selection_and_membership():
     assert chosen == [0, 2]
     assert len(chosen) == 2
     assert coords == [[1, 0], [2, 0], [0, 1]]
-    assert span.coords(vecs([1, 0, -1])[0]) is not None
-    assert span.coords(vecs([0, 0, 1])[0]) is None
+    assert span.coords_rows(vecs([1, 0, -1])) == [[1, -1]]
+    with pytest.raises(OutsideSpan):
+        span.coords_rows(vecs([0, 0, 1]))
 
 
 def test_coords_of_one_vector_and_a_batch():
     basis = vecs([1, 1, 0], [0, 0, 1])
     eng = BatchCoords(basis)
-    c = eng.coords(vecs([3, 3, -1])[0])
-    assert c == [F(3), F(-1)]
-    assert eng.coords(vecs([1, 0, 0])[0]) is None
+    assert eng.coords_rows(vecs([3, 3, -1])) == [[F(3), F(-1)]]
+    with pytest.raises(OutsideSpan):
+        eng.coords_rows(vecs([1, 0, 0]))
     assert eng.coords_rows(vecs([3, 3, -1], [F(1, 2), F(1, 2), 0])) == [
         [3, -1], [F(1, 2), 0]]
     with pytest.raises(OutsideSpan) as err:
@@ -53,10 +54,11 @@ def test_selection_extends_to_basis():
 
 def test_dict_rows_and_a_key_outside_the_support():
     eng = BatchCoords([{"a": F(1), (0, 1): F(2)}, {"b": F(3)}])
-    assert eng.coords({(0, 1): F(4), "a": F(2), "b": F(3)}) == [2, 1]
-    assert eng.coords({"a": F(1), "c": F(1)}) is None
+    assert eng.coords_rows([{(0, 1): F(4), "a": F(2), "b": F(3)}]) == [[2, 1]]
+    with pytest.raises(OutsideSpan):
+        eng.coords_rows([{"a": F(1), "c": F(1)}])
     # an explicit zero at an unknown key is no escape
-    assert eng.coords({"b": F(6), "c": F(0)}) == [0, 2]
+    assert eng.coords_rows([{"b": F(6), "c": F(0)}]) == [[0, 2]]
     with pytest.raises(OutsideSpan) as err:
         eng.coords_rows([{"b": F(1)}, {"a": F(1)}, {"c": F(1)}])
     assert err.value.index == 1
@@ -72,10 +74,11 @@ def test_dependent_basis_rows_raise():
         BatchCoords([{"x": F(1)}, {"x": F(-3)}])
 
 
-def test_echelon_is_reduced_and_transforms_the_basis():
-    # R = T B with the identity at the pivot columns; dependent rows raise
+def test_seeded_bases_answer_exactly_and_refuse_the_rest():
+    # random combinations come back with their exact coordinates, a row
+    # outside the span raises OutsideSpan, dependent rows raise ValueError
     rng = random.Random(7)
-    dependent = 0
+    dependent = outside = 0
     for _ in range(60):
         nb, width = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[F(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
@@ -86,10 +89,18 @@ def test_echelon_is_reduced_and_transforms_the_basis():
                 BatchCoords(rows)
             continue
         eng = BatchCoords(rows)
-        assert la.mat_mul(eng.t, rows) == eng.r
-        assert [[row[p] for p in eng.piv] for row in eng.r] == la.eye(nb)
-        assert eng.piv == sorted(eng.piv)
-    assert 0 < dependent < 60
+        co = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nb)]
+              for _ in range(3)]
+        combos = la.mat_mul(co, rows)
+        assert eng.coords_rows(combos) == co
+        escapee = next((la.basis_vec(width, i) for i in range(width)
+                        if la.rank(rows + [la.basis_vec(width, i)]) > nb), None)
+        if escapee is not None:
+            outside += 1
+            with pytest.raises(OutsideSpan) as err:
+                eng.coords_rows(combos + [escapee] + combos)
+            assert err.value.index == 3
+    assert 0 < dependent < 60 and outside
 
 
 def test_selection_is_greedy_over_zero_and_repeated_rows():

@@ -144,8 +144,7 @@ def test_derivations_sl2_all_inner():
     chosen, span, _ = independent_rows([[v for row in d for v in row]
                                         for d in der])
     assert chosen == [0, 1, 2]
-    for m in ads:
-        assert span.coords([v for row in m for v in row]) is not None
+    span.coords_rows([[v for row in m for v in row] for m in ads])
 
 
 def test_derivations_abelian():
@@ -170,6 +169,8 @@ def test_operator_algebra_round_trip():
     h = {(0, 0): fr(1), (1, 1): fr(-1)}
     alg = operator_algebra_from_basis([h, e, f], labels=["h", "e", "f"])
     assert alg.table == sl2().table
+    with pytest.raises(ValueError, match="dependent"):
+        operator_algebra_from_basis([h, e, {(0, 1): fr(2)}])
 
 
 def test_operator_algebra_not_closed():

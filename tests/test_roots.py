@@ -9,7 +9,7 @@ from lyalg import io
 from lyalg import linalg as la
 from lyalg import roots
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.buildtools import BatchCoords, direct_sum
+from lyalg.buildtools import direct_sum
 from lyalg.checks import check_ly
 from lyalg.cli import main
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
@@ -127,7 +127,8 @@ def check_grading_reference(alg):
 
 
 def rebase_reference(alg, vecs):
-    """The change of basis by one Fraction sparse bracket per basis pair."""
+    """The change of basis by one Fraction sparse bracket and one la.solve
+    per basis pair."""
     n = alg.dim
     blocks = _grading_blocks(n, alg.weights)
     memb = {j: bi for bi, blk in enumerate(blocks) for j in blk}
@@ -137,7 +138,8 @@ def rebase_reference(alg, vecs):
         nzof.append(nz)
         blkof.append(memb[nz[0][0]])
         rowsof.setdefault(blkof[-1], []).append((t, v))
-    solvers = {bi: (BatchCoords([[v[j] for j in blocks[bi]] for _, v in pairs]),
+    # each block's new vectors as the columns of a Fraction system
+    solvers = {bi: (la.transpose([[v[j] for j in blocks[bi]] for _, v in pairs]),
                     [t for t, _ in pairs], blocks[bi])
                for bi, pairs in rowsof.items()}
     den = 1
@@ -157,7 +159,7 @@ def rebase_reference(alg, vecs):
                 continue
             assert all(memb[i] == bi for i in w)
             solver, tids, blk = solvers[bi]
-            co = solver.coords([w.get(j, fr(0)) for j in blk])
+            co = la.solve(solver, [w.get(j, fr(0)) for j in blk])
             entl = sorted((t, c) for t, c in zip(tids, co) if c != 0)
             if entl:
                 table[(a, b)] = entl

@@ -20,8 +20,7 @@ import pytest
 from lyalg import checks, io
 from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.buildtools import (BatchCoords, OutsideSpan, independent_rows,
-                              sp_commutator, subalgebra_on_indices)
+from lyalg.buildtools import OutsideSpan, sp_commutator, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
 from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
@@ -173,8 +172,7 @@ def test_every_square_cell_keeps_its_pinned_bytes():
 class RefuseDerivedDict:
     """Stands in for Algebra.table.  A dict given to the constructor is
     still kept and read (an instance attribute wins over a descriptor
-    without __set__), as for the spans that operator_algebra_from_basis
-    builds; deriving the dict from the int64 table raises."""
+    without __set__); deriving the dict from the int64 table raises."""
 
     def __get__(self, obj, cls=None):
         if obj is None:
@@ -183,6 +181,13 @@ class RefuseDerivedDict:
 
 
 def test_square_path_never_builds_the_fraction_dict(monkeypatch):
+    spans = []
+
+    def recorded(view, name=""):
+        spans.append(_span_algebra(view, name))
+        return spans[-1]
+
+    monkeypatch.setattr("lyalg.tits._span_algebra", recorded)
     monkeypatch.setattr(Algebra, "table", RefuseDerivedDict())
     x, y = cview("O"), jview("H3(Q)")
     t = build_tits(x, y)
@@ -192,6 +197,9 @@ def test_square_path_never_builds_the_fraction_dict(monkeypatch):
     assert io.algebra_to_obj(t.alg)["binary"]
     monkeypatch.undo()
     assert "table" not in vars(t.alg)
+    # neither span algebra holds the dict: each is built as its int64 table
+    assert [s.dim for s in spans[:2]] == [14, 21]
+    assert not any("table" in vars(s) for s in spans)
 
 
 @pytest.mark.parametrize("spec, digest", [
@@ -506,43 +514,55 @@ def test_inner_maps_match_per_pair_reference():
         assert ints == {pq: op for pq, op in ops.items() if op}
 
 
+def column_rref(maps):
+    """la.rref of the matrix whose columns are the sparse maps (dicts)."""
+    keys = sorted({k for m in maps for k in m})
+    return la.rref([[m.get(k, F(0)) for m in maps] for k in keys])
+
+
 def class_bases_reference(mats, keys):
     """Per weight class, the first independent maps in the given order,
-    with the Fraction span engine of buildtools.
+    from one Fraction la.rref with the class's maps as columns: its pivot
+    columns are the first independent maps, and column i of the reduced
+    form holds the coordinates of map i over them.
 
-    Returns (engines, chosen, coords): engines[key] is a BatchCoords on
-    the chosen maps of class key, chosen[key] their positions in mats,
-    and coords[i] the coordinates of mats[i] over chosen[keys[i]].
+    Returns (bases, chosen, coords): bases[key] lists the chosen maps of
+    class key, chosen[key] their positions in mats, and coords[i] the
+    coordinates of mats[i] over chosen[keys[i]].
     """
     classes = {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
-    engines, chosen, coords = {}, {}, [None] * len(mats)
+    bases, chosen, coords = {}, {}, [None] * len(mats)
     for key, idx in classes.items():
-        sel, engines[key], co = independent_rows([mats[i] for i in idx])
-        chosen[key] = [idx[s] for s in sel]
-        for i, c in zip(idx, co):
-            coords[i] = c
-    return engines, chosen, coords
+        rows, piv = column_rref([mats[i] for i in idx])
+        chosen[key] = [idx[p] for p in piv]
+        bases[key] = [mats[i] for i in chosen[key]]
+        for t, i in enumerate(idx):
+            coords[i] = [row[t] for row in rows]
+    return bases, chosen, coords
 
 
-def class_coords_reference(engines, queries):
-    """Coordinates of (key, map) queries in the span of their class.
-    Raises OutsideSpan with the position of the first query outside its
-    class span."""
+def class_coords_reference(bases, queries):
+    """Coordinates of (key, map) queries over the chosen maps of their
+    class, from one Fraction la.rref per class with the columns
+    [basis | queries]: the basis columns are its first pivots, and a
+    query is in the span exactly when its reduced column vanishes below
+    them.  Raises OutsideSpan with the position of the first query
+    outside its class span."""
     byclass = {}
     for q, (key, _) in enumerate(queries):
         byclass.setdefault(key, []).append(q)
     out, bad = [None] * len(queries), []
     for key, qs in byclass.items():
-        try:
-            co = (engines.get(key) or BatchCoords([])).coords_rows(
-                [queries[q][1] for q in qs])
-        except OutsideSpan as e:
-            bad.append(qs[e.index])
-            continue
-        for q, c in zip(qs, co):
-            out[q] = c
+        basis = bases.get(key, [])
+        r = len(basis)
+        rows, _ = column_rref(basis + [queries[q][1] for q in qs])
+        for t, q in enumerate(qs, r):
+            if any(row[t] for row in rows[r:]):
+                bad.append(q)
+            else:
+                out[q] = [row[t] for row in rows[:r]]
     if bad:
         raise OutsideSpan(min(bad))
     return out
@@ -562,7 +582,7 @@ def build_enveloping_reference(ly):
 
     gens = [pq for pq in pairs if ops[pq]]
     keys = [wkey(*pq) for pq in gens]
-    engines, chosen, coords = class_bases_reference([ops[pq] for pq in gens], keys)
+    bases, chosen, coords = class_bases_reference([ops[pq] for pq in gens], keys)
     basis_pairs, offset = [], {}
     for key in sorted(chosen):
         offset[key] = len(basis_pairs)
@@ -582,7 +602,7 @@ def build_enveloping_reference(ly):
                 queries.append((tuple(a + c for a, c in zip(wkey(*ps), wkey(*pt))),
                                 comm))
     try:
-        hco = class_coords_reference(engines, queries)
+        hco = class_coords_reference(bases, queries)
     except OutsideSpan as e:
         s, t = hh[e.index]
         raise LYStructureError("LY6", (basis_pairs[s], basis_pairs[t])) from None
