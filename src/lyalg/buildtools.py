@@ -34,8 +34,14 @@ algebra and of g(T) (envelope.class_bases).  Its guarantees:
 int_commutators forms every pairwise commutator of a list of integer
 sparse matrices in one guarded int64 sparse product; the class bases of
 the enveloping algebra and of g(T) (envelope.class_bases) and
-operator_algebra_from_basis take their commutators from it.  int_values
-clears a sequence of Fractions to int64 with one common denominator.
+operator_algebra_from_basis take their commutators from it.  The
+Kronecker builder (kron, batch, pair_table, kronecker_ternary) serves
+every tensor product X (x) Y: the Tits grid, the matrix tensor families
+and the form-paired candidates each pass it int64 tensors of their
+factors, and kronecker_ternary gives the ternary product t(y y')
+D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'} as one guarded int64 table.
+int_values clears a sequence of Fractions to int64 with one common
+denominator.
 operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
 abstract Algebra holding its int64 table: all commutator coordinates
@@ -65,27 +71,6 @@ SpMat = dict[tuple[int, int], Fraction]  # (row, col) -> coeff, zero entries abs
 
 class NotClosedError(Exception):
     """A commutator left the span of the proposed basis."""
-
-
-def _sp_product(a: SpMat, b: SpMat, out: dict, neg: bool = False) -> dict:
-    """Add a b (or - a b) into out; entries that cancel stay as zeros."""
-    byrow: dict[int, list] = {}
-    for (r, c), v in b.items():
-        byrow.setdefault(r, []).append((c, -v if neg else v))
-    for (r, m), v in a.items():
-        for c, w in byrow.get(m, ()):
-            k = (r, c)
-            out[k] = out.get(k, F0) + v * w
-    return out
-
-
-def sp_mul(a: SpMat, b: SpMat) -> SpMat:
-    return {k: v for k, v in _sp_product(a, b, {}).items() if v != 0}
-
-
-def sp_commutator(a: SpMat, b: SpMat) -> SpMat:
-    out = _sp_product(b, a, _sp_product(a, b, {}), neg=True)
-    return {k: v for k, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +193,74 @@ def int_commutators(ms, ml, mk, vals, b: int, n: int):
     code, v = fastnum.summed(((lo * b + hi) * n + l) * n + k, np.where(s < t, v, -v))
     pair, lk = np.divmod(code, n * n)
     return pair, lk, v
+
+
+# the Kronecker builder of a tensor product X (x) Y
+
+
+def kron(xa, ya, base):
+    """Entries xa[i, k, u] ya[j, l, w] of [x_i (x) y_j, x_k (x) y_l] at
+    target base + u W + w, W = ya.shape[2], as (p, q, target, val) over
+    the grid pairs p = i ny + j < q = k ny + l, each (p, q, target) once."""
+    ny, W = ya.shape[0], ya.shape[2]
+    (i, k, u), (j, l, w) = np.nonzero(xa), np.nonzero(ya)
+    xv, yv = xa[i, k, u], ya[j, l, w]
+    guard_bound(1, xv, yv)
+    p, q = i[:, None] * ny + j, k[:, None] * ny + l
+    e, g = np.nonzero(p < q)
+    return p[e, g], q[e, g], base + u[e] * W + w[g], xv[e] * yv[g]
+
+
+def batch(parts):
+    """(code, val, scale) of the entries (code, val, scale) of parts over
+    their least common scale, in code order and lowest terms, equal codes
+    summed (at most two, one per part, so a guarded sum fits int64) and
+    zeros dropped.  No parts give no entries."""
+    den = lcm(*(s for *_, s in parts))
+    for _, v, s in parts:
+        guard_bound(den // s, v)
+    empty = [np.zeros(0, dtype=np.int64)]
+    code, val = fastnum.summed(np.concatenate(empty + [c for c, _, _ in parts]),
+                               np.concatenate(empty + [v * (den // s) for _, v, s in parts]))
+    return (code, *fastnum.lowest_terms(val, den))
+
+
+def pair_table(dim, parts):
+    """The int64 table (pair, target, val, scale) of the entries
+    (p, q, target, val, scale) of parts, through batch."""
+    code, val, s = batch([((p * dim + q) * dim + t, v, s) for p, q, t, v, s in parts])
+    pair, tgt = np.divmod(code, dim)
+    return pair, tgt, val, s
+
+
+def kronecker_ternary(dx, tx, dy, ty):
+    """Ternary table of X (x) Y: t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
+
+    dx is the int64 pair-map tensor D[i, k, a, r] of X, D(x_i, x_k) x_r =
+    sum_a D[i, k, a, r] x_a, and tx the form t(x_i, x_k) of X, likewise
+    dy and ty for Y, each as (array, scale).  Grid index i ny + j stands
+    for x_i (x) y_j.  kron pairs each factor's pair maps with the other's
+    form over the grid pairs p < q, the identity on the other leg spreads
+    each entry over the third argument r, and batch sums the codes
+    (p, q, r, target).  Returns the LYAlgebra int64 table
+    (pair, col, val, scale).
+    """
+    (dx, sdx), (tx, stx), (dy, sdy), (ty, sty) = dx, tx, dy, ty
+    nx, ny = len(tx), len(ty)
+    dim = nx * ny
+    # left: D_{x_i,x_k} x_r (x) y_s, r = i3 ny + s, at a ny + s
+    p, q, u, v = kron(dx.reshape(nx, nx, -1), ty[:, :, None], 0)
+    (a, i3), s = np.divmod(u[:, None], nx), np.arange(ny)
+    left = ((p * dim + q)[:, None] * dim + i3 * ny + s) * dim + a * ny + s
+    # right: x_r (x) d_{y_j,y_l} y_s, r = i3 ny + s, at i3 ny + b
+    p, q, u, w = kron(tx[:, :, None], dy.reshape(ny, ny, -1), 0)
+    (b, s), i3 = np.divmod(u, ny), np.arange(nx)[:, None] * ny
+    right = ((p * dim + q) * dim + i3 + s) * dim + i3 + b
+    code, val, den = batch([(left.ravel(), np.repeat(v, ny), sty * sdx),
+                            (right.ravel(), np.tile(w, nx), stx * sdy)])
+    pqr, tgt = np.divmod(code, dim)
+    pair, r = np.divmod(pqr, dim)
+    return pair, tgt * dim + r, val, den
 
 
 def dense_rows(row, code, val, nrows: int, cols: np.ndarray):

@@ -556,6 +556,7 @@ class TraceAdmissible:
         self.dspan = dspan
         self.dweights = dweights
         self.tor_coords = tor_coords
+        self._int = None      # the int64 tensors of tits._slice_ints
 
     def star(self, i, j):
         return self.stab[i][j]

@@ -5,21 +5,25 @@ forms (hyperbolic planes, plus a one-dimensional tail in odd dimension),
 so each one comes with a torus that acts diagonally on the natural basis.
 The three reductive-pair families on V1 (+) V2, sl2 (x) sym0(V2) and
 sl(V1) (x) sl(V2) are produced directly from their closed product
-formulas, with exact rational coefficients.  The two tensor families
-share one builder: the trace form and the span coordinates of each
-factor's anticommutators and double brackets are computed once per
-factor (_FactorTable, every coordinate checked exactly), and the tensor
-products are then index loops over the two tables.
+formulas, with exact rational coefficients.  Each is a tensor product
+whose ternary product is one Kronecker sum, built by the Kronecker
+builder in buildtools that the Tits grid uses too: the orthosymplectic
+sum pairs each form's pair maps with the other Gram matrix, and the
+two tensor families pair each factor's double brackets with the other
+trace form.  A factor's trace form, anticommutator and double-bracket
+coordinates are int64 tensors from its dense maps, each set from one
+certified span solve (_Factor).  The ternary product stays an int64
+table; the Fraction dict is never built.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
+import numpy as np
+
+from . import buildtools as bt
 from . import linalg as la
-from .algebra import Algebra, LYAlgebra
-from .buildtools import (BatchCoords, OutsideSpan, SpMat,
-                         operator_algebra_from_basis, simultaneous_eigenbasis,
-                         sp_commutator, sp_mul)
+from .algebra import Algebra, LYAlgebra, table_to_dict
+from .buildtools import SpMat, operator_algebra_from_basis, simultaneous_eigenbasis
 from .checks import transport_equal
 
 F0 = Fraction(0)
@@ -81,10 +85,16 @@ def phi_map(form: BilinForm, i: int, j: int) -> SpMat:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def form_pairs(form: BilinForm) -> list[tuple[int, int]]:
+    """The (i, j) of the phi_{e_i,e_j} basis of so or sp: i < j, or i <= j
+    for a skew form."""
+    n = form.dim
+    return [(i, j) for i in range(n) for j in range(i + (form.eps == 1), n)]
+
+
 def skew_map_family(form: BilinForm, name: str = "") -> Algebra:
     """so(V, phi) or sp(V, phi) on its phi_{v,w} basis, torus included."""
-    n = form.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + (1 if form.eps == 1 else 0), n)]
+    pairs = form_pairs(form)
     mats = [phi_map(form, i, j) for (i, j) in pairs]
     r, vw = form_torus_weights(form)
     weights = [tuple(a + b for a, b in zip(vw[i], vw[j])) for (i, j) in pairs]
@@ -156,50 +166,31 @@ def build_matrix_lie(kind: str, n: int, tail: int = 1, name: str = "") -> Algebr
     raise ValueError("unknown kind %r" % kind)
 
 
+def _form_maps(form: BilinForm):
+    """The form-pair maps phi_{e_a,e_b} as the int64 tensor D[a, b, t, c] =
+    g(a, c) [t = b] - eps g(b, c) [t = a], and the Gram matrix g, each
+    with its scale."""
+    g, s = bt.int_rows(form.gram, form.dim)
+    bt.guard_bound(2, g)
+    e = np.eye(form.dim, dtype=np.int64)
+    d = np.einsum("ac,bt->abtc", g, e) - form.eps * np.einsum("bc,at->abtc", g, e)
+    return (d, s), (g, s)
+
+
 def lts_orthosymplectic_sum(form1: BilinForm, form2: BilinForm,
                             name: str = "") -> LYAlgebra:
     """Lie triple system V1 (x) V2 inside skew(V1 (+) V2).
 
     Binary product is zero; the ternary product applies the form-pair maps
-    componentwise.  Reducible parameter ranges are built anyway and noted.
+    componentwise, each paired with the other factor's Gram matrix in the
+    Kronecker sum (buildtools.kronecker_ternary).  Reducible parameter
+    ranges are built anyway and noted.
     """
     if form1.eps != form2.eps:
         raise ValueError("forms must share eps")
-    eps = Fraction(form1.eps)
     n1, n2 = form1.dim, form2.dim
-    g1, g2 = form1.gram, form2.gram
-
-    def idx(a, b):
-        return a * n2 + b
-
-    ternary = {}
     dim = n1 * n2
-    for i in range(dim):
-        a1, b1 = divmod(i, n2)
-        for j in range(i + 1, dim):
-            a2, b2 = divmod(j, n2)
-            for k in range(dim):
-                a3, b3 = divmod(k, n2)
-                acc: dict[int, Fraction] = {}
-                c = g2[b1][b2]
-                if c != 0:
-                    if g1[a1][a3] != 0:
-                        l = idx(a2, b3)
-                        acc[l] = acc.get(l, F0) + c * g1[a1][a3]
-                    if g1[a2][a3] != 0:
-                        l = idx(a1, b3)
-                        acc[l] = acc.get(l, F0) - eps * c * g1[a2][a3]
-                c = g1[a1][a2]
-                if c != 0:
-                    if g2[b1][b3] != 0:
-                        l = idx(a3, b2)
-                        acc[l] = acc.get(l, F0) + c * g2[b1][b3]
-                    if g2[b2][b3] != 0:
-                        l = idx(a3, b1)
-                        acc[l] = acc.get(l, F0) - eps * c * g2[b2][b3]
-                ent = sorted((l, v) for l, v in acc.items() if v != 0)
-                if ent:
-                    ternary[(i, j, k)] = ent
+    ternary = bt.kronecker_ternary(*_form_maps(form1), *_form_maps(form2))
     labels = ["x%d*y%d" % divmod(i, n2) for i in range(dim)]
     ly = LYAlgebra(dim, {}, ternary, labels=labels, name=name)
     r1, vw1 = form_torus_weights(form1)
@@ -210,45 +201,32 @@ def lts_orthosymplectic_sum(form1: BilinForm, form2: BilinForm,
     return ly
 
 
-def _sp_trace_mul(a: SpMat, b: SpMat) -> Fraction:
-    return sum((v * b[(c, r)] for (r, c), v in a.items() if (c, r) in b), F0)
-
-
 def sym0_basis(form: BilinForm):
     """Weight-adapted basis of the trace-zero phi-symmetric maps.
 
-    Solved from the defining equations, then refined into a simultaneous
-    eigenbasis of the standard torus of skew(V, phi).  Returns
+    Solved from the defining equations in int64, then refined into a
+    simultaneous eigenbasis of the standard torus of skew(V, phi), whose
+    action on the solutions is read off one Span solve.  Returns
     (mats, weight tuples).
     """
     n = form.dim
-    g = form.gram
-    eqs = []
-    # f^T G = G f, entry by entry, over row-major unknowns f[r][c]
-    for i in range(n):
-        for j in range(n):
-            row = la.zero_vec(n * n)
-            for k in range(n):
-                row[k * n + i] += g[k][j]
-                row[k * n + j] -= g[i][k]
-            eqs.append(row)
-    tr = la.zero_vec(n * n)
-    for r in range(n):
-        tr[r * n + r] = F1
-    eqs.append(tr)
-    ker = la.kernel_basis(eqs)
-    m, _ = form_torus_weights(form)
-    hmats = [{k: -v for k, v in phi_map(form, 2 * a, 2 * a + 1).items()}
-             for a in range(m)]
-    kmats = [{divmod(i, n): x for i, x in enumerate(v) if x} for v in ker]
-    solver = BatchCoords(kmats)
-    restricted = []
-    for h in hmats:
-        try:
-            cols = solver.coords_rows([sp_commutator(h, fm) for fm in kmats])
-        except OutsideSpan:
-            raise ArithmeticError("torus does not preserve sym0") from None
-        restricted.append(la.transpose(cols))
+    (d, sd), (g, _) = _form_maps(form)       # guards 2 |g|
+    e = np.eye(n, dtype=np.int64)
+    # f^T G = G f, entry (i, j), over row-major unknowns f[k][l]; then tr f = 0
+    eqs = np.einsum("kj,li->ijkl", g, e) - np.einsum("ik,lj->ijkl", g, e)
+    ker = la.kernel_basis(eqs.reshape(n * n, n * n).tolist() + [e.ravel().tolist()])
+    # the torus h_a = -phi_{e_2a,e_2a+1} acting on the kernel, from one Span solve
+    a = np.arange(form_torus_weights(form)[0])
+    k, _ = bt.int_rows(ker)
+    h, f = -d[2 * a, 2 * a + 1], k.reshape(-1, n, n)
+    bt.guard_bound(2 * n, h, f)
+    span = bt.Span(k)
+    x, bad = span.solve((np.einsum("art,ktc->akrc", h, f)
+                         - np.einsum("krt,atc->akrc", f, h)).reshape(-1, n * n))
+    if bad.any():
+        raise ArithmeticError("torus does not preserve sym0")
+    restricted = [[[Fraction(v, span.d * sd) for v in row] for row in xa]
+                  for xa in x.reshape(len(a), len(ker), -1).transpose(0, 2, 1).tolist()]
     vecs, tups = simultaneous_eigenbasis(restricted)
     mats = []
     for co in vecs:
@@ -262,83 +240,55 @@ def sym0_basis(form: BilinForm):
     return mats, tups
 
 
-class _FactorTable:
-    """Structure data of one tensor factor, computed once per factor.
+class _Factor:
+    """Structure tensors of one tensor factor, in int64 with their scales.
 
-    For a basis x_a of trace-zero operators on an n-dim space: the trace
-    form tr(x_a x_b), and the coordinates (sparse (index, value) lists) of
-    the traceless anticommutator x_a x_b + x_b x_a - (2/n) tr(x_a x_b) 1
-    and of the double brackets [[x_a, x_b], x_c].  The coordinates of
-    (1/2)[x_a, x_b] are computed on demand, because [x_a, x_b] need not
-    lie in the span (it does not for sym0).  The anticommutators and the
-    double brackets each take one coords_rows batch of the factor's
-    BatchCoords; a coordinate outside the span raises ArithmeticError.
+    For a basis x_a of trace-zero operators on an n-dim space: form is
+    (1/n) tr(x_a x_b), anti[a, b, c] the coordinate c of the traceless
+    anticommutator x_a x_b + x_b x_a - (2/n) tr(x_a x_b) 1, and
+    dbl[a, b, c, r] the coordinate c of the double bracket [[x_a, x_b],
+    x_r].  Every product comes from the dense int64 maps under one
+    guard, and each set of coordinates from one Span solve, whose
+    reconstruction check refuses (ArithmeticError) a coordinate outside
+    the span.  The coordinates of (1/2)[x_a, x_b] come on demand (half),
+    because [x_a, x_b] need not lie in the span (it does not for sym0).
     """
 
     def __init__(self, mats, weights, n: int, side: str, span: str):
         nb = len(mats)
-        self.dim = nb
+        flat, self.s = bt.int_rows([{r * n + c: v for (r, c), v in m.items()}
+                                    for m in mats], n * n)
         self.weights = weights
-        self.inv = Fraction(1, n)
-        self.mats = mats
-        self.solver = BatchCoords(mats)
+        self.span = bt.Span(flat)
         self.escaped = "%s factor escaped %s" % (side, span)
-        self.tr = [[_sp_trace_mul(a, b) for b in mats] for a in mats]
-        self.anti = [[None] * nb for _ in range(nb)]
-        self.dbl = [[[[]] * nb] * nb for _ in range(nb)]
-        self._half = {}
-        sym = [(a, b) for a in range(nb) for b in range(a, nb)]
-        antis = []
-        for a, b in sym:
-            m = sp_mul(mats[a], mats[b])
-            for k, v in sp_mul(mats[b], mats[a]).items():
-                m[k] = m.get(k, F0) + v
-            shift = 2 * self.inv * self.tr[a][b]
-            if shift != 0:
-                for d in range(n):
-                    m[(d, d)] = m.get((d, d), F0) - shift
-            antis.append(m)
-        for (a, b), co in zip(sym, self.coords(antis)):
-            self.anti[a][b] = self.anti[b][a] = co
-        skew = list(combinations(range(nb), 2))
-        comms = [sp_commutator(mats[a], mats[b]) for a, b in skew]
-        dbl = self.coords([sp_commutator(cm, x) for cm in comms for x in mats])
-        for p, (a, b) in enumerate(skew):
-            self.dbl[a][b] = dbl[p * nb:(p + 1) * nb]
-            self.dbl[b][a] = [[(c, -v) for c, v in co]
-                              for co in self.dbl[a][b]]
+        m = flat.reshape(nb, n, n)
+        bt.guard_bound(4 * n * n, m, m, m)       # bounds every product below
+        prod = np.einsum("arc,bcd->abrd", m, m)
+        tr = np.einsum("abrr->ab", prod)
+        self.form = tr, n * self.s ** 2
+        anti = n * (prod + prod.transpose(1, 0, 2, 3))
+        anti -= 2 * tr[:, :, None, None] * np.eye(n, dtype=np.int64)
+        self.anti = self.coords(anti, n * self.s ** 2)
+        self.comm = prod - prod.transpose(1, 0, 2, 3)
+        dbl, sd = self.coords(np.einsum("abrd,cde->abcre", self.comm, m)
+                              - np.einsum("crd,abde->abcre", m, self.comm), self.s ** 3)
+        self.dbl = dbl.transpose(0, 1, 3, 2), sd
 
-    def coords(self, ms: list[SpMat]):
-        """Sparse coordinates of each map; ArithmeticError outside the span."""
-        try:
-            rows = self.solver.coords_rows(ms)
-        except OutsideSpan:
-            raise ArithmeticError(self.escaped) from None
-        return [[(c, v) for c, v in enumerate(co) if v] for co in rows]
+    def coords(self, q, sq: int):
+        """(x, scale): the coordinates x / scale over the basis of the maps
+        q / sq, one map per entry of the leading axes of q."""
+        x, bad = self.span.solve(q.reshape(-1, q.shape[-1] ** 2))
+        if bad.any():
+            raise ArithmeticError(self.escaped)
+        return x.reshape(q.shape[:-2] + (-1,)), self.span.d * sq // self.s
 
-    def half_comm(self, a: int, b: int):
-        """Coordinates of (1/2)[x_a, x_b]."""
-        if a > b:
-            return [(c, -v) for c, v in self.half_comm(b, a)]
-        if (a, b) not in self._half:
-            co = self.coords([sp_commutator(self.mats[a], self.mats[b])])[0]
-            self._half[(a, b)] = [(c, v / 2) for c, v in co]
-        return self._half[(a, b)]
+    def half(self):
+        """The coordinates of (1/2)[x_a, x_b], with their scale."""
+        x, sc = self.coords(self.comm, self.s ** 2)
+        return x, 2 * sc
 
 
-def _sl_factor(n: int, side: str) -> _FactorTable:
-    mats, _, weights, _ = sl_ops(n)
-    return _FactorTable(mats, weights, n, side, "sl")
-
-
-def _add_tensor(acc: dict, ca, cf, nf: int):
-    for s, va in ca:
-        for t, vf in cf:
-            l = s * nf + t
-            acc[l] = acc.get(l, F0) + va * vf
-
-
-def _tensor_ly(left: _FactorTable, right: _FactorTable, name: str) -> LYAlgebra:
+def _tensor_ly(left: _Factor, right: _Factor, name: str) -> LYAlgebra:
     """LY-algebra on left (x) right from the closed product formulas.
 
     With a (x) f the basis vectors (index s * nf + t):
@@ -346,41 +296,21 @@ def _tensor_ly(left: _FactorTable, right: _FactorTable, name: str) -> LYAlgebra:
                              + (a a' + a' a)_0 (x) (1/2)[f, f'],
       [a (x) f, a' (x) f', a'' (x) f''] = (1/n2) tr(f f') [[a, a'], a''] (x) f''
                              + (1/n1) tr(a a') a'' (x) [[f, f'], f''],
-    where ( )_0 removes the trace over the factor's n-dim space.
+    where ( )_0 removes the trace over the factor's n-dim space.  The
+    binary product is the two Kronecker batches (buildtools.kron), the
+    second half taken only where the anticommutators do not vanish, and
+    the ternary one is buildtools.kronecker_ternary.
     """
-    na, nf = left.dim, right.dim
+    na, nf = len(left.weights), len(right.weights)
     dim = na * nf
-    binary = {}
-    ternary = {}
-    for i in range(dim):
-        s1, t1 = divmod(i, nf)
-        for j in range(i + 1, dim):
-            s2, t2 = divmod(j, nf)
-            acc: dict[int, Fraction] = {}
-            _add_tensor(acc, left.half_comm(s1, s2), right.anti[t1][t2], nf)
-            if left.anti[s1][s2]:
-                _add_tensor(acc, left.anti[s1][s2], right.half_comm(t1, t2), nf)
-            ent = sorted((l, v) for l, v in acc.items() if v != 0)
-            if ent:
-                binary[(i, j)] = ent
-            cl = right.tr[t1][t2] * right.inv
-            cr = left.tr[s1][s2] * left.inv
-            if cl == 0 and cr == 0:
-                continue
-            dl, dr = left.dbl[s1][s2], right.dbl[t1][t2]
-            for k in range(dim):
-                s3, t3 = divmod(k, nf)
-                acc = {}
-                if cl != 0:
-                    for s, v in dl[s3]:
-                        acc[s * nf + t3] = v * cl
-                if cr != 0:
-                    for t, v in dr[t3]:
-                        l = s3 * nf + t
-                        acc[l] = acc.get(l, F0) + v * cr
-                ent = sorted((l, v) for l, v in acc.items() if v != 0)
-                if ent:
-                    ternary[(i, j, k)] = ent
+    terms = []
+    if right.anti[0].any():
+        terms.append((left.half(), right.anti))
+    if left.anti[0].any():
+        terms.append((left.anti, right.half()))
+    parts = [(*bt.kron(xa, ya, 0), sx * sy) for (xa, sx), (ya, sy) in terms]
+    binary = table_to_dict(bt.pair_table(dim, parts), dim, 2)
+    ternary = bt.kronecker_ternary(left.dbl, left.form, right.dbl, right.form)
     labels = ["a%d*f%d" % divmod(i, nf) for i in range(dim)]
     ly = LYAlgebra(dim, binary, ternary, labels=labels, name=name)
     ly.weights = [left.weights[i // nf] + right.weights[i % nf]
@@ -407,16 +337,19 @@ def ly_sp_tensor_sym(n2: int, eps2: int, name: str = "") -> LYAlgebra:
         raise ValueError("symmetric V2 needs dimension >= 3")
     form2 = split_sym_form(n2) if eps2 == 1 else split_skew_form(n2)
     fmats, fweights = sym0_basis(form2)
-    return _tensor_ly(_FactorTable(SL2_OPS, SL2_WEIGHTS, 2, "left", "sl2"),
-                      _FactorTable(fmats, fweights, n2, "right", "sym0"),
-                      name)
+    return _tensor_ly(_Factor(SL2_OPS, SL2_WEIGHTS, 2, "left", "sl2"),
+                      _Factor(fmats, fweights, n2, "right", "sym0"), name)
 
 
 def ly_sl_tensor_sl(n1: int, n2: int, name: str = "") -> LYAlgebra:
     """LY-algebra sl(V1) (x) sl(V2) from the closed product formulas."""
     if not (2 <= n1 <= n2):
         raise ValueError("need 2 <= n1 <= n2")
-    return _tensor_ly(_sl_factor(n1, "left"), _sl_factor(n2, "right"), name)
+    def factor(n, side):
+        mats, _, weights, _ = sl_ops(n)
+        return _Factor(mats, weights, n, side, "sl")
+
+    return _tensor_ly(factor(n1, "left"), factor(n2, "right"), name)
 
 
 def check_coincidence(a: LYAlgebra, b: LYAlgebra, basis_map: la.Matrix) -> bool:

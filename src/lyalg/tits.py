@@ -17,9 +17,12 @@ The bracket is built as one guarded int64 batch (_assemble), never as a
 Fraction dict: the span blocks are the span algebras' int64 tables,
 shifted, the derivation actions come from the nonzeros of the spans,
 and the grid block is the Kronecker batch of the slices' int64 star,
-trace and derivation-coordinate tensors (_grid_terms).  The result is
-an Algebra holding its int64 table (Algebra.table_int), which the
-sweeps, the Killing form, io and ly_inside_tits read directly.
+trace and derivation-coordinate tensors (_grid_terms), cleared once per
+view (_slice_ints).  The result is an Algebra holding its int64 table
+(Algebra.table_int), which the sweeps, the Killing form, io and
+ly_inside_tits read directly; the grid's ternary product and the
+form-paired candidates come from the same Kronecker builder in
+buildtools that the matrix tensor families use.
 The associative row has a variant on the full unital Jordan algebra
 (build_tkk_row, on the same batch with the unit slot added),
 isomorphic to the corresponding square cell through an explicit graded
@@ -70,31 +73,22 @@ def _slice_ints(view):
     (coordinate a of the star product x_i * x_k), tform[i, k], dco[i, k, c]
     (coordinate c of the pair derivation D(x_i, x_k) over the span, and
     dco[k, i] = -dco[i, k]) and dspan[c, a, i] (entry (a, i) of span
-    element c)."""
-    n, nd = view.n0, len(view.dspan)
-    star, ss = bt.int_rows([cell for row in view.stab for cell in row], n)
-    tform, st = bt.int_rows(view.tform, n)
-    pairs = sorted(view.dcoords)
-    co, sc = bt.int_rows([view.dcoords[p] for p in pairs], nd)
-    dco = np.zeros((n, n, nd), dtype=np.int64)
-    i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    dco[i, k], dco[k, i] = co, -co
-    dsp, sd = bt.int_rows([[v for row in m for v in row] for m in view.dspan], n * n)
-    return _SliceInts((star.reshape(n, n, n), ss), (tform, st), (dco, sc),
-                     (dsp.reshape(nd, n, n), sd))
-
-
-def _kron(xa, ya, base):
-    """Entries xa[i, k, u] ya[j, l, w] of [x_i (x) y_j, x_k (x) y_l] at
-    target base + u W + w, W = ya.shape[2], as (p, q, target, val) over
-    the grid pairs p = i ny + j < q = k ny + l, each (p, q, target) once."""
-    ny, W = ya.shape[0], ya.shape[2]
-    (i, k, u), (j, l, w) = np.nonzero(xa), np.nonzero(ya)
-    xv, yv = xa[i, k, u], ya[j, l, w]
-    bt.guard_bound(1, xv, yv)
-    p, q = i[:, None] * ny + j, k[:, None] * ny + l
-    e, g = np.nonzero(p < q)
-    return p[e, g], q[e, g], base + u[e] * W + w[g], xv[e] * yv[g]
+    element c).  Cleared once per view, kept on it read-only."""
+    if view._int is None:
+        n, nd = view.n0, len(view.dspan)
+        star, ss = bt.int_rows([cell for row in view.stab for cell in row], n)
+        tform, st = bt.int_rows(view.tform, n)
+        pairs = sorted(view.dcoords)
+        co, sc = bt.int_rows([view.dcoords[p] for p in pairs], nd)
+        dco = np.zeros((n, n, nd), dtype=np.int64)
+        i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        dco[i, k], dco[k, i] = co, -co
+        dsp, sd = bt.int_rows([[v for row in m for v in row] for m in view.dspan], n * n)
+        tensors = star.reshape(n, n, n), tform, dco, dsp.reshape(nd, n, n)
+        for a in tensors:
+            a.setflags(write=False)
+        view._int = _SliceInts(*zip(tensors, (ss, st, sc, sd)))
+    return view._int
 
 
 def _grid_terms(xs, ys, left, grid, right):
@@ -110,29 +104,8 @@ def _grid_terms(xs, ys, left, grid, right):
     for (xa, sx), (ya, sy), base in ((xs.dco, ys.tform, left),
                                      (xs.star, ys.star, grid),
                                      (xs.tform, ys.dco, right)):
-        out.append((*_kron(np.atleast_3d(xa), np.atleast_3d(ya), base), sx * sy))
+        out.append((*bt.kron(np.atleast_3d(xa), np.atleast_3d(ya), base), sx * sy))
     return out
-
-
-def _batch(parts):
-    """(code, val, scale) of the entries (code, val, scale) of parts over
-    their least common scale, in code order and lowest terms, equal codes
-    summed (at most two, one per part, so a guarded sum fits int64) and
-    zeros dropped."""
-    den = lcm(*(s for *_, s in parts))
-    for _, v, s in parts:
-        bt.guard_bound(den // s, v)
-    code, val = fastnum.summed(np.concatenate([c for c, _, _ in parts]),
-                               np.concatenate([v * (den // s) for _, v, s in parts]))
-    return (code, *fastnum.lowest_terms(val, den))
-
-
-def _table(dim, parts):
-    """The int64 table (pair, target, val, scale) of the entries
-    (p, q, target, val, scale) of parts, through _batch."""
-    code, val, s = _batch([((p * dim + q) * dim + t, v, s) for p, q, t, v, s in parts])
-    pair, tgt = np.divmod(code, dim)
-    return pair, tgt, val, s
 
 
 def _assemble(xs, ys, xspan, yspan):
@@ -164,7 +137,7 @@ def _assemble(xs, ys, xspan, yspan):
     parts.append(((i + j).ravel(), np.broadcast_to(d0 + c, shape).ravel(),
                   (i + b).ravel(), np.broadcast_to(-dy[c, b, j], shape).ravel(), sy))
     parts += [(p + g0, q + g0, t, v, s) for p, q, t, v, s in _grid_terms(xs, ys, 0, g0, d0)]
-    return dim, _table(dim, parts)
+    return dim, bt.pair_table(dim, parts)
 
 
 class TitsAlgebra:
@@ -298,35 +271,6 @@ def _pair_maps(s):
     return np.einsum('ikc,car->ikar', dco, dsp), sc * sd
 
 
-def _kronecker_ternary(x, y):
-    """Ternary table of the grid: t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
-
-    Grid index i * ny + j stands for x_i (x) y_j.  _kron pairs each
-    slice's pair maps with the other's trace form over the grid pairs
-    p < q, the identity on the other leg spreads each entry over the
-    third argument r, and _batch sums the codes (p, q, r, target).
-    Returns the LYAlgebra int64 table (pair, col, val, scale).
-    """
-    nx, ny = x.n0, y.n0
-    dim = nx * ny
-    xs, ys = _slice_ints(x), _slice_ints(y)
-    (dx, sdx), (dy, sdy) = _pair_maps(xs), _pair_maps(ys)
-    (tx, stx), (ty, sty) = xs.tform, ys.tform
-    # left: D_{x_i,x_k} x_r (x) y_s, r = i3 ny + s, at a ny + s
-    p, q, u, v = _kron(dx.reshape(nx, nx, -1), ty[:, :, None], 0)
-    (a, i3), s = np.divmod(u[:, None], nx), np.arange(ny)
-    left = ((p * dim + q)[:, None] * dim + i3 * ny + s) * dim + a * ny + s
-    # right: x_r (x) d_{y_j,y_l} y_s, r = i3 ny + s, at i3 ny + b
-    p, q, u, w = _kron(tx[:, :, None], dy.reshape(ny, ny, -1), 0)
-    (b, s), i3 = np.divmod(u, ny), np.arange(nx)[:, None] * ny
-    right = ((p * dim + q) * dim + i3 + s) * dim + i3 + b
-    code, val, den = _batch([(left.ravel(), np.repeat(v, ny), sty * sdx),
-                             (right.ravel(), np.tile(w, nx), stx * sdy)])
-    pqr, tgt = np.divmod(code, dim)
-    pair, r = np.divmod(pqr, dim)
-    return pair, tgt * dim + r, val, den
-
-
 def ly_inside_tits(t):
     """Binary and ternary products induced on the grid block.
 
@@ -338,10 +282,9 @@ def ly_inside_tits(t):
 
         [x (x) y, x' (x) y', .] = t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'}.
 
-    It is assembled from the pair maps of the slices' int64 tensors and
-    their trace forms in one integer batch over a common denominator;
-    the two terms collide only on the diagonal entries of D and d, where
-    they are summed, and the algebra keeps that int64 table
+    The shared Kronecker builder (buildtools.kronecker_ternary) assembles
+    it from the pair maps of the slices' int64 tensors and their trace
+    forms in one integer batch, and the algebra keeps that int64 table
     (LYAlgebra.ternary_int); the binary table is the grid block of
     t.alg.table_int.  The result carries the grid weights and must agree
     constant-by-constant with the generic reductive-pair extraction,
@@ -364,7 +307,9 @@ def ly_inside_tits(t):
     on = (p >= lo) & (q < lo + m) & (tgt >= lo) & (tgt < lo + m)
     binary = table_to_dict(((p[on] - lo) * m + q[on] - lo, tgt[on] - lo, val[on], s), m, 2)
     labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
-    ly = LYAlgebra(t.ngrid, binary, _kronecker_ternary(x, y), labels=labels,
+    xs, ys = _slice_ints(x), _slice_ints(y)
+    ternary = bt.kronecker_ternary(_pair_maps(xs), xs.tform, _pair_maps(ys), ys.tform)
+    ly = LYAlgebra(t.ngrid, binary, ternary, labels=labels,
                    name="ly-inside-%s" % t.alg.name)
     ly.weights = [x.weights[i] + y.weights[j]
                   for i in range(nx) for j in range(ny)]
@@ -523,7 +468,7 @@ def tits_module_data(x, y):
     h = bt.direct_sum(_span_algebra(x, "Dspan(%s)" % x.tag),
                       _span_algebra(y, "dspan(%s)" % y.tag), name="D+d")
     D = h.dim + x.n0 * y.n0
-    cd, cm, cdd = (table_to_dict(_table(D, [term]), D, 2) for term in
+    cd, cm, cdd = (table_to_dict(bt.pair_table(D, [term]), D, 2) for term in
                    _grid_terms(_slice_ints(x), _slice_ints(y), 0, h.dim, len(x.dspan)))
     mod = tensor_action(h, _span_maps(x), _span_maps(y), x.n0, y.n0)
     return h, mod, [cd, cdd, cm]
@@ -544,54 +489,39 @@ def tensor_action(h, mats1, mats2, n1, n2):
     return ModuleAction(h, n1 * n2, out)
 
 
+def _family_coords(form, pairs):
+    """F[i, k, c]: phi_{e_i,e_k} over the family basis phi_{pairs[c]},
+    with phi_{e_k,e_i} = -eps phi_{e_i,e_k}."""
+    f = np.zeros((form.dim, form.dim, len(pairs)), dtype=np.int64)
+    (i, k), c = np.array(pairs, dtype=np.int64).reshape(-1, 2).T, np.arange(len(pairs))
+    f[k, i, c] = -form.eps
+    f[i, k, c] = 1
+    return f
+
+
 def form_pair_module_data(f1, f2):
     """Acting algebra, action and form-paired candidates on V1 (x) V2.
 
     The two candidates pair one form against the skew family of the
     other: the right form times a left family element, then the left
-    form times a right one.  Both land in the acting algebra.
+    form times a right one.  Both land in the acting algebra.  Each is
+    the Kronecker batch (buildtools.kron) of one family's coordinate
+    tensor with the other form's Gram matrix.
     """
-    from .matrixalg import phi_map, skew_map_family
+    from .matrixalg import form_pairs, phi_map, skew_map_family
 
     n1, n2 = f1.dim, f2.dim
     a1 = skew_map_family(f1, name="fam1")
-    a2 = skew_map_family(f2, name="fam2")
-    h = bt.direct_sum(a1, a2, name="fam1+fam2")
-    pairs1 = [(i, j) for i in range(n1)
-              for j in range(i + (1 if f1.eps == 1 else 0), n1)]
-    pairs2 = [(i, j) for i in range(n2)
-              for j in range(i + (1 if f2.eps == 1 else 0), n2)]
-    pos1 = {p: c for c, p in enumerate(pairs1)}
-    pos2 = {p: c for c, p in enumerate(pairs2)}
-    mats1 = [phi_map(f1, i, j) for (i, j) in pairs1]
-    mats2 = [phi_map(f2, i, j) for (i, j) in pairs2]
-    act = tensor_action(h, mats1, mats2, n1, n2)
-
-    def fam_coord(pos, eps, i, j):
-        if (i, j) in pos:
-            return [(pos[(i, j)], F1)]
-        if (j, i) in pos:
-            return [(pos[(j, i)], Fraction(-eps))]
-        return []
-
-    c1, c2 = {}, {}
-    for p in range(n1 * n2):
-        i1, j1 = divmod(p, n2)
-        for q in range(p + 1, n1 * n2):
-            i2, j2 = divmod(q, n2)
-            ent = []
-            if f2.gram[j1][j2] != 0:
-                ent = [(c, f2.gram[j1][j2] * v)
-                       for c, v in fam_coord(pos1, f1.eps, i1, i2)]
-            if ent:
-                c1[(p, q)] = ent
-            ent = []
-            if f1.gram[i1][i2] != 0:
-                ent = [(a1.dim + c, f1.gram[i1][i2] * v)
-                       for c, v in fam_coord(pos2, f2.eps, j1, j2)]
-            if ent:
-                c2[(p, q)] = ent
-    return h, act, [c1, c2]
+    h = bt.direct_sum(a1, skew_map_family(f2, name="fam2"), name="fam1+fam2")
+    pairs1, pairs2 = form_pairs(f1), form_pairs(f2)
+    act = tensor_action(h, [phi_map(f1, *p) for p in pairs1],
+                        [phi_map(f2, *p) for p in pairs2], n1, n2)
+    (g1, s1), (g2, s2) = bt.int_rows(f1.gram, n1), bt.int_rows(f2.gram, n2)
+    D = h.dim + n1 * n2
+    cands = [table_to_dict(bt.pair_table(D, [(*bt.kron(xa, ya, base), s)]), D, 2)
+             for xa, ya, base, s in ((_family_coords(f1, pairs1), g2[:, :, None], 0, s2),
+                                     (g1[:, :, None], _family_coords(f2, pairs2), a1.dim, s1))]
+    return h, act, cands
 
 
 def _spread(n, cap):

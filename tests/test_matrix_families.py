@@ -9,17 +9,16 @@ import pytest
 from lyalg import io
 from lyalg import linalg as la
 from lyalg.algebra import LYAlgebra
-from lyalg.buildtools import subalgebra_on_indices
+from lyalg.buildtools import BatchCoords, batch, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.envelope import build_enveloping
-from lyalg.matrixalg import (SL2_OPS, BilinForm, build_matrix_lie,
+from lyalg.matrixalg import (SL2_OPS, SL2_WEIGHTS, BilinForm, build_matrix_lie,
                              check_coincidence, lts_orthosymplectic_sum,
                              ly_sl_tensor_sl, ly_sp_tensor_sym, sl_ops,
-                             split_skew_form, split_sym_form, sym0_basis,
-                             _sp_trace_mul)
+                             split_skew_form, split_sym_form, sym0_basis)
 from lyalg.roots import classify, saturate_torus, verify_weights
 from test_invariants import commutant_dim
-from test_tits import inner_maps
+from test_tits import inner_maps, load_known, sha256, sp_commutator
 
 fr = Fraction
 
@@ -147,6 +146,13 @@ def test_sl_tensor_sl_bad_params():
         ly_sl_tensor_sl(3, 2)
 
 
+ORTHO_SUMS = {
+    "so3xso5": lambda: (split_sym_form(3), split_sym_form(5)),
+    "sp2xsp2": lambda: (split_skew_form(2), split_skew_form(2)),
+    "so1xso2(-1)": lambda: (split_sym_form(1), split_sym_form(2, tail=-1)),
+    "sp4xsp6": lambda: (split_skew_form(4), split_skew_form(6)),
+}
+
 PINNED_SHA256 = [
     (lambda: ly_sl_tensor_sl(2, 3),
      "743741b46b5aa216686fe15819e69041473930507d1ddc84eba16c3a0f706c2d"),
@@ -160,12 +166,20 @@ PINNED_SHA256 = [
      "8562f5e1ace36d45ebc024361baa5a928d22e3cddb40182aee9d20c8e9b72ac9"),
     (lambda: build_matrix_lie("sp", 6),
      "67e1015a52fa3235ed62c904dcddea47cccf65c7a5850f1a75ee73f85a60e237"),
+    (lambda: lts_orthosymplectic_sum(*ORTHO_SUMS["so3xso5"]()),
+     "c01d3568ea505a57c420f66c2b92709a51d4ad21511cfe67ab4f4ce9090eb7c3"),
+    (lambda: lts_orthosymplectic_sum(*ORTHO_SUMS["sp2xsp2"]()),
+     "feb04fa623ce8f17dba76fa0da26a4908a59091af800ea1a7c88d14409c86da4"),
+    (lambda: lts_orthosymplectic_sum(*ORTHO_SUMS["so1xso2(-1)"]()),
+     "9b7f362c7149548e62c450f3ad89b0815023c826932a1fbfe1a1ba786580e28f"),
+    (lambda: lts_orthosymplectic_sum(*ORTHO_SUMS["sp4xsp6"]()),
+     "e86552acdec0f9903425ff0e3600a0a5bd3b630b5a1cbbd9e6980082f0974dca"),
 ]
 
 
 @pytest.mark.parametrize("build, want", PINNED_SHA256,
                          ids=["sl2xsl3", "sl2xsym0(3,1)", "sl2xsym0(4,-1)",
-                              "sl4", "so7", "sp6"])
+                              "sl4", "so7", "sp6", *ORTHO_SUMS])
 def test_builders_canonical_bytes_pinned(build, want):
     """The canonical JSON of each builder's output, byte for byte."""
     alg = build()
@@ -174,8 +188,183 @@ def test_builders_canonical_bytes_pinned(build, want):
     assert hashlib.sha256(io.dumps(obj).encode()).hexdigest() == want
 
 
+FAMILY_JOBS = {"families.ly_sp_sym(6,-1)": lambda: ly_sp_tensor_sym(6, -1),
+               "families.ly_sl_sl(3,3)": lambda: ly_sl_tensor_sl(3, 3)}
+
+
+@pytest.mark.parametrize("job", FAMILY_JOBS)
+def test_families_workload_keeps_its_known_bytes(job):
+    """The LY algebra and its envelope, as perfbench/known.py pins them."""
+    want = load_known().ANSWERS[job]
+    ly = FAMILY_JOBS[job]()
+    assert sha256(ly) == want["sha256"]
+    assert sha256(build_enveloping(ly).g) == want["env_sha256"]
+
+
+# Fraction references: the tensor families as per-index triple loops over
+# exact coordinates, one basis pair (and triple) at a time
+
+
+def trace_mul(a, b):
+    """tr(a b) of sparse Fraction matrices."""
+    return sum((v * b[(c, r)] for (r, c), v in a.items() if (c, r) in b), fr(0))
+
+
+def sp_mul(a, b):
+    """a b of sparse Fraction matrices, zeros dropped."""
+    out = {}
+    for (r, m), v in a.items():
+        for (m2, c), w in b.items():
+            if m == m2:
+                out[(r, c)] = out.get((r, c), fr(0)) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+class FactorReference:
+    """Trace form, anticommutator, double-bracket and half-commutator
+    coordinates of one factor, as sparse (index, Fraction) lists."""
+
+    def __init__(self, mats, weights, n):
+        nb = self.dim = len(mats)
+        self.weights, self.inv, self.mats = weights, fr(1, n), mats
+        self.solver = BatchCoords(mats)
+        self.tr = [[trace_mul(a, b) for b in mats] for a in mats]
+        self.anti, self.dbl = {}, {}
+        for a in range(nb):
+            for b in range(nb):
+                m = sp_mul(mats[a], mats[b])
+                for k, v in sp_mul(mats[b], mats[a]).items():
+                    m[k] = m.get(k, fr(0)) + v
+                for d in range(n):
+                    m[(d, d)] = m.get((d, d), fr(0)) - 2 * self.inv * self.tr[a][b]
+                self.anti[a, b] = self.coords(m)
+                comm = sp_commutator(mats[a], mats[b])
+                for c in range(nb):
+                    self.dbl[a, b, c] = self.coords(sp_commutator(comm, mats[c]))
+
+    def coords(self, m):
+        co = self.solver.coords_rows([m])[0]
+        return [(c, v) for c, v in enumerate(co) if v]
+
+    def half_comm(self, a, b):
+        return [(c, v / 2) for c, v in self.coords(sp_commutator(self.mats[a], self.mats[b]))]
+
+
+def add_tensor(acc, ca, cf, nf):
+    for s, va in ca:
+        for t, vf in cf:
+            acc[s * nf + t] = acc.get(s * nf + t, fr(0)) + va * vf
+
+
+def tensor_ly_reference(left, right):
+    """The closed product formulas of matrixalg._tensor_ly, index by index."""
+    na, nf = left.dim, right.dim
+    dim = na * nf
+    binary, ternary = {}, {}
+    for i in range(dim):
+        s1, t1 = divmod(i, nf)
+        for j in range(i + 1, dim):
+            s2, t2 = divmod(j, nf)
+            acc = {}
+            add_tensor(acc, left.half_comm(s1, s2), right.anti[t1, t2], nf)
+            if left.anti[s1, s2]:
+                add_tensor(acc, left.anti[s1, s2], right.half_comm(t1, t2), nf)
+            binary[(i, j)] = sorted((l, v) for l, v in acc.items() if v)
+            cl, cr = right.tr[t1][t2] * right.inv, left.tr[s1][s2] * left.inv
+            for k in range(dim):
+                s3, t3 = divmod(k, nf)
+                acc = {}
+                add_tensor(acc, [(s, cl * v) for s, v in left.dbl[s1, s2, s3]], [(t3, 1)], nf)
+                add_tensor(acc, [(s3, 1)], [(t, cr * v) for t, v in right.dbl[t1, t2, t3]], nf)
+                ternary[(i, j, k)] = sorted((l, v) for l, v in acc.items() if v)
+    ly = LYAlgebra(dim, binary, ternary,
+                   labels=["a%d*f%d" % divmod(i, nf) for i in range(dim)])
+    ly.weights = [wl + wr for wl in left.weights for wr in right.weights]
+    return ly
+
+
+def sl_reference(n):
+    mats, _, weights, _ = sl_ops(n)
+    return FactorReference(mats, weights, n)
+
+
+def ortho_reference(form1, form2):
+    """The orthosymplectic Lie triple system, one basis triple at a time."""
+    eps, n2 = form1.eps, form2.dim
+    g1, g2 = form1.gram, form2.gram
+    dim = form1.dim * n2
+    ternary = {}
+    for i in range(dim):
+        a1, b1 = divmod(i, n2)
+        for j in range(i + 1, dim):
+            a2, b2 = divmod(j, n2)
+            for k in range(dim):
+                a3, b3 = divmod(k, n2)
+                acc = {}
+                for l, v in ((a2 * n2 + b3, g2[b1][b2] * g1[a1][a3]),
+                             (a1 * n2 + b3, -eps * g2[b1][b2] * g1[a2][a3]),
+                             (a3 * n2 + b2, g1[a1][a2] * g2[b1][b3]),
+                             (a3 * n2 + b1, -eps * g1[a1][a2] * g2[b2][b3])):
+                    acc[l] = acc.get(l, fr(0)) + v
+                ternary[(i, j, k)] = sorted((l, v) for l, v in acc.items() if v)
+    return LYAlgebra(dim, {}, ternary,
+                     labels=["x%d*y%d" % divmod(i, n2) for i in range(dim)])
+
+
+def sp_sym_reference(n2, eps2):
+    form = split_sym_form(n2) if eps2 == 1 else split_skew_form(n2)
+    fmats, fweights = sym0_basis(form)
+    return tensor_ly_reference(FactorReference(SL2_OPS, SL2_WEIGHTS, 2),
+                               FactorReference(fmats, fweights, n2))
+
+
+REFERENCES = (
+    [("sl(%d,%d)" % nn, lambda nn=nn: ly_sl_tensor_sl(*nn),
+      lambda nn=nn: tensor_ly_reference(*map(sl_reference, nn)))
+     for nn in [(2, 2), (2, 3), (2, 4), (3, 3)]]
+    + [("sl2xsym0(%d,%d)" % ne, lambda ne=ne: ly_sp_tensor_sym(*ne),
+        lambda ne=ne: sp_sym_reference(*ne))
+       for ne in [(3, 1), (4, -1), (5, 1), (6, -1)]]
+    + [(key, lambda f=forms: lts_orthosymplectic_sum(*f()),
+        lambda f=forms: ortho_reference(*f()))
+       for key, forms in ORTHO_SUMS.items()])
+
+
+@pytest.mark.parametrize("build, reference", [r[1:] for r in REFERENCES],
+                         ids=[r[0] for r in REFERENCES])
+def test_kronecker_builders_match_the_fraction_loops(build, reference):
+    ly, ref = build(), reference()
+    assert io.dumps(io.ly_to_obj(ly)) == io.dumps(io.ly_to_obj(ref))
+    assert ly.binary == ref.binary
+    assert list(ly.ternary.items()) == list(ref.ternary.items())
+    if ref.weights is not None:
+        assert ly.weights == ref.weights
+
+
+def test_batch_of_no_parts_is_empty():
+    code, val, scale = batch([])
+    assert code.tolist() == val.tolist() == [] and scale == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ly_sp_tensor_sym(3, 1), lambda: ly_sl_tensor_sl(2, 3),
+    lambda: lts_orthosymplectic_sum(*ORTHO_SUMS["so3xso5"]())],
+    ids=["sl2xsym0(3,1)", "sl2xsl3", "so3xso5"])
+def test_families_never_build_the_fraction_ternary_dict(build, monkeypatch):
+    def refuse(ly):
+        raise AssertionError("the Fraction ternary dict was read")
+
+    monkeypatch.setattr(LYAlgebra, "ternary", property(refuse))
+    ly = build()
+    assert check_ly(ly).passed
+    assert build_enveloping(ly).g.dim > ly.dim
+    assert io.ly_to_obj(ly)["ternary"]
+    monkeypatch.undo()
+    assert "ternary" not in vars(ly)
+
+
 def trace_gram(mats, scale):
-    return [[scale * _sp_trace_mul(a, b) for b in mats] for a in mats]
+    return [[scale * trace_mul(a, b) for b in mats] for a in mats]
 
 
 def test_coincidence_sp2sym_4_with_ortho_3_5():

@@ -9,7 +9,7 @@ from lyalg import io
 from lyalg import linalg as la
 from lyalg import roots
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.buildtools import direct_sum
+from lyalg.buildtools import direct_sum, kronecker_ternary
 from lyalg.checks import check_ly
 from lyalg.cli import main
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
@@ -19,7 +19,7 @@ from lyalg.invariants import _grading_blocks
 from lyalg.matrixalg import build_matrix_lie, lts_orthosymplectic_sum, split_sym_form
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
-from lyalg.tits import _kronecker_ternary, build_tits
+from lyalg.tits import _pair_maps, _slice_ints, build_tits
 from test_tits import grid_pair_entries
 
 fr = Fraction
@@ -218,7 +218,9 @@ def q_jv3_ly():
         ent = sorted((a * ny + b, v) for (a, b), v in grid_ent)
         if ent:
             binary[(i * ny + j, k * ny + l)] = ent
-    ly = LYAlgebra(x.n0 * ny, binary, _kronecker_ternary(x, y),
+    xs, ys = _slice_ints(x), _slice_ints(y)
+    ternary = kronecker_ternary(_pair_maps(xs), xs.tform, _pair_maps(ys), ys.tform)
+    ly = LYAlgebra(x.n0 * ny, binary, ternary,
                    labels=["x%d*y%d" % (i, j)
                            for i in range(x.n0) for j in range(ny)],
                    name="ly-inside-tits(Q,JV(3))")

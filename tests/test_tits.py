@@ -20,7 +20,7 @@ import pytest
 from lyalg import checks, io
 from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
-from lyalg.buildtools import OutsideSpan, sp_commutator, subalgebra_on_indices
+from lyalg.buildtools import OutsideSpan, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
 from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
@@ -30,7 +30,7 @@ from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sl_tensor_sl,
                              ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (TitsAlgebra, _conditions, _span_algebra,
+from lyalg.tits import (TitsAlgebra, _conditions, _slice_ints, _span_algebra,
                         assemble_bracket, bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
                         form_pair_module_data, ly_inside_tits, magic_square,
@@ -141,13 +141,18 @@ def build_tits_reference(x, y):
     return Algebra(dofs + ndy, dict(sorted(table.items())), labels=labels)
 
 
-def known_square_sha256():
-    """perfbench/known.py's SQUARE_SHA256, loaded from the file as it is."""
+def load_known():
+    """perfbench/known.py, loaded from the file as it is."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "known.py"
     spec = importlib.util.spec_from_file_location("perfbench_known", path)
     known = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(known)
-    return dict(known.SQUARE_SHA256)
+    return known
+
+
+def known_square_sha256():
+    """perfbench/known.py's SQUARE_SHA256."""
+    return dict(load_known().SQUARE_SHA256)
 
 
 @pytest.mark.parametrize("cx", "kKQO")
@@ -167,6 +172,16 @@ def test_every_square_cell_keeps_its_pinned_bytes():
     assert len(pinned) == 16
     for (cx, cy), digest in pinned.items():
         assert sha256(build_tits(cview(cx), jview("H3(%s)" % cy)).alg) == digest
+
+
+def test_slice_tensors_are_cleared_once_per_view_and_read_only():
+    x = cview("Q")
+    ints = _slice_ints(x)
+    assert _slice_ints(x) is ints
+    for arr, scale in ints:
+        assert not arr.flags.writeable and scale > 0
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
 
 
 class RefuseDerivedDict:
@@ -568,6 +583,17 @@ def class_coords_reference(bases, queries):
     return out
 
 
+def sp_commutator(a, b):
+    """[a, b] of sparse Fraction matrices {(row, col): v}, zeros dropped."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (r, m), v in x.items():
+            for (m2, c), w in y.items():
+                if m == m2:
+                    out[(r, c)] = out.get((r, c), F(0)) + sign * v * w
+    return {k: v for k, v in out.items() if v}
+
+
 def build_enveloping_reference(ly):
     """The enveloping algebra from Fraction inner maps: the reference
     class_bases above, and one sp_commutator per pair of chosen maps."""
@@ -906,6 +932,8 @@ def test_solver_so3_so5_diagonal_family():
     assert co == [F(1), F(1)]
     g = assemble_bracket(h, act, cands, co)
     assert check_lie(g).passed
+    # the families workload's solve.so3+so5 job builds this algebra
+    assert sha256(g) == load_known().ANSWERS["families.solve.so3+so5"]["sha256"]
     ly = ly_from_reductive_indices(g, list(range(13)), list(range(13, 28)))
     ref = lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
     ident = [[F(1) if i == j else F(0) for j in range(15)] for i in range(15)]
