@@ -32,8 +32,8 @@ algebra and of g(T) (envelope.class_bases).  Its guarantees:
   rational rows, with the same fallback.
 
 int_commutators forms every pairwise commutator of a list of integer
-sparse matrices in one guarded int64 sparse product; the class bases of
-the enveloping algebra and of g(T) (envelope.class_bases) and
+sparse matrices from one guarded int64 join (fastnum.join); the class
+bases of the enveloping algebra and of g(T) (envelope.class_bases) and
 operator_algebra_from_basis take their commutators from it.  The
 Kronecker builder (kron, batch, pair_table, kronecker_ternary) serves
 every tensor product X (x) Y: the Tits grid, the matrix tensor families
@@ -57,7 +57,6 @@ from math import gcd, lcm
 from operator import attrgetter
 
 import numpy as np
-from scipy import sparse
 
 from . import fastnum
 from . import linalg as la
@@ -176,15 +175,13 @@ def int_commutators(ms, ml, mk, vals, b: int, n: int):
 
     Entry e of the maps is vals[e] at (ml[e], mk[e]) of A_{ms[e]}, every
     position at most once.  All products come from one guarded int64
-    sparse product: block (s, t) of vstack(A) @ hstack(A) is A_s A_t.
-    Returns (pair, lk, v), sorted: v at lk = l n + k of [A_s, A_t] with
-    pair = s b + t.  OverflowError if a product does not fit int64.
+    join: its terms at row (s, l) and column (t, k) make up block (s, t)
+    of vstack(A) @ hstack(A), which is A_s A_t.  Returns (pair, lk, v),
+    sorted: v at lk = l n + k of [A_s, A_t] with pair = s b + t.
+    OverflowError if a product does not fit int64.
     """
     guard_bound(n, vals, vals)
-    stacked = sparse.csr_array((vals, (ms * n + ml, mk)), shape=(b * n, n))
-    side = sparse.csr_array((vals, (ml, ms * n + mk)), shape=(n, b * n))
-    prod = (stacked @ side).tocoo()
-    (r, c), v = prod.coords, prod.data
+    r, c, v = fastnum.join((ms * n + ml, mk, vals), (ml, ms * n + mk, vals))
     (s, l), (t, k) = np.divmod(r, n), np.divmod(c, n)
     off = s != t
     s, t, l, k, v = s[off], t[off], l[off], k[off], v[off]

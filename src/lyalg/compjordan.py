@@ -31,11 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import buildtools as bt
 from . import linalg as la
-from .fastnum import summed
+from .fastnum import join, summed
 from .linalg import F0, F1
 from .matrixalg import split_sym_form
 
@@ -557,6 +556,7 @@ class TraceAdmissible:
         self.dweights = dweights
         self.tor_coords = tor_coords
         self._int = None      # the int64 tensors of tits._slice_ints
+        self._span = None     # the span Lie algebra of tits._span_algebra
 
     def star(self, i, j):
         return self.stab[i][j]
@@ -783,41 +783,29 @@ def _equivariance_check(es, d, n0, chunk=16):
     and d the antisymmetric pair table (d[i, j] = D(i, j)), both as int64
     tensors; common scales drop out, since both sides are bilinear in
     (E, D).  Each of the four terms contracts one index of d with one
-    index of E.  The four sparse layouts of d with that index as a row or
-    a column are built once; for `chunk` span elements at a time, each
-    term is then one sparse product with the stacked elements, and the
-    four results must cancel at every (E, i, j, r, s).
+    index of E: for `chunk` span elements at a time, it is one join of the
+    nonzeros of d and of the stacked elements on that index, with each
+    side's other indices coded so that row + col is the key of
+    (E, i, j, r, s); the four terms must cancel at every key.
     """
     if not len(es):
         return
     bt.guard_bound(4 * n0, es, d)
-    n2, n3 = n0 * n0, n0 ** 3
-    csr = sparse.csr_array
+    n2 = n0 * n0
     i, j, r, s = np.nonzero(d)
     v = d[i, j, r, s]
-    d_t = csr((v, (r, (i * n0 + j) * n0 + s)), shape=(n0, n3))  # [t, (i,j,s)] = D(i,j)[t][s]
-    d_c = csr((v, (i, (j * n0 + r) * n0 + s)), shape=(n0, n3))  # [c, (j,r,s)] = D(c,j)[r][s]
-    d_r = csr((v, ((i * n0 + j) * n0 + r, s)), shape=(n3, n0))  # [(i,j,r), t] = D(i,j)[r][t]
-    d_j = csr((v, ((i * n0 + r) * n0 + s, j)), shape=(n3, n0))  # [(i,r,s), c] = D(i,c)[r][s]
     for e0 in range(0, len(es), chunk):
         blk = es[e0:e0 + chunk]
-        ne = len(blk)
-        rows = csr(blk.reshape(ne * n0, n0))                       # [(e,r), t] = E[r][t]
-        rows_t = csr(blk.transpose(0, 2, 1).reshape(ne * n0, n0))  # [(e,i), c] = E[c][i]
-        cols = csr(blk.transpose(1, 0, 2).reshape(n0, ne * n0))    # [t, (e,s)] = E[t][s]
-        # each product's (row, col) -> key of (E, i, j, r, s)
-        terms = [
-            (rows @ d_t, 1, lambda x, y: (x // n0 * n2 + y // n0) * n2 + x % n0 * n0 + y % n0),
-            (rows_t @ d_c, -1, lambda x, y: x * n3 + y),
-            (d_r @ cols, -1, lambda x, y: y // n0 * n2 * n2 + x * n0 + y % n0),
-            (d_j @ cols, -1, lambda x, y: ((y // n0 * n0 + x // n2) * n0 + y % n0) * n2 + x % n2),
-        ]
-        keys, vals = [], []
-        for prod, sign, key in terms:
-            c = prod.tocoo()
-            keys.append(key(*c.coords))
-            vals.append(sign * c.data)
-        if len(summed(np.concatenate(keys), np.concatenate(vals))[0]):
+        e, a, b = np.nonzero(blk)                   # E[a][b] = w
+        w, e = blk[e, a, b], e * n2 * n2
+        # (left (row, key, val), right (key, col, val)) per term, signed
+        joined = [join(*term) for term in (
+            ((e + a * n0, b, w), (r, (i * n0 + j) * n2 + s, v)),        # E D(i,j)
+            ((e + b * n0 * n2, a, -w), (i, j * n2 + r * n0 + s, v)),    # -E[c][i] D(c,j)
+            (((i * n0 + j) * n2 + r * n0, s, -v), (a, e + b, w)),       # -D(i,j) E
+            ((i * n0 * n2 + r * n0 + s, j, -v), (a, e + b * n2, w)))]   # -D(i,c) E[c][j]
+        keys = np.concatenate([row + col for row, col, _ in joined])
+        if len(summed(keys, np.concatenate([val for *_, val in joined]))[0]):
             raise ArithmeticError("pair derivation map is not equivariant")
 
 

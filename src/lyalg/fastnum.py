@@ -1,11 +1,12 @@
 """Exact checks at scale: integer-scaled tensors, sparse sweeps, mod-p ranks.
 
 Structure constants come as the algebra's int64 table (Algebra.table_int,
-one global scale S per algebra), which ScaledTables lays out as numpy /
-scipy.sparse data without a per-entry loop.  All fast paths stay exact:
+one global scale S per algebra), which ScaledTables lays out as numpy
+coordinate arrays without a per-entry loop.  All fast paths stay exact:
 
-* sparse integer matrix products whose entries are bounded well below 2^63
-  (asserted from the data, never assumed);
+* sparse integer matrix products, each one join of two coordinate lists
+  (summed by the caller), with entries bounded well below 2^63 (asserted
+  from the data, never assumed);
 * mod-p elimination with p below 2^31 so products fit int64, used only as
   a one-sided certificate (a rank mod p never exceeds the rank over Q);
   every exact answer comes from an exact solve or an exact check.
@@ -28,7 +29,6 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import Algebra
 
@@ -47,7 +47,7 @@ SWEEP_BLOCK = 1 << 16
 
 
 class ScaledTables:
-    """Integer-scaled structure constants of an Algebra, in sparse layouts.
+    """Integer-scaled structure constants of an Algebra, as coordinates.
 
     Read off alg.table_int: S is its scale, and every stored entry
     [e_i, e_j] = c e_s, i < j, appears as (p, q, s, c) = (i, j, s, c)
@@ -65,9 +65,6 @@ class ScaledTables:
         self.s = np.repeat(tgt, 2)
         self.c = np.column_stack([val, -val]).ravel()
         self.amax = int(np.abs(val).max(initial=0))
-        # row s, col (k,r): c^r_{sk}
-        self.M = sparse.csr_array(
-            (self.c, (self.p, self.q * n + self.s)), shape=(n, n * n))
 
 
 def scaled(alg: Algebra) -> ScaledTables:
@@ -148,6 +145,20 @@ def _expand(lo, hi):
     ent = np.repeat(np.arange(len(lo)), cnt)
     pos = np.arange(len(ent)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
     return ent, pos
+
+
+def join(left, right):
+    """The terms of the sparse product of the coordinate lists left = (row,
+    key, val) and right = (key, col, val), joined on the shared index:
+    (row, col, lval rval) for every pair of entries with equal keys, not
+    summed.  Both sides are sorted by key (sorted queries make searchsorted
+    several times faster), and _expand lists each left entry's matches."""
+    (row, lkey, lval), (rkey, col, rval) = left, right
+    lo, ro = np.argsort(lkey, kind="stable"), np.argsort(rkey, kind="stable")
+    lk, rk = lkey[lo], rkey[ro]
+    ent, pos = _expand(np.searchsorted(rk, lk), np.searchsorted(rk, lk, "right"))
+    ent, pos = lo[ent], ro[pos]
+    return row[ent], col[pos], lval[ent] * rval[pos]
 
 
 def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> np.ndarray:
@@ -275,11 +286,11 @@ def killing_int(alg: Algebra) -> np.ndarray:
     n = st.n
     if n and st.amax and n * n * st.amax * st.amax >= (1 << 62):
         raise OverflowError("structure constants too large for int64 killing form")
-    # K[p,q] = tr(ad_p ad_q) = sum_{s,r} c^r_{ps} c^s_{qr}
-    X = sparse.csr_array((st.c, (st.p, st.q * n + st.s)), shape=(n, n * n))
-    Y = sparse.csr_array((st.c, (st.p, st.s * n + st.q)), shape=(n, n * n))
-    K = (X @ Y.T).toarray()
-    return np.asarray(K, dtype=np.int64)
+    # K[p,q] = tr(ad_p ad_q) = sum_{s,r} c^r_{ps} c^s_{qr}, joined on (s, r)
+    p, q, v = join((st.p, st.q * n + st.s, st.c), (st.s * n + st.q, st.p, st.c))
+    K = np.zeros((n, n), dtype=np.int64)
+    np.add.at(K, (p, q), v)
+    return K
 
 
 # ---------------------------------------------------------------- mod p

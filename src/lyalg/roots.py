@@ -28,7 +28,7 @@ label can only come from a wrong theorem, not a wrong computation.
 saturate_torus, which produces the torus data, runs on the integer
 scaled structure constants (fastnum.scaled): check_grading compares
 integer weight codes over every entry at once, and _rebase forms all
-brackets of the new basis as two guarded sparse products, certifying
+brackets of the new basis as two guarded int64 joins, certifying
 each weight block's coordinates by one exact coords_int batch.  It runs
 the memoised Jacobi sweep first, so a bracket that is not Lie is refused
 with its failing triple before any eigenvalue is computed, and a zero
@@ -39,13 +39,12 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy import sparse
 
 from . import linalg as la
 from .algebra import Algebra
 from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, guard_bound,
                          int_rows, simultaneous_eigenbasis)
-from .fastnum import ClassifyError, require_lie, scaled
+from .fastnum import ClassifyError, join, require_lie, scaled, summed
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
@@ -280,7 +279,7 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     Each new vector must lie in one weight block.  With B the integer
     change-of-basis matrix (columns the new vectors, one common
     denominator), the brackets [v_a, v_b] in old coordinates come from
-    the scaled structure constants as two guarded int64 sparse products,
+    the scaled structure constants as two guarded int64 joins, summed,
     contracting the first and then the second argument with B.  Each
     bracket must then lie in the block of its weight, and every target
     block's coordinates over its new vectors come from one coords_int
@@ -306,19 +305,18 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     if (memb[i_nz] != vblk[t_nz]).any():
         raise ClassifyError("new basis vector crosses weight blocks")
     st = scaled(alg)
-    bsp = sparse.csr_array(bint)
+    bv = bint[t_nz, i_nz]
     # first argument: X[a, j * n + l] = sum_i B[i, a] c^l_{ij}
     guard_bound(n, bint, st.c)
-    x = (bsp @ st.M).tocoo()
-    (a, jl), xv = x.coords, x.data
-    j, l = np.divmod(jl, n)
+    a, jl, xv = join((t_nz, i_nz, bv), (st.p, st.q * n + st.s, st.c))
+    code, xv = summed(a * n * n + jl, xv)
+    (a, j), l = np.divmod(code // n, n), code % n
     # second argument: Y[a * n + l, b] = sum_j X[a, j * n + l] B[j, b]
     guard_bound(n, xv, bint)
-    y = (sparse.csr_array((xv, (a * n + l, j)), shape=(n * n, n)) @ bsp.T).tocoo()
-    (al, b), yv = y.coords, y.data
-    a, l = np.divmod(al, n)
-    keep = (a < b) & (yv != 0)
-    a, b, l, yv = a[keep], b[keep], l[keep], yv[keep]
+    al, b, yv = join((a * n + l, j, xv), (i_nz, t_nz, bv))
+    keep = al // n < b
+    code, yv = summed(al[keep] * n + b[keep], yv[keep])
+    (a, l), b = np.divmod(code // n, n), code % n
     # each bracket lies in the block of weight w_a + w_b
     w, _ = int_rows([alg.weights[blk[0]] for blk in blocks])
     tgt = memb[l]

@@ -56,13 +56,17 @@ def _span_maps(view):
             for m in view.dspan]
 
 
-def _span_algebra(view, name=""):
-    """The derivation span of a slice as an abstract Lie algebra.
+def _span_algebra(view):
+    """The derivation span of a slice as an abstract Lie algebra, built
+    once per view and kept on it.
 
     operator_algebra_from_basis certifies that the span closes under
     commutator (NotClosedError otherwise).
     """
-    return bt.operator_algebra_from_basis(_span_maps(view), name=name)
+    if view._span is None:
+        view._span = bt.operator_algebra_from_basis(_span_maps(view),
+                                                    name="dspan(%s)" % view.tag)
+    return view._span
 
 
 _SliceInts = namedtuple("_SliceInts", "star tform dco dspan")
@@ -465,8 +469,7 @@ def tits_module_data(x, y):
     derivations, in that order, so the assembled algebra is recovered
     at coefficients (1, 1, 1).
     """
-    h = bt.direct_sum(_span_algebra(x, "Dspan(%s)" % x.tag),
-                      _span_algebra(y, "dspan(%s)" % y.tag), name="D+d")
+    h = bt.direct_sum(_span_algebra(x), _span_algebra(y), name="D+d")
     D = h.dim + x.n0 * y.n0
     cd, cm, cdd = (table_to_dict(bt.pair_table(D, [term]), D, 2) for term in
                    _grid_terms(_slice_ints(x), _slice_ints(y), 0, h.dim, len(x.dspan)))

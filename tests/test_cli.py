@@ -107,10 +107,32 @@ def test_json_that_is_not_an_algebra_is_refused_on_one_line(tmp_path, capsys):
             assert len(err.splitlines()) == 1
 
 
-def test_cli_and_certificates_import_without_sympy():
-    # sympy is only needed for irrational witnesses and the bracket solve
-    code = ("import sys, lyalg.cli, lyalg.checks, lyalg.envelope, lyalg.roots; "
-            "print('sympy' in sys.modules)")
+def _fresh_imports(code):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+def test_cli_and_certificates_import_without_sympy():
+    # sympy is only needed for irrational witnesses and the bracket solve
+    code = ("import json, sys, lyalg.cli, lyalg.checks, lyalg.envelope, lyalg.roots; "
+            "print(json.dumps('sympy' in sys.modules))")
+    assert _fresh_imports(code) is False
+
+
+def test_every_module_imports_without_scipy_and_sympy_only_with_tits():
+    # one fresh interpreter imports every lyalg module in turn, as the
+    # benchmark's set-up does, noting which of the two packages is loaded
+    code = (
+        "import importlib, json, pkgutil, sys, lyalg\n"
+        "seen = {}\n"
+        "for m in pkgutil.iter_modules(lyalg.__path__):\n"
+        "    importlib.import_module('lyalg.' + m.name)\n"
+        "    seen[m.name] = ['scipy' in sys.modules, 'sympy' in sys.modules,\n"
+        "                    'lyalg.tits' in sys.modules]\n"
+        "print(json.dumps(seen))\n")
+    seen = _fresh_imports(code)
+    assert "tits" in seen and len(seen) >= 14
+    assert not any(scipy for scipy, _, _ in seen.values())
+    assert all(sympy == tits for _, sympy, tits in seen.values())
+    assert seen["tits"][1]

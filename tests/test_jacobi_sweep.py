@@ -44,7 +44,7 @@ def jacobi_violation_reference(alg: Algebra):
     for p in range(n):
         _, cols, data = _coo(P1[[p], :])
         G = sparse.csr_array((data, (cols // n, cols % n)), shape=(n, n))
-        prow, pcol, pdat = _coo(G @ st.M)    # P[q,(k,r)] = sum_s c^s_{pq} c^r_{sk}
+        prow, pcol, pdat = _coo(G @ P1)      # P[q,(k,r)] = sum_s c^s_{pq} c^r_{sk}
         qrow, qcol, qdat = _coo(C2 @ G)      # Q[(q,k),r] = sum_s c^s_{qk} c^r_{ps}
         # J[q,k,r] = P[q,(k,r)] - P[k,(q,r)] - Q[(q,k),r], flattened to q*n^2+k*n+r
         f1 = prow * n * n + pcol

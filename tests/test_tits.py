@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lyalg import buildtools as bt
 from lyalg import checks, io
 from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
@@ -184,6 +185,34 @@ def test_slice_tensors_are_cleared_once_per_view_and_read_only():
             arr[(0,) * arr.ndim] = 1
 
 
+def test_span_algebras_are_built_once_per_view(monkeypatch):
+    xs = [cview(c) for c in "kKQO"]
+    ys = [jview("H3(%s)" % c) for c in "kKQO"]
+    for view in xs + ys:
+        view._span = None
+    built = []
+    build = bt.operator_algebra_from_basis
+
+    def counted(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bt, "operator_algebra_from_basis", counted)
+    for x in xs:
+        for y in ys:
+            build_tits(x, y)
+    # one build per view, and each view keeps its own
+    assert len(built) == 8
+    assert {id(s) for s in built} == {id(v._span) for v in xs + ys}
+    assert all(v._span.dim == len(v.dspan) for v in xs + ys)
+    # the acting algebra of the module data reuses both spans
+    x, y = xs[2], ys[0]
+    h = tits_module_data(x, y)[0]
+    assert len(built) == 8
+    assert h.dim == x._span.dim + y._span.dim == 6
+    assert {k: v for k, v in h.table.items() if k[0] < 3} == x._span.table
+
+
 class RefuseDerivedDict:
     """Stands in for Algebra.table.  A dict given to the constructor is
     still kept and read (an instance attribute wins over a descriptor
@@ -198,13 +227,14 @@ class RefuseDerivedDict:
 def test_square_path_never_builds_the_fraction_dict(monkeypatch):
     spans = []
 
-    def recorded(view, name=""):
-        spans.append(_span_algebra(view, name))
+    def recorded(view):
+        spans.append(_span_algebra(view))
         return spans[-1]
 
+    x, y = cview("O"), jview("H3(Q)")
+    x._span = y._span = None        # build both span algebras under the patch
     monkeypatch.setattr("lyalg.tits._span_algebra", recorded)
     monkeypatch.setattr(Algebra, "table", RefuseDerivedDict())
-    x, y = cview("O"), jview("H3(Q)")
     t = build_tits(x, y)
     assert check_tits_conditions(x, y).passed()
     assert jacobi_violation(t.alg) is None
