@@ -28,7 +28,13 @@ The associative row has a variant on the full unital Jordan algebra
 isomorphic to the corresponding square cell through an explicit graded
 basis map, and a small solver recovers the grid bracket coefficients
 from equivariance plus the Jacobi constraints alone, which is how
-uniqueness of the bracket up to scalars is certified.
+uniqueness of the bracket up to scalars is certified.  Rescaling the
+module by c multiplies the h-valued coefficients by c^2 and the
+m-valued one by c, so the Jacobi constraints are two exact linear
+systems, at c = 0 and at c = 1; the solver answers with a linear family
+or with the scale family c^2 a_1 + c e_m, and refuses (ValueError) when
+the m-valued part leaves more than one direction or one scale does not
+describe the solutions at c = 1.
 """
 
 from collections import namedtuple
@@ -36,7 +42,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-import sympy
 
 from . import buildtools as bt
 from . import fastnum
@@ -541,15 +546,32 @@ def _cand_eval(t, p, q):
     return [(l, -v) for l, v in t.get((q, p), [])]
 
 
-class EquivSolve:
-    """Solution data for the equivariant bracket coefficient problem."""
+def _bracket_at(cands, vec, p, q):
+    """{l: v}: the bracket sum_i vec[i] cands[i] on the module pair (p, q)."""
+    out = {}
+    for ci, t in zip(vec, cands):
+        if ci:
+            for l, v in _cand_eval(t, p, q):
+                out[l] = out.get(l, F0) + ci * v
+    return out
 
-    def __init__(self, ncand, kernel, equations, branches, symbols):
+
+class EquivSolve:
+    """Solution data for the equivariant bracket coefficient problem.
+
+    kernel is the stage-one basis of the equivariant candidate
+    combinations.  Each branch is (terms, free): free lists the names of
+    its parameters, and terms maps a monomial (a tuple of names) to a
+    candidate coefficient vector, so the branch is the sum of the
+    vectors times their monomials.  A scale branch is c^2 a + c e, with
+    one parameter "c"; a linear branch has one parameter u0, u1, ... per
+    basis vector.
+    """
+
+    def __init__(self, ncand, kernel, branches):
         self.ncand = ncand
         self.kernel = kernel
-        self.equations = equations
         self.branches = branches
-        self.symbols = symbols
         self.dims = [len(free) for _, free in branches]
 
     def family_dim(self):
@@ -558,36 +580,44 @@ class EquivSolve:
     def coefficients(self, branch, assign):
         """Exact candidate coefficients at one parameter assignment.
 
-        assign maps free symbols of the chosen branch to rationals; the
-        result is the length-ncand coefficient vector as Fractions.
+        assign maps every free parameter name of the chosen branch to a
+        rational; the result is the length-ncand coefficient vector as
+        Fractions.
         """
-        sol, free = self.branches[branch]
-        uvals = []
-        for s in self.symbols:
-            e = sol.get(s, s)
-            e = sympy.sympify(e).subs(assign)
-            r = sympy.Rational(e)
-            uvals.append(Fraction(int(r.p), int(r.q)))
         out = [F0] * self.ncand
-        for k, u in enumerate(uvals):
-            if u != 0:
-                for i in range(self.ncand):
-                    out[i] += u * self.kernel[k][i]
+        for mono, vec in self.branches[branch][0].items():
+            w = F1
+            for s in mono:
+                w *= Fraction(assign[s])
+            out = [o + w * v for o, v in zip(out, vec)]
         return out
 
 
 def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
     """Recover the module bracket coefficients compatible with Jacobi.
 
-    The bracket on the sum of h and its module is fixed on h and on
+    The bracket on the sum of h and its module m is fixed on h and on
     mixed pairs; on module pairs it is an unknown combination of the
-    candidate tensors.  Stage one collects the linear constraints from
-    probe triples with one leg in h (equivariance defects) and keeps
-    the kernel.  Stage two expands the module-only Jacobi sum on probe
-    triples into exact polynomials in the kernel parameters and hands
-    the deduplicated system to sympy.  The returned branches describe
-    the solution variety; certification of a chosen point is the
-    caller's job (assemble_bracket plus a full Jacobi sweep).
+    candidate tensors, each of which must be pure: h-valued or m-valued
+    (ValueError otherwise).  Stage one collects the linear constraints
+    from probe triples with one leg in h (equivariance defects) and
+    keeps their kernel, which splits as K_h (+) K_m because the defects
+    of the two kinds never meet.  Rescaling m by c multiplies the
+    h-coefficients a by c^2 and the m-coefficient by c, and the
+    module-only Jacobi sum on probe triples is linear in a once c is
+    fixed, so stage two is two exact linear solves (la.kernel_basis):
+
+    * c = 0: the Jacobi sum is homogeneous in a; its kernel is a linear
+      branch, one free parameter per basis vector.  This is the whole
+      family when K_m = 0.
+    * c = 1, when dim K_m = 1: the inhomogeneous system for a_1, solved
+      as the kernel of the augmented rows.  Its solution gives the
+      scale branch c^2 a_1 + c e_m, listed first; the c = 0 branch
+      follows when it is nonzero.  A nonzero homogeneous part at c = 1
+      would need more than one scale, and raises ValueError.
+
+    dim K_m > 1 raises ValueError.  Certification of a chosen point is
+    the caller's job (assemble_bracket plus a full Jacobi sweep).
     """
     if not cands:
         raise ValueError("empty candidate span")
@@ -596,6 +626,10 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
         mprobes = _spread(mdim, 12)
     if hprobes is None:
         hprobes = _spread(hdim, 10)
+    kinds = [{l >= hdim for ent in t.values() for l, _ in ent} for t in cands]
+    if any(len(k) > 1 for k in kinds):
+        raise ValueError("a candidate has both h- and m-valued terms")
+    minds = [i for i, k in enumerate(kinds) if True in k]
 
     def act_out(a, vec_ent):
         """Bracket of h basis element a against a sparse h(+)m vector."""
@@ -640,91 +674,54 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
         kernel = la.kernel_basis([list(r) for r in sorted(conset)], nc)
     else:
         kernel = [la.basis_vec(nc, i) for i in range(nc)]
-    k0 = len(kernel)
-    if k0 == 0:
-        return EquivSolve(nc, kernel, [], [({}, [])], [])
-
-    # linear forms over the kernel parameters for each probe bracket
-    def lin_bracket(p, q):
-        out = {}
-        for i in range(nc):
-            for l, v in _cand_eval(cands[i], p, q):
-                for k in range(k0):
-                    c = kernel[k][i] * v
-                    if c != 0:
-                        slot = out.setdefault(l, {})
-                        slot[(k,)] = slot.get((k,), F0) + c
-        return out
-
-    cache = {}
-
-    def lb(p, q):
-        if p == q:
-            return {}
-        key = (p, q) if p < q else (q, p)
-        if key not in cache:
-            cache[key] = lin_bracket(*key)
-        base = cache[key]
-        if p < q:
-            return base
-        return {l: {mn: -v for mn, v in poly.items()}
-                for l, poly in base.items()}
-
-    def addmul(dst, poly, factor, extra=()):
-        for mn, v in poly.items():
-            key = tuple(sorted(mn + extra))
-            nv = dst.get(key, F0) + v * factor
-            if nv == 0:
-                dst.pop(key, None)
-            else:
-                dst[key] = nv
-
-    eqset = set()
+    mk = [v for v in kernel if any(v[i] for i in minds)]
+    hk = [v for v in kernel if not any(v[i] for i in minds)]
+    if len(mk) > 1:
+        raise ValueError("the m-valued candidates leave %d equivariant "
+                         "directions; one scale describes at most one" % len(mk))
+    # Jacobi rows over (a_0, ..., a_{r-1}, t): the m-valued terms of
+    # [[p, q]_h, s] are linear in a, [[p, q]_m, s] gives the h-valued
+    # terms a (times c) and the m-valued term t (times c^2)
+    r = len(hk)
+    rows = (set(), set())
     for ai, a in enumerate(mprobes):
         for bi, b in enumerate(mprobes[ai + 1:], ai + 1):
             for c in mprobes[bi + 1:]:
                 acc = {}
-                for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for l, poly in lb(p, q).items():
-                        if l < hdim:
-                            for rr, w in mod.cols[l].get(r, []):
-                                slot = acc.setdefault(hdim + rr, {})
-                                addmul(slot, poly, w)
-                        else:
-                            for i in range(nc):
-                                for l2, v2 in _cand_eval(cands[i],
-                                                         l - hdim, r):
-                                    for k in range(k0):
-                                        cc = kernel[k][i] * v2
-                                        if cc != 0:
-                                            slot = acc.setdefault(l2, {})
-                                            addmul(slot, poly, cc, (k,))
-                for slot in acc.values():
-                    items = sorted(slot.items())
-                    if not items:
+                for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, v in enumerate(hk):
+                        for l, w in _bracket_at(cands, v, p, q).items():
+                            for rr, x in mod.cols[l].get(s, []):
+                                acc.setdefault(hdim + rr, [F0] * (r + 1))[k] += w * x
+                    if not mk:
                         continue
-                    lead = items[0][1]
-                    eqset.add(tuple((mn, v / lead) for mn, v in items))
-    us = list(sympy.symbols("u0:%d" % k0))
-    exprs = []
-    for poly in sorted(eqset):
-        e = sympy.Integer(0)
-        for mn, co in poly:
-            term = sympy.Rational(co.numerator, co.denominator)
-            for k in mn:
-                term = term * us[k]
-            e = e + term
-        exprs.append(sympy.expand(e))
-    if exprs:
-        sols = sympy.solve(exprs, us, dict=True)
-    else:
-        sols = [dict()]
+                    for l, w in _bracket_at(cands, mk[0], p, q).items():
+                        for k, v in enumerate(hk + mk):
+                            for l2, x in _bracket_at(cands, v, l - hdim, s).items():
+                                acc.setdefault(l2, [F0] * (r + 1))[k] += w * x
+                for l, row in acc.items():
+                    lead = next((v for v in row if v), None)
+                    if lead is not None:
+                        rows[l >= hdim].add(tuple(v / lead for v in row))
+    hrows, mrows = ([list(row) for row in sorted(part)] for part in rows)
+
+    def lift(coords):
+        return [sum((u * v[i] for u, v in zip(coords, hk)), F0) for i in range(nc)]
+
     branches = []
-    for sol in sols:
-        free = sorted({s for s in us if s not in sol},
-                      key=lambda s: s.name)
-        branches.append((sol, free))
-    return EquivSolve(nc, kernel, exprs, branches, us)
+    if mk:
+        aug = la.kernel_basis(mrows + hrows, r + 1)
+        if any(v[r] == 0 for v in aug):
+            raise ValueError("the Jacobi system at scale 1 has a homogeneous "
+                             "part; one scale cannot describe the family")
+        if aug:
+            a1 = [x / aug[0][r] for x in aug[0][:r]]
+            branches.append(({("c", "c"): lift(a1), ("c",): mk[0]}, ["c"]))
+    zero = la.kernel_basis([row[:r] for row in mrows], r)
+    if zero or not branches:
+        names = ["u%d" % k for k in range(len(zero))]
+        branches.append(({(n,): lift(z) for n, z in zip(names, zero)}, names))
+    return EquivSolve(nc, kernel, branches)
 
 
 def assemble_bracket(h, mod, cands, coeffs, name=""):

@@ -1,15 +1,17 @@
-"""The certified span engine through its rational adapters, BatchCoords
-and independent_rows, and the exact rational root finder."""
+"""The certified span engine, Span, directly and through its rational
+adapters, BatchCoords and independent_rows, and the exact rational root
+finder."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lyalg import linalg as la
-from lyalg.buildtools import (BatchCoords, IrrationalRoot, OutsideSpan,
-                              independent_rows, int_rows, int_values,
-                              rational_roots)
+from lyalg.buildtools import (INT64_GUARD, BatchCoords, IrrationalRoot,
+                              OutsideSpan, Span, independent_rows, int_rows,
+                              int_values, rational_roots)
 from lyalg.fastnum import PRIMES20
 
 F = Fraction
@@ -17,6 +19,73 @@ F = Fraction
 
 def vecs(*rows):
     return [[F(x) for x in r] for r in rows]
+
+
+def test_span_gives_d_times_the_coordinates_of_rows_in_the_span():
+    c = np.array([[2, 0, 1, 4], [0, 3, 1, 0], [1, 1, 0, 5]], dtype=np.int64)
+    span = Span(c)
+    co = np.array([[1, 0, 0], [2, -1, 3], [0, 0, 0], [-4, 5, 7]], dtype=np.int64)
+    q = co @ c
+    x, bad = span.solve(q)
+    assert not bad.any()
+    assert (x @ c == span.d * q).all()
+    assert (x == span.d * co).all()
+
+
+def test_span_flags_rows_outside_the_span():
+    # the span of (1, 0, 2) and (0, 1, 3) is {(a, b, 2a + 3b)}
+    span = Span(np.array([[1, 0, 2], [0, 1, 3]], dtype=np.int64))
+    q = np.array([[1, 1, 5], [0, 0, 1], [2, -1, 1], [1, 1, 4]], dtype=np.int64)
+    x, bad = span.solve(q)
+    assert bad.tolist() == [False, True, False, True]
+    assert (x[~bad] == span.d * np.array([[1, 1], [2, -1]])).all()
+
+
+def test_span_refuses_dependent_basis_rows_only():
+    with pytest.raises(ValueError, match="dependent"):
+        Span(np.array([[1, 2, 0], [2, 4, 0]], dtype=np.int64))
+    # rows dependent only modulo the first prime take the next one
+    p = PRIMES20[0]
+    span = Span(np.array([[1, 0], [1, p]], dtype=np.int64))
+    x, bad = span.solve(np.array([[2, p]], dtype=np.int64))
+    assert not bad.any() and (x == span.d * np.array([[1, 1]])).all()
+
+
+def test_span_pivot_inverse_past_the_int64_guard_overflows():
+    # the inverse of [[a, 1], [1, 0]] is [[0, 1], [1, -a]]
+    c = np.array([[INT64_GUARD, 1], [1, 0]], dtype=np.int64)
+    with pytest.raises(OverflowError, match="pivot inverse"):
+        Span(c)
+    span = Span(c.astype(object))
+    x, bad = span.solve(np.array([[INT64_GUARD + 1, 1]], dtype=object))
+    assert not bad.any() and x.tolist() == [[1, 1]]
+    # an int64 query cannot run against the Python-int span
+    with pytest.raises(OverflowError):
+        span.solve(np.array([[1, 0]], dtype=np.int64))
+
+
+def test_span_object_rows_agree_with_fraction_solve():
+    rng = random.Random(11)
+    outside = 0
+    for _ in range(20):
+        nb, width = rng.randint(1, 4), rng.randint(4, 6)
+        rows = [[rng.choice([0, 1, -3, 2**70 + rng.randint(0, 9)])
+                 for _ in range(width)] for _ in range(nb)]
+        if la.rank(vecs(*rows)) < nb:
+            continue
+        span = Span(np.array(rows, dtype=object))
+        q = [[rng.randint(-2**66, 2**66) for _ in range(nb)] for _ in range(3)]
+        q = la.mat_mul(vecs(*q), vecs(*rows)) + [la.basis_vec(width, 0)]
+        x, bad = span.solve(np.array([[int(v) for v in row] for row in q],
+                                     dtype=object))
+        cols = la.transpose(vecs(*rows))
+        for row, xr, b in zip(q, x.tolist(), bad):
+            want = la.solve(cols, row)
+            assert b == (want is None)
+            outside += b
+            if want is not None:
+                assert [F(v, span.d) for v in xr] == want
+    assert outside
 
 
 def test_selection_and_membership():

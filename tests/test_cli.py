@@ -114,25 +114,44 @@ def _fresh_imports(code):
 
 
 def test_cli_and_certificates_import_without_sympy():
-    # sympy is only needed for irrational witnesses and the bracket solve
+    # sympy is only needed to name an irrational root
     code = ("import json, sys, lyalg.cli, lyalg.checks, lyalg.envelope, lyalg.roots; "
             "print(json.dumps('sympy' in sys.modules))")
     assert _fresh_imports(code) is False
 
 
-def test_every_module_imports_without_scipy_and_sympy_only_with_tits():
+def test_no_module_loads_scipy_or_sympy_on_import():
     # one fresh interpreter imports every lyalg module in turn, as the
-    # benchmark's set-up does, noting which of the two packages is loaded
+    # benchmark's set-up does, noting whether either package is loaded
     code = (
         "import importlib, json, pkgutil, sys, lyalg\n"
         "seen = {}\n"
         "for m in pkgutil.iter_modules(lyalg.__path__):\n"
         "    importlib.import_module('lyalg.' + m.name)\n"
-        "    seen[m.name] = ['scipy' in sys.modules, 'sympy' in sys.modules,\n"
-        "                    'lyalg.tits' in sys.modules]\n"
+        "    seen[m.name] = ['scipy' in sys.modules, 'sympy' in sys.modules]\n"
         "print(json.dumps(seen))\n")
     seen = _fresh_imports(code)
     assert "tits" in seen and len(seen) >= 14
-    assert not any(scipy for scipy, _, _ in seen.values())
-    assert all(sympy == tits for _, sympy, tits in seen.values())
-    assert seen["tits"][1]
+    assert not any(scipy or sympy for scipy, sympy in seen.values())
+
+
+def test_rational_roots_of_a_split_polynomial_leave_sympy_unloaded():
+    # 2x^3 + x^2 - 5x + 2 = (x - 1)(x + 2)(2x - 1)
+    code = ("import json, sys\n"
+            "from fractions import Fraction as F\n"
+            "from lyalg.buildtools import rational_roots\n"
+            "roots = rational_roots([F(2), F(1), F(-5), F(2)])\n"
+            "print(json.dumps([[str(r) for r in roots], 'sympy' in sys.modules]))\n")
+    assert _fresh_imports(code) == [["-2", "1/2", "1"], False]
+
+
+def test_the_bracket_solve_leaves_sympy_unloaded():
+    code = ("import json, sys\n"
+            "from fractions import Fraction as F\n"
+            "from lyalg import matrixalg, tits\n"
+            "h, act, cands = tits.form_pair_module_data(\n"
+            "    matrixalg.split_sym_form(3), matrixalg.split_sym_form(5))\n"
+            "sol = tits.solve_equivariant_bracket(h, act, cands)\n"
+            "co = sol.coefficients(0, {sol.branches[0][1][0]: F(1)})\n"
+            "print(json.dumps([[str(c) for c in co], 'sympy' in sys.modules]))\n")
+    assert _fresh_imports(code) == [["1", "1"], False]

@@ -31,8 +31,9 @@ from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sl_tensor_sl,
                              ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (TitsAlgebra, _conditions, _slice_ints, _span_algebra,
-                        assemble_bracket, bracket_transport_equal, build_tits,
+from lyalg.tits import (ModuleAction, TitsAlgebra, _conditions, _slice_ints,
+                        _span_algebra, assemble_bracket,
+                        bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
                         form_pair_module_data, ly_inside_tits, magic_square,
                         solve_equivariant_bracket, tensor_action,
@@ -968,6 +969,52 @@ def test_solver_so3_so5_diagonal_family():
     ref = lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
     ident = [[F(1) if i == j else F(0) for j in range(15)] for i in range(15)]
     assert check_coincidence(ly, ref, ident)
+
+
+def test_solver_quaternion_family_is_one_scale():
+    h, mod, cands = tits_module_data(cview("Q"), jview("H3(k)"))
+    assert h.dim + mod.mdim == 21
+    sol = solve_equivariant_bracket(h, mod, cands)
+    assert sol.family_dim() == 1 and len(sol.branches) == 1
+    assert sol.branches[0][1] == ["c"]
+    # the h-valued coefficients scale by c^2, the m-valued one by c
+    for c in (F(1), F(2)):
+        co = sol.coefficients(0, {"c": c})
+        assert co == [c * c, c * c, c]
+        assert check_lie(assemble_bracket(h, mod, cands, co)).passed
+
+
+def test_solver_refuses_what_one_scale_cannot_describe():
+    h, mod, cands = tits_module_data(cview("Q"), jview("H3(k)"))
+    into_m = cands[2]
+    doubled = {k: [(l, 2 * v) for l, v in ent] for k, ent in into_m.items()}
+    with pytest.raises(ValueError, match="m-valued candidates leave 2"):
+        solve_equivariant_bracket(h, mod, cands + [doubled])
+    # a zero candidate leaves its coefficient free at scale 1
+    with pytest.raises(ValueError, match="homogeneous part"):
+        solve_equivariant_bracket(h, mod, cands + [{}])
+    mixed = {k: cands[0].get(k, []) + into_m.get(k, [])
+             for k in sorted(set(cands[0]) | set(into_m))}
+    with pytest.raises(ValueError, match="both h- and m-valued"):
+        solve_equivariant_bracket(h, mod, [mixed])
+
+
+def test_solver_lists_the_c_zero_branch_after_the_scale_branch():
+    # m = sl2 + Q d with a trivial one-dim h: the m-valued candidate is
+    # the bracket of sl2, the h-valued one pairs e with d; they only
+    # mix in the Jacobi sum, so the family is two branches, c m and u h
+    h = Algebra(1, {})
+    act = ModuleAction(h, 4, [{}])
+    pair = {(1, 3): [(0, F(1))]}
+    sl2 = {(0, 1): [(2, F(2))], (0, 2): [(3, F(-2))], (1, 2): [(1, F(1))]}
+    sol = solve_equivariant_bracket(h, act, [pair, sl2])
+    assert len(sol.kernel) == 2
+    assert [free for _, free in sol.branches] == [["c"], ["u0"]]
+    assert sol.coefficients(0, {"c": F(3)}) == [0, 3]
+    assert sol.coefficients(1, {"u0": F(5)}) == [5, 0]
+    for co in ([0, 3], [5, 0]):
+        assert check_lie(assemble_bracket(h, act, [pair, sl2], co)).passed
+    assert not check_lie(assemble_bracket(h, act, [pair, sl2], [1, 1])).passed
 
 
 def test_solver_rejects_empty_candidates():
