@@ -17,12 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+
+import numpy as np
 
 from . import io
 from . import linalg as la
 from .algebra import LYAlgebra
 from .checks import check_ly, check_lie
 from .envelope import build_enveloping
+from .fastnum import scaled
 from .roots import ClassifyError, classify, saturate_torus
 
 
@@ -35,17 +39,19 @@ def _check(alg, as_json: bool) -> int:
 def _basis_torus(lie) -> None:
     """Attach weights to a Lie algebra read from a file, which has none.
 
-    The basis vectors whose ad acts diagonally on the basis commute
-    pairwise ([h, h'] is a multiple of both h' and h) and span a torus;
-    their eigenvalues become the weights.  saturate_torus and classify
-    verify this data like any other.
+    The basis vectors h with no scaled entry [e_h, e_j] = c e_l, l != j,
+    act diagonally on the basis, commute pairwise ([h, h'] is a multiple
+    of both h' and h) and span a torus; their eigenvalues become the
+    weights.  saturate_torus and classify verify this data like any other.
     """
     n = lie.dim
-    diag = [h for h in range(n)
-            if all(k == j for j in range(n) for k, _ in lie.bk(h, j))]
-    lie.weights = [tuple(dict(lie.bk(h, j)).get(j, la.F0) for h in diag)
-                   for j in range(n)]
-    lie.cartan = [la.basis_vec(n, h) for h in diag] if diag else None
+    st = scaled(lie)
+    diag = np.setdiff1d(np.arange(n), st.p[st.q != st.s])
+    on = np.isin(st.p, diag) & (st.q == st.s)
+    w = np.zeros((n, len(diag)), dtype=np.int64)
+    w[st.q[on], np.searchsorted(diag, st.p[on])] = st.c[on]
+    lie.weights = [tuple(Fraction(x, st.S) for x in row) for row in w.tolist()]
+    lie.cartan = [la.basis_vec(n, h) for h in diag.tolist()] if len(diag) else None
 
 
 def _classify(alg, as_json: bool) -> int:

@@ -25,14 +25,17 @@ nonzero.  A component of rank l with N roots spans an ideal of dimension
 l + N, whose type follows from l, l + N and the root lengths.  So a wrong
 label can only come from a wrong theorem, not a wrong computation.
 
-saturate_torus, which produces the torus data, runs on the integer
-scaled structure constants (fastnum.scaled): check_grading compares
-integer weight codes over every entry at once, and _rebase forms all
-brackets of the new basis as two guarded int64 joins, certifying
-each weight block's coordinates by one exact coords_int batch.  It runs
-the memoised Jacobi sweep first, so a bracket that is not Lie is refused
-with its failing triple before any eigenvalue is computed, and a zero
-weight space that does not split over Q is refused with ClassifyError.
+The chain, and saturate_torus, which produces the torus data, read the
+bracket only as the integer scaled structure constants (fastnum.scaled)
+and the weights only as integer codes (buildtools.int_rows): the grading
+and torus checks and g_0's block operators are array passes over the
+entries, _rebase's brackets are two guarded int64 joins whose
+coordinates one exact coords_int batch per block certifies, its result
+is an int64 table, and the Killing form on the torus is W^T W of the
+codes.  saturate_torus runs the memoised Jacobi sweep first, so a
+bracket that is not Lie is refused with its failing triple before any
+eigenvalue is computed, and a zero weight space that does not split
+over Q is refused with ClassifyError.
 """
 
 from fractions import Fraction
@@ -42,47 +45,52 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, guard_bound,
-                         int_rows, simultaneous_eigenbasis)
+from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, batch,
+                         guard_bound, int_rows, pair_table, simultaneous_eigenbasis)
 from .fastnum import ClassifyError, join, require_lie, scaled, summed
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
-F1 = Fraction(1)
-
-
-def _sparse_bracket(alg: Algebra, xnz, ynz) -> dict:
-    acc: dict = {}
-    for i, xv in xnz:
-        for j, yv in ynz:
-            for l, v in alg.bk(i, j):
-                acc[l] = acc.get(l, F0) + xv * yv * v
-    return {l: v for l, v in acc.items() if v != 0}
 
 
 def verify_weights(alg: Algebra) -> int:
     """Exact check that cartan is an abelian set acting diagonally with the
-    recorded eigenvalues.  Returns the torus rank."""
+    recorded eigenvalues.  Returns the torus rank.
+
+    With H the torus vectors as integer rows, ad(h_t) comes from the scaled
+    structure constants (fastnum.scaled) as one guarded int64 join, in
+    O(nnz) memory, and [h_s, h_t] as a second.  ad(h_t) minus the recorded
+    diagonal (buildtools.batch) names the first (t, j) that fails.
+    """
     if alg.cartan is None or alg.weights is None:
         raise ClassifyError("no torus data on %r" % alg.name)
-    r = len(alg.cartan)
-    if any(len(w) != r for w in alg.weights) or len(alg.weights) != alg.dim:
+    n, r = alg.dim, len(alg.cartan)
+    if (len(alg.weights) != n or any(len(w) != r for w in alg.weights)
+            or any(len(h) != n for h in alg.cartan)):
         raise ClassifyError("weight table shape mismatch")
     if la.rank(alg.cartan) != r:
         raise ClassifyError("torus vectors are dependent")
-    hnz = [[(i, v) for i, v in enumerate(h) if v != 0] for h in alg.cartan]
-    for s in range(r):
-        for t in range(s + 1, r):
-            if _sparse_bracket(alg, hnz[s], hnz[t]):
-                raise ClassifyError("torus is not abelian")
-    for t in range(r):
-        for j in range(alg.dim):
-            got = _sparse_bracket(alg, hnz[t], [(j, F1)])
-            lam = alg.weights[j][t]
-            want = {j: lam} if lam != 0 else {}
-            if got != want:
-                raise ClassifyError("basis vector %d is not an eigenvector "
-                                    "of torus element %d" % (j, t))
+    h, hs = int_rows(alg.cartan)
+    ht, hi = np.nonzero(h)
+    hv = h[ht, hi]
+    st = scaled(alg)
+    # ad(h_t) as codes (t n + j) n + l of [h_t, e_j] = v e_l, scale hs S
+    guard_bound(n, hv, st.c)
+    t, jl, v = join((ht, hi, hv), (st.p, st.q * n + st.s, st.c))
+    code, v = summed(t * n * n + jl, v)
+    # [h_s, h_t] = sum_j H[t, j] [h_s, e_j]
+    (s, j), l = np.divmod(code // n, n), code % n
+    guard_bound(n, v, hv)
+    sl, t, u = join((s * n + l, j, v), (hi, ht, hv))
+    if len(summed((sl // n * r + t) * n + sl % n, u)[0]):
+        raise ClassifyError("torus is not abelian")
+    w, ws = int_rows(alg.weights, r)
+    jw, tw = np.nonzero(w)
+    bad = batch([(code, v, hs * st.S), ((tw * n + jw) * n + jw, -w[jw, tw], ws)])[0]
+    if len(bad):
+        t, j = divmod(int(bad[0]) // n, n)
+        raise ClassifyError("basis vector %d is not an eigenvector "
+                            "of torus element %d" % (j, t))
     return r
 
 
@@ -113,12 +121,6 @@ def verify_split_maximal(alg: Algebra):
             raise ClassifyError("root %s has multiplicity %d" % (w, m))
         roots.append(w)
     return r, sorted(roots)
-
-
-def _cartan_killing(alg: Algebra, r: int) -> la.Matrix:
-    # ad h is diagonal on the basis, so traces are sums over the weights
-    return [[sum((w[s] * w[t] for w in alg.weights), F0) for t in range(r)]
-            for s in range(r)]
 
 
 def _simple_label(r: int, n: int, norms) -> str:
@@ -157,20 +159,19 @@ def _simple_label(r: int, n: int, norms) -> str:
     raise ClassifyError("more than two root lengths")
 
 
-def _root_pairing(alg: Algebra, r: int, roots) -> np.ndarray:
+def _root_pairing(alg: Algebra, roots) -> np.ndarray:
     """Gram matrix of the roots under the form dual to the Killing form on
-    the torus, as exact Python integers scaled by one positive constant."""
-    nu = la.inv(_cartan_killing(alg, r))
-    dr = lcm(*(x.denominator for a in roots for x in a))
+    the torus, as exact Python integers scaled by one positive constant.
+
+    ad h is diagonal on the basis with the verified weights as its
+    eigenvalues, so the Killing form on the torus is the sum over the
+    weights of alpha(h) alpha(h'): W^T W for the integer weight codes W."""
+    w = int_rows(alg.weights)[0].astype(object)
+    nu = la.inv((w.T @ w).tolist())
     dn = lcm(*(x.denominator for row in nu for x in row))
-    a = np.array([[int(x * dr) for x in w] for w in roots], dtype=object)
+    a = int_rows(roots)[0].astype(object)
     b = np.array([[int(x * dn) for x in row] for row in nu], dtype=object)
     return a @ b @ a.T
-
-
-def _offdiag_mat(m) -> bool:
-    return any(v != 0 for i, row in enumerate(m)
-               for j, v in enumerate(row) if i != j)
 
 
 def check_grading(alg: Algebra) -> int:
@@ -219,32 +220,31 @@ def saturate_torus(alg: Algebra) -> Algebra:
         verify_weights(alg)
     r = check_grading(alg)
     n = alg.dim
-    zero = tuple([F0] * r)
-    zidx = [i for i, w in enumerate(alg.weights) if w == zero]
-    for a in range(len(zidx)):
-        for b in range(a + 1, len(zidx)):
-            if alg.bk(zidx[a], zidx[b]):
-                raise ClassifyError("zero-weight space is not abelian")
-    if alg.cartan is not None and len(zidx) == len(alg.cartan):
+    st = scaled(alg)
+    zero = ~int_rows(alg.weights, r)[0].any(axis=1)
+    if (zero[st.p] & zero[st.q]).any():
+        raise ClassifyError("zero-weight space is not abelian")
+    nz = int(zero.sum())
+    if alg.cartan is not None and nz == len(alg.cartan):
         return alg
     blocks = _grading_blocks(n, alg.weights)
-    new_vecs: list = []
-    new_wts: list = []
-    for blk in blocks:
-        pos = {g: t for t, g in enumerate(blk)}
-        ops = []
-        for z in zidx:
-            rows = []
-            for j in blk:
-                img = alg.bk(z, j)
-                vec = la.zero_vec(len(blk))
-                for l, v in img:
-                    if l not in pos:
-                        raise ClassifyError("grading is broken")
-                    vec[pos[l]] = v
-                rows.append(vec)
-            ops.append(la.transpose(rows))
-        if all(not _offdiag_mat(op) for op in ops):
+    memb, local = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for bi, blk in enumerate(blocks):
+        memb[blk], local[blk] = bi, np.arange(len(blk))
+    # ad z for z in g_0: the entries [e_z, e_j] = c e_l by the block of j,
+    # which holds l (check_grading certified the grading)
+    on = np.flatnonzero(zero[st.p])
+    on = on[np.argsort(memb[st.q[on]], kind="stable")]
+    cut = np.searchsorted(memb[st.q[on]], np.arange(len(blocks) + 1)).tolist()
+    zk = (np.cumsum(zero) - 1)[st.p[on]].tolist()
+    col, row, val = (x.tolist() for x in (local[st.q[on]], local[st.s[on]], st.c[on]))
+    frac = {x: Fraction(x, st.S) for x in set(val)}
+    new_vecs, new_wts = [], []
+    for blk, lo, hi in zip(blocks, cut, cut[1:]):
+        ops = [la.zeros(len(blk), len(blk)) for _ in range(nz)]
+        for e in range(lo, hi):
+            ops[zk[e]][row[e]][col[e]] = frac[val[e]]
+        if col[lo:hi] == row[lo:hi]:
             vecs = [la.basis_vec(len(blk), t) for t in range(len(blk))]
             tups = [[op[t][t] for op in ops] for t in range(len(blk))]
         else:
@@ -265,16 +265,16 @@ def saturate_torus(alg: Algebra) -> Algebra:
     new_wts = [new_wts[i] for i in order]
     out = _rebase(alg, new_vecs)
     out.weights = new_wts
-    zero2 = tuple([F0] * len(zidx))
+    zero2 = tuple([F0] * nz)
     cart_idx = [i for i, w in enumerate(new_wts) if w == zero2]
-    if len(cart_idx) != len(zidx):
+    if len(cart_idx) != nz:
         raise ClassifyError("zero-weight space changed size in rebase")
     out.cartan = [la.basis_vec(n, i) for i in cart_idx]
     return out
 
 
 def _rebase(alg: Algebra, vecs) -> Algebra:
-    """Structure constants on a new basis given by full coordinate vectors.
+    """The algebra on a new basis of full coordinate vectors, as an int64 table.
 
     Each new vector must lie in one weight block.  With B the integer
     change-of-basis matrix (columns the new vectors, one common
@@ -293,9 +293,9 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     if len(vecs) != n:
         raise ClassifyError("%d new basis vectors for dim %d" % (len(vecs), n))
     blocks = _grading_blocks(n, alg.weights)
-    memb = np.zeros(n, dtype=np.int64)
+    memb, local = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     for bi, blk in enumerate(blocks):
-        memb[blk] = bi
+        memb[blk], local[blk] = bi, np.arange(len(blk))
     bint, sb = int_rows(vecs)            # row t: new vector t, scaled by sb
     t_nz, i_nz = np.nonzero(bint)
     first = np.flatnonzero(np.diff(t_nz, prepend=-1))
@@ -322,16 +322,11 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
     tgt = memb[l]
     if (w[tgt] != w[vblk[a]] + w[vblk[b]]).any():
         raise ClassifyError("bracket escaped its weight block")
-    table = {}
-    local = np.zeros(n, dtype=np.int64)
-    for blk in blocks:
-        local[blk] = np.arange(len(blk))
-    tids = [[] for _ in blocks]
-    for t in range(n):
-        tids[vblk[t]].append(t)
-    order = np.lexsort((l, b, a, tgt))
+    tids = [np.flatnonzero(vblk == bi) for bi in range(len(blocks))]
+    order = np.argsort(tgt, kind="stable")
     a, b, l, yv, tgt = a[order], b[order], l[order], yv[order], tgt[order]
     bstart = np.flatnonzero(np.diff(tgt, prepend=-1)).tolist() + [len(tgt)]
+    parts = []
     for lo, hi in zip(bstart, bstart[1:]):
         bi = int(tgt[lo])
         pairs, row = np.unique(a[lo:hi] * n + b[lo:hi], return_inverse=True)
@@ -342,11 +337,9 @@ def _rebase(alg: Algebra, vecs) -> Algebra:
             carr, cs = engine.coords_int(vint, st.S * sb * sb)
         except OutsideSpan:
             raise ClassifyError("bracket escaped its weight block") from None
-        carr = carr.tolist()
-        frac = {c: Fraction(c, cs) for c in set().union(*carr)}
-        for p, crow in zip(pairs.tolist(), carr):
-            table[divmod(p, n)] = [(t, frac[c]) for t, c in zip(tids[bi], crow) if c]
-    out = Algebra(n, dict(sorted(table.items())), name=alg.name)
+        p, t = np.nonzero(carr)
+        parts.append((pairs[p] // n, pairs[p] % n, tids[bi][t], carr[p, t], cs))
+    out = Algebra(n, pair_table(n, parts), name=alg.name)
     if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
         out._cache["jacobi"] = None     # the Jacobi identity is basis-free
     return out
@@ -382,7 +375,7 @@ def classify(alg: Algebra) -> str:
     r, roots = verify_split_maximal(alg)
     if not roots:
         raise ClassifyError("no roots on %r" % alg.name)
-    pair = _root_pairing(alg, r, roots)
+    pair = _root_pairing(alg, roots)
     parts = []
     total = 0
     for idx in _components(pair != 0):

@@ -1,5 +1,6 @@
 """Classifier edge cases beyond the happy paths exercised elsewhere."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,8 @@ from lyalg.compjordan import build_composition, build_jordan, trace_admissible_v
 from lyalg.envelope import build_enveloping
 from lyalg.fastnum import jacobi_violation
 from lyalg.invariants import _grading_blocks
-from lyalg.matrixalg import build_matrix_lie, lts_orthosymplectic_sum, split_sym_form
+from lyalg.matrixalg import (build_matrix_lie, lts_orthosymplectic_sum, ly_sl_tensor_sl,
+                             split_sym_form)
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
 from lyalg.tits import _pair_maps, _slice_ints, build_tits
@@ -126,6 +128,37 @@ def check_grading_reference(alg):
     return len(alg.weights[0])
 
 
+def sparse_bracket(alg, xnz, ynz) -> dict:
+    """[x, y] of two sparse vectors (index, value) by a Fraction loop over
+    Algebra.bk, as a dict of its nonzero coordinates."""
+    acc: dict = {}
+    for i, xv in xnz:
+        for j, yv in ynz:
+            for l, v in alg.bk(i, j):
+                acc[l] = acc.get(l, fr(0)) + xv * yv * v
+    return {l: v for l, v in acc.items() if v != 0}
+
+
+def verify_weights_reference(alg):
+    """verify_weights by one Fraction sparse bracket per torus pair and per
+    (torus element, basis vector)."""
+    r = len(alg.cartan)
+    if la.rank(alg.cartan) != r:
+        raise ClassifyError("torus vectors are dependent")
+    hnz = [[(i, v) for i, v in enumerate(h) if v != 0] for h in alg.cartan]
+    for s in range(r):
+        for t in range(s + 1, r):
+            if sparse_bracket(alg, hnz[s], hnz[t]):
+                raise ClassifyError("torus is not abelian")
+    for t in range(r):
+        for j in range(alg.dim):
+            lam = alg.weights[j][t]
+            if sparse_bracket(alg, hnz[t], [(j, fr(1))]) != ({j: lam} if lam else {}):
+                raise ClassifyError("basis vector %d is not an eigenvector "
+                                    "of torus element %d" % (j, t))
+    return r
+
+
 def rebase_reference(alg, vecs):
     """The change of basis by one Fraction sparse bracket and one la.solve
     per basis pair."""
@@ -154,7 +187,7 @@ def rebase_reference(alg, vecs):
             bi = wclass.get(tuple(x + y for x, y in zip(clsw[blkof[a]], clsw[blkof[b]])))
             if bi is None:
                 continue
-            w = roots._sparse_bracket(alg, nzof[a], nzof[b])
+            w = sparse_bracket(alg, nzof[a], nzof[b])
             if not w:
                 continue
             assert all(memb[i] == bi for i in w)
@@ -183,6 +216,107 @@ def test_integer_rebase_matches_fraction_reference(monkeypatch, cx, cy):
     assert (new.weights, new.cartan) == (ref.weights, ref.cartan)
     assert new._cache["jacobi"] is None and ref._cache["jacobi"] is None
     assert io.dumps(io.algebra_to_obj(new)) == io.dumps(io.algebra_to_obj(ref))
+
+
+@pytest.mark.parametrize("extend", [lambda h: h + [fr(5)], lambda h: h[:-1]],
+                         ids=["extended", "truncated"])
+def test_verify_weights_refuses_torus_vectors_of_the_wrong_length(extend):
+    g = build_matrix_lie("sl", 3)
+    g.cartan = [extend(h) for h in g.cartan]
+    with pytest.raises(ClassifyError, match="weight table shape mismatch"):
+        verify_weights(g)
+
+
+def tits_cell(cx, cy):
+    return build_tits(trace_admissible_view(build_composition(cx)),
+                      trace_admissible_view(build_jordan("H3(%s)" % cy))).alg
+
+
+@pytest.mark.parametrize("build, label", [
+    (lambda: tits_cell("K", "K"), "A2+A2"),
+    (lambda: tits_cell("Q", "Q"), "D6"),
+    (lambda: tits_cell("O", "k"), "F4"),
+    (lambda: build_enveloping(ly_sl_tensor_sl(3, 3)).g, "A8"),
+], ids=["KxH3(K)", "QxH3(Q)", "OxH3(k)", "env(sl3xsl3)"])
+def test_the_certifier_never_builds_the_fraction_dict(build, label, monkeypatch):
+    g = build()
+
+    def refuse(*args):
+        raise AssertionError("the Fraction dict was built from the int64 table")
+
+    monkeypatch.setattr("lyalg.algebra.table_to_dict", refuse)
+    s = saturate_torus(g)
+    assert s is not g and classify(s) == label
+    monkeypatch.undo()
+    assert "table" not in vars(s) and "table_int" in vars(s)
+
+
+def moved_torus(kind, n, m):
+    """build_matrix_lie(kind, n) with the torus h'_t = sum_s m[t][s] h_s
+    and the weights lambda(h'_t) = sum_s m[t][s] lambda(h_s) to match."""
+    g = build_matrix_lie(kind, n)
+    g.cartan = [[sum((c * h[i] for c, h in zip(row, g.cartan)), fr(0))
+                 for i in range(g.dim)] for row in m]
+    g.weights = [tuple(sum((c * x for c, x in zip(row, w)), fr(0)) for row in m)
+                 for w in g.weights]
+    return g
+
+
+TORI = [("sl", 3, "A2"), ("so", 5, "C2"), ("sp", 4, "C2")]
+MOVE = [[fr(1), fr(2)], [fr(1, 3), fr(-1)]]
+
+
+@pytest.mark.parametrize("kind, n, label", TORI)
+def test_a_torus_off_the_basis_vectors_classifies_alike(kind, n, label):
+    g = moved_torus(kind, n, MOVE)
+    assert verify_weights(g) == verify_weights_reference(g) == 2
+    assert classify(g) == classify(build_matrix_lie(kind, n)) == label
+
+
+def refusal(check, g):
+    with pytest.raises(ClassifyError) as err:
+        check(g)
+    return str(err.value)
+
+
+def dependent(kind, n):
+    return moved_torus(kind, n, [[fr(1), fr(2)], [fr(-1, 2), fr(-1)]])
+
+
+def not_abelian(kind, n):
+    # h'_1 + e_j with lambda_j(h'_0) != 0: [h'_0, h'_1 + e_j] = lambda_j(h'_0) e_j
+    g = moved_torus(kind, n, MOVE)
+    j = next(j for j, w in enumerate(g.weights) if w[0])
+    g.cartan[1] = [x + (j == i) for i, x in enumerate(g.cartan[1])]
+    return g
+
+
+def unmoved_weights(kind, n):
+    g = moved_torus(kind, n, MOVE)
+    g.weights = build_matrix_lie(kind, n).weights
+    return g
+
+
+def one_wrong_weight(kind, n):
+    g = moved_torus(kind, n, MOVE)
+    j = g.dim - 2
+    g.weights[j] = (g.weights[j][0], g.weights[j][1] + 1)
+    return g
+
+
+@pytest.mark.parametrize("kind, n, label", TORI)
+@pytest.mark.parametrize("fault, message", [
+    (dependent, "torus vectors are dependent"),
+    (not_abelian, "torus is not abelian"),
+    (unmoved_weights, r"basis vector \d+ is not an eigenvector of torus element 0"),
+    (one_wrong_weight, r"basis vector (\d+) is not an eigenvector of torus element 1"),
+])
+def test_verify_weights_refusals_match_the_fraction_reference(kind, n, label, fault, message):
+    g = fault(kind, n)
+    got = refusal(verify_weights, g)
+    assert got == refusal(verify_weights_reference, g)
+    hit = re.fullmatch(message, got)
+    assert hit and hit.groups() in [(), (str(g.dim - 2),)]
 
 
 def so8_on_a_non_split_form():
