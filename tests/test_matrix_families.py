@@ -18,7 +18,7 @@ from lyalg.matrixalg import (SL2_OPS, SL2_WEIGHTS, BilinForm, build_matrix_lie,
                              split_skew_form, split_sym_form, sym0_basis)
 from lyalg.roots import classify, saturate_torus, verify_weights
 from test_invariants import commutant_dim
-from test_tits import inner_maps, load_known, sha256, sp_commutator
+from test_tits import inner_maps, load_known, saturated_sha256, sha256, sp_commutator
 
 fr = Fraction
 
@@ -191,14 +191,29 @@ def test_builders_canonical_bytes_pinned(build, want):
 FAMILY_JOBS = {"families.ly_sp_sym(6,-1)": lambda: ly_sp_tensor_sym(6, -1),
                "families.ly_sl_sl(3,3)": lambda: ly_sl_tensor_sl(3, 3)}
 
+# saturated_sha256 of saturate_torus of the envelope and of its h
+SATURATED_FAMILY_SHA256 = {
+    "families.ly_sp_sym(6,-1)": (
+        "35d5c7e396760a145115323bcf8043a187a31adc79ef8a6842e4a34eeb82a145",
+        "5d6930c856191030da1b9c34f34e159a4c4497ad2e57644bd0a6c2f3868c5145"),
+    "families.ly_sl_sl(3,3)": (
+        "8d8b5e45a11669a5c1b59f1de251e9e832c74ba4522e37d6c393a275c7cdb5d0",
+        "3462c80d179f3ff1af5b39791afd218e59b8f1ba9114e20844f69f4fd68188a4"),
+}
+
 
 @pytest.mark.parametrize("job", FAMILY_JOBS)
 def test_families_workload_keeps_its_known_bytes(job):
-    """The LY algebra and its envelope, as perfbench/known.py pins them."""
+    """The LY algebra and its envelope, as perfbench/known.py pins them,
+    and the saturated envelope and h."""
     want = load_known().ANSWERS[job]
     ly = FAMILY_JOBS[job]()
     assert sha256(ly) == want["sha256"]
-    assert sha256(build_enveloping(ly).g) == want["env_sha256"]
+    env = build_enveloping(ly)
+    assert sha256(env.g) == want["env_sha256"]
+    h = subalgebra_on_indices(env.g, env.h_index)
+    assert (saturated_sha256(saturate_torus(env.g)), saturated_sha256(saturate_torus(h))
+            ) == SATURATED_FAMILY_SHA256[job]
 
 
 # Fraction references: the tensor families as per-index triple loops over

@@ -10,6 +10,7 @@ and the 2x2 row over H_n(K) must come out as sl(2n).
 
 import hashlib
 import importlib.util
+import json
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -169,11 +170,43 @@ def test_batched_build_tits_matches_the_reference_assembly(cx, cy):
             == [a.tolist() for a in ref.table_int[:3]] + [ref.table_int[3]])
 
 
+def saturated_sha256(s):
+    """sha256 of an algebra's canonical bytes together with its weights
+    and torus, each entry written as a string."""
+    obj = [io.dumps(io.algebra_to_obj(s)), [[str(x) for x in w] for w in s.weights],
+           [[str(x) for x in h] for h in s.cartan]]
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# saturate_torus of each square cell, as first recorded from the Fraction
+# eigensplit and the per-block coordinate solves of the change of basis
+SATURATED_SQUARE_SHA256 = {
+    ("k", "k"): "8f6200e9eb67b25807412fb9d90a481e126b2bb23ab5b51084e8f82d5fba4fa5",
+    ("k", "K"): "1372fcc953b41984dfdbb66d46471ada24617a8cca60cf4e27c81b358ff1a730",
+    ("k", "Q"): "d7f63aa44895ae30f2e6634182dc2ad6a886c7708acedfc2c5d9a9a54ca41774",
+    ("k", "O"): "4897be4b640e198a736adf8768d87b17cce8691808abffe0ff82317a82f5aced",
+    ("K", "k"): "a9a4113f6c06b85167d9e5daa73c91af13b8b8bca7aeee785a359ebca104b022",
+    ("K", "K"): "b53e3643963666943036105834f4cee38dd7bec5579db5643ad8b93516554d30",
+    ("K", "Q"): "9e5b658e30d026a437096a4e2da5b26788febd1fdf8f1dff30db9b74567880b2",
+    ("K", "O"): "b4977ce2d65d379f55fde8bd206c00893089c8f122ef0c1190313255b09531b5",
+    ("Q", "k"): "bfaa2bd45be6fa9ceb982b8d5fe69cda6f0c967e393bc361bf3541cf651d2abf",
+    ("Q", "K"): "2be2cd96968121c1db668ad2fd6e391a1977a9b60e12603339a27f4f14ee5853",
+    ("Q", "Q"): "9e5c836ad793ff59d9c92c40e3dd32e9d637a6d77d77700db7eeb78b9ae2146e",
+    ("Q", "O"): "ad3a172dabf61ab0dbfe9f5cd25750dbca411eeeeebb38a3c6938c85f7e7ab92",
+    ("O", "k"): "4417f179c25d5e748133e64ea22babf5d343001a881bbb0ebb4a98fbf582c85e",
+    ("O", "K"): "db533e70cfd75aa2cdd4dc68dc006523ea190ffcc3ce992a9086f0f68619036b",
+    ("O", "Q"): "88d363cc37948c8d00c5399897176925fefa25f52f7144ddc0682dfa04f6b8f0",
+    ("O", "O"): "fcd9f50dff264eac1516dc4236f8ebc339d78beb13a4fc15328339db02909f9c",
+}
+
+
 def test_every_square_cell_keeps_its_pinned_bytes():
     pinned = known_square_sha256()
-    assert len(pinned) == 16
+    assert len(pinned) == 16 and set(pinned) == set(SATURATED_SQUARE_SHA256)
     for (cx, cy), digest in pinned.items():
-        assert sha256(build_tits(cview(cx), jview("H3(%s)" % cy)).alg) == digest
+        g = build_tits(cview(cx), jview("H3(%s)" % cy)).alg
+        assert sha256(g) == digest
+        assert saturated_sha256(saturate_torus(g)) == SATURATED_SQUARE_SHA256[cx, cy]
 
 
 def test_slice_tensors_are_cleared_once_per_view_and_read_only():
@@ -883,12 +916,18 @@ def test_spin_pair_cell_is_orthosymplectic():
 
 
 def test_tkk_row_dims_and_types():
-    for spec, dim, typ in [("H3(k)", 21, "C3"), ("H3(K)", 35, "A5"),
-                           ("H3(Q)", 66, "D6"), ("H3(O)", 133, "E7")]:
+    # the last column pins saturate_torus of the row (saturated_sha256)
+    for spec, dim, typ, digest in [
+            ("H3(k)", 21, "C3", "cf6f52184f186724a341454afb61207988d33c72dc02f6febddfc66522514986"),
+            ("H3(K)", 35, "A5", "1d627e603cba4dcb1a464b5d42ffbcf5766640cb2eb850b9c7bf5fad4925265e"),
+            ("H3(Q)", 66, "D6", "caa15e6de5af16b03a707284e856ce0b186ec344ad093a1a89a8031d6979f4ed"),
+            ("H3(O)", 133, "E7", "6d677eb3beb8d9f1f63b86206294ca48fd5d8bf5746a77f0937db38bae0a5937")]:
         g = build_tkk_row(build_jordan(spec))
         assert g.dim == dim
         assert check_lie(g).passed
-        assert classify(saturate_torus(g)) == typ
+        s = saturate_torus(g)
+        assert classify(s) == typ
+        assert saturated_sha256(s) == digest
 
 
 def test_tkk_transports_onto_tits():
@@ -903,7 +942,10 @@ def test_tkk_hermitian_degree_four_is_sl8():
     g = build_tkk_row(j)
     assert g.dim == 63
     assert check_lie(g).passed
-    assert classify(saturate_torus(g)) == "A7"
+    s = saturate_torus(g)
+    assert classify(s) == "A7"
+    assert saturated_sha256(s) == ("36a25c85f56629939583564a09d3bbb1"
+                                   "115e85464cab385789589e1dbb640c49")
     tk, t, bm = tkk_to_tits_map(j)
     assert bracket_transport_equal(tk, t.alg, bm)
 
