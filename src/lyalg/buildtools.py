@@ -46,10 +46,13 @@ operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
 abstract Algebra holding its int64 table: all commutator coordinates
 come from one Span solve, whose reconstruction check is the closure
-certificate.  The eigensplit helpers refine a basis so that a chosen
-torus acts diagonally, which the construction modules use before
-freezing structure constants; their rational roots come from exact
-Horner checks, and sympy is imported only to name an irrational factor.
+certificate.  simultaneous_eigenbasis refines a basis so that a chosen
+torus, given as int64 operators, acts diagonally (saturate_torus, the
+views of compjordan and sym0 use it): floats propose the eigenvalues of
+each integer block and exact int64 checks decide, and a block they do
+not settle goes to rational_eigensplit, whose rational roots come from
+exact Horner checks; sympy is imported only to name an irrational
+factor.
 """
 
 from fractions import Fraction
@@ -682,54 +685,122 @@ def rational_eigensplit(m: la.Matrix):
     return out
 
 
-def simultaneous_eigenbasis(mats: list[la.Matrix]):
-    """Common eigenbasis of a list of commuting matrices.
+def primitive_rows(rows: np.ndarray) -> np.ndarray:
+    """Nonzero integer rows divided by their gcd, with a positive leading
+    nonzero entry (linalg.normalize_primitive, row by row)."""
+    g = np.gcd.reduce(rows, axis=1)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows // np.where(lead < 0, -g, g)[:, None]
 
-    Returns (vectors, tuples): vectors[i] is a basis vector, tuples[i] the
-    tuple of eigenvalues under each matrix.  Raises ArithmeticError if the
-    matrices are not simultaneously diagonalizable over the rationals.
+
+def _restriction(op: np.ndarray, vecs: np.ndarray):
+    """(r, d): op v_j = sum_i r[i, j] v_i / d on the integer rows v_j of
+    vecs, from one Span solve.  A block as large as the space is still
+    its standard basis, so there r = op.  ArithmeticError if op leaves
+    the span."""
+    if len(vecs) == len(op):
+        return op, 1
+    span = Span(vecs)
+    guard_bound(len(op), vecs, op)
+    x, bad = span.solve(vecs @ op.T)
+    if bad.any():
+        raise ArithmeticError("matrix does not preserve block")
+    return x.T, span.d
+
+
+def _eigenspaces(op: np.ndarray, scale: int, vecs: np.ndarray):
+    """[(eigenvalue, rows)] of op / scale on the span of the rows vecs,
+    sorted by eigenvalue, each eigenspace as primitive integer rows.
+
+    The restriction r / d of op is exact.  A rational eigenvalue of the
+    integer matrix r is an integer, so the rounded float spectrum of r
+    proposes them and the exact kernels of r - mu decide: they must fill
+    the block, and every lifted row must satisfy d op w = mu w in guarded
+    int64.  Otherwise the exact restriction goes to rational_eigensplit,
+    which splits it or raises.
     """
-    if not mats:
+    r, d = _restriction(op, vecs)
+    n, out = len(r), []
+    if (r == r[0, 0] * np.eye(n, dtype=np.int64)).all():
+        return [(Fraction(int(r[0, 0]), d * scale), vecs)]
+    bound = n * int(np.abs(r).max(initial=0))     # bounds every eigenvalue
+    try:
+        mus = sorted({round(z.real) for z in np.linalg.eigvals(r.astype(float))})
+    except (np.linalg.LinAlgError, ValueError, OverflowError):
+        mus = []
+    for mu in (mu for mu in mus if abs(mu) <= bound):
+        ker = la.kernel_basis((r - mu * np.eye(n, dtype=np.int64)).tolist())
+        if ker:
+            out.append((Fraction(mu, d * scale), mu, ker))
+    if sum(len(k) for *_, k in out) == n:
+        split = []
+        for lam, mu, ker in out:
+            w = _lift(ker, vecs)
+            guard_bound(len(op) * d, op, w)
+            guard_bound(abs(mu), w)
+            img = w @ op.T
+            if (d * img != mu * w).any():
+                break
+            split.append((lam, w))
+        else:
+            return split
+    restr = [[Fraction(x, d * scale) for x in row] for row in r.tolist()]
+    return [(lam, _lift(ker, vecs)) for lam, ker in rational_eigensplit(restr)]
+
+
+def _lift(ker, vecs: np.ndarray) -> np.ndarray:
+    """Primitive integer rows of the combinations ker (integral
+    coordinate rows) of the rows vecs."""
+    k = np.array([[int(x) for x in v] for v in ker], dtype=np.int64)
+    guard_bound(len(vecs), k, vecs)
+    return primitive_rows(k @ vecs)
+
+
+def simultaneous_eigenbasis(ops: np.ndarray, scale: int):
+    """Common eigenbasis of commuting matrices, given as one int64 array
+    ops of shape (k, m, m) with a common scale: matrix t is ops[t] / scale.
+
+    Returns (vectors, tuples): vectors is an int64 (m, m) array whose
+    row i is a primitive basis vector, tuples[i] the tuple of its
+    eigenvalues (Fractions) under each matrix, ordered by tuple.  The
+    matrices split the space one after another, block by block; each
+    block is split exactly in integers (_eigenspaces), where the float
+    spectrum only proposes eigenvalues and exact int64 checks decide.
+    Raises ArithmeticError if the matrices are not simultaneously
+    diagonalizable over the rationals (IrrationalRoot, with the factor,
+    for an irrational eigenvalue).
+    """
+    k, m = len(ops), ops.shape[-1]
+    if not k:
         raise ValueError("no matrices given")
-    n = len(mats[0])
-    blocks = [([F0] * len(mats), [la.basis_vec(n, i) for i in range(n)])]
-    for t, m in enumerate(mats):
+    # a block is (eigenvalues so far, rows); t is the next matrix
+    blocks, t = [([], np.eye(m, dtype=np.int64))], 0
+    while t < k and any(len(vecs) > 1 for _, vecs in blocks):
         nxt = []
         for tup, vecs in blocks:
             if len(vecs) == 1:
-                # still need the eigenvalue on this one-dim block
-                img = la.mat_vec(m, vecs[0])
-                j = next(i for i, x in enumerate(vecs[0]) if x != 0)
-                lam = img[j] / vecs[0][j]
-                if la.vec_sub(img, la.vec_scale(lam, vecs[0])) != la.zero_vec(n):
-                    raise ArithmeticError("block is not an eigenvector")
-                tup2 = list(tup)
-                tup2[t] = lam
-                nxt.append((tup2, vecs))
-                continue
-            # restrict m to the block: columns are images in block coords
-            try:
-                restr = BatchCoords(vecs).coords_rows(
-                    [la.mat_vec(m, v) for v in vecs])
-            except OutsideSpan:
-                raise ArithmeticError("matrix does not preserve block") from None
-            restr = la.transpose(restr)
-            for lam, kb in rational_eigensplit(restr):
-                lifted = []
-                for k in kb:
-                    w = la.zero_vec(n)
-                    for c, bvec in zip(k, vecs):
-                        if c != 0:
-                            w = [x + c * y for x, y in zip(w, bvec)]
-                    lifted.append(la.normalize_primitive(w))
-                tup2 = list(tup)
-                tup2[t] = lam
-                nxt.append((tup2, lifted))
-        blocks = nxt
-    vectors = []
-    tuples = []
-    for tup, vecs in sorted(blocks, key=lambda bl: bl[0]):
-        for v in vecs:
-            vectors.append(v)
-            tuples.append(tuple(tup))
-    return vectors, tuples
+                parts = [(_eigenvalues(ops[t:t + 1], scale, vecs)[0][0], vecs)]
+            else:
+                parts = _eigenspaces(ops[t], scale, vecs)
+            nxt.extend((tup + [lam], sub) for lam, sub in parts)
+        blocks, t = nxt, t + 1
+    # once every block is one vector, its eigenvalues under the rest at once
+    vectors = np.concatenate([vecs for _, vecs in blocks])
+    heads = [tup for tup, vecs in blocks for _ in vecs]
+    tuples = [tuple(h + lam) for h, lam in zip(heads, _eigenvalues(ops[t:], scale, vectors))]
+    order = sorted(range(m), key=tuples.__getitem__)
+    return vectors[order], [tuples[i] for i in order]
+
+
+def _eigenvalues(ops: np.ndarray, scale: int, vecs: np.ndarray):
+    """lam[b][s], the eigenvalue of ops[s] / scale on row b of vecs, read
+    off the row's first nonzero entry; ArithmeticError if a row is not
+    an eigenvector of every matrix."""
+    guard_bound(ops.shape[-1], ops, vecs, vecs)
+    img = np.einsum("sij,bj->bsi", ops, vecs)
+    b = np.arange(len(vecs))
+    j = (vecs != 0).argmax(axis=1)
+    at, piv = img[b, :, j], vecs[b, j]
+    if (img * piv[:, None, None] != at[:, :, None] * vecs[:, None, :]).any():
+        raise ArithmeticError("block is not an eigenvector")
+    return [[Fraction(x, p * scale) for x in row] for row, p in zip(at.tolist(), piv.tolist())]

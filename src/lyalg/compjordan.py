@@ -764,12 +764,23 @@ def _toral_search(dspan0):
 
 
 def _leibniz_check(tint, es):
-    """Every int64 map es[s] is a derivation of the int64 table tint."""
+    """Every int64 map es[s] is a derivation of the int64 table tint:
+    E(e_i e_j) - E(e_i) e_j - e_i E(e_j) = 0.  As in _equivariance_check,
+    each term is one join of the nonzeros of the maps (E[a][b] = w) and of
+    the table (e_i e_j = v e_b) on the index they contract, coded so that
+    row + col is the key of (s, i, j, a), and the terms must cancel."""
     n = tint.shape[0]
-    bt.guard_bound(2 * n, es, tint)
-    lhs = np.einsum('sab,ijb->sija', es, tint)
-    rhs = np.einsum('sci,cja->sija', es, tint) + np.einsum('scj,ica->sija', es, tint)
-    if not np.array_equal(lhs, rhs):
+    bt.guard_bound(3 * n, es, tint)
+    s, a, b = np.nonzero(es)
+    w, s = es[s, a, b], s * n ** 3
+    i, j, c = np.nonzero(tint)
+    v = tint[i, j, c]
+    joined = [join(*term) for term in (
+        ((s + a, b, w), (c, i * n * n + j * n, v)),             # E(e_i e_j)
+        ((s + b * n * n, a, -w), (i, j * n + c, v)),            # -E(e_i) e_j
+        ((s + b * n, a, -w), (j, i * n * n + c, v)))]           # -e_i E(e_j)
+    keys = np.concatenate([row + col for row, col, _ in joined])
+    if len(summed(keys, np.concatenate([val for *_, val in joined]))[0]):
         raise ArithmeticError("a spanning pair derivation fails the Leibniz rule")
 
 
@@ -844,8 +855,10 @@ def _build_view(amb, tag, tl, vecs, labels, tor_amb, depth):
         if any(_offdiag(t) for t in tor_res):
             # move to a common eigenbasis of the discovered torus, then
             # rebuild every table in the new coordinates
-            vnew, _ = bt.simultaneous_eigenbasis(tor_res)
-            newvecs = [la.normalize_primitive(_vec_combo(vecs, co)) for co in vnew]
+            tint, ts = bt.int_rows([_flat(t) for t in tor_res], n0 * n0)
+            vnew, _ = bt.simultaneous_eigenbasis(tint.reshape(-1, n0, n0), ts)
+            newvecs = [la.normalize_primitive(_vec_combo(vecs, co))
+                       for co in vnew.tolist()]
             ci, sc = bt.int_rows(coeffs)
             bt.guard_bound(len(span_pairs), ci, dt)
             toramb = (np.einsum('tk,krc->trc', ci, dt[ia, ib]), sc * sdt)

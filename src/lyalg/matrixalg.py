@@ -225,18 +225,12 @@ def sym0_basis(form: BilinForm):
                          - np.einsum("krt,atc->akrc", f, h)).reshape(-1, n * n))
     if bad.any():
         raise ArithmeticError("torus does not preserve sym0")
-    restricted = [[[Fraction(v, span.d * sd) for v in row] for row in xa]
-                  for xa in x.reshape(len(a), len(ker), -1).transpose(0, 2, 1).tolist()]
-    vecs, tups = simultaneous_eigenbasis(restricted)
-    mats = []
-    for co in vecs:
-        flat = la.zero_vec(n * n)
-        for c, kv in zip(co, ker):
-            if c != 0:
-                flat = [x + c * y for x, y in zip(flat, kv)]
-        flat = la.normalize_primitive(flat)
-        mats.append({(r, c): flat[r * n + c] for r in range(n)
-                     for c in range(n) if flat[r * n + c] != 0})
+    ops = x.reshape(len(a), len(ker), -1).transpose(0, 2, 1)
+    vecs, tups = simultaneous_eigenbasis(ops, span.d * sd)
+    bt.guard_bound(len(ker), vecs, k)
+    flats = bt.primitive_rows(vecs @ k)
+    mats = [{divmod(int(q), n): Fraction(int(flat[q])) for q in np.flatnonzero(flat)}
+            for flat in flats]
     return mats, tups
 
 

@@ -28,14 +28,19 @@ label can only come from a wrong theorem, not a wrong computation.
 The chain, and saturate_torus, which produces the torus data, read the
 bracket only as the integer scaled structure constants (fastnum.scaled)
 and the weights only as integer codes (buildtools.int_rows): the grading
-and torus checks and g_0's block operators are array passes over the
-entries, _rebase's brackets are two guarded int64 joins whose
-coordinates one exact coords_int batch per block certifies, its result
-is an int64 table, and the Killing form on the torus is W^T W of the
-codes.  saturate_torus runs the memoised Jacobi sweep first, so a
-bracket that is not Lie is refused with its failing triple before any
-eigenvalue is computed, and a zero weight space that does not split
-over Q is refused with ClassifyError.
+and torus checks are array passes over the entries, and the Killing
+form on the torus is W^T W of the codes.  saturate_torus hands each
+weight block on which g_0 does not act diagonally to
+buildtools.simultaneous_eigenbasis as one int64 operator array, and
+assembles the new basis as one int64 matrix; a rational eigenvalue of
+an integer matrix is an integer, so floats only propose the eigenvalues
+and exact integer checks decide (de Graaf 2000, on splitting a Cartan
+subalgebra over Q).  _rebase maps the brackets to the new basis with
+three guarded int64 joins, the last against the exact block-diagonal
+inverse of the basis, and returns an int64 table.  saturate_torus runs
+the memoised Jacobi sweep first, so a bracket that is not Lie is refused
+with its failing triple before any eigenvalue is computed, and a zero
+weight space that does not split over Q is refused with ClassifyError.
 """
 
 from fractions import Fraction
@@ -45,8 +50,8 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import (BatchCoords, IrrationalRoot, OutsideSpan, batch,
-                         guard_bound, int_rows, pair_table, simultaneous_eigenbasis)
+from .buildtools import (IrrationalRoot, batch, guard_bound, int_rows, int_values,
+                         pair_table, simultaneous_eigenbasis)
 from .fastnum import ClassifyError, join, require_lie, scaled, summed
 from .invariants import is_semisimple, _grading_blocks
 
@@ -228,43 +233,39 @@ def saturate_torus(alg: Algebra) -> Algebra:
     if alg.cartan is not None and nz == len(alg.cartan):
         return alg
     blocks = _grading_blocks(n, alg.weights)
-    memb, local = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for bi, blk in enumerate(blocks):
-        memb[blk], local[blk] = bi, np.arange(len(blk))
+    memb, local = _block_index(n, blocks)
     # ad z for z in g_0: the entries [e_z, e_j] = c e_l by the block of j,
     # which holds l (check_grading certified the grading)
     on = np.flatnonzero(zero[st.p])
-    on = on[np.argsort(memb[st.q[on]], kind="stable")]
-    cut = np.searchsorted(memb[st.q[on]], np.arange(len(blocks) + 1)).tolist()
-    zk = (np.cumsum(zero) - 1)[st.p[on]].tolist()
-    col, row, val = (x.tolist() for x in (local[st.q[on]], local[st.s[on]], st.c[on]))
-    frac = {x: Fraction(x, st.S) for x in set(val)}
-    new_vecs, new_wts = [], []
-    for blk, lo, hi in zip(blocks, cut, cut[1:]):
-        ops = [la.zeros(len(blk), len(blk)) for _ in range(nz)]
-        for e in range(lo, hi):
-            ops[zk[e]][row[e]][col[e]] = frac[val[e]]
-        if col[lo:hi] == row[lo:hi]:
-            vecs = [la.basis_vec(len(blk), t) for t in range(len(blk))]
-            tups = [[op[t][t] for op in ops] for t in range(len(blk))]
-        else:
-            try:
-                vecs, tups = simultaneous_eigenbasis(ops)
-            except ArithmeticError as e:
-                wit = e.factor if isinstance(e, IrrationalRoot) else None
-                raise ClassifyError("zero-weight space does not split over "
-                                    "Q: %s" % e, wit) from None
-        for v, t in zip(vecs, tups):
-            full = la.zero_vec(n)
-            for c, j in zip(v, blk):
-                full[j] = c
-            new_vecs.append(full)
-            new_wts.append(tuple(t))
-    order = sorted(range(len(new_vecs)), key=lambda i: (new_wts[i], i))
-    new_vecs = [new_vecs[i] for i in order]
-    new_wts = [new_wts[i] for i in order]
-    out = _rebase(alg, new_vecs)
-    out.weights = new_wts
+    z, j, l, c = (np.cumsum(zero) - 1)[st.p[on]], st.q[on], st.s[on], st.c[on]
+    # every new vector starts as the old one, in block order, its weight
+    # read off the diagonal; the blocks where some ad z is not diagonal
+    # are split by simultaneous_eigenbasis
+    start = np.cumsum([0] + [len(blk) for blk in blocks])
+    pos = start[memb] + local
+    basis = np.zeros((n, n), dtype=np.int64)
+    basis[pos, np.arange(n)] = 1
+    diag = np.zeros((n, nz), dtype=np.int64)
+    diag[pos[j[j == l]], z[j == l]] = c[j == l]
+    frac = {x: Fraction(x, st.S) for x in set(diag.ravel().tolist())}
+    new_wts = [tuple(frac[x] for x in w) for w in diag.tolist()]
+    for bi in np.unique(memb[j[j != l]]).tolist():
+        blk, lo, hi = blocks[bi], start[bi], start[bi + 1]
+        e = memb[j] == bi
+        ops = np.zeros((nz, hi - lo, hi - lo), dtype=np.int64)
+        ops[z[e], local[l[e]], local[j[e]]] = c[e]
+        try:
+            vecs, tups = simultaneous_eigenbasis(ops, st.S)
+        except ArithmeticError as err:
+            wit = err.factor if isinstance(err, IrrationalRoot) else None
+            raise ClassifyError("zero-weight space does not split over "
+                                "Q: %s" % err, wit) from None
+        basis[lo:hi] = 0
+        basis[lo:hi, blk] = vecs
+        new_wts[lo:hi] = tups
+    order = sorted(range(n), key=lambda i: (new_wts[i], i))
+    out = _rebase(alg, basis[order], blocks)
+    out.weights = new_wts = [new_wts[i] for i in order]
     zero2 = tuple([F0] * nz)
     cart_idx = [i for i, w in enumerate(new_wts) if w == zero2]
     if len(cart_idx) != nz:
@@ -273,73 +274,84 @@ def saturate_torus(alg: Algebra) -> Algebra:
     return out
 
 
-def _rebase(alg: Algebra, vecs) -> Algebra:
-    """The algebra on a new basis of full coordinate vectors, as an int64 table.
-
-    Each new vector must lie in one weight block.  With B the integer
-    change-of-basis matrix (columns the new vectors, one common
-    denominator), the brackets [v_a, v_b] in old coordinates come from
-    the scaled structure constants as two guarded int64 joins, summed,
-    contracting the first and then the second argument with B.  Each
-    bracket must then lie in the block of its weight, and every target
-    block's coordinates over its new vectors come from one coords_int
-    batch, whose reconstruction check certifies them.
-
-    This is an exact change of basis: the n vectors are independent (each
-    block's engine raises on dependent rows) and every coordinate is
-    checked, so a Jacobi verdict of None on the input carries over.
-    """
-    n = alg.dim
-    if len(vecs) != n:
-        raise ClassifyError("%d new basis vectors for dim %d" % (len(vecs), n))
-    blocks = _grading_blocks(n, alg.weights)
+def _block_index(n: int, blocks):
+    """For each basis index, its block and its position in the block."""
     memb, local = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     for bi, blk in enumerate(blocks):
         memb[blk], local[blk] = bi, np.arange(len(blk))
-    bint, sb = int_rows(vecs)            # row t: new vector t, scaled by sb
-    t_nz, i_nz = np.nonzero(bint)
+    return memb, local
+
+
+def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
+    """The algebra on the new basis whose vector t is the integer row
+    basis[t], as an int64 table; blocks are the weight blocks of alg.
+
+    Each new vector must lie in one weight block, and each block must
+    hold as many new vectors as its size.  The brackets [v_a, v_b] in old
+    coordinates come from the scaled structure constants as two guarded
+    int64 joins, summed, contracting the first and then the second
+    argument with the basis.  Each bracket must lie in the block of its
+    weight, and a third join maps it to new coordinates against the exact
+    inverse of the basis, block by block: the reciprocal of the entry
+    for a block whose vectors have one entry each, la.inv for the others.
+
+    This is an exact change of basis (a singular block raises), so a
+    Jacobi verdict of None on the input carries over.
+    """
+    n = alg.dim
+    if basis.shape != (n, n):
+        raise ClassifyError("%d new basis vectors for dim %d" % (len(basis), n))
+    memb = _block_index(n, blocks)[0]
+    t_nz, i_nz = np.nonzero(basis)
     first = np.flatnonzero(np.diff(t_nz, prepend=-1))
     if len(first) != n:
         raise ValueError("basis rows are dependent")
     vblk = memb[i_nz[first]]
     if (memb[i_nz] != vblk[t_nz]).any():
         raise ClassifyError("new basis vector crosses weight blocks")
+    if (np.bincount(vblk, minlength=len(blocks)) != [len(blk) for blk in blocks]).any():
+        raise ValueError("basis rows are dependent")
+    # the inverse: entry (l, t) is coordinate t of the old e_l, over one scale
+    single = np.diff(np.append(first, len(t_nz))) == 1
+    full = np.unique(vblk[~single])
+    mono = np.flatnonzero(~np.isin(vblk, full))
+    if len(np.unique(i_nz[first[mono]])) != len(mono):
+        raise ValueError("basis rows are dependent")
+    il, it = [i_nz[first[mono]]], [mono]
+    ent = [Fraction(1, x) for x in basis[mono, i_nz[first[mono]]].tolist()]
+    invs = {}                           # blocks often repeat one matrix
+    for bi in full.tolist():
+        tids, blk = np.flatnonzero(vblk == bi), blocks[bi]
+        sub = basis[np.ix_(tids, blk)]
+        key = (len(blk), sub.tobytes())
+        if key not in invs:
+            invs[key] = [x for row in la.inv(sub.tolist()) for x in row]
+        il.append(np.repeat(blk, len(tids)))
+        it.append(np.tile(tids, len(blk)))
+        ent.extend(invs[key])
+    il, it = np.concatenate(il), np.concatenate(it)
+    iv, dinv = int_values(ent)
     st = scaled(alg)
-    bv = bint[t_nz, i_nz]
+    bv = basis[t_nz, i_nz]
     # first argument: X[a, j * n + l] = sum_i B[i, a] c^l_{ij}
-    guard_bound(n, bint, st.c)
+    guard_bound(n, basis, st.c)
     a, jl, xv = join((t_nz, i_nz, bv), (st.p, st.q * n + st.s, st.c))
     code, xv = summed(a * n * n + jl, xv)
     (a, j), l = np.divmod(code // n, n), code % n
     # second argument: Y[a * n + l, b] = sum_j X[a, j * n + l] B[j, b]
-    guard_bound(n, xv, bint)
+    guard_bound(n, xv, basis)
     al, b, yv = join((a * n + l, j, xv), (i_nz, t_nz, bv))
     keep = al // n < b
     code, yv = summed(al[keep] * n + b[keep], yv[keep])
     (a, l), b = np.divmod(code // n, n), code % n
     # each bracket lies in the block of weight w_a + w_b
     w, _ = int_rows([alg.weights[blk[0]] for blk in blocks])
-    tgt = memb[l]
-    if (w[tgt] != w[vblk[a]] + w[vblk[b]]).any():
+    if (w[memb[l]] != w[vblk[a]] + w[vblk[b]]).any():
         raise ClassifyError("bracket escaped its weight block")
-    tids = [np.flatnonzero(vblk == bi) for bi in range(len(blocks))]
-    order = np.argsort(tgt, kind="stable")
-    a, b, l, yv, tgt = a[order], b[order], l[order], yv[order], tgt[order]
-    bstart = np.flatnonzero(np.diff(tgt, prepend=-1)).tolist() + [len(tgt)]
-    parts = []
-    for lo, hi in zip(bstart, bstart[1:]):
-        bi = int(tgt[lo])
-        pairs, row = np.unique(a[lo:hi] * n + b[lo:hi], return_inverse=True)
-        vint = np.zeros((len(pairs), len(blocks[bi])), dtype=np.int64)
-        vint[row, local[l[lo:hi]]] = yv[lo:hi]
-        engine = BatchCoords([[vecs[t][i] for i in blocks[bi]] for t in tids[bi]])
-        try:
-            carr, cs = engine.coords_int(vint, st.S * sb * sb)
-        except OutsideSpan:
-            raise ClassifyError("bracket escaped its weight block") from None
-        p, t = np.nonzero(carr)
-        parts.append((pairs[p] // n, pairs[p] % n, tids[bi][t], carr[p, t], cs))
-    out = Algebra(n, pair_table(n, parts), name=alg.name)
+    # new coordinates: Z[a * n + b, t] = sum_l Y[a * n + l, b] Binv[l, t]
+    guard_bound(n, yv, iv)
+    ab, t, zv = join((a * n + b, l, yv), (il, it, iv))
+    out = Algebra(n, pair_table(n, [(ab // n, ab % n, t, zv, st.S * dinv)]), name=alg.name)
     if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
         out._cache["jacobi"] = None     # the Jacobi identity is basis-free
     return out

@@ -599,10 +599,11 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
     The bracket on the sum of h and its module m is fixed on h and on
     mixed pairs; on module pairs it is an unknown combination of the
     candidate tensors, each of which must be pure: h-valued or m-valued
-    (ValueError otherwise).  Stage one collects the linear constraints
-    from probe triples with one leg in h (equivariance defects) and
-    keeps their kernel, which splits as K_h (+) K_m because the defects
-    of the two kinds never meet.  Rescaling m by c multiplies the
+    (ValueError otherwise).  An empty candidate changes no bracket, so
+    it gets coefficient 0 and no parameter.  Stage one collects the
+    linear constraints from probe triples with one leg in h
+    (equivariance defects) and keeps their kernel, which splits as
+    K_h (+) K_m because the defects of the two kinds never meet.  Rescaling m by c multiplies the
     h-coefficients a by c^2 and the m-coefficient by c, and the
     module-only Jacobi sum on probe triples is linear in a once c is
     fixed, so stage two is two exact linear solves (la.kernel_basis):
@@ -621,6 +622,9 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
     """
     if not cands:
         raise ValueError("empty candidate span")
+    # an empty candidate changes no bracket: coefficient 0, no parameter
+    live = [i for i, t in enumerate(cands) if any(v for ent in t.values() for _, v in ent)]
+    ncand, cands = len(cands), [cands[i] for i in live]
     mdim, hdim, nc = mod.mdim, h.dim, len(cands)
     if mprobes is None:
         mprobes = _spread(mdim, 12)
@@ -721,7 +725,16 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
     if zero or not branches:
         names = ["u%d" % k for k in range(len(zero))]
         branches.append(({(n,): lift(z) for n, z in zip(names, zero)}, names))
-    return EquivSolve(nc, kernel, branches)
+
+    def spread(v):
+        out = [F0] * ncand
+        for i, x in zip(live, v):
+            out[i] = x
+        return out
+
+    return EquivSolve(ncand, [spread(v) for v in kernel],
+                      [({mono: spread(v) for mono, v in terms.items()}, free)
+                       for terms, free in branches])
 
 
 def assemble_bracket(h, mod, cands, coeffs, name=""):

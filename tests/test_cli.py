@@ -1,10 +1,13 @@
 """The lyalg command line: check and classify on saved files."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import lyalg
 from lyalg import io
 from lyalg.algebra import Algebra
 from lyalg.cli import main
@@ -108,8 +111,13 @@ def test_json_that_is_not_an_algebra_is_refused_on_one_line(tmp_path, capsys):
 
 
 def _fresh_imports(code):
+    """Run code in a fresh interpreter that finds this lyalg source tree
+    first, and read its JSON output."""
+    src = str(Path(lyalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     return json.loads(out.stdout)
 
 

@@ -18,6 +18,7 @@ import lyalg.compjordan as cj
 from lyalg import buildtools as bt
 from lyalg import linalg as la
 from lyalg.linalg import F0, F1
+from test_invariants import eigenbasis_reference
 
 HALF = Fraction(1, 2)
 
@@ -222,7 +223,7 @@ def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
             coeffs = cj._toral_search(dspan0)
         tor_res = [cj._mat_combo(dspan0, co) for co in coeffs]
         if any(cj._offdiag(t) for t in tor_res):
-            vnew, _ = bt.simultaneous_eigenbasis(tor_res)
+            vnew, _ = eigenbasis_reference(tor_res)
             newvecs = [la.normalize_primitive(cj._vec_combo(vecs, co))
                        for co in vnew]
             toramb = [cj._mat_combo([damb(p) for p in span_pairs], co)
@@ -509,3 +510,18 @@ def test_leibniz_check_reads_the_ambient_tensor():
     bad[0, 0, 0] += 1
     with pytest.raises(ArithmeticError, match="Leibniz"):
         cj._leibniz_check(t, bad)
+    # the composition, hermitian and spin ambients, each with one nonzero
+    # of its first spanning map (the first nonzero pair map) perturbed
+    for kind, spec in [("comp", "O"), ("jordan", "H3(K)"), ("jordan", "JV(3)")]:
+        amb = ambient(kind, spec)
+        t, _ = cj._amb_int(amb)
+        b, sb = bt.int_rows(cj.trace_admissible_view(amb).vecs)
+        dt, _ = cj._pair_maps(amb, b, sb)
+        n0 = len(b)
+        pairs = [(i, k) for i in range(n0) for k in range(i + 1, n0) if dt[i, k].any()]
+        es = dt[tuple(np.array(pairs[:3]).T)]
+        cj._leibniz_check(t, es)
+        bad = es.copy()
+        bad[(0, *np.argwhere(es[0])[0])] += 1
+        with pytest.raises(ArithmeticError, match="Leibniz"):
+            cj._leibniz_check(t, bad)

@@ -1,20 +1,25 @@
 """The Killing form radical and semisimplicity, the operator algebra and
 eigenbasis tools, on small algebras where every answer is known by hand.
 
-Two exact references live here, on linalg.kernel_basis: the derivation
-algebra of a multiplication table (derivation_space) and the dimension
-of the commutant of a set of operators (commutant_dim), which certifies
-that a module is irreducible in test_matrix_families.
+Three exact references live here, on linalg.kernel_basis: the derivation
+algebra of a multiplication table (derivation_space), the dimension of
+the commutant of a set of operators (commutant_dim), which certifies
+that a module is irreducible in test_matrix_families, and the Fraction
+common eigenbasis (eigenbasis_reference) that the integer
+simultaneous_eigenbasis must reproduce.
 """
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lyalg import invariants
 from lyalg import linalg as la
 from lyalg.algebra import Algebra
-from lyalg.buildtools import (NotClosedError, direct_sum, independent_rows,
+from lyalg.buildtools import (BatchCoords, IrrationalRoot, NotClosedError, OutsideSpan,
+                              direct_sum, independent_rows,
                               operator_algebra_from_basis,
                               rational_eigensplit, simultaneous_eigenbasis)
 from lyalg.invariants import is_semisimple, killing_radical
@@ -207,12 +212,117 @@ def test_eigensplit_rejects_irrational():
         rational_eigensplit(rot)
 
 
+def eigenbasis_reference(mats):
+    """Common eigenbasis of commuting Fraction matrices: the space split
+    by one matrix after another, block by block, each block's restriction
+    from BatchCoords and its split from rational_eigensplit, the lifted
+    vectors made primitive.  Returns (vectors, tuples) ordered by tuple."""
+    if not mats:
+        raise ValueError("no matrices given")
+    n = len(mats[0])
+    blocks = [([fr(0)] * len(mats), [la.basis_vec(n, i) for i in range(n)])]
+    for t, m in enumerate(mats):
+        nxt = []
+        for tup, vecs in blocks:
+            if len(vecs) == 1:
+                img = la.mat_vec(m, vecs[0])
+                j = next(i for i, x in enumerate(vecs[0]) if x != 0)
+                lam = img[j] / vecs[0][j]
+                if la.vec_sub(img, la.vec_scale(lam, vecs[0])) != la.zero_vec(n):
+                    raise ArithmeticError("block is not an eigenvector")
+                tup2 = list(tup)
+                tup2[t] = lam
+                nxt.append((tup2, vecs))
+                continue
+            try:
+                restr = BatchCoords(vecs).coords_rows([la.mat_vec(m, v) for v in vecs])
+            except OutsideSpan:
+                raise ArithmeticError("matrix does not preserve block") from None
+            for lam, kb in rational_eigensplit(la.transpose(restr)):
+                lifted = []
+                for k in kb:
+                    w = la.zero_vec(n)
+                    for c, bvec in zip(k, vecs):
+                        if c != 0:
+                            w = [x + c * y for x, y in zip(w, bvec)]
+                    lifted.append(la.normalize_primitive(w))
+                tup2 = list(tup)
+                tup2[t] = lam
+                nxt.append((tup2, lifted))
+        blocks = nxt
+    vectors, tuples = [], []
+    for tup, vecs in sorted(blocks, key=lambda bl: bl[0]):
+        for v in vecs:
+            vectors.append(v)
+            tuples.append(tuple(tup))
+    return vectors, tuples
+
+
 def test_simultaneous_eigenbasis():
-    a = [[fr(0), fr(1), fr(0)], [fr(1), fr(0), fr(0)], [fr(0), fr(0), fr(2)]]
-    b = [[fr(3), fr(0), fr(0)], [fr(0), fr(3), fr(0)], [fr(0), fr(0), fr(5)]]
-    vecs, tups = simultaneous_eigenbasis([a, b])
-    assert len(vecs) == 3
+    a = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
+    b = [[3, 0, 0], [0, 3, 0], [0, 0, 5]]
+    vecs, tups = simultaneous_eigenbasis(np.array([a, b]), 1)
+    assert vecs.dtype == np.int64 and len(vecs) == 3
     assert sorted(tups) == [(fr(-1), fr(3)), (fr(1), fr(3)), (fr(2), fr(5))]
-    for v, t in zip(vecs, tups):
+    for v, t in zip(vecs.tolist(), tups):
         assert la.mat_vec(a, v) == la.vec_scale(t[0], v)
         assert la.mat_vec(b, v) == la.vec_scale(t[1], v)
+    assert (vecs.tolist(), tups) == eigenbasis_reference(
+        [[[fr(x) for x in row] for row in m] for m in (a, b)])
+
+
+def unimodular(rng, n):
+    """A seeded integer matrix of determinant 1 and its integer inverse,
+    as a product of elementary row operations."""
+    u, ui = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        e = np.eye(n, dtype=np.int64)
+        e[i, j] = c
+        u, ui = e @ u, ui @ (2 * np.eye(n, dtype=np.int64) - e)
+    assert (u @ ui == np.eye(n)).all()
+    return u, ui
+
+
+# diagonals of commuting operators, conjugated below: repeated
+# eigenvalues, blocks that only the second or third operator splits, and
+# a zero operator
+DIAGONALS = [
+    [[1, 1, 2, 2], [0, 3, 0, 3], [5, 5, 5, 7]],
+    [[4, 4, 4], [0, 0, 0], [1, -1, 1]],
+    [[2, 2, 2, 2, 2], [1, 1, 1, -3, -3], [0, 2, 2, 0, 1]],
+    [[0, 0, 6, 6, -6, -6], [1, -1, 1, -1, 1, -1], [0, 0, 0, 0, 0, 0], [3, 3, 3, 3, 3, 9]],
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1, 2, 6])
+@pytest.mark.parametrize("diagonals", DIAGONALS)
+def test_integer_eigenbasis_matches_the_fraction_reference(diagonals, scale, seed):
+    rng = random.Random(seed)
+    u, ui = unimodular(rng, len(diagonals[0]))
+    ops = np.array([u @ np.diag(d) @ ui for d in diagonals])
+    vecs, tups = simultaneous_eigenbasis(ops, scale)
+    ref = eigenbasis_reference([[[fr(x, scale) for x in row] for row in op]
+                                for op in ops.tolist()])
+    assert (vecs.tolist(), tups) == ref
+
+
+@pytest.mark.parametrize("ops, witness", [
+    ([[[1, 1], [0, 1]]], None),                                 # a Jordan block
+    ([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], "x**2 - 2"),
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+      [[0, 0, 0], [0, 0, 0], [1, 0, 0]]], None),                # leaves the block
+], ids=["jordan-block", "irrational", "leaves-the-block"])
+def test_integer_eigenbasis_refuses_as_the_reference_does(ops, witness):
+    with pytest.raises(ArithmeticError) as new:
+        simultaneous_eigenbasis(np.array(ops, dtype=np.int64), 1)
+    with pytest.raises(ArithmeticError) as ref:
+        eigenbasis_reference([[[fr(x) for x in row] for row in op] for op in ops])
+    assert type(new.value) is type(ref.value)
+    assert str(new.value) == str(ref.value)
+    if witness is None:
+        assert not isinstance(new.value, IrrationalRoot)
+    else:
+        assert str(new.value.factor.as_expr()) == str(ref.value.factor.as_expr()) == witness

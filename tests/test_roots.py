@@ -22,7 +22,8 @@ from lyalg.matrixalg import (build_matrix_lie, lts_orthosymplectic_sum, ly_sl_te
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
 from lyalg.tits import _pair_maps, _slice_ints, build_tits
-from test_tits import grid_pair_entries
+from test_matrix_families import SATURATED_FAMILY_SHA256
+from test_tits import SATURATED_SQUARE_SHA256, grid_pair_entries, saturated_sha256
 
 fr = Fraction
 
@@ -159,11 +160,12 @@ def verify_weights_reference(alg):
     return r
 
 
-def rebase_reference(alg, vecs):
+def rebase_reference(alg, basis, blocks):
     """The change of basis by one Fraction sparse bracket and one la.solve
-    per basis pair."""
+    per basis pair; the new vectors are the integer rows of basis."""
     n = alg.dim
-    blocks = _grading_blocks(n, alg.weights)
+    assert blocks == _grading_blocks(n, alg.weights)
+    vecs = [[fr(x) for x in row] for row in basis.tolist()]
     memb = {j: bi for bi, blk in enumerate(blocks) for j in blk}
     rowsof, nzof, blkof = {}, [], []
     for t, v in enumerate(vecs):
@@ -232,23 +234,30 @@ def tits_cell(cx, cy):
                       trace_admissible_view(build_jordan("H3(%s)" % cy))).alg
 
 
-@pytest.mark.parametrize("build, label", [
-    (lambda: tits_cell("K", "K"), "A2+A2"),
-    (lambda: tits_cell("Q", "Q"), "D6"),
-    (lambda: tits_cell("O", "k"), "F4"),
-    (lambda: build_enveloping(ly_sl_tensor_sl(3, 3)).g, "A8"),
+@pytest.mark.parametrize("build, label, digest", [
+    (lambda: tits_cell("K", "K"), "A2+A2", SATURATED_SQUARE_SHA256["K", "K"]),
+    (lambda: tits_cell("Q", "Q"), "D6", SATURATED_SQUARE_SHA256["Q", "Q"]),
+    (lambda: tits_cell("O", "k"), "F4", SATURATED_SQUARE_SHA256["O", "k"]),
+    (lambda: build_enveloping(ly_sl_tensor_sl(3, 3)).g, "A8",
+     SATURATED_FAMILY_SHA256["families.ly_sl_sl(3,3)"][0]),
 ], ids=["KxH3(K)", "QxH3(Q)", "OxH3(k)", "env(sl3xsl3)"])
-def test_the_certifier_never_builds_the_fraction_dict(build, label, monkeypatch):
+def test_the_certifier_never_builds_the_fraction_dict(build, label, digest, monkeypatch):
     g = build()
 
     def refuse(*args):
         raise AssertionError("the Fraction dict was built from the int64 table")
 
+    def no_fraction_split(*args):
+        raise AssertionError("a Fraction split ran on the success path")
+
     monkeypatch.setattr("lyalg.algebra.table_to_dict", refuse)
+    for name in ("rational_eigensplit", "minimal_polynomial", "BatchCoords"):
+        monkeypatch.setattr("lyalg.buildtools." + name, no_fraction_split)
     s = saturate_torus(g)
     assert s is not g and classify(s) == label
     monkeypatch.undo()
     assert "table" not in vars(s) and "table_int" in vars(s)
+    assert saturated_sha256(s) == digest
 
 
 def moved_torus(kind, n, m):

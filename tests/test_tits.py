@@ -1032,13 +1032,36 @@ def test_solver_refuses_what_one_scale_cannot_describe():
     doubled = {k: [(l, 2 * v) for l, v in ent] for k, ent in into_m.items()}
     with pytest.raises(ValueError, match="m-valued candidates leave 2"):
         solve_equivariant_bracket(h, mod, cands + [doubled])
-    # a zero candidate leaves its coefficient free at scale 1
+    # a copy of an h-valued candidate leaves a direction free at scale 1
     with pytest.raises(ValueError, match="homogeneous part"):
-        solve_equivariant_bracket(h, mod, cands + [{}])
+        solve_equivariant_bracket(h, mod, cands + [cands[0]])
     mixed = {k: cands[0].get(k, []) + into_m.get(k, [])
              for k in sorted(set(cands[0]) | set(into_m))}
     with pytest.raises(ValueError, match="both h- and m-valued"):
         solve_equivariant_bracket(h, mod, [mixed])
+
+
+@pytest.mark.parametrize("cx, cy, sizes, dim", [
+    ("K", "K", [0, 22, 0], 1),      # K has no derivations and K0 * K0 = 0
+    ("k", "Q", [0, 0, 0], 0),       # the module k0 (x) H3(Q)0 is 0
+])
+def test_solver_gives_empty_candidates_no_parameter(cx, cy, sizes, dim):
+    h, mod, cands = tits_module_data(cview(cx), jview("H3(%s)" % cy))
+    assert [sum(len(ent) for ent in t.values()) for t in cands] == sizes
+    sol = solve_equivariant_bracket(h, mod, cands)
+    assert sol.family_dim() == dim and len(sol.branches) == 1
+    co = sol.coefficients(0, {name: F(3) for name in sol.branches[0][1]})
+    assert [c != 0 for c in co] == [n > 0 for n in sizes]
+    assert check_lie(assemble_bracket(h, mod, cands, co)).passed
+
+
+def test_solver_answers_as_before_with_an_empty_candidate_added():
+    h, mod, cands = tits_module_data(cview("Q"), jview("H3(k)"))
+    sol = solve_equivariant_bracket(h, mod, cands)
+    more = solve_equivariant_bracket(h, mod, cands + [{}, {(0, 1): []}])
+    assert more.kernel == [v + [0, 0] for v in sol.kernel]
+    assert more.branches == [({m: v + [0, 0] for m, v in terms.items()}, free)
+                             for terms, free in sol.branches]
 
 
 def test_solver_lists_the_c_zero_branch_after_the_scale_branch():
