@@ -49,7 +49,7 @@ come from one Span solve, whose reconstruction check is the closure
 certificate.  simultaneous_eigenbasis refines a basis so that a chosen
 torus, given as int64 operators, acts diagonally (saturate_torus, the
 views of compjordan and sym0 use it): floats propose the eigenvalues of
-each integer block and exact int64 checks decide, and a block they do
+each integer block and exact integer kernels decide, and a block they do
 not settle goes to rational_eigensplit, whose rational roots come from
 exact Horner checks; sympy is imported only to name an irrational
 factor.
@@ -214,8 +214,10 @@ def kron(xa, ya, base):
 def batch(parts):
     """(code, val, scale) of the entries (code, val, scale) of parts over
     their least common scale, in code order and lowest terms, equal codes
-    summed (at most two, one per part, so a guarded sum fits int64) and
-    zeros dropped.  No parts give no entries."""
+    summed and zeros dropped.  Each value is guarded here once brought to
+    the common scale; that every code's sum fits int64 is the caller's
+    guard, as a join's guard_bound over all its terms gives it.  No parts
+    give no entries."""
     den = lcm(*(s for *_, s in parts))
     for _, v, s in parts:
         guard_bound(den // s, v)
@@ -712,40 +714,31 @@ def _eigenspaces(op: np.ndarray, scale: int, vecs: np.ndarray):
     """[(eigenvalue, rows)] of op / scale on the span of the rows vecs,
     sorted by eigenvalue, each eigenspace as primitive integer rows.
 
-    The restriction r / d of op is exact.  A rational eigenvalue of the
+    The restriction r / d of op is exact, so every kernel vector of
+    r - mu lifts to an eigenvector of op.  A rational eigenvalue of the
     integer matrix r is an integer, so the rounded float spectrum of r
-    proposes them and the exact kernels of r - mu decide: they must fill
-    the block, and every lifted row must satisfy d op w = mu w in guarded
-    int64.  Otherwise the exact restriction goes to rational_eigensplit,
+    proposes them, and the exact kernels decide: they must fill the
+    block.  Otherwise the exact restriction goes to rational_eigensplit,
     which splits it or raises.
     """
     r, d = _restriction(op, vecs)
-    n, out = len(r), []
+    n, rl = len(r), r.tolist()
     if (r == r[0, 0] * np.eye(n, dtype=np.int64)).all():
-        return [(Fraction(int(r[0, 0]), d * scale), vecs)]
+        return [(Fraction(rl[0][0], d * scale), vecs)]
     bound = n * int(np.abs(r).max(initial=0))     # bounds every eigenvalue
     try:
         mus = sorted({round(z.real) for z in np.linalg.eigvals(r.astype(float))})
     except (np.linalg.LinAlgError, ValueError, OverflowError):
         mus = []
+    out = []
     for mu in (mu for mu in mus if abs(mu) <= bound):
-        ker = la.kernel_basis((r - mu * np.eye(n, dtype=np.int64)).tolist())
+        ker = la.kernel_basis([[x - mu * (i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(rl)])
         if ker:
-            out.append((Fraction(mu, d * scale), mu, ker))
-    if sum(len(k) for *_, k in out) == n:
-        split = []
-        for lam, mu, ker in out:
-            w = _lift(ker, vecs)
-            guard_bound(len(op) * d, op, w)
-            guard_bound(abs(mu), w)
-            img = w @ op.T
-            if (d * img != mu * w).any():
-                break
-            split.append((lam, w))
-        else:
-            return split
-    restr = [[Fraction(x, d * scale) for x in row] for row in r.tolist()]
-    return [(lam, _lift(ker, vecs)) for lam, ker in rational_eigensplit(restr)]
+            out.append((Fraction(mu, d * scale), ker))
+    if sum(len(ker) for _, ker in out) != n:
+        out = rational_eigensplit([[Fraction(x, d * scale) for x in row] for row in rl])
+    return [(lam, _lift(ker, vecs)) for lam, ker in out]
 
 
 def _lift(ker, vecs: np.ndarray) -> np.ndarray:
@@ -765,7 +758,7 @@ def simultaneous_eigenbasis(ops: np.ndarray, scale: int):
     eigenvalues (Fractions) under each matrix, ordered by tuple.  The
     matrices split the space one after another, block by block; each
     block is split exactly in integers (_eigenspaces), where the float
-    spectrum only proposes eigenvalues and exact int64 checks decide.
+    spectrum only proposes eigenvalues and exact integer kernels decide.
     Raises ArithmeticError if the matrices are not simultaneously
     diagonalizable over the rationals (IrrationalRoot, with the factor,
     for an irrational eigenvalue).
@@ -793,14 +786,17 @@ def simultaneous_eigenbasis(ops: np.ndarray, scale: int):
 
 
 def _eigenvalues(ops: np.ndarray, scale: int, vecs: np.ndarray):
-    """lam[b][s], the eigenvalue of ops[s] / scale on row b of vecs, read
-    off the row's first nonzero entry; ArithmeticError if a row is not
-    an eigenvector of every matrix."""
-    guard_bound(ops.shape[-1], ops, vecs, vecs)
+    """lam[b][s], the eigenvalue of ops[s] / scale on row b of vecs;
+    ArithmeticError if a row is not an eigenvector of every matrix.
+
+    The rows are primitive, so an eigenvalue of the integer ops[s] on one
+    is an integer.  It is read off the row's largest entry, so lam v is
+    no larger than the image and the check needs no further guard."""
+    guard_bound(ops.shape[-1], ops, vecs)
     img = np.einsum("sij,bj->bsi", ops, vecs)
     b = np.arange(len(vecs))
-    j = (vecs != 0).argmax(axis=1)
-    at, piv = img[b, :, j], vecs[b, j]
-    if (img * piv[:, None, None] != at[:, :, None] * vecs[:, None, :]).any():
+    j = np.abs(vecs).argmax(axis=1)
+    lam, rem = np.divmod(img[b, :, j], vecs[b, j][:, None])
+    if rem.any() or (img != lam[:, :, None] * vecs[:, None, :]).any():
         raise ArithmeticError("block is not an eigenvector")
-    return [[Fraction(x, p * scale) for x in row] for row, p in zip(at.tolist(), piv.tolist())]
+    return [[Fraction(x, scale) for x in row] for row in lam.tolist()]

@@ -256,6 +256,8 @@ def saturate_torus(alg: Algebra) -> Algebra:
         ops[z[e], local[l[e]], local[j[e]]] = c[e]
         try:
             vecs, tups = simultaneous_eigenbasis(ops, st.S)
+        except OverflowError:
+            raise                       # a size refusal, not a verdict
         except ArithmeticError as err:
             wit = err.factor if isinstance(err, IrrationalRoot) else None
             raise ClassifyError("zero-weight space does not split over "
@@ -292,8 +294,7 @@ def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
     int64 joins, summed, contracting the first and then the second
     argument with the basis.  Each bracket must lie in the block of its
     weight, and a third join maps it to new coordinates against the exact
-    inverse of the basis, block by block: the reciprocal of the entry
-    for a block whose vectors have one entry each, la.inv for the others.
+    inverse of the basis, one la.inv per block.
 
     This is an exact change of basis (a singular block raises), so a
     Jacobi verdict of None on the input carries over.
@@ -311,24 +312,15 @@ def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
         raise ClassifyError("new basis vector crosses weight blocks")
     if (np.bincount(vblk, minlength=len(blocks)) != [len(blk) for blk in blocks]).any():
         raise ValueError("basis rows are dependent")
-    # the inverse: entry (l, t) is coordinate t of the old e_l, over one scale
-    single = np.diff(np.append(first, len(t_nz))) == 1
-    full = np.unique(vblk[~single])
-    mono = np.flatnonzero(~np.isin(vblk, full))
-    if len(np.unique(i_nz[first[mono]])) != len(mono):
-        raise ValueError("basis rows are dependent")
-    il, it = [i_nz[first[mono]]], [mono]
-    ent = [Fraction(1, x) for x in basis[mono, i_nz[first[mono]]].tolist()]
-    invs = {}                           # blocks often repeat one matrix
-    for bi in full.tolist():
-        tids, blk = np.flatnonzero(vblk == bi), blocks[bi]
-        sub = basis[np.ix_(tids, blk)]
-        key = (len(blk), sub.tobytes())
-        if key not in invs:
-            invs[key] = [x for row in la.inv(sub.tolist()) for x in row]
-        il.append(np.repeat(blk, len(tids)))
-        it.append(np.tile(tids, len(blk)))
-        ent.extend(invs[key])
+    # the inverse, block by block: entry (l, t) is coordinate t of the
+    # old e_l, over one scale
+    tids = np.argsort(vblk, kind="stable")
+    cut = np.cumsum([0] + [len(blk) for blk in blocks]).tolist()
+    il, it, ent = [], [], []
+    for blk, lo, hi in zip(blocks, cut, cut[1:]):
+        il.append(np.repeat(blk, hi - lo))
+        it.append(np.tile(tids[lo:hi], len(blk)))
+        ent.extend(x for row in la.inv(basis[np.ix_(tids[lo:hi], blk)].tolist()) for x in row)
     il, it = np.concatenate(il), np.concatenate(it)
     iv, dinv = int_values(ent)
     st = scaled(alg)

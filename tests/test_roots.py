@@ -348,6 +348,46 @@ def test_cli_classify_refuses_a_non_split_envelope(tmp_path, capsys):
     assert err.startswith("lyalg: ") and "irrational eigenvalue" in err
 
 
+def sl3_on_a_mixed_root_block(big):
+    """sl3 graded by one torus element on which alpha1 and alpha2 agree,
+    with the two root vectors of that weight replaced by e1 + big e2 and
+    e1 + (big + 1) e2, so g_0 acts on their block with entries ~ big^2."""
+    g = build_matrix_lie("sl", 3)
+    n = g.dim
+    weights = [(w[0] + w[1],) for w in g.weights]
+    a, b = (i for i, w in enumerate(weights) if w == (1,))
+    vecs = [[(i, fr(1))] for i in range(n)]
+    vecs[a], vecs[b] = [(a, fr(1)), (b, fr(big))], [(a, fr(1)), (b, fr(big + 1))]
+    inv = la.inv(la.transpose([[dict(v).get(i, fr(0)) for i in range(n)] for v in vecs]))
+    table = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            w = sparse_bracket(g, vecs[p], vecs[q])
+            co = la.mat_vec(inv, [w.get(i, fr(0)) for i in range(n)])
+            if any(co):
+                table[(p, q)] = [(t, c) for t, c in enumerate(co) if c]
+    out = Algebra(n, table, name="sl3 mixed")
+    out.weights = weights
+    return out
+
+
+def test_saturate_splits_a_block_with_large_entries():
+    # g_0's operators reach 10^16 on the mixed block; the eigenvalue
+    # check must not refuse what the Fraction splitter split
+    g = sl3_on_a_mixed_root_block(10 ** 8)
+    assert classify(saturate_torus(g)) == "A2"
+
+
+def test_saturate_passes_a_size_refusal_through(monkeypatch):
+    # an int64 limit is a refusal (OverflowError), not "does not split over Q"
+    def too_large(*args):
+        raise OverflowError("integer batch would overflow int64")
+
+    monkeypatch.setattr(roots, "simultaneous_eigenbasis", too_large)
+    with pytest.raises(OverflowError, match="integer batch"):
+        saturate_torus(sl3_on_a_mixed_root_block(1))
+
+
 def q_jv3_ly():
     """The grid products of T(Q, JV(3)) as an LY algebra.  The pair fails
     Tits condition (iii), so ly_inside_tits refuses it and its 15-dim
