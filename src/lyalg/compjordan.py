@@ -1,40 +1,40 @@
 """Split composition algebras, Jordan algebras, and their trace-zero views.
 
-Everything here is verified at construction time, exactly, on int64
-tensors: each table is cleared of denominators once (_amb_int), and
-every identity becomes an array equality of integer contractions, each
-product guarded by buildtools.guard_bound (OverflowError rather than a
-wrong answer).  Composition builders check the unit laws, the polarized
-degree two equation, polarized norm multiplicativity on all basis
-4-tuples, the associative trace form and alternativity.  The hermitian
-Jordan tables are formed from the integer composition table, with the
-scalar-diagonal and hermitian conditions checked as array equalities;
-Jordan builders check the linearized Jordan identity (in float64, guarded
-so that every partial sum stays below 2^53) and the associativity of the
-generic trace form.
+Every ambient algebra is held as its int64 structure constants (_Tabled),
+and everything is verified at construction time, exactly: each identity
+is an array equality of integer contractions or joins, every product
+guarded by buildtools.guard_bound (OverflowError rather than a wrong
+answer).  Composition builders check the unit laws, the polarized degree
+two equation, polarized norm multiplicativity on all basis 4-tuples, the
+associative trace form and alternativity.  The hermitian Jordan tables
+are formed from the integer composition table, with the scalar-diagonal
+and hermitian conditions checked as array equalities; Jordan builders
+check the associativity of the generic trace form and the linearized
+Jordan identity, a sparse sweep of joins over the sorted triples.
 
 The trace-zero view packages what the two-ingredient Lie algebra
-constructions consume: the star product and normalized trace form in a
-torus eigenbasis, the inner pair derivations restricted to the slice, and
-a weight-adapted basis of their span.  One integer path serves every
-ambient: the pair maps of all slice pairs form one int64 tensor
-(_pair_maps), from the composition table for compositions, as [R_x, R_y]
-for hermitian Jordan algebras and from the form for spin factors, and one
-slot is checked against the direct Fraction implementation.  Every view
-certifies that the spanning pair maps are derivations and that its pair
-derivation table is equivariant under their span, reading the same
-integer tensors.
+constructions consume, as int64 tensors: the star product and normalized
+trace form in a torus eigenbasis, and the inner pair derivations by
+their coordinates over a weight-adapted basis of their span.  One integer
+path serves every ambient: the pair maps of all slice pairs form one
+int64 tensor (_pair_maps), from the composition table for compositions,
+as [R_x, R_y] for hermitian Jordan algebras and from the form for spin
+factors, and one slot is checked against the direct Fraction
+implementation.  Every view certifies that the spanning pair maps are
+derivations and that its pair derivation table is equivariant under
+their span, reading the same integer tensors.
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import buildtools as bt
 from . import linalg as la
-from .fastnum import join, summed
+from .fastnum import SWEEP_BLOCK, blocks, join, lowest_terms, summed
 from .linalg import F0, F1
 from .matrixalg import split_sym_form
 
@@ -42,40 +42,65 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-class CompAlg:
-    """Unital algebra over Q whose quadratic norm admits composition.
+def _frozen(arr, scale):
+    """(arr, scale) in lowest terms, read-only."""
+    arr, scale = lowest_terms(arr, scale)
+    arr.setflags(write=False)
+    return arr, scale
 
-    tab[i][j] is the dense coordinate vector of e_i e_j.  gram is the polar
-    form of the norm, so n(x) = gram(x, x) / 2 and tr(x) = gram(x, 1); the
-    trace vector gram(., 1) is computed once.  Instances are built through
-    build_composition and must be treated as read-only; the builders cache
-    and share them.
-    """
 
-    def __init__(self, kind, tab, gram, unit, labels):
-        self.kind = kind
-        self.dim = len(tab)
-        self.tab = tab
-        self.gram = gram
-        self.unit = unit
-        self.labels = labels
-        self._int = None
-        self._trv = la.mat_vec(gram, unit)
+def _fractions(arr, scale):
+    """arr / scale as nested lists of Fractions, one Fraction per distinct
+    value."""
+    vals, inv = np.unique(arr, return_inverse=True)
+    frac = np.array([Fraction(v, scale) for v in vals.tolist()], dtype=object)
+    return frac[inv.reshape(-1)].reshape(arr.shape).tolist()
+
+
+class _Tabled:
+    """An algebra held as its int64 structure constants _int = (t, s),
+    e_i e_j = sum_k t[i, j, k] e_k / s, _frozen: the one source form, given
+    as such a pair or cleared from Fraction lists tab[i][j][k].  tab is
+    derived from it once, for mul and the tests.  Instances are read-only;
+    the builders cache and share them."""
+
+    def __init__(self, tab):
+        if not isinstance(tab, tuple):
+            n = len(tab)
+            t, s = bt.int_rows([cell for row in tab for cell in row], n)
+            tab = t.reshape(n, n, n), s
+        self._int = _frozen(*tab)
+        self.dim = len(self._int[0])
+
+    @cached_property
+    def tab(self):
+        return _fractions(*self._int)
 
     def mul(self, x, y):
         out = la.zero_vec(self.dim)
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.tab[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, cv in enumerate(row[j]):
-                    if cv != 0:
-                        out[k] += f * cv
+            for j, yj in enumerate(y if xi else ()):
+                for k, cv in enumerate(self.tab[i][j] if yj else ()):
+                    if cv:
+                        out[k] += xi * yj * cv
         return out
+
+
+class CompAlg(_Tabled):
+    """Unital algebra over Q whose quadratic norm admits composition.
+
+    gram is the polar form of the norm, so n(x) = gram(x, x) / 2 and
+    tr(x) = gram(x, 1); the trace vector gram(., 1) is computed once.
+    Instances are built through build_composition.
+    """
+
+    def __init__(self, kind, tab, gram, unit, labels):
+        super().__init__(tab)
+        self.kind = kind
+        self.gram = gram
+        self.unit = unit
+        self.labels = labels
+        self._trv = la.mat_vec(gram, unit)
 
     def polar(self, x, y):
         return la.dot(x, la.mat_vec(self.gram, y))
@@ -179,7 +204,7 @@ def _verify_composition(c):
     array equality; every product is guarded against int64 overflow.
     """
     n = c.dim
-    t, s = _amb_int(c)
+    t, s = c._int
     g, sg = bt.int_rows(c.gram)
     if not np.array_equal(g, g.T):
         raise ValueError("norm polar form is not symmetric")
@@ -264,7 +289,7 @@ def comp_derivation(c, a, b):
     return la.transpose(cols)
 
 
-class JordanAlg:
+class JordanAlg(_Tabled):
     """Commutative unital algebra over Q with a generic trace functional.
 
     tracev holds the values of the generic trace on the basis, normalized
@@ -275,31 +300,14 @@ class JordanAlg:
 
     def __init__(self, kind, tab, degree, tracev, unit, labels,
                  form=None, signs=None):
+        super().__init__(tab)
         self.kind = kind
-        self.dim = len(tab)
-        self.tab = tab
         self.degree = degree
         self.tracev = tracev
         self.unit = unit
         self.labels = labels
         self.form = form
         self.signs = signs
-        self._int = None
-
-    def mul(self, x, y):
-        out = la.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.tab[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, cv in enumerate(row[j]):
-                    if cv != 0:
-                        out[k] += f * cv
-        return out
 
     def gentrace(self, x):
         return la.dot(self.tracev, x)
@@ -318,20 +326,19 @@ def jordan_derivation(j, x, y):
 
 def _verify_jordan(j):
     n = j.dim
-    for a in range(n):
-        e = la.basis_vec(n, a)
-        if j.mul(j.unit, e) != e:
-            raise ValueError("unit law fails")
-    for i in range(n):
-        for k in range(i):
-            if j.tab[i][k] != j.tab[k][i]:
-                raise ValueError("product is not commutative")
+    t, s = j._int
+    (u,), su = bt.int_rows([j.unit])
+    bt.guard_bound(n, u, t)
+    bt.guard_bound(1, [s], [su])
+    if not np.array_equal(np.einsum('a,akc->kc', u, t),
+                          np.eye(n, dtype=np.int64) * (s * su)):
+        raise ValueError("unit law fails")
+    if not np.array_equal(t, t.transpose(1, 0, 2)):
+        raise ValueError("product is not commutative")
     if j.gentrace(j.unit) != j.degree:
         raise ValueError("the unit must trace to the degree")
-    t, s = _amb_int(j)
-    tli, _ = bt.int_rows([j.tracev])
-    tv = tli[0]
-    bt.guard_bound(n, t, tv.reshape(1, -1))
+    (tv,), _ = bt.int_rows([j.tracev])
+    bt.guard_bound(n, t, tv)
     tf = np.einsum('ijc,c->ij', t, tv)
     if not np.array_equal(tf, tf.T):
         raise ValueError("trace form is not symmetric")
@@ -339,27 +346,57 @@ def _verify_jordan(j):
     if not np.array_equal(np.einsum('ijc,ck->ijk', t, tf),
                           np.einsum('jkc,ic->ijk', t, tf)):
         raise ValueError("trace form is not associative")
-    # linearized Jordan identity: the full symmetrization of
-    # [R_x, R_{y z}] over each basis triple must vanish
-    r = t.transpose(1, 2, 0)
-    bt.guard_bound(n, t, r)
-    rp = np.einsum('jkc,cab->jkab', t, r)
-    # the products run through BLAS in float64, exact while every partial
-    # sum is an integer below 2^53
-    top = int(np.abs(r).max(initial=0)) * int(np.abs(rp).max(initial=0))
-    if 6 * n * top >= 1 << 53:
-        raise OverflowError("Jordan identity sweep would be inexact in float64")
-    r, rp = r.astype(np.float64), rp.astype(np.float64)
-    for i in range(n):
-        off = np.triu_indices(n - i)
-        jj = off[0] + i
-        kk = off[1] + i
-        rpp = rp[jj, kk]
-        t1 = np.matmul(r[i], rpp) - np.matmul(rpp, r[i])
-        t2 = np.matmul(r[jj], rp[i, kk]) - np.matmul(rp[i, kk], r[jj])
-        t3 = np.matmul(r[kk], rp[i, jj]) - np.matmul(rp[i, jj], r[kk])
-        if (t1 + t2 + t3).any():
-            raise ValueError("Jordan identity fails on a basis triple")
+    _jordan_identity(t)
+
+
+def _jordan_identity(t):
+    """The linearized Jordan identity [R_i, R_jk] + [R_j, R_ki] + [R_k, R_ij]
+    = 0 on every sorted triple i <= j <= k, from the int64 table of a
+    commutative product (R_x e_b = e_b e_x, R_jk = R_{e_j e_k}).
+
+    Summed over the ordered triples, [R_i, R_jk] is a positive multiple of
+    that sum, so R_jk is one join of the table with R for j <= k (j < k
+    counted twice), and R_i R_jk and R_jk R_i two more, coded by (sorted
+    triple, row, col) and summed in blocks of the smallest index p (p = i
+    when i <= j, else j), as fastnum.jacobi_violation sweeps.  Every
+    product is guarded; ValueError names the lex-first failing triple.
+    """
+    n = len(t)
+    if n ** 5 >= 1 << 63:
+        raise OverflowError("Jordan identity sweep keys would overflow int64")
+    b, x, a = np.nonzero(t)                         # R_x[a][b] = v
+    v = t[b, x, a]
+    up = b <= x                                     # e_j e_k = v e_a, j <= k
+    bt.guard_bound(2 * n, v, v)
+    jk, ab, jv = join(((b * n + x)[up], a[up], v[up] * (1 + (b < x)[up])),
+                      (x, a * n + b, v))
+    code, w = summed(jk * n * n + ab, jv)
+    (j, k), (ja, jb) = np.divmod(code // (n * n), n), np.divmod(code % (n * n), n)
+    bt.guard_bound(6 * n, v, w)
+    # products per entry: R_i R_jk joins R's column with R_jk's row, and
+    # R_jk R_i joins R_jk's column with R's row
+    cnt = [np.bincount(z, minlength=n) for z in (ja, jb, b, a)]
+    load = (np.bincount(x, cnt[0][b] + cnt[1][a], minlength=n)
+            + np.bincount(j, cnt[2][ja] + cnt[3][jb], minlength=n))
+    er, ej = np.arange(len(x)), np.arange(len(j))
+    for p0, p1 in blocks(load, SWEEP_BLOCK):
+        keys, vals = [], []
+        for rm, jm, own in (((x >= p0) & (x < p1), j >= p0, True),    # p = i <= j
+                            (x > p0, (j >= p0) & (j < p1), False)):   # p = j < i
+            r1, q1, v1 = join((er[rm], b[rm], v[rm]), (ja[jm], ej[jm], w[jm]))
+            q2, r2, v2 = join((ej[jm], jb[jm], w[jm]), (a[rm], er[rm], v[rm]))
+            r, q = np.concatenate([r1, r2]), np.concatenate([q1, q2])
+            i, jj, kk = x[r], j[q], k[q]
+            lo, hi = np.minimum(i, jj), np.maximum(i, kk)
+            code = ((lo * n + i + jj + kk - lo - hi) * n + hi) * n * n
+            keep = (i <= jj) == own
+            keys.append((code + np.concatenate([a[r1], ja[q2]]) * n
+                         + np.concatenate([jb[q1], b[r2]]))[keep])
+            vals.append(np.concatenate([v1, -v2])[keep])
+        bad = summed(np.concatenate(keys), np.concatenate(vals))[0]
+        if len(bad):
+            raise ValueError("Jordan identity fails on the basis triple %s" % (
+                tuple(int(z) for z in np.unravel_index(bad[0] // (n * n), (n,) * 3)),))
 
 
 def build_jordan_spin(m):
@@ -419,7 +456,7 @@ def _herm_table(c, n, signs, mats):
     """
     d = c.dim
     dim = len(mats)
-    t, s = _amb_int(c)
+    t, s = c._int
     h, sh = bt.int_rows([[x for row in m for cell in row for x in cell]
                          for m in mats])
     h = h.reshape(dim, n, n, d)
@@ -452,9 +489,7 @@ def _herm_table(c, n, signs, mats):
     bt.guard_bound(int(u[uidx]), up)
     co = np.concatenate([diag[..., uidx] * su,
                          (up * u[uidx]).reshape(dim, dim, -1)], axis=2)
-    den = scale * int(u[uidx])
-    frac = {v: Fraction(v, den) for v in np.unique(co).tolist()}
-    return [[[frac[v] for v in cell] for cell in row] for row in co.tolist()]
+    return co, scale * int(u[uidx])
 
 
 @lru_cache(maxsize=None)
@@ -529,18 +564,30 @@ def _spin_pair_map(j, x, y):
     return out
 
 
+SliceInts = namedtuple("SliceInts", "star tform dco dspan")
+
+
+def pair_map_tensor(ints):
+    """The pair derivations of a slice as one int64 tensor D[i, k, a, r],
+    D(x_i, x_k) x_r = sum_a D[i, k, a, r] x_a, from their coordinates over
+    the span (SliceInts), with its scale."""
+    (dco, sc), (dsp, sd) = ints.dco, ints.dspan
+    bt.guard_bound(len(dsp), dco, dsp)
+    return np.einsum('ikc,car->ikar', dco, dsp), sc * sd
+
+
 class TraceAdmissible:
-    """Trace-zero slice of a composition or Jordan algebra.
+    """Trace-zero slice of a composition or Jordan algebra, in a torus
+    eigenbasis vecs with its weights.  Its one source form is `ints`, int64
+    tensors _frozen with their scales: star[i, k, a] (coordinate a of
+    x_i * x_k = x_i x_k - t(x_i x_k) 1), tform[i, k] (the trace form
+    t(x_i x_k)), dco[i, k, c] (coordinate c of the pair derivation
+    D(x_i, x_k) over a weight-adapted basis of their span, antisymmetric)
+    and dspan[c, a, i] (entry (a, i) of span element c, of weight
+    dweights[c]).  The Fraction forms stab, tform, dt (D for i < k),
+    dcoords and dspan are derived from them once."""
 
-    Carries, all in the coordinates of a fixed torus eigenbasis of the
-    slice: the star product x * y = x y - t(x y) 1, the normalized trace
-    form t(x y), the restricted inner pair derivations with their
-    coordinates over a weight-adapted basis of their span, and the span
-    coordinates of the split torus itself.
-    """
-
-    def __init__(self, tag, amb, vecs, labels, weights, stab, tform, dt,
-                 dcoords, dspan, dweights, tor_coords):
+    def __init__(self, tag, amb, vecs, labels, weights, dweights, ints):
         self.tag = tag
         self.amb = amb
         self.vecs = vecs
@@ -548,15 +595,34 @@ class TraceAdmissible:
         self.labels = labels
         self.weights = weights
         self.rank = len(weights[0]) if weights else 0
-        self.stab = stab
-        self.tform = tform
-        self.dt = dt
-        self.dcoords = dcoords
-        self.dspan = dspan
         self.dweights = dweights
-        self.tor_coords = tor_coords
-        self._int = None      # the int64 tensors of tits._slice_ints
+        self.ints = ints
+        self.nspan = len(ints.dspan[0])
         self._span = None     # the span Lie algebra of tits._span_algebra
+
+    @cached_property
+    def stab(self):
+        return _fractions(*self.ints.star)
+
+    @cached_property
+    def tform(self):
+        return _fractions(*self.ints.tform)
+
+    @cached_property
+    def dspan(self):
+        return _fractions(*self.ints.dspan)
+
+    def _upper(self, arr, scale):
+        rows = _fractions(arr, scale)
+        return {(i, k): rows[i][k] for i in range(self.n0) for k in range(i + 1, self.n0)}
+
+    @cached_property
+    def dcoords(self):
+        return self._upper(*self.ints.dco)
+
+    @cached_property
+    def dt(self):
+        return self._upper(*pair_map_tensor(self.ints))
 
     def star(self, i, j):
         return self.stab[i][j]
@@ -575,51 +641,12 @@ class TraceAdmissible:
 def _x0_labels(tag, amblabels, vecs):
     out = []
     for idx, v in enumerate(vecs):
-        nz = [(i, c) for i, c in enumerate(v) if c != 0]
-        if len(nz) == 1 and nz[0][1] == 1:
-            out.append(amblabels[nz[0][0]])
-        elif len(nz) == 2 and nz[0][1] == 1 and nz[1][1] == -1:
-            out.append("%s-%s" % (amblabels[nz[0][0]], amblabels[nz[1][0]]))
-        elif len(nz) == 2 and nz[0][1] == -1 and nz[1][1] == 1:
-            out.append("%s-%s" % (amblabels[nz[1][0]], amblabels[nz[0][0]]))
+        nz = sorted(((c, i) for i, c in enumerate(v) if c), reverse=True)
+        if [c for c, _ in nz] in ([1], [1, -1]):
+            out.append("-".join(amblabels[i] for _, i in nz))
         else:
             out.append("%s0_%d" % (tag, idx))
     return out
-
-
-def _amb_int(amb):
-    """Dense structure constants as (int64 tensor, common denominator),
-    cleared once per algebra."""
-    if amb._int is None:
-        n = amb.dim
-        arr, s = bt.int_rows([cell for row in amb.tab for cell in row], n)
-        amb._int = arr.reshape(n, n, n), s
-    return amb._int
-
-
-def _flat(m):
-    return [v for row in m for v in row]
-
-
-def _mat_combo(mats, co):
-    out = la.zeros(len(mats[0]), len(mats[0][0]))
-    for c, m in zip(co, mats):
-        if c != 0:
-            out = la.mat_add(out, la.mat_scale(c, m))
-    return out
-
-
-def _vec_combo(vecs, co):
-    out = la.zero_vec(len(vecs[0]))
-    for c, v in zip(co, vecs):
-        if c != 0:
-            out = la.vec_add(out, la.vec_scale(c, v))
-    return out
-
-
-def _offdiag(m):
-    n = len(m)
-    return any(m[r][c] != 0 for r in range(n) for c in range(n) if r != c)
 
 
 def _pair_maps(amb, b, sb):
@@ -643,7 +670,7 @@ def _pair_maps(amb, b, sb):
         dt[:, :, 1:, 1:] = (np.einsum('jr,ic->ijrc', v, gv)
                             - np.einsum('ir,jc->ijrc', v, gv))
         return dt, sb * sb * sg
-    t, s = _amb_int(amb)
+    t, s = amb._int
     if isinstance(amb, CompAlg):
         bt.guard_bound(n, b, t)
         lm = np.einsum('ia,azk->ikz', b, t)     # L_{v_i}
@@ -672,13 +699,13 @@ def _pair_tables(amb, tl, vecs, b, sb, bc):
     One path for every ambient: with the slice basis cleared into int64
     rows b (scale sb), the star product and trace form come from the
     integer table and the pair maps from _pair_maps, and their
-    coordinates over the slice from int64 batches through bc.  Returns
-    stab, tform, dtfull (Fractions), the antisymmetric int64 tensor dv
-    with dv[i, j] = D(i, j) * cs for i < j, its scale cs, and the
-    ambient pair maps (dt, sdt).  One slot of each table is checked
-    against the direct Fraction implementation.
+    coordinates over the slice from int64 batches through bc.  Returns,
+    each with its scale, star[i, j, l] (coordinate l of v_i * v_j), the
+    trace form, the antisymmetric tensor dv with dv[i, j][l][k] the
+    coordinate l of D(i, j) v_k, and the ambient pair maps dt.  One slot
+    of each table is checked against the direct Fraction implementation.
     """
-    tint, s = _amb_int(amb)
+    tint, s = amb._int
     n = amb.dim
     n0 = len(vecs)
     bt.guard_bound(n * n, b, b, tint)
@@ -692,70 +719,56 @@ def _pair_tables(amb, tl, vecs, b, sb, bc):
     bt.guard_bound(2, tvals, ui)
     star = p2 * (st * su) - tvals[:, :, None] * ui[0][None, None, :]
     co, cs = bc.coords_int(star.reshape(n0 * n0, n), sp2 * st * su)
-    stab = [[[Fraction(int(co[i * n0 + j, l]), cs) for l in range(n0)]
-             for j in range(n0)] for i in range(n0)]
-    tform = [[Fraction(int(tvals[i, j]), sp2 * st) for j in range(n0)]
-             for i in range(n0)]
     dt, sdt = _pair_maps(amb, b, sb)
     bt.guard_bound(n, dt, b)
-    img = np.einsum('ijrc,kc->ijrk', dt, b)
-    co2, cs2 = bc.coords_int(
-        img.transpose(0, 1, 3, 2).reshape(n0 * n0 * n0, n), sdt * sb)
-    # dv[i, j][l][k]: coordinate l of D(i, j) v_k, kept for i < j
-    dv = co2.reshape(n0, n0, n0, n0).transpose(0, 1, 3, 2)
-    upper = np.triu(np.ones((n0, n0), dtype=bool), 1)
-    dv = np.where(upper[:, :, None, None], dv, 0)
-    dv = dv - dv.transpose(1, 0, 2, 3)
-    frac = {v: Fraction(v, cs2) for v in np.unique(dv).tolist()}
-    cols = dv.tolist()
-    dtfull = {(i, j): [[frac[v] for v in row] for row in cols[i][j]]
-              for i in range(n0) for j in range(i + 1, n0)}
+    iu, ju = np.triu_indices(n0, 1)
+    img = np.einsum('prc,kc->pkr', dt[iu, ju], b)
+    co2, cs2 = bc.coords_int(img.reshape(-1, n), sdt * sb)
+    # dv[i, j][l][k]: coordinate l of D(i, j) v_k, from the pairs i < j
+    dv = np.zeros((n0, n0, n0, n0), dtype=np.int64)
+    dv[iu, ju] = co2.reshape(-1, n0, n0).transpose(0, 2, 1)
+    dv[ju, iu] = -dv[iu, ju]
     if n0 >= 2:
-        if isinstance(amb, CompAlg):
-            direct = comp_derivation
-        elif amb.form is not None:
-            direct = _spin_pair_map
-        else:
-            direct = jordan_derivation
+        direct = (comp_derivation if isinstance(amb, CompAlg) else
+                  _spin_pair_map if amb.form is not None else jordan_derivation)
         d01 = [[Fraction(x, sdt) for x in row] for row in dt[0, 1].tolist()]
         if d01 != direct(amb, vecs[0], vecs[1]):
             raise ArithmeticError("integer batch disagrees with the direct pair map")
         p = amb.mul(vecs[0], vecs[1])
-        if tform[0][1] != la.dot(tl, p):
+        t01 = Fraction(int(tvals[0, 1]), sp2 * st)
+        if t01 != la.dot(tl, p):
             raise ArithmeticError("integer batch disagrees with the trace form")
-        rec = la.vec_scale(tform[0][1], amb.unit)
-        rec = la.vec_add(rec, _vec_combo(vecs, stab[0][1]))
+        rec = la.vec_add(la.vec_scale(t01, amb.unit), la.mat_vec(
+            la.transpose(vecs), [Fraction(x, cs) for x in co[1].tolist()]))
         if rec != p:
             raise ArithmeticError("integer batch disagrees with the star product")
-    return stab, tform, dtfull, dv, cs2, (dt, sdt)
+    return (co.reshape(n0, n0, n0), cs), (tvals, sp2 * st), dv, cs2, (dt, sdt)
 
 
-def _diagonal_coeffs(dspan0, n0):
-    rows = []
-    for rr in range(n0):
-        for cc in range(n0):
-            if rr != cc:
-                rows.append([m[rr][cc] for m in dspan0])
-    return la.kernel_basis(rows, len(dspan0))
+def _diagonal_coeffs(es):
+    """The combinations of the int64 maps es that are diagonal: the
+    la.kernel_basis of their distinct off-diagonal entry rows."""
+    n0 = es.shape[1]
+    rows = es[:, ~np.eye(n0, dtype=bool)].T
+    return la.kernel_basis(np.unique(rows, axis=0).tolist(), len(es))
 
 
-def _toral_search(dspan0):
-    """Hunt for a rationally diagonalizable element of the span.
-
-    Tries the basis elements and geometric-coefficient combinations; used
-    when no element of the span is diagonal on the natural basis, as for
-    the sign-twisted hermitian algebras over k.  Raises ArithmeticError
-    when the span has no split part to find.
+def _toral_search(es, cs):
+    """Hunt for a rationally diagonalizable element of the span of the
+    int64 maps es (scale cs): the basis elements and geometric-coefficient
+    combinations, in Python ints.  Used when no element of the span is
+    diagonal, as for the sign-twisted hermitian algebras over k; raises
+    ArithmeticError when the span has no split part to find.
     """
-    ns = len(dspan0)
-    cands = [la.basis_vec(ns, i) for i in range(ns)]
+    ns = len(es)
+    cands = [[int(i == j) for j in range(ns)] for i in range(ns)]
     for k in range(2, 30):
-        cands.append([Fraction(k) ** i for i in range(ns)])
-        cands.append([Fraction(-k) ** i for i in range(ns)])
+        cands.append([k ** i for i in range(ns)])
+        cands.append([(-k) ** i for i in range(ns)])
     for co in cands:
-        m = _mat_combo(dspan0, co)
+        m = np.tensordot(np.array(co, dtype=object), es.astype(object), 1)
         try:
-            split = bt.rational_eigensplit(m)
+            split = bt.rational_eigensplit(_fractions(m, cs))
         except ArithmeticError:
             continue
         if len(split) >= 2:
@@ -826,87 +839,78 @@ def _build_view(amb, tag, tl, vecs, labels, tor_amb, depth):
     n0 = len(vecs)
     bc = bt.BatchCoords(vecs)
     b, sb = bt.int_rows(vecs)
-    stab, tform, dtfull, dv, cs, (dt, sdt) = _pair_tables(amb, tl, vecs, b, sb, bc)
-    pairs = sorted(dtfull)
-    flats = dv.reshape(n0, n0, n0 * n0)
-    nzpairs = [p for p in pairs if flats[p].any()]
-    if nzpairs:
-        sel = bt.independent_rows([flats[p].tolist() for p in nzpairs])[0]
-        span_pairs = [nzpairs[i] for i in sel]
-    else:
-        span_pairs = []
-    ia, ib = np.array(span_pairs, dtype=np.int64).reshape(-1, 2).T
-    dspan0 = [dtfull[p] for p in span_pairs]
+    star, tform, dv, cs, (dt, sdt) = _pair_tables(amb, tl, vecs, b, sb, bc)
+    # the first independent pair maps D(i, j), i < j, span them all
+    iu, ju = np.triu_indices(n0, 1)
+    flats = dv.reshape(n0, n0, n0 * n0)[iu, ju]
+    nz = np.flatnonzero(flats.any(axis=1))
+    sel = nz[bt._exact(bt.select, flats[nz])[1]] if len(nz) else nz
+    ia, ib = iu[sel], ju[sel]
+    es = dv[ia, ib]
+    off = ~np.eye(n0, dtype=bool)
     if tor_amb is not None:
         tor, ts = tor_amb
         bt.guard_bound(amb.dim, tor, b)
         img = np.einsum('trc,kc->tkr', tor, b)
-        carr, ccs = bc.coords_int(img.reshape(-1, amb.dim), ts * sb)
-        tor_res = [[[Fraction(x, ccs) for x in row] for row in blk]
-                   for blk in carr.reshape(len(tor), n0, n0)
-                   .transpose(0, 2, 1).tolist()]
-        if any(_offdiag(t) for t in tor_res):
+        carr, tsc = bc.coords_int(img.reshape(-1, amb.dim), ts * sb)
+        tor = carr.reshape(len(tor), n0, n0).transpose(0, 2, 1)
+        if tor[:, off].any():
             raise ArithmeticError("torus stayed non-diagonal after a rebase")
     else:
-        coeffs = _diagonal_coeffs(dspan0, n0) if dspan0 else []
-        if not coeffs and dspan0:
-            coeffs = _toral_search(dspan0)
-        tor_res = [_mat_combo(dspan0, co) for co in coeffs]
-        if any(_offdiag(t) for t in tor_res):
+        coeffs = _diagonal_coeffs(es) if len(es) else []
+        if not coeffs and len(es):
+            coeffs = _toral_search(es, cs)
+        ci, sc = bt.int_rows(coeffs, len(es))
+        bt.guard_bound(len(es), ci, es)
+        tor, tsc = np.einsum('tk,kab->tab', ci, es), sc * cs
+        if tor[:, off].any():
             # move to a common eigenbasis of the discovered torus, then
             # rebuild every table in the new coordinates
-            tint, ts = bt.int_rows([_flat(t) for t in tor_res], n0 * n0)
-            vnew, _ = bt.simultaneous_eigenbasis(tint.reshape(-1, n0, n0), ts)
-            newvecs = [la.normalize_primitive(_vec_combo(vecs, co))
-                       for co in vnew.tolist()]
-            ci, sc = bt.int_rows(coeffs)
-            bt.guard_bound(len(span_pairs), ci, dt)
+            vnew, _ = bt.simultaneous_eigenbasis(*lowest_terms(tor, tsc))
+            bt.guard_bound(n0, vnew, b)
+            newvecs = [[Fraction(x) for x in row]
+                       for row in bt.primitive_rows(vnew @ b).tolist()]
+            bt.guard_bound(len(es), ci, dt)
             toramb = (np.einsum('tk,krc->trc', ci, dt[ia, ib]), sc * sdt)
             newlabels = ["%s0_%d" % (tag, i) for i in range(n0)]
-            return _build_view(amb, tag, tl, newvecs, newlabels, toramb,
-                               depth + 1)
-    weights = [tuple(t[i][i] for t in tor_res) for i in range(n0)]
-    if dspan0:
+            return _build_view(amb, tag, tl, newvecs, newlabels, toramb, depth + 1)
+    wts = tor[:, np.arange(n0), np.arange(n0)].T
+    pieces, mus = [], []
+    if len(es):
         # ad t scales the matrix unit E_ab by w_a - w_b when t is
         # diagonal, so the joint eigenspaces of the span are its
         # slices by the weight-difference class of the support; each
         # slice of a span element stays in the span
-        byclass = {}
-        for a in range(n0):
-            for b2 in range(n0):
-                mu = tuple(wa - wb for wa, wb in zip(weights[a], weights[b2]))
-                byclass.setdefault(mu, []).append((a, b2))
-        dspan, dweights = [], []
-        for mu in sorted(byclass):
-            pos = byclass[mu]
-            rows = [r for r in ([m[a][b2] for (a, b2) in pos] for m in dspan0)
-                    if any(r)]
-            if not rows:
-                continue
-            for i in bt.independent_rows(rows)[0]:
-                piece = la.zeros(n0, n0)
-                for (a, b2), v in zip(pos, rows[i]):
-                    piece[a][b2] = v
-                dspan.append(piece)
-                dweights.append(mu)
-        if len(dspan) != len(dspan0):
+        classes, cls = np.unique((wts[:, None] - wts[None]).reshape(n0 * n0, -1),
+                                 axis=0, return_inverse=True)
+        cls = cls.reshape(-1)
+        flat = es.reshape(len(es), -1)
+        for c, mu in enumerate(classes):
+            pos = np.flatnonzero(cls == c)
+            rows = flat[:, pos]
+            rows = rows[rows.any(axis=1)]
+            for k in (bt._exact(bt.select, rows)[1] if len(rows) else []):
+                pieces.append(np.zeros(n0 * n0, dtype=np.int64))
+                pieces[-1][pos] = rows[k]
+                mus.append(mu)
+        if len(pieces) != len(es):
             raise ArithmeticError("weight slices lost derivation rank")
-        fbc = bt.BatchCoords([_flat(m) for m in dspan])
-        pa, pb = np.array(pairs).T
-        carr, ccs = fbc.coords_int(flats[pa, pb], cs)
-        dcoords = {p: [Fraction(x, ccs) if x else F0 for x in row]
-                   for p, row in zip(pairs, carr.tolist())}
-        tor_coords = fbc.coords_rows([_flat(t) for t in tor_res])
-    else:
-        dspan = []
-        dweights = []
-        dcoords = {p: [] for p in pairs}
-        tor_coords = []
-    tint, _ = _amb_int(amb)
-    _leibniz_check(tint, dt[ia, ib])
-    _equivariance_check(dv[ia, ib], dv, n0)
-    return TraceAdmissible(tag, amb, vecs, labels, weights, stab, tform,
-                           dtfull, dcoords, dspan, dweights, tor_coords)
+    dsp = np.array(pieces, dtype=np.int64).reshape(-1, n0, n0)
+    dco, dd = np.zeros((n0, n0, len(pieces)), dtype=np.int64), 1
+    if pieces:
+        span = bt._exact(bt.Span, dsp.reshape(len(pieces), -1))
+        x, bad = span.solve(flats)
+        if bad.any():
+            raise bt.OutsideSpan(int(np.argmax(bad)))
+        dco[iu, ju], dco[ju, iu], dd = x, -x, span.d
+    _leibniz_check(amb._int[0], dt[ia, ib])
+    _equivariance_check(es, dv, n0)
+    weights = [tuple(w) for w in _fractions(wts, tsc)]
+    dweights = [tuple(w) for w in _fractions(
+        np.array(mus, dtype=np.int64).reshape(len(mus), wts.shape[1]), tsc)]
+    ints = SliceInts(_frozen(*star), _frozen(*tform), _frozen(dco, dd),
+                     _frozen(dsp, cs))
+    return TraceAdmissible(tag, amb, vecs, labels, weights, dweights, ints)
 
 
 @lru_cache(maxsize=None)
@@ -930,6 +934,7 @@ def trace_admissible_view(amb):
     tag = amb.kind
     vecs = la.kernel_basis([tl], amb.dim)
     if not vecs:
-        return TraceAdmissible(tag, amb, [], [], [], [], [], {}, {}, [], [], [])
+        empty = (_frozen(np.zeros((0,) * d, dtype=np.int64), 1) for d in (3, 2, 3, 3))
+        return TraceAdmissible(tag, amb, [], [], [], [], SliceInts(*empty))
     labels = _x0_labels(tag, amb.labels, vecs)
     return _build_view(amb, tag, tl, vecs, labels, None, 0)

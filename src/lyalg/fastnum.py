@@ -109,16 +109,18 @@ class _SweepTables:
         """Position ranges of the keys lo <= key < hi, as two arrays."""
         return self.off[lo], self.off[hi]
 
-    def blocks(self, budget: int):
-        """Consecutive ranges [p0, p1) of the smallest index, each with a
-        load of about `budget` products (at least one index each)."""
-        cum = np.cumsum(self.load)
-        p0 = 0
-        while p0 < self.n:
-            base = cum[p0 - 1] if p0 else 0
-            p1 = max(p0 + 1, int(np.searchsorted(cum, base + budget, side="right")))
-            yield p0, p1
-            p0 = p1
+
+def blocks(load, budget: int):
+    """Consecutive ranges [p0, p1) of the smallest index p, each with a
+    load (load[p] products for p) of about `budget` products, at least one
+    index each."""
+    cum = np.cumsum(load)
+    p0 = 0
+    while p0 < len(load):
+        base = cum[p0 - 1] if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(cum, base + budget, side="right")))
+        yield p0, p1
+        p0 = p1
 
 
 def summed(code, val):
@@ -135,7 +137,7 @@ def summed(code, val):
 def lowest_terms(val: np.ndarray, den: int):
     """The values val / den as (val', den') in lowest terms: the common
     factor of den and every value divided out."""
-    g = gcd(den, int(np.gcd.reduce(val)))
+    g = gcd(den, int(np.gcd.reduce(val, axis=None)))
     return val // g, den // g
 
 
@@ -234,7 +236,7 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
         return alg._cache["jacobi"]
     sw = _sweep_tables(alg)
     best = None
-    for p0, p1 in sw.blocks(SWEEP_BLOCK):
+    for p0, p1 in blocks(sw.load, SWEEP_BLOCK):
         codes = _jacobi_block(sw, p0, p1)
         if len(codes):
             best = _triple(codes[0], sw.n)
@@ -259,7 +261,7 @@ def jacobi_defects(alg: Algebra) -> np.ndarray:
     sw = _sweep_tables(alg)
     codes = np.concatenate([np.zeros(0, dtype=np.int64)]
                            + [_jacobi_block(sw, p0, p1)
-                              for p0, p1 in sw.blocks(SWEEP_BLOCK)])
+                              for p0, p1 in blocks(sw.load, SWEEP_BLOCK)])
     alg._cache["jacobi"] = _triple(codes[0], sw.n) if len(codes) else None
     return codes
 

@@ -52,7 +52,7 @@ from . import linalg as la
 from .algebra import Algebra
 from .buildtools import (IrrationalRoot, batch, guard_bound, int_rows, int_values,
                          pair_table, simultaneous_eigenbasis)
-from .fastnum import ClassifyError, join, require_lie, scaled, summed
+from .fastnum import PRIMES, ClassifyError, join, rank_mod, require_lie, scaled, summed
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
@@ -60,22 +60,31 @@ F0 = Fraction(0)
 
 def verify_weights(alg: Algebra) -> int:
     """Exact check that cartan is an abelian set acting diagonally with the
-    recorded eigenvalues.  Returns the torus rank.
-
-    With H the torus vectors as integer rows, ad(h_t) comes from the scaled
-    structure constants (fastnum.scaled) as one guarded int64 join, in
-    O(nnz) memory, and [h_s, h_t] as a second.  ad(h_t) minus the recorded
-    diagonal (buildtools.batch) names the first (t, j) that fails.
-    """
+    recorded eigenvalues (_torus_rank).  Returns the torus rank, memoised
+    in alg._cache for the torus data it was computed on."""
     if alg.cartan is None or alg.weights is None:
         raise ClassifyError("no torus data on %r" % alg.name)
+    key = (tuple(map(tuple, alg.cartan)), tuple(alg.weights))
+    hit = alg._cache.get("weights")
+    if hit is None or hit[0] != key:
+        hit = alg._cache["weights"] = key, _torus_rank(alg)
+    return hit[1]
+
+
+def _torus_rank(alg: Algebra) -> int:
+    """verify_weights' check.  With H the torus vectors as integer rows,
+    ad(h_t) comes from the scaled structure constants (fastnum.scaled) as
+    one guarded int64 join, in O(nnz) memory, and [h_s, h_t] as a second.
+    ad(h_t) minus the recorded diagonal (buildtools.batch) names the first
+    (t, j) that fails.  A mod-p rank r, never above the rank over Q,
+    certifies the torus vectors independent."""
     n, r = alg.dim, len(alg.cartan)
     if (len(alg.weights) != n or any(len(w) != r for w in alg.weights)
             or any(len(h) != n for h in alg.cartan)):
         raise ClassifyError("weight table shape mismatch")
-    if la.rank(alg.cartan) != r:
+    h, hs = int_rows(alg.cartan, n)
+    if rank_mod(h, PRIMES[0]) != r and la.rank(alg.cartan) != r:
         raise ClassifyError("torus vectors are dependent")
-    h, hs = int_rows(alg.cartan)
     ht, hi = np.nonzero(h)
     hv = h[ht, hi]
     st = scaled(alg)
@@ -380,14 +389,16 @@ def classify(alg: Algebra) -> str:
     if not roots:
         raise ClassifyError("no roots on %r" % alg.name)
     pair = _root_pairing(alg, roots)
-    parts = []
-    total = 0
-    for idx in _components(pair != 0):
-        rank = la.rank([roots[i] for i in idx])
-        total += rank
-        parts.append(_simple_label(rank, rank + len(idx),
-                                   [pair[i, i] for i in idx]))
-    if total != r:
+    comps, codes = _components(pair != 0), int_rows(roots)[0]
+    # the components' root spans are orthogonal under the pairing, which
+    # is definite, so their ranks over Q add up to at most r: mod-p ranks,
+    # never above those, that add up to r are exact
+    ranks = [rank_mod(codes[idx], PRIMES[0]) for idx in comps]
+    if sum(ranks) != r:
+        ranks = [la.rank(codes[idx].tolist()) for idx in comps]
+    parts = [_simple_label(k, k + len(idx), [pair[i, i] for i in idx])
+             for k, idx in zip(ranks, comps)]
+    if sum(ranks) != r:
         raise ClassifyError("root components have total rank %d, torus "
-                            "rank is %d" % (total, r))
+                            "rank is %d" % (sum(ranks), r))
     return "+".join(sorted(parts))

@@ -17,12 +17,12 @@ The bracket is built as one guarded int64 batch (_assemble), never as a
 Fraction dict: the span blocks are the span algebras' int64 tables,
 shifted, the derivation actions come from the nonzeros of the spans,
 and the grid block is the Kronecker batch of the slices' int64 star,
-trace and derivation-coordinate tensors (_grid_terms), cleared once per
-view (_slice_ints).  The result is an Algebra holding its int64 table
-(Algebra.table_int), which the sweeps, the Killing form, io and
-ly_inside_tits read directly; the grid's ternary product and the
-form-paired candidates come from the same Kronecker builder in
-buildtools that the matrix tensor families use.
+trace and derivation-coordinate tensors (_grid_terms), which each view
+holds as its source form (TraceAdmissible.ints).  The result is an
+Algebra holding its int64 table (Algebra.table_int), which the sweeps,
+the Killing form, io and ly_inside_tits read directly; the grid's
+ternary product and the form-paired candidates come from the same
+Kronecker builder in buildtools that the matrix tensor families use.
 The associative row has a variant on the full unital Jordan algebra
 (build_tkk_row, on the same batch with the unit slot added),
 isomorphic to the corresponding square cell through an explicit graded
@@ -37,7 +37,6 @@ the m-valued part leaves more than one direction or one scale does not
 describe the solutions at c = 1.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -48,7 +47,8 @@ from . import fastnum
 from . import linalg as la
 from .algebra import Algebra, LYAlgebra, table_to_dict
 from .checks import check_lie, transport_equal
-from .compjordan import build_composition, build_jordan, trace_admissible_view
+from .compjordan import (SliceInts, build_composition, build_jordan, pair_map_tensor,
+                         trace_admissible_view)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -56,9 +56,13 @@ F2 = Fraction(2)
 
 
 def _span_maps(view):
-    """The derivation span of a slice as sparse matrices {(row, col): v}."""
-    return [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
-            for m in view.dspan]
+    """The derivation span of a slice as sparse matrices {(row, col): v},
+    from its int64 tensor."""
+    dsp, sd = view.ints.dspan
+    maps = [{} for _ in dsp]
+    for c, a, b in zip(*np.nonzero(dsp)):
+        maps[c][(int(a), int(b))] = Fraction(int(dsp[c, a, b]), sd)
+    return maps
 
 
 def _span_algebra(view):
@@ -74,32 +78,6 @@ def _span_algebra(view):
     return view._span
 
 
-_SliceInts = namedtuple("_SliceInts", "star tform dco dspan")
-
-
-def _slice_ints(view):
-    """A slice's tables as int64 tensors, each with its scale: star[i, k, a]
-    (coordinate a of the star product x_i * x_k), tform[i, k], dco[i, k, c]
-    (coordinate c of the pair derivation D(x_i, x_k) over the span, and
-    dco[k, i] = -dco[i, k]) and dspan[c, a, i] (entry (a, i) of span
-    element c).  Cleared once per view, kept on it read-only."""
-    if view._int is None:
-        n, nd = view.n0, len(view.dspan)
-        star, ss = bt.int_rows([cell for row in view.stab for cell in row], n)
-        tform, st = bt.int_rows(view.tform, n)
-        pairs = sorted(view.dcoords)
-        co, sc = bt.int_rows([view.dcoords[p] for p in pairs], nd)
-        dco = np.zeros((n, n, nd), dtype=np.int64)
-        i, k = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        dco[i, k], dco[k, i] = co, -co
-        dsp, sd = bt.int_rows([[v for row in m for v in row] for m in view.dspan], n * n)
-        tensors = star.reshape(n, n, n), tform, dco, dsp.reshape(nd, n, n)
-        for a in tensors:
-            a.setflags(write=False)
-        view._int = _SliceInts(*zip(tensors, (ss, st, sc, sd)))
-    return view._int
-
-
 def _grid_terms(xs, ys, left, grid, right):
     """The grid-grid block of the bracket of two slices, term by term,
 
@@ -108,7 +86,7 @@ def _grid_terms(xs, ys, left, grid, right):
 
     with D_c at target left + c, x_a (x) y_b at grid + a ny + b and d_c at
     right + c.  Returns one (p, q, target, val, scale) batch per term, over
-    the grid-local pairs p < q, from the int64 tensors of _slice_ints."""
+    the grid-local pairs p < q, from the slices' int64 tensors (SliceInts)."""
     out = []
     for (xa, sx), (ya, sy), base in ((xs.dco, ys.tform, left),
                                      (xs.star, ys.star, grid),
@@ -162,8 +140,8 @@ class TitsAlgebra:
         self.alg = alg
         self.x = x
         self.y = y
-        self.nD = len(x.dspan)
-        self.nd = len(y.dspan)
+        self.nD = x.nspan
+        self.nd = y.nspan
         self.ngrid = x.n0 * y.n0
         self.h_index = (list(range(self.nD))
                         + list(range(self.nD + self.ngrid, alg.dim)))
@@ -182,9 +160,9 @@ def build_tits(x, y, name=""):
     attached weights come from the ingredient torus data, so the result
     feeds saturate_torus and classify directly.
     """
-    nDx, ndy = len(x.dspan), len(y.dspan)
+    nDx, ndy = x.nspan, y.nspan
     nx, ny = x.n0, y.n0
-    dim, table = _assemble(_slice_ints(x), _slice_ints(y),
+    dim, table = _assemble(x.ints, y.ints,
                            _span_algebra(x), _span_algebra(y))
     zx = (F0,) * x.rank
     zy = (F0,) * y.rank
@@ -271,15 +249,6 @@ def check_tits_conditions(x, y):
 # the reductive pair on the grid
 
 
-def _pair_maps(s):
-    """The pair derivations of a slice as one int64 tensor D[i, k, a, r],
-    D(x_i, x_k) x_r = sum_a D[i, k, a, r] x_a, from their coordinates
-    over the span, with its scale."""
-    (dco, sc), (dsp, sd) = s.dco, s.dspan
-    bt.guard_bound(dco.shape[2], dco, dsp)
-    return np.einsum('ikc,car->ikar', dco, dsp), sc * sd
-
-
 def ly_inside_tits(t):
     """Binary and ternary products induced on the grid block.
 
@@ -316,8 +285,9 @@ def ly_inside_tits(t):
     on = (p >= lo) & (q < lo + m) & (tgt >= lo) & (tgt < lo + m)
     binary = table_to_dict(((p[on] - lo) * m + q[on] - lo, tgt[on] - lo, val[on], s), m, 2)
     labels = ["x%d*y%d" % (i, j) for i in range(nx) for j in range(ny)]
-    xs, ys = _slice_ints(x), _slice_ints(y)
-    ternary = bt.kronecker_ternary(_pair_maps(xs), xs.tform, _pair_maps(ys), ys.tform)
+    xs, ys = x.ints, y.ints
+    ternary = bt.kronecker_ternary(pair_map_tensor(xs), xs.tform,
+                                   pair_map_tensor(ys), ys.tform)
     ly = LYAlgebra(t.ngrid, binary, ternary, labels=labels,
                    name="ly-inside-%s" % t.alg.name)
     ly.weights = [x.weights[i] + y.weights[j]
@@ -343,9 +313,9 @@ def _unital(ys):
     prod[1:, 1:, 0] = ty * (den // st)
     e = np.arange(n)
     prod[0, e, e] = prod[e, 0, e] = den
-    return _SliceInts((prod, den), (np.zeros((n, n), dtype=np.int64), 1),
-                     (np.pad(dco, ((1, 0), (1, 0), (0, 0))), sc),
-                     (np.pad(dsp, ((0, 0), (1, 0), (1, 0))), sd))
+    return SliceInts((prod, den), (np.zeros((n, n), dtype=np.int64), 1),
+                    (np.pad(dco, ((1, 0), (1, 0), (0, 0))), sc),
+                    (np.pad(dsp, ((0, 0), (1, 0), (1, 0))), sd))
 
 
 def build_tkk_row(j, name=""):
@@ -358,14 +328,14 @@ def build_tkk_row(j, name=""):
     """
     x = trace_admissible_view(build_composition("Q"))
     y = trace_admissible_view(j)
-    nx, nyf, ndy = x.n0, y.n0 + 1, len(y.dspan)
-    (sx, ssx), (tx, stx), (dco, _), (dsp, _) = _slice_ints(x)
+    nx, nyf, ndy = x.n0, y.n0 + 1, y.nspan
+    (sx, ssx), (tx, stx), (dco, _), (dsp, _) = x.ints
     bt.guard_bound(4, sx)
     bt.guard_bound(4, tx)
     # the matrix leg brackets by the commutator 2 a * b and pairs the
     # right span by 4 t(a b); it has no span block of its own
-    xs = _SliceInts((2 * sx, ssx), (4 * tx, stx), (dco[:, :, :0], 1), (dsp[:0], 1))
-    dim, table = _assemble(xs, _unital(_slice_ints(y)), Algebra(0, {}),
+    xs = SliceInts((2 * sx, ssx), (4 * tx, stx), (dco[:, :, :0], 1), (dsp[:0], 1))
+    dim, table = _assemble(xs, _unital(y.ints), Algebra(0, {}),
                            _span_algebra(y))
     wy = [(F0,) * y.rank] + y.weights          # the unit has weight 0
     weights = ([wx + w for wx in x.weights for w in wy]
@@ -477,7 +447,7 @@ def tits_module_data(x, y):
     h = bt.direct_sum(_span_algebra(x), _span_algebra(y), name="D+d")
     D = h.dim + x.n0 * y.n0
     cd, cm, cdd = (table_to_dict(bt.pair_table(D, [term]), D, 2) for term in
-                   _grid_terms(_slice_ints(x), _slice_ints(y), 0, h.dim, len(x.dspan)))
+                   _grid_terms(x.ints, y.ints, 0, h.dim, x.nspan))
     mod = tensor_action(h, _span_maps(x), _span_maps(y), x.n0, y.n0)
     return h, mod, [cd, cdd, cm]
 

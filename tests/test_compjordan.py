@@ -7,6 +7,7 @@ for the hermitian 3x3 Jordan algebras, and a handful of individual
 products worked out on paper.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,6 @@ from lyalg import linalg as la
 from lyalg.compjordan import (
     JordanAlg,
     _equivariance_check,
-    _flat,
     _verify_jordan,
     build_composition,
     build_jordan,
@@ -305,8 +305,42 @@ def test_h3k_untwisted_has_no_split_torus():
 
 
 def test_octonion_hermitian_size_four_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Jordan identity fails on the basis triple"):
         build_jordan_hermitian("O", 4)
+
+
+def perturbed_jordan(spec, triple):
+    """The algebra spec with delta added to its product, where t(delta(e_a,
+    e_b) e_c) is 1 on the permutations of triple (unit-free indices) and 0
+    elsewhere.  delta is commutative, kills the unit and keeps the trace
+    form associative, so of the verifier's checks only the Jordan identity
+    can fail."""
+    j = build_jordan(spec)
+    tab = [[list(cell) for cell in row] for row in j.tab]
+    tinv = la.inv([[j.gentrace(cell) for cell in row] for row in tab])
+    for a, b, c in set(itertools.permutations(triple)):
+        tab[a][b] = la.vec_add(tab[a][b], [row[c] for row in tinv])
+    return JordanAlg("broken", tab, j.degree, list(j.tracev), list(j.unit),
+                     list(j.labels))
+
+
+def first_failing_triple_reference(j):
+    """The lex-first sorted triple on which the cyclic sum of [R_x, R_yz]
+    is nonzero, in Fractions."""
+    n = j.dim
+    e = [la.basis_vec(n, i) for i in range(n)]
+
+    def br(a, b):
+        return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
+
+    def cyc(x, y, z):
+        return br(j.right_mult(e[x]), j.right_mult(j.mul(e[y], e[z])))
+
+    for i, k, l in itertools.combinations_with_replacement(range(n), 3):
+        s = la.mat_add(la.mat_add(cyc(i, k, l), cyc(k, l, i)), cyc(l, i, k))
+        if any(any(row) for row in s):
+            return (i, k, l)
+    return None
 
 
 def test_jordan_identity_negative_control():
@@ -316,8 +350,46 @@ def test_jordan_identity_negative_control():
     tab[2][1] = tab[1][2]
     bad = JordanAlg("broken", tab, j.degree, list(j.tracev), list(j.unit),
                     list(j.labels))
-    with pytest.raises(ValueError):
+    # E2 E3 gains E1, so the unit already fails
+    with pytest.raises(ValueError, match="unit law fails"):
         _verify_jordan(bad)
+    bad = perturbed_jordan("H3(K)", (3, 5, 7))
+    with pytest.raises(ValueError, match=r"on the basis triple \(0, 3, 7\)$"):
+        _verify_jordan(bad)
+    assert first_failing_triple_reference(bad) == (0, 3, 7)
+
+
+@pytest.mark.parametrize("spec, triple, witness", [
+    ("H3(K)", (3, 7, 8), (0, 0, 7)),     # the witness repeats an index
+    ("H2(Q)", (3, 3, 4), (0, 3, 3)),
+    ("H3(K)", (4, 6, 8), (0, 4, 8)),     # three distinct indices
+    ("H3(k)", (3, 4, 5), (0, 3, 5)),
+])
+def test_jordan_identity_names_the_first_failing_sorted_triple(spec, triple, witness):
+    bad = perturbed_jordan(spec, triple)
+    with pytest.raises(ValueError) as err:
+        _verify_jordan(bad)
+    assert str(err.value) == "Jordan identity fails on the basis triple %s" % (witness,)
+    assert first_failing_triple_reference(bad) == witness
+
+
+def test_jordan_identity_refuses_entries_too_large_for_int64():
+    # JV(3) with its form scaled by 2^k is a spin factor, so a Jordan
+    # algebra; at 2^29 a product of the sweep could leave int64
+    j = build_jordan("JV(3)")
+
+    def scaled(k):
+        tab = [[[x * 2 ** k if a and b and not c else x for c, x in enumerate(cell)]
+                for b, cell in enumerate(row)] for a, row in enumerate(j.tab)]
+        return JordanAlg("JV(3)'", tab, 2, list(j.tracev), list(j.unit), list(j.labels))
+
+    _verify_jordan(scaled(28))
+    with pytest.raises(OverflowError, match="overflow int64"):
+        _verify_jordan(scaled(29))
+
+
+def _flat(m):
+    return [v for row in m for v in row]
 
 
 def int_tables(v, dt):

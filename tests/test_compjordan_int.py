@@ -6,10 +6,13 @@ hermitian product table built from Fraction matrix products, and the two
 pair-table paths (the Fraction one for small ambients, the int64 one for
 the 27-dimensional ones) with the view builder that chose between them.
 The integer code must give the same tables, the same view attributes and
-the same rejection messages.
+the same rejection messages.  The views now hold only int64 tensors, so
+the reference view is a namespace of the Fraction attributes the views
+derive.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,7 +160,7 @@ def pair_tables_small_reference(amb, tl, vecs, bc, dpair):
 
 
 def pair_tables_big_reference(amb, tl, vecs, bc):
-    tint, s = cj._amb_int(amb)
+    tint, s = amb._int
     n = amb.dim
     n0 = len(vecs)
     b, sb = bt.int_rows(vecs)
@@ -193,6 +196,56 @@ def pair_tables_big_reference(amb, tl, vecs, bc):
     return stab, tform, dtfull, damb
 
 
+def _flat(m):
+    return [v for row in m for v in row]
+
+
+def _offdiag(m):
+    n = len(m)
+    return any(m[r][c] != 0 for r in range(n) for c in range(n) if r != c)
+
+
+def _mat_combo(mats, co):
+    out = la.zeros(len(mats[0]), len(mats[0][0]))
+    for c, m in zip(co, mats):
+        if c != 0:
+            out = la.mat_add(out, la.mat_scale(c, m))
+    return out
+
+
+def _vec_combo(vecs, co):
+    out = la.zero_vec(len(vecs[0]))
+    for c, v in zip(co, vecs):
+        if c != 0:
+            out = la.vec_add(out, la.vec_scale(c, v))
+    return out
+
+
+def _toral_search(dspan0):
+    ns = len(dspan0)
+    cands = [la.basis_vec(ns, i) for i in range(ns)]
+    for k in range(2, 30):
+        cands.append([Fraction(k) ** i for i in range(ns)])
+        cands.append([Fraction(-k) ** i for i in range(ns)])
+    for co in cands:
+        try:
+            split = bt.rational_eigensplit(_mat_combo(dspan0, co))
+        except ArithmeticError:
+            continue
+        if len(split) >= 2:
+            return [co]
+    raise ArithmeticError("no split torus found in the derivation span")
+
+
+def _diagonal_coeffs(dspan0, n0):
+    rows = []
+    for rr in range(n0):
+        for cc in range(n0):
+            if rr != cc:
+                rows.append([m[rr][cc] for m in dspan0])
+    return la.kernel_basis(rows, len(dspan0))
+
+
 def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
     assert depth <= 2
     n0 = len(vecs)
@@ -204,7 +257,7 @@ def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
         stab, tform, dtfull, damb = pair_tables_small_reference(
             amb, tl, vecs, bc, dpair)
     pairs = sorted(dtfull)
-    flats = {p: cj._flat(dtfull[p]) for p in pairs}
+    flats = {p: _flat(dtfull[p]) for p in pairs}
     nzpairs = [p for p in pairs if any(flats[p])]
     span_pairs = []
     if nzpairs:
@@ -216,23 +269,23 @@ def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
         for t in tor_amb:
             colco = bc.coords_rows([la.mat_vec(t, v) for v in vecs])
             tor_res.append(la.transpose(colco))
-        assert not any(cj._offdiag(t) for t in tor_res)
+        assert not any(_offdiag(t) for t in tor_res)
     else:
-        coeffs = cj._diagonal_coeffs(dspan0, n0) if dspan0 else []
+        coeffs = _diagonal_coeffs(dspan0, n0) if dspan0 else []
         if not coeffs and dspan0:
-            coeffs = cj._toral_search(dspan0)
-        tor_res = [cj._mat_combo(dspan0, co) for co in coeffs]
-        if any(cj._offdiag(t) for t in tor_res):
+            coeffs = _toral_search(dspan0)
+        tor_res = [_mat_combo(dspan0, co) for co in coeffs]
+        if any(_offdiag(t) for t in tor_res):
             vnew, _ = eigenbasis_reference(tor_res)
-            newvecs = [la.normalize_primitive(cj._vec_combo(vecs, co))
+            newvecs = [la.normalize_primitive(_vec_combo(vecs, co))
                        for co in vnew]
-            toramb = [cj._mat_combo([damb(p) for p in span_pairs], co)
+            toramb = [_mat_combo([damb(p) for p in span_pairs], co)
                       for co in coeffs]
             newlabels = ["%s0_%d" % (tag, i) for i in range(n0)]
             return build_view_reference(amb, tag, tl, newvecs, newlabels,
                                         dpair, toramb, depth + 1)
     weights = [tuple(t[i][i] for t in tor_res) for i in range(n0)]
-    dspan, dweights, tor_coords = [], [], []
+    dspan, dweights = [], []
     dcoords = {p: [] for p in pairs}
     if dspan0:
         byclass = {}
@@ -252,12 +305,13 @@ def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
                     piece[a][b] = v
                 dspan.append(piece)
                 dweights.append(mu)
-        fbc = bt.BatchCoords([cj._flat(m) for m in dspan])
+        fbc = bt.BatchCoords([_flat(m) for m in dspan])
         allco = fbc.coords_rows([flats[p] for p in pairs])
         dcoords = {p: allco[idx] for idx, p in enumerate(pairs)}
-        tor_coords = fbc.coords_rows([cj._flat(t) for t in tor_res])
-    return cj.TraceAdmissible(tag, amb, vecs, labels, weights, stab, tform,
-                              dtfull, dcoords, dspan, dweights, tor_coords)
+    return SimpleNamespace(tag=tag, vecs=vecs, n0=n0, labels=labels, weights=weights,
+                           rank=len(weights[0]) if weights else 0, stab=stab,
+                           tform=tform, dt=dtfull, dcoords=dcoords, dspan=dspan,
+                           dweights=dweights)
 
 
 def view_reference(amb):
@@ -278,8 +332,9 @@ def view_reference(amb):
             return cj.jordan_derivation(amb, x, y)
     vecs = la.kernel_basis([tl], amb.dim)
     if not vecs:
-        return cj.TraceAdmissible(amb.kind, amb, [], [], [], [], [], {}, {},
-                                  [], [], [])
+        return SimpleNamespace(tag=amb.kind, vecs=[], n0=0, labels=[], weights=[], rank=0,
+                               stab=[], tform=[], dt={}, dcoords={}, dspan=[],
+                               dweights=[])
     labels = cj._x0_labels(amb.kind, amb.labels, vecs)
     return build_view_reference(amb, amb.kind, tl, vecs, labels, dpair, None, 0)
 
@@ -287,7 +342,7 @@ def view_reference(amb):
 # ---------------------------------------------------------------- tests
 
 VIEW_ATTRS = ("tag", "vecs", "n0", "labels", "weights", "rank", "stab",
-              "tform", "dt", "dcoords", "dspan", "dweights", "tor_coords")
+              "tform", "dt", "dcoords", "dspan", "dweights")
 
 AMBIENTS = [("comp", "k"), ("comp", "K"), ("comp", "Q"), ("comp", "O"),
             ("jordan", "H2(Q)"), ("jordan", "H2(O)"), ("jordan", "H3(k)"),
@@ -355,7 +410,6 @@ RESCALINGS = [("K", (Fraction(1, 2), 3)),
 @pytest.mark.parametrize("kind,d", RESCALINGS)
 def test_rescaled_compositions_match_reference(kind, d):
     c = rescaled(kind, d)
-    assert c._int is None
     verify_composition_reference(c)
     cj._verify_composition(c)
     assert c._int[1] > 1
@@ -379,9 +433,10 @@ def test_hermitian_table_over_a_rescaled_composition(kind, d):
     cj._verify_composition(c)
     mats, labels = cj._herm_basis(c, 3, (1, 1, 1))
     tab = cj._herm_table(c, 3, (1, 1, 1), mats)
-    assert tab == hermitian_table_reference(c, 3, (1, 1, 1), mats)
-    j = cj.JordanAlg("H3(%s')" % kind, tab, 3, [F1] * 3 + [F0] * (len(tab) - 3),
-                     [F1] * 3 + [F0] * (len(tab) - 3), labels)
+    n = len(tab[0])
+    j = cj.JordanAlg("H3(%s')" % kind, tab, 3, [F1] * 3 + [F0] * (n - 3),
+                     [F1] * 3 + [F0] * (n - 3), labels)
+    assert j.tab == hermitian_table_reference(c, 3, (1, 1, 1), mats)
     cj._verify_jordan(j)
     v = cj.trace_admissible_view(j)
     ref = view_reference(j)
@@ -400,10 +455,10 @@ def test_every_view_certifies_the_leibniz_rule(monkeypatch):
     assert len(seen) == 3
 
 
-def _flipped_octonions(entry):
+def _flipped_octonions(*entries):
     tab, gram, unit, labels = cj._table_O()
-    i, j, k = entry
-    tab[i][j][k] = -tab[i][j][k]
+    for i, j, k in entries:
+        tab[i][j][k] = -tab[i][j][k]
     return cj.CompAlg("O", tab, gram, unit, labels)
 
 
@@ -431,9 +486,7 @@ def test_flipped_octonion_cross_pair_rejected_with_reference_message(entry):
     i, j, k = entry
 
     def broken():
-        c = _flipped_octonions(entry)
-        c.tab[j][i][k] = -c.tab[j][i][k]
-        return c
+        return _flipped_octonions(entry, (j, i, k))
 
     with pytest.raises(ValueError) as ref:
         verify_composition_reference(broken())
@@ -514,7 +567,7 @@ def test_leibniz_check_reads_the_ambient_tensor():
     # of its first spanning map (the first nonzero pair map) perturbed
     for kind, spec in [("comp", "O"), ("jordan", "H3(K)"), ("jordan", "JV(3)")]:
         amb = ambient(kind, spec)
-        t, _ = cj._amb_int(amb)
+        t, _ = amb._int
         b, sb = bt.int_rows(cj.trace_admissible_view(amb).vecs)
         dt, _ = cj._pair_maps(amb, b, sb)
         n0 = len(b)

@@ -137,14 +137,14 @@ def test_tiny_budget_matches_a_single_block(sweep):
     rng = random.Random(3)
     for h in [g] + [perturbed(g, rng) for _ in range(6)]:
         st = fastnum._SweepTables(scaled(h))
-        blocks = list(st.blocks(1))
+        blocks = list(fastnum.blocks(st.load, 1))
         assert [p0 for p0, _ in blocks] == [0] + [p1 for _, p1 in blocks[:-1]]
         assert blocks[-1][1] == h.dim
         # one index a block, unless the extra indices start no product
         assert all(p1 == p0 + 1 or st.load[p0:p1].sum() <= 1
                    for p0, p1 in blocks)
         assert len(blocks) > h.dim // 2
-        assert list(st.blocks(1 << 40)) == [(0, h.dim)]
+        assert list(fastnum.blocks(st.load, 1 << 40)) == [(0, h.dim)]
         assert sweep(h, 1) == sweep(h, 1 << 40) == jacobi_violation_reference(h)
 
 

@@ -13,7 +13,8 @@ from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.buildtools import direct_sum, kronecker_ternary
 from lyalg.checks import check_ly
 from lyalg.cli import main
-from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
+from lyalg.compjordan import (build_composition, build_jordan, pair_map_tensor,
+                              trace_admissible_view)
 from lyalg.envelope import build_enveloping
 from lyalg.fastnum import jacobi_violation
 from lyalg.invariants import _grading_blocks
@@ -21,7 +22,7 @@ from lyalg.matrixalg import (build_matrix_lie, lts_orthosymplectic_sum, ly_sl_te
                              split_sym_form)
 from lyalg.roots import (ClassifyError, classify, check_grading,
                          saturate_torus, verify_weights, verify_split_maximal)
-from lyalg.tits import _pair_maps, _slice_ints, build_tits
+from lyalg.tits import build_tits
 from test_matrix_families import SATURATED_FAMILY_SHA256
 from test_tits import SATURATED_SQUARE_SHA256, grid_pair_entries, saturated_sha256
 
@@ -229,6 +230,42 @@ def test_verify_weights_refuses_torus_vectors_of_the_wrong_length(extend):
         verify_weights(g)
 
 
+def test_classify_of_a_saturated_algebra_verifies_its_torus_once(monkeypatch):
+    g = direct_sum(build_matrix_lie("sl", 3), build_matrix_lie("so", 5))
+    calls = []
+    real = roots._torus_rank
+    monkeypatch.setattr(roots, "_torus_rank", lambda alg: calls.append(alg) or real(alg))
+    s = saturate_torus(g)
+    assert s is g and classify(s) == "A2+C2"
+    assert calls == [g]
+    # other torus data is verified afresh
+    g.weights = [g.weights[0]] * g.dim
+    with pytest.raises(ClassifyError, match="not an eigenvector"):
+        verify_weights(g)
+    assert calls == [g, g]
+
+
+def test_classify_certifies_its_ranks_mod_p(monkeypatch):
+    cells = [tits_cell("K", "K"), tits_cell("Q", "k"),
+             direct_sum(build_matrix_lie("sl", 3), build_matrix_lie("so", 5))]
+    saturated = [saturate_torus(g) for g in cells]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction rank ran where a rank mod p decides")
+
+    monkeypatch.setattr(la, "rank", refuse)
+    labels = [classify(s) for s in saturated]
+    assert labels == ["A2+A2", "C3", "A2+C2"]
+    # a prime that loses rank sends every rank to la.rank, with the same answers
+    monkeypatch.undo()
+    monkeypatch.setattr(roots, "rank_mod", lambda a, p: 0)
+    for s in saturated:
+        s._cache.pop("weights", None)
+    assert [classify(s) for s in saturated] == labels
+    with pytest.raises(ClassifyError, match="torus vectors are dependent"):
+        verify_weights(dependent("sl", 3))
+
+
 def tits_cell(cx, cy):
     return build_tits(trace_admissible_view(build_composition(cx)),
                       trace_admissible_view(build_jordan("H3(%s)" % cy))).alg
@@ -401,8 +438,8 @@ def q_jv3_ly():
         ent = sorted((a * ny + b, v) for (a, b), v in grid_ent)
         if ent:
             binary[(i * ny + j, k * ny + l)] = ent
-    xs, ys = _slice_ints(x), _slice_ints(y)
-    ternary = kronecker_ternary(_pair_maps(xs), xs.tform, _pair_maps(ys), ys.tform)
+    xs, ys = x.ints, y.ints
+    ternary = kronecker_ternary(pair_map_tensor(xs), xs.tform, pair_map_tensor(ys), ys.tform)
     ly = LYAlgebra(x.n0 * ny, binary, ternary,
                    labels=["x%d*y%d" % (i, j)
                            for i in range(x.n0) for j in range(ny)],

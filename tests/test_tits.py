@@ -24,7 +24,8 @@ from lyalg import linalg as la
 from lyalg.algebra import Algebra, LYAlgebra
 from lyalg.buildtools import OutsideSpan, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
-from lyalg.compjordan import build_composition, build_jordan, trace_admissible_view
+from lyalg.compjordan import (TraceAdmissible, build_composition, build_jordan,
+                              trace_admissible_view)
 from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
                             ly_from_reductive_indices, pair_classes)
 from lyalg.fastnum import PRIMES20, jacobi_violation, killing_int, rref_mod
@@ -32,7 +33,7 @@ from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sl_tensor_sl,
                              ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
-from lyalg.tits import (ModuleAction, TitsAlgebra, _conditions, _slice_ints,
+from lyalg.tits import (ModuleAction, TitsAlgebra, _conditions,
                         _span_algebra, assemble_bracket,
                         bracket_transport_equal, build_tits,
                         build_tkk_row, check_tits_conditions,
@@ -211,8 +212,8 @@ def test_every_square_cell_keeps_its_pinned_bytes():
 
 def test_slice_tensors_are_cleared_once_per_view_and_read_only():
     x = cview("Q")
-    ints = _slice_ints(x)
-    assert _slice_ints(x) is ints
+    ints = x.ints
+    assert cview("Q").ints is ints
     for arr, scale in ints:
         assert not arr.flags.writeable and scale > 0
         with pytest.raises(ValueError):
@@ -279,6 +280,34 @@ def test_square_path_never_builds_the_fraction_dict(monkeypatch):
     # neither span algebra holds the dict: each is built as its int64 table
     assert [s.dim for s in spans[:2]] == [14, 21]
     assert not any("table" in vars(s) for s in spans)
+
+
+class RefuseDerivedView:
+    """Stands in for a view's Fraction tables (stab, tform, dt, dcoords,
+    dspan): deriving one from the int64 tensors raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        raise AssertionError("derived the Fraction %s of %s" % (self.name, obj.tag))
+
+
+def test_square_and_ly182_never_derive_a_views_fraction_tables(monkeypatch):
+    for name in ("stab", "tform", "dt", "dcoords", "dspan"):
+        monkeypatch.setattr(TraceAdmissible, name, RefuseDerivedView(name))
+    # fresh views, so that none holds a table another test derived
+    build = trace_admissible_view.__wrapped__
+    xs = {c: build(build_composition(c)) for c in "kKQO"}
+    ys = {c: build(build_jordan("H3(%s)" % c)) for c in "kKQO"}
+    for (cx, cy), digest in known_square_sha256().items():
+        assert sha256(build_tits(xs[cx], ys[cy]).alg) == digest
+    ly = ly_inside_tits(build_tits(xs["O"], ys["O"]))
+    assert (ly.dim, sha256(ly)) == (182, load_known().ANSWERS["e8-ly.ly182"]["sha256"])
+    with pytest.raises(AssertionError, match="Fraction dspan"):
+        xs["O"].dspan
 
 
 @pytest.mark.parametrize("spec, digest", [
@@ -402,8 +431,8 @@ def test_conditions_name_the_block_of_the_defect(target, cond):
     # the right ones; J(1, 2, 3) = [e1, e3] + [[e3, e1], e2] = e_target
     # is the one defect
     alg = Algebra(5, {(1, 2): [(1, F(1))], (1, 3): [(target, F(1))]})
-    t = TitsAlgebra(alg, SimpleNamespace(dspan=[None], n0=1),
-                    SimpleNamespace(dspan=[None], n0=3))
+    t = TitsAlgebra(alg, SimpleNamespace(nspan=1, n0=1),
+                    SimpleNamespace(nspan=1, n0=3))
     co = _conditions(t)
     assert co.ok == {c: c != cond for c in ("i", "ii", "iii")}
     assert co.witnesses[cond] == {"x": (0, 0, 0), "y": (0, 1, 2)}
