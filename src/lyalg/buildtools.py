@@ -34,14 +34,21 @@ algebra and of g(T) (envelope.class_bases).  Its guarantees:
 int_commutators forms every pairwise commutator of a list of integer
 sparse matrices from one guarded int64 join (fastnum.join); the class
 bases of the enveloping algebra and of g(T) (envelope.class_bases) and
-operator_algebra_from_basis take their commutators from it.  The
-Kronecker builder (kron, batch, pair_table, kronecker_ternary) serves
-every tensor product X (x) Y: the Tits grid, the matrix tensor families
-and the form-paired candidates each pass it int64 tensors of their
-factors, and kronecker_ternary gives the ternary product t(y y')
-D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'} as one guarded int64 table.
-int_values clears a sequence of Fractions to int64 with one common
-denominator.
+operator_algebra_from_basis take their commutators from it.
+
+pair_table assembles every table: each builder hands it int64 parts
+(p, q, target, val, scale), batch brings them to their least common
+scale, sums equal entries and puts the result in lowest terms, and the
+Algebra holds that table.  The Tits algebras, the enveloping algebra,
+g(T), direct_sum, subalgebra_on_indices and roots._rebase build this
+way; operator_algebra_from_basis hands over the coordinates of its one
+solve, already in table order.  The Kronecker builder (kron, batch,
+pair_table, kronecker_ternary) serves every tensor product X (x) Y: the
+Tits grid, the matrix tensor families and the form-paired candidates
+each pass it int64 tensors of their factors, and kronecker_ternary gives
+the ternary product t(y y') D_{x,x'} (x) 1 + t(x x') 1 (x) d_{y,y'} as
+one guarded int64 table.  int_values clears a sequence of Fractions to
+int64 with one common denominator.
 operator_algebra_from_basis takes a list of sparse matrices acting on
 some space, checks the span is closed under commutators and returns the
 abstract Algebra holding its int64 table: all commutator coordinates
@@ -522,16 +529,19 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
 
 
 def direct_sum(a: Algebra, b: Algebra, name="") -> Algebra:
-    """External direct sum with commuting summands.
+    """External direct sum with commuting summands: the int64 tables of a
+    and b, b's shifted past a's basis, through pair_table.
 
     Weights and torus data are carried over when both summands have them,
     padding each weight tuple with zeros for the other summand's torus.
     """
     n = a.dim + b.dim
-    table = dict(a.table)
-    for (i, j), ent in b.table.items():
-        table[(i + a.dim, j + a.dim)] = [(k + a.dim, v) for k, v in ent]
-    out = Algebra(n, table, labels=list(a.labels) + list(b.labels), name=name)
+    parts = []
+    for x, off in ((a, 0), (b, a.dim)):
+        pair, tgt, val, s = x.table_int
+        parts.append((pair // x.dim + off, pair % x.dim + off, tgt + off, val, s))
+    out = Algebra(n, pair_table(n, parts), labels=list(a.labels) + list(b.labels),
+                  name=name)
     if a.weights is not None and b.weights is not None:
         ra = len(a.weights[0]) if a.dim else 0
         rb = len(b.weights[0]) if b.dim else 0
@@ -545,32 +555,35 @@ def direct_sum(a: Algebra, b: Algebra, name="") -> Algebra:
 
 def subalgebra_on_indices(alg: Algebra, indices: list[int],
                           name: str = "") -> Algebra:
-    """Restriction to the span of a subset of basis vectors.
+    """Restriction to the span of a subset of basis vectors: the entries
+    of alg's int64 table between chosen vectors, renumbered, through
+    pair_table.
 
-    Raises ValueError if a bracket of two chosen vectors leaves the
+    Raises ValueError for an index that is repeated or outside
+    range(alg.dim), and if a bracket of two chosen vectors leaves the
     subset.  Weight and torus annotations are sliced along when present
     (torus vectors must be supported on the subset to survive).
     """
-    pos = {g: i for i, g in enumerate(indices)}
-    table = {}
-    for a, ga in enumerate(indices):
-        for b in range(a + 1, len(indices)):
-            gb = indices[b]
-            ent = []
-            for l, v in alg.bk(ga, gb):
-                if l not in pos:
-                    raise ValueError("subset is not closed under the bracket")
-                ent.append((pos[l], v))
-            if ent:
-                table[(a, b)] = sorted(ent)
-    sub = Algebra(len(indices), table,
-                  labels=[alg.labels[g] for g in indices], name=name)
+    n, m = alg.dim, len(indices)
+    if len(set(indices)) != m or not all(0 <= g < n for g in indices):
+        raise ValueError("indices must be distinct and in range(%d)" % n)
+    pos = np.full(n, -1)
+    pos[list(indices)] = np.arange(m)
+    pair, tgt, val, s = alg.table_int
+    a, b = pos[pair // n], pos[pair % n]
+    on = (a >= 0) & (b >= 0)
+    a, b, t, v = a[on], b[on], pos[tgt[on]], val[on]
+    if (t < 0).any():
+        raise ValueError("subset is not closed under the bracket")
+    table = pair_table(m, [(np.minimum(a, b), np.maximum(a, b), t,
+                            np.where(a < b, v, -v), s)])
+    sub = Algebra(m, table, labels=[alg.labels[g] for g in indices], name=name)
     if alg.weights is not None:
         sub.weights = [alg.weights[g] for g in indices]
     if alg.cartan is not None:
         kept = []
         for h in alg.cartan:
-            if all(h[i] == 0 for i in range(alg.dim) if i not in pos):
+            if all(h[i] == 0 for i in range(n) if pos[i] < 0):
                 kept.append([h[g] for g in indices])
         sub.cartan = kept or None
     return sub

@@ -25,7 +25,12 @@ engine of buildtools:
   sixth-axiom failure, reported as LYStructureError("LY6", pair), never
   papered over.
 
-An entry, scale or product that does not fit int64 raises OverflowError.
+Coordinates come as int64 parts (row, slot, val, den), so the three
+blocks of the bracket (h-h, h-m and m-m, where x.y joins D(x, y)) go to
+buildtools.pair_table, and the Algebra holds that int64 table; no
+Fraction dict is built.  ly_from_reductive_indices goes back the same
+way, from g's int64 table to an int64 ternary table.  An entry, scale or
+product that does not fit int64 raises OverflowError.
 symplectic.build_g_of_T runs the same engine on the inner maps of a
 symplectic triple.
 """
@@ -33,13 +38,14 @@ symplectic triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra, LYAlgebra, Sparse
+from . import fastnum
+from .algebra import Algebra, LYAlgebra, dict_to_table, table_to_dict
 from .buildtools import (NotClosedError, OutsideSpan, Span, dense_rows,
-                         int_commutators, int_values, select)
+                         guard_bound, int_commutators, int_values, pair_table,
+                         select)
 from .linalg import F0, Vec, inv as mat_inv, mat_vec
 
 
@@ -69,14 +75,13 @@ def pair_classes(weights, i, j):
     return cls.reshape(-1), [tuple(k) for k in keys.tolist()]
 
 
-def _sparse_rows(x: np.ndarray, slots: np.ndarray, mult: int, den: int):
-    """Row r of x mult / den as sparse (slots[t], Fraction) entries."""
+def _parts(rows, x: np.ndarray, slots: np.ndarray, mult: int, den: int):
+    """Row r of x mult / den as the coordinates of rows[r] at the basis
+    positions slots: the int64 part (row, slot, val, den) of its nonzero
+    entries, in lowest terms.  OverflowError if x mult does not fit."""
     r, t = np.nonzero(x)
-    v = x[r, t].tolist()
-    frac = {u: Fraction(u * mult, den) for u in set(v)}
-    ent = list(zip(slots[t].tolist(), map(frac.__getitem__, v)))
-    cut = np.searchsorted(r, np.arange(len(x) + 1)).tolist()
-    return [ent[a:z] for a, z in zip(cut, cut[1:])]
+    guard_bound(mult, x)
+    return (rows[r], slots[t], *fastnum.lowest_terms(x[r, t] * mult, den))
 
 
 def _groups(cls, row, nclass: int):
@@ -93,9 +98,11 @@ class ClassBases:
     chosen[c] are the first independent maps of class c, in map order;
     basis lists every chosen map in the order of the coordinates, and
     slot[g] is the position of map g in basis (-1 if not chosen);
-    spans[c] solves over the sorted column codes cols[c] of class c;
-    gen_coords[g] are the coordinates of map g over basis, as sparse
-    (position, Fraction) entries.  entries holds the maps as given.
+    spans[c] solves over the sorted column codes cols[c] of class c.
+    Coordinates over basis come as int64 parts (row, slot, val, den), one
+    per class, in lowest terms: val[e] / den at basis position slot[e] of
+    row[e]; gen_coords holds those of the maps (row = map).  entries
+    holds the maps as given.
     """
     scale: int
     keys: list[tuple]
@@ -105,16 +112,17 @@ class ClassBases:
     chosen: list[list[int]]
     basis: list[int]
     slot: np.ndarray
-    gen_coords: list[Sparse]
+    gen_coords: list[tuple]
     entries: tuple
 
-    def coords(self, qcls, row, code, val, qscale: int) -> list[Sparse]:
-        """Coordinates over basis of query maps given like the generators
-        (query q of class qcls[q], -1 for none; values scaled by qscale).
+    def coords(self, qcls, row, code, val, qscale: int) -> list[tuple]:
+        """Coordinate parts (query, slot, val, den) of query maps given like
+        the generators (query q of class qcls[q], -1 for none; values
+        scaled by qscale).
 
         Raises OutsideSpan for the first query outside its class span.
         """
-        out = [[] for _ in qcls]
+        out = []
         # shifted by one, so the queries of no class come first
         o, bounds = _groups(qcls + 1, row, len(self.keys) + 1)
         bad = []
@@ -130,35 +138,39 @@ class ClassBases:
             q, miss = dense_rows(r, code[o[a:z]], val[o[a:z]], len(qs), self.cols[c])
             x, wrong = span.solve(q)
             bad.extend(qs[miss | wrong].tolist())
-            for k, ent in zip(qs.tolist(), _sparse_rows(
-                    x, self.slot[self.chosen[c]], self.scale, qscale * span.d)):
-                out[k] = ent
+            out.append(_parts(qs, x, self.slot[self.chosen[c]], self.scale,
+                              qscale * span.d))
         if bad:
             raise OutsideSpan(min(bad))
         return out
 
-    def brackets(self, n: int):
-        """The nonzero commutators [basis[s], basis[t]], s < t, of the basis
-        maps on an n-dimensional space (column code l n + k), as the pairs
-        (s, t) and their coordinates over basis.  Raises NotClosedError
-        with the first pair, in (s, t) order, outside its class span."""
+    def basis_rows(self, n: int):
+        """(s, l, k, v): entry v at (l, k) of basis map s, for every entry
+        of the basis maps on an n-dimensional space (column code l n + k)."""
         gen, code, val = self.entries
-        b = len(self.basis)
         s = self.slot[gen]
         keep = s >= 0
-        l, k = np.divmod(code[keep], n)
-        pair, lk, v = int_commutators(s[keep], l, k, val[keep], b, n)
+        return (s[keep], *np.divmod(code[keep], n), val[keep])
+
+    def brackets(self, n: int) -> list[tuple]:
+        """The nonzero commutators [basis[s], basis[t]], s < t, of the basis
+        maps on an n-dimensional space, as pair_table parts (s, t, slot,
+        val, den) of their coordinates over basis.  Raises NotClosedError
+        with the first pair, in (s, t) order, outside its class span."""
+        b = len(self.basis)
+        pair, lk, v = int_commutators(*self.basis_rows(n), b, n)
         pairs, row = np.unique(pair, return_inverse=True)
-        st = [divmod(p, b) for p in pairs.tolist()]
+        s, t = np.divmod(pairs, b)
         index = {key: c for c, key in enumerate(self.keys)}
         bcls = self.cls[self.basis]
-        qcls = np.array([index.get(tuple(map(sum, zip(self.keys[bcls[a]],
-                                                      self.keys[bcls[t]]))), -1)
-                         for a, t in st], dtype=np.int64)
+        qcls = np.array([index.get(tuple(map(sum, zip(self.keys[bcls[x]],
+                                                      self.keys[bcls[y]]))), -1)
+                         for x, y in zip(s.tolist(), t.tolist())], dtype=np.int64)
         try:
-            return st, self.coords(qcls, row, lk, v, self.scale ** 2)
+            parts = self.coords(qcls, row, lk, v, self.scale ** 2)
         except OutsideSpan as e:
-            raise NotClosedError(st[e.index]) from None
+            raise NotClosedError((int(s[e.index]), int(t[e.index]))) from None
+        return [(s[q], t[q], *rest) for q, *rest in parts]
 
 
 def class_bases(gen, code, val, scale: int, cls, keys,
@@ -187,10 +199,8 @@ def class_bases(gen, code, val, scale: int, cls, keys,
         basis.sort()
     slot = np.full(len(cls), -1)
     slot[basis] = np.arange(len(basis))
-    gen_coords = [None] * len(cls)
-    for (maps, x), span, ch in zip(xs, spans, chosen):
-        for g, ent in zip(maps.tolist(), _sparse_rows(x, slot[ch], 1, span.d)):
-            gen_coords[g] = ent
+    gen_coords = [_parts(maps, x, slot[ch], 1, span.d)
+                  for (maps, x), span, ch in zip(xs, spans, chosen)]
     return ClassBases(scale, keys, cls, spans, cols, chosen, basis, slot,
                       gen_coords, (gen, code, val))
 
@@ -221,44 +231,30 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
     gi, gj = np.divmod(gens, n)
     cb = class_bases(gen, code, val, scale,
                      *pair_classes(ly.weights, gi, gj))
-    gpairs = list(zip(gi.tolist(), gj.tolist()))
-    basis_pairs = [gpairs[g] for g in cb.basis]
-
+    basis_pairs = list(zip(gi[cb.basis].tolist(), gj[cb.basis].tolist()))
     b = len(basis_pairs)
-    dim_g = b + n
     # h-h: the commutators of the basis maps, or none if one leaves the span
     try:
-        table, err = dict(zip(*cb.brackets(n))), None
+        parts, err = cb.brackets(n), None
     except NotClosedError as e:
         err = LYStructureError("LY6", tuple(basis_pairs[x] for x in e.args[0]))
-        table = {}
-    # h-m: the maps acting, the table rows of the basis maps in basis order
-    slot = cb.slot[gen]
-    o = np.argsort(slot, kind="stable")[np.count_nonzero(slot < 0):]
-    l, k = np.divmod(code[o], n)
-    row, v = slot[o] * n + k, val[o].tolist()
-    frac = {u: Fraction(u, scale) for u in set(v)}
-    ent = list(zip((b + l).tolist(), map(frac.__getitem__, v)))
-    cut = np.flatnonzero(np.diff(row, prepend=-1)).tolist() + [len(ent)]
-    for r, a, z in zip(row[cut[:-1]].tolist(), cut, cut[1:]):
-        table[(r // n, b + r % n)] = ent[a:z]
-    # m-m: D(x, y) + x.y
-    gen_coords = dict(zip(gpairs, cb.gen_coords))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ent = gen_coords.get((i, j), [])
-            ent = ent + [(b + k, c) for k, c in ly.binary.get((i, j), [])]
-            if ent:
-                table[(b + i, b + j)] = ent
+        parts = []
+    # h-m: [D, x] = D x, the entries of the basis maps
+    s, l, k, v = cb.basis_rows(n)
+    parts.append((s, b + k, b + l, v, scale))
+    # m-m: [x, y] = D(x, y) + x.y
+    parts += [(b + gi[g], b + gj[g], t, v, d) for g, t, v, d in cb.gen_coords]
+    bp, bt, bv, bs = dict_to_table(ly.binary, n, 2)
+    parts.append((b + bp // n, b + bp % n, b + bt, bv, bs))
 
     labels = [f"D({ly.labels[i]},{ly.labels[j]})" for (i, j) in basis_pairs]
     labels += list(ly.labels)
-    g = Algebra(dim_g, table, labels=labels,
+    g = Algebra(b + n, pair_table(b + n, parts), labels=labels,
                 name=f"env({ly.name})" if ly.name else "env")
     if ly.weights is not None:
         g.weights = [tuple(a + c for a, c in zip(ly.weights[i], ly.weights[j]))
                      for (i, j) in basis_pairs] + list(ly.weights)
-    pair = EnvelopingPair(g, list(range(b)), list(range(b, dim_g)),
+    pair = EnvelopingPair(g, list(range(b)), list(range(b, b + n)),
                           basis_pairs, ly)
     if err:
         err.envelope = pair
@@ -269,35 +265,38 @@ def build_enveloping(ly: LYAlgebra) -> EnvelopingPair:
 
 def ly_from_reductive_indices(g: Algebra, h_index: list[int],
                               m_index: list[int], name: str = "") -> LYAlgebra:
-    """Binary-ternary algebra on the m-part of a split given by basis indices."""
-    hset = set(h_index)
-    mpos = {gi: a for a, gi in enumerate(m_index)}
-    if hset & set(mpos) or len(h_index) + len(m_index) != g.dim:
+    """Binary-ternary algebra on the m-part of a split given by basis indices.
+
+    x.y is the m-part of [x, y], and [x, y, z] the m-part of [[x, y]_h, z],
+    where [x, y]_h is the h-part: one fastnum.join of the h-part of every
+    [m_a, m_b] with the m-part of every [h, m_k], all read off g's int64
+    table.  ValueError unless h_index and m_index together list every
+    basis index exactly once; OverflowError if a product does not fit.
+    """
+    n = g.dim
+    if sorted([*h_index, *m_index]) != list(range(n)):
         raise ValueError("h and m indices must partition the basis")
     nm = len(m_index)
-
-    def proj_m(ent: Sparse) -> Sparse:
-        return [(mpos[k], c) for k, c in ent if k in mpos]
-
-    def proj_h(ent: Sparse) -> Sparse:
-        return [(k, c) for k, c in ent if k in hset]
-
-    binary = {}
-    ternary = {}
-    for a in range(nm):
-        for bb in range(a + 1, nm):
-            ent = g.bk(m_index[a], m_index[bb])
-            binary[(a, bb)] = proj_m(ent)
-            hpart = proj_h(ent)
-            for k in range(nm):
-                acc: dict[int, Fraction] = {}
-                for hidx, c in hpart:
-                    for l, d in g.bk(hidx, m_index[k]):
-                        if l in mpos:
-                            t = mpos[l]
-                            acc[t] = acc.get(t, F0) + c * d
-                ternary[(a, bb, k)] = [(t, v) for t, v in sorted(acc.items()) if v != 0]
-    ly = LYAlgebra(nm, binary, ternary,
+    pos = np.full(n, -1)
+    pos[m_index] = np.arange(nm)
+    pair, tgt, val, scale = g.table_int
+    i, j = np.divmod(pair, n)
+    # [e_x, e_y] = v e_t in both orders, and the m positions a, b, c of x, y, t
+    x, y, t, v = (np.concatenate(z) for z in ((i, j), (j, i), (tgt, tgt), (val, -val)))
+    a, b, c = pos[x], pos[y], pos[t]
+    mm = (a >= 0) & (a < b)
+    on = mm & (c >= 0)
+    binary = table_to_dict(pair_table(nm, [(a[on], b[on], c[on], v[on], scale)]), nm, 2)
+    hm = (a < 0) & (b >= 0) & (c >= 0)
+    ab = mm & (c < 0)
+    guard_bound(len(h_index), v, v)
+    # the terms at (a nm + b, k, l) of the coefficient of m_l in [m_a, m_b, m_k]
+    r, kl, w = fastnum.join((a[ab] * nm + b[ab], t[ab], v[ab]),
+                            (x[hm], b[hm] * nm + c[hm], v[hm]))
+    code, w = fastnum.summed(r * nm * nm + kl, w)
+    pab, kl = np.divmod(code, nm * nm)
+    k, l = np.divmod(kl, nm)
+    ly = LYAlgebra(nm, binary, (pab, l * nm + k, *fastnum.lowest_terms(w, scale * scale)),
                    labels=[g.labels[i] for i in m_index], name=name)
     if g.weights is not None:
         ly.weights = [g.weights[i] for i in m_index]

@@ -35,13 +35,13 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import NotClosedError, OutsideSpan, SpMat, int_values
+from .buildtools import NotClosedError, OutsideSpan, SpMat, int_values, pair_table
 from .checks import check_lie
 from .compjordan import JordanAlg, trace_admissible_view
 from .envelope import (EnvelopingPair, class_bases, ly_from_reductive_indices,
                        pair_classes)
 from .linalg import F0, F1
-from .matrixalg import phi_map, skew_map_family, split_skew_form
+from .matrixalg import form_pairs, phi_map, skew_map_family, split_skew_form
 
 
 class CubicJordanData:
@@ -129,26 +129,18 @@ def build_g_of_T(t: SymplecticTripleData):
     marked reductive split.
 
     Basis order: three sp2 pair maps, v+ (x) T, v- (x) T, then the inner
-    maps d(i, j) in first-seen pair order.  Raises NotClosedError when
-    the inner maps fail to close under commutators; Jacobi itself is not
-    checked here (check_lie is the certificate).  When the datum carries
-    weights, the torus realizing them must be inner and the returned
-    algebra gets weights and cartan data for classification."""
+    maps d(i, j) in pair order.  The blocks (sp2, phi acting on V, the
+    form and the inner-map coordinates on V (x) T, the d-action and
+    [d, d]) go to pair_table as int64 parts, and the Algebra holds that
+    table.  Raises NotClosedError when the inner maps fail to close under
+    commutators; Jacobi itself is not checked here (check_lie is the
+    certificate).  When the datum carries weights, the torus realizing
+    them must be inner and the returned algebra gets weights and cartan
+    data for classification."""
     n = t.dim
     wts = t.wts
     rt = len(wts[0]) if wts else 0
     zt = tuple([F0] * rt)
-
-    def wkey(i, jj):
-        if wts is None:
-            return ()
-        return _wadd(wts[i], wts[jj])
-
-    form2 = split_skew_form(2)
-    sp2 = skew_map_family(form2, name="sp2")
-    vpairs = ((0, 0), (0, 1), (1, 1))
-    phimats = [phi_map(form2, p, q) for (p, q) in vpairs]
-    pairpos = {vp: s for s, vp in enumerate(vpairs)}
 
     order = sorted(t.trip)
     entries = [(g, l * n + k, c) for g, pq in enumerate(order)
@@ -157,79 +149,61 @@ def build_g_of_T(t: SymplecticTripleData):
                          dtype=np.int64).reshape(-1, 2).T
     oi, oj = np.array(order, dtype=np.int64).reshape(-1, 2).T
     cls, keys = pair_classes(wts, oi, oj)
-    cb = class_bases(gen, code, *int_values([e[2] for e in entries]), cls,
-                     keys, by_class=False)
+    val, scale = int_values([e[2] for e in entries])
+    cb = class_bases(gen, code, val, scale, cls, keys, by_class=False)
     sel_pairs = [order[g] for g in cb.basis]
-    mats = [t.trip[pq] for pq in sel_pairs]
-    dkeys = [wkey(*pq) for pq in sel_pairs]
-    nd = len(mats)
-    pco = dict(zip(order, cb.gen_coords))
-
-    big = 3 + 2 * n + nd
+    nd = len(sel_pairs)
+    d0 = 3 + 2 * n
+    big = d0 + nd
 
     def vt(u, i):
         return 3 + u * n + i
 
-    def dr(a):
-        return 3 + 2 * n + a
-
-    table: dict[tuple[int, int], list] = dict(sp2.table)
-    for p, mat in enumerate(phimats):
-        for u in (0, 1):
-            ent = [(r, c) for (r, uu), c in mat.items() if uu == u]
-            if not ent:
-                continue
-        # phi acts on the V index of the module only
-            for i in range(n):
-                table[(p, vt(u, i))] = [(vt(r, i), c) for r, c in ent]
-    for u in (0, 1):
-        for v in (u, 1):
-            if v == u:
-                items = ((i, jj) for i in range(n) for jj in range(i + 1, n))
-            elif u == 0:
-                items = ((i, jj) for i in range(n) for jj in range(n))
-            else:
-                continue
-            for (i, jj) in items:
-                ent = []
-                if t.gram[i][jj]:
-                    ent.append((pairpos[(u, v)], t.gram[i][jj]))
-                if u != v:
-                    key = (i, jj) if i <= jj else (jj, i)
-                    ent.extend((dr(a), c) for a, c in pco.get(key, []))
-                if ent:
-                    table[(vt(u, i), vt(v, jj))] = ent
-    for a, mat in enumerate(mats):
-        cols: dict[int, list] = {}
-        for (l, k), c in mat.items():
-            cols.setdefault(k, []).append((l, c))
-        for u in (0, 1):
-            for i, ent in cols.items():
-                table[(vt(u, i), dr(a))] = [(vt(u, l), -c) for l, c in ent]
+    form2 = split_skew_form(2)
+    sp2 = skew_map_family(form2, name="sp2")
+    vpairs = form_pairs(form2)          # sp2's basis phi_{u,v}
+    pair, tgt, v, s = sp2.table_int
+    parts = [(pair // 3, pair % 3, tgt, v, s)]
+    # [phi_p, u (x) x_i] = phi_p(u) (x) x_i
+    phi = [(p, r, u, c) for p, uv in enumerate(vpairs)
+           for (r, u), c in phi_map(form2, *uv).items()]
+    pv, ps = int_values([e[3] for e in phi])
+    p, r, u, v, i = (x.ravel() for x in np.broadcast_arrays(
+        *np.array([e[:3] for e in phi]).T, pv, np.arange(n)[:, None]))
+    parts.append((p, vt(u, i), vt(r, i), v, ps))
+    # [u (x) x_i, v (x) x_j] = (x_i, x_j) phi_{u,v} + phi(u, v) d(x_i, x_j)
+    i, j, c = zip(*[(i, j, c) for i, row in enumerate(t.gram)
+                    for j, c in enumerate(row) if c])
+    i, j = np.array(i), np.array(j)
+    gv, gs = int_values(c)
+    for sp, (a, b) in enumerate(vpairs):
+        on = (i < j) | (a != b)
+        parts.append((vt(a, i[on]), vt(b, j[on]), sp, gv[on], gs))
+    for g, slot, v, d in cb.gen_coords:
+        parts.append((vt(0, oi[g]), vt(1, oj[g]), d0 + slot, v, d))
+        on = oi[g] != oj[g]
+        parts.append((vt(0, oj[g][on]), vt(1, oi[g][on]), d0 + slot[on], v[on], d))
+    # [u (x) x, d] = -u (x) d x
+    a, l, k, v = cb.basis_rows(n)
+    parts += [(vt(u, k), d0 + a, vt(u, l), -v, scale) for u in (0, 1)]
     try:
-        dd, dcos = cb.brackets(n)
+        dd = cb.brackets(n)
     except NotClosedError as e:
         raise NotClosedError(("d", *e.args[0])) from None
-    for (a, b), c in zip(dd, dcos):
-        table[(dr(a), dr(b))] = [(dr(x), v) for x, v in c]
+    parts += [(d0 + a, d0 + b, d0 + c, v, d) for a, b, c, v, d in dd]
 
     tl = [f"x{i}" for i in range(n)]
     labels = (list(sp2.labels)
               + [f"v+*{l}" for l in tl] + [f"v-*{l}" for l in tl]
               + [f"d({i},{jj})" for (i, jj) in sel_pairs])
-    g = Algebra(big, table, labels=labels,
+    g = Algebra(big, pair_table(big, parts), labels=labels,
                 name=f"g({t.name})" if t.name else "g(T)")
     if wts is not None:
         gw = [(w[0],) + zt for w in sp2.weights]
         gw += [(F1,) + wts[i] for i in range(n)]
         gw += [(-F1,) + wts[i] for i in range(n)]
-        gw += [(F0,) + key for key in dkeys]
+        gw += [(F0,) + _wadd(wts[i], wts[jj]) for i, jj in sel_pairs]
         g.weights = gw
-        cart = []
-        h0 = la.zero_vec(big)
-        for s, c in enumerate(sp2.cartan[0]):
-            h0[s] = c
-        cart.append(h0)
         # the torus coordinate s acts on T as diag(wts[k][s])
         diag = [(s, k * n + k, wts[k][s]) for s in range(rt) for k in range(n)
                 if wts[k][s]]
@@ -240,13 +214,13 @@ def build_g_of_T(t: SymplecticTripleData):
                              *int_values([e[2] for e in diag]))
         except OutsideSpan:
             raise ValueError("grading torus is not inner") from None
-        for c in tcos:
-            hv = la.zero_vec(big)
-            for a, v in c:
-                hv[dr(a)] = v
-            cart.append(hv)
+        cart = [list(sp2.cartan[0]) + la.zero_vec(big - 3)]
+        cart += [la.zero_vec(big) for _ in range(rt)]
+        for q, slot, v, d in tcos:
+            for x, y, w in zip(q.tolist(), slot.tolist(), v.tolist()):
+                cart[1 + x][d0 + y] = Fraction(w, d)
         g.cartan = cart
-    pair = EnvelopingPair(g, [0, 1, 2] + [dr(a) for a in range(nd)],
+    pair = EnvelopingPair(g, [0, 1, 2] + list(range(d0, big)),
                           [vt(u, i) for u in (0, 1) for i in range(n)],
                           list(sel_pairs), None)
     return g, pair

@@ -120,6 +120,27 @@ def test_ly_from_reductive_indices():
     assert ly.t(0, 1, 1) == [(1, F(-2))]
 
 
+@pytest.mark.parametrize("h, m", [([0, 0], [1]), ([0], [1, 1]), ([0], [1, 3]),
+                                  ([0], [1])])
+def test_ly_from_reductive_indices_refuses_what_is_not_a_partition(h, m):
+    # h = [0, 0], m = [1] would drop e2 and give a 1-dim LY algebra
+    with pytest.raises(ValueError, match="partition"):
+        ly_from_reductive_indices(sl2(), h, m)
+
+
+def test_ly_from_reductive_indices_refuses_products_beyond_int64():
+    # [[e1, e2]_h, e1] is a product of two constants 2^32
+    g = Algebra(3, {(0, 1): [(1, F(2**32))], (1, 2): [(0, F(2**32))]})
+    with pytest.raises(OverflowError):
+        ly_from_reductive_indices(g, [0], [1, 2])
+
+
+def test_ly_from_reductive_indices_reads_an_unsorted_split():
+    ly = ly_from_reductive_indices(sl2(), [0], [2, 1])
+    assert ly.labels == ["f", "e"] and ly.binary == {}
+    assert ly.t(0, 1, 0) == [(0, F(2))] and ly.t(0, 1, 1) == [(1, F(-2))]
+
+
 def test_ly_from_reductive_vectors_agrees():
     g = sl2()
     ly = ly_from_reductive(g, [basis_vec(3, 0)], [basis_vec(3, 1), basis_vec(3, 2)])
@@ -342,7 +363,9 @@ def test_io_conversions_pause_the_collector_and_restore_it(monkeypatch):
     monkeypatch.setattr(io, "_coeffs_obj",
                         lambda ent: seen.append(gc.isenabled()) or real(ent))
     assert gc.isenabled()
-    obj = io.ly_to_obj(sl2_lts())
+    ly = sl2_lts()
+    # a twin that holds the Fraction dict, so the writer formats entries
+    obj = io.ly_to_obj(LYAlgebra(ly.dim, ly.binary, ly.ternary))
     assert seen and not any(seen) and gc.isenabled()
     # restored after an exception
     with pytest.raises(ValueError):

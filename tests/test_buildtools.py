@@ -11,8 +11,9 @@ import pytest
 from lyalg import linalg as la
 from lyalg.buildtools import (INT64_GUARD, BatchCoords, IrrationalRoot,
                               OutsideSpan, Span, independent_rows, int_rows,
-                              int_values, rational_roots)
+                              int_values, rational_roots, subalgebra_on_indices)
 from lyalg.fastnum import PRIMES20
+from lyalg.matrixalg import build_matrix_lie
 
 F = Fraction
 
@@ -256,3 +257,21 @@ def test_irrational_root_witness_is_the_sympy_factor():
             rational_roots(coeffs)
         assert err.value.factor == want
         assert err.value.factor.domain == want.domain
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 1], [-1], [0, 7]],
+                         ids=["repeated", "negative", "too large"])
+def test_subalgebra_on_indices_refuses_what_is_not_a_subset(indices):
+    # on sl2 a repeated index would give a 3-dim algebra and -1 would
+    # wrap around to e2
+    with pytest.raises(ValueError, match="distinct and in range"):
+        subalgebra_on_indices(build_matrix_lie("sl", 2), indices)
+
+
+def test_subalgebra_on_indices_renumbers_in_the_given_order():
+    g = build_matrix_lie("sl", 2)
+    sub = subalgebra_on_indices(g, [2, 0])
+    assert sub.labels == [g.labels[2], g.labels[0]]
+    assert sub.table == {(0, 1): [(0, F(2))]}
+    with pytest.raises(ValueError, match="not closed"):
+        subalgebra_on_indices(g, [1, 2])

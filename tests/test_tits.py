@@ -12,6 +12,7 @@ import hashlib
 import importlib.util
 import json
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,18 +22,20 @@ import pytest
 from lyalg import buildtools as bt
 from lyalg import checks, io
 from lyalg import linalg as la
-from lyalg.algebra import Algebra, LYAlgebra
+from lyalg.algebra import Algebra, LYAlgebra, dict_to_table
 from lyalg.buildtools import OutsideSpan, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.compjordan import (TraceAdmissible, build_composition, build_jordan,
                               trace_admissible_view)
 from lyalg.envelope import (LYStructureError, build_enveloping, class_bases,
-                            ly_from_reductive_indices, pair_classes)
+                            ly_from_reductive, ly_from_reductive_indices,
+                            pair_classes)
 from lyalg.fastnum import PRIMES20, jacobi_violation, killing_int, rref_mod
 from lyalg.matrixalg import (build_matrix_lie, check_coincidence,
                              lts_orthosymplectic_sum, ly_sl_tensor_sl,
                              ly_sp_tensor_sym, sl_ops, split_sym_form)
 from lyalg.roots import check_grading, classify, saturate_torus
+from lyalg.symplectic import build_g_of_T, construct_TJ, cubic_jordan_data
 from lyalg.tits import (ModuleAction, TitsAlgebra, _conditions,
                         _span_algebra, assemble_bracket,
                         bracket_transport_equal, build_tits,
@@ -754,7 +757,10 @@ def test_envelope_hh_batch_matches_commutator_loop():
         env = build_enveloping(ly)
         ref, basis_pairs = build_enveloping_reference(ly)
         assert env.d_pairs == basis_pairs
-        assert list(env.g.table.items()) == list(ref.table.items())
+        # the held table, array by array, against the reference dict's table
+        held, want = vars(env.g)["table_int"], dict_to_table(ref.table, ref.dim, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(held[:3], want[:3]))
+        assert held[3] == want[3]
         assert env.g.labels == ref.labels and env.g.weights == ref.weights
         assert io.dumps(io.algebra_to_obj(env.g)) == io.dumps(io.algebra_to_obj(ref))
 
@@ -830,11 +836,60 @@ def test_ly_inside_tits_to_io_never_builds_the_fraction_dict(monkeypatch):
     assert "ternary" not in vars(ly)
 
 
+def test_the_builders_hand_algebra_an_int64_table(monkeypatch):
+    """The envelope, g(T), the h of an envelope, a direct sum and a
+    reductive split each hold the int64 table they were built from and no
+    Fraction dict: the Algebra and LYAlgebra properties derive one form
+    from the other only through the two converters, which refuse here.
+    The inputs are built first; the solved bracket is a Fraction dict by
+    nature, so its table is derived before the converters refuse."""
+    ly = ly_inside_tits(build_tits(cview("O"), jview("H3(O)")))
+    t = construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
+    x, y = cview("Q"), jview("H3(k)")
+    h, act, cands = form_pair_module_data(split_sym_form(3), split_sym_form(5))
+    g = assemble_bracket(h, act, cands, [F(1), F(1)])
+    assert g.table_int
+
+    def refuse(*args):
+        raise AssertionError("a Fraction dict was converted to or from a table")
+
+    for name in ("table_to_dict", "dict_to_table"):
+        monkeypatch.setattr("lyalg.algebra." + name, refuse)
+    env = build_enveloping(ly)
+    built = {"envelope": env.g, "h": subalgebra_on_indices(env.g, env.h_index),
+             "g(T)": build_g_of_T(t)[0], "D+d": tits_module_data(x, y)[0]}
+    split = ly_from_reductive_indices(g, list(range(13)), list(range(13, 28)))
+    monkeypatch.undo()
+    for alg in built.values():
+        assert "table_int" in vars(alg) and "table" not in vars(alg)
+    assert "ternary_int" in vars(split) and "ternary" not in vars(split)
+    assert {k: a.dim for k, a in built.items()} == {
+        "envelope": 248, "h": 66, "g(T)": 52, "D+d": 6}
+    known = load_known().ANSWERS
+    assert sha256(built["envelope"]) == known["e8-ly.envelope"]["sha256"]
+    assert sha256(built["h"]) == known["e8-ly.h"]["sha256"]
+    ref = lts_orthosymplectic_sum(split_sym_form(3), split_sym_form(5))
+    ident = [[F(int(i == j)) for j in range(15)] for i in range(15)]
+    assert check_coincidence(split, ref, ident)
+
+
 def int_maps(*maps):
     """Sparse integer maps {column: value} as class_bases input arrays."""
     ent = [(g, c, v) for g, m in enumerate(maps) for c, v in m.items()]
     gen, code, val = (np.array(x, dtype=np.int64) for x in zip(*ent))
     return gen, code, val
+
+
+def coords_of(parts):
+    """{row: [(slot, Fraction)]} of int64 coordinate parts (row, slot,
+    val, den), after checking that each is int64 and in lowest terms."""
+    out = {}
+    for rows, slots, vals, den in parts:
+        assert rows.dtype == slots.dtype == vals.dtype == np.int64
+        assert gcd(den, *vals.tolist()) == 1
+        for r, s, v in zip(rows.tolist(), slots.tolist(), vals.tolist()):
+            out.setdefault(r, []).append((s, F(v, den)))
+    return out
 
 
 def test_class_bases_corrects_a_prime_that_hides_a_dependence():
@@ -846,7 +901,7 @@ def test_class_bases_corrects_a_prime_that_hides_a_dependence():
     assert rref_mod(dense.T, p)[1] == [0, 2]
     cb = class_bases(gen, code, val, 1, np.zeros(3, dtype=np.int64), [()])
     assert cb.chosen == [[0, 1]]
-    assert cb.gen_coords[2] == [(0, F(-1, p)), (1, F(1, p))]
+    assert coords_of(cb.gen_coords)[2] == [(0, F(-1, p)), (1, F(1, p))]
     # map 1 vanishes mod p: the exact check finds it outside the span
     gen, code, val = int_maps({0: 1}, {1: p}, {0: 1, 1: p})
     assert rref_mod(np.array([[1, 0, 1], [0, p, p]]), p)[1] == [0]
@@ -864,15 +919,15 @@ def test_class_bases_by_weight_class_and_map_order():
     by_class = class_bases(gen, code, val, 2, cls, [(0,), (1,)])
     assert by_class.chosen == [[1], [0, 3]]
     assert by_class.basis == [1, 0, 3]
-    assert by_class.gen_coords[2] == [(0, F(3))]
+    assert coords_of(by_class.gen_coords)[2] == [(0, F(3))]
     by_map = class_bases(gen, code, val, 2, cls, [(0,), (1,)], by_class=False)
     assert by_map.basis == [0, 1, 3]
-    assert by_map.gen_coords[2] == [(1, F(3))]
+    assert coords_of(by_map.gen_coords)[2] == [(1, F(3))]
     # a query scaled by 4, 3/2 of map 3; then one outside the support of
     # its class and one of no class
     q = by_map.coords(np.array([1]), np.array([0, 0]), np.array([0, 2]),
                       np.array([12, 3]), 4)
-    assert q == [[(2, F(3, 2))]]
+    assert coords_of(q) == {0: [(2, F(3, 2))]}
     with pytest.raises(OutsideSpan) as err:
         by_map.coords(np.array([1, 1, -1]), np.array([0, 1, 1, 2]),
                       np.array([0, 2, 1, 0]), np.array([8, 1, 1, 1]), 1)
@@ -917,11 +972,15 @@ def test_envelope_refuses_what_int64_cannot_hold():
     # a query whose reconstruction could overflow: 2^61 times the chosen
     # map's entry 2 reaches the guard
     cb = class_bases(*int_maps({0: 2}), 1, np.zeros(1, dtype=np.int64), [()])
-    assert cb.coords(np.array([0]), np.array([0]), np.array([0]),
-                     np.array([6]), 1) == [[(0, F(3))]]
+    assert coords_of(cb.coords(np.array([0]), np.array([0]), np.array([0]),
+                               np.array([6]), 1)) == {0: [(0, F(3))]}
     with pytest.raises(OverflowError):
         cb.coords(np.array([0]), np.array([0]), np.array([0]),
                   np.array([2**61]), 1)
+    # coordinates that fit, but not once brought to the maps' scale 2^61
+    cb = class_bases(*int_maps({0: 2}), 2**61, np.zeros(1, dtype=np.int64), [()])
+    with pytest.raises(OverflowError):
+        cb.coords(np.array([0]), np.array([0]), np.array([0]), np.array([6]), 1)
 
 
 def test_ly_inside_agrees_with_reductive_route():
@@ -931,6 +990,19 @@ def test_ly_inside_agrees_with_reductive_route():
     assert a.dim == b.dim
     assert a.binary == b.binary
     assert a.ternary == b.ternary
+
+
+def test_reductive_indices_match_the_vector_route_on_reversed_splits():
+    # ly_from_reductive evaluates every product with Fraction brackets;
+    # reversing both index lists puts the pairs of m against g's order.
+    # sl3 = torus (+) root vectors: [m, m] has both an h- and an m-part
+    t = build_tits(cview("K"), jview("H3(k)"))
+    for g, h, m in ((build_matrix_lie("sl", 3), [1, 0], list(range(7, 1, -1))),
+                    (t.alg, t.h_index[::-1], t.m_index[::-1])):
+        a = ly_from_reductive_indices(g, h, m)
+        e = [la.basis_vec(g.dim, i) for i in range(g.dim)]
+        b = ly_from_reductive(g, [e[i] for i in h], [e[i] for i in m])
+        assert a.binary == b.binary and a.ternary == b.ternary and a.ternary
 
 
 def test_spin_pair_cell_is_orthosymplectic():
