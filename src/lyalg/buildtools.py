@@ -2,9 +2,10 @@
 
 The certified span engine lives here: one solver and one selection loop
 answer every span question in the package, the closure of the
-derivation spans, the slices' coordinates (compjordan), the change of
-basis to a split torus (roots) and the inner maps of the enveloping
-algebra and of g(T) (envelope.class_bases).  Its guarantees:
+derivation spans, the slices' coordinates (compjordan), the commutator
+action of the tkk map (tits), the change of basis to a split torus
+(roots) and the inner maps of the enveloping algebra and of g(T)
+(envelope.class_bases).  Its guarantees:
 
 * Span holds independent integer rows C.  A mod-p elimination pass
   proposes pivot columns with an invertible minor M, and d M^-1 is
@@ -21,15 +22,11 @@ algebra and of g(T) (envelope.class_bases).  Its guarantees:
   "Exact solution of linear equations using p-adic expansions", Numer.
   Math. 1982, for the pattern of a modular proposal with an exact
   check);
-* BatchCoords adapts rational rows to Span: dense Fraction lists, or
-  sparse dicts with any hashable keys (a query with a nonzero entry at a
-  key outside the support of the basis is outside the span), cleared of
-  denominators once.  coords_int answers an int64 batch and keeps the
-  int64 guards; coords_rows answers a rational batch, in Python ints
-  when the guards refuse int64, so it never raises OverflowError.  Both
-  raise OutsideSpan naming the first row outside the span, and dependent
-  basis rows raise ValueError.  independent_rows runs select on
-  rational rows, with the same fallback.
+* BatchCoords is the int64 adapter of the trace-zero views
+  (compjordan._build_view): a Span on the slice basis, given as int64
+  rows with their common scale, and coords_int, which answers an int64
+  batch in guarded int64 and raises OutsideSpan naming the first row
+  outside the span.
 
 int_commutators forms every pairwise commutator of a list of integer
 sparse matrices from one guarded int64 join (fastnum.join); the class
@@ -156,20 +153,6 @@ def int_rows(rows, width: int | None = None):
     return arr, s
 
 
-def _cleared(rows, width: int | None):
-    """int_rows, or the same rows in exact Python ints (dtype object) when
-    int64 cannot hold them."""
-    try:
-        return int_rows(rows, width)
-    except OverflowError:
-        ent, width = _entries(rows, width)
-        s = lcm(*(v.denominator for _, _, v in ent))
-        arr = np.zeros((len(rows), width), dtype=object)
-        for i, j, v in ent:
-            arr[i, j] = v.numerator * (s // v.denominator)
-        return arr, s
-
-
 def guard_bound(terms: int, *arrs):
     """Refuse a batched product whose worst-case entry could overflow int64."""
     b = terms
@@ -252,11 +235,14 @@ def kronecker_ternary(dx, tx, dy, ty):
     form over the grid pairs p < q, the identity on the other leg spreads
     each entry over the third argument r, and batch sums the codes
     (p, q, r, target).  Returns the LYAlgebra int64 table
-    (pair, col, val, scale).
+    (pair, col, val, scale); a 0-dim factor gives the empty table.
     """
     (dx, sdx), (tx, stx), (dy, sdy), (ty, sty) = dx, tx, dy, ty
     nx, ny = len(tx), len(ty)
     dim = nx * ny
+    if not dim:
+        e = np.zeros(0, dtype=np.int64)
+        return e, e, e, 1
     # left: D_{x_i,x_k} x_r (x) y_s, r = i3 ny + s, at a ny + s
     p, q, u, v = kron(dx.reshape(nx, nx, -1), ty[:, :, None], 0)
     (a, i3), s = np.divmod(u[:, None], nx), np.arange(ny)
@@ -389,48 +375,15 @@ def _exact(solve, a: np.ndarray):
 
 
 class BatchCoords:
-    """Exact coordinates in the span of fixed independent rational rows,
-    through one Span on the rows with their denominators cleared.
-
-    The rows are dense lists, or dicts with any hashable keys (pos maps
-    each key to a column, in order of appearance).  They are held in
-    int64 when int_rows allows it and in Python ints otherwise.
-    ValueError if the rows are dependent.
+    """Exact coordinates in the span of fixed independent rational rows
+    rows / scale, given as int64 rows with their common scale, through
+    one Span on them (held in Python ints when its pivot inverse does not
+    fit int64).  ValueError if the rows are dependent.
     """
 
-    def __init__(self, rows):
-        self.span = _exact(Span, self._basis(rows))
-
-    def _basis(self, rows) -> np.ndarray:
-        """Set pos and the scale of the basis rows; returns their integer
-        matrix."""
-        self.pos = None
-        if not rows or isinstance(rows[0], dict):
-            self.pos = {}
-            for row in rows:
-                for k in row:
-                    self.pos.setdefault(k, len(self.pos))
-        c, self.scale, _ = self._matrix(rows)
-        return c
-
-    def _matrix(self, rows):
-        """Rows as one integer matrix over the basis columns (_cleared),
-        its scale, and the rows with a nonzero entry outside them."""
-        miss = np.zeros(len(rows), dtype=bool)
-        width = None
-        if self.pos is not None:
-            width, cols = len(self.pos), []
-            for i, row in enumerate(rows):
-                out = {}
-                for k, x in row.items():
-                    c = self.pos.get(k)
-                    if c is not None:
-                        out[c] = x
-                    elif x:
-                        miss[i] = True
-                cols.append(out)
-            rows = cols
-        return *_cleared(rows, width), miss
+    def __init__(self, rows: np.ndarray, scale: int):
+        self.span = _exact(Span, rows)
+        self.scale = scale
 
     def coords_int(self, vint, vs: int):
         """Exact coords of the rows of vint (entries scaled by vs), in
@@ -448,41 +401,6 @@ class BatchCoords:
         g = gcd(self.scale, self.span.d)
         guard_bound(self.scale // g, x)
         return x * (self.scale // g), self.span.d // g * vs
-
-    def coords_rows(self, rows) -> la.Matrix:
-        """Exact coordinates of every row (dense lists or dicts).
-
-        One int64 batch when the guard allows it, else the same solve in
-        Python ints.  Raises OutsideSpan for the first row outside the
-        span.
-        """
-        if not rows:
-            return []
-        q, qs, miss = self._matrix(rows)
-        x, bad = _exact(self.span.solve, q)
-        bad = np.flatnonzero(bad | miss)
-        if len(bad):
-            raise OutsideSpan(int(bad[0]))
-        den = self.span.d * qs
-        return [[Fraction(v * self.scale, den) if v else F0 for v in row]
-                for row in x.tolist()]
-
-
-def independent_rows(rows):
-    """The first independent rows in the given order, exactly certified.
-
-    Returns (chosen, engine, coords): the indices of the rows that are
-    not combinations of the rows before them, a BatchCoords on those
-    rows, and the coordinates of every row over them.  The rows are
-    cleared of denominators as a BatchCoords basis and select runs on
-    them, in Python ints when the int64 guard refuses; its Span on the
-    chosen rows is the engine's.
-    """
-    engine = BatchCoords.__new__(BatchCoords)
-    engine.span, chosen, x = _exact(select, engine._basis(rows))
-    d = engine.span.d
-    return chosen, engine, [[Fraction(v, d) if v else F0 for v in row]
-                            for row in x.tolist()]
 
 
 def operator_algebra_from_basis(mats, labels=None, name="", weights=None,

@@ -584,8 +584,8 @@ class TraceAdmissible:
     t(x_i x_k)), dco[i, k, c] (coordinate c of the pair derivation
     D(x_i, x_k) over a weight-adapted basis of their span, antisymmetric)
     and dspan[c, a, i] (entry (a, i) of span element c, of weight
-    dweights[c]).  The Fraction forms stab, tform, dt (D for i < k),
-    dcoords and dspan are derived from them once."""
+    dweights[c]).  Every reader takes these tensors; nspan is the
+    dimension of the span."""
 
     def __init__(self, tag, amb, vecs, labels, weights, dweights, ints):
         self.tag = tag
@@ -599,43 +599,6 @@ class TraceAdmissible:
         self.ints = ints
         self.nspan = len(ints.dspan[0])
         self._span = None     # the span Lie algebra of tits._span_algebra
-
-    @cached_property
-    def stab(self):
-        return _fractions(*self.ints.star)
-
-    @cached_property
-    def tform(self):
-        return _fractions(*self.ints.tform)
-
-    @cached_property
-    def dspan(self):
-        return _fractions(*self.ints.dspan)
-
-    def _upper(self, arr, scale):
-        rows = _fractions(arr, scale)
-        return {(i, k): rows[i][k] for i in range(self.n0) for k in range(i + 1, self.n0)}
-
-    @cached_property
-    def dcoords(self):
-        return self._upper(*self.ints.dco)
-
-    @cached_property
-    def dt(self):
-        return self._upper(*pair_map_tensor(self.ints))
-
-    def star(self, i, j):
-        return self.stab[i][j]
-
-    def tp(self, i, j):
-        return self.tform[i][j]
-
-    def dmat(self, i, j):
-        if i == j:
-            return la.zeros(self.n0, self.n0)
-        if i < j:
-            return self.dt[(i, j)]
-        return la.mat_scale(-F1, self.dt[(j, i)])
 
 
 def _x0_labels(tag, amblabels, vecs):
@@ -754,25 +717,21 @@ def _diagonal_coeffs(es):
 
 
 def _toral_search(es, cs):
-    """Hunt for a rationally diagonalizable element of the span of the
-    int64 maps es (scale cs): the basis elements and geometric-coefficient
-    combinations, in Python ints.  Used when no element of the span is
-    diagonal, as for the sign-twisted hermitian algebras over k; raises
-    ArithmeticError when the span has no split part to find.
+    """The first int64 map es[k] (scale cs) that simultaneous_eigenbasis
+    splits over Q into two or more eigenspaces, as the coefficients
+    [e_k].  Used when no element of the span is diagonal, as for the
+    sign-twisted hermitian algebras over k; raises ArithmeticError when
+    no map splits, and lets the split's OverflowError (a refusal) through.
     """
-    ns = len(es)
-    cands = [[int(i == j) for j in range(ns)] for i in range(ns)]
-    for k in range(2, 30):
-        cands.append([k ** i for i in range(ns)])
-        cands.append([(-k) ** i for i in range(ns)])
-    for co in cands:
-        m = np.tensordot(np.array(co, dtype=object), es.astype(object), 1)
+    for k in range(len(es)):
         try:
-            split = bt.rational_eigensplit(_fractions(m, cs))
+            _, tuples = bt.simultaneous_eigenbasis(es[k:k + 1], cs)
+        except OverflowError:
+            raise
         except ArithmeticError:
             continue
-        if len(split) >= 2:
-            return [co]
+        if len(set(tuples)) >= 2:
+            return [[int(i == k) for i in range(len(es))]]
     raise ArithmeticError("no split torus found in the derivation span")
 
 
@@ -837,8 +796,8 @@ def _build_view(amb, tag, tl, vecs, labels, tor_amb, depth):
     if depth > 2:
         raise AssertionError("eigenbasis rebase did not stabilize")
     n0 = len(vecs)
-    bc = bt.BatchCoords(vecs)
     b, sb = bt.int_rows(vecs)
+    bc = bt.BatchCoords(b, sb)
     star, tform, dv, cs, (dt, sdt) = _pair_tables(amb, tl, vecs, b, sb, bc)
     # the first independent pair maps D(i, j), i < j, span them all
     iu, ju = np.triu_indices(n0, 1)

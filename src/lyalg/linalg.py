@@ -86,16 +86,8 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
 
 
 def is_zero_vec(v: Vec) -> bool:

@@ -349,13 +349,17 @@ def build_tkk_row(j, name=""):
 
 
 def tkk_to_tits_map(j):
-    """Graded isomorphism data for a degree-three Jordan ingredient.
+    """Graded isomorphism data from the tkk row of a Jordan ingredient j
+    onto the three-block algebra T(Q, J0) of its trace-zero view.
 
     Returns (tkk, t, basis_map) where basis_map columns send the tkk
     basis into the three-block algebra: a (x) 1 goes to the commutator
     action of a inside the left span, a (x) x0 doubles onto the grid,
-    derivations pass through.  Transport equality is checked by the
-    caller through bracket_transport_equal.
+    derivations pass through.  The commutator actions, 2 star[i, b, a]
+    at entry (a, b), get their coordinates over the left span from one
+    Span solve on its int64 tensor; ArithmeticError if one leaves the
+    span.  Transport equality is checked by the caller through
+    bracket_transport_equal.
     """
     x = trace_admissible_view(build_composition("Q"))
     y = trace_admissible_view(j)
@@ -364,18 +368,19 @@ def tkk_to_tits_map(j):
     nx, ny = x.n0, y.n0
     nyf = ny + 1
     if tk.dim != t.alg.dim:
-        raise ValueError("blocks do not line up; is the ingredient degree 3")
-    co = bt.BatchCoords([[v for row in m for v in row] for m in x.dspan])
-    try:
-        adco = co.coords_rows([[F2 * x.stab[i][b][a] for a in range(nx)
-                                for b in range(nx)] for i in range(nx)])
-    except bt.OutsideSpan:
-        raise ArithmeticError("commutator action escaped the left span") from None
+        raise ValueError("blocks do not line up: the tkk row has dim %d, "
+                         "the three-block algebra %d" % (tk.dim, t.alg.dim))
+    (sx, ssx), (dsp, sd) = x.ints.star, x.ints.dspan
+    bt.guard_bound(2, sx)
+    span = bt.Span(dsp.reshape(len(dsp), -1))
+    co, bad = span.solve(2 * sx.transpose(0, 2, 1).reshape(nx, -1))
+    if bad.any():
+        raise ArithmeticError("commutator action escaped the left span")
     n = tk.dim
     m = [[F0] * n for _ in range(n)]
-    for i in range(nx):
-        for c, v in enumerate(adco[i]):
-            m[c][i * nyf] = v
+    for i, row in enumerate(co.tolist()):
+        for c, v in enumerate(row):
+            m[c][i * nyf] = Fraction(v * sd, span.d * ssx)
         for jj in range(1, nyf):
             m[t.grid_index(i, jj - 1)][i * nyf + jj] = F2
     for q in range(t.nd):

@@ -21,7 +21,7 @@ LAYERS = JOBS.with_name("layers.py")
 # layers.py still names these; their code is deleted
 DELETED = {"buildtools.MatSpanSolver.coords", "fastnum.exact_kernel_int",
            "fastnum.sparse_int_kernel", "roots.split_ideals",
-           "invariants.centroid_basis"}
+           "invariants.centroid_basis", "buildtools.independent_rows"}
 
 
 def lyalg_calls(tree: ast.Module) -> set[tuple[str, str]]:

@@ -1,6 +1,6 @@
-"""The certified span engine, Span, directly and through its rational
-adapters, BatchCoords and independent_rows, and the exact rational root
-finder."""
+"""The certified span engine, Span and select, directly and through the
+int64 adapter of the trace-zero views, BatchCoords, and the exact
+rational root finder."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ import pytest
 
 from lyalg import linalg as la
 from lyalg.buildtools import (INT64_GUARD, BatchCoords, IrrationalRoot,
-                              OutsideSpan, Span, independent_rows, int_rows,
-                              int_values, rational_roots, subalgebra_on_indices)
+                              OutsideSpan, Span, _exact, int_rows, int_values,
+                              rational_roots, select, subalgebra_on_indices)
 from lyalg.fastnum import PRIMES20
 from lyalg.matrixalg import build_matrix_lie
 
@@ -20,6 +20,10 @@ F = Fraction
 
 def vecs(*rows):
     return [[F(x) for x in r] for r in rows]
+
+
+def ints(*rows):
+    return np.array(rows, dtype=np.int64)
 
 
 def test_span_gives_d_times_the_coordinates_of_rows_in_the_span():
@@ -89,59 +93,47 @@ def test_span_object_rows_agree_with_fraction_solve():
     assert outside
 
 
+def coords(x, d):
+    """Rows of an integer array over a common denominator, as Fractions."""
+    return [[F(v, d) for v in row] for row in x.tolist()]
+
+
 def test_selection_and_membership():
-    rows = vecs([1, 1, 0], [2, 2, 0], [0, 1, 1])
-    chosen, span, coords = independent_rows(rows)
+    span, chosen, x = select(ints([1, 1, 0], [2, 2, 0], [0, 1, 1]))
     assert chosen == [0, 2]
-    assert len(chosen) == 2
-    assert coords == [[1, 0], [2, 0], [0, 1]]
-    assert span.coords_rows(vecs([1, 0, -1])) == [[1, -1]]
-    with pytest.raises(OutsideSpan):
-        span.coords_rows(vecs([0, 0, 1]))
+    assert coords(x, span.d) == [[1, 0], [2, 0], [0, 1]]
+    x, bad = span.solve(ints([1, 0, -1], [0, 0, 1]))
+    assert bad.tolist() == [False, True]
+    assert coords(x[:1], span.d) == [[1, -1]]
 
 
 def test_coords_of_one_vector_and_a_batch():
-    basis = vecs([1, 1, 0], [0, 0, 1])
-    eng = BatchCoords(basis)
-    assert eng.coords_rows(vecs([3, 3, -1])) == [[F(3), F(-1)]]
+    eng = BatchCoords(ints([1, 1, 0], [0, 0, 1]), 1)
+    assert coords(*eng.coords_int(ints([3, 3, -1]), 1)) == [[3, -1]]
     with pytest.raises(OutsideSpan):
-        eng.coords_rows(vecs([1, 0, 0]))
-    assert eng.coords_rows(vecs([3, 3, -1], [F(1, 2), F(1, 2), 0])) == [
-        [3, -1], [F(1, 2), 0]]
+        eng.coords_int(ints([1, 0, 0]), 1)
+    q = int_rows(vecs([3, 3, -1], [F(1, 2), F(1, 2), 0]))
+    assert coords(*eng.coords_int(*q)) == [[3, -1], [F(1, 2), 0]]
     with pytest.raises(OutsideSpan) as err:
-        eng.coords_rows(vecs([0, 0, 5], [1, 0, 0], [0, 1, 0]))
+        eng.coords_int(ints([0, 0, 5], [1, 0, 0], [0, 1, 0]), 1)
     assert err.value.index == 1
+    # basis rows with a scale: (1/2, 1/2, 0) and (0, 0, 1)
+    eng = BatchCoords(*int_rows(vecs([F(1, 2), F(1, 2), 0], [0, 0, 1])))
+    assert coords(*eng.coords_int(ints([3, 3, -1]), 1)) == [[6, -1]]
 
 
 def test_selection_extends_to_basis():
-    rows = vecs([1, 1, 1]) + [la.basis_vec(3, i) for i in range(3)]
-    chosen, _, _ = independent_rows(rows)
-    got = [rows[i] for i in chosen]
-    assert len(got) == 3
-    assert la.rank(got) == 3
+    rows = [[1, 1, 1]] + np.eye(3, dtype=np.int64).tolist()
+    _, chosen, _ = select(ints(*rows))
+    assert la.rank(vecs(*[rows[i] for i in chosen])) == 3
     assert chosen == [0, 1, 2]
-
-
-def test_dict_rows_and_a_key_outside_the_support():
-    eng = BatchCoords([{"a": F(1), (0, 1): F(2)}, {"b": F(3)}])
-    assert eng.coords_rows([{(0, 1): F(4), "a": F(2), "b": F(3)}]) == [[2, 1]]
-    with pytest.raises(OutsideSpan):
-        eng.coords_rows([{"a": F(1), "c": F(1)}])
-    # an explicit zero at an unknown key is no escape
-    assert eng.coords_rows([{"b": F(6), "c": F(0)}]) == [[0, 2]]
-    with pytest.raises(OutsideSpan) as err:
-        eng.coords_rows([{"b": F(1)}, {"a": F(1)}, {"c": F(1)}])
-    assert err.value.index == 1
-    with pytest.raises(OutsideSpan) as err:
-        eng.coords_rows([{"b": F(1)}, {"c": F(1)}, {"a": F(1)}])
-    assert err.value.index == 1
 
 
 def test_dependent_basis_rows_raise():
     with pytest.raises(ValueError):
-        BatchCoords(vecs([1, 2], [2, 4]))
+        BatchCoords(ints([1, 2], [2, 4]), 1)
     with pytest.raises(ValueError):
-        BatchCoords([{"x": F(1)}, {"x": F(-3)}])
+        BatchCoords(*int_rows(vecs([F(1, 3), 1], [1, 3])))
 
 
 def test_seeded_bases_answer_exactly_and_refuse_the_rest():
@@ -156,58 +148,63 @@ def test_seeded_bases_answer_exactly_and_refuse_the_rest():
         if la.rank(rows) < nb:
             dependent += 1
             with pytest.raises(ValueError):
-                BatchCoords(rows)
+                BatchCoords(*int_rows(rows))
             continue
-        eng = BatchCoords(rows)
+        eng = BatchCoords(*int_rows(rows))
         co = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nb)]
               for _ in range(3)]
         combos = la.mat_mul(co, rows)
-        assert eng.coords_rows(combos) == co
+        assert coords(*eng.coords_int(*int_rows(combos))) == co
         escapee = next((la.basis_vec(width, i) for i in range(width)
                         if la.rank(rows + [la.basis_vec(width, i)]) > nb), None)
         if escapee is not None:
             outside += 1
             with pytest.raises(OutsideSpan) as err:
-                eng.coords_rows(combos + [escapee] + combos)
+                eng.coords_int(*int_rows(combos + [escapee] + combos))
             assert err.value.index == 3
     assert 0 < dependent < 60 and outside
 
 
 def test_selection_is_greedy_over_zero_and_repeated_rows():
-    rows = vecs([0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0], [2, 4, 0],
-                [0, 1, 0], [1, 3, 0], [0, 0, 7])
-    chosen, _, coords = independent_rows(rows)
+    span, chosen, x = select(ints([0, 0, 0], [1, 2, 0], [1, 2, 0], [0, 0, 0], [2, 4, 0],
+                                  [0, 1, 0], [1, 3, 0], [0, 0, 7]))
+    co = coords(x, span.d)
     assert chosen == [1, 5, 7]
-    assert coords[0] == coords[3] == [0, 0, 0]
-    assert coords[4] == [2, 0, 0]
-    assert coords[6] == [1, 1, 0]
-    assert independent_rows([])[0::2] == ([], [])
-    assert independent_rows(vecs([0, 0]))[0] == []
+    assert co[0] == co[3] == [0, 0, 0]
+    assert co[4] == [2, 0, 0]
+    assert co[6] == [1, 1, 0]
+    assert select(np.zeros((0, 2), dtype=np.int64))[1] == []
+    assert select(ints([0, 0]))[1] == []
 
 
 def test_selection_corrects_a_prime_that_hides_a_dependence():
     p = PRIMES20[0]
     # row 1 equals row 0 mod p, so the proposal skips it for row 2
-    chosen, _, coords = independent_rows(vecs([1, 0], [1, p], [0, 1]))
+    span, chosen, x = select(ints([1, 0], [1, p], [0, 1]))
     assert chosen == [0, 1]
-    assert coords[2] == [F(-1, p), F(1, p)]
+    assert coords(x, span.d)[2] == [F(-1, p), F(1, p)]
     # row 1 vanishes mod p: the exact check finds it outside the span
-    chosen, _, _ = independent_rows(vecs([1, 0, 0], [0, p, 0], [1, p, 0]))
-    assert chosen == [0, 1]
+    assert select(ints([1, 0, 0], [0, p, 0], [1, p, 0]))[1] == [0, 1]
 
 
-def test_fraction_level_calls_past_the_int64_guard_answer_exactly():
-    big = F(2**62 + 1)
-    rows = [[big, F(1)], [F(1), F(0)], [big + 1, F(1)]]
-    chosen, eng, coords = independent_rows(rows)
-    assert chosen == [0, 1]
-    assert coords[2] == [1, 1]
-    assert eng.coords_rows([[big * 2, F(2)]]) == [[2, 0]]
-    with pytest.raises(OutsideSpan):
-        BatchCoords(vecs([1, 0])).coords_rows([[big, F(1)]])
-    # the integer batch itself keeps its guard
+def test_selection_past_the_int64_guard_answers_exactly():
+    big = 2**62 + 1
+    a = ints([big, 1], [1, 0], [big + 1, 1])
+    # the pivot inverse of the first two rows leaves int64: _exact reruns
+    # the selection in Python ints
+    with pytest.raises(OverflowError, match="pivot inverse"):
+        select(a)
+    span, chosen, x = _exact(select, a)
+    assert chosen == [0, 1] and x.dtype == object
+    assert coords(x, span.d)[2] == [1, 1]
+    x, bad = span.solve(np.array([[2 * big, 2]], dtype=object))
+    assert not bad.any() and coords(x, span.d) == [[2, 0]]
+    # a query past the guard is solved in Python ints, and still refused
+    x, bad = _exact(Span(ints([1, 0])).solve, ints([big, 1]))
+    assert bad.tolist() == [True] and x.dtype == object
+    # the int64 batch of an adapter held in Python ints keeps its guard
     with pytest.raises(OverflowError):
-        eng.coords_int(*int_rows(vecs([1, 1])))
+        BatchCoords(a[:2], 1).coords_int(ints([1, 1]), 1)
 
 
 def poly(*roots, lead=F(1), extra=()):

@@ -30,6 +30,7 @@ from lyalg.compjordan import (
     trace_admissible_view,
 )
 from test_invariants import derivation_space
+from viewforms import fraction_forms
 
 
 def ev(n, *pairs):
@@ -150,8 +151,9 @@ def test_derivation_space_dims():
 
 def test_comp_view_octonions():
     v = trace_admissible_view(build_composition("O"))
+    f = fraction_forms(v)
     assert v.n0 == 7
-    assert len(v.dspan) == 14
+    assert v.nspan == 14
     assert v.rank == 2
     zero = tuple([F(0)] * 2)
     assert sum(1 for w in v.weights if w == zero) == 1
@@ -159,22 +161,23 @@ def test_comp_view_octonions():
     assert sorted(tuple(-x for x in w) for w in wl) == wl
     assert sum(1 for w in v.dweights if w == zero) == 2
     # X0 basis order: u1 u2 u3 v1 v2 v3 (p - q)
-    assert v.star(0, 1) == ev(7, (5, 1))
-    assert v.star(1, 0) == ev(7, (5, -1))
-    assert v.star(0, 0) == la.zero_vec(7)
-    assert v.star(6, 0) == ev(7, (0, 1))
-    assert v.star(0, 6) == ev(7, (0, -1))
-    assert v.tp(0, 3) == F(1, 2)
-    assert v.tp(0, 0) == 0
-    assert v.tp(6, 6) == 1
-    assert la.rank(v.tform) == 7
+    assert f.stab[0][1] == ev(7, (5, 1))
+    assert f.stab[1][0] == ev(7, (5, -1))
+    assert f.stab[0][0] == la.zero_vec(7)
+    assert f.stab[6][0] == ev(7, (0, 1))
+    assert f.stab[0][6] == ev(7, (0, -1))
+    assert f.tform[0][3] == F(1, 2)
+    assert f.tform[0][0] == 0
+    assert f.tform[6][6] == 1
+    assert la.rank(f.tform) == 7
 
 
 def test_comp_view_star_respects_weights():
     v = trace_admissible_view(build_composition("O"))
+    f = fraction_forms(v)
     for i in range(v.n0):
         for j in range(v.n0):
-            s = v.star(i, j)
+            s = f.stab[i][j]
             for c, val in enumerate(s):
                 if val != 0:
                     want = tuple(a + b for a, b in zip(v.weights[i], v.weights[j]))
@@ -183,23 +186,25 @@ def test_comp_view_star_respects_weights():
 
 def test_comp_view_quaternions():
     v = trace_admissible_view(build_composition("Q"))
+    f = fraction_forms(v)
     assert v.n0 == 3
-    assert len(v.dspan) == 3
+    assert v.nspan == 3
     assert v.rank == 1
     assert sum(1 for w in v.weights if w == (F(0),)) == 1
     # E12 * E21 = E11 - t(E11) 1 = (E11 - E22) / 2
-    assert v.star(0, 1) == ev(3, (2, F(1, 2)))
+    assert f.stab[0][1] == ev(3, (2, F(1, 2)))
 
 
 def test_comp_view_small_kinds():
     vk = trace_admissible_view(build_composition("k"))
-    assert vk.n0 == 0 and vk.dspan == [] and vk.rank == 0
+    assert vk.n0 == 0 and vk.nspan == 0 and vk.rank == 0
     v2 = trace_admissible_view(build_composition("K"))
+    f2 = fraction_forms(v2)
     assert v2.n0 == 1
-    assert v2.dspan == [] and v2.rank == 0
+    assert v2.nspan == 0 and v2.rank == 0
     assert v2.weights == [()]
-    assert v2.star(0, 0) == [F(0)]
-    assert v2.tp(0, 0) == 1
+    assert f2.stab[0][0] == [F(0)]
+    assert f2.tform[0][0] == 1
 
 
 def test_jordan_spin_basics():
@@ -210,14 +215,15 @@ def test_jordan_spin_basics():
     assert j.mul(la.basis_vec(6, 5), la.basis_vec(6, 5)) == la.basis_vec(6, 0)
     assert j.gentrace(j.unit) == 2
     v = trace_admissible_view(j)
+    f = fraction_forms(v)
     assert v.n0 == 5
-    assert len(v.dspan) == 10
+    assert v.nspan == 10
     assert v.rank == 2
     for i in range(5):
         for k in range(5):
-            assert v.star(i, k) == la.zero_vec(5)
-    assert v.tform == la.sym_split_gram(5)
-    d01 = v.dmat(0, 1)
+            assert f.stab[i][k] == la.zero_vec(5)
+    assert f.tform == la.sym_split_gram(5)
+    d01 = f.dmat(0, 1)
     want = la.zeros(5, 5)
     want[0][0] = F(-1)
     want[1][1] = F(1)
@@ -257,44 +263,44 @@ def test_jordan_view_span_dims_small():
     for spec, n0, span, rank in [("H3(k)", 5, 3, 1), ("H3(K)", 8, 8, 2),
                                  ("H3(Q)", 14, 21, 3)]:
         v = trace_admissible_view(build_jordan(spec))
-        assert (v.n0, len(v.dspan), v.rank) == (n0, span, rank)
+        f = fraction_forms(v)
+        assert (v.n0, v.nspan, v.rank) == (n0, span, rank)
         zero = tuple([F(0)] * rank)
         assert sum(1 for w in v.dweights if w == zero) == rank
-        assert la.rank(v.tform) == n0
+        assert la.rank(f.tform) == n0
 
 
 def test_jordan_view_h3K_trace_values():
     v = trace_admissible_view(build_jordan("H3(K)"))
+    f = fraction_forms(v)
     # X0 opens with E2 - E1, E3 - E1
-    assert v.tp(0, 0) == F(2, 3)
-    assert v.tp(0, 1) == F(1, 3)
+    assert f.tform[0][0] == F(2, 3)
+    assert f.tform[0][1] == F(1, 3)
 
 
 def test_jordan_view_octonion_hermitian():
     v = trace_admissible_view(build_jordan("H3(O)"))
+    f = fraction_forms(v)
     assert v.n0 == 26
-    assert len(v.dspan) == 52
+    assert v.nspan == 52
     assert v.rank == 4
     zero = tuple([F(0)] * 4)
     assert sum(1 for w in v.weights if w == zero) == 2
     wl = sorted(v.weights)
     assert sorted(tuple(-x for x in w) for w in wl) == wl
     assert sum(1 for w in v.dweights if w == zero) == 4
-    assert la.rank(v.tform) == 26
+    assert la.rank(f.tform) == 26
 
 
 def test_view_equivariance_explicit():
     v = trace_admissible_view(build_jordan("H3(K)"))
-    e = v.dspan[0]
+    f = fraction_forms(v)
+    e = f.dspan[0]
     i, j = 0, 1
-    dij = v.dmat(i, j)
+    dij = f.dmat(i, j)
     lhs = la.mat_sub(la.mat_mul(e, dij), la.mat_mul(dij, e))
-    rhs = la.zeros(v.n0, v.n0)
-    for c in range(v.n0):
-        if e[c][i] != 0:
-            rhs = la.mat_add(rhs, la.mat_scale(e[c][i], v.dmat(c, j)))
-        if e[c][j] != 0:
-            rhs = la.mat_add(rhs, la.mat_scale(e[c][j], v.dmat(i, c)))
+    rhs = [[sum((e[c][i] * f.dmat(c, j)[r][k] + e[c][j] * f.dmat(i, c)[r][k]
+                 for c in range(v.n0)), F(0)) for k in range(v.n0)] for r in range(v.n0)]
     assert lhs == rhs
 
 
@@ -337,8 +343,8 @@ def first_failing_triple_reference(j):
         return br(j.right_mult(e[x]), j.right_mult(j.mul(e[y], e[z])))
 
     for i, k, l in itertools.combinations_with_replacement(range(n), 3):
-        s = la.mat_add(la.mat_add(cyc(i, k, l), cyc(k, l, i)), cyc(l, i, k))
-        if any(any(row) for row in s):
+        terms = zip(cyc(i, k, l), cyc(k, l, i), cyc(l, i, k))
+        if any(a + b + c for rows in terms for a, b, c in zip(*rows)):
             return (i, k, l)
     return None
 
@@ -395,44 +401,46 @@ def _flat(m):
 def int_tables(v, dt):
     """The span and the antisymmetric pair table of a view as int64
     tensors, the form _equivariance_check reads."""
-    rows, _ = bt.int_rows([_flat(m) for m in v.dspan]
+    rows, _ = bt.int_rows([_flat(m) for m in fraction_forms(v).dspan]
                           + [_flat(dt[p]) for p in sorted(dt)])
-    es = rows[:len(v.dspan)].reshape(-1, v.n0, v.n0)
+    es = rows[:v.nspan].reshape(-1, v.n0, v.n0)
     d = np.zeros((v.n0, v.n0, v.n0 * v.n0), dtype=np.int64)
     ia, ib = np.array(sorted(dt)).T
-    d[ia, ib] = rows[len(v.dspan):]
-    d[ib, ia] = -rows[len(v.dspan):]
+    d[ia, ib] = rows[v.nspan:]
+    d[ib, ia] = -rows[v.nspan:]
     return es, d.reshape(v.n0, v.n0, v.n0, v.n0), v.n0
 
 
 def test_equivariance_check_rejects_a_changed_entry():
     v = trace_admissible_view(build_composition("O"))
-    _equivariance_check(*int_tables(v, v.dt))
+    f = fraction_forms(v)
+    _equivariance_check(*int_tables(v, f.dt))
     pair = (0, 1)
-    m = [row[:] for row in v.dt[pair]]
+    m = [row[:] for row in f.dt[pair]]
     r, c = next((r, c) for r in range(v.n0) for c in range(v.n0) if m[r][c] != 0)
     m[r][c] += 1
-    bad = dict(v.dt)
+    bad = dict(f.dt)
     bad[pair] = m
     with pytest.raises(ArithmeticError, match="not equivariant"):
         _equivariance_check(*int_tables(v, bad))
     # the view itself is untouched
-    _equivariance_check(*int_tables(v, v.dt))
+    _equivariance_check(*int_tables(v, f.dt))
 
 
 def test_equivariance_check_rejects_a_changed_entry_h3o():
     v = trace_admissible_view(build_jordan("H3(O)"))
+    f = fraction_forms(v)
     assert v.n0 == 26
-    _equivariance_check(*int_tables(v, v.dt))
-    pair, r, c = next((p, r, c) for p in sorted(v.dt) for r in range(v.n0)
-                      for c in range(v.n0) if v.dt[p][r][c] != 0)
-    m = [row[:] for row in v.dt[pair]]
+    _equivariance_check(*int_tables(v, f.dt))
+    pair, r, c = next((p, r, c) for p in sorted(f.dt) for r in range(v.n0)
+                      for c in range(v.n0) if f.dt[p][r][c] != 0)
+    m = [row[:] for row in f.dt[pair]]
     m[r][c] += 1
-    bad = dict(v.dt)
+    bad = dict(f.dt)
     bad[pair] = m
     with pytest.raises(ArithmeticError, match="not equivariant"):
         _equivariance_check(*int_tables(v, bad))
-    _equivariance_check(*int_tables(v, v.dt))
+    _equivariance_check(*int_tables(v, f.dt))
 
 
 
@@ -441,7 +449,8 @@ def test_equivariance_check_rejects_a_changed_span_element_in_any_batch(chunk):
     # D is untouched, so only the changed element can fail: every batch
     # position must be checked, the last of a batch included
     v = trace_admissible_view(build_jordan("H3(Q)"))
-    es, d, n0 = int_tables(v, v.dt)
+    f = fraction_forms(v)
+    es, d, n0 = int_tables(v, f.dt)
     _equivariance_check(es, d, n0, chunk)
     for k in sorted({0, chunk - 1, chunk, len(es) - 1} & set(range(len(es)))):
         bad = es.copy()

@@ -6,9 +6,12 @@ hermitian product table built from Fraction matrix products, and the two
 pair-table paths (the Fraction one for small ambients, the int64 one for
 the 27-dimensional ones) with the view builder that chose between them.
 The integer code must give the same tables, the same view attributes and
-the same rejection messages.  The views now hold only int64 tensors, so
-the reference view is a namespace of the Fraction attributes the views
-derive.
+the same rejection messages.  The views hold only int64 tensors, so
+the reference view is a namespace of Fraction attributes, compared with
+the forms viewforms.fraction_forms renders from those tensors.  The
+reference selects and solves on the Fraction routines of linalg
+(test_invariants.first_independent and coords_reference), not on the
+span engine it checks.
 """
 
 from fractions import Fraction
@@ -21,7 +24,8 @@ import lyalg.compjordan as cj
 from lyalg import buildtools as bt
 from lyalg import linalg as la
 from lyalg.linalg import F0, F1
-from test_invariants import eigenbasis_reference
+from test_invariants import coords_reference, eigenbasis_reference, first_independent
+from viewforms import fraction_forms
 
 HALF = Fraction(1, 2)
 
@@ -131,7 +135,7 @@ def hermitian_table_reference(c, n, signs, mats):
     return tab
 
 
-def pair_tables_small_reference(amb, tl, vecs, bc, dpair):
+def pair_tables_small_reference(amb, tl, vecs, dpair):
     n0 = len(vecs)
     prows = []
     tform = la.zeros(n0, n0)
@@ -141,7 +145,7 @@ def pair_tables_small_reference(amb, tl, vecs, bc, dpair):
             tv = la.dot(tl, p)
             tform[i][j] = tv
             prows.append(la.vec_sub(p, la.vec_scale(tv, amb.unit)))
-    sco = bc.coords_rows(prows)
+    sco = coords_reference(vecs, prows)
     stab = [[sco[i * n0 + j] for j in range(n0)] for i in range(n0)]
     prs = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
     damb = {}
@@ -153,13 +157,13 @@ def pair_tables_small_reference(amb, tl, vecs, bc, dpair):
             imgs.append(la.mat_vec(m, v))
     dtfull = {}
     if prs:
-        ico = bc.coords_rows(imgs)
+        ico = coords_reference(vecs, imgs)
         for idx, (i, j) in enumerate(prs):
             dtfull[(i, j)] = la.transpose(ico[idx * n0:(idx + 1) * n0])
     return stab, tform, dtfull, damb.__getitem__
 
 
-def pair_tables_big_reference(amb, tl, vecs, bc):
+def pair_tables_big_reference(amb, tl, vecs):
     tint, s = amb._int
     n = amb.dim
     n0 = len(vecs)
@@ -175,18 +179,19 @@ def pair_tables_big_reference(amb, tl, vecs, bc):
     tvals = np.einsum('ijc,c->ij', p2, tli[0])
     ui, su = bt.int_rows([amb.unit])
     star = p2 * (st * su) - tvals[:, :, None] * ui[0][None, None, :]
-    co, cs = bc.coords_int(star.reshape(n0 * n0, n), sp2 * st * su)
-    stab = [[[Fraction(int(co[i * n0 + j, l]), cs) for l in range(n0)]
-             for j in range(n0)] for i in range(n0)]
+    co = coords_reference(vecs, star.reshape(n0 * n0, n).tolist())
+    cs = sp2 * st * su
+    stab = [[[x / cs for x in co[i * n0 + j]] for j in range(n0)] for i in range(n0)]
     tform = [[Fraction(int(tvals[i, j]), sp2 * st) for j in range(n0)]
              for i in range(n0)]
-    img = np.einsum('ijrc,kc->ijrk', dt, b)
-    co2, cs2 = bc.coords_int(
-        img.transpose(0, 1, 3, 2).reshape(n0 * n0 * n0, n), sdt * sb)
-    frac = {v: Fraction(v, cs2) for v in np.unique(co2).tolist()}
-    cols = co2.reshape(n0, n0, n0, n0).transpose(0, 1, 3, 2).tolist()
-    dtfull = {(i, j): [[frac[v] for v in row] for row in cols[i][j]]
-              for i in range(n0) for j in range(i + 1, n0)}
+    # column k of D(i, j), i < j, is the image of v_k = b[k] / sb
+    iu, ju = np.triu_indices(n0, 1)
+    img = np.einsum('prc,kc->pkr', dt[iu, ju], b)
+    co2 = coords_reference(vecs, img.reshape(-1, n).tolist())
+    cs2 = sdt * sb
+    dtfull = {(int(i), int(j)): la.transpose([[x / cs2 for x in row]
+                                              for row in co2[p * n0:(p + 1) * n0]])
+              for p, (i, j) in enumerate(zip(iu, ju))}
 
     def damb(p):
         i, j = p
@@ -206,11 +211,9 @@ def _offdiag(m):
 
 
 def _mat_combo(mats, co):
-    out = la.zeros(len(mats[0]), len(mats[0][0]))
-    for c, m in zip(co, mats):
-        if c != 0:
-            out = la.mat_add(out, la.mat_scale(c, m))
-    return out
+    terms = [(c, m) for c, m in zip(co, mats) if c != 0]
+    return [[sum((c * m[r][k] for c, m in terms), F0) for k in range(len(mats[0][0]))]
+            for r in range(len(mats[0]))]
 
 
 def _vec_combo(vecs, co):
@@ -222,12 +225,7 @@ def _vec_combo(vecs, co):
 
 
 def _toral_search(dspan0):
-    ns = len(dspan0)
-    cands = [la.basis_vec(ns, i) for i in range(ns)]
-    for k in range(2, 30):
-        cands.append([Fraction(k) ** i for i in range(ns)])
-        cands.append([Fraction(-k) ** i for i in range(ns)])
-    for co in cands:
+    for co in (la.basis_vec(len(dspan0), i) for i in range(len(dspan0))):
         try:
             split = bt.rational_eigensplit(_mat_combo(dspan0, co))
         except ArithmeticError:
@@ -249,25 +247,23 @@ def _diagonal_coeffs(dspan0, n0):
 def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
     assert depth <= 2
     n0 = len(vecs)
-    bc = bt.BatchCoords(vecs)
     big = isinstance(amb, cj.JordanAlg) and amb.form is None and amb.dim >= 15
     if big:
-        stab, tform, dtfull, damb = pair_tables_big_reference(amb, tl, vecs, bc)
+        stab, tform, dtfull, damb = pair_tables_big_reference(amb, tl, vecs)
     else:
-        stab, tform, dtfull, damb = pair_tables_small_reference(
-            amb, tl, vecs, bc, dpair)
+        stab, tform, dtfull, damb = pair_tables_small_reference(amb, tl, vecs, dpair)
     pairs = sorted(dtfull)
     flats = {p: _flat(dtfull[p]) for p in pairs}
     nzpairs = [p for p in pairs if any(flats[p])]
     span_pairs = []
     if nzpairs:
-        sel = bt.independent_rows([flats[p] for p in nzpairs])[0]
+        sel = first_independent([flats[p] for p in nzpairs])
         span_pairs = [nzpairs[i] for i in sel]
     dspan0 = [dtfull[p] for p in span_pairs]
     if tor_amb is not None:
         tor_res = []
         for t in tor_amb:
-            colco = bc.coords_rows([la.mat_vec(t, v) for v in vecs])
+            colco = coords_reference(vecs, [la.mat_vec(t, v) for v in vecs])
             tor_res.append(la.transpose(colco))
         assert not any(_offdiag(t) for t in tor_res)
     else:
@@ -299,14 +295,13 @@ def build_view_reference(amb, tag, tl, vecs, labels, dpair, tor_amb, depth):
                     if any(r)]
             if not rows:
                 continue
-            for i in bt.independent_rows(rows)[0]:
+            for i in first_independent(rows):
                 piece = la.zeros(n0, n0)
                 for (a, b), v in zip(pos, rows[i]):
                     piece[a][b] = v
                 dspan.append(piece)
                 dweights.append(mu)
-        fbc = bt.BatchCoords([_flat(m) for m in dspan])
-        allco = fbc.coords_rows([flats[p] for p in pairs])
+        allco = coords_reference([_flat(m) for m in dspan], [flats[p] for p in pairs])
         dcoords = {p: allco[idx] for idx, p in enumerate(pairs)}
     return SimpleNamespace(tag=tag, vecs=vecs, n0=n0, labels=labels, weights=weights,
                            rank=len(weights[0]) if weights else 0, stab=stab,
@@ -341,14 +336,24 @@ def view_reference(amb):
 
 # ---------------------------------------------------------------- tests
 
-VIEW_ATTRS = ("tag", "vecs", "n0", "labels", "weights", "rank", "stab",
-              "tform", "dt", "dcoords", "dspan", "dweights")
+VIEW_ATTRS = ("tag", "vecs", "n0", "labels", "weights", "rank", "dweights")
+FORMS = ("stab", "tform", "dt", "dcoords", "dspan")
 
 AMBIENTS = [("comp", "k"), ("comp", "K"), ("comp", "Q"), ("comp", "O"),
             ("jordan", "H2(Q)"), ("jordan", "H2(O)"), ("jordan", "H3(k)"),
             ("jordan", "H3(K)"), ("jordan", "H3(Q)"), ("jordan", "H3(O)"),
-            ("jordan", "H4(K)"), ("jordan", "H4(Q)"), ("jordan", "JV(3)"),
-            ("jordan", "JV(5)")]
+            ("jordan", "H4(K)"), ("jordan", "H4(Q)"), ("jordan", "H4(k)"),
+            ("jordan", "H5(k)"), ("jordan", "JV(3)"), ("jordan", "JV(5)")]
+
+
+def assert_view_matches(v, ref):
+    """The view's attributes and the Fraction forms rendered from its
+    tensors equal the reference's."""
+    forms = fraction_forms(v)
+    for attr in VIEW_ATTRS:
+        assert getattr(v, attr) == getattr(ref, attr), attr
+    for attr in FORMS:
+        assert getattr(forms, attr) == getattr(ref, attr), attr
 
 
 def ambient(kind, spec):
@@ -384,8 +389,7 @@ def test_view_attributes_match_reference(kind, spec):
     amb = ambient(kind, spec)
     v = cj.trace_admissible_view(amb)
     ref = view_reference(amb)
-    for attr in VIEW_ATTRS:
-        assert getattr(v, attr) == getattr(ref, attr), attr
+    assert_view_matches(v, ref)
 
 
 def rescaled(kind, d):
@@ -415,8 +419,7 @@ def test_rescaled_compositions_match_reference(kind, d):
     assert c._int[1] > 1
     v = cj.trace_admissible_view(c)
     ref = view_reference(c)
-    for attr in VIEW_ATTRS:
-        assert getattr(v, attr) == getattr(ref, attr), attr
+    assert_view_matches(v, ref)
     # a unit off by a factor is refused by both, with one message
     bad = rescaled(kind, d)
     bad.unit = [x / 2 for x in bad.unit]
@@ -440,8 +443,7 @@ def test_hermitian_table_over_a_rescaled_composition(kind, d):
     cj._verify_jordan(j)
     v = cj.trace_admissible_view(j)
     ref = view_reference(j)
-    for attr in VIEW_ATTRS:
-        assert getattr(v, attr) == getattr(ref, attr), attr
+    assert_view_matches(v, ref)
 
 
 def test_every_view_certifies_the_leibniz_rule(monkeypatch):
@@ -451,7 +453,7 @@ def test_every_view_certifies_the_leibniz_rule(monkeypatch):
                         lambda t, es: seen.append(len(es)) or real(t, es))
     for kind, spec in [("comp", "O"), ("jordan", "H3(k)"), ("jordan", "JV(3)")]:
         v = cj.trace_admissible_view.__wrapped__(ambient(kind, spec))
-        assert seen[-1] == len(v.dspan) > 0
+        assert seen[-1] == v.nspan > 0
     assert len(seen) == 3
 
 

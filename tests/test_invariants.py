@@ -1,11 +1,14 @@
 """The Killing form radical and semisimplicity, the operator algebra and
 eigenbasis tools, on small algebras where every answer is known by hand.
 
-Three exact references live here, on linalg.kernel_basis: the derivation
-algebra of a multiplication table (derivation_space), the dimension of
-the commutant of a set of operators (commutant_dim), which certifies
-that a module is irreducible in test_matrix_families, and the Fraction
-common eigenbasis (eigenbasis_reference) that the integer
+The exact references live here, on the Fraction routines of linalg:
+the derivation algebra of a multiplication table (derivation_space), the
+dimension of the commutant of a set of operators (commutant_dim), which
+certifies that a module is irreducible in test_matrix_families, the
+first independent rows of a list and the coordinates of rows over
+independent rows (first_independent, coords_reference), which the
+reference views and tensor factors use in place of the span engine, and
+the Fraction common eigenbasis (eigenbasis_reference) that the integer
 simultaneous_eigenbasis must reproduce.
 """
 
@@ -18,8 +21,7 @@ import pytest
 from lyalg import invariants
 from lyalg import linalg as la
 from lyalg.algebra import Algebra
-from lyalg.buildtools import (BatchCoords, IrrationalRoot, NotClosedError, OutsideSpan,
-                              direct_sum, independent_rows,
+from lyalg.buildtools import (IrrationalRoot, NotClosedError, direct_sum,
                               operator_algebra_from_basis,
                               rational_eigensplit, simultaneous_eigenbasis)
 from lyalg.invariants import is_semisimple, killing_radical
@@ -146,10 +148,9 @@ def test_derivations_sl2_all_inner():
     der = derivation_space(3, g.bracket)
     assert len(der) == 3
     ads = [ad(g, la.basis_vec(3, i)) for i in range(3)]
-    chosen, span, _ = independent_rows([[v for row in d for v in row]
-                                        for d in der])
-    assert chosen == [0, 1, 2]
-    span.coords_rows([[v for row in m for v in row] for m in ads])
+    flats = [[v for row in d for v in row] for d in der]
+    assert first_independent(flats) == [0, 1, 2]
+    coords_reference(flats, [[v for row in m for v in row] for m in ads])
 
 
 def test_derivations_abelian():
@@ -212,10 +213,31 @@ def test_eigensplit_rejects_irrational():
         rational_eigensplit(rot)
 
 
+def first_independent(rows):
+    """Indices of the rows that are not combinations of the rows before
+    them: the pivot columns of rows^T (la.rref)."""
+    return la.rref(la.transpose(rows))[1] if rows else []
+
+
+def coords_reference(basis, rows):
+    """Coordinates of rows over independent rows basis: la.solve of
+    basis^T x = row for every row at once, as one la.rref of
+    [basis^T | rows^T], whose first len(basis) rows are then [I | X^T].
+    ArithmeticError if a row is outside the span."""
+    if not rows:
+        return []
+    nb = len(basis)
+    red, piv = la.rref([b + r for b, r in zip(la.transpose(basis), la.transpose(rows),
+                                              strict=True)])
+    if piv != list(range(nb)):
+        raise ArithmeticError("a row is outside the span of the basis")
+    return la.transpose([row[nb:] for row in red])
+
+
 def eigenbasis_reference(mats):
     """Common eigenbasis of commuting Fraction matrices: the space split
     by one matrix after another, block by block, each block's restriction
-    from BatchCoords and its split from rational_eigensplit, the lifted
+    from coords_reference and its split from rational_eigensplit, the lifted
     vectors made primitive.  Returns (vectors, tuples) ordered by tuple."""
     if not mats:
         raise ValueError("no matrices given")
@@ -235,8 +257,8 @@ def eigenbasis_reference(mats):
                 nxt.append((tup2, vecs))
                 continue
             try:
-                restr = BatchCoords(vecs).coords_rows([la.mat_vec(m, v) for v in vecs])
-            except OutsideSpan:
+                restr = coords_reference(vecs, [la.mat_vec(m, v) for v in vecs])
+            except ArithmeticError:
                 raise ArithmeticError("matrix does not preserve block") from None
             for lam, kb in rational_eigensplit(la.transpose(restr)):
                 lifted = []

@@ -9,7 +9,7 @@ import pytest
 from lyalg import io
 from lyalg import linalg as la
 from lyalg.algebra import LYAlgebra
-from lyalg.buildtools import BatchCoords, batch, subalgebra_on_indices
+from lyalg.buildtools import batch, subalgebra_on_indices
 from lyalg.checks import check_lie, check_ly
 from lyalg.envelope import build_enveloping
 from lyalg.matrixalg import (SL2_OPS, SL2_WEIGHTS, BilinForm, build_matrix_lie,
@@ -17,7 +17,7 @@ from lyalg.matrixalg import (SL2_OPS, SL2_WEIGHTS, BilinForm, build_matrix_lie,
                              ly_sl_tensor_sl, ly_sp_tensor_sym, sl_ops,
                              split_skew_form, split_sym_form, sym0_basis)
 from lyalg.roots import classify, saturate_torus, verify_weights
-from test_invariants import commutant_dim
+from test_invariants import commutant_dim, coords_reference
 from test_tits import inner_maps, load_known, saturated_sha256, sha256, sp_commutator
 
 fr = Fraction
@@ -237,14 +237,15 @@ def sp_mul(a, b):
 
 class FactorReference:
     """Trace form, anticommutator, double-bracket and half-commutator
-    coordinates of one factor, as sparse (index, Fraction) lists."""
+    coordinates of one factor, as sparse (index, Fraction) lists, from
+    coords_reference over the factor's matrices."""
 
     def __init__(self, mats, weights, n):
         nb = self.dim = len(mats)
-        self.weights, self.inv, self.mats = weights, fr(1, n), mats
-        self.solver = BatchCoords(mats)
+        self.weights, self.inv, self.mats, self.n = weights, fr(1, n), mats, n
+        self.basis = self.dense(mats)
         self.tr = [[trace_mul(a, b) for b in mats] for a in mats]
-        self.anti, self.dbl = {}, {}
+        keys, queries = [], []
         for a in range(nb):
             for b in range(nb):
                 m = sp_mul(mats[a], mats[b])
@@ -252,17 +253,30 @@ class FactorReference:
                     m[k] = m.get(k, fr(0)) + v
                 for d in range(n):
                     m[(d, d)] = m.get((d, d), fr(0)) - 2 * self.inv * self.tr[a][b]
-                self.anti[a, b] = self.coords(m)
+                keys.append(("anti", a, b))
+                queries.append(m)
                 comm = sp_commutator(mats[a], mats[b])
                 for c in range(nb):
-                    self.dbl[a, b, c] = self.coords(sp_commutator(comm, mats[c]))
+                    keys.append(("dbl", a, b, c))
+                    queries.append(sp_commutator(comm, mats[c]))
+        self.anti, self.dbl, self.half = {}, {}, {}
+        for (kind, *key), co in zip(keys, self.coords(queries)):
+            getattr(self, kind)[tuple(key)] = co
 
-    def coords(self, m):
-        co = self.solver.coords_rows([m])[0]
-        return [(c, v) for c, v in enumerate(co) if v]
+    def dense(self, ms):
+        return [[m.get((r, c), fr(0)) for r in range(self.n) for c in range(self.n)]
+                for m in ms]
+
+    def coords(self, ms):
+        return [[(c, v) for c, v in enumerate(row) if v]
+                for row in coords_reference(self.basis, self.dense(ms))]
 
     def half_comm(self, a, b):
-        return [(c, v / 2) for c, v in self.coords(sp_commutator(self.mats[a], self.mats[b]))]
+        # solved on first use: [f, f'] need not lie in the span (sym0)
+        if (a, b) not in self.half:
+            comm = sp_commutator(self.mats[a], self.mats[b])
+            self.half[a, b] = [(c, v / 2) for c, v in self.coords([comm])[0]]
+        return self.half[a, b]
 
 
 def add_tensor(acc, ca, cf, nf):
