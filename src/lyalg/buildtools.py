@@ -22,11 +22,11 @@ action of the tkk map (tits), the change of basis to a split torus
   "Exact solution of linear equations using p-adic expansions", Numer.
   Math. 1982, for the pattern of a modular proposal with an exact
   check);
-* BatchCoords is the int64 adapter of the trace-zero views
-  (compjordan._build_view): a Span on the slice basis, given as int64
-  rows with their common scale, and coords_int, which answers an int64
-  batch in guarded int64 and raises OutsideSpan naming the first row
-  outside the span.
+* BatchCoords is the int64 adapter of the trace-zero views' slice
+  coordinates (compjordan._pair_action, _pair_tables): a Span on the
+  slice basis, given as int64 rows with their common scale, and
+  coords_int, which answers an int64 batch in guarded int64 and raises
+  OutsideSpan naming the first row outside the span.
 
 int_commutators forms every pairwise commutator of a list of integer
 sparse matrices from one guarded int64 join (fastnum.join); the class

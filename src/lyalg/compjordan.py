@@ -15,14 +15,15 @@ Jordan identity, a sparse sweep of joins over the sorted triples.
 The trace-zero view packages what the two-ingredient Lie algebra
 constructions consume, as int64 tensors: the star product and normalized
 trace form in a torus eigenbasis, and the inner pair derivations by
-their coordinates over a weight-adapted basis of their span.  One integer
-path serves every ambient: the pair maps of all slice pairs form one
-int64 tensor (_pair_maps), from the composition table for compositions,
-as [R_x, R_y] for hermitian Jordan algebras and from the form for spin
-factors, and one slot is checked against the direct Fraction
-implementation.  Every view certifies that the spanning pair maps are
-derivations and that its pair derivation table is equivariant under
-their span, reading the same integer tensors.
+their coordinates over a basis of weight vectors of their span.  One
+integer path serves every ambient: the pair maps of all slice pairs form
+one int64 tensor (_pair_maps), from the composition table for
+compositions, as [R_x, R_y] for hermitian Jordan algebras and from the
+form for spin factors, and one slot is checked against the direct
+Fraction implementation.  Each view is one pass (_build_view): its span
+basis is the first independent pair maps, which one select finds with
+every pair map's coordinates, and it certifies that they are
+derivations and that its pair derivation table is equivariant.
 """
 
 import re
@@ -656,17 +657,49 @@ def _pair_maps(amb, b, sb):
     return m - m.transpose(1, 0, 2, 3), (s * sb) ** 2
 
 
-def _pair_tables(amb, tl, vecs, b, sb, bc):
-    """Star product, trace form and pair derivation table of the slice.
+def _pair_action(amb, vecs, b, sb, bc):
+    """The pair derivations acting on the slice with basis vecs (int64
+    rows b, scale sb), and one select of the first independent ones.
 
-    One path for every ambient: with the slice basis cleared into int64
-    rows b (scale sb), the star product and trace form come from the
-    integer table and the pair maps from _pair_maps, and their
-    coordinates over the slice from int64 batches through bc.  Returns,
-    each with its scale, star[i, j, l] (coordinate l of v_i * v_j), the
-    trace form, the antisymmetric tensor dv with dv[i, j][l][k] the
-    coordinate l of D(i, j) v_k, and the ambient pair maps dt.  One slot
-    of each table is checked against the direct Fraction implementation.
+    The images of the basis under the ambient maps D(v_i, v_j), i < j, of
+    _pair_maps get their coordinates from one int64 batch through bc, and
+    the slot D(v_0, v_1) is checked against the direct Fraction
+    implementation.  Returns the antisymmetric tensor dv, dv[i, j][l][k]
+    the coordinate l of D(v_i, v_j) v_k, and its scale; the chosen maps
+    es = dv[i, j] and their ambient maps (matrices on ambient columns);
+    and select's (pu, pv, x, d): the pairs of the nonzero maps, and x with
+    row p d times the coordinates of map p over es.
+    """
+    n0 = len(vecs)
+    dt, sdt = _pair_maps(amb, b, sb)
+    if n0 >= 2:
+        direct = (comp_derivation if isinstance(amb, CompAlg) else
+                  _spin_pair_map if amb.form is not None else jordan_derivation)
+        d01 = [[Fraction(x, sdt) for x in row] for row in dt[0, 1].tolist()]
+        if d01 != direct(amb, vecs[0], vecs[1]):
+            raise ArithmeticError("integer batch disagrees with the direct pair map")
+    bt.guard_bound(amb.dim, dt, b)
+    iu, ju = np.triu_indices(n0, 1)
+    img = np.einsum('prc,kc->pkr', dt[iu, ju], b)
+    co, cs = bc.coords_int(img.reshape(-1, amb.dim), sdt * sb)
+    dv = np.zeros((n0, n0, n0, n0), dtype=np.int64)
+    dv[iu, ju] = co.reshape(-1, n0, n0).transpose(0, 2, 1)
+    dv[ju, iu] = -dv[iu, ju]
+    flats = dv.reshape(n0, n0, n0 * n0)[iu, ju]
+    nz = np.flatnonzero(flats.any(axis=1))
+    sel, x, d = nz, np.zeros((0, 0), dtype=np.int64), 1
+    if len(nz):
+        span, sel, x = bt._exact(bt.select, flats[nz])
+        d = span.d
+    pu, pv = iu[nz], ju[nz]
+    return dv, cs, dv[pu[sel], pv[sel]], dt[pu[sel], pv[sel]], (pu, pv, x, d)
+
+
+def _pair_tables(amb, tl, vecs, b, sb, bc):
+    """Star product and trace form of the slice, each with its scale:
+    star[i, j, l], the coordinate l of v_i * v_j, from the integer table
+    and one int64 batch through bc, and the trace form t(v_i v_j).  One
+    slot of each is checked against the direct Fraction implementation.
     """
     tint, s = amb._int
     n = amb.dim
@@ -682,21 +715,7 @@ def _pair_tables(amb, tl, vecs, b, sb, bc):
     bt.guard_bound(2, tvals, ui)
     star = p2 * (st * su) - tvals[:, :, None] * ui[0][None, None, :]
     co, cs = bc.coords_int(star.reshape(n0 * n0, n), sp2 * st * su)
-    dt, sdt = _pair_maps(amb, b, sb)
-    bt.guard_bound(n, dt, b)
-    iu, ju = np.triu_indices(n0, 1)
-    img = np.einsum('prc,kc->pkr', dt[iu, ju], b)
-    co2, cs2 = bc.coords_int(img.reshape(-1, n), sdt * sb)
-    # dv[i, j][l][k]: coordinate l of D(i, j) v_k, from the pairs i < j
-    dv = np.zeros((n0, n0, n0, n0), dtype=np.int64)
-    dv[iu, ju] = co2.reshape(-1, n0, n0).transpose(0, 2, 1)
-    dv[ju, iu] = -dv[iu, ju]
     if n0 >= 2:
-        direct = (comp_derivation if isinstance(amb, CompAlg) else
-                  _spin_pair_map if amb.form is not None else jordan_derivation)
-        d01 = [[Fraction(x, sdt) for x in row] for row in dt[0, 1].tolist()]
-        if d01 != direct(amb, vecs[0], vecs[1]):
-            raise ArithmeticError("integer batch disagrees with the direct pair map")
         p = amb.mul(vecs[0], vecs[1])
         t01 = Fraction(int(tvals[0, 1]), sp2 * st)
         if t01 != la.dot(tl, p):
@@ -705,7 +724,7 @@ def _pair_tables(amb, tl, vecs, b, sb, bc):
             la.transpose(vecs), [Fraction(x, cs) for x in co[1].tolist()]))
         if rec != p:
             raise ArithmeticError("integer batch disagrees with the star product")
-    return (co.reshape(n0, n0, n0), cs), (tvals, sp2 * st), dv, cs2, (dt, sdt)
+    return (co.reshape(n0, n0, n0), cs), (tvals, sp2 * st)
 
 
 def _diagonal_coeffs(es):
@@ -717,21 +736,22 @@ def _diagonal_coeffs(es):
 
 
 def _toral_search(es, cs):
-    """The first int64 map es[k] (scale cs) that simultaneous_eigenbasis
-    splits over Q into two or more eigenspaces, as the coefficients
-    [e_k].  Used when no element of the span is diagonal, as for the
-    sign-twisted hermitian algebras over k; raises ArithmeticError when
-    no map splits, and lets the split's OverflowError (a refusal) through.
+    """The certified eigenbasis (vectors, tuples) of simultaneous_eigenbasis
+    for the first int64 map es[k] (scale cs) that it splits over Q into two
+    or more eigenspaces.  Used when no element of the span is diagonal, as
+    for the sign-twisted hermitian algebras over k; raises ArithmeticError
+    when no map splits, and lets the split's OverflowError (a refusal)
+    through.
     """
     for k in range(len(es)):
         try:
-            _, tuples = bt.simultaneous_eigenbasis(es[k:k + 1], cs)
+            vectors, tuples = bt.simultaneous_eigenbasis(es[k:k + 1], cs)
         except OverflowError:
             raise
         except ArithmeticError:
             continue
         if len(set(tuples)) >= 2:
-            return [[int(i == k) for i in range(len(es))]]
+            return vectors, tuples
     raise ArithmeticError("no split torus found in the derivation span")
 
 
@@ -792,83 +812,58 @@ def _equivariance_check(es, d, n0, chunk=16):
             raise ArithmeticError("pair derivation map is not equivariant")
 
 
-def _build_view(amb, tag, tl, vecs, labels, tor_amb, depth):
-    if depth > 2:
-        raise AssertionError("eigenbasis rebase did not stabilize")
+def _build_view(amb, tag, tl, vecs, labels):
+    """The view of the slice spanned by vecs, in one pass with no rebuild:
+
+    1. the pair action and one select of the spanning pair maps;
+    2. a split torus in their span: the diagonal combinations
+       (_diagonal_coeffs), else the first map that splits (_toral_search);
+    3. if it is not diagonal, its certified eigenbasis becomes the slice
+       basis, its eigenvalue tuples the weights, and only the pair action
+       (with its select) is recomputed there;
+    4. the star product and trace form, the Leibniz rule and equivariance;
+    5. the span basis: the torus is diagonal and the table equivariant, so
+       each spanning map is a weight vector; they are stably grouped by
+       weight-difference class, and select's coordinates permuted alike.
+    """
     n0 = len(vecs)
     b, sb = bt.int_rows(vecs)
     bc = bt.BatchCoords(b, sb)
-    star, tform, dv, cs, (dt, sdt) = _pair_tables(amb, tl, vecs, b, sb, bc)
-    # the first independent pair maps D(i, j), i < j, span them all
-    iu, ju = np.triu_indices(n0, 1)
-    flats = dv.reshape(n0, n0, n0 * n0)[iu, ju]
-    nz = np.flatnonzero(flats.any(axis=1))
-    sel = nz[bt._exact(bt.select, flats[nz])[1]] if len(nz) else nz
-    ia, ib = iu[sel], ju[sel]
-    es = dv[ia, ib]
-    off = ~np.eye(n0, dtype=bool)
-    if tor_amb is not None:
-        tor, ts = tor_amb
-        bt.guard_bound(amb.dim, tor, b)
-        img = np.einsum('trc,kc->tkr', tor, b)
-        carr, tsc = bc.coords_int(img.reshape(-1, amb.dim), ts * sb)
-        tor = carr.reshape(len(tor), n0, n0).transpose(0, 2, 1)
-        if tor[:, off].any():
-            raise ArithmeticError("torus stayed non-diagonal after a rebase")
-    else:
-        coeffs = _diagonal_coeffs(es) if len(es) else []
-        if not coeffs and len(es):
-            coeffs = _toral_search(es, cs)
+    dv, cs, es, dts, (pu, pv, x, d) = _pair_action(amb, vecs, b, sb, bc)
+    coeffs = _diagonal_coeffs(es) if len(es) else []
+    if coeffs or not len(es):
         ci, sc = bt.int_rows(coeffs, len(es))
         bt.guard_bound(len(es), ci, es)
-        tor, tsc = np.einsum('tk,kab->tab', ci, es), sc * cs
-        if tor[:, off].any():
-            # move to a common eigenbasis of the discovered torus, then
-            # rebuild every table in the new coordinates
-            vnew, _ = bt.simultaneous_eigenbasis(*lowest_terms(tor, tsc))
-            bt.guard_bound(n0, vnew, b)
-            newvecs = [[Fraction(x) for x in row]
-                       for row in bt.primitive_rows(vnew @ b).tolist()]
-            bt.guard_bound(len(es), ci, dt)
-            toramb = (np.einsum('tk,krc->trc', ci, dt[ia, ib]), sc * sdt)
-            newlabels = ["%s0_%d" % (tag, i) for i in range(n0)]
-            return _build_view(amb, tag, tl, newvecs, newlabels, toramb, depth + 1)
-    wts = tor[:, np.arange(n0), np.arange(n0)].T
-    pieces, mus = [], []
-    if len(es):
-        # ad t scales the matrix unit E_ab by w_a - w_b when t is
-        # diagonal, so the joint eigenspaces of the span are its
-        # slices by the weight-difference class of the support; each
-        # slice of a span element stays in the span
-        classes, cls = np.unique((wts[:, None] - wts[None]).reshape(n0 * n0, -1),
-                                 axis=0, return_inverse=True)
-        cls = cls.reshape(-1)
-        flat = es.reshape(len(es), -1)
-        for c, mu in enumerate(classes):
-            pos = np.flatnonzero(cls == c)
-            rows = flat[:, pos]
-            rows = rows[rows.any(axis=1)]
-            for k in (bt._exact(bt.select, rows)[1] if len(rows) else []):
-                pieces.append(np.zeros(n0 * n0, dtype=np.int64))
-                pieces[-1][pos] = rows[k]
-                mus.append(mu)
-        if len(pieces) != len(es):
-            raise ArithmeticError("weight slices lost derivation rank")
-    dsp = np.array(pieces, dtype=np.int64).reshape(-1, n0, n0)
-    dco, dd = np.zeros((n0, n0, len(pieces)), dtype=np.int64), 1
-    if pieces:
-        span = bt._exact(bt.Span, dsp.reshape(len(pieces), -1))
-        x, bad = span.solve(flats)
-        if bad.any():
-            raise bt.OutsideSpan(int(np.argmax(bad)))
-        dco[iu, ju], dco[ju, iu], dd = x, -x, span.d
-    _leibniz_check(amb._int[0], dt[ia, ib])
+        wts, tsc = np.einsum('tk,kaa->at', ci, es), sc * cs
+    else:
+        vnew, tuples = _toral_search(es, cs)
+        wts, tsc = bt.int_rows(tuples)
+        bt.guard_bound(n0, vnew, b)
+        b, sb = bt.primitive_rows(vnew @ b), 1
+        vecs = [[Fraction(v) for v in row] for row in b.tolist()]
+        labels = ["%s0_%d" % (tag, i) for i in range(n0)]
+        bc = bt.BatchCoords(b, sb)
+        dv, cs, es, dts, (pu, pv, x, d) = _pair_action(amb, vecs, b, sb, bc)
+    star, tform = _pair_tables(amb, tl, vecs, b, sb, bc)
+    _leibniz_check(amb._int[0], dts)
     _equivariance_check(es, dv, n0)
+    # ad t scales the matrix unit E_ab by w_a - w_b for a diagonal t, and
+    # equivariance gives [t, D(v_i, v_j)] = (w_i + w_j) D(v_i, v_j)
+    classes, cls = np.unique((wts[:, None] - wts[None]).reshape(n0 * n0, -1),
+                             axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    supp = es.reshape(len(es), n0 * n0) != 0
+    kc = cls[supp.argmax(axis=1)]
+    if (supp & (cls != kc[:, None])).any():
+        raise ArithmeticError("a spanning pair map is not a weight vector")
+    order = np.argsort(kc, kind="stable")
+    dco = np.zeros((n0, n0, len(es)), dtype=np.int64)
+    dco[pu, pv] = x[:, order]
+    dco[pv, pu] = -dco[pu, pv]
     weights = [tuple(w) for w in _fractions(wts, tsc)]
-    dweights = [tuple(w) for w in _fractions(
-        np.array(mus, dtype=np.int64).reshape(len(mus), wts.shape[1]), tsc)]
-    ints = SliceInts(_frozen(*star), _frozen(*tform), _frozen(dco, dd),
-                     _frozen(dsp, cs))
+    dweights = [tuple(w) for w in _fractions(classes[kc[order]], tsc)]
+    ints = SliceInts(_frozen(*star), _frozen(*tform), _frozen(dco, d),
+                     _frozen(es[order], cs))
     return TraceAdmissible(tag, amb, vecs, labels, weights, dweights, ints)
 
 
@@ -896,4 +891,4 @@ def trace_admissible_view(amb):
         empty = (_frozen(np.zeros((0,) * d, dtype=np.int64), 1) for d in (3, 2, 3, 3))
         return TraceAdmissible(tag, amb, [], [], [], [], SliceInts(*empty))
     labels = _x0_labels(tag, amb.labels, vecs)
-    return _build_view(amb, tag, tl, vecs, labels, None, 0)
+    return _build_view(amb, tag, tl, vecs, labels)

@@ -14,6 +14,7 @@ reference selects and solves on the Fraction routines of linalg
 span engine it checks.
 """
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -340,10 +341,12 @@ VIEW_ATTRS = ("tag", "vecs", "n0", "labels", "weights", "rank", "dweights")
 FORMS = ("stab", "tform", "dt", "dcoords", "dspan")
 
 AMBIENTS = [("comp", "k"), ("comp", "K"), ("comp", "Q"), ("comp", "O"),
-            ("jordan", "H2(Q)"), ("jordan", "H2(O)"), ("jordan", "H3(k)"),
-            ("jordan", "H3(K)"), ("jordan", "H3(Q)"), ("jordan", "H3(O)"),
-            ("jordan", "H4(K)"), ("jordan", "H4(Q)"), ("jordan", "H4(k)"),
-            ("jordan", "H5(k)"), ("jordan", "JV(3)"), ("jordan", "JV(5)")]
+            ("jordan", "H2(k)"), ("jordan", "H2(K)"), ("jordan", "H2(Q)"),
+            ("jordan", "H2(O)"), ("jordan", "H3(k)"), ("jordan", "H3(K)"),
+            ("jordan", "H3(Q)"), ("jordan", "H3(O)"), ("jordan", "H4(K)"),
+            ("jordan", "H4(Q)"), ("jordan", "H4(k)"), ("jordan", "H5(k)"),
+            ("jordan", "H6(k)"), ("jordan", "JV(3)"), ("jordan", "JV(4)"),
+            ("jordan", "JV(5)")]
 
 
 def assert_view_matches(v, ref):
@@ -455,6 +458,29 @@ def test_every_view_certifies_the_leibniz_rule(monkeypatch):
         v = cj.trace_admissible_view.__wrapped__(ambient(kind, spec))
         assert seen[-1] == v.nspan > 0
     assert len(seen) == 3
+
+
+@pytest.mark.parametrize("spec", ["H2(k)", "H3(k)", "H4(k)", "H5(k)", "H6(k)"])
+def test_a_rebased_view_builds_its_tables_once(monkeypatch, spec):
+    # the sign-twisted H_n(k) find their torus by _toral_search and move
+    # to its eigenbasis; the star product and trace form are built there
+    # only, and only the pair action selects again
+    calls = Counter()
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(cj, "_pair_tables")
+    counted(bt, "select")
+    v = cj.trace_admissible_view.__wrapped__(cj.build_jordan(spec))
+    assert v.labels[0] == spec + "0_0"
+    assert calls["_pair_tables"] == 1
+    assert 1 <= calls["select"] <= 2
 
 
 def _flipped_octonions(*entries):
