@@ -30,6 +30,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -575,6 +576,24 @@ def pair_map_tensor(ints):
     (dco, sc), (dsp, sd) = ints.dco, ints.dspan
     bt.guard_bound(len(dsp), dco, dsp)
     return np.einsum('ikc,car->ikar', dco, dsp), sc * sd
+
+
+def unital_product(ints):
+    """The product of J = Q 1 + J0 on the unit and the slice basis of J0,
+    unit slot first, from the slice's star product and trace form
+    (SliceInts): 1 1 = 1, 1 y = y 1 = y and y y' = t(y y') 1 + y * y'.
+    Returns the int64 tensor prod[i, k, a] (coordinate a of e_i e_k) and
+    its scale."""
+    (sy, ss), (ty, st) = ints.star, ints.tform
+    n, den = len(ty) + 1, lcm(ss, st)
+    bt.guard_bound(den // ss, sy)
+    bt.guard_bound(den // st, ty)
+    prod = np.zeros((n, n, n), dtype=np.int64)
+    prod[1:, 1:, 1:] = sy * (den // ss)
+    prod[1:, 1:, 0] = ty * (den // st)
+    e = np.arange(n)
+    prod[0, e, e] = prod[e, 0, e] = den
+    return prod, den
 
 
 class TraceAdmissible:

@@ -17,14 +17,21 @@ first Jacobi consequence, used all over this module, is the rotation rule
 
 construct_TJ builds the classical triple on k^2 (+) J (+) J attached to
 a degree-3 Jordan algebra J from one recorded coefficient vector,
-H3K_VECTOR, over a finite equivariant candidate basis (trace pairings,
-crosses and scalar slots).  The vector was solved once on H3(k), from the
-rotation rule, skewness of the inner maps and their derivation rule, and
-the same vector serves H3(K), H3(Q) and H3(O) (E6, E7, E8 after F4).  It
-is not trusted: every T(J) is certified by the exact rotation and skew
-checks on every basis triple and by a full Jacobi sweep of g(T).  The
-vector does not carry over to a 1-dim J, so the base-field triple (G2)
-is not built here.
+H3K_VECTOR, over a finite equivariant candidate basis: 24 int64 tensors
+made from the trace form, the cross and the cross of a cross of J
+(_candidates).  The vector was solved once on H3(k), from the rotation
+rule, skewness of the inner maps and their derivation rule, and the same
+vector serves H3(K), H3(Q) and H3(O) (E6, E7, E8 after F4).  It is not
+trusted: every T(J) is certified by the exact rotation and skew checks
+on every basis triple, each a sparse integer sum, and by a full Jacobi
+sweep of g(T).  The vector does not carry over to a 1-dim J, so the
+base-field triple (G2) is not built here.
+
+Every tensor here is int64 with one scale.  J is read off its trace-zero
+view: its basis is the unit, then the view's basis, so its product is
+compjordan.unital_product.  The triple product is one int64 table
+(pair, col, val, scale) in the layout of LYAlgebra.ternary_int, which
+build_g_of_T reads as build_enveloping reads an LY algebra's.
 """
 
 from __future__ import annotations
@@ -35,38 +42,41 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import NotClosedError, OutsideSpan, SpMat, int_values, pair_table
+from .buildtools import (NotClosedError, OutsideSpan, guard_bound, int_rows,
+                         int_values, pair_table)
 from .checks import check_lie
-from .compjordan import JordanAlg, trace_admissible_view
+from .compjordan import JordanAlg, trace_admissible_view, unital_product
 from .envelope import (EnvelopingPair, class_bases, ly_from_reductive_indices,
                        pair_classes)
+from .fastnum import join, lowest_terms, summed
 from .linalg import F0, F1
 from .matrixalg import form_pairs, phi_map, skew_map_family, split_skew_form
 
 
 class CubicJordanData:
-    """A degree-3 Jordan algebra reduced to the four maps the triple
-    construction consumes: unital product, norm trace, trace bilinear form
-    and the full linearization of the adjoint (the cross).  The basis starts
-    with the unit; wts, when present, grades all four maps."""
+    """A degree-3 Jordan algebra reduced to the maps the triple
+    construction consumes, as int64 tensors over one scale: the unital
+    product prod[i, k, a] (coordinate a of e_i e_k), the trace form
+    sgram[i, k] = T(e_i e_k) and the cross cross[i, k, a], the full
+    linearization of the adjoint x# = x x - T(x) x + S(x) 1.  The basis
+    starts with the unit; tvals is the generic trace of each basis vector,
+    the degree on the unit and 0 on the trace-zero rest.  wts, when
+    present, grades all four maps."""
 
-    def __init__(self, tab, tvals, wts=None, name=""):
-        self.dim = len(tab)
-        self.tab = tab
-        self.tvals = list(tvals)
-        self.sgram = [[la.dot(self.tvals, tab[i][jj]) for jj in range(self.dim)]
-                      for i in range(self.dim)]
-        self.crosstab = []
-        for i in range(self.dim):
-            row = []
-            for jj in range(self.dim):
-                v = [2 * c for c in tab[i][jj]]
-                v[jj] -= self.tvals[i]
-                v[i] -= self.tvals[jj]
-                # degree-3 adjoint identity: x# = x.x - t(x) x + sigma(x) 1
-                v[0] += self.tvals[i] * self.tvals[jj] - self.sgram[i][jj]
-                row.append([(k, c) for k, c in enumerate(v) if c])
-            self.crosstab.append(row)
+    def __init__(self, prod, scale, wts=None, name=""):
+        n = self.dim = len(prod)
+        self.prod = prod
+        self.scale = scale
+        self.tvals = tv = np.zeros(n, dtype=np.int64)
+        tv[0] = 3
+        # scale is prod[0, 0, 0], so every sgram and cross entry is below
+        # 20 max|prod|
+        guard_bound(20, prod)
+        self.sgram = np.einsum('ikc,c->ik', prod, tv)
+        eye = np.eye(n, dtype=np.int64)
+        self.cross = 2 * prod - scale * (np.einsum('i,kc->ikc', tv, eye)
+                                         + np.einsum('k,ic->ikc', tv, eye))
+        self.cross[:, :, 0] += scale * np.outer(tv, tv) - self.sgram
         self.wts = [tuple(w) for w in wts] if wts is not None else None
         self.name = name
 
@@ -77,47 +87,46 @@ def cubic_jordan_data(j: JordanAlg) -> CubicJordanData:
     if j.degree != 3:
         raise ValueError(f"degree {j.degree} algebra has no cubic datum")
     view = trace_admissible_view(j)
-    basis = [list(j.unit)] + [list(v) for v in view.vecs]
-    binv = la.inv(la.transpose(basis))
-    tab = [[la.mat_vec(binv, j.mul(basis[a], basis[b]))
-            for b in range(j.dim)] for a in range(j.dim)]
-    tvals = [j.gentrace(v) for v in basis]
     zero = tuple([F0] * view.rank)
     wts = [zero] + [tuple(w) for w in view.weights]
-    return CubicJordanData(tab, tvals, wts=wts, name=j.kind)
+    return CubicJordanData(*unital_product(view.ints), wts=wts, name=j.kind)
 
 
 class SymplecticTripleData:
     """A skew form together with a triple product symmetric in the first
-    two slots.  trip[(i, j)] with i <= j is the sparse matrix of the
-    inner map d(e_i, e_j): an entry (l, k) -> c says {e_i e_j e_k}
-    contains c e_l.  wts optionally grades the basis."""
+    two slots.
+
+    gram, the form as rational rows, is held as form = (int64 matrix,
+    scale).  trip is the product as one int64 table (pair, col, val,
+    scale), the layout of LYAlgebra.ternary_int: val / scale is the
+    coefficient of e_l in {e_i e_j e_k} at pair i n + j with i <= j and
+    col l n + k, sorted by (pair, k, l), no value zero.  The pairs in the
+    table are those of the nonzero inner maps d(e_i, e_j).  wts optionally
+    grades the basis."""
 
     def __init__(self, dim, gram, trip, wts=None, name=""):
         self.dim = dim
         if len(gram) != dim or any(len(r) != dim for r in gram):
             raise ValueError("gram size does not match dim")
-        for i in range(dim):
-            for jj in range(i, dim):
-                if gram[i][jj] != -gram[jj][i]:
-                    raise ValueError("form is not skew-symmetric")
-        if not any(any(r) for r in gram):
+        g, gs = int_rows(gram, dim)
+        if (g != -g.T).any():
+            raise ValueError("form is not skew-symmetric")
+        if not g.any():
             raise ValueError("form is zero")
-        self.gram = gram
-        self.trip: dict[tuple[int, int], SpMat] = {}
-        for (i, jj), m in trip.items():
-            if i > jj:
-                raise ValueError("pair keys must be sorted")
-            ent = {k: v for k, v in m.items() if v != 0}
-            if ent:
-                self.trip[(i, jj)] = ent
+        self.form = g, gs
+        pair, col, val = (np.asarray(a, dtype=np.int64) for a in trip[:3])
+        i, jj = np.divmod(pair, dim)
+        l, k = np.divmod(col, dim)
+        for bad, what in [((pair < 0) | (pair >= dim * dim) | (col < 0)
+                           | (col >= dim * dim), "index out of range"),
+                          (i > jj, "i > j"), (val == 0, "zero value"),
+                          (np.diff((pair * dim + k) * dim + l) <= 0,
+                           "entries not strictly sorted by (pair, k, l)")]:
+            if bad.any():
+                raise ValueError("triple table: %s" % what)
+        self.trip = pair, col, val, int(trip[3])
         self.wts = [tuple(w) for w in wts] if wts is not None else None
         self.name = name
-
-    def dmat(self, i, j) -> SpMat:
-        if i > j:
-            i, j = j, i
-        return self.trip.get((i, j), {})
 
 
 def _wadd(a, b):
@@ -142,16 +151,12 @@ def build_g_of_T(t: SymplecticTripleData):
     rt = len(wts[0]) if wts else 0
     zt = tuple([F0] * rt)
 
-    order = sorted(t.trip)
-    entries = [(g, l * n + k, c) for g, pq in enumerate(order)
-               for (l, k), c in t.trip[pq].items()]
-    gen, code = np.array([e[:2] for e in entries],
-                         dtype=np.int64).reshape(-1, 2).T
-    oi, oj = np.array(order, dtype=np.int64).reshape(-1, 2).T
+    pair, code, val, scale = t.trip
+    gens, gen = np.unique(pair, return_inverse=True)
+    oi, oj = np.divmod(gens, n)
     cls, keys = pair_classes(wts, oi, oj)
-    val, scale = int_values([e[2] for e in entries])
     cb = class_bases(gen, code, val, scale, cls, keys, by_class=False)
-    sel_pairs = [order[g] for g in cb.basis]
+    sel_pairs = list(zip(oi[cb.basis].tolist(), oj[cb.basis].tolist()))
     nd = len(sel_pairs)
     d0 = 3 + 2 * n
     big = d0 + nd
@@ -172,10 +177,9 @@ def build_g_of_T(t: SymplecticTripleData):
         *np.array([e[:3] for e in phi]).T, pv, np.arange(n)[:, None]))
     parts.append((p, vt(u, i), vt(r, i), v, ps))
     # [u (x) x_i, v (x) x_j] = (x_i, x_j) phi_{u,v} + phi(u, v) d(x_i, x_j)
-    i, j, c = zip(*[(i, j, c) for i, row in enumerate(t.gram)
-                    for j, c in enumerate(row) if c])
-    i, j = np.array(i), np.array(j)
-    gv, gs = int_values(c)
+    form, gs = t.form
+    i, j = np.nonzero(form)
+    gv = form[i, j]
     for sp, (a, b) in enumerate(vpairs):
         on = (i < j) | (a != b)
         parts.append((vt(a, i[on]), vt(b, j[on]), sp, gv[on], gs))
@@ -250,164 +254,105 @@ def lts_from_symplectic(t: SymplecticTripleData):
 # T(J) from the recorded coefficient vector
 
 # the product coefficients solved once on H3(k), by candidate name in
-# _candidate_table (candidates not named have coefficient 0); the e
-# pairing and the trace pairing of the form both have coefficient 1
+# _candidates; the e pairing and the trace pairing of the form both have
+# coefficient 1
 H3K_VECTOR = {"A2": -3, "A3": 3, "A4": 1, "A5": -1, "B1": 2, "B2": 2,
               "B3": 1, "B6": -2, "B7": -2, "B8": -4, "P3": 2, "P4": 1,
               "P5": 1, "M3": -2, "M4": -4, "M5": -4, "E1": 1, "E2": -1,
               "E3": -1, "E4": -2, "E5": 2, "E7": 1, "E8": 2, "E9": -2}
 
-_TRANK = {"+": 0, "-": 1, "a": 2, "b": 3}
 
-
-def _typ(idx, dj):
-    if idx == 0:
-        return ("+", None)
-    if idx == 1:
-        return ("-", None)
-    if idx < 2 + dj:
-        return ("a", idx - 2)
-    return ("b", idx - 2 - dj)
-
-
-def _candidate_table(j: CubicJordanData):
-    """The 36 product candidates: (name, pair types, third type, fn) with
-    fn taking the pair sub-indices in sorted type order plus the third
-    sub-index (None in e slots) and returning a sparse T vector.  Every
-    map is symmetric in the pair and homogeneous for the charge pattern
-    e+ 3, e- -3, a -1, b 1, which is what prunes the sectors."""
-    S = j.sgram
-    X = j.crosstab
-    dj = j.dim
-
-    def ep(c):
-        return [(0, c)] if c else []
-
-    def em(c):
-        return [(1, c)] if c else []
-
-    def aslot(ent, s=F1):
-        return [(2 + l, s * c) for l, c in ent]
-
-    def bslot(ent, s=F1):
-        return [(2 + dj + l, s * c) for l, c in ent]
-
-    def xx(p, q, r):
-        # cross(cross(p, q), r)
-        acc: dict[int, Fraction] = {}
-        for l1, c1 in X[p][q]:
-            for l, c in X[l1][r]:
-                acc[l] = acc.get(l, F0) + c1 * c
-        return [(l, c) for l, c in acc.items() if c]
-
-    def sx(p, q, r):
-        # S(cross(p, q), r), the full polarization of the norm
-        s = F0
-        for l1, c1 in X[p][q]:
-            if S[l1][r]:
-                s += c1 * S[l1][r]
-        return s
-
+def _candidates(j: CubicJordanData):
+    """The product candidates H3K_VECTOR names, as (name, slots, c): c is
+    an int64 tensor over the scale j.scale ** 2 and c[p, q, r, m] the
+    coefficient of the m-th vector of slot 4 in {x_p y_q z_r}, x, y, z
+    running over slots 1 to 3.  A slot is e+ ("+"), e- ("-") or the a or
+    b copy of J.  Every map is symmetric in the pair and homogeneous for
+    the charge pattern e+ 3, e- -3, a -1, b 1, which is what prunes the
+    sectors."""
+    s, S, X = j.scale, j.sgram, j.cross
+    guard_bound(j.dim, X, X)
+    guard_bound(j.dim, X, S)
+    xx = np.einsum('pqa,arm->pqrm', X, X)       # cross(cross(p, q), r)
+    sx = np.einsum('pqa,ar->pqr', X, S)[..., None]  # S(cross(p, q), r)
+    for a in (S, X, [s]):
+        guard_bound(s, a)
+    one = np.full((1, 1, 1, 1), s * s)
+    eye = np.eye(j.dim, dtype=np.int64)
+    ss, sX, ee = s * S, s * X, s * s * eye
+    sd = np.einsum('pq,rm->pqrm', ss, eye)
     return [
-        ("A1", ("+", "+"), "-", lambda p, q, r: [(0, F1)]),
-        ("A2", ("+", "-"), "+", lambda p, q, r: [(0, F1)]),
-        ("A3", ("+", "-"), "-", lambda p, q, r: [(1, F1)]),
-        ("A4", ("+", "-"), "a", lambda p, q, r: [(2 + r, F1)]),
-        ("A5", ("+", "-"), "b", lambda p, q, r: [(2 + dj + r, F1)]),
-        ("A6", ("-", "-"), "+", lambda p, q, r: [(1, F1)]),
-        ("B1", ("+", "a"), "b", lambda p, q, r: ep(S[q][r])),
-        ("B2", ("+", "a"), "-", lambda p, q, r: [(2 + q, F1)]),
-        ("B3", ("+", "a"), "a", lambda p, q, r: bslot(X[q][r])),
-        ("B4", ("+", "b"), "-", lambda p, q, r: [(2 + dj + q, F1)]),
-        ("B5", ("+", "b"), "a", lambda p, q, r: ep(S[r][q])),
-        ("B6", ("-", "b"), "a", lambda p, q, r: em(S[r][q])),
-        ("B7", ("-", "b"), "+", lambda p, q, r: [(2 + dj + q, F1)]),
-        ("B8", ("-", "b"), "b", lambda p, q, r: aslot(X[q][r])),
-        ("B9", ("-", "a"), "+", lambda p, q, r: [(2 + q, F1)]),
-        ("B10", ("-", "a"), "b", lambda p, q, r: em(S[q][r])),
-        ("P1", ("a", "a"), "b", lambda p, q, r:
-            [(2 + q, S[p][r]), (2 + p, S[q][r])]),
-        ("P2", ("a", "a"), "b", lambda p, q, r: [(2 + r, S[p][q])]),
-        ("P3", ("a", "a"), "b", lambda p, q, r: aslot(xx(p, q, r))),
-        ("P4", ("a", "a"), "a", lambda p, q, r: em(sx(p, q, r))),
-        ("P5", ("a", "a"), "+", lambda p, q, r: bslot(X[p][q])),
-        ("M1", ("b", "b"), "a", lambda p, q, r:
-            [(2 + dj + q, S[p][r]), (2 + dj + p, S[q][r])]),
-        ("M2", ("b", "b"), "a", lambda p, q, r: [(2 + dj + r, S[p][q])]),
-        ("M3", ("b", "b"), "a", lambda p, q, r: bslot(xx(p, q, r))),
-        ("M4", ("b", "b"), "b", lambda p, q, r: ep(sx(p, q, r))),
-        ("M5", ("b", "b"), "-", lambda p, q, r: aslot(X[p][q])),
-        ("E1", ("a", "b"), "+", lambda p, q, r: ep(S[p][q])),
-        ("E2", ("a", "b"), "-", lambda p, q, r: em(S[p][q])),
-        ("E3", ("a", "b"), "a", lambda p, q, r: [(2 + r, S[p][q])]),
-        ("E4", ("a", "b"), "a", lambda p, q, r: [(2 + p, S[r][q])]),
-        ("E5", ("a", "b"), "a", lambda p, q, r: aslot(xx(p, r, q))),
-        ("E6", ("a", "b"), "a", lambda p, q, r: [(2 + q, S[p][r])]),
-        ("E7", ("a", "b"), "b", lambda p, q, r: [(2 + dj + r, S[p][q])]),
-        ("E8", ("a", "b"), "b", lambda p, q, r: [(2 + dj + q, S[p][r])]),
-        ("E9", ("a", "b"), "b", lambda p, q, r: bslot(xx(q, r, p))),
-        ("E10", ("a", "b"), "b", lambda p, q, r: [(2 + dj + p, S[q][r])]),
+        ("A2", "+-++", one), ("A3", "+---", one),
+        ("A4", "+-aa", ee[None, None]), ("A5", "+-bb", ee[None, None]),
+        ("B1", "+ab+", ss[None, :, :, None]), ("B2", "+a-a", ee[None, :, None]),
+        ("B3", "+aab", sX[None]), ("B6", "-ba-", ss.T[None, :, :, None]),
+        ("B7", "-b+b", ee[None, :, None]), ("B8", "-bba", sX[None]),
+        ("P3", "aaba", xx), ("P4", "aaa-", sx), ("P5", "aa+b", sX[:, :, None]),
+        ("M3", "bbab", xx), ("M4", "bbb+", sx), ("M5", "bb-a", sX[:, :, None]),
+        ("E1", "ab++", ss[:, :, None, None]), ("E2", "ab--", ss[:, :, None, None]),
+        ("E3", "abaa", sd), ("E4", "abaa", np.einsum('rq,pm->pqrm', ss, eye)),
+        ("E5", "abaa", np.einsum('prqm->pqrm', xx)), ("E7", "abbb", sd),
+        ("E8", "abbb", np.einsum('pr,qm->pqrm', ss, eye)),
+        ("E9", "abbb", np.einsum('qrpm->pqrm', xx)),
     ]
 
 
-def _cand_cols(index, dj, i, jj, k):
-    """(coefficient, sparse T vector) of every weighted candidate in the
-    sector of the basis triple (i, jj, k)."""
-    t1, s1 = _typ(i, dj)
-    t2, s2 = _typ(jj, dj)
-    if _TRANK[t1] > _TRANK[t2]:
-        t1, s1, t2, s2 = t2, s2, t1, s1
-    t3, s3 = _typ(k, dj)
-    return [(u, [(l, c) for l, c in fn(s1, s2, s3) if c])
-            for u, fn in index.get(((t1, t2), t3), ())]
-
-
 def _check_rotation(t: SymplecticTripleData):
-    """Exact rotation rule on every basis triple."""
+    """Exact rotation rule on every basis triple: one sum over the codes
+    ((i n + j) n + k) n + l of the component l of its five terms,
+    {e_i e_j e_k}, -{e_j e_k e_i} and the three form terms.  Raises
+    ValueError at the lex-first failing triple (i, j, k)."""
     n = t.dim
-    for i in range(n):
-        for jj in range(n):
-            d = t.dmat(i, jj)
-            for k in range(n):
-                acc: dict[int, Fraction] = {}
-                for (l, kk), c in d.items():
-                    if kk == k:
-                        acc[l] = acc.get(l, F0) + c
-                # subtract {y z x}: pair (jj, k), argument i
-                dd = t.dmat(jj, k)
-                for (l, kk), c in dd.items():
-                    if kk == i:
-                        acc[l] = acc.get(l, F0) - c
-                g1 = t.gram[i][jj]
-                if g1:
-                    acc[k] = acc.get(k, F0) - g1
-                g2 = t.gram[jj][k]
-                if g2:
-                    acc[i] = acc.get(i, F0) - g2
-                g3 = t.gram[k][i]
-                if g3:
-                    acc[jj] = acc.get(jj, F0) + 2 * g3
-                if any(v != 0 for v in acc.values()):
-                    raise ValueError(f"rotation rule fails at {(i, jj, k)}")
+    pair, col, val, ps = t.trip
+    g, gs = t.form
+    i, j = np.divmod(pair, n)
+    l, k = np.divmod(col, n)
+    # {e_a e_b e_c} contains v e_l, for both orders of each pair
+    two = i != j
+    a, b, c, l, v = (np.concatenate([x, y[two]])
+                     for x, y in ((i, j), (j, i), (k, k), (l, l), (val, val)))
+    gi, gj = np.nonzero(g)
+    gv = g[gi, gj][:, None]
+    gi, gj, x = gi[:, None], gj[:, None], np.arange(n)
+
+    def code(i, j, k, l):
+        return ((i * n + j) * n + k) * n + l
+
+    # a code sums at most six such values, the last form term counting twice
+    guard_bound(6 * gs, val)
+    guard_bound(6 * ps, g)
+    terms = [np.broadcast_arrays(*term) for term in (
+        (code(a, b, c, l), v * gs), (code(c, a, b, l), -v * gs),
+        (code(gi, gj, x, x), -gv * ps),            # -(e_i, e_j) e_k
+        (code(x, gi, gj, x), -gv * ps),            # -(e_j, e_k) e_i
+        (code(gj, x, gi, x), 2 * gv * ps))]        # +2 (e_k, e_i) e_j
+    bad = summed(*(np.concatenate([term[z].ravel() for term in terms])
+                   for z in (0, 1)))[0]
+    if len(bad):
+        ijk = np.unravel_index(bad[0] // n, (n, n, n))
+        raise ValueError(f"rotation rule fails at {tuple(map(int, ijk))}")
 
 
 def _check_skew(t: SymplecticTripleData):
-    """Every inner map must be skew for the form: M^T G + G M = 0."""
+    """Every inner map M must be skew for the form G: M^T G + G M = 0.  Each
+    product is one join of the table's entries with the form's on the
+    index they contract, coded so that row + col is pair n^2 + u n + w for
+    the entry (u, w); the first pair with a nonzero sum raises
+    ValueError."""
     n = t.dim
-    for (i, jj), m in t.trip.items():
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (l, k), c in m.items():
-            for v in range(n):
-                if t.gram[l][v]:
-                    # (M u, v) term: row k, column v
-                    key = (k, v)
-                    acc[key] = acc.get(key, F0) + c * t.gram[l][v]
-                if t.gram[v][l]:
-                    # (u, M v) term: row v, column k
-                    key = (v, k)
-                    acc[key] = acc.get(key, F0) + t.gram[v][l] * c
-        if any(v != 0 for v in acc.values()):
-            raise ValueError(f"inner map of pair {(i, jj)} is not skew")
+    pair, col, val, _ = t.trip
+    g, _ = t.form
+    l, k = np.divmod(col, n)
+    gl, gv = np.nonzero(g)
+    w = g[gl, gv]
+    guard_bound(2 * n, val, g)
+    joined = [join((pair * n * n + k * n, l, val), (gl, gv, w)),     # M^T G
+              join((gl * n, gv, w), (l, pair * n * n + k, val))]     # G M
+    bad = summed(np.concatenate([row + col for row, col, _ in joined]),
+                 np.concatenate([v for *_, v in joined]))[0]
+    if len(bad):
+        i, j = divmod(int(bad[0]) // (n * n), n)
+        raise ValueError(f"inner map of pair {(i, j)} is not skew")
 
 
 def construct_TJ(j: CubicJordanData) -> SymplecticTripleData:
@@ -415,42 +360,36 @@ def construct_TJ(j: CubicJordanData) -> SymplecticTripleData:
 
     Basis e+, e-, then J twice (the a and b slots).  The form pairs e+
     with e- by 1 and a_p with b_q by the trace form; the product is the
-    H3K_VECTOR combination of the candidates of _candidate_table.  The
-    datum is certified by the exact rotation rule and skewness of every
-    inner map on every basis triple, then by check_lie on g(T).  Raises
-    ValueError when any of them fails, and NotClosedError when the inner
-    maps do not close."""
-    dj = j.dim
+    H3K_VECTOR combination of the candidates of _candidates, summed as one
+    code list over the pairs i <= j.  The datum is certified by the exact
+    rotation rule and skewness of every inner map on every basis triple,
+    then by check_lie on g(T).  Raises ValueError when any of them fails,
+    and NotClosedError when the inner maps do not close."""
+    dj, s = j.dim, j.scale
     n = 2 + 2 * dj
-    index: dict[tuple, list] = {}
-    for name, pt, tt, fn in _candidate_table(j):
-        if name in H3K_VECTOR:
-            u = Fraction(H3K_VECTOR[name])
-            index.setdefault((pt, tt), []).append((u, fn))
-    gram = la.zeros(n, n)
-    gram[0][1] = F1
-    gram[1][0] = -F1
-    for p in range(dj):
-        for q in range(dj):
-            v = j.sgram[p][q]
-            if v:
-                gram[2 + p][2 + dj + q] = v
-                gram[2 + dj + q][2 + p] = -v
-    trip: dict[tuple[int, int], dict] = {}
-    for i in range(n):
-        for jj in range(i, n):
-            m = trip[(i, jj)] = {}
-            for k in range(n):
-                for u, ent in _cand_cols(index, dj, i, jj, k):
-                    for l, c in ent:
-                        m[(l, k)] = m.get((l, k), F0) + u * c
+    start = {"+": 0, "-": 1, "a": 2, "b": 2 + dj}
+    mass = sum(map(abs, H3K_VECTOR.values()))
+    codes, vals = [], []
+    for name, slots, c in _candidates(j):
+        guard_bound(mass, c)
+        nz = np.nonzero(c)
+        i, jj, k, l = (start[kind] + x for kind, x in zip(slots, nz))
+        keep = i <= jj
+        codes.append((((i * n + jj) * n + k) * n + l)[keep])
+        vals.append(H3K_VECTOR[name] * c[nz][keep])
+    code, val = summed(np.concatenate(codes), np.concatenate(vals))
+    pk, l = np.divmod(code, n)
+    pair, k = np.divmod(pk, n)
+    g = np.zeros((n, n), dtype=np.int64)
+    g[0, 1], g[2:2 + dj, 2 + dj:] = s, j.sgram
+    gram = [[Fraction(x, s) for x in row] for row in (g - g.T).tolist()]
     wts = None
     if j.wts is not None:
         zero = tuple([F0] * len(j.wts[0]))
         wts = ([(Fraction(3),) + zero, (Fraction(-3),) + zero]
                + [(-F1,) + w for w in j.wts] + [(F1,) + w for w in j.wts])
-    t = SymplecticTripleData(n, gram, trip, wts=wts,
-                             name=f"T({j.name})" if j.name else "T(J)")
+    t = SymplecticTripleData(n, gram, (pair, l * n + k, *lowest_terms(val, s * s)),
+                             wts=wts, name=f"T({j.name})" if j.name else "T(J)")
     _check_rotation(t)
     _check_skew(t)
     g, _ = build_g_of_T(t)

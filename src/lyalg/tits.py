@@ -38,7 +38,6 @@ describe the solutions at c = 1.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from . import linalg as la
 from .algebra import Algebra, LYAlgebra, table_to_dict
 from .checks import check_lie, transport_equal
 from .compjordan import (SliceInts, build_composition, build_jordan, pair_map_tensor,
-                         trace_admissible_view)
+                         trace_admissible_view, unital_product)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -300,22 +299,14 @@ def ly_inside_tits(t):
 
 def _unital(ys):
     """The tensors of a Jordan slice J0 extended to J = Q 1 + J0, unit slot
-    first: the star product becomes the Jordan product, 1 1 = 1,
-    1 y = y and y_j y_l = t(y_j y_l) 1 + y_j * y_l, and the derivations
-    kill the unit.  The trace form is zero here: it only meets left
-    derivations, which the tkk row has none of."""
-    (sy, ss), (ty, st), (dco, sc), (dsp, sd) = ys
-    n, den = len(ty) + 1, lcm(ss, st)
-    bt.guard_bound(den // ss, sy)
-    bt.guard_bound(den // st, ty)
-    prod = np.zeros((n, n, n), dtype=np.int64)
-    prod[1:, 1:, 1:] = sy * (den // ss)
-    prod[1:, 1:, 0] = ty * (den // st)
-    e = np.arange(n)
-    prod[0, e, e] = prod[e, 0, e] = den
-    return SliceInts((prod, den), (np.zeros((n, n), dtype=np.int64), 1),
-                    (np.pad(dco, ((1, 0), (1, 0), (0, 0))), sc),
-                    (np.pad(dsp, ((0, 0), (1, 0), (1, 0))), sd))
+    first: the star product becomes the Jordan product (unital_product),
+    and the derivations kill the unit.  The trace form is zero here: it
+    only meets left derivations, which the tkk row has none of."""
+    n = len(ys.tform[0]) + 1
+    (dco, sc), (dsp, sd) = ys.dco, ys.dspan
+    return SliceInts(unital_product(ys), (np.zeros((n, n), dtype=np.int64), 1),
+                     (np.pad(dco, ((1, 0), (1, 0), (0, 0))), sc),
+                     (np.pad(dsp, ((0, 0), (1, 0), (1, 0))), sd))
 
 
 def build_tkk_row(j, name=""):
@@ -367,9 +358,6 @@ def tkk_to_tits_map(j):
     t = build_tits(x, y)
     nx, ny = x.n0, y.n0
     nyf = ny + 1
-    if tk.dim != t.alg.dim:
-        raise ValueError("blocks do not line up: the tkk row has dim %d, "
-                         "the three-block algebra %d" % (tk.dim, t.alg.dim))
     (sx, ssx), (dsp, sd) = x.ints.star, x.ints.dspan
     bt.guard_bound(2, sx)
     span = bt.Span(dsp.reshape(len(dsp), -1))

@@ -1,7 +1,9 @@
 """Symplectic triple data from degree-3 Jordan algebras."""
 
 import hashlib
+import re
 
+import numpy as np
 import pytest
 
 from lyalg import io, symplectic
@@ -44,6 +46,9 @@ SERIES = [
     ("H3(Q)", 133, "E7", 66,
      "9a4752fd5de7810021d426eb82fd3823d6f5c98baffc8fe8f4f383dbd926503a",
      64, "45dacf942a7f777ec68bd2d13b22e18f76a0e1e0ef90a09c08944fa1baf8cf21"),
+    ("H3(O)", 248, "E8", 133,
+     "816ab4464fa606135cd661a9e58469759e6446da46ec9614f16f226557806e71",
+     112, "2cf400f3c9a7f586656d73aea4ed67ec5fb298217c2441228f719f8e22b9c7b8"),
 ]
 
 
@@ -63,15 +68,18 @@ def test_construct_TJ_builds_the_exceptional_series(kind, dim, typ, nd, gsha,
     assert sha(io.ly_to_obj(ly)) == lysha
 
 
+# the lex-first failing triple or pair of each check
 @pytest.mark.parametrize("name,delta,match", [
-    ("A2", 1, "rotation rule fails"),
-    ("P4", 1, "not skew"),
-], ids=["rotation", "skew"])
+    ("A2", 1, "rotation rule fails at (0, 0, 1)"),
+    ("P4", 1, "inner map of pair (2, 2) is not skew"),
+    ("E9", -1, "rotation rule fails at (2, 8, 8)"),
+    ("M4", 1, "inner map of pair (8, 8) is not skew"),
+], ids=["rotation", "skew", "rotation-E9", "skew-M4"])
 def test_construct_TJ_refuses_a_changed_vector(monkeypatch, name, delta, match):
     vec = dict(symplectic.H3K_VECTOR)
     vec[name] += delta
     monkeypatch.setattr(symplectic, "H3K_VECTOR", vec)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
         construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
 
 
@@ -91,7 +99,34 @@ def test_construct_TJ_refuses_a_g_of_T_that_fails_jacobi(monkeypatch):
         construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
 
 
+def table(*entries, scale=1):
+    """The int64 table (pair, col, val, scale) of the entries
+    (pair, col, val) on a 2-dim space."""
+    return (*np.array(entries, dtype=np.int64).reshape(-1, 3).T, scale)
+
+
+GRAM = split_skew_form(2).gram
+F1 = GRAM[0][1]
+
+
+@pytest.mark.parametrize("gram,trip,match", [
+    ([[0, F1]], table(), "gram size does not match dim"),
+    ([[0, F1], [F1, 0]], table(), "form is not skew-symmetric"),
+    ([[0, 0], [0, 0]], table(), "form is zero"),
+    (GRAM, table((2, 0, 1)), "i > j"),
+    (GRAM, table((0, 1, 1), (0, 0, 1)), "not strictly sorted"),
+    (GRAM, table((0, 0, 1), (0, 0, 1)), "not strictly sorted"),
+    (GRAM, table((0, 0, 0)), "zero value"),
+    (GRAM, table((4, 0, 1)), "index out of range"),
+    (GRAM, table((0, 4, 1)), "index out of range"),
+], ids=["gram-size", "gram-not-skew", "gram-zero", "i>j", "unsorted",
+        "repeated", "zero-value", "pair-range", "col-range"])
+def test_symplectic_triple_data_refuses_a_malformed_datum(gram, trip, match):
+    with pytest.raises(ValueError, match=match):
+        SymplecticTripleData(2, gram, trip)
+
+
 def test_lts_from_symplectic_refuses_the_zero_triple():
-    t = SymplecticTripleData(2, split_skew_form(2).gram, {})
+    t = SymplecticTripleData(2, split_skew_form(2).gram, table())
     with pytest.raises(ValueError, match="fails Jacobi"):
         lts_from_symplectic(t)
