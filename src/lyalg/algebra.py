@@ -21,13 +21,14 @@ limit, for constants beyond int64.  The LY binary product is a dict.
 Every builder in the package gives the int64 form (buildtools.pair_table,
 or its batch, assembles each): the Tits and TKK algebras,
 operator_algebra_from_basis, the enveloping algebra, g(T), direct_sum,
-subalgebra_on_indices and the saturated torus basis (roots._rebase), and
-the ternary products of the Kronecker families, ly_inside_tits and
-ly_from_reductive_indices.  The
-Fraction dict is the given form only where the input is Fraction by
-nature: io's reader, tits.assemble_bracket, LYAlgebra.from_ops (as in
-envelope.ly_from_reductive) and algebras written out by hand.  A dict is
-derived only where bk, t or a caller of `table` or `ternary` reads it.
+subalgebra_on_indices, the saturated torus basis (roots._rebase) and
+the solved module bracket (tits.assemble_bracket), and the ternary
+products of the Kronecker families, ly_inside_tits and
+ly_from_reductive_indices.  The Fraction dict is the given form only
+where the input is Fraction by nature: io's reader, LYAlgebra.from_ops
+(as in envelope.ly_from_reductive) and algebras written out by hand.  A
+dict is derived only where bk, t or a caller of `table` or `ternary`
+reads it.
 
 The tables are read-only after construction: an edit in place would not
 reach the other form, nor the memoised sweeps and envelope in `_cache`.

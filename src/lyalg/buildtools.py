@@ -37,9 +37,10 @@ pair_table assembles every table: each builder hands it int64 parts
 (p, q, target, val, scale), batch brings them to their least common
 scale, sums equal entries and puts the result in lowest terms, and the
 Algebra holds that table.  The Tits algebras, the enveloping algebra,
-g(T), direct_sum, subalgebra_on_indices and roots._rebase build this
-way; operator_algebra_from_basis hands over the coordinates of its one
-solve, already in table order.  The Kronecker builder (kron, batch,
+g(T), direct_sum, subalgebra_on_indices, roots._rebase and
+tits.assemble_bracket (which the equivariant bracket solver sweeps)
+build this way; operator_algebra_from_basis hands over the coordinates
+of its one solve, already in table order.  The Kronecker builder (kron, batch,
 pair_table, kronecker_ternary) serves every tensor product X (x) Y: the
 Tits grid, the matrix tensor families and the form-paired candidates
 each pass it int64 tensors of their factors, and kronecker_ternary gives

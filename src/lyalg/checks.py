@@ -5,8 +5,9 @@ fastnum.jacobi_violation, which sums every Jacobiator component once over
 the sorted triples p < q < k and memoises its verdict on the algebra.
 check_ly verifies the six defining identities of a binary-ternary system.
 LY1 and LY2 hold by storage.  LY3 to LY6 are the Jacobi identity of the
-enveloping algebra g = h (+) m (envelope.py), read off the components
-J(p, q, k)_r of one fastnum.jacobi_defects sweep of g: on (m, m, m) a
+enveloping algebra g = h (+) m (envelope.py), read off the codes of the
+nonzero components J(p, q, k)_r of one fastnum.jacobi_defects sweep of
+g (their values are not needed): on (m, m, m) a
 defect in m fails LY3, in h LY4; on (h, m, m), p the chosen map D(i, j),
 in m LY5, in h LY6; on two maps, ArithmeticError (class_bases certifies
 the commutators).  Witnesses are lex-first: LY3 and LY4 alternate in
@@ -166,7 +167,7 @@ def _least(defect, ly: LYAlgebra, tup: tuple) -> tuple:
 def _ly_witnesses(pair: EnvelopingPair, open_pair) -> list:
     """LY3 to LY6 witnesses (None: pass) off one sweep of the envelope."""
     b = len(pair.h_index)
-    p, q, k, r = np.unravel_index(jacobi_defects(pair.g), (pair.g.dim,) * 4)
+    p, q, k, r = np.unravel_index(jacobi_defects(pair.g)[0], (pair.g.dim,) * 4)
     if open_pair is None and (q < b).any():
         t = np.argmax(q < b)
         raise ArithmeticError("Jacobi defect on two maps at (%d, %d, %d)"

@@ -17,10 +17,12 @@ and the lex-first failing triple, if any, is sorted.  Each component of
 J(p, q, k) is summed once from the products of stored entries with rows
 of the full table, in blocks of p, and is bounded from the data by
 3 n amax^2 before any product is formed.  jacobi_violation stops at the
-first failing block, jacobi_defects returns every nonzero component (the
-Tits closure identities are read off them); both memoise the verdict on
-the algebra, and neither sweeps again after a clean one.  require_lie turns a failed sweep into ClassifyError with
-the failing triple, for every entry point that needs a Lie bracket
+first failing block, jacobi_defects returns every nonzero component with
+its value (the Tits closure identities, the LY axioms and the constraints
+of the equivariant bracket solver are read off them); both memoise the
+verdict on the algebra, and neither sweeps again after a clean one.
+require_lie turns a failed sweep into ClassifyError with the failing
+triple, for every entry point that needs a Lie bracket
 (classify, saturate_torus, is_semisimple).
 """
 
@@ -163,9 +165,10 @@ def join(left, right):
     return row[ent], col[pos], lval[ent] * rval[pos]
 
 
-def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> np.ndarray:
-    """Sorted codes ((p n + q) n + k) n + r of the nonzero Jacobiator
-    components J(p, q, k)_r, p < q < k, p0 <= p < p1.
+def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, vals) of the nonzero Jacobiator components J(p, q, k)_r,
+    p < q < k, p0 <= p < p1: the sorted codes ((p n + q) n + k) n + r and
+    the values times S^2.
 
     Each stored entry [e_a, e_b] = v e_m is joined with row m of the full
     table, [e_m, e_c] = w e_r, c not in {a, b}; v w is the coefficient of
@@ -193,7 +196,7 @@ def _jacobi_block(sw: _SweepTables, p0: int, p1: int) -> np.ndarray:
         p, q, k = (abc[t] for t in order)
         keys.append(((p * n + q) * n + k) * n + sw.r[pos])
         vals.append(sign * sw.v[ent] * sw.w[pos])
-    return summed(np.concatenate(keys), np.concatenate(vals))[0]
+    return summed(np.concatenate(keys), np.concatenate(vals))
 
 
 def _triple(code: int, n: int) -> tuple[int, int, int]:
@@ -237,7 +240,7 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     sw = _sweep_tables(alg)
     best = None
     for p0, p1 in blocks(sw.load, SWEEP_BLOCK):
-        codes = _jacobi_block(sw, p0, p1)
+        codes = _jacobi_block(sw, p0, p1)[0]
         if len(codes):
             best = _triple(codes[0], sw.n)
             break
@@ -245,25 +248,26 @@ def jacobi_violation(alg: Algebra) -> tuple[int, int, int] | None:
     return best
 
 
-def jacobi_defects(alg: Algebra) -> np.ndarray:
-    """Every nonzero Jacobiator component of the full sweep, as the sorted
-    codes ((p n + q) n + k) n + r of J(p, q, k)_r with p < q < k.
+def jacobi_defects(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonzero Jacobiator component of the full sweep, as (codes,
+    vals): the sorted codes ((p n + q) n + k) n + r of J(p, q, k)_r with
+    p < q < k, and the components times S^2, S the scale of alg.table_int.
 
     The same blocks and int64 guards as jacobi_violation, without the
     early stop; the verdict (the triple of the first code, or None) is
     stored in alg._cache["jacobi"] as jacobi_violation would store it.
-    A memoised clean verdict means there is no defect, so it returns the
-    empty array without a sweep; a memoised failing triple still sweeps,
+    A memoised clean verdict means there is no defect, so it returns two
+    empty arrays without a sweep; a memoised failing triple still sweeps,
     for the other defects.
     """
+    empty = np.zeros(0, dtype=np.int64)
     if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
-        return np.zeros(0, dtype=np.int64)
+        return empty, empty
     sw = _sweep_tables(alg)
-    codes = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [_jacobi_block(sw, p0, p1)
-                              for p0, p1 in blocks(sw.load, SWEEP_BLOCK)])
+    parts = [_jacobi_block(sw, p0, p1) for p0, p1 in blocks(sw.load, SWEEP_BLOCK)]
+    codes, vals = (np.concatenate([empty] + [part[z] for part in parts]) for z in (0, 1))
     alg._cache["jacobi"] = _triple(codes[0], sw.n) if len(codes) else None
-    return codes
+    return codes, vals
 
 
 class ClassifyError(Exception):

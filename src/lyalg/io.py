@@ -13,7 +13,7 @@ trailing newline, so printing is byte-deterministic and print-parse-print
 is the identity.  Reading refuses (ValueError) a top level that is not an
 object with a "dim", a dim or index that is not a non-negative integer
 (a bool is not), a row or entry list that is not a list, labels that are
-not a list of dim names, a key that is given twice, and a zero
+not a list of dim names (strings), a key that is given twice, and a zero
 denominator.
 
 Both writers take each table from the form the algebra holds: the int64
@@ -88,7 +88,8 @@ def _head(obj) -> tuple[int, list | None]:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("not an algebra: expected a JSON object with a \"dim\" key")
     dim, labels = _index(obj["dim"], "dim"), obj.get("labels")
-    if labels is not None and not (isinstance(labels, list) and len(labels) == dim):
+    if labels is not None and not (isinstance(labels, list) and len(labels) == dim
+                                   and all(isinstance(x, str) for x in labels)):
         raise ValueError("labels must be a list of %d names" % dim)
     return dim, labels
 

@@ -102,7 +102,8 @@ class SymplecticTripleData:
     coefficient of e_l in {e_i e_j e_k} at pair i n + j with i <= j and
     col l n + k, sorted by (pair, k, l), no value zero.  The pairs in the
     table are those of the nonzero inner maps d(e_i, e_j).  wts optionally
-    grades the basis."""
+    grades the basis.  The constructor refuses (ValueError) a malformed
+    form or table; build_g_of_T memoises g(T) in _cache."""
 
     def __init__(self, dim, gram, trip, wts=None, name=""):
         self.dim = dim
@@ -115,6 +116,10 @@ class SymplecticTripleData:
             raise ValueError("form is zero")
         self.form = g, gs
         pair, col, val = (np.asarray(a, dtype=np.int64) for a in trip[:3])
+        if not pair.shape == col.shape == val.shape == (len(pair),):
+            raise ValueError("triple table: arrays must be flat and of one length")
+        if int(trip[3]) <= 0:
+            raise ValueError("triple table: scale <= 0")
         i, jj = np.divmod(pair, dim)
         l, k = np.divmod(col, dim)
         for bad, what in [((pair < 0) | (pair >= dim * dim) | (col < 0)
@@ -127,6 +132,7 @@ class SymplecticTripleData:
         self.trip = pair, col, val, int(trip[3])
         self.wts = [tuple(w) for w in wts] if wts is not None else None
         self.name = name
+        self._cache: dict = {}
 
 
 def _wadd(a, b):
@@ -145,7 +151,12 @@ def build_g_of_T(t: SymplecticTripleData):
     commutators; Jacobi itself is not checked here (check_lie is the
     certificate).  When the datum carries weights, the torus realizing
     them must be inner and the returned algebra gets weights and cartan
-    data for classification."""
+    data for classification.  The result is memoised in t._cache["g"], as
+    build_enveloping memoises on an LY algebra: construct_TJ and
+    lts_from_symplectic share one assembly, and g's memoised Jacobi
+    verdict spares the second sweep."""
+    if "g" in t._cache:
+        return t._cache["g"]
     n = t.dim
     wts = t.wts
     rt = len(wts[0]) if wts else 0
@@ -227,6 +238,7 @@ def build_g_of_T(t: SymplecticTripleData):
     pair = EnvelopingPair(g, [0, 1, 2] + list(range(d0, big)),
                           [vt(u, i) for u in (0, 1) for i in range(n)],
                           list(sel_pairs), None)
+    t._cache["g"] = g, pair
     return g, pair
 
 

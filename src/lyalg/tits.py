@@ -28,8 +28,10 @@ The associative row has a variant on the full unital Jordan algebra
 isomorphic to the corresponding square cell through an explicit graded
 basis map, and a small solver recovers the grid bracket coefficients
 from equivariance plus the Jacobi constraints alone, which is how
-uniqueness of the bracket up to scalars is certified.  Rescaling the
-module by c multiplies the h-valued coefficients by c^2 and the
+uniqueness of the bracket up to scalars is certified.  It reads every
+constraint off full Jacobi sweeps, every triple and no sample, of the
+int64 algebra on h (+) m assembled at chosen coefficients.  Rescaling
+the module by c multiplies the h-valued coefficients by c^2 and the
 m-valued one by c, so the Jacobi constraints are two exact linear
 systems, at c = 0 and at c = 1; the solver answers with a linear family
 or with the scale family c^2 a_1 + c e_m, and refuses (ValueError) when
@@ -38,13 +40,14 @@ describe the solutions at c = 1.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import buildtools as bt
 from . import fastnum
 from . import linalg as la
-from .algebra import Algebra, LYAlgebra, table_to_dict
+from .algebra import Algebra, LYAlgebra, dict_to_table, table_to_dict
 from .checks import check_lie, transport_equal
 from .compjordan import (SliceInts, build_composition, build_jordan, pair_map_tensor,
                          trace_admissible_view, unital_product)
@@ -209,7 +212,7 @@ def _conditions(t):
     ArithmeticError.
     """
     n, lo, hi = t.alg.dim, t.nD, t.nD + t.ngrid
-    pqk, r = np.divmod(fastnum.jacobi_defects(t.alg), n)
+    pqk, r = np.divmod(fastnum.jacobi_defects(t.alg)[0], n)
     pq, k = np.divmod(pqk, n)
     p, q = np.divmod(pq, n)
     off = np.flatnonzero((p < lo) | (k >= hi))
@@ -411,7 +414,8 @@ def magic_square():
 
 
 class ModuleAction:
-    """An algebra acting on a module by one sparse matrix per basis element."""
+    """An algebra acting on a module by one sparse matrix per basis
+    element: mats[a][(r, c)] = v puts v m_r in [h_a, m_c]."""
 
     def __init__(self, h, mdim, mats):
         if len(mats) != h.dim:
@@ -419,12 +423,6 @@ class ModuleAction:
         self.h = h
         self.mdim = mdim
         self.mats = mats
-        self.cols = []
-        for sp in mats:
-            cc = {}
-            for (r, c), v in sp.items():
-                cc.setdefault(c, []).append((r, v))
-            self.cols.append(cc)
 
 
 def tits_module_data(x, y):
@@ -495,28 +493,75 @@ def form_pair_module_data(f1, f2):
     return h, act, cands
 
 
-def _spread(n, cap):
-    if n <= cap:
-        return list(range(n))
-    return sorted({round(t * (n - 1) / (cap - 1)) for t in range(cap)})
+class _ModuleAlgebra:
+    """The algebras on h (+) m whose module bracket is a combination
+    sum_i x_i C_i of the candidates, as int64 parts for pair_table: h's
+    table, the action entries [h_a, m_c] = v m_r at the pair (a, hdim + c)
+    and each candidate's table, its module pairs moved past h.  at(x)
+    assembles one."""
+
+    def __init__(self, h, mod, cands):
+        hd = self.hdim = h.dim
+        n = self.dim = hd + mod.mdim
+        pair, tgt, val, s = h.table_int
+        ent = [(a, hd + c, hd + r, v) for a, mm in enumerate(mod.mats)
+               for (r, c), v in mm.items()]
+        act = np.array([e[:3] for e in ent], dtype=np.int64).reshape(-1, 3).T
+        self.base = [(*np.divmod(pair, hd), tgt, val, s),
+                     (*act, *bt.int_values([e[3] for e in ent]))]
+        self.cands = []
+        for t in cands:
+            pair, tgt, val, s = dict_to_table(t, n, 2)
+            self.cands.append((*(x + hd for x in np.divmod(pair, n)), tgt, val, s))
+
+    def at(self, x, name="assembled"):
+        parts = list(self.base)
+        for c, (p, q, tgt, val, s) in zip(map(Fraction, x), self.cands):
+            if c:
+                bt.guard_bound(abs(c.numerator), val)
+                parts.append((p, q, tgt, c.numerator * val, c.denominator * s))
+        return Algebra(self.dim, bt.pair_table(self.dim, parts), name=name)
 
 
-def _cand_eval(t, p, q):
-    if p == q:
-        return []
-    if p < q:
-        return t.get((p, q), [])
-    return [(l, -v) for l, v in t.get((q, p), [])]
+def _columns(algs, hdim, in_h):
+    """(codes, M) from full Jacobi sweeps (fastnum.jacobi_defects) of the
+    algebras: the codes of the components whose first leg is in h iff
+    in_h, in order, and the int64 matrix whose column j holds algs[j]'s
+    values there, over one common scale.  A component on two legs of h,
+    which no module bracket changes, means that h is not a Lie algebra
+    acting on m by a representation: ValueError at its triple."""
+    den = lcm(*(g.table_int[3] ** 2 for g in algs))
+    codes, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for g in algs:
+        c, v = fastnum.jacobi_defects(g)
+        p, q, k, _ = np.unravel_index(c, (g.dim,) * 4)
+        two = np.flatnonzero(q < hdim)[:1]
+        if len(two):
+            raise ValueError("Jacobi fails at %s, on two elements of h: h is not a Lie "
+                             "algebra acting on m by a representation"
+                             % (tuple(int(x[two[0]]) for x in (p, q, k)),))
+        f = den // g.table_int[3] ** 2
+        bt.guard_bound(f, v)
+        on = (p < hdim) == in_h
+        codes.append(c[on])
+        vals.append(v[on] * f)
+    col = np.repeat(np.arange(len(algs)), [len(c) for c in codes[1:]])
+    codes, row = np.unique(np.concatenate(codes), return_inverse=True)
+    m = np.zeros((len(codes), len(algs)), dtype=np.int64)
+    m[row, col] = np.concatenate(vals)
+    return codes, m
 
 
-def _bracket_at(cands, vec, p, q):
-    """{l: v}: the bracket sum_i vec[i] cands[i] on the module pair (p, q)."""
-    out = {}
-    for ci, t in zip(vec, cands):
-        if ci:
-            for l, v in _cand_eval(t, p, q):
-                out[l] = out.get(l, F0) + ci * v
-    return out
+def _kernel(m, width):
+    """la.kernel_basis of the integer rows m, from the Gram matrix M^T M
+    of their primitive forms: over Q, M x = 0 exactly when M^T M x = 0.
+    OverflowError if a Gram entry could leave int64."""
+    m = m[m.any(axis=1)]
+    if len(m):
+        m = bt.primitive_rows(m)
+    bt.guard_bound(len(m), m, m)
+    return la.kernel_basis([[Fraction(v) for v in row] for row in (m.T @ m).tolist()],
+                           width)
 
 
 class EquivSolve:
@@ -556,138 +601,51 @@ class EquivSolve:
         return out
 
 
-def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
+def solve_equivariant_bracket(h, mod, cands):
     """Recover the module bracket coefficients compatible with Jacobi.
 
     The bracket on the sum of h and its module m is fixed on h and on
     mixed pairs; on module pairs it is an unknown combination of the
     candidate tensors, each of which must be pure: h-valued or m-valued
     (ValueError otherwise).  An empty candidate changes no bracket, so
-    it gets coefficient 0 and no parameter.  Stage one collects the
-    linear constraints from probe triples with one leg in h
-    (equivariance defects) and keeps their kernel, which splits as
-    K_h (+) K_m because the defects of the two kinds never meet.  Rescaling m by c multiplies the
-    h-coefficients a by c^2 and the m-coefficient by c, and the
-    module-only Jacobi sum on probe triples is linear in a once c is
-    fixed, so stage two is two exact linear solves (la.kernel_basis):
+    it gets coefficient 0 and no parameter.  Each constraint matrix has
+    one column per full Jacobi sweep of the algebra at chosen
+    coefficients (_ModuleAlgebra, _columns), and its kernel comes from
+    the Gram matrix of its rows (_kernel).
 
-    * c = 0: the Jacobi sum is homogeneous in a; its kernel is a linear
-      branch, one free parameter per basis vector.  This is the whole
-      family when K_m = 0.
-    * c = 1, when dim K_m = 1: the inhomogeneous system for a_1, solved
-      as the kernel of the augmented rows.  Its solution gives the
-      scale branch c^2 a_1 + c e_m, listed first; the c = 0 branch
-      follows when it is nonzero.  A nonzero homogeneous part at c = 1
-      would need more than one scale, and raises ValueError.
+    Stage one: column i is the (h, m, m) components of the sweep at the
+    i-th candidate alone, the equivariance defects.  Their kernel splits
+    as K_h (+) K_m because the defects of the two kinds never meet.
+    Rescaling m by c multiplies the h-coefficients a by c^2 and the
+    m-coefficient by c, and the Jacobiator J on (m, m, m) triples is
+    linear in a once c is fixed, so stage two is two linear solves:
 
-    dim K_m > 1 raises ValueError.  Certification of a chosen point is
-    the caller's job (assemble_bracket plus a full Jacobi sweep).
+    * c = 1, when K_m is spanned by e: column k is J(h_k + e) - J(e) for
+      the basis h_k of K_h, and the last column is J(e).  The kernel
+      gives a_1 and the scale branch c^2 a_1 + c e, listed first; a
+      kernel vector with last coordinate 0 would need more than one
+      scale, and raises ValueError.
+    * c = 0: the m-valued rows of the first columns (J(h_k) when K_m =
+      0) are homogeneous in a; their kernel is a linear branch, one free
+      parameter per basis vector, listed when nonzero or when there is no
+      scale branch.  This is the whole family when K_m = 0.
+
+    dim K_m > 1 raises ValueError, and so does a Jacobi defect on two
+    elements of h (h is not Lie or does not act by a representation),
+    naming its triple.  Certification of a chosen point is the caller's
+    job (assemble_bracket plus a full Jacobi sweep).
     """
     if not cands:
         raise ValueError("empty candidate span")
+    alg = _ModuleAlgebra(h, mod, cands)
+    hd = alg.hdim
     # an empty candidate changes no bracket: coefficient 0, no parameter
-    live = [i for i, t in enumerate(cands) if any(v for ent in t.values() for _, v in ent)]
-    ncand, cands = len(cands), [cands[i] for i in live]
-    mdim, hdim, nc = mod.mdim, h.dim, len(cands)
-    if mprobes is None:
-        mprobes = _spread(mdim, 12)
-    if hprobes is None:
-        hprobes = _spread(hdim, 10)
-    kinds = [{l >= hdim for ent in t.values() for l, _ in ent} for t in cands]
+    live = [i for i, t in enumerate(alg.cands) if t[3].any()]
+    ncand, nc = len(cands), len(live)
+    kinds = [set((alg.cands[i][2] >= hd).tolist()) for i in live]
     if any(len(k) > 1 for k in kinds):
         raise ValueError("a candidate has both h- and m-valued terms")
     minds = [i for i, k in enumerate(kinds) if True in k]
-
-    def act_out(a, vec_ent):
-        """Bracket of h basis element a against a sparse h(+)m vector."""
-        out = {}
-        for l, v in vec_ent:
-            if l < hdim:
-                for t, w in h.bk(a, l):
-                    out[t] = out.get(t, F0) + v * w
-            else:
-                for r, w in mod.cols[a].get(l - hdim, []):
-                    out[hdim + r] = out.get(hdim + r, F0) + v * w
-        return out
-
-    def cand_on_moved(t, moved, q):
-        out = {}
-        for r, vr in moved:
-            for l, v in _cand_eval(t, r, q):
-                out[l] = out.get(l, F0) + vr * v
-        return out
-
-    conset = set()
-    for a in hprobes:
-        for pi, p in enumerate(mprobes):
-            for q in mprobes[pi + 1:]:
-                defects = []
-                for t in cands:
-                    acc = act_out(a, _cand_eval(t, p, q))
-                    for l, v in cand_on_moved(t, mod.cols[a].get(p, []),
-                                              q).items():
-                        acc[l] = acc.get(l, F0) - v
-                    for l, v in cand_on_moved(t, mod.cols[a].get(q, []),
-                                              p).items():
-                        acc[l] = acc.get(l, F0) + v
-                    defects.append(acc)
-                support = sorted(set().union(*[d.keys() for d in defects]))
-                for l in support:
-                    row = tuple(d.get(l, F0) for d in defects)
-                    if any(v != 0 for v in row):
-                        lead = next(v for v in row if v != 0)
-                        conset.add(tuple(v / lead for v in row))
-    if conset:
-        kernel = la.kernel_basis([list(r) for r in sorted(conset)], nc)
-    else:
-        kernel = [la.basis_vec(nc, i) for i in range(nc)]
-    mk = [v for v in kernel if any(v[i] for i in minds)]
-    hk = [v for v in kernel if not any(v[i] for i in minds)]
-    if len(mk) > 1:
-        raise ValueError("the m-valued candidates leave %d equivariant "
-                         "directions; one scale describes at most one" % len(mk))
-    # Jacobi rows over (a_0, ..., a_{r-1}, t): the m-valued terms of
-    # [[p, q]_h, s] are linear in a, [[p, q]_m, s] gives the h-valued
-    # terms a (times c) and the m-valued term t (times c^2)
-    r = len(hk)
-    rows = (set(), set())
-    for ai, a in enumerate(mprobes):
-        for bi, b in enumerate(mprobes[ai + 1:], ai + 1):
-            for c in mprobes[bi + 1:]:
-                acc = {}
-                for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
-                    for k, v in enumerate(hk):
-                        for l, w in _bracket_at(cands, v, p, q).items():
-                            for rr, x in mod.cols[l].get(s, []):
-                                acc.setdefault(hdim + rr, [F0] * (r + 1))[k] += w * x
-                    if not mk:
-                        continue
-                    for l, w in _bracket_at(cands, mk[0], p, q).items():
-                        for k, v in enumerate(hk + mk):
-                            for l2, x in _bracket_at(cands, v, l - hdim, s).items():
-                                acc.setdefault(l2, [F0] * (r + 1))[k] += w * x
-                for l, row in acc.items():
-                    lead = next((v for v in row if v), None)
-                    if lead is not None:
-                        rows[l >= hdim].add(tuple(v / lead for v in row))
-    hrows, mrows = ([list(row) for row in sorted(part)] for part in rows)
-
-    def lift(coords):
-        return [sum((u * v[i] for u, v in zip(coords, hk)), F0) for i in range(nc)]
-
-    branches = []
-    if mk:
-        aug = la.kernel_basis(mrows + hrows, r + 1)
-        if any(v[r] == 0 for v in aug):
-            raise ValueError("the Jacobi system at scale 1 has a homogeneous "
-                             "part; one scale cannot describe the family")
-        if aug:
-            a1 = [x / aug[0][r] for x in aug[0][:r]]
-            branches.append(({("c", "c"): lift(a1), ("c",): mk[0]}, ["c"]))
-    zero = la.kernel_basis([row[:r] for row in mrows], r)
-    if zero or not branches:
-        names = ["u%d" % k for k in range(len(zero))]
-        branches.append(({(n,): lift(z) for n, z in zip(names, zero)}, names))
 
     def spread(v):
         out = [F0] * ncand
@@ -695,30 +653,42 @@ def solve_equivariant_bracket(h, mod, cands, mprobes=None, hprobes=None):
             out[i] = x
         return out
 
+    kernel = _kernel(_columns([alg.at(spread(la.basis_vec(nc, i))) for i in range(nc)],
+                              hd, True)[1], nc)
+    mk = [v for v in kernel if any(v[i] for i in minds)]
+    hk = [v for v in kernel if not any(v[i] for i in minds)]
+    if len(mk) > 1:
+        raise ValueError("the m-valued candidates leave %d equivariant "
+                         "directions; one scale describes at most one" % len(mk))
+    r = len(hk)
+    vecs = [[a + b for a, b in zip(v, mk[0])] for v in hk] + mk if mk else hk
+    codes, mmm = _columns([alg.at(spread(v)) for v in vecs], hd, False)
+    if mk:
+        mmm[:, :r] -= mmm[:, r:]
+
+    def lift(coords):
+        return [sum((u * v[i] for u, v in zip(coords, hk)), F0) for i in range(nc)]
+
+    branches = []
+    if mk:
+        aug = _kernel(mmm, r + 1)
+        if any(v[r] == 0 for v in aug):
+            raise ValueError("the Jacobi system at scale 1 has a homogeneous "
+                             "part; one scale cannot describe the family")
+        if aug:
+            a1 = [x / aug[0][r] for x in aug[0][:r]]
+            branches.append(({("c", "c"): lift(a1), ("c",): mk[0]}, ["c"]))
+    zero = _kernel(mmm[codes % alg.dim >= hd, :r], r)
+    if zero or not branches:
+        names = ["u%d" % k for k in range(len(zero))]
+        branches.append(({(u,): lift(z) for u, z in zip(names, zero)}, names))
     return EquivSolve(ncand, [spread(v) for v in kernel],
                       [({mono: spread(v) for mono, v in terms.items()}, free)
                        for terms, free in branches])
 
 
 def assemble_bracket(h, mod, cands, coeffs, name=""):
-    """Algebra on h (+) module with the chosen candidate combination."""
-    hdim, mdim = h.dim, mod.mdim
-    dim = hdim + mdim
-    table = dict(h.table)
-    for a in range(hdim):
-        for c, col in mod.cols[a].items():
-            ent = sorted((hdim + r, v) for r, v in col)
-            if ent:
-                table[(a, hdim + c)] = ent
-    for p in range(mdim):
-        for q in range(p + 1, mdim):
-            acc = {}
-            for i, ci in enumerate(coeffs):
-                if ci == 0:
-                    continue
-                for l, v in cands[i].get((p, q), []):
-                    acc[l] = acc.get(l, F0) + ci * v
-            ent = sorted((l, v) for l, v in acc.items() if v != 0)
-            if ent:
-                table[(hdim + p, hdim + q)] = ent
-    return Algebra(dim, table, name=name or "assembled")
+    """Algebra on h (+) module with the module bracket sum_i coeffs[i]
+    cands[i], holding the int64 table pair_table assembles from h's
+    table, the action and the weighted candidates (_ModuleAlgebra)."""
+    return _ModuleAlgebra(h, mod, cands).at(coeffs, name or "assembled")

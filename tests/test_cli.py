@@ -91,6 +91,7 @@ def test_json_that_is_not_an_algebra_is_refused_on_one_line(tmp_path, capsys):
              "row": ({"dim": 2, "binary": [5]}, "row 5 is not a list"),
              "dim_null": ({"dim": None}, "dim must be a non-negative integer, not null"),
              "labels": ({"dim": 2, "labels": 7}, "labels must be a list of 2 names"),
+             "labels_int": ({"dim": 1, "labels": [5]}, "labels must be a list of 1 names"),
              "dim_float": ({"dim": 2.7}, "dim must be a non-negative integer, not 2.7"),
              "dim_bool": ({"dim": True}, "dim must be a non-negative integer, not true"),
              "dim_negative": ({"dim": -3}, "dim must be a non-negative integer, not -3"),

@@ -157,8 +157,8 @@ def test_defect_reached_only_through_the_lower_half_of_a_block(sweep):
         assert sweep(g, budget) == (0, 1, 2)
     st = fastnum._SweepTables(scaled(g))
     # J(0, 1, 2)_3 is the code ((0 n + 1) n + 2) n + 3 = 27 at n = 4
-    assert fastnum._jacobi_block(st, 0, 1).tolist() == [27]
-    assert fastnum._jacobi_block(st, 1, 4).tolist() == []
+    assert fastnum._jacobi_block(st, 0, 1)[0].tolist() == [27]
+    assert fastnum._jacobi_block(st, 1, 4)[0].tolist() == []
 
 
 def test_sweep_witness_is_sorted_for_every_orientation(sweep):
@@ -200,11 +200,25 @@ def test_defects_list_every_nonzero_component(monkeypatch, budget):
     rng = random.Random(5)
     failing = 0
     for h in [g] + [perturbed(g, rng) for _ in range(3)]:
-        codes = fastnum.jacobi_defects(h)
+        codes = fastnum.jacobi_defects(h)[0]
         assert codes.tolist() == jacobi_components_naive(h)
         assert h._cache["jacobi"] == jacobi_violation_reference(h)
         failing += len(codes) > 0
     assert failing
+
+
+def test_defect_values_are_the_jacobiator_components():
+    # rational constants, so the values come over the scale S^2, S = 6
+    g = Algebra(4, {(0, 1): [(2, F(1, 2))], (0, 2): [(3, F(2, 3))],
+                    (1, 2): [(0, F(1)), (3, F(-1, 3))], (0, 3): [(3, F(1))]})
+    codes, vals = fastnum.jacobi_defects(g)
+    s = g.table_int[3]
+    assert s == 6 and len(codes)
+    n = g.dim
+    want = {((p * n + q) * n + k) * n + r: c
+            for p in range(n) for q in range(p + 1, n) for k in range(q + 1, n)
+            for r, c in enumerate(jacobi_defect(g, p, q, k)) if c}
+    assert dict(zip(codes.tolist(), (F(v, s * s) for v in vals.tolist()))) == want
 
 
 def test_defects_refuse_constants_beyond_the_int64_bound():
@@ -213,7 +227,7 @@ def test_defects_refuse_constants_beyond_the_int64_bound():
         fastnum.jacobi_defects(g)
     assert "jacobi" not in g._cache
     ok = Algebra(3, {(0, 1): [(2, F(1 << 29))]})
-    assert fastnum.jacobi_defects(ok).tolist() == []
+    assert fastnum.jacobi_defects(ok)[0].tolist() == []
     assert ok._cache["jacobi"] is None
 
 
@@ -232,11 +246,11 @@ def test_defects_skip_the_sweep_after_a_clean_verdict(monkeypatch):
     monkeypatch.setattr(fastnum, "_jacobi_block", counted)
     again = ly_inside_tits(t)
     assert calls == [] and again.dim == 5
-    assert fastnum.jacobi_defects(t.alg).tolist() == [] and calls == []
+    assert fastnum.jacobi_defects(t.alg)[0].tolist() == [] and calls == []
     # a memoised failing triple still sweeps, for every defect
     h = perturbed(t.alg, random.Random(3))
     w = jacobi_violation(h)
     assert w is not None
-    codes = fastnum.jacobi_defects(h)
+    codes = fastnum.jacobi_defects(h)[0]
     assert calls and codes.tolist() == jacobi_components_naive(h)
     assert h._cache["jacobi"] == w

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from lyalg import io, symplectic
+from lyalg import fastnum, io, symplectic
 from lyalg.algebra import Algebra
 from lyalg.compjordan import build_jordan
 from lyalg.fastnum import jacobi_violation
@@ -119,8 +119,12 @@ F1 = GRAM[0][1]
     (GRAM, table((0, 0, 0)), "zero value"),
     (GRAM, table((4, 0, 1)), "index out of range"),
     (GRAM, table((0, 4, 1)), "index out of range"),
+    (GRAM, table((0, 0, 1), scale=0), "scale <= 0"),
+    (GRAM, table((0, 0, 1), scale=-1), "scale <= 0"),
+    (GRAM, (np.array([0]), np.array([0, 1]), np.array([1]), 1), "of one length"),
 ], ids=["gram-size", "gram-not-skew", "gram-zero", "i>j", "unsorted",
-        "repeated", "zero-value", "pair-range", "col-range"])
+        "repeated", "zero-value", "pair-range", "col-range", "scale-zero",
+        "scale-negative", "lengths"])
 def test_symplectic_triple_data_refuses_a_malformed_datum(gram, trip, match):
     with pytest.raises(ValueError, match=match):
         SymplecticTripleData(2, gram, trip)
@@ -130,3 +134,23 @@ def test_lts_from_symplectic_refuses_the_zero_triple():
     t = SymplecticTripleData(2, split_skew_form(2).gram, table())
     with pytest.raises(ValueError, match="fails Jacobi"):
         lts_from_symplectic(t)
+
+
+def test_lts_from_symplectic_reuses_the_certified_g_of_T(monkeypatch):
+    # construct_TJ builds and sweeps g(T); lts_from_symplectic reads the
+    # memoised algebra and its memoised verdict
+    j = cubic_jordan_data(build_jordan("H3(k)"))
+    calls = {"assembly": 0, "sweep": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(symplectic, "pair_table", counted("assembly", symplectic.pair_table))
+    monkeypatch.setattr(fastnum, "_sweep_tables", counted("sweep", fastnum._sweep_tables))
+    t = construct_TJ(j)
+    ly = lts_from_symplectic(t)
+    assert calls == {"assembly": 1, "sweep": 1}
+    assert ly.dim == 28 and build_g_of_T(t)[0].dim == 52

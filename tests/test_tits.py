@@ -849,8 +849,9 @@ def test_the_builders_hand_algebra_an_int64_table(monkeypatch):
     reductive split each hold the int64 table they were built from and no
     Fraction dict: the Algebra and LYAlgebra properties derive one form
     from the other only through the two converters, which refuse here.
-    The inputs are built first; the solved bracket is a Fraction dict by
-    nature, so its table is derived before the converters refuse."""
+    The inputs are built first; the solver's candidates are Fraction dicts
+    by nature, so the solved bracket is assembled before the converters
+    refuse."""
     ly = ly_inside_tits(build_tits(cview("O"), jview("H3(O)")))
     t = construct_TJ(cubic_jordan_data(build_jordan("H3(k)")))
     x, y = cview("Q"), jview("H3(k)")
@@ -1190,6 +1191,30 @@ def test_solver_lists_the_c_zero_branch_after_the_scale_branch():
     for co in ([0, 3], [5, 0]):
         assert check_lie(assemble_bracket(h, act, [pair, sl2], co)).passed
     assert not check_lie(assemble_bracket(h, act, [pair, sl2], [1, 1])).passed
+
+
+def test_solver_refuses_an_action_that_is_not_a_representation():
+    # h abelian, acting by E01 and E10, which do not commute:
+    # J(h0, h1, m0) = [[h1, m0], h0] = [m1, h0] = -m0 at the triple (0, 1, 2)
+    h = Algebra(2, {})
+    act = ModuleAction(h, 2, [{(0, 1): F(1)}, {(1, 0): F(1)}])
+    with pytest.raises(ValueError, match=r"fails at \(0, 1, 2\), on two elements of h"):
+        solve_equivariant_bracket(h, act, [{(0, 1): [(0, F(1))]}])
+
+
+def test_assemble_bracket_holds_an_int64_table():
+    h, act, cands = form_pair_module_data(split_sym_form(3), split_sym_form(5))
+    g = assemble_bracket(h, act, cands, [F(1, 2), F(1, 2)])
+    assert "table_int" in vars(g) and "table" not in vars(g)
+    # the bracket of h, the action and the weighted candidates, entry by entry
+    hd, want = h.dim, dict(h.table)
+    for a, mm in enumerate(act.mats):
+        for (r, c), v in mm.items():
+            want.setdefault((a, hd + c), []).append((hd + r, v))
+    for t in cands:
+        for (p, q), ent in t.items():
+            want.setdefault((hd + p, hd + q), []).extend((l, v / 2) for l, v in ent)
+    assert g.table == {k: sorted(ent) for k, ent in want.items()}
 
 
 def test_solver_rejects_empty_candidates():
