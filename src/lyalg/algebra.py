@@ -144,21 +144,21 @@ def checked_table(table, dim: int, arity: int):
 
 
 def table_groups(table, dim: int, arity: int):
-    """(keys, l, v, cut) of an int64 table as int lists: the keys (i, j)
-    or (i, j, k) in order, and the targets l and values v of the entries,
-    those of keys[t] from cut[t] to cut[t + 1]."""
+    """(keys, l, cut) of an int64 table: the keys (i, j) or (i, j, k) in
+    order as the columns of an array, and the targets l of the entries,
+    those of key t from cut[t] to cut[t + 1]."""
     group, _, l = _codes(table[0], table[1], dim, arity)
     start = np.flatnonzero(np.diff(group, prepend=-1))
-    keys = zip(*(a.tolist() for a in np.unravel_index(group[start], (dim,) * arity)))
-    return list(keys), l.tolist(), table[2].tolist(), start.tolist() + [len(l)]
+    keys = np.array(np.unravel_index(group[start], (dim,) * arity))
+    return keys, l, np.append(start, len(l))
 
 
 def table_to_dict(table, dim: int, arity: int) -> dict:
     """The Fraction dict of an int64 table, keys in order."""
-    keys, l, v, cut = table_groups(table, dim, arity)
+    keys, l, cut, v = (x.tolist() for x in (*table_groups(table, dim, arity), table[2]))
     frac = {x: Fraction(x, table[3]) for x in set(v)}
     ent = list(zip(l, map(frac.__getitem__, v)))
-    return {key: ent[a:z] for key, a, z in zip(keys, cut, cut[1:])}
+    return {key: ent[a:z] for key, a, z in zip(zip(*keys), cut, cut[1:])}
 
 
 def dict_to_table(table: dict, dim: int, arity: int):
@@ -192,8 +192,8 @@ class Algebra:
                  labels: list[str] | None = None, name: str = ""):
         self.dim = dim
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
-        if len(self.labels) != dim:
-            raise ValueError("label count != dim")
+        if len(self.labels) != dim or not all(isinstance(x, str) for x in self.labels):
+            raise ValueError("labels must be a list of %d names" % dim)
         # cached_property has no setter: these assignments fill its cache
         if isinstance(table, dict):
             self.table = _sparse_table(table, dim, "pair")
@@ -254,8 +254,8 @@ class LYAlgebra:
                  labels: list[str] | None = None, name: str = ""):
         self.dim = dim
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
-        if len(self.labels) != dim:
-            raise ValueError("label count != dim")
+        if len(self.labels) != dim or not all(isinstance(x, str) for x in self.labels):
+            raise ValueError("labels must be a list of %d names" % dim)
         self.binary: dict[tuple[int, int], Sparse] = _sparse_table(binary, dim, "pair")
         # cached_property has no setter: these assignments fill its cache
         if isinstance(ternary, dict):

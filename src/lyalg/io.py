@@ -16,15 +16,17 @@ object with a "dim", a dim or index that is not a non-negative integer
 not a list of dim names (strings), a key that is given twice, and a zero
 denominator.
 
-Both writers take each table from the form the algebra holds: the int64
-table (Algebra.table_int, LYAlgebra.ternary_int) when it holds one, with
-one string per distinct value, else the Fraction dict; they never
-convert between the forms, and both give the same bytes.
+The writers give each table as Rows, a read-only sequence whose `.text`
+is rendered on first use (inside dumps) from the form the algebra holds,
+the int64 table (Algebra.table_int, LYAlgebra.ternary_int) or the
+Fraction dict, never converting between them: each distinct value and
+index is rendered once, numpy lays out the token ids, one join gives the
+text.  dumps writes a Rows from its text, every other value through
+json.dumps; indexing a Rows gives the row lists (json.loads of the text).
 
-The four conversions between algebras and JSON objects build only
-acyclic lists and tuples, which the cyclic garbage collector would scan
-again and again on a large table; they run with the collector paused
-(the caller's setting comes back on exit).
+The readers build only acyclic lists and tuples, which the cyclic garbage
+collector would scan again and again on a large table; they run with the
+collector paused (the caller's setting comes back on exit).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import gc
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import Algebra, LYAlgebra, table_groups
 
@@ -52,10 +57,6 @@ def _paused_gc():
 
 def fr_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _coeffs_obj(entries):
-    return [[k, fr_str(c)] for k, c in entries]
 
 
 def _coeff(c) -> Fraction:
@@ -99,7 +100,7 @@ def _keyed(rows, arity: int) -> dict:
     (ValueError) rows that are not lists, a key of the wrong length or
     with an index that is not a non-negative integer, and a key given
     twice, which a dict would silently overwrite."""
-    if not isinstance(rows, list):
+    if not isinstance(rows, (list, Rows)):
         raise ValueError("rows %s are not a list" % json.dumps(rows, default=repr))
     out = {}
     for row in rows:
@@ -115,29 +116,66 @@ def _keyed(rows, arity: int) -> dict:
     return out
 
 
-def _rows(thing, name: str, arity: int) -> list:
-    """The rows [*key, [[l, "c"], ...]] of the table `name` of thing, from
-    its int64 form `name`_int when thing holds it (one string per distinct
-    value), else from the Fraction dict; both give the same rows."""
-    held = vars(thing).get(name + "_int")
-    if held is None:
-        return [[*key, _coeffs_obj(ent)] for key, ent in sorted(getattr(thing, name).items())]
-    keys, l, v, cut = table_groups(held, thing.dim, arity)
-    text = {x: fr_str(Fraction(x, held[3])) for x in set(v)}
-    ent = [[t, text[x]] for t, x in zip(l, v)]
-    return [[*key, ent[a:z]] for key, a, z in zip(keys, cut, cut[1:])]
+class Rows:
+    """The rows [*key, [[l, "c"], ...]] of one table of an algebra, sorted
+    by key and target, from the form the algebra held when this was made:
+    a read-only sequence whose canonical JSON text is rendered on first use."""
+
+    def __init__(self, thing, name: str, arity: int):
+        self.dim, self.arity = thing.dim, arity
+        self.held = vars(thing).get(name + "_int") or getattr(thing, name)
+
+    def __len__(self) -> int:
+        if isinstance(self.held, dict):
+            return len(self.held)
+        return table_groups(self.held, self.dim, self.arity)[0].shape[1]
+
+    def __getitem__(self, i):
+        return self._list[i]
+
+    @cached_property
+    def _list(self) -> list:
+        return json.loads(self.text)
+
+    @cached_property
+    def text(self) -> str:
+        held, dim, a = self.held, self.dim, self.arity
+        # key t (column t) has lens[t] entries: targets l, coefficients values[vid]
+        if isinstance(held, dict):
+            keys = sorted(held)
+            ents = [e for k in keys for e in held[k]]
+            values: dict = {}
+            vid = [values.setdefault(c, len(values)) for _, c in ents]
+            lens, l = [len(held[k]) for k in keys], [k for k, _ in ents]
+            keys = np.array(keys, dtype=np.int64).reshape(-1, a).T
+        else:
+            keys, l, cut = table_groups(held, dim, a)
+            v, vid = np.unique(held[2], return_inverse=True)
+            lens, values = np.diff(cut), [Fraction(x, held[3]) for x in v.tolist()]
+        lens, l, vid = (np.asarray(x, dtype=np.int64) for x in (lens, l, vid))
+        # tokens: an index i as ",[i," opening a row (the first drops its comma), "i,"
+        # a later key index, "[[i" / ",[i" a first / later target; "]]"; ',"c"]' per value
+        vocab = [f % i for f in (",[%d,", "%d,", "[[%d", ",[%d") for i in range(dim)]
+        vocab += ["]]"] + [',"%s"]' % fr_str(c) for c in values]
+        size = a + 1 + 2 * lens                 # key indices, [l, value] per entry, close
+        start = np.cumsum(size) - size
+        ids = np.empty(int(size.sum()), dtype=np.int64)
+        ids[start + np.arange(a)[:, None]] = keys + dim * (np.arange(a) > 0)[:, None]
+        at = np.repeat(start + a - 2 * (np.cumsum(lens) - lens), lens) + 2 * np.arange(len(l))
+        ids[at], ids[at + 1] = l + 3 * dim, vid + 4 * dim + 1
+        ids[start + a] -= dim                   # a row's first entry opens its list
+        ids[start + size - 1] = 4 * dim
+        return "[" + "".join(np.array(vocab, dtype=object)[ids].tolist())[1:] + "]"
 
 
-@_paused_gc()
 def algebra_to_obj(alg: Algebra) -> dict:
     return {"dim": alg.dim, "labels": list(alg.labels),
-            "binary": _rows(alg, "table", 2), "ternary": []}
+            "binary": Rows(alg, "table", 2), "ternary": []}
 
 
-@_paused_gc()
 def ly_to_obj(ly: LYAlgebra) -> dict:
-    return {"dim": ly.dim, "labels": list(ly.labels), "binary": _rows(ly, "binary", 2),
-            "ternary": _rows(ly, "ternary", 3)}
+    return {"dim": ly.dim, "labels": list(ly.labels), "binary": Rows(ly, "binary", 2),
+            "ternary": Rows(ly, "ternary", 3)}
 
 
 @_paused_gc()
@@ -151,13 +189,15 @@ def obj_to_algebra(obj: dict, name: str = "") -> Algebra:
 @_paused_gc()
 def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
     dim, labels = _head(obj)
-    binary = _keyed(obj.get("binary", []), 2)
-    ternary = _keyed(obj.get("ternary", []), 3)
-    return LYAlgebra(dim, binary, ternary, labels=labels, name=name)
+    return LYAlgebra(dim, _keyed(obj.get("binary", []), 2), _keyed(obj.get("ternary", []), 3),
+                     labels=labels, name=name)
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return "{%s}\n" % ",".join(
+        "%s:%s" % (json.dumps(k), v.text if isinstance(v, Rows)
+                   else json.dumps(v, sort_keys=True, separators=(",", ":")))
+        for k, v in sorted(obj.items()))
 
 
 def save(path: str, thing) -> None:

@@ -358,14 +358,25 @@ def test_io_roundtrip_bytes():
 def test_io_conversions_pause_the_collector_and_restore_it(monkeypatch):
     import gc
 
-    seen = []
-    real = io._coeffs_obj
-    monkeypatch.setattr(io, "_coeffs_obj",
-                        lambda ent: seen.append(gc.isenabled()) or real(ent))
     assert gc.isenabled()
     ly = sl2_lts()
-    # a twin that holds the Fraction dict, so the writer formats entries
+    # the writers leave the caller's setting as it was, on or off, from
+    # either held form (the twin holds the Fraction dict)
     obj = io.ly_to_obj(LYAlgebra(ly.dim, ly.binary, ly.ternary))
+    io.dumps(obj)
+    assert gc.isenabled()
+    try:
+        gc.disable()
+        io.dumps(io.algebra_to_obj(Algebra(3, sl2().table_int)))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    # the readers parse with it paused
+    seen = []
+    real = io._keyed
+    monkeypatch.setattr(io, "_keyed",
+                        lambda rows, arity: seen.append(gc.isenabled()) or real(rows, arity))
+    io.obj_to_ly(obj)
     assert seen and not any(seen) and gc.isenabled()
     # restored after an exception
     with pytest.raises(ValueError):
