@@ -10,10 +10,11 @@ The bracket of an Algebra and the ternary product of an LYAlgebra are
 each held as an int64 table or a Fraction dict, as given; the other form
 is a cached property derived once, by one converter for both classes
 (dict_to_table, table_to_dict; checked_table validates a given table,
-table_groups reads one by key).  `table` maps (i, j) to the entries
-(l, Fraction) of [e_i, e_j], `ternary` maps (i, j, k) to those of
-[e_i, e_j, e_k].  `table_int` is (pair, target, val, scale), val / scale
-the coefficient of e_l at pair i n + j and target l, sorted by (pair, l);
+table_groups reads one by key, row_starts finds where each key's
+entries begin).  `table` maps (i, j) to the entries (l, Fraction) of
+[e_i, e_j], `ternary` maps (i, j, k) to those of [e_i, e_j, e_k].
+`table_int` is (pair, target, val, scale), val / scale the coefficient
+of e_l at pair i n + j and target l, sorted by (pair, l);
 `ternary_int` has col l n + k in place of l, sorted by (pair, k, l).
 Deriving a table raises OverflowError, naming the entry and the int64
 limit, for constants beyond int64.  The LY binary product is a dict.
@@ -143,14 +144,28 @@ def checked_table(table, dim: int, arity: int):
     return pair, col, val, scale
 
 
-def table_groups(table, dim: int, arity: int):
+def row_starts(table, dim: int, arity: int):
+    """Where each key of an int64 table starts: cut[t] is the index of key
+    t's first entry, and cut[-1] the number of entries."""
+    pair, col = table[0], table[1]
+    new = np.diff(pair, prepend=-1) != 0
+    if arity == 3:
+        new |= np.diff(col % dim, prepend=-1) != 0
+    return np.append(np.flatnonzero(new), len(pair))
+
+
+def table_groups(table, dim: int, arity: int, cut=None):
     """(keys, l, cut) of an int64 table: the keys (i, j) or (i, j, k) in
     order as the columns of an array, and the targets l of the entries,
-    those of key t from cut[t] to cut[t + 1]."""
-    group, _, l = _codes(table[0], table[1], dim, arity)
-    start = np.flatnonzero(np.diff(group, prepend=-1))
-    keys = np.array(np.unravel_index(group[start], (dim,) * arity))
-    return keys, l, np.append(start, len(l))
+    those of key t from cut[t] to cut[t + 1].  cut is row_starts(table),
+    found here unless given."""
+    pair, col = table[0], table[1]
+    cut = row_starts(table, dim, arity) if cut is None else cut
+    keys = np.divmod(pair[cut[:-1]], dim)
+    if arity == 2:
+        return np.array(keys), col, cut
+    l, k = np.divmod(col, dim)
+    return np.array([*keys, k[cut[:-1]]]), l, cut
 
 
 def table_to_dict(table, dim: int, arity: int) -> dict:

@@ -16,13 +16,15 @@ object with a "dim", a dim or index that is not a non-negative integer
 not a list of dim names (strings), a key that is given twice, and a zero
 denominator.
 
-The writers give each table as Rows, a read-only sequence whose `.text`
-is rendered on first use (inside dumps) from the form the algebra holds,
-the int64 table (Algebra.table_int, LYAlgebra.ternary_int) or the
-Fraction dict, never converting between them: each distinct value and
-index is rendered once, numpy lays out the token ids, one join gives the
-text.  dumps writes a Rows from its text, every other value through
-json.dumps; indexing a Rows gives the row lists (json.loads of the text).
+The writers give each table as Rows, a read-only sequence rendered from
+the form the algebra holds, the int64 table (Algebra.table_int,
+LYAlgebra.ternary_int) or the Fraction dict, never converting between
+them.  It renders RENDER_ROWS rows at a time, so no array or list spans
+the whole table: per chunk each distinct value and index is rendered
+once, numpy lays out the token ids and one join gives the chunk's text.
+dumps joins the pieces of the document once (save writes them): a Rows's
+chunks, every other value through json.dumps.  `.text` is the rows' text
+alone, and indexing a Rows gives the row lists (json.loads of the text).
 
 The readers build only acyclic lists and tuples, which the cyclic garbage
 collector would scan again and again on a large table; they run with the
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, LYAlgebra, table_groups
+from .algebra import Algebra, LYAlgebra, row_starts, table_groups
 
 
 @contextmanager
@@ -116,19 +118,26 @@ def _keyed(rows, arity: int) -> dict:
     return out
 
 
+# Rows renders this many rows at a time, so its token arrays are bounded by
+# the chunk, not the table.  On the 158,376 ternary rows of the 182-dim LY
+# algebra in O x H3(O), the traced peak of dumps is 9.8 MB at 2^10 to 2^14
+# rows (37 MB in one chunk, 18 MB at 2^16), and 2^14 (10 chunks) is the
+# fastest: 0.036 s against 0.052 s in one chunk (best of 9, 2-vCPU VM)
+RENDER_ROWS = 1 << 14
+
+
 class Rows:
     """The rows [*key, [[l, "c"], ...]] of one table of an algebra, sorted
     by key and target, from the form the algebra held when this was made:
-    a read-only sequence whose canonical JSON text is rendered on first use."""
+    a read-only sequence whose canonical JSON text is rendered on first use,
+    RENDER_ROWS rows at a time (pieces)."""
 
     def __init__(self, thing, name: str, arity: int):
         self.dim, self.arity = thing.dim, arity
         self.held = vars(thing).get(name + "_int") or getattr(thing, name)
 
     def __len__(self) -> int:
-        if isinstance(self.held, dict):
-            return len(self.held)
-        return table_groups(self.held, self.dim, self.arity)[0].shape[1]
+        return len(self.held) if isinstance(self.held, dict) else len(self._cut) - 1
 
     def __getitem__(self, i):
         return self._list[i]
@@ -139,33 +148,60 @@ class Rows:
 
     @cached_property
     def text(self) -> str:
+        return "".join(self.pieces())
+
+    @cached_property
+    def _cut(self):
+        return row_starts(self.held, self.dim, self.arity)
+
+    def _chunks(self):
+        """(keys, lens, l, vid, values) of each RENDER_ROWS rows in turn:
+        the keys as the columns of an array, lens[t] entries of key t, their
+        targets l and value ids vid, and the values the ids stand for."""
         held, dim, a = self.held, self.dim, self.arity
-        # key t (column t) has lens[t] entries: targets l, coefficients values[vid]
         if isinstance(held, dict):
-            keys = sorted(held)
-            ents = [e for k in keys for e in held[k]]
-            values: dict = {}
-            vid = [values.setdefault(c, len(values)) for _, c in ents]
-            lens, l = [len(held[k]) for k in keys], [k for k, _ in ents]
-            keys = np.array(keys, dtype=np.int64).reshape(-1, a).T
-        else:
-            keys, l, cut = table_groups(held, dim, a)
-            v, vid = np.unique(held[2], return_inverse=True)
-            lens, values = np.diff(cut), [Fraction(x, held[3]) for x in v.tolist()]
-        lens, l, vid = (np.asarray(x, dtype=np.int64) for x in (lens, l, vid))
+            rows = sorted(held)
+            for r in range(0, len(rows), RENDER_ROWS):
+                keys = rows[r:r + RENDER_ROWS]
+                ents = [e for k in keys for e in held[k]]
+                values: dict = {}
+                vid = [values.setdefault(c, len(values)) for _, c in ents]
+                yield (np.array(keys, dtype=np.int64).reshape(-1, a).T,
+                       [len(held[k]) for k in keys], [k for k, _ in ents], vid, values)
+            return
+        pair, col, val, scale = held
+        for r in range(0, len(self._cut) - 1, RENDER_ROWS):
+            cut = self._cut[r:r + RENDER_ROWS + 1]
+            z = slice(cut[0], cut[-1])
+            keys, l, cut = table_groups((pair[z], col[z]), dim, a, cut - cut[0])
+            v, vid = np.unique(val[z], return_inverse=True)
+            yield keys, np.diff(cut), l, vid, [Fraction(x, scale) for x in v.tolist()]
+
+    def pieces(self):
+        """The canonical JSON text of the rows, one piece per chunk between
+        the brackets: each distinct value and index is rendered once, numpy
+        lays out the chunk's token ids, one join gives its text."""
+        dim, a = self.dim, self.arity
         # tokens: an index i as ",[i," opening a row (the first drops its comma), "i,"
         # a later key index, "[[i" / ",[i" a first / later target; "]]"; ',"c"]' per value
-        vocab = [f % i for f in (",[%d,", "%d,", "[[%d", ",[%d") for i in range(dim)]
-        vocab += ["]]"] + [',"%s"]' % fr_str(c) for c in values]
-        size = a + 1 + 2 * lens                 # key indices, [l, value] per entry, close
-        start = np.cumsum(size) - size
-        ids = np.empty(int(size.sum()), dtype=np.int64)
-        ids[start + np.arange(a)[:, None]] = keys + dim * (np.arange(a) > 0)[:, None]
-        at = np.repeat(start + a - 2 * (np.cumsum(lens) - lens), lens) + 2 * np.arange(len(l))
-        ids[at], ids[at + 1] = l + 3 * dim, vid + 4 * dim + 1
-        ids[start + a] -= dim                   # a row's first entry opens its list
-        ids[start + size - 1] = 4 * dim
-        return "[" + "".join(np.array(vocab, dtype=object)[ids].tolist())[1:] + "]"
+        vocab = [f % i for f in (",[%d,", "%d,", "[[%d", ",[%d") for i in range(dim)] + ["]]"]
+        yield "["
+        first = 1
+        for keys, lens, l, vid, values in self._chunks():
+            lens, l, vid = (np.asarray(x, dtype=np.int64) for x in (lens, l, vid))
+            size = a + 1 + 2 * lens             # key indices, [l, value] per entry, close
+            start = np.cumsum(size) - size
+            ids = np.empty(int(size.sum()), dtype=np.int64)
+            ids[start + np.arange(a)[:, None]] = keys + dim * (np.arange(a) > 0)[:, None]
+            at = (np.repeat(start + a - 2 * (np.cumsum(lens) - lens), lens)
+                  + 2 * np.arange(len(l)))
+            ids[at], ids[at + 1] = l + 3 * dim, vid + 4 * dim + 1
+            ids[start + a] -= dim               # a row's first entry opens its list
+            ids[start + size - 1] = 4 * dim
+            words = np.array(vocab + [',"%s"]' % fr_str(c) for c in values], dtype=object)
+            yield "".join(words[ids].tolist())[first:]
+            first = 0
+        yield "]"
 
 
 def algebra_to_obj(alg: Algebra) -> dict:
@@ -193,17 +229,27 @@ def obj_to_ly(obj: dict, name: str = "") -> LYAlgebra:
                      labels=labels, name=name)
 
 
+def _pieces(obj: dict):
+    """The canonical JSON text of obj in pieces: a Rows gives its own,
+    every other value one piece through json.dumps."""
+    yield "{"
+    for n, (k, v) in enumerate(sorted(obj.items())):
+        yield ("," if n else "") + json.dumps(k) + ":"
+        if isinstance(v, Rows):
+            yield from v.pieces()
+        else:
+            yield json.dumps(v, sort_keys=True, separators=(",", ":"))
+    yield "}\n"
+
+
 def dumps(obj: dict) -> str:
-    return "{%s}\n" % ",".join(
-        "%s:%s" % (json.dumps(k), v.text if isinstance(v, Rows)
-                   else json.dumps(v, sort_keys=True, separators=(",", ":")))
-        for k, v in sorted(obj.items()))
+    return "".join(_pieces(obj))
 
 
 def save(path: str, thing) -> None:
     obj = ly_to_obj(thing) if isinstance(thing, LYAlgebra) else algebra_to_obj(thing)
     with open(path, "w") as f:
-        f.write(dumps(obj))
+        f.writelines(_pieces(obj))
 
 
 def load(path: str):

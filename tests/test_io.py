@@ -9,6 +9,7 @@ only its Fraction dict and one that holds only its int64 table.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -84,16 +85,57 @@ def test_tkk_row_bytes_match_the_reference(spec):
     assert_written_as_the_reference(build_tkk_row(build_jordan(spec)))
 
 
-def test_empty_tables_and_dim_zero():
+def empty_things():
+    """Algebras and LY algebras of dim 0 and 2 or 3 with empty tables,
+    each held as a Fraction dict and as an int64 table."""
     empty = (np.zeros(0, np.int64),) * 3 + (1,)
-    for thing in [Algebra(0, {}), Algebra(0, empty), Algebra(3, {}), Algebra(3, empty),
-                  LYAlgebra(0, {}, {}), LYAlgebra(0, {}, empty),
-                  LYAlgebra(2, {}, {}), LYAlgebra(2, {}, empty)]:
+    return [Algebra(0, {}), Algebra(0, empty), Algebra(3, {}), Algebra(3, empty),
+            LYAlgebra(0, {}, {}), LYAlgebra(0, {}, empty),
+            LYAlgebra(2, {}, {}), LYAlgebra(2, {}, empty)]
+
+
+def test_empty_tables_and_dim_zero():
+    for thing in empty_things():
         obj = to_obj(thing)
         assert written(thing) == reference(thing)
         assert len(obj["binary"]) == 0 and list(obj["binary"]) == []
         assert obj["binary"].text == "[]"
     assert written(Algebra(0, {})) == '{"binary":[],"dim":0,"labels":[],"ternary":[]}\n'
+
+
+# the LY_CATALOGUE rows of dimension at most 15
+SMALL_ROWS = ["K x H3(K)", "K x H3(k)", "K x H3(Q)", "Q x H3(k)", "sp_sym(3,1)",
+              "sp_sym(4,-1)", "so(3)+so(5)"]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_every_chunk_size_writes_the_same_bytes(monkeypatch, tmp_path, rows):
+    # a chunk boundary after every row, every second and every third row,
+    # from both held forms; save writes the same pieces as dumps
+    monkeypatch.setattr(io, "RENDER_ROWS", rows)
+    for name in SMALL_ROWS:
+        ly = LY_CATALOGUE[name]()
+        assert ly.dim <= 15
+        want = reference(ly)
+        assert [written(t) for t in twins(ly)] == [want, want]
+        io.save(str(tmp_path / "ly.json"), ly)
+        assert (tmp_path / "ly.json").read_text() == want
+    for thing in empty_things():
+        assert written(thing) == reference(thing)
+
+
+def test_writing_the_182_dim_row_stays_within_a_few_copies_of_its_text():
+    # the traced peak of dumps was 8.4 times the text while arrays spanned
+    # every token of the table; rendered in chunks it is 2.3 times
+    ly = LY_CATALOGUE["O x H3(O)"]()
+    tracemalloc.start()
+    try:
+        text = io.dumps(io.ly_to_obj(ly))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4286732
+    assert peak < 4 * len(text)
 
 
 def test_constants_beyond_int64_are_written_from_the_dict():
