@@ -9,11 +9,13 @@ action of the tkk map (tits), the change of basis to a split torus
 
 * Span holds independent integer rows C.  A mod-p elimination pass
   proposes pivot columns with an invertible minor M, and d M^-1 is
-  integral; a query q has x = q[:, piv] (d M^-1), d times its
+  integral (exact_inverses: floats propose it, an exact product
+  decides); a query q has x = q[:, piv] (d M^-1), d times its
   coordinates, accepted only after the exact check x C == d q.  An int64
-  query runs in guarded int64 and is refused (OverflowError) where a
-  product could overflow; a query in Python ints (dtype object) runs
-  the same solve exactly;
+  query runs through fastnum.exact_dot (float64 BLAS below 2^53, guarded
+  int64 above) and is refused (OverflowError) where a product could
+  overflow; a query in Python ints (dtype object) runs the same solve
+  exactly;
 * select picks the first independent rows in the given order: a mod-p
   echelon pass proposes them and one Span solve certifies that every
   other row is a combination of the chosen rows before it.  If the
@@ -69,6 +71,7 @@ import numpy as np
 from . import fastnum
 from . import linalg as la
 from .algebra import Algebra
+from .fastnum import INT64_GUARD, guard_bound
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -86,8 +89,6 @@ class NotClosedError(Exception):
 # Clearing denominators once and pushing whole batches through int64
 # matrix products is what makes the 27-dimensional constructions cheap;
 # explicit overflow guards and a full reconstruction check keep it exact.
-
-INT64_GUARD = 1 << 62
 
 
 class EntryOverflow(OverflowError):
@@ -112,7 +113,7 @@ def int_values(coeffs) -> tuple[np.ndarray, int]:
                     if not (-2 ** 63 <= c.numerator < 2 ** 63 and c.denominator < 2 ** 63))
         raise EntryOverflow("value %s (entry %d) does not fit int64 (|x| < 2^63)"
                             % (c, t), t) from None
-    s = lcm(*np.unique(den).tolist())
+    s = lcm(*fastnum.distinct(den).tolist())
     if s >= INT64_GUARD:
         raise OverflowError("denominators do not fit the int64 batch path")
     mult = s // den
@@ -152,15 +153,6 @@ def int_rows(rows, width: int | None = None):
     if ent:
         arr[[i for i, _, _ in ent], [j for _, j, _ in ent]] = vals
     return arr, s
-
-
-def guard_bound(terms: int, *arrs):
-    """Refuse a batched product whose worst-case entry could overflow int64."""
-    b = terms
-    for a in arrs:
-        b *= int(np.abs(a).max(initial=0))
-    if b >= INT64_GUARD:
-        raise OverflowError("integer batch would overflow int64")
 
 
 def int_commutators(ms, ml, mk, vals, b: int, n: int):
@@ -280,16 +272,92 @@ class OutsideSpan(ValueError):
         self.index = index
 
 
+def exact_inverses(ms: np.ndarray):
+    """(d, y) for a stack ms of s invertible k x k integer matrices, with
+    y[t] = d[t] ms[t]^-1 in lowest terms: d[t] > 0, and d[t] and the
+    entries of y[t] have gcd 1.  That pins the pair down: it is the one
+    la.inv gives with its denominators cleared (d the least common
+    denominator).  ValueError if a matrix is singular.
+
+    For ms in int64, matrices of size 1 or 2 get their determinant and
+    integer adjugate in one vectorised step for the whole stack, exact
+    under guard_bound.  For a larger one np.linalg.det and inv propose
+    det and the adjugate det ms[t]^-1, rounded, and the proposal is
+    accepted only when ms[t] y[t] == d[t] I holds in fastnum.exact_dot,
+    which is exact.  la.inv inverts the rest: a proposal that rounding
+    got wrong, a product past the int64 guard, and ms in Python ints.
+    d and y are int64, or dtype object once la.inv has run.
+    """
+    s, k = len(ms), ms.shape[-1]
+    det, adj = np.zeros(s, dtype=np.int64), np.zeros((s, k, k), dtype=np.int64)
+    ok = np.zeros(s, dtype=bool)
+    if ms.dtype != object:
+        det, adj, ok = (_adjugates if k <= 2 else _proposed_adjugates)(ms)
+    g = np.where(ok, np.gcd(det, np.gcd.reduce(adj.reshape(s, k * k), axis=1)), 1)
+    d = np.abs(det) // g
+    y = adj * np.where(det < 0, -1, 1)[:, None, None] // g[:, None, None]
+    if k > 2:
+        for t in np.flatnonzero(ok):
+            try:
+                ok[t] = np.array_equal(fastnum.exact_dot(ms[t], y[t]),
+                                       d[t] * np.eye(k, dtype=np.int64))
+            except OverflowError:
+                ok[t] = False
+    if not ok.all():
+        d, y = d.astype(object), y.astype(object)
+    for t in np.flatnonzero(~ok):
+        inv = la.inv(ms[t].tolist())
+        d[t] = lcm(*(x.denominator for row in inv for x in row))
+        y[t] = [[x.numerator * (d[t] // x.denominator) for x in row] for row in inv]
+    return d, y
+
+
+def _adjugates(ms: np.ndarray):
+    """(det, adj, ok) of a stack of integer matrices of size 0, 1 or 2, in
+    int64; ok is False where the int64 guard refuses or det is 0."""
+    s, k = len(ms), ms.shape[-1]
+    try:
+        guard_bound(2, ms, ms)
+    except OverflowError:
+        return np.zeros(s, dtype=np.int64), np.zeros_like(ms), np.zeros(s, dtype=bool)
+    if k < 2:
+        det = ms[:, 0, 0] if k else np.ones(s, dtype=np.int64)
+        return det, np.ones_like(ms), det != 0
+    (a, b), (c, e) = ms[:, 0].T, ms[:, 1].T
+    det = a * e - b * c
+    return det, np.stack([np.stack([e, -b], 1), np.stack([-c, a], 1)], 1), det != 0
+
+
+def _proposed_adjugates(ms: np.ndarray):
+    """(det, adj, ok) of a stack of int64 matrices as np.linalg proposes
+    them, rounded to int64; ok is False where the proposal is not finite,
+    not below the int64 guard, or has det 0.  Only proposals: the caller
+    checks them exactly."""
+    s = len(ms)
+    with np.errstate(all="ignore"):
+        try:
+            f = ms.astype(np.float64)
+            det = np.linalg.det(f)
+            adj = np.linalg.inv(f) * det[:, None, None]
+        except np.linalg.LinAlgError:
+            return np.zeros(s, dtype=np.int64), np.zeros_like(ms), np.zeros(s, dtype=bool)
+        ok = (np.abs(det) < INT64_GUARD) & (np.abs(adj) < INT64_GUARD).all(axis=(1, 2))
+    det = np.rint(np.where(ok, det, 0)).astype(np.int64)
+    adj = np.rint(np.where(ok[:, None, None], adj, 0)).astype(np.int64)
+    return det, adj, ok & (det != 0)
+
+
 class Span:
     """Exact coordinates in the span of independent integer rows c.
 
     piv are columns with an invertible minor M = c[:, piv], found mod a
     prime, or by an exact echelon form should every prime lose rank
-    (ValueError if the rows are dependent), and minv = d M^-1 is
-    integral.  A row q in the span has the coordinates q[:, piv] M^-1,
-    so x = q[:, piv] minv is d times them, and q is in the span exactly
-    when x c == d q.  Rows c in int64 keep minv in int64 (OverflowError
-    if it does not fit); rows in Python ints (dtype object) keep it so.
+    (ValueError if the rows are dependent), and (d, minv) =
+    exact_inverses(M): minv = d M^-1 in lowest terms, integral.  A row q
+    in the span has the coordinates q[:, piv] M^-1, so x = q[:, piv] minv
+    is d times them, and q is in the span exactly when x c == d q.  Rows c
+    in int64 keep minv in int64 (OverflowError if it does not fit); rows
+    in Python ints (dtype object) keep it so.
     """
 
     def __init__(self, c: np.ndarray):
@@ -302,35 +370,29 @@ class Span:
             piv = la.rref(c.tolist())[1]
             if len(piv) < r:
                 raise ValueError("basis rows are dependent")
-        inv = la.inv(c[:, piv].tolist())
-        d = lcm(*(x.denominator for row in inv for x in row))
-        minv = [[x.numerator * (d // x.denominator) for x in row] for row in inv]
-        big = max([d] + [abs(x) for row in minv for x in row])
-        if c.dtype != object and big >= INT64_GUARD:
+        d, minv = exact_inverses(c[:, piv][None])
+        d, minv = int(d[0]), minv[0]
+        if c.dtype != object and max(d, int(np.abs(minv).max(initial=0))) >= INT64_GUARD:
             raise OverflowError("pivot inverse does not fit the int64 batch path")
         self.c, self.piv, self.d = c, piv, d
-        self.minv = np.array(minv, dtype=c.dtype).reshape(r, r)
+        self.minv = minv.astype(c.dtype)
 
     def solve(self, q: np.ndarray):
         """(x, bad): x = d times the coordinates of the rows of q, valid
         where bad is False; bad marks the rows outside the span.
 
-        An int64 q runs in guarded int64: OverflowError where a product
-        could overflow, or when the span is held in Python ints.  A q in
-        Python ints (dtype object) is solved exactly.
+        Both products are fastnum.exact_dot: an int64 q runs on float64
+        BLAS where its bound is below 2^53 and in guarded int64 otherwise,
+        with OverflowError where a product could overflow, or when the
+        span is held in Python ints.  A q in Python ints (dtype object) is
+        solved exactly.
         """
-        r = len(self.piv)
-        qp = q[:, self.piv]
-        guarded = q.dtype != object
-        if guarded:
+        if q.dtype != object:
             if self.c.dtype == object:
                 raise OverflowError("the span is held in Python ints, not int64")
-            guard_bound(r, qp, self.minv)
-        x = qp @ self.minv
-        if guarded:
-            guard_bound(r, x, self.c)
             guard_bound(self.d, q)
-        return x, (x @ self.c != self.d * q).any(axis=1)
+        x = fastnum.exact_dot(q[:, self.piv], self.minv)
+        return x, (fastnum.exact_dot(x, self.c) != self.d * q).any(axis=1)
 
 
 def select(a: np.ndarray):
@@ -350,7 +412,9 @@ def select(a: np.ndarray):
     chosen = fastnum.rref_mod(a.T, fastnum.PRIMES20[0])[1]
     while True:
         span = Span(a[chosen])
-        rest = np.setdiff1d(np.arange(len(a)), chosen)
+        rest = np.ones(len(a), dtype=bool)
+        rest[chosen] = False
+        rest = np.flatnonzero(rest)
         x, bad = span.solve(a[rest])
         if bad.any():
             chosen = sorted(chosen + [int(rest[np.argmax(bad)])])
@@ -367,12 +431,13 @@ def select(a: np.ndarray):
     return span, chosen, full
 
 
-def _exact(solve, a: np.ndarray):
-    """solve(a), or solve on a in Python ints when the int64 guard refuses."""
+def _exact(solve, *arrs: np.ndarray):
+    """solve(*arrs), or solve on the arrays in Python ints when the int64
+    guard refuses."""
     try:
-        return solve(a)
+        return solve(*arrs)
     except OverflowError:
-        return solve(a.astype(object))
+        return solve(*(a.astype(object) for a in arrs))
 
 
 class BatchCoords:
@@ -427,7 +492,7 @@ def operator_algebra_from_basis(mats, labels=None, name="", weights=None,
     gen, code = np.array([(s, l * space + k) for s, m in enumerate(mats) for l, k in m],
                          dtype=np.int64).reshape(-1, 2).T
     vals, sc = int_values([v for m in mats for v in m.values()])
-    cols = np.unique(code)
+    cols = fastnum.distinct(code)
     span = Span(dense_rows(gen, code, vals, nb, cols)[0])
     pair, lk, v = int_commutators(gen, *np.divmod(code, space), vals, nb, space)
     pairs, row = np.unique(pair, return_inverse=True)

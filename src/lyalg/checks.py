@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 
-from .algebra import Algebra, LYAlgebra
+from .algebra import Algebra, LYAlgebra, dict_to_table
+from .buildtools import int_rows
 from .envelope import EnvelopingPair, LYStructureError, build_enveloping
-from .fastnum import jacobi_defects, jacobi_violation
+from .fastnum import (PRIMES, guard_bound, jacobi_defects, jacobi_violation, join,
+                      lowest_terms, rank_mod, summed)
 from .linalg import F0, Matrix, basis_vec, is_zero_vec, rank
 
 
@@ -208,43 +210,86 @@ def transport_equal(a, b, basis_map: Matrix) -> bool:
 
     a and b are both Algebra (the bracket is compared) or both LYAlgebra
     (the binary and the ternary product are compared).  Columns of
-    basis_map are the images of a's basis vectors; the map must be
-    invertible (ValueError otherwise).  Images stay sparse, so a
-    permutation-like map costs about one lookup per product entry.
+    basis_map are the images B e_i of a's basis vectors, and it must be
+    an invertible n x n matrix (ValueError otherwise): full rank mod a
+    prime certifies that (the rank mod p never exceeds the rank over Q),
+    and la.rank decides only where the prime loses rank.
+
+    The products are compared on the int64 tables, with B = M / s for an
+    integer matrix M (_same_product): B applied to a's product is one join
+    per table, and b's product on the images B e_i, B e_j (, B e_k) one
+    join per argument.  Each join is guarded (guard_bound) and summed, and
+    each side is put in lowest terms over its scale, which makes two
+    equal sides equal arrays.  Where the int64 guard refuses, the same
+    joins run in Python ints.
     """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
     n = a.dim
-    if rank(basis_map) != n:
+    if b.dim != n:
+        raise ValueError("dimension mismatch")
+    if len(basis_map) != n or any(len(row) != n for row in basis_map):
+        raise ValueError("basis map is not %d x %d" % (n, n))
+    try:
+        m, s = int_rows(basis_map, n)
+    except OverflowError:
+        s = lcm(*(x.denominator for row in basis_map for x in row))
+        m = np.array([[x.numerator * (s // x.denominator) for x in row]
+                      for row in basis_map], dtype=object).reshape(n, n)
+    if rank_mod(m, PRIMES[0]) != n and rank(basis_map) != n:
         raise ValueError("basis map is not invertible")
-    imgs = [[(r, basis_map[r][c]) for r in range(n) if basis_map[r][c] != 0]
-            for c in range(n)]
-
-    def image(ent):
-        acc: dict = {}
-        for l, v in ent:
-            for r, x in imgs[l]:
-                acc[r] = acc.get(r, F0) + v * x
-        return {r: x for r, x in acc.items() if x != 0}
-
-    def on_images(op, args):
-        acc: dict = {}
-        for terms in product(*(imgs[i] for i in args)):
-            coef = 1
-            for _, x in terms:
-                coef *= x
-            for l, v in op(*(r for r, _ in terms)):
-                acc[l] = acc.get(l, F0) + coef * v
-        return {l: x for l, x in acc.items() if x != 0}
-
     if isinstance(a, LYAlgebra):
-        ops = [(a.b, b.b, 2), (a.t, b.t, 3)]
+        pairs = [(dict_to_table(a.binary, n, 2), dict_to_table(b.binary, n, 2), 2),
+                 (a.ternary_int, b.ternary_int, 3)]
     else:
-        ops = [(a.bk, b.bk, 2)]
-    for fa, fb, arity in ops:
-        for i, j in combinations(range(n), 2):
-            for rest in product(range(n), repeat=arity - 2):
-                args = (i, j, *rest)
-                if image(fa(*args)) != on_images(fb, args):
-                    return False
+        pairs = [(a.table_int, b.table_int, 2)]
+    if n ** (pairs[-1][2] + 1) >= 1 << 63:
+        raise OverflowError("dimension too large for int64 product codes")
+    for ta, tb, arity in pairs:
+        try:
+            same = _same_product(ta, tb, arity, m, s)
+        except OverflowError:
+            same = _same_product(ta, tb, arity, m.astype(object), s)
+        if not same:
+            return False
     return True
+
+
+def _codes(pair, col, n: int, arity: int):
+    """The codes ((i n + j) n + k) n + l of the entries [e_i, e_j, e_k] = v e_l
+    of an int64 table (no k for arity 2), from its pair and col arrays."""
+    return pair * n + col if arity == 2 else (pair * n + col % n) * n + col // n
+
+
+def _contract(code, val, w: int, n: int, right):
+    """The digit x = code // w % n of every code replaced by i, with weight
+    v, for each entry (x, i, v) of right: one guarded join, summed."""
+    if val.dtype != object:
+        guard_bound(n, val, right[2])
+    x = code // w % n
+    rest, i, v = join((code - x * w, x, val), right)
+    return summed(rest + i * w, v)
+
+
+def _same_product(ta, tb, arity: int, m, s: int) -> bool:
+    """B x(e_i, e_j[, e_k]) == y(B e_i, B e_j[, B e_k]) at every stored key
+    of x, for the products x and y of arity 2 or 3 given as int64 tables
+    ta and tb, and B = m / s; the values run in m's dtype.
+
+    The left side contracts the target of ta with m (one join).  The right
+    side takes tb in both orders of its antisymmetric pair and contracts
+    each argument with m (one join each), kept at i < j.
+    """
+    n = len(m)
+    r, c = np.nonzero(m)
+    args, target = (r, c, m[r, c]), (c, r, m[r, c])
+    code, val = _codes(ta[0], ta[1], n, arity), ta[2].astype(m.dtype)
+    lhs, lval = _contract(code, val, 1, n, target)
+    pair, col, val, _ = tb
+    i, j = np.divmod(pair, n)
+    code = np.concatenate([_codes(pair, col, n, arity), _codes(j * n + i, col, n, arity)])
+    val = np.concatenate([val, -val]).astype(m.dtype)
+    for t in range(arity, 0, -1):
+        code, val = _contract(code, val, n ** t, n, args)
+    keep = code // n ** arity < code // n ** (arity - 1) % n
+    lval, lden = lowest_terms(lval, ta[3] * s)
+    rval, rden = lowest_terms(val[keep], tb[3] * s ** arity)
+    return lden == rden and np.array_equal(lhs, code[keep]) and np.array_equal(lval, rval)

@@ -46,8 +46,10 @@ def _basis_torus(lie) -> None:
     """
     n = lie.dim
     st = scaled(lie)
-    diag = np.setdiff1d(np.arange(n), st.p[st.q != st.s])
-    on = np.isin(st.p, diag) & (st.q == st.s)
+    is_diag = np.ones(n, dtype=bool)
+    is_diag[st.p[st.q != st.s]] = False
+    diag = np.flatnonzero(is_diag)
+    on = is_diag[st.p] & (st.q == st.s)
     w = np.zeros((n, len(diag)), dtype=np.int64)
     w[st.q[on], np.searchsorted(diag, st.p[on])] = st.c[on]
     lie.weights = [tuple(Fraction(x, st.S) for x in row) for row in w.tolist()]

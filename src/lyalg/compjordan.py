@@ -36,7 +36,7 @@ import numpy as np
 
 from . import buildtools as bt
 from . import linalg as la
-from .fastnum import SWEEP_BLOCK, blocks, join, lowest_terms, summed
+from .fastnum import SWEEP_BLOCK, blocks, distinct, join, lowest_terms, summed
 from .linalg import F0, F1
 from .matrixalg import split_sym_form
 
@@ -751,7 +751,7 @@ def _diagonal_coeffs(es):
     la.kernel_basis of their distinct off-diagonal entry rows."""
     n0 = es.shape[1]
     rows = es[:, ~np.eye(n0, dtype=bool)].T
-    return la.kernel_basis(np.unique(rows, axis=0).tolist(), len(es))
+    return la.kernel_basis(distinct(rows, axis=0).tolist(), len(es))
 
 
 def _toral_search(es, cs):

@@ -189,7 +189,7 @@ def class_bases(gen, code, val, scale: int, cls, keys,
     for c in range(len(keys)):
         a, z = bounds[c], bounds[c + 1]
         maps, row = np.unique(gen[a:z], return_inverse=True)
-        cols.append(np.unique(code[a:z]))
+        cols.append(fastnum.distinct(code[a:z]))
         span, sel, x = select(dense_rows(row, code[a:z], val[a:z], len(maps), cols[-1])[0])
         spans.append(span)
         chosen.append(maps[sel].tolist())

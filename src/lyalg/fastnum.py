@@ -6,7 +6,11 @@ coordinate arrays without a per-entry loop.  All fast paths stay exact:
 
 * sparse integer matrix products, each one join of two coordinate lists
   (summed by the caller), with entries bounded well below 2^63 (asserted
-  from the data, never assumed);
+  from the data by guard_bound, never assumed);
+* dense integer matrix products (exact_dot) on float64 BLAS where the
+  same bound, read off the operands, stays below 2^53, so that every
+  partial sum is an integer a float64 holds exactly, and in guarded
+  int64 otherwise;
 * mod-p elimination with p below 2^31 so products fit int64, used only as
   a one-sided certificate (a rank mod p never exceeds the rank over Q);
   every exact answer comes from an exact solve or an exact check.
@@ -42,6 +46,17 @@ PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
 # primes just under 2^20, for the pivots of the span engine
 # (buildtools.Span and buildtools.select)
 PRIMES20 = [1048573, 1048571, 1048559, 1048549, 1048517]
+
+# the int64 batch paths refuse a worst-case entry of 2^62 or more
+INT64_GUARD = 1 << 62
+
+# a float64 holds every integer below 2^53 exactly
+FLOAT_EXACT = 1 << 53
+
+# float64 entries per row block of exact_dot (a block of a's rows and its
+# product): 2^17, 1 MB, bounds the float copies of a tall operand; e8-ly's
+# peak RSS read the same for blocks from 2^12 to 2^20
+DOT_BLOCK = 1 << 17
 
 # products per block of the Jacobi sweep: on E8, 2^16 keeps the blocks'
 # traced peak near 4 MB (69 MB at 2^20) at within 5% of the fastest budget
@@ -123,6 +138,52 @@ def blocks(load, budget: int):
         p1 = max(p0 + 1, int(np.searchsorted(cum, base + budget, side="right")))
         yield p0, p1
         p0 = p1
+
+
+def guard_bound(terms: int, *arrs) -> int:
+    """Refuse (OverflowError) a batched product whose worst-case entry, a
+    sum of `terms` products of one entry of each array, could reach the
+    int64 guard; return that bound, terms times each array's max |entry|."""
+    b = terms
+    for a in arrs:
+        b *= int(np.abs(a).max(initial=0))
+    if b >= INT64_GUARD:
+        raise OverflowError("integer batch would overflow int64")
+    return b
+
+
+def exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, exactly, for integer matrices a (m, k) and b (k, w).
+
+    For int64 operands every term of an entry is at most max|a| max|b| and
+    every partial sum at most k max|a| max|b|, the bound guard_bound reads
+    off the operands.  Below 2^53 every partial sum is an integer that a
+    float64 holds exactly, in any summation order, so one float64 BLAS
+    product gives the exact entries (the classic trick of exact linear
+    algebra on BLAS: Dumas, Giorgi and Pernet, "Dense linear algebra over
+    word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35,
+    2008); it runs over the rows of a in blocks of about DOT_BLOCK floats.
+    Otherwise the product runs in int64 (numpy has no BLAS kernel for it),
+    after guard_bound refuses a bound of 2^62 or more (OverflowError).
+    Operands in Python ints (dtype object) multiply exactly as they are.
+    """
+    if a.dtype == object or b.dtype == object:
+        return a @ b
+    if guard_bound(a.shape[1], a, b) >= FLOAT_EXACT:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]), dtype=np.int64)
+    bf = b.astype(np.float64)
+    step = max(1, DOT_BLOCK // max(1, a.shape[1] + b.shape[1]))
+    for lo in range(0, len(a), step):
+        out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ bf
+    return out
+
+
+def distinct(a: np.ndarray, axis=None) -> np.ndarray:
+    """The sorted distinct entries (or rows, axis=0) of a: np.unique
+    without the masked-array test a plain np.unique makes, whose first
+    call imports numpy.ma (about 10 ms and 1.7 MB in a fresh process)."""
+    return np.unique(a, return_index=True, axis=axis)[0]
 
 
 def summed(code, val):

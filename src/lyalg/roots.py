@@ -37,7 +37,9 @@ an integer matrix is an integer, so floats only propose the eigenvalues
 and exact integer checks decide (de Graaf 2000, on splitting a Cartan
 subalgebra over Q).  _rebase maps the brackets to the new basis with
 three guarded int64 joins, the last against the exact block-diagonal
-inverse of the basis, and returns an int64 table.  saturate_torus runs
+inverse of the basis (buildtools.exact_inverses: integer adjugates for
+the 1 x 1 and 2 x 2 blocks, float proposals checked by an exact product
+for the others), and returns an int64 table.  saturate_torus runs
 the memoised Jacobi sweep first, so a bracket that is not Lie is refused
 with its failing triple before any eigenvalue is computed, and a zero
 weight space that does not split over Q is refused with ClassifyError.
@@ -50,9 +52,10 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import Algebra
-from .buildtools import (IrrationalRoot, batch, guard_bound, int_rows, int_values,
+from .buildtools import (IrrationalRoot, _exact, batch, exact_inverses, int_rows,
                          pair_table, simultaneous_eigenbasis)
-from .fastnum import PRIMES, ClassifyError, join, rank_mod, require_lie, scaled, summed
+from .fastnum import (INT64_GUARD, PRIMES, ClassifyError, distinct, exact_dot, guard_bound,
+                      join, rank_mod, require_lie, scaled, summed)
 from .invariants import is_semisimple, _grading_blocks
 
 F0 = Fraction(0)
@@ -173,19 +176,23 @@ def _simple_label(r: int, n: int, norms) -> str:
     raise ClassifyError("more than two root lengths")
 
 
-def _root_pairing(alg: Algebra, roots) -> np.ndarray:
-    """Gram matrix of the roots under the form dual to the Killing form on
-    the torus, as exact Python integers scaled by one positive constant.
+def _root_pairing(alg: Algebra, codes: np.ndarray) -> np.ndarray:
+    """Gram matrix of the roots, given as the integer rows codes, under the
+    form dual to the Killing form on the torus, as exact integers scaled
+    by one positive constant: int64, or Python ints where the int64 guard
+    refuses.
 
     ad h is diagonal on the basis with the verified weights as its
     eigenvalues, so the Killing form on the torus is the sum over the
-    weights of alpha(h) alpha(h'): W^T W for the integer weight codes W."""
-    w = int_rows(alg.weights)[0].astype(object)
-    nu = la.inv((w.T @ w).tolist())
-    dn = lcm(*(x.denominator for row in nu for x in row))
-    a = int_rows(roots)[0].astype(object)
-    b = np.array([[int(x * dn) for x in row] for row in nu], dtype=object)
-    return a @ b @ a.T
+    weights of alpha(h) alpha(h'): W^T W for the integer weight codes W.
+    Its inverse times the least common denominator, Y, comes from
+    exact_inverses, and the Gram matrix is A Y A^T for the root codes A,
+    each product one fastnum.exact_dot."""
+    def pairing(w, a):
+        y = exact_inverses(exact_dot(w.T, w)[None])[1][0]
+        return exact_dot(exact_dot(a, y), a.T)
+
+    return _exact(pairing, int_rows(alg.weights)[0], codes)
 
 
 def check_grading(alg: Algebra) -> int:
@@ -258,7 +265,7 @@ def saturate_torus(alg: Algebra) -> Algebra:
     diag[pos[j[j == l]], z[j == l]] = c[j == l]
     frac = {x: Fraction(x, st.S) for x in set(diag.ravel().tolist())}
     new_wts = [tuple(frac[x] for x in w) for w in diag.tolist()]
-    for bi in np.unique(memb[j[j != l]]).tolist():
+    for bi in distinct(memb[j[j != l]]).tolist():
         blk, lo, hi = blocks[bi], start[bi], start[bi + 1]
         e = memb[j] == bi
         ops = np.zeros((nz, hi - lo, hi - lo), dtype=np.int64)
@@ -303,7 +310,11 @@ def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
     int64 joins, summed, contracting the first and then the second
     argument with the basis.  Each bracket must lie in the block of its
     weight, and a third join maps it to new coordinates against the exact
-    inverse of the basis, one la.inv per block.
+    inverse of the basis (_block_inverse: the blocks of each size as one
+    stack through exact_inverses, where a 1 x 1 or 2 x 2 block is its
+    integer adjugate and np.linalg proposes the inverse of a larger one,
+    accepted only when B Y == d I holds in fastnum.exact_dot: a float64
+    product, exact because its bound stays below 2^53, or guarded int64).
 
     This is an exact change of basis (a singular block raises), so a
     Jacobi verdict of None on the input carries over.
@@ -321,17 +332,7 @@ def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
         raise ClassifyError("new basis vector crosses weight blocks")
     if (np.bincount(vblk, minlength=len(blocks)) != [len(blk) for blk in blocks]).any():
         raise ValueError("basis rows are dependent")
-    # the inverse, block by block: entry (l, t) is coordinate t of the
-    # old e_l, over one scale
-    tids = np.argsort(vblk, kind="stable")
-    cut = np.cumsum([0] + [len(blk) for blk in blocks]).tolist()
-    il, it, ent = [], [], []
-    for blk, lo, hi in zip(blocks, cut, cut[1:]):
-        il.append(np.repeat(blk, hi - lo))
-        it.append(np.tile(tids[lo:hi], len(blk)))
-        ent.extend(x for row in la.inv(basis[np.ix_(tids[lo:hi], blk)].tolist()) for x in row)
-    il, it = np.concatenate(il), np.concatenate(it)
-    iv, dinv = int_values(ent)
+    il, it, iv, dinv = _block_inverse(basis, blocks, np.argsort(vblk, kind="stable"))
     st = scaled(alg)
     bv = basis[t_nz, i_nz]
     # first argument: X[a, j * n + l] = sum_i B[i, a] c^l_{ij}
@@ -356,6 +357,37 @@ def _rebase(alg: Algebra, basis: np.ndarray, blocks) -> Algebra:
     if "jacobi" in alg._cache and alg._cache["jacobi"] is None:
         out._cache["jacobi"] = None     # the Jacobi identity is basis-free
     return out
+
+
+def _block_inverse(basis: np.ndarray, blocks, tids: np.ndarray):
+    """(l, t, v, scale): the inverse of the block-diagonal basis, entry
+    (l, t) v / scale the coordinate t of the old e_l, over the least
+    common denominator of all blocks.  tids lists the new vectors block
+    by block.  The blocks of each size go to exact_inverses as one stack
+    (most weight blocks are 1 x 1), whose lowest terms make the scale and
+    the entries those of the Fraction inverse; OverflowError if an entry
+    over that scale does not fit the int64 batch path."""
+    cut = np.cumsum([0] + [len(blk) for blk in blocks])
+    sizes = np.diff(cut)
+    parts = []
+    for k in distinct(sizes).tolist():
+        bs = np.flatnonzero(sizes == k)
+        new = tids[cut[bs][:, None] + np.arange(k)]
+        old = np.array([blocks[b] for b in bs.tolist()], dtype=np.int64)
+        d, y = exact_inverses(basis[new[:, :, None], old[:, None, :]])
+        parts.append((old, new, d.tolist(), y))
+    scale = lcm(*(x for _, _, d, _ in parts for x in d))
+    if scale >= INT64_GUARD:
+        raise OverflowError("inverse basis does not fit the int64 batch path")
+    il, it, iv = [], [], []
+    for old, new, d, y in parts:
+        mult = np.array([scale // x for x in d], dtype=np.int64)
+        if (np.abs(y).max(axis=(1, 2)) > (INT64_GUARD - 1) // mult).any():
+            raise OverflowError("inverse basis does not fit the int64 batch path")
+        il.append(np.broadcast_to(old[:, :, None], y.shape).ravel())
+        it.append(np.broadcast_to(new[:, None, :], y.shape).ravel())
+        iv.append((y * mult[:, None, None]).astype(np.int64).ravel())
+    return np.concatenate(il), np.concatenate(it), np.concatenate(iv), scale
 
 
 def _components(adj: np.ndarray) -> list[list[int]]:
@@ -388,8 +420,9 @@ def classify(alg: Algebra) -> str:
     r, roots = verify_split_maximal(alg)
     if not roots:
         raise ClassifyError("no roots on %r" % alg.name)
-    pair = _root_pairing(alg, roots)
-    comps, codes = _components(pair != 0), int_rows(roots)[0]
+    codes = int_rows(roots)[0]
+    pair = _root_pairing(alg, codes)
+    comps = _components(pair != 0)
     # the components' root spans are orthogonal under the pairing, which
     # is definite, so their ranks over Q add up to at most r: mod-p ranks,
     # never above those, that add up to r are exact
